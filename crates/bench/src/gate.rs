@@ -98,6 +98,15 @@ impl GateReport {
         self.findings.iter().filter(|f| f.verdict == Verdict::Fail)
     }
 
+    /// Did every deterministic counter (`rounds`, `messages`, `bytes`)
+    /// match the baseline exactly? Unlike wall-clock ratios these do not
+    /// depend on the runner, so CI fails on them even in `--warn-only` mode.
+    pub fn counters_match(&self) -> bool {
+        !self
+            .failures()
+            .any(|f| matches!(f.metric, "rounds" | "messages" | "bytes"))
+    }
+
     /// Human-readable multi-line rendering (one finding per line, PASS
     /// lines elided unless `verbose`).
     pub fn render(&self, verbose: bool) -> String {
@@ -484,10 +493,16 @@ mod tests {
         drifted.entries[0].bytes += 1;
         let report = compare(&a, &drifted, &GateConfig::default());
         assert!(report.failures().any(|f| f.metric == "bytes"));
+        assert!(!report.counters_match());
         // A within-threshold wall-clock wobble alone still passes.
         let mut wobble = a.clone();
         wobble.entries[0].median_ns = (wobble.entries[0].median_ns as f64 * 1.3) as u64;
         assert!(compare(&a, &wobble, &GateConfig::default()).passed());
+        // A wall-clock failure is not a counter drift (what --warn-only
+        // tolerates vs. what it never does).
+        wobble.entries[0].median_ns *= 2;
+        let slow = compare(&a, &wobble, &GateConfig::default());
+        assert!(!slow.passed() && slow.counters_match());
     }
 
     #[test]

@@ -498,7 +498,7 @@ pub fn run_vfl(tier: Tier) -> BenchArtifact {
 
     // Same covariance workload with the cost profiler attached: the gate's
     // 1.5x median rule on this entry is the standing bound on attribution
-    // overhead (every exchange, degree reduction and Skellam draw records
+    // overhead (every exchange, mask sharing and Skellam draw records
     // into the process-global profile). The profiler is torn down after
     // the entry unless the process had it on already (`sqm-perf --prof`),
     // so later suites and the gate see the same world either way.
@@ -521,7 +521,8 @@ pub fn run_vfl(tier: Tier) -> BenchArtifact {
     }
 
     // Batched-vs-reference message accounting at the paper's n = 31
-    // covariance shape (reduce width n(n+1)/2 = 496 at P = 4). The
+    // covariance shape (noise-share and open width n(n+1)/2 = 496 at
+    // P = 4). The
     // per-element reference counts one message per field element, so the
     // exact-diffed `messages` of this entry pair pins the realized
     // batching win — a frame-codec regression that quietly splits frames
@@ -746,8 +747,8 @@ mod tests {
 
     #[test]
     fn batching_win_meets_the_acceptance_floor() {
-        // The bench pair's exact-diffed counters must show the reduce
-        // width: at n = 31, P = 4 the per-element reference sends >= 100x
+        // The bench pair's exact-diffed counters must show the frame
+        // widths: at n = 31, P = 4 the per-element reference sends >= 100x
         // the messages of the batched default, for identical payloads.
         let data = SpectralSpec::new(40, 31).with_seed(35).generate();
         let partition = ColumnPartition::even(31, 4);

@@ -4,7 +4,7 @@
 //! ```text
 //! sqm-perf --suite small              # run all suites, write artifacts
 //! sqm-perf --suite small --gate      # ...and diff against bench/baseline.json
-//! sqm-perf --suite small --gate --warn-only   # CI mode: report, never fail
+//! sqm-perf --suite small --gate --warn-only   # CI mode: only counter drift fails
 //! sqm-perf --suite small --write-baseline     # refresh bench/baseline.json
 //! sqm-perf --gate-self-test          # prove the gate catches a 2x slowdown
 //! sqm-perf --suite small --report    # also write the covariance HTML report
@@ -343,8 +343,12 @@ fn main() -> ExitCode {
         if !report.passed() && !opts.warn_only {
             return ExitCode::FAILURE;
         }
+        if !report.counters_match() {
+            eprintln!("error: rounds/messages/bytes drifted from the baseline (fatal even with --warn-only)");
+            return ExitCode::FAILURE;
+        }
         if !report.passed() {
-            println!("(--warn-only: regressions reported but not fatal)");
+            println!("(--warn-only: wall-clock regressions reported but not fatal)");
         }
     }
 

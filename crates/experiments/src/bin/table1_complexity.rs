@@ -13,9 +13,10 @@ fn main() {
     println!("  PCA  computation/client O(mP + n^2 m log m / P + n^2), communication O(n^2 m P log gamma), time O(n^2 m log m)");
     println!("  LR   computation/client O(m(n-1)P + m(n-1) log m / P),  communication O(m(n-1) P log m log gamma), time O(m(n-1) log m)");
     println!();
-    println!("This implementation batches record sums at share level before degree");
-    println!("reduction, so *post-input* communication is O(n^2 P^2) for PCA and");
-    println!("O(n P^2) for LR, independent of m; input sharing remains O(m n P^2).");
+    println!("This implementation sums the record products at share level (degree 2t)");
+    println!("and opens them under degree-2t noise shares, so non-data communication");
+    println!("is O(n^2 P^2) for PCA and O(n P^2) for LR, independent of m; input");
+    println!("sharing remains O(m n P^2). Every release is two rounds.");
     println!("Measured validation:\n");
 
     // Communication scaling in n (PCA): double n => ~4x non-input bytes.

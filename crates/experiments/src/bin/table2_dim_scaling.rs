@@ -55,5 +55,5 @@ fn main() {
             .expect("writing results/");
     }
     obsout::dump_metrics("table2_dim_scaling").expect("writing results/");
-    println!("\nAs n grows the DP-noise cost stays a single exchange round; the overall\ncost is dominated by the covariance/gradient computation (the paper's conclusion).");
+    println!("\nThe DP-noise phase owns no round (its shares ride the input frame): its\ncost is local sampling and mask sharing, negligible next to the\ncovariance/gradient computation as n grows (the paper's conclusion).");
 }

@@ -40,5 +40,5 @@ fn main() {
         }
     }
     obsout::dump_metrics("table5_client_scaling").expect("writing results/");
-    println!("\nTraffic grows with P^2 (full-mesh sharing) and noise aggregation grows\nwith P, but the DP phase remains a single round — matching Table V's trend.");
+    println!("\nTraffic grows with P^2 (full-mesh sharing) and per-party mask sharing\ngrows with P, but the DP phase adds no round and the release stays at\ntwo — matching Table V's trend.");
 }

@@ -7,8 +7,11 @@
 //! * linear operations on shares (local, free);
 //! * batched multiplication and inner products with GRR degree reduction
 //!   (one communication round per batch, `t < n/2`);
-//! * input sharing (single-owner and simultaneous all-party);
-//! * opening (reconstruction from all `n` shares).
+//! * input sharing (single-owner and simultaneous all-party), optionally
+//!   fused with degree-`2t` mask shares in the same frame
+//!   ([`PartyCtx::share_all_masked`]);
+//! * opening (reconstruction from all `n` shares — valid for any sharing
+//!   of degree at most `2t`, since `2t < n`).
 //!
 //! All vector operations are batched: one round moves one payload per
 //! ordered party pair regardless of how many field elements it carries,
@@ -770,17 +773,18 @@ impl<F: PrimeField> PartyCtx<F> {
         }
     }
 
-    /// Share a whole vector: party-major shares of `values`. Dispatches on
-    /// the batching mode — the reference mode keeps the original
-    /// one-`share_secret`-per-value loop; the round-batched mode draws the
-    /// identical RNG stream but evaluates the share polynomials through the
-    /// width-parallel batch kernel. Identical output by construction.
-    fn share_vector(&mut self, values: &[F]) -> Vec<Vec<F>> {
+    /// Share a whole vector with fresh degree-`degree` polynomials:
+    /// party-major shares of `values`. Dispatches on the batching mode — the
+    /// reference mode keeps the original one-`share_secret`-per-value loop;
+    /// the round-batched mode draws the identical RNG stream but evaluates
+    /// the share polynomials through the width-parallel batch kernel.
+    /// Identical output by construction.
+    fn share_vector(&mut self, values: &[F], degree: usize) -> Vec<Vec<F>> {
         match self.batching {
             Batching::Off => {
                 let mut per_party: Vec<Vec<F>> = vec![Vec::with_capacity(values.len()); self.n];
                 for &v in values {
-                    let shares = share_secret(&mut self.rng, v, self.t, self.n);
+                    let shares = share_secret(&mut self.rng, v, degree, self.n);
                     for (j, s) in shares.into_iter().enumerate() {
                         per_party[j].push(s);
                     }
@@ -790,7 +794,7 @@ impl<F: PrimeField> PartyCtx<F> {
             Batching::PerRound(opts) => share_secrets_batch(
                 &mut self.rng,
                 values,
-                self.t,
+                degree,
                 self.n,
                 opts.workers,
                 opts.min_parallel_width,
@@ -847,7 +851,7 @@ impl<F: PrimeField> PartyCtx<F> {
                 len,
                 "owner's values do not match the declared length"
             );
-            outgoing = self.share_vector(values);
+            outgoing = self.share_vector(values, self.t);
         } else {
             assert!(
                 values.is_none(),
@@ -874,6 +878,45 @@ impl<F: PrimeField> PartyCtx<F> {
     /// (publicly known) number of secrets; `expected[i]` is party `i`'s
     /// contribution length. One round.
     pub fn share_all_uneven(&mut self, my_values: &[F], expected: &[usize]) -> Vec<Vec<F>> {
+        let no_masks = vec![Vec::new(); self.n];
+        self.share_all_masked(my_values, expected, no_masks).0
+    }
+
+    /// Degree-`2t` shares of this party's additive masks (its local DP
+    /// noise), party-major, ready to ride a [`Self::share_all_masked`]
+    /// frame. Local: no communication. The masks are data-independent, so
+    /// they can be prepared before the inputs exist.
+    pub fn mask_shares(&mut self, masks: &[F]) -> Vec<Vec<F>> {
+        if prof::is_active() {
+            prof::record(
+                &format!("engine;{};mask_shares", self.phase),
+                1,
+                masks.len() as u64,
+            );
+        }
+        self.share_vector(masks, 2 * self.t)
+    }
+
+    /// The fused input round: every party simultaneously shares its own
+    /// inputs at degree `t` *and* its masks at degree `2t`, one frame per
+    /// link (`mask_shares` comes from [`Self::mask_shares`]; every party
+    /// must contribute the same number of masks). Returns
+    /// `(contributions, mask_sum)`: `contributions[i]` is my shares of party
+    /// `i`'s `expected[i]` inputs, and `mask_sum[k]` is my degree-`2t` share
+    /// of the sum over all parties of mask `k`.
+    ///
+    /// Adding `mask_sum` to a local degree-`2t` product share and opening
+    /// the result replaces a degree reduction followed by a separate noise
+    /// round: the sum of `n` independent uniformly random degree-`2t`
+    /// polynomials re-randomises every non-constant coefficient of the
+    /// product polynomial, and [`Self::open`] interpolates over all `n`
+    /// points, which is exact for degree `2t < n`. One round.
+    pub fn share_all_masked(
+        &mut self,
+        my_values: &[F],
+        expected: &[usize],
+        mask_shares: Vec<Vec<F>>,
+    ) -> (Vec<Vec<F>>, Vec<F>) {
         assert_eq!(expected.len(), self.n, "need one expected length per party");
         assert_eq!(
             my_values.len(),
@@ -881,16 +924,31 @@ impl<F: PrimeField> PartyCtx<F> {
             "party {}: declared length mismatch",
             self.id
         );
-        let per_party = self.share_vector(my_values);
-        let incoming = self.exchange(per_party);
-        for (i, inc) in incoming.iter().enumerate() {
+        assert_eq!(
+            mask_shares.len(),
+            self.n,
+            "need one mask-share vector per party"
+        );
+        let mask_len = mask_shares[0].len();
+        let mut per_party = self.share_vector(my_values, self.t);
+        for (frame, masks) in per_party.iter_mut().zip(mask_shares) {
+            assert_eq!(masks.len(), mask_len, "ragged mask shares");
+            frame.extend(masks);
+        }
+        let mut incoming = self.exchange(per_party);
+        let mut mask_sum = vec![F::ZERO; mask_len];
+        for (i, inc) in incoming.iter_mut().enumerate() {
             assert_eq!(
                 inc.len(),
-                expected[i],
+                expected[i] + mask_len,
                 "party {i} contributed a wrong-length vector"
             );
+            for (acc, &share) in mask_sum.iter_mut().zip(&inc[expected[i]..]) {
+                *acc += share;
+            }
+            inc.truncate(expected[i]);
         }
-        incoming
+        (incoming, mask_sum)
     }
 
     // ----- linear operations (local, no communication) ---------------------
@@ -950,7 +1008,7 @@ impl<F: PrimeField> PartyCtx<F> {
             );
         }
         // Re-share each local value with a fresh degree-t polynomial.
-        let per_party = self.share_vector(d);
+        let per_party = self.share_vector(d, self.t);
         let incoming = self.exchange(per_party);
         // New share = sum_i lambda_i * (party i's re-share of its value).
         self.recombine(&incoming, len, "degree reduction")
@@ -1053,7 +1111,9 @@ impl<F: PrimeField> PartyCtx<F> {
     // ----- opening ----------------------------------------------------------
 
     /// Open shared secrets to all parties: broadcast shares, reconstruct
-    /// from all `n` evaluation points. One round.
+    /// from all `n` evaluation points — exact for any sharing of degree
+    /// below `n`, so degree-`2t` (masked product) shares open unchanged.
+    /// One round.
     pub fn open(&mut self, shares: &[F]) -> Vec<F> {
         if prof::is_active() {
             // Reconstruction applies n Lagrange weights per opened element.

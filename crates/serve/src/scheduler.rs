@@ -484,7 +484,7 @@ impl Drop for Server {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sqm_mpc::FaultSpec;
+    use sqm_mpc::{FaultSpec, TransportError};
 
     fn records(n: usize, cols: usize, salt: u64) -> Vec<Vec<f64>> {
         (0..n)
@@ -628,8 +628,8 @@ mod tests {
     fn party_crash_fails_only_that_tenant() {
         let server = Server::start(ServerConfig::default());
         let mut doomed = tenant_cfg("doomed", 11);
-        // Crash party 1 early in the first release's MPC rounds.
-        doomed.faults = Some(FaultSpec::seeded(5).with_crash(1, 2));
+        // Crash party 1 in the first release's second (open) round.
+        doomed.faults = Some(FaultSpec::seeded(5).with_crash(1, 1));
         server.add_tenant(doomed).unwrap();
         server.add_tenant(tenant_cfg("healthy", 12)).unwrap();
 
@@ -643,7 +643,10 @@ mod tests {
             .unwrap();
         let err = server.call("doomed", Request::Release).unwrap_err();
         match &err {
-            ServeError::SessionFailed { tenant, .. } => assert_eq!(tenant, "doomed"),
+            ServeError::SessionFailed { tenant, error } => {
+                assert_eq!(tenant, "doomed");
+                assert_eq!(*error, TransportError::Crashed { party: 1, round: 1 });
+            }
             other => panic!("expected SessionFailed, got {other:?}"),
         }
         // The poisoned session stays failed...

@@ -5,11 +5,15 @@
 //! `Sk(mu/P)` noise. Only `hatC` is opened; the server divides by `gamma^2`
 //! and eigendecomposes.
 //!
-//! Communication structure: the local products `hat x_ij * hat x_ik` are
-//! summed over records *before* degree reduction (addition is free at
-//! degree 2t), so the entire covariance needs exactly one batched reduction
-//! round of `n(n+1)/2` elements — communication `O(n^2 P)` independent
-//! of `m`, matching Table I.
+//! Communication structure (two rounds): every client shares its quantized
+//! columns at degree `t` and, in the same frame, its `n(n+1)/2` noise draws
+//! at degree `2t`. The local products `hat x_ij * hat x_ik` are summed over
+//! records at degree `2t` (addition is free at any degree), the summed noise
+//! shares are added on top — they re-randomise every non-constant
+//! coefficient of the product polynomial, which is all a degree reduction
+//! would buy for a value that is opened next — and the result is opened.
+//! Non-input communication is `O(n^2 P)` independent of `m`, matching
+//! Table I.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -125,7 +129,7 @@ pub fn covariance_skellam_plaintext<R: rand::Rng + ?Sized>(
 /// party — and therefore predicts the *opened integer output* of the secure
 /// protocol exactly, for any backend. It is the differential-fuzzing oracle:
 /// any bit of divergence from the MPC run is a correctness bug in
-/// secret-sharing, degree reduction, or transport.
+/// secret-sharing, the masked open, or transport.
 ///
 /// The oracle honors `cfg.batching` implicitly: both the round-batched and
 /// the per-element reference engine modes consume the party RNG streams in
@@ -174,16 +178,7 @@ pub fn covariance_quantized_oracle(
         }
     }
 
-    let mut c_hat = Matrix::zeros(n, n);
-    let mut idx = 0;
-    for j in 0..n {
-        for k in j..n {
-            c_hat[(j, k)] = opened[idx] as f64;
-            c_hat[(k, j)] = c_hat[(j, k)];
-            idx += 1;
-        }
-    }
-    c_hat
+    symmetric_from_upper(&opened, n)
 }
 
 fn validate(data: &Matrix, partition: &ColumnPartition, cfg: &VflConfig) {
@@ -206,12 +201,72 @@ fn magnitude_bound(data: &Matrix, gamma: f64, mu: f64) -> f64 {
     data.rows() as f64 * per_entry * per_entry + 12.0 * (2.0 * mu).sqrt() + 1.0
 }
 
+/// One party's `len` Skellam(`local_mu`) draws as field elements, in stream
+/// order.
+pub(crate) fn sample_noise<F: PrimeField>(nrng: &mut StdRng, local_mu: f64, len: usize) -> Vec<F> {
+    (0..len)
+        .map(|_| F::from_i128(sample_skellam(nrng, local_mu) as i128))
+        .collect()
+}
+
+/// Borrow my share-vector of every global column out of the per-client
+/// contributions of one input round. Each client's contribution is
+/// column-major over its own columns; `skip_rows` rows per column precede
+/// the `rows` wanted ones (earlier batches coalesced into the same frame).
+pub(crate) fn column_shares<'a, F: PrimeField>(
+    contributions: &'a [Vec<F>],
+    partition: &ColumnPartition,
+    skip_rows: usize,
+    rows: usize,
+) -> Vec<&'a [F]> {
+    let mut cols: Vec<&[F]> = vec![&[]; partition.n_cols()];
+    for (client, contrib) in contributions.iter().enumerate() {
+        let owned = partition.columns_of(client);
+        let batch = &contrib[owned.len() * skip_rows..][..owned.len() * rows];
+        for (slot, &j) in owned.iter().enumerate() {
+            cols[j] = &batch[slot * rows..(slot + 1) * rows];
+        }
+    }
+    cols
+}
+
+/// `acc[(j, k)] += <cols[j], cols[k]>` over the upper triangle in opened
+/// order: local products of degree-`t` shares, summed at degree `2t`.
+pub(crate) fn add_gram<F: PrimeField>(acc: &mut [F], cols: &[&[F]]) {
+    let mut idx = 0;
+    for (j, cj) in cols.iter().enumerate() {
+        for ck in &cols[j..] {
+            let mut s = F::ZERO;
+            for (&xj, &xk) in cj.iter().zip(ck.iter()) {
+                s += xj * xk;
+            }
+            acc[idx] += s;
+            idx += 1;
+        }
+    }
+}
+
+/// The symmetric matrix whose upper triangle, in opened order, is `opened`.
+pub(crate) fn symmetric_from_upper(opened: &[i128], n: usize) -> Matrix {
+    let mut c_hat = Matrix::zeros(n, n);
+    let mut idx = 0;
+    for j in 0..n {
+        for k in j..n {
+            c_hat[(j, k)] = opened[idx] as f64;
+            c_hat[(k, j)] = c_hat[(j, k)];
+            idx += 1;
+        }
+    }
+    c_hat
+}
+
 /// Memory-bounded variant: records are shared and locally multiplied in
 /// chunks of `chunk_records` rows, so peak share memory is
-/// `O(chunk_records * n)` per party instead of `O(m * n)`. Costs one extra
-/// input round per chunk; the degree-2t accumulator carries across chunks
-/// (addition is free at any degree), so reduction, noise and opening still
-/// happen exactly once. Output law identical to [`covariance_skellam`].
+/// `O(chunk_records * n)` per party instead of `O(m * n)`. Costs one input
+/// round per chunk (`chunks + 1` rounds in all); the noise shares ride the
+/// first chunk's frame and the degree-2t accumulator carries across chunks
+/// (addition is free at any degree), so noise and opening still happen
+/// exactly once. Output law identical to [`covariance_skellam`].
 pub fn covariance_skellam_chunked(
     data: &Matrix,
     partition: &ColumnPartition,
@@ -239,20 +294,26 @@ fn chunked_impl<F: PrimeField>(
 ) -> CovarianceOutput {
     let n = data.cols();
     let m = data.rows();
-    let p_clients = cfg.n_clients;
     let engine = MpcEngine::new(cfg.mpc_config());
     let upper_len = n * (n + 1) / 2;
     let counts = partition.counts();
+    let local_mu = mu / cfg.n_clients as f64;
 
     let run = engine.run::<F, Vec<i128>, _>(|ctx| {
         let me = ctx.id;
         let mut qrng = StdRng::seed_from_u64(cfg.seed ^ (0xA11C_E000 + me as u64));
         let my_cols = partition.columns_of(me);
-        // Degree-2t accumulator for the upper-triangular covariance.
-        let mut acc = vec![F::ZERO; upper_len];
 
+        ctx.set_phase("dp_noise");
+        let mut nrng = StdRng::seed_from_u64(cfg.seed ^ (0x5E11_A000 + me as u64));
+        let mut masks = Some(ctx.mask_shares(&sample_noise(&mut nrng, local_mu, upper_len)));
+        prof::record("vfl;dp_noise;skellam_draw", 1, upper_len as u64);
+
+        // Degree-2t accumulator for the upper-triangular covariance; the
+        // first chunk's round seeds it with the summed noise shares.
+        let mut acc = Vec::new();
         let mut start = 0;
-        while start < m {
+        loop {
             let end = (start + chunk_records).min(m);
             let rows = end - start;
             ctx.set_phase("quantize");
@@ -266,67 +327,33 @@ fn chunked_impl<F: PrimeField>(
             }
             ctx.set_phase("input");
             let expected: Vec<usize> = counts.iter().map(|&c| c * rows).collect();
-            let contributions = ctx.share_all_uneven(&my_values, &expected);
-            let mut col_shares: Vec<Vec<F>> = vec![Vec::new(); n];
-            for (client, contrib) in contributions.into_iter().enumerate() {
-                for (slot, &j) in partition.columns_of(client).iter().enumerate() {
-                    col_shares[j] = contrib[slot * rows..(slot + 1) * rows].to_vec();
+            let contributions = match masks.take() {
+                Some(masks) => {
+                    let (contributions, mask_sum) =
+                        ctx.share_all_masked(&my_values, &expected, masks);
+                    acc = mask_sum;
+                    contributions
                 }
-            }
+                None => ctx.share_all_uneven(&my_values, &expected),
+            };
+            drop(my_values);
             ctx.set_phase("compute");
-            let mut idx = 0;
-            for j in 0..n {
-                for k in j..n {
-                    let mut s = F::ZERO;
-                    for (&xj, &xk) in col_shares[j].iter().zip(&col_shares[k]) {
-                        s += xj * xk;
-                    }
-                    acc[idx] += s;
-                    idx += 1;
-                }
-            }
+            add_gram(&mut acc, &column_shares(&contributions, partition, 0, rows));
             start = end;
-        }
-
-        ctx.set_phase("compute");
-        if prof::is_active() {
-            prof::set_batching_report(prof::BatchingReport::from_level_widths(
-                vec![upper_len],
-                p_clients,
-            ));
-        }
-        let mut reduced = ctx.reduce_degree(&acc);
-
-        ctx.set_phase("dp_noise");
-        let local_mu = mu / p_clients as f64;
-        let mut nrng = StdRng::seed_from_u64(cfg.seed ^ (0x5E11_A000 + me as u64));
-        let my_noise: Vec<F> = (0..upper_len)
-            .map(|_| F::from_i128(sample_skellam(&mut nrng, local_mu) as i128))
-            .collect();
-        prof::record("vfl;dp_noise;skellam_draw", 1, upper_len as u64);
-        for contrib in ctx.share_all(&my_noise) {
-            reduced = ctx.add(&reduced, &contrib);
+            if start >= m {
+                break;
+            }
         }
 
         ctx.set_phase("open");
-        ctx.open(&reduced)
+        ctx.open(&acc)
             .into_iter()
             .map(|v| v.to_centered_i128())
             .collect()
     });
 
-    let opened = &run.outputs[0];
-    let mut c_hat = Matrix::zeros(n, n);
-    let mut idx = 0;
-    for j in 0..n {
-        for k in j..n {
-            c_hat[(j, k)] = opened[idx] as f64;
-            c_hat[(k, j)] = c_hat[(j, k)];
-            idx += 1;
-        }
-    }
     CovarianceOutput {
-        c_hat,
+        c_hat: symmetric_from_upper(&run.outputs[0], n),
         stats: run.stats,
         trace: run.trace,
     }
@@ -341,12 +368,12 @@ fn covariance_impl<F: PrimeField>(
 ) -> Result<CovarianceOutput, TransportError> {
     let n = data.cols();
     let m = data.rows();
-    let p_clients = cfg.n_clients;
     let engine = MpcEngine::new(cfg.mpc_config());
     let upper_len = n * (n + 1) / 2;
     // Column share lengths per client (column-major flattening).
     let counts = partition.counts();
     let expected: Vec<usize> = counts.iter().map(|&c| c * m).collect();
+    let local_mu = mu / cfg.n_clients as f64;
 
     let run = engine.try_run::<F, Vec<i128>, _>(|ctx| {
         let me = ctx.id;
@@ -360,58 +387,24 @@ fn covariance_impl<F: PrimeField>(
             my_values.extend(q.into_iter().map(|v| F::from_i128(v as i128)));
         }
 
-        // --- input sharing (one round, all clients simultaneously) -------
-        ctx.set_phase("input");
-        let contributions = ctx.share_all_uneven(&my_values, &expected);
-        // Reassemble global column order: shares[j] = my share-vector of
-        // column j (length m).
-        let mut col_shares: Vec<Vec<F>> = vec![Vec::new(); n];
-        for (client, contrib) in contributions.into_iter().enumerate() {
-            let cols = partition.columns_of(client);
-            for (slot, &j) in cols.iter().enumerate() {
-                col_shares[j] = contrib[slot * m..(slot + 1) * m].to_vec();
-            }
-        }
-
-        // --- covariance: local inner products, one batched reduction -----
-        ctx.set_phase("compute");
-        let mut locals: Vec<F> = Vec::with_capacity(upper_len);
-        for j in 0..n {
-            for k in j..n {
-                let mut acc = F::ZERO;
-                for (&xj, &xk) in col_shares[j].iter().zip(&col_shares[k]) {
-                    acc += xj * xk;
-                }
-                locals.push(acc);
-            }
-        }
-        if prof::is_active() {
-            // The whole covariance is one independent-mul round of width
-            // n(n+1)/2: already maximally batched (ROADMAP item 1 would
-            // change nothing here, which the report makes measurable).
-            prof::set_batching_report(prof::BatchingReport::from_level_widths(
-                vec![upper_len],
-                p_clients,
-            ));
-        }
-        let mut reduced = ctx.reduce_degree(&locals);
-
-        // --- distributed Skellam noise (one round) ------------------------
+        // --- distributed Skellam noise, shared at degree 2t (local) -------
         ctx.set_phase("dp_noise");
-        let local_mu = mu / p_clients as f64;
         let mut nrng = StdRng::seed_from_u64(cfg.seed ^ (0x5E11_A000 + me as u64));
-        let my_noise: Vec<F> = (0..upper_len)
-            .map(|_| F::from_i128(sample_skellam(&mut nrng, local_mu) as i128))
-            .collect();
+        let masks = ctx.mask_shares(&sample_noise(&mut nrng, local_mu, upper_len));
         prof::record("vfl;dp_noise;skellam_draw", 1, upper_len as u64);
-        let noise_contribs = ctx.share_all(&my_noise);
-        for contrib in noise_contribs {
-            reduced = ctx.add(&reduced, &contrib);
-        }
 
-        // --- open ----------------------------------------------------------
+        // --- round 1: columns + noise shares, all clients simultaneously --
+        ctx.set_phase("input");
+        let (contributions, mut masked) = ctx.share_all_masked(&my_values, &expected, masks);
+        drop(my_values);
+
+        // --- covariance: local inner products on top of the noise shares --
+        ctx.set_phase("compute");
+        add_gram(&mut masked, &column_shares(&contributions, partition, 0, m));
+
+        // --- round 2: open the masked degree-2t sharing --------------------
         ctx.set_phase("open");
-        let opened = ctx.open(&reduced);
+        let opened = ctx.open(&masked);
         opened.into_iter().map(|v| v.to_centered_i128()).collect()
     })?;
 
@@ -420,17 +413,8 @@ fn covariance_impl<F: PrimeField>(
     for other in &run.outputs[1..] {
         debug_assert_eq!(other, opened, "parties disagree on the opened result");
     }
-    let mut c_hat = Matrix::zeros(n, n);
-    let mut idx = 0;
-    for j in 0..n {
-        for k in j..n {
-            c_hat[(j, k)] = opened[idx] as f64;
-            c_hat[(k, j)] = c_hat[(j, k)];
-            idx += 1;
-        }
-    }
     Ok(CovarianceOutput {
-        c_hat,
+        c_hat: symmetric_from_upper(opened, n),
         stats: run.stats,
         trace: run.trace,
     })
@@ -506,7 +490,7 @@ mod tests {
         let r1 = covariance_skellam(&d1, &partition, 16.0, 1.0, &cfg);
         let r2 = covariance_skellam(&d2, &partition, 16.0, 1.0, &cfg);
         assert_eq!(r1.stats.total.rounds, r2.stats.total.rounds);
-        assert_eq!(r1.stats.total.rounds, 4); // input, reduce, noise, open
+        assert_eq!(r1.stats.total.rounds, 2); // input + noise shares, open
     }
 
     #[test]
@@ -515,8 +499,14 @@ mod tests {
         let partition = ColumnPartition::even(4, 4);
         let cfg = VflConfig::fast(4);
         let out = covariance_skellam(&data, &partition, 32.0, 10.0, &cfg);
-        assert_eq!(out.stats.phases["dp_noise"].rounds, 1);
-        assert!(out.stats.phases["dp_noise"].bytes > 0);
+        // Sampling and sharing the noise is local work: the phase is
+        // tracked but owns no round and no traffic...
+        assert_eq!(out.stats.phases["dp_noise"].rounds, 0);
+        assert_eq!(out.stats.phases["dp_noise"].bytes, 0);
+        // ...because the 10 noise shares ride the input frame behind the
+        // 5 column shares: 12 links x 15 elements x 8 bytes.
+        assert_eq!(out.stats.phases["input"].rounds, 1);
+        assert_eq!(out.stats.phases["input"].bytes, 12 * 15 * 8);
     }
 
     #[test]
@@ -619,8 +609,8 @@ mod chunked_tests {
         let partition = ColumnPartition::even(2, 2);
         let cfg = VflConfig::fast(2);
         let out = covariance_skellam_chunked(&data, &partition, 32.0, 1.0, &cfg, 4);
-        // ceil(10/4) = 3 input rounds + reduce + noise + open.
-        assert_eq!(out.stats.total.rounds, 6);
+        // ceil(10/4) = 3 input rounds (noise rides the first) + open.
+        assert_eq!(out.stats.total.rounds, 4);
         assert_eq!(out.stats.phases["input"].rounds, 3);
     }
 

@@ -16,8 +16,8 @@ use sqm_field::{FieldChoice, PrimeField, M127, M61};
 use sqm_linalg::Matrix;
 use sqm_mpc::circuit::{Circuit, CircuitBuilder, Wire};
 use sqm_mpc::{MpcEngine, RunStats};
-use sqm_sampling::skellam::sample_skellam;
 
+use crate::covariance::sample_noise;
 use crate::partition::ColumnPartition;
 use crate::VflConfig;
 
@@ -160,10 +160,7 @@ fn eval_impl<F: PrimeField>(
         ctx.set_phase("dp_noise");
         let mut nrng = StdRng::seed_from_u64(cfg.seed ^ (0x5E11_C000 + me as u64));
         let local_mu = mu / p_clients as f64;
-        let my_noise: Vec<F> = (0..d)
-            .map(|_| F::from_i128(sample_skellam(&mut nrng, local_mu) as i128))
-            .collect();
-        for contrib in ctx.share_all(&my_noise) {
+        for contrib in ctx.share_all(&sample_noise(&mut nrng, local_mu, d)) {
             shares = ctx.add(&shares, &contrib);
         }
 

@@ -11,8 +11,9 @@
 //!
 //! Because the weights are public, `<hat w/4, hat x>` is a *local* linear
 //! combination of shares; the only secure multiplications are the `|B|`
-//! products `v_i * hat x_ik`, summed over the batch at degree `2t` and
-//! reduced in a single batched round of `d` elements.
+//! products `v_i * hat x_ik`, summed over the batch at degree `2t`. The `d`
+//! noise draws are shared at degree `2t` in the input round's frame, added
+//! to those sums, and the masked result is opened: two rounds per step.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -24,6 +25,7 @@ use sqm_obs::prof;
 use sqm_sampling::rounding::stochastic_round;
 use sqm_sampling::skellam::sample_skellam;
 
+use crate::covariance::{column_shares, sample_noise};
 use crate::partition::ColumnPartition;
 use crate::VflConfig;
 
@@ -162,7 +164,7 @@ fn gradient_impl<F: PrimeField>(
 ) -> GradientOutput {
     let d = data.cols() - 1;
     let mb = batch.len();
-    let p_clients = cfg.n_clients;
+    let local_mu = mu / cfg.n_clients as f64;
     let coeffs = quantize_lr_coeffs(w, gamma, cfg.seed);
     let engine = MpcEngine::new(cfg.mpc_config());
     let counts = partition.counts();
@@ -182,17 +184,17 @@ fn gradient_impl<F: PrimeField>(
             }
         }
 
-        // --- input sharing --------------------------------------------------
+        // --- distributed Skellam noise, shared at degree 2t (local) --------
+        ctx.set_phase("dp_noise");
+        let mut nrng = StdRng::seed_from_u64(cfg.seed ^ (0x5E11_B000 + me as u64));
+        let masks = ctx.mask_shares(&sample_noise(&mut nrng, local_mu, d));
+        prof::record("vfl;dp_noise;skellam_draw", 1, d as u64);
+
+        // --- round 1: columns + noise shares --------------------------------
         ctx.set_phase("input");
-        let contributions = ctx.share_all_uneven(&my_values, &expected);
-        let n_cols = d + 1;
-        let mut col_shares: Vec<Vec<F>> = vec![Vec::new(); n_cols];
-        for (client, contrib) in contributions.into_iter().enumerate() {
-            let cols = partition.columns_of(client);
-            for (slot, &j) in cols.iter().enumerate() {
-                col_shares[j] = contrib[slot * mb..(slot + 1) * mb].to_vec();
-            }
-        }
+        let (contributions, mut masked) = ctx.share_all_masked(&my_values, &expected, masks);
+        drop(my_values);
+        let col_shares = column_shares(&contributions, partition, 0, mb);
 
         // --- gradient: local linear + one product per (record, dim) --------
         ctx.set_phase("compute");
@@ -212,38 +214,20 @@ fn gradient_impl<F: PrimeField>(
             }
             *vi = acc - f_label * col_shares[d][i];
         }
-        // G_k = sum_i (v_i * x_ik) [degree 2t] + half * sum_i x_ik [degree t].
-        let mut locals: Vec<F> = Vec::with_capacity(d);
-        for col in col_shares.iter().take(d) {
+        // G_k = sum_i (v_i * x_ik) [degree 2t] + half * sum_i x_ik [degree t],
+        // accumulated on top of the degree-2t noise shares.
+        for (g, col) in masked.iter_mut().zip(&col_shares) {
             let mut acc = F::ZERO;
-            for (&vi, &xik) in v.iter().zip(col) {
+            for (&vi, &xik) in v.iter().zip(col.iter()) {
                 acc += vi * xik;
                 acc += f_half * xik;
             }
-            locals.push(acc);
-        }
-        if prof::is_active() {
-            // One independent-mul round of width `d`: the gradient step is
-            // already maximally batched.
-            prof::set_batching_report(prof::BatchingReport::from_level_widths(vec![d], p_clients));
-        }
-        let mut reduced = ctx.reduce_degree(&locals);
-
-        // --- distributed Skellam noise --------------------------------------
-        ctx.set_phase("dp_noise");
-        let mut nrng = StdRng::seed_from_u64(cfg.seed ^ (0x5E11_B000 + me as u64));
-        let local_mu = mu / p_clients as f64;
-        let my_noise: Vec<F> = (0..d)
-            .map(|_| F::from_i128(sample_skellam(&mut nrng, local_mu) as i128))
-            .collect();
-        prof::record("vfl;dp_noise;skellam_draw", 1, d as u64);
-        for contrib in ctx.share_all(&my_noise) {
-            reduced = ctx.add(&reduced, &contrib);
+            *g += acc;
         }
 
-        // --- open ------------------------------------------------------------
+        // --- round 2: open ---------------------------------------------------
         ctx.set_phase("open");
-        ctx.open(&reduced)
+        ctx.open(&masked)
             .into_iter()
             .map(|f| f.to_centered_i128())
             .collect()
@@ -404,7 +388,7 @@ mod tests {
         let r1 = gradient_sum_skellam(&data, &partition, &[0, 1], &w, 256.0, 1.0, &cfg);
         let r2 = gradient_sum_skellam(&data, &partition, &[0, 1, 2, 3, 4, 5], &w, 256.0, 1.0, &cfg);
         assert_eq!(r1.stats.total.rounds, r2.stats.total.rounds);
-        assert_eq!(r1.stats.total.rounds, 4);
+        assert_eq!(r1.stats.total.rounds, 2);
     }
 
     #[test]

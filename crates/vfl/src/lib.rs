@@ -8,21 +8,28 @@
 //! perturbed integer result, and hand it to the (untrusted) server for
 //! down-scaling.
 //!
-//! Three protocol entry points cover the paper's workloads:
+//! Every release protocol below is two rounds: round 1 ships each client's
+//! degree-`t` input shares with degree-`2t` shares of its Skellam noise in
+//! the same frame; the local degree-`2t` products plus the summed noise
+//! shares are opened in round 2, with no degree reduction in between (see
+//! `PartyCtx::share_all_masked` in `sqm-mpc` and the security note in
+//! DESIGN.md).
 //!
 //! * [`covariance::covariance_skellam`] — the PCA covariance `X^T X + Sk`
-//!   (Section V-A), with batched secure inner products: one degree-reduction
-//!   round for all `n(n+1)/2` entries.
+//!   (Section V-A): local inner products for all `n(n+1)/2` entries.
 //! * [`gradient::gradient_sum_skellam`] — one LR gradient-sum step on a
 //!   batch (Section V-B, Eq. 9). The weight vector is public, so the inner
 //!   product `<w/4, x>` is a *local* linear operation; only the `d`
-//!   per-dimension products need a (single, batched) reduction.
+//!   per-dimension products are secure multiplications.
 //! * [`mean::column_sums_skellam`] — degree-1 column sums/means
 //!   (Algorithm 1 with `lambda = 1`): a purely linear protocol whose
 //!   communication is independent of the record count.
+//! * [`stream::StreamCov`] — the covariance as a long-lived session: any
+//!   number of pending mini-batches ride one input frame per release.
 //! * [`generic::eval_polynomial_skellam`] — any [`sqm_core::Polynomial`],
-//!   compiled to an arithmetic circuit. General but per-record; intended
-//!   for small workloads and cross-checking.
+//!   compiled to an arithmetic circuit (GRR degree reduction per mul layer,
+//!   a separate noise round). General but per-record; intended for small
+//!   workloads and cross-checking.
 //!
 //! Field width (`M61` vs `M127`) is chosen automatically from a worst-case
 //! magnitude bound so the integer computation cannot wrap.
@@ -90,8 +97,8 @@ pub struct VflConfig {
     pub live: Option<sqm_mpc::LiveConfig>,
     /// Attach the deterministic cost profiler (see `sqm_obs::prof`) to the
     /// MPC runs this config drives: collapsed-stack attribution of engine
-    /// traffic, degree reductions, Skellam draws, and the batching
-    /// opportunity report. `None` (the default) records nothing; release
+    /// traffic, mask sharing and degree reductions, Skellam draws, and the
+    /// circuit path's batching opportunity report. `None` (the default) records nothing; release
     /// bits and `RunStats` are bit-identical either way.
     pub prof: Option<sqm_mpc::ProfConfig>,
     /// Wire framing and gate-scheduling mode of the underlying MPC engine

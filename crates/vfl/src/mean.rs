@@ -3,8 +3,9 @@
 //!
 //! Releasing per-attribute sums/means is the simplest member of SQM's
 //! polynomial class: the function is linear, so the MPC evaluation needs
-//! *no* multiplications at all — input sharing, local summation of shares,
-//! one noise round, one opening. Three rounds total, any record count.
+//! *no* multiplications at all — one round sharing the column sums with the
+//! noise shares in the same frame, local addition, one opening. Two rounds
+//! total, any record count.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -14,6 +15,7 @@ use sqm_linalg::Matrix;
 use sqm_mpc::{MpcEngine, RunStats};
 use sqm_sampling::skellam::sample_skellam;
 
+use crate::covariance::sample_noise;
 use crate::partition::ColumnPartition;
 use crate::VflConfig;
 
@@ -81,8 +83,8 @@ pub fn column_sums_skellam_plaintext<R: rand::Rng + ?Sized>(
 /// The same column-sum release executed on the *additive-sharing* backend
 /// (SPDZ-style online phase) instead of BGW — a working demonstration of
 /// the paper's claim that the MPC layer is replaceable. For a linear
-/// function no triples are needed at all, so the two backends have
-/// identical round structure (input, noise, open).
+/// function no triples are needed at all: the additive backend pays one
+/// input round per owner, adds its noise locally, and opens.
 pub fn column_sums_skellam_additive(
     data: &Matrix,
     partition: &ColumnPartition,
@@ -179,8 +181,7 @@ fn mean_impl<F: PrimeField>(
     cfg: &VflConfig,
 ) -> MeanOutput {
     let n = data.cols();
-    let m = data.rows();
-    let p_clients = cfg.n_clients;
+    let local_mu = mu / cfg.n_clients as f64;
     let engine = MpcEngine::new(cfg.mpc_config());
     // Each client only shares its *column sums* — for a linear function the
     // per-record values never need to be shared at all, so the input cost
@@ -200,32 +201,24 @@ fn mean_impl<F: PrimeField>(
             })
             .collect();
 
+        ctx.set_phase("dp_noise");
+        let mut nrng = StdRng::seed_from_u64(cfg.seed ^ (0x5E11_D000 + me as u64));
+        let masks = ctx.mask_shares(&sample_noise(&mut nrng, local_mu, n));
+
         ctx.set_phase("input");
-        let contributions = ctx.share_all_uneven(&my_sums, &counts);
-        let mut col_sum_shares: Vec<F> = vec![F::ZERO; n];
+        let (contributions, mut masked) = ctx.share_all_masked(&my_sums, &counts, masks);
         for (client, contrib) in contributions.into_iter().enumerate() {
             for (slot, &j) in partition.columns_of(client).iter().enumerate() {
-                col_sum_shares[j] = contrib[slot];
+                masked[j] += contrib[slot];
             }
         }
 
-        ctx.set_phase("dp_noise");
-        let mut nrng = StdRng::seed_from_u64(cfg.seed ^ (0x5E11_D000 + me as u64));
-        let local_mu = mu / p_clients as f64;
-        let my_noise: Vec<F> = (0..n)
-            .map(|_| F::from_i128(sample_skellam(&mut nrng, local_mu) as i128))
-            .collect();
-        for contrib in ctx.share_all(&my_noise) {
-            col_sum_shares = ctx.add(&col_sum_shares, &contrib);
-        }
-
         ctx.set_phase("open");
-        ctx.open(&col_sum_shares)
+        ctx.open(&masked)
             .into_iter()
             .map(|f| f.to_centered_i128())
             .collect()
     });
-    let _ = m;
 
     MeanOutput {
         sums_hat: run.outputs[0].iter().map(|&v| v as f64).collect(),
@@ -262,8 +255,8 @@ mod tests {
         for (s, t) in out.sums_hat.iter().zip(true_sums(&x)) {
             assert!((s / gamma - t).abs() < 0.01, "{} vs {t}", s / gamma);
         }
-        // Linear protocol: input + noise + open = 3 rounds, no reductions.
-        assert_eq!(out.stats.total.rounds, 3);
+        // Linear protocol: input with noise shares + open = 2 rounds.
+        assert_eq!(out.stats.total.rounds, 2);
     }
 
     #[test]

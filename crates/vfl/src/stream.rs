@@ -12,8 +12,10 @@
 //! * **Sufficient statistics accumulate.** Each party keeps its share of
 //!   the degree-2t upper-triangular Gram accumulator between releases.
 //!   A release only quantizes/shares/multiplies the records that arrived
-//!   since the previous release, then degree-reduces a *copy* of the
-//!   accumulator — prior work is amortized, never recomputed.
+//!   since the previous release — all pending batches coalesced into one
+//!   input frame that also carries the degree-2t noise shares — then opens
+//!   a noise-masked *copy* of the accumulator: two rounds however many
+//!   batches are pending, and prior work is amortized, never recomputed.
 //! * **Randomness streams persist.** Quantization and Skellam noise RNGs
 //!   are the same per-party streams the one-shot protocols derive from
 //!   `cfg.seed`, carried across releases. Release 0 is therefore
@@ -37,7 +39,9 @@ use sqm_sampling::rounding::stochastic_round;
 use sqm_sampling::skellam::sample_skellam;
 use std::sync::Mutex;
 
-use crate::covariance::CovarianceOutput;
+use crate::covariance::{
+    add_gram, column_shares, sample_noise, symmetric_from_upper, CovarianceOutput,
+};
 use crate::partition::ColumnPartition;
 use crate::VflConfig;
 
@@ -101,13 +105,17 @@ impl<F: PrimeField> StreamImpl<F> {
         let mesh = self.mesh.take().expect("mesh present unless failed");
         let n = self.partition.n_cols();
         let upper_len = n * (n + 1) / 2;
-        let counts = self.partition.counts();
-        let p_clients = self.cfg.n_clients;
         let partition = &self.partition;
         let gamma = self.gamma;
-        let local_mu = self.mu / p_clients as f64;
+        let local_mu = self.mu / self.cfg.n_clients as f64;
         let pending = std::mem::take(&mut self.pending);
         let pending = &pending;
+        let pending_rows: usize = pending.iter().map(|b| b.rows()).sum();
+        let expected: Vec<usize> = partition
+            .counts()
+            .iter()
+            .map(|&c| c * pending_rows)
+            .collect();
 
         // Hand each party thread its persistent state through an indexed
         // slot; the thread takes it at the start of the program and returns
@@ -121,53 +129,42 @@ impl<F: PrimeField> StreamImpl<F> {
             let me = ctx.id;
             let mut st = slots[me].lock().unwrap().take().expect("party state");
             let my_cols = partition.columns_of(me);
+
+            // All pending batches ride one input frame, quantized in
+            // arrival order (batch -> column -> row).
+            ctx.set_phase("quantize");
+            let mut my_values: Vec<F> = Vec::with_capacity(my_cols.len() * pending_rows);
             for batch in pending {
-                let rows = batch.rows();
-                ctx.set_phase("quantize");
-                let mut my_values: Vec<F> = Vec::with_capacity(my_cols.len() * rows);
                 for &j in &my_cols {
-                    for i in 0..rows {
+                    for i in 0..batch.rows() {
                         let q = stochastic_round(&mut st.qrng, gamma * batch[(i, j)]);
                         my_values.push(F::from_i128(q as i128));
                     }
                 }
-                ctx.set_phase("input");
-                let expected: Vec<usize> = counts.iter().map(|&c| c * rows).collect();
-                let contributions = ctx.share_all_uneven(&my_values, &expected);
-                let mut col_shares: Vec<Vec<F>> = vec![Vec::new(); n];
-                for (client, contrib) in contributions.into_iter().enumerate() {
-                    for (slot, &j) in partition.columns_of(client).iter().enumerate() {
-                        col_shares[j] = contrib[slot * rows..(slot + 1) * rows].to_vec();
-                    }
-                }
-                ctx.set_phase("compute");
-                let mut idx = 0;
-                for j in 0..n {
-                    for k in j..n {
-                        let mut s = F::ZERO;
-                        for (&xj, &xk) in col_shares[j].iter().zip(&col_shares[k]) {
-                            s += xj * xk;
-                        }
-                        st.acc[idx] += s;
-                        idx += 1;
-                    }
-                }
             }
 
-            ctx.set_phase("compute");
-            let mut reduced = ctx.reduce_degree(&st.acc);
-
             ctx.set_phase("dp_noise");
-            let my_noise: Vec<F> = (0..upper_len)
-                .map(|_| F::from_i128(sample_skellam(&mut st.nrng, local_mu) as i128))
-                .collect();
-            for contrib in ctx.share_all(&my_noise) {
-                reduced = ctx.add(&reduced, &contrib);
+            let masks = ctx.mask_shares(&sample_noise(&mut st.nrng, local_mu, upper_len));
+
+            ctx.set_phase("input");
+            let (contributions, mut masked) = ctx.share_all_masked(&my_values, &expected, masks);
+            drop(my_values);
+
+            ctx.set_phase("compute");
+            let mut rows_done = 0;
+            for batch in pending {
+                let cols = column_shares(&contributions, partition, rows_done, batch.rows());
+                add_gram(&mut st.acc, &cols);
+                rows_done += batch.rows();
+            }
+            // Mask a copy: the running accumulator itself stays noise-free.
+            for (share, &acc) in masked.iter_mut().zip(&st.acc) {
+                *share += acc;
             }
 
             ctx.set_phase("open");
             let opened = ctx
-                .open(&reduced)
+                .open(&masked)
                 .into_iter()
                 .map(|v| v.to_centered_i128())
                 .collect();
@@ -184,17 +181,8 @@ impl<F: PrimeField> StreamImpl<F> {
                 }
                 self.releases += 1;
                 let opened = opened_first.expect("at least one party");
-                let mut c_hat = Matrix::zeros(n, n);
-                let mut idx = 0;
-                for j in 0..n {
-                    for k in j..n {
-                        c_hat[(j, k)] = opened[idx] as f64;
-                        c_hat[(k, j)] = c_hat[(j, k)];
-                        idx += 1;
-                    }
-                }
                 Ok(CovarianceOutput {
-                    c_hat,
+                    c_hat: symmetric_from_upper(&opened, n),
                     stats: run.stats,
                     trace: run.trace,
                 })
@@ -286,9 +274,9 @@ impl StreamCov {
         }
     }
 
-    /// Run one DP release over the reused mesh: share and accumulate the
-    /// pending batches, degree-reduce a copy of the running accumulator,
-    /// add fresh distributed Skellam noise, open. Consumes the pending
+    /// Run one DP release over the reused mesh: share the pending batches
+    /// and fresh distributed Skellam noise in one round, accumulate, open a
+    /// noise-masked copy of the running accumulator. Consumes the pending
     /// queue. A release with nothing pending re-releases the current
     /// statistics under fresh noise (it still costs privacy budget —
     /// admission is the caller's job).
@@ -356,7 +344,7 @@ impl StreamCov {
 /// order the session consumed it; the noise streams skip the
 /// `noise_skip * n(n+1)/2` draws earlier releases consumed. Any divergence
 /// from the MPC session is a correctness bug in share persistence,
-/// transport reuse, or degree reduction.
+/// transport reuse, or the masked open.
 pub fn covariance_streaming_oracle(
     batches: &[Matrix],
     partition: &ColumnPartition,
@@ -405,16 +393,7 @@ pub fn covariance_streaming_oracle(
         }
     }
 
-    let mut c_hat = Matrix::zeros(n, n);
-    let mut idx = 0;
-    for j in 0..n {
-        for k in j..n {
-            c_hat[(j, k)] = opened[idx] as f64;
-            c_hat[(k, j)] = c_hat[(j, k)];
-            idx += 1;
-        }
-    }
-    c_hat
+    symmetric_from_upper(&opened, n)
 }
 
 #[cfg(test)]
@@ -510,7 +489,8 @@ mod tests {
             stream.ingest(b);
         }
         let first = stream.release().unwrap();
-        // Nothing pending: the second release reduces/noises/opens only.
+        // Nothing pending: the second release's input frame carries only
+        // the noise shares.
         let second = stream.release().unwrap();
         assert!(
             second.stats.total.bytes < first.stats.total.bytes,
@@ -518,21 +498,22 @@ mod tests {
             second.stats.total.bytes,
             first.stats.total.bytes
         );
-        assert_eq!(second.stats.phases.get("input").map(|p| p.rounds), None);
+        assert_eq!(second.stats.total.rounds, 2);
+        assert_eq!(second.stats.phases.get("input").map(|p| p.rounds), Some(1));
     }
 
     #[test]
     fn transport_failure_poisons_the_session_with_a_typed_error() {
         let partition = ColumnPartition::even(3, 3);
-        // Crash party 1 at round 2: the first release dies mid-protocol.
+        // Crash party 1 at round 1: the first release dies at its open.
         let cfg = VflConfig::fast(3)
             .with_seed(5)
-            .with_faults(sqm_mpc::FaultSpec::seeded(5).with_crash(1, 2));
+            .with_faults(sqm_mpc::FaultSpec::seeded(5).with_crash(1, 1));
         let mut stream = StreamCov::new(partition, 64.0, 0.0, &cfg, 16, 1.0).unwrap();
         stream.ingest(&batches()[0]);
         let err = stream.release().unwrap_err();
-        assert_eq!(err.party(), 1);
-        assert!(stream.failure().is_some());
+        assert_eq!(err, TransportError::Crashed { party: 1, round: 1 });
+        assert_eq!(stream.failure(), Some(&err));
         // Poisoned: later calls return the same typed error, no panic.
         let again = stream.release().unwrap_err();
         assert_eq!(err, again);

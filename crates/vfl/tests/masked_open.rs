@@ -1,0 +1,195 @@
+//! Every two-round release equals a plaintext replay of its seeded streams,
+//! bit for bit, at every threshold the masked open can run at: P = 2 (t = 0,
+//! degree-0 "sharing"), P = 3 (t = 1), P = 5 (t = 2, 2t + 1 = P exactly) and
+//! P = 10 (t = 4, one spare point).
+//!
+//! The noise and quantisation draws come from their own per-party streams,
+//! so only the share polynomials differ from run to run; a divergence here
+//! is a bug in the fused input frame, the degree-2t mask shares, or the open.
+
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use sqm_core::quantize::quantize_vec;
+use sqm_linalg::Matrix;
+use sqm_sampling::rounding::stochastic_round;
+use sqm_sampling::skellam::sample_skellam;
+use sqm_vfl::gradient::quantize_lr_coeffs;
+use sqm_vfl::{
+    column_sums_skellam, covariance_quantized_oracle, covariance_skellam,
+    covariance_skellam_chunked, covariance_streaming_oracle, gradient_sum_skellam, Batching,
+    ColumnPartition, NetBackend, StreamCov, VflConfig,
+};
+
+const CLIENTS: [usize; 4] = [2, 3, 5, 10];
+const N: usize = 11;
+
+fn data(rows: usize, seed: u64) -> Matrix {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let scale = 1.0 / (N as f64).sqrt();
+    Matrix::from_vec(
+        rows,
+        N,
+        (0..rows * N)
+            .map(|_| rng.gen_range(-scale..scale))
+            .collect(),
+    )
+}
+
+#[test]
+fn covariance_equals_the_quantized_oracle_at_every_threshold() {
+    let x = data(14, 1);
+    let chunks: Vec<Matrix> = [0..5, 5..10, 10..14]
+        .map(|rows| Matrix::from_rows(&rows.map(|i| x.row(i).to_vec()).collect::<Vec<_>>()))
+        .to_vec();
+    // The last case is wide enough to dispatch to M127.
+    for (gamma, mu) in [(512.0, 0.0), (300.0, 60.0), ((1u64 << 24) as f64, 1e6)] {
+        for p in CLIENTS {
+            let partition = ColumnPartition::even(N, p);
+            let cfg = VflConfig::fast(p).with_seed(1000 + p as u64);
+            let oracle = covariance_quantized_oracle(&x, &partition, gamma, mu, &cfg);
+            let out = covariance_skellam(&x, &partition, gamma, mu, &cfg);
+            assert_eq!(out.c_hat, oracle, "P={p} gamma={gamma} mu={mu}");
+            assert_eq!(out.stats.total.rounds, 2, "P={p}");
+            // The memory-bounded variant quantises chunk by chunk, i.e. in
+            // the streaming oracle's order with one batch per chunk.
+            let chunked = covariance_skellam_chunked(&x, &partition, gamma, mu, &cfg, 5);
+            let chunk_oracle = covariance_streaming_oracle(&chunks, &partition, gamma, mu, &cfg, 0);
+            assert_eq!(chunked.c_hat, chunk_oracle, "P={p} gamma={gamma} mu={mu}");
+            assert_eq!(chunked.stats.total.rounds, 3 + 1, "P={p}: chunks + open");
+        }
+    }
+}
+
+#[test]
+fn covariance_oracle_holds_over_tcp_and_per_element_frames() {
+    let x = data(9, 2);
+    let (gamma, mu) = (256.0, 25.0);
+    for p in [3usize, 5] {
+        let partition = ColumnPartition::even(N, p);
+        for backend in [NetBackend::InProcess, NetBackend::tcp()] {
+            for batching in [Batching::default(), Batching::Off] {
+                let cfg = VflConfig::fast(p)
+                    .with_seed(77)
+                    .with_backend(backend.clone())
+                    .with_batching(batching);
+                let oracle = covariance_quantized_oracle(&x, &partition, gamma, mu, &cfg);
+                let out = covariance_skellam(&x, &partition, gamma, mu, &cfg);
+                assert_eq!(out.c_hat, oracle, "P={p} {backend:?} {batching:?}");
+                if batching == Batching::Off {
+                    assert_eq!(out.stats.total.messages, out.stats.total.elems);
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn streaming_releases_coalesce_batches_and_match_the_streaming_oracle() {
+    let batches: Vec<Matrix> = (0..5).map(|b| data(2 + b, 10 + b as u64)).collect();
+    let (gamma, mu) = (256.0, 30.0);
+    for p in CLIENTS {
+        let partition = ColumnPartition::even(N, p);
+        let cfg = VflConfig::fast(p).with_seed(500 + p as u64);
+        let mut stream = StreamCov::new(partition.clone(), gamma, mu, &cfg, 64, 1.0).unwrap();
+        // Release 0: three pending batches in one input frame. Release 1:
+        // nothing pending (masks only). Release 2: two more batches.
+        let mut ingested = 0;
+        for (release, upto) in [(0usize, 3usize), (1, 3), (2, 5)] {
+            for b in &batches[ingested..upto] {
+                stream.ingest(b);
+            }
+            ingested = upto;
+            let out = stream.release().unwrap();
+            let oracle =
+                covariance_streaming_oracle(&batches[..upto], &partition, gamma, mu, &cfg, release);
+            assert_eq!(out.c_hat, oracle, "P={p} release {release}");
+            assert_eq!(out.stats.total.rounds, 2, "P={p} release {release}");
+            assert_eq!(
+                out.stats.phases["input"].rounds, 1,
+                "P={p} release {release}"
+            );
+        }
+    }
+}
+
+#[test]
+fn gradient_equals_a_replay_of_its_streams_at_every_threshold() {
+    let rows = 12;
+    let mut x = data(rows, 3);
+    for i in 0..rows {
+        x[(i, N - 1)] = f64::from(i % 2 == 0); // label column
+    }
+    let d = N - 1;
+    let w: Vec<f64> = (0..d).map(|j| 0.05 * (j as f64 - 4.0)).collect();
+    let batch = [0usize, 2, 3, 7, 8, 11];
+    let (gamma, mu) = (128.0, 1e4);
+    for p in CLIENTS {
+        let partition = ColumnPartition::even(N, p);
+        let cfg = VflConfig::fast(p).with_seed(900 + p as u64);
+        let out = gradient_sum_skellam(&x, &partition, &batch, &w, gamma, mu, &cfg);
+        assert_eq!(out.stats.total.rounds, 2, "P={p}");
+
+        // Replay: per-party quantisation (column -> batch row), the public
+        // coefficients, Eq. 9 on integers, then per-party noise.
+        let mut q = vec![[0i128; N]; batch.len()]; // [record][column]
+        for client in 0..p {
+            let mut qrng = StdRng::seed_from_u64(cfg.seed ^ (0x96AD_0000 + client as u64));
+            for j in partition.columns_of(client) {
+                for (slot, &i) in batch.iter().enumerate() {
+                    q[slot][j] = stochastic_round(&mut qrng, gamma * x[(i, j)]) as i128;
+                }
+            }
+        }
+        let coeffs = quantize_lr_coeffs(&w, gamma, cfg.seed);
+        let mut grad = vec![0i128; d];
+        for row in &q {
+            let v: i128 = (0..d)
+                .map(|j| coeffs.w_quarter[j] as i128 * row[j])
+                .sum::<i128>()
+                - coeffs.label as i128 * row[d];
+            for (g, xk) in grad.iter_mut().zip(row) {
+                *g += (v + coeffs.half as i128) * xk;
+            }
+        }
+        for client in 0..p {
+            let mut nrng = StdRng::seed_from_u64(cfg.seed ^ (0x5E11_B000 + client as u64));
+            for g in grad.iter_mut() {
+                *g += sample_skellam(&mut nrng, mu / p as f64) as i128;
+            }
+        }
+        let amp = gamma.powi(3);
+        let want: Vec<f64> = grad.iter().map(|&g| g as f64 / amp).collect();
+        assert_eq!(out.grad_sum, want, "P={p}");
+    }
+}
+
+#[test]
+fn column_sums_equal_a_replay_of_their_streams_at_every_threshold() {
+    let x = data(10, 4);
+    let (gamma, mu) = (1024.0, 50.0);
+    for p in CLIENTS {
+        let partition = ColumnPartition::even(N, p);
+        let cfg = VflConfig::fast(p).with_seed(300 + p as u64);
+        let out = column_sums_skellam(&x, &partition, gamma, mu, &cfg);
+        assert_eq!(out.stats.total.rounds, 2, "P={p}");
+
+        let mut sums = [0i128; N];
+        for client in 0..p {
+            let mut qrng = StdRng::seed_from_u64(cfg.seed ^ (0x3EA4_0000 + client as u64));
+            for j in partition.columns_of(client) {
+                sums[j] = quantize_vec(&mut qrng, &x.col(j), gamma)
+                    .into_iter()
+                    .map(|v| v as i128)
+                    .sum();
+            }
+        }
+        for client in 0..p {
+            let mut nrng = StdRng::seed_from_u64(cfg.seed ^ (0x5E11_D000 + client as u64));
+            for s in sums.iter_mut() {
+                *s += sample_skellam(&mut nrng, mu / p as f64) as i128;
+            }
+        }
+        let want: Vec<f64> = sums.iter().map(|&s| s as f64).collect();
+        assert_eq!(out.sums_hat, want, "P={p}");
+    }
+}

@@ -3,7 +3,8 @@
 //! covariance still matches the bit-exact quantized oracle and equals the
 //! unprofiled run entry-for-entry), the artifacts must be byte-identical
 //! across two same-seed runs, and the Skellam draw counter plus the
-//! protocol-level batching report must land in the profile.
+//! fused two-round structure (mask shares, no degree reduction, no
+//! batching report) must land in the profile.
 //!
 //! The profiler is process-global, so these tests serialize on one mutex.
 
@@ -95,15 +96,19 @@ fn covariance_profile_is_byte_deterministic_with_skellam_and_batching() {
     assert_eq!(draws.calls, 2);
     assert_eq!(draws.work, 2 * 10);
 
-    // The protocol reports its single maximally-batched mul round.
-    let batching = second.batching.as_ref().expect("protocol reports batching");
-    assert_eq!(batching.level_widths, vec![10]);
-    assert_eq!(batching.n_parties, 2);
-    // Already one round wide: batching could not reduce messages further.
-    assert_eq!(batching.messages_batched, batching.messages_unbatched / 10);
+    // ...and shares them at degree 2t, locally, under the same phase.
+    let masks = &second.nodes["engine;dp_noise;mask_shares"];
+    assert_eq!(masks.calls, 2);
+    assert_eq!(masks.work, 2 * 10);
+    assert!(!second.nodes.contains_key("engine;dp_noise;exchange"));
 
-    // Engine traffic is attributed under the protocol's phase names.
-    assert!(second.nodes.contains_key("engine;compute;reduce_degree"));
+    // The release has no secure-multiplication round: nothing is degree-
+    // reduced, so there is no batching opportunity to report.
+    assert!(second.batching.is_none());
+    assert!(!second.nodes.keys().any(|k| k.contains("reduce_degree")));
+
+    // Engine traffic is attributed under the protocol's two round phases.
+    assert!(second.nodes.contains_key("engine;input;exchange"));
     assert!(second.nodes.contains_key("engine;open;exchange"));
     assert!(!json1.contains("wall"));
 
@@ -130,8 +135,8 @@ fn gradient_records_skellam_draws_per_dimension() {
     let draws = &snap.nodes["vfl;dp_noise;skellam_draw"];
     assert_eq!(draws.calls, 2); // one batch of draws per party
     assert_eq!(draws.work, 2 * 3); // d = 3 draws each
-    let batching = snap.batching.as_ref().expect("protocol reports batching");
-    assert_eq!(batching.level_widths, vec![3]);
+    assert_eq!(snap.nodes["engine;dp_noise;mask_shares"].work, 2 * 3);
+    assert!(snap.batching.is_none(), "no mul round, nothing to batch");
 
     prof::deactivate();
     prof::reset();
