@@ -5,8 +5,8 @@
 //! right now"; this module answers "did it get slower since the committed
 //! baseline". Three suites cover the paper's hot paths end to end:
 //!
-//! * `micro` — field arithmetic (M61 mul/inv, M127 mul), stochastic
-//!   quantization, Skellam sampling. Pure compute, no MPC.
+//! * `micro` — field arithmetic (M61 mul/inv/dot/dot4, M127 mul),
+//!   stochastic quantization, Skellam sampling. Pure compute, no MPC.
 //! * `mpc` — Shamir share/open and full GRR multiplication rounds through
 //!   the BGW engine (in-process mesh, zero simulated latency), with the
 //!   engine's own message/byte/simulated-time accounting attached.
@@ -33,7 +33,7 @@ use serde::Serialize;
 use sqm::core::quantize::quantize_vec;
 use sqm::datasets::SpectralSpec;
 use sqm::field::{PrimeField, M127, M61};
-use sqm::mpc::shamir::{reconstruct, share_secret};
+use sqm::mpc::shamir::{lagrange_at_zero, share_secret, share_secrets_batch};
 use sqm::mpc::{MpcConfig, MpcEngine, RunStats};
 use sqm::obs::trace::Trace;
 use sqm::obs::{metrics, MessageDag, SpanConfig};
@@ -353,6 +353,35 @@ pub fn run_micro(tier: Tier) -> BenchArtifact {
         RunCost::default()
     }));
 
+    // The two field functions the covariance Gram kernel is built from, at
+    // the paper's m = 1000 rows: one share column against `DOT_COLS` others
+    // per timed run, inputs built outside the timed closure.
+    const DOT_ROWS: usize = 1000;
+    const DOT_COLS: usize = 256;
+    let mut rng = StdRng::seed_from_u64(16);
+    let mut column = || -> Vec<M61> { (0..DOT_ROWS).map(|_| M61::random(&mut rng)).collect() };
+    let x = column();
+    let cols: Vec<Vec<M61>> = (0..DOT_COLS).map(|_| column()).collect();
+
+    entries.push(measure(&format!("m61_dot_x{DOT_ROWS}"), tier, || {
+        let mut acc = M61::ZERO;
+        for c in &cols {
+            acc += M61::dot(black_box(&x), c);
+        }
+        black_box(acc);
+        RunCost::default()
+    }));
+
+    entries.push(measure(&format!("m61_dot4_x{DOT_ROWS}"), tier, || {
+        let mut acc = M61::ZERO;
+        for c in cols.chunks_exact(4) {
+            let sums = M61::dot4(black_box(&x), [&c[0], &c[1], &c[2], &c[3]]);
+            acc += sums[0] + sums[1] + sums[2] + sums[3];
+        }
+        black_box(acc);
+        RunCost::default()
+    }));
+
     BenchArtifact::new("micro", tier, entries)
 }
 
@@ -382,21 +411,38 @@ pub fn run_mpc(tier: Tier) -> BenchArtifact {
         },
     ));
 
+    // What the engine's open does: party-major shares recombined with the
+    // Lagrange weights it builds once per run. Shares and weights are made
+    // outside the timed closure.
+    let secrets: Vec<M61> = (0..n_secrets).map(M61::from_u64).collect();
+    let per_party = share_secrets_batch::<M61, _>(
+        &mut StdRng::seed_from_u64(22),
+        &secrets,
+        threshold,
+        n_parties,
+        1,
+        usize::MAX,
+    );
+    let weights = lagrange_at_zero::<M61>(&(0..n_parties).collect::<Vec<_>>());
+    let recombine = || {
+        let mut opened = vec![M61::ZERO; secrets.len()];
+        for (&li, shares) in weights.iter().zip(&per_party) {
+            for (o, &s) in opened.iter_mut().zip(shares) {
+                *o += li * s;
+            }
+        }
+        opened
+    };
+    assert_eq!(
+        recombine(),
+        secrets,
+        "recombination must return the secrets"
+    );
     entries.push(measure(
         &format!("shamir_open_n5_t2_x{n_secrets}"),
         tier,
         || {
-            let mut rng = StdRng::seed_from_u64(22);
-            let shared: Vec<Vec<M61>> = (0..n_secrets)
-                .map(|i| share_secret::<M61, _>(&mut rng, M61::from_u64(i), threshold, n_parties))
-                .collect();
-            let mut acc = M61::ZERO;
-            for shares in &shared {
-                let points: Vec<(usize, M61)> =
-                    shares.iter().copied().enumerate().take(2 * 2 + 1).collect();
-                acc += reconstruct(&points);
-            }
-            black_box(acc);
+            black_box(recombine());
             RunCost::default()
         },
     ));

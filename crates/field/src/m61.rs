@@ -15,6 +15,14 @@ use crate::traits::PrimeField;
 /// The modulus `2^61 - 1`.
 pub const P61: u64 = (1u64 << 61) - 1;
 
+/// Products summed into one `u128` between two reductions in
+/// [`PrimeField::dot`] / [`PrimeField::dot4`].
+const DOT_BLOCK: usize = 32;
+
+// The release profile does not check overflow, so the accumulator bound is
+// proven here: a block of products of canonical elements fits a `u128`.
+const _: () = assert!(DOT_BLOCK as u128 <= u128::MAX / ((P61 as u128 - 1) * (P61 as u128 - 1)));
+
 /// An element of `GF(2^61 - 1)`, stored canonically in `[0, p)`.
 #[derive(Copy, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct M61(u64);
@@ -62,6 +70,37 @@ impl M61 {
         }
         acc as u64
     }
+
+    /// `out[l] = <x, cols[l]>` with delayed reduction: raw 122-bit products
+    /// are added in `u128` and folded once per [`DOT_BLOCK`] terms. The `N`
+    /// lanes share each load of `x` and keep `N` independent add chains in
+    /// flight, which is what lets the loop run at the multiplier's pace.
+    #[inline]
+    fn dot_lanes<const N: usize>(x: &[M61], cols: [&[M61]; N]) -> [M61; N] {
+        let m = x.len();
+        for c in &cols {
+            assert_eq!(c.len(), m, "dot: operand length mismatch");
+        }
+        let mut out = [M61::ZERO; N];
+        let mut start = 0;
+        while start < m {
+            let end = (start + DOT_BLOCK).min(m);
+            let xb = &x[start..end];
+            let cb = cols.map(|c| &c[start..end]);
+            let mut wide = [0u128; N];
+            for i in 0..xb.len() {
+                let xi = xb[i].0 as u128;
+                for l in 0..N {
+                    wide[l] += xi * cb[l][i].0 as u128;
+                }
+            }
+            for l in 0..N {
+                out[l] += M61(Self::reduce128(wide[l]));
+            }
+            start = end;
+        }
+        out
+    }
 }
 
 impl PrimeField for M61 {
@@ -99,6 +138,16 @@ impl PrimeField for M61 {
                 return M61(v);
             }
         }
+    }
+
+    #[inline]
+    fn dot(a: &[Self], b: &[Self]) -> Self {
+        Self::dot_lanes(a, [b])[0]
+    }
+
+    #[inline]
+    fn dot4(x: &[Self], cols: [&[Self]; 4]) -> [Self; 4] {
+        Self::dot_lanes(x, cols)
     }
 }
 
@@ -245,7 +294,41 @@ mod tests {
         }
     }
 
+    /// Every product at its maximum `(p - 1)^2`, four full blocks plus one
+    /// term: in the debug profile an overflowing `u128 +=` panics here.
+    #[test]
+    fn dot_worst_case_does_not_overflow() {
+        let len = 4 * DOT_BLOCK + 1;
+        let top = vec![M61::from_canonical(P61 - 1); len];
+        // (p - 1)^2 = 1 (mod p), so each sum is `len`.
+        let expect = M61::from_u64(len as u64);
+        assert_eq!(M61::dot(&top, &top), expect);
+        assert_eq!(M61::dot4(&top, [&top, &top, &top, &top]), [expect; 4]);
+    }
+
     proptest! {
+        #[test]
+        fn prop_dot_matches_u128_mod(
+            raw in collection::vec(0u64..P61, 5 * 130),
+            len in 0usize..=130,
+        ) {
+            let cols: Vec<Vec<M61>> = raw
+                .chunks_exact(130)
+                .map(|c| c[..len].iter().map(|&v| M61::from_canonical(v)).collect())
+                .collect();
+            let expect = |l: usize| {
+                let sum = cols[0].iter().zip(&cols[l]).fold(0u128, |acc, (x, y)| {
+                    (acc + x.0 as u128 * y.0 as u128 % P61 as u128) % P61 as u128
+                });
+                M61::from_u128(sum)
+            };
+            prop_assert_eq!(M61::dot(&cols[0], &cols[1]), expect(1));
+            prop_assert_eq!(
+                M61::dot4(&cols[0], [&cols[1], &cols[2], &cols[3], &cols[4]]),
+                [1, 2, 3, 4].map(expect)
+            );
+        }
+
         #[test]
         fn prop_add_commutes(a in 0u64..P61, b in 0u64..P61) {
             let (x, y) = (M61::from_canonical(a), M61::from_canonical(b));

@@ -105,6 +105,25 @@ pub trait PrimeField:
         self * self
     }
 
+    /// Sum of products `sum_i a[i] * b[i]`. Panics on a length mismatch.
+    ///
+    /// Field arithmetic is exact, so an implementation may sum in any order
+    /// and reduce as rarely as its representation allows (see `M61`).
+    fn dot(a: &[Self], b: &[Self]) -> Self {
+        assert_eq!(a.len(), b.len(), "dot: operand length mismatch");
+        let mut s = Self::ZERO;
+        for (&x, &y) in a.iter().zip(b) {
+            s += x * y;
+        }
+        s
+    }
+
+    /// `[dot(x, cols[0]), .., dot(x, cols[3])]`: one operand against four,
+    /// so an implementation can read `x` once for all four sums.
+    fn dot4(x: &[Self], cols: [&[Self]; 4]) -> [Self; 4] {
+        cols.map(|c| Self::dot(x, c))
+    }
+
     /// Serialized byte width of one element (for communication accounting).
     fn byte_width() -> usize {
         Self::MODULUS_BITS.div_ceil(8) as usize
@@ -124,7 +143,57 @@ pub fn horner<F: PrimeField>(coeffs: &[F], x: F) -> F {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::M61;
+    use crate::{M127, M61};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    /// The per-term loop `dot` replaced, kept as the reference.
+    fn fold_dot<F: PrimeField>(a: &[F], b: &[F]) -> F {
+        a.iter()
+            .zip(b)
+            .map(|(&x, &y)| x * y)
+            .fold(F::ZERO, |acc, v| acc + v)
+    }
+
+    /// `dot`/`dot4` against the reference at every length through four
+    /// reduction blocks and a ragged fifth (0, 1, 31, 32, 33, 64, 65, ...).
+    fn check_dot_at_every_length<F: PrimeField>() {
+        let mut rng = StdRng::seed_from_u64(61);
+        for len in 0..=130 {
+            let mut col = || (0..len).map(|_| F::random(&mut rng)).collect::<Vec<F>>();
+            let (x, c) = (col(), [col(), col(), col(), col()]);
+            assert_eq!(F::dot(&x, &c[0]), fold_dot(&x, &c[0]), "dot, len {len}");
+            assert_eq!(
+                F::dot4(&x, [&c[0], &c[1], &c[2], &c[3]]),
+                [0, 1, 2, 3].map(|l| fold_dot(&x, &c[l])),
+                "dot4, len {len}"
+            );
+        }
+    }
+
+    #[test]
+    fn m61_dot_matches_fold_at_every_length() {
+        check_dot_at_every_length::<M61>();
+    }
+
+    #[test]
+    fn m127_default_dot_matches_fold_at_every_length() {
+        check_dot_at_every_length::<M127>();
+    }
+
+    #[test]
+    #[should_panic(expected = "length mismatch")]
+    fn m61_dot4_rejects_a_ragged_column() {
+        let (x, short) = ([M61::ONE; 3], [M61::ONE; 2]);
+        M61::dot4(&x, [&x, &x, &short, &x]);
+    }
+
+    #[test]
+    #[should_panic(expected = "length mismatch")]
+    fn m127_default_dot4_rejects_a_ragged_column() {
+        let (x, long) = ([M127::ONE; 3], [M127::ONE; 4]);
+        M127::dot4(&x, [&x, &x, &x, &long]);
+    }
 
     #[test]
     fn horner_constant() {

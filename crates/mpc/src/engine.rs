@@ -1028,27 +1028,12 @@ impl<F: PrimeField> PartyCtx<F> {
     /// regardless of the vector length. This is the trick that makes
     /// covariance computation communication-cheap.
     pub fn inner_product(&mut self, a: &[F], b: &[F]) -> F {
-        assert_eq!(a.len(), b.len());
-        let local: F = a
-            .iter()
-            .zip(b)
-            .map(|(&x, &y)| x * y)
-            .fold(F::ZERO, |acc, v| acc + v);
-        self.reduce_degree(&[local])[0]
+        self.reduce_degree(&[F::dot(a, b)])[0]
     }
 
     /// Batched inner products: `out[k] = <a[k], b[k]>`, one round total.
     pub fn inner_products(&mut self, pairs: &[(&[F], &[F])]) -> Vec<F> {
-        let locals: Vec<F> = pairs
-            .iter()
-            .map(|(a, b)| {
-                assert_eq!(a.len(), b.len());
-                a.iter()
-                    .zip(b.iter())
-                    .map(|(&x, &y)| x * y)
-                    .fold(F::ZERO, |acc, v| acc + v)
-            })
-            .collect();
+        let locals: Vec<F> = pairs.iter().map(|(a, b)| F::dot(a, b)).collect();
         self.reduce_degree(&locals)
     }
 

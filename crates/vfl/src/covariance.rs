@@ -232,15 +232,23 @@ pub(crate) fn column_shares<'a, F: PrimeField>(
 
 /// `acc[(j, k)] += <cols[j], cols[k]>` over the upper triangle in opened
 /// order: local products of degree-`t` shares, summed at degree `2t`.
+///
+/// A 1x4 register tile: column `j` goes against four columns per pass over
+/// the rows ([`PrimeField::dot4`]), and the at most three columns left at the
+/// end of a triangle row take the scalar [`PrimeField::dot`].
 pub(crate) fn add_gram<F: PrimeField>(acc: &mut [F], cols: &[&[F]]) {
     let mut idx = 0;
     for (j, cj) in cols.iter().enumerate() {
-        for ck in &cols[j..] {
-            let mut s = F::ZERO;
-            for (&xj, &xk) in cj.iter().zip(ck.iter()) {
-                s += xj * xk;
+        let mut tiles = cols[j..].chunks_exact(4);
+        for tile in &mut tiles {
+            let sums = F::dot4(cj, [tile[0], tile[1], tile[2], tile[3]]);
+            for (a, s) in acc[idx..idx + 4].iter_mut().zip(sums) {
+                *a += s;
             }
-            acc[idx] += s;
+            idx += 4;
+        }
+        for ck in tiles.remainder() {
+            acc[idx] += F::dot(cj, ck);
             idx += 1;
         }
     }
@@ -568,6 +576,59 @@ mod tests {
             let oracle = covariance_quantized_oracle(&data, &partition, gamma, mu, &cfg);
             assert_eq!(mpc.c_hat, oracle, "oracle diverged under {batching:?}");
         }
+    }
+
+    /// The scalar triangle loop `add_gram` replaced, kept verbatim as the
+    /// reference the tiled kernel is compared against.
+    fn add_gram_reference<F: PrimeField>(acc: &mut [F], cols: &[&[F]]) {
+        let mut idx = 0;
+        for (j, cj) in cols.iter().enumerate() {
+            for ck in &cols[j..] {
+                let mut s = F::ZERO;
+                for (&xj, &xk) in cj.iter().zip(ck.iter()) {
+                    s += xj * xk;
+                }
+                acc[idx] += s;
+                idx += 1;
+            }
+        }
+    }
+
+    /// Tile widths 1..=4 plus every tail length, across empty, single-row,
+    /// block-straddling and multi-block columns, on top of a non-zero
+    /// accumulator (the streaming carry).
+    fn check_add_gram_matches_reference<F: PrimeField>() {
+        let mut rng = StdRng::seed_from_u64(0x6AA3);
+        for n in [1usize, 2, 3, 4, 5, 7, 8, 9, 20] {
+            for m in [0usize, 1, 33, 100] {
+                let data: Vec<Vec<F>> = (0..n)
+                    .map(|_| (0..m).map(|_| F::random(&mut rng)).collect())
+                    .collect();
+                let cols: Vec<&[F]> = data.iter().map(Vec::as_slice).collect();
+                let carry: Vec<F> = (0..n * (n + 1) / 2).map(|_| F::random(&mut rng)).collect();
+                let (mut tiled, mut reference) = (carry.clone(), carry);
+                add_gram(&mut tiled, &cols);
+                add_gram_reference(&mut reference, &cols);
+                assert_eq!(tiled, reference, "n={n} m={m}");
+            }
+        }
+    }
+
+    #[test]
+    fn add_gram_matches_scalar_reference_m61() {
+        check_add_gram_matches_reference::<M61>();
+    }
+
+    #[test]
+    fn add_gram_matches_scalar_reference_m127() {
+        check_add_gram_matches_reference::<M127>();
+    }
+
+    #[test]
+    #[should_panic(expected = "length mismatch")]
+    fn add_gram_rejects_a_ragged_column() {
+        let (long, short) = ([M61::ONE; 3], [M61::ONE; 2]);
+        add_gram(&mut [M61::ZERO; 3], &[&long, &short]);
     }
 
     #[test]

@@ -205,24 +205,21 @@ fn gradient_impl<F: PrimeField>(
             .iter()
             .map(|&c| F::from_i128(c as i128))
             .collect();
-        // v_i = sum_j qw_j * x_ij - q_label * y_i  (degree-t share, local).
-        let mut v: Vec<F> = vec![F::ZERO; mb];
-        for (i, vi) in v.iter_mut().enumerate() {
-            let mut acc = F::ZERO;
-            for j in 0..d {
-                acc += f_w[j] * col_shares[j][i];
+        // v_i = sum_j qw_j * x_ij - q_label * y_i + half  (degree-t share,
+        // local), column-outer so each share column is read once in order.
+        let mut v: Vec<F> = vec![f_half; mb];
+        for (&wj, col) in f_w.iter().zip(&col_shares) {
+            for (vi, &xij) in v.iter_mut().zip(col.iter()) {
+                *vi += wj * xij;
             }
-            *vi = acc - f_label * col_shares[d][i];
         }
-        // G_k = sum_i (v_i * x_ik) [degree 2t] + half * sum_i x_ik [degree t],
-        // accumulated on top of the degree-2t noise shares.
+        for (vi, &yi) in v.iter_mut().zip(col_shares[d]) {
+            *vi -= f_label * yi;
+        }
+        // G_k = sum_i v_i * x_ik [degree 2t], accumulated on top of the
+        // degree-2t noise shares.
         for (g, col) in masked.iter_mut().zip(&col_shares) {
-            let mut acc = F::ZERO;
-            for (&vi, &xik) in v.iter().zip(col.iter()) {
-                acc += vi * xik;
-                acc += f_half * xik;
-            }
-            *g += acc;
+            *g += F::dot(&v, col);
         }
 
         // --- round 2: open ---------------------------------------------------
