@@ -14,8 +14,8 @@ use std::collections::BTreeMap;
 use std::io;
 use std::path::Path;
 
-use crate::json::{self, JsonValue};
 use crate::perf::BenchArtifact;
+use sqm::obs::json::{self, JsonValue};
 
 /// Version of the history-line schema; bump on any field change so old
 /// readers can skip lines they do not understand.
@@ -303,7 +303,7 @@ mod tests {
             medians: BTreeMap::from([("b/later".to_string(), 2u64), ("a/first".to_string(), 1u64)]),
         };
         let line = p.to_json_line();
-        let doc = crate::json::parse(&line).unwrap();
+        let doc = json::parse(&line).unwrap();
         assert_eq!(doc.get("schema_version").unwrap().as_u64(), Some(1));
         assert_eq!(doc.get("commit").unwrap().as_str(), Some("x\"y"));
         assert!(line.find("a/first").unwrap() < line.find("b/later").unwrap());

@@ -10,8 +10,8 @@
 //! `BLESS=1 cargo test -p sqm-bench --test ledger_jsonl`.
 
 use sqm::accounting::skellam::Sensitivity;
+use sqm::obs::json::{self, JsonValue};
 use sqm::obs::{write_ledger_jsonl, PrivacyLedger};
-use sqm_bench::json::{self, JsonValue};
 
 const GOLDEN_PATH: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),

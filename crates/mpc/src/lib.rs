@@ -6,16 +6,21 @@
 //! result. This crate provides that black box:
 //!
 //! * [`shamir`] — Shamir secret sharing and Lagrange reconstruction.
-//! * [`transport`] — party-to-party networking, re-exported from `sqm-net`:
-//!   a [`transport::Transport`] trait with two backends (the original
-//!   full-mesh in-process channel mesh and a loopback-TCP backend) plus a
-//!   deterministic fault injector, all with per-round, per-message and
-//!   per-byte accounting. Backend selection lives on [`MpcConfig`].
-//! * [`engine`] — the SPMD party runtime: spawn `n` party threads, run the
-//!   same protocol program in each, collect outputs and [`stats::RunStats`].
+//! * [`net`] — party-to-party networking, the `sqm-net` crate re-exported:
+//!   a [`net::Transport`] trait with two backends (the full-mesh in-process
+//!   channel mesh and a loopback-TCP backend) plus a deterministic fault
+//!   injector, all with per-round, per-message and per-byte accounting.
+//!   Backend selection lives on [`MpcConfig`].
+//! * `runtime` (crate-private) — the party runtime both engines share: the
+//!   one run loop that spawns `n` party threads, runs the same protocol
+//!   program in each and merges outputs, [`stats::RunStats`] and traces,
+//!   and the one instrumented round exchange every observer hangs off.
 //!   Transport failures surface as typed [`TransportError`]s from
-//!   [`MpcEngine::try_run`] (or a diagnostic panic from [`MpcEngine::run`]).
-//!   Multiplication uses GRR degree reduction (`t < n/2`); vector operations
+//!   [`MpcEngine::try_run`] / [`AdditiveEngine::try_run`] (or a diagnostic
+//!   panic from `run`); no process-wide panic hook is involved.
+//! * [`engine`] — the BGW protocol layer: Shamir input sharing, the fused
+//!   masked input round, opening, and multiplication by GRR degree
+//!   reduction (`t < n/2`); vector operations
 //!   (element-wise products, inner products) are batched into single rounds,
 //!   which is what makes covariance computation `O(n^2)` *communication*
 //!   instead of `O(m n^2)`.
@@ -31,14 +36,13 @@
 pub mod additive;
 pub mod circuit;
 pub mod engine;
+pub(crate) mod runtime;
 pub mod shamir;
 pub mod stats;
-pub mod transport;
-pub mod wire;
 
 pub use sqm_net as net;
 
-pub use additive::{AdditiveCtx, AdditiveEngine, AdditiveRun};
+pub use additive::{AdditiveCtx, AdditiveEngine};
 pub use engine::{BatchOptions, Batching, MpcConfig, MpcEngine, MpcRun, PartyCtx};
 pub use shamir::{reconstruct, share_secret, share_secrets_batch, ShamirShare};
 pub use sqm_net::fault::{CrashPoint, FaultSpec};

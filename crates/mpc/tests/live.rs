@@ -4,7 +4,8 @@
 //! produce both a typed `StallEvent` and a byte-deterministic
 //! flight-recorder dump (golden file, `BLESS=1` to regenerate), and every
 //! deterministic `RunStats` counter must be bit-identical with live
-//! telemetry on or off.
+//! telemetry on or off. Both engines share one run loop, so the additive
+//! backend must fail, dump and recover exactly as BGW does.
 //!
 //! The live collector is process-global (like the metrics registry), so
 //! these tests serialize on one mutex and never assert on cumulative
@@ -15,7 +16,9 @@ use std::sync::Mutex;
 use std::time::Duration;
 
 use sqm_field::{PrimeField, M61};
-use sqm_mpc::{AdditiveEngine, FaultSpec, LiveConfig, MpcConfig, MpcEngine, TransportError};
+use sqm_mpc::{
+    AdditiveEngine, FaultSpec, LiveConfig, MpcConfig, MpcEngine, NetBackend, TransportError,
+};
 use sqm_net::fault::schedule;
 use sqm_obs::live;
 
@@ -147,6 +150,83 @@ fn crash_fault_emits_stall_event_and_deterministic_flight_dump() {
         dump, golden,
         "flight-recorder dump drifted from the golden file (BLESS=1 to re-bless)"
     );
+}
+
+/// The same share-then-open program for either engine's context.
+fn share_then_open_bgw(ctx: &mut sqm_mpc::PartyCtx<M61>) -> Vec<M61> {
+    let v = [M61::from_i128(-5), M61::from_u64(40)];
+    let shares = ctx.share_input(1, (ctx.id == 1).then_some(&v[..]), 2);
+    ctx.open(&shares)
+}
+
+fn share_then_open_additive(ctx: &mut sqm_mpc::AdditiveCtx<M61>) -> Vec<M61> {
+    let v = [M61::from_i128(-5), M61::from_u64(40)];
+    let shares = ctx.share_input(1, (ctx.id == 1).then_some(&v[..]), 2);
+    ctx.open(&shares)
+}
+
+#[test]
+fn crash_is_typed_identically_by_both_engines_and_the_additive_run_dumps_too() {
+    let _g = lock();
+    let dir = flight_dir("parity-crash");
+    let seed = 21u64;
+    let dump_path = dir.join(format!("flightrec_{seed}.jsonl"));
+    for backend in [NetBackend::InProcess, NetBackend::tcp()] {
+        // The crash plan of `sqm-vfl`'s net_backend suite.
+        let cfg = MpcConfig::semi_honest(4)
+            .with_latency(Duration::ZERO)
+            .with_seed(seed)
+            .with_backend(backend.clone())
+            .with_faults(Some(FaultSpec::seeded(3).with_crash(2, 1)))
+            .with_live(Some(LiveConfig::default().with_flight_dir(&dir)));
+        let bgw = MpcEngine::new(cfg.clone())
+            .try_run::<M61, _, _>(share_then_open_bgw)
+            .unwrap_err();
+        // Same seed, same file name: drop the BGW run's dump so the one
+        // read back below can only be the additive run's.
+        let _ = std::fs::remove_file(&dump_path);
+        let additive = AdditiveEngine::new(cfg)
+            .try_run::<M61, _, _>(share_then_open_additive)
+            .unwrap_err();
+        assert_eq!(bgw, additive, "{backend:?}");
+        assert_eq!(
+            additive,
+            TransportError::Crashed { party: 2, round: 1 },
+            "{backend:?}"
+        );
+        let dump = std::fs::read_to_string(&dump_path)
+            .expect("the failed additive run must write a flight-recorder dump");
+        assert!(dump.contains("crash"), "{backend:?}: {dump}");
+    }
+}
+
+#[test]
+fn additive_run_recovers_from_drops_and_delays_with_identical_counters() {
+    let _g = lock();
+    let cfg = MpcConfig::semi_honest(4)
+        .with_latency(Duration::ZERO)
+        .with_seed(22);
+    let clean = AdditiveEngine::new(cfg.clone()).run::<M61, _, _>(share_then_open_additive);
+    // The recoverable plan of `sqm-vfl`'s net_backend suite: 5% drops
+    // recovered by retransmit, plus a seeded per-link delay.
+    let faults = FaultSpec::seeded(7)
+        .with_delay(Duration::ZERO, Duration::from_micros(200))
+        .with_drop(0.05)
+        .with_retransmit(Duration::from_micros(50), 20);
+    let lossy = || {
+        AdditiveEngine::new(cfg.clone().with_faults(Some(faults.clone())))
+            .run::<M61, _, _>(share_then_open_additive)
+    };
+    for run in [lossy(), lossy()] {
+        assert_eq!(run.outputs, clean.outputs);
+        assert_eq!(run.outputs[0][0].to_centered_i128(), -5);
+        assert_eq!(run.outputs[0][1].to_centered_i128(), 40);
+        let (got, want) = (&run.stats.total, &clean.stats.total);
+        assert_eq!(
+            (got.rounds, got.messages, got.bytes, got.elems),
+            (want.rounds, want.messages, want.bytes, want.elems)
+        );
+    }
 }
 
 #[test]

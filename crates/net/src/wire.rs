@@ -246,6 +246,7 @@ impl<F: PrimeField> Frame<F> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use sqm_field::{M127, M61};
@@ -453,6 +454,60 @@ mod tests {
             matches!(err, WireError::BadTraceHeader { version: 42, .. }),
             "expected BadTraceHeader, got {err:?}"
         );
+    }
+
+    // Round-trips for both fields, explicitly seeding the canonical
+    // boundary values 0 and p-1 into every generated vector.
+    proptest! {
+        #[test]
+        fn roundtrip_m61_with_boundaries(raw in proptest::collection::vec(any::<u64>(), 0..64)) {
+            let mut vals: Vec<M61> = raw.into_iter().map(|v| M61::from_u128(v as u128 % M61::modulus())).collect();
+            vals.push(M61::from_u128(0));
+            vals.push(M61::from_u128(M61::modulus() - 1));
+            let bytes = encode(&vals);
+            prop_assert_eq!(bytes.len() as u64, encoded_len::<M61>(vals.len()));
+            let back = decode::<M61>(bytes).expect("canonical round-trip");
+            prop_assert_eq!(back, vals);
+        }
+
+        #[test]
+        fn roundtrip_m127_with_boundaries(raw in proptest::collection::vec(any::<u64>(), 0..64)) {
+            let m = M127::modulus();
+            let mut vals: Vec<M127> = raw
+                .into_iter()
+                .map(|v| {
+                    // Spread 64-bit raws across the 127-bit range.
+                    let wide = (v as u128).wrapping_mul(0x1_0000_0001_0000_0001) % m;
+                    M127::from_u128(wide)
+                })
+                .collect();
+            vals.push(M127::from_u128(0));
+            vals.push(M127::from_u128(m - 1));
+            let bytes = encode(&vals);
+            prop_assert_eq!(bytes.len() as u64, encoded_len::<M127>(vals.len()));
+            let back = decode::<M127>(bytes).expect("canonical round-trip");
+            prop_assert_eq!(back, vals);
+        }
+
+        #[test]
+        fn ragged_buffers_always_rejected(len in 1usize..64) {
+            prop_assume!(len % M61::byte_width() != 0);
+            let buf = Bytes::from(vec![0u8; len]);
+            prop_assert_eq!(
+                decode::<M61>(buf).unwrap_err(),
+                WireError::RaggedBuffer { len, width: M61::byte_width() }
+            );
+        }
+    }
+
+    #[test]
+    fn non_canonical_is_an_error_not_a_panic() {
+        let above = M61::modulus(); // p itself is the smallest non-canonical value
+        let buf = Bytes::from((above as u64).to_le_bytes().to_vec());
+        assert!(matches!(
+            decode::<M61>(buf),
+            Err(WireError::NonCanonical { .. })
+        ));
     }
 }
 
