@@ -2,7 +2,7 @@
 //! bit-identical or a typed error.
 //!
 //! The MPC party threads derive **all** their randomness from documented
-//! per-party streams of `VflConfig::seed`, which makes the secure
+//! per-party streams of `VflConfig::seed()`, which makes the secure
 //! protocols exactly replayable in plaintext:
 //! [`sqm_vfl::covariance_quantized_oracle`] predicts the opened integer
 //! covariance of [`sqm_vfl::try_covariance_skellam`] bit-for-bit. The
@@ -10,9 +10,6 @@
 //! across the execution axes —
 //!
 //! * **in-process channels** vs **loopback TCP** (`NetBackend`),
-//! * round-**batched** wire frames vs the **per-element** reference
-//!   framing (`Batching`) — the oracle replay is mode-independent because
-//!   both modes consume the documented RNG streams in the same order,
 //! * fault-free vs **delay** / **drop-with-retransmit** / **crash**
 //!   injection (`FaultSpec`),
 //! * BGW vs the **additive-sharing** engine on the linear column-sum
@@ -31,7 +28,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::Serialize;
 use sqm_linalg::Matrix;
-use sqm_mpc::{Batching, FaultSpec, NetBackend};
+use sqm_mpc::{FaultSpec, NetBackend};
 use sqm_vfl::{
     column_sums_skellam, column_sums_skellam_additive, covariance_quantized_oracle,
     try_covariance_skellam, ColumnPartition, VflConfig,
@@ -52,8 +49,6 @@ pub struct FuzzCase {
     pub mu: f64,
     /// `"in_process"` or `"tcp"`.
     pub backend: String,
-    /// `"batched"` (round-batched frames) or `"per_element"` (reference).
-    pub batching: String,
     /// `"none"`, `"delay"`, `"drop"` or `"crash"`.
     pub fault: String,
     /// `"match"`, `"typed_error"`, `"divergence"` or `"panic"`.
@@ -168,34 +163,25 @@ pub fn run_diff_fuzz(cfg: &AuditConfig) -> FuzzSummary {
         } else {
             "none"
         };
-        // Interleave the wire-framing axis with every other axis: the
-        // oracle predicts both modes, so a divergence pins the frame
-        // codec, not the protocol.
-        let (batching_name, batching) = if id % 3 == 2 {
-            ("per_element", Batching::Off)
-        } else {
-            ("batched", Batching::default())
-        };
-
-        let mut vfl_cfg = VflConfig::fast(n_clients)
-            .with_seed(seed)
-            .with_backend(backend)
-            .with_batching(batching);
-        vfl_cfg = match fault {
-            "delay" => vfl_cfg.with_faults(
+        let faults = match fault {
+            "delay" => Some(
                 FaultSpec::seeded(seed ^ 0xFA)
                     .with_delay(Duration::ZERO, Duration::from_micros(500)),
             ),
-            "drop" => vfl_cfg.with_faults(
+            "drop" => Some(
                 FaultSpec::seeded(seed ^ 0xFB)
                     .with_drop(0.25)
                     .with_retransmit(Duration::from_micros(200), 10),
             ),
-            "crash" => vfl_cfg.with_faults(
-                FaultSpec::seeded(seed ^ 0xFC).with_crash((id % n_clients as u64) as usize, 1),
-            ),
-            _ => vfl_cfg,
+            "crash" => {
+                Some(FaultSpec::seeded(seed ^ 0xFC).with_crash((id % n_clients as u64) as usize, 1))
+            }
+            _ => None,
         };
+        let vfl_cfg = VflConfig::fast(n_clients)
+            .with_seed(seed)
+            .with_backend(backend)
+            .with_faults(faults);
 
         let mut case = FuzzCase {
             id,
@@ -207,7 +193,6 @@ pub fn run_diff_fuzz(cfg: &AuditConfig) -> FuzzSummary {
             gamma,
             mu,
             backend: backend_name.to_string(),
-            batching: batching_name.to_string(),
             fault: fault.to_string(),
             outcome: String::new(),
             error_kind: None,
@@ -272,11 +257,6 @@ mod tests {
             assert!(has(&|c| c.fault == fault), "no {fault} case");
         }
         assert!(has(&|c| c.workload == "column_sums"));
-        // The wire-framing axis crosses both backends and the fault axis.
-        assert!(has(&|c| c.batching == "per_element"));
-        assert!(has(&|c| c.batching == "batched"));
-        assert!(has(&|c| c.batching == "per_element" && c.backend == "tcp"));
-        assert!(has(&|c| c.batching == "per_element" && c.fault != "none"));
         // Every crash case surfaced the root-cause error.
         for c in summary.results.iter().filter(|c| c.fault == "crash") {
             assert_eq!(c.outcome, "typed_error", "{c:?}");

@@ -359,24 +359,24 @@ impl<F: PrimeField> Circuit<F> {
                 }
                 _ => unreachable!("mul schedule lists only Mul gates"),
             };
-            let locals: Vec<F> = match ctx.batch_options() {
-                Some(opts) if opts.parallel(batch.len()) => {
-                    let mut out = vec![F::ZERO; batch.len()];
-                    let chunk = batch.len().div_ceil(opts.workers);
-                    std::thread::scope(|s| {
-                        let values = &values;
-                        let gate_product = &gate_product;
-                        for (slice, idxs) in out.chunks_mut(chunk).zip(batch.chunks(chunk)) {
-                            s.spawn(move || {
-                                for (o, &i) in slice.iter_mut().zip(idxs) {
-                                    *o = gate_product(i, values);
-                                }
-                            });
-                        }
-                    });
-                    out
-                }
-                _ => batch.iter().map(|&i| gate_product(i, &values)).collect(),
+            let opts = ctx.batch_options();
+            let locals: Vec<F> = if opts.parallel(batch.len()) {
+                let mut out = vec![F::ZERO; batch.len()];
+                let chunk = batch.len().div_ceil(opts.workers);
+                std::thread::scope(|s| {
+                    let values = &values;
+                    let gate_product = &gate_product;
+                    for (slice, idxs) in out.chunks_mut(chunk).zip(batch.chunks(chunk)) {
+                        s.spawn(move || {
+                            for (o, &i) in slice.iter_mut().zip(idxs) {
+                                *o = gate_product(i, values);
+                            }
+                        });
+                    }
+                });
+                out
+            } else {
+                batch.iter().map(|&i| gate_product(i, &values)).collect()
             };
             if profiling {
                 prof::record(
@@ -604,10 +604,10 @@ mod tests {
 
     #[test]
     fn eval_mpc_identical_across_batching_modes() {
-        use crate::engine::Batching;
+        use crate::engine::BatchOptions;
         // Deep + wide circuit: (prod of 8 factors) plus 16 independent
-        // pair-products, evaluated under the batched default, a stressed
-        // worker pool, and the per-element reference mode.
+        // pair-products, evaluated with every gate layer inline and with
+        // the worker pool forced on for every layer.
         let mut b = CircuitBuilder::<M61>::new(3);
         let factors: Vec<Wire> = (0..8).map(|k| b.input(k % 3)).collect();
         let p = b.product(&factors);
@@ -624,31 +624,30 @@ mod tests {
                 .map(|k| M61::from_u64(2 + k % 5))
                 .collect()
         };
-        let base = MpcConfig::semi_honest(3).with_latency(Duration::ZERO);
-        let run = |cfg: MpcConfig| {
+        let run = |workers: usize| {
+            let cfg = MpcConfig {
+                batching: BatchOptions {
+                    workers,
+                    min_parallel_width: 1,
+                },
+                ..MpcConfig::semi_honest(3).with_latency(Duration::ZERO)
+            };
             let c = c.clone();
             MpcEngine::new(cfg).run::<M61, _, _>(move |ctx| {
                 let shares = c.eval_mpc(ctx, &inputs_of(ctx.id));
                 ctx.open(&shares)
             })
         };
-        let batched = run(base.clone());
-        let reference = run(base.clone().with_batching(Batching::Off));
-        let stressed =
-            run(base
-                .clone()
-                .with_batching(Batching::PerRound(crate::engine::BatchOptions {
-                    workers: 3,
-                    min_parallel_width: 1,
-                })));
-        assert_eq!(batched.outputs, reference.outputs);
-        assert_eq!(batched.outputs, stressed.outputs);
-        assert_eq!(batched.stats.total.rounds, reference.stats.total.rounds);
-        assert_eq!(batched.stats.total.bytes, reference.stats.total.bytes);
-        assert_eq!(batched.stats.total.elems, reference.stats.total.elems);
-        assert_eq!(reference.stats.total.messages, reference.stats.total.elems);
+        let inline = run(1);
+        let pooled = run(3);
+        assert_eq!(inline.outputs, pooled.outputs);
+        let (a, b) = (&inline.stats.total, &pooled.stats.total);
+        assert_eq!(
+            (a.rounds, a.messages, a.bytes, a.elems),
+            (b.rounds, b.messages, b.bytes, b.elems)
+        );
         let expect = c.eval_plain(&[inputs_of(0), inputs_of(1), inputs_of(2)]);
-        assert_eq!(batched.outputs[0], expect);
+        assert_eq!(inline.outputs[0], expect);
     }
 
     #[test]

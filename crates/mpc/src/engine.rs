@@ -24,7 +24,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sqm_field::PrimeField;
 use sqm_net::fault::FaultSpec;
-use sqm_net::transport::{build_mesh, FrameMode, NetBackend, Transport};
+use sqm_net::transport::{build_mesh, NetBackend, Transport};
 use sqm_net::TransportError;
 use sqm_obs::live::LiveConfig;
 use sqm_obs::metrics;
@@ -32,10 +32,10 @@ use sqm_obs::prof::{self, ProfConfig};
 use sqm_obs::trace::Trace;
 
 use crate::runtime::{run_parties, PartyLink};
-use crate::shamir::{lagrange_at_zero, share_secret, share_secrets_batch};
+use crate::shamir::{lagrange_at_zero, share_secrets_batch};
 use crate::stats::RunStats;
 
-/// Tuning knobs for the round-batched execution path.
+/// Sizing of the per-party worker pool for wide local arithmetic.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct BatchOptions {
     /// Size of the per-party worker pool that wide batches of polynomial
@@ -70,45 +70,6 @@ impl BatchOptions {
     /// Should a batch of `width` elements use the worker pool?
     pub(crate) fn parallel(&self, width: usize) -> bool {
         self.workers > 1 && width >= self.min_parallel_width.max(2)
-    }
-}
-
-/// How the engine maps a round's field elements onto wire frames and
-/// schedules the local arithmetic of that round.
-///
-/// Both modes run the **same** synchronous protocol: identical rounds,
-/// identical payload bytes, identical RNG streams, identical opened values.
-/// They differ only in wire framing — and therefore in the `messages`
-/// column of [`RunStats`] and in the physical frame count over TCP — and in
-/// whether wide batches may use a worker pool. The `batch_equivalence`
-/// suite in `sqm-vfl` pins this contract down bit-for-bit.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Batching {
-    /// Reference mode: one wire message per field element
-    /// ([`FrameMode::PerElement`]) and strictly sequential per-secret
-    /// arithmetic — the classical one-message-per-element cost model that
-    /// the batched path is diffed against.
-    Off,
-    /// Round-batched mode (the default): one frame per link per round
-    /// carrying all of that round's elements, with wide batches of
-    /// polynomial evaluations split across a small worker pool while the
-    /// transport drives the mesh.
-    PerRound(BatchOptions),
-}
-
-impl Default for Batching {
-    fn default() -> Self {
-        Batching::PerRound(BatchOptions::default())
-    }
-}
-
-impl Batching {
-    /// The wire framing this mode selects on every transport endpoint.
-    pub fn frame_mode(&self) -> FrameMode {
-        match self {
-            Batching::Off => FrameMode::PerElement,
-            Batching::PerRound(_) => FrameMode::PerRound,
-        }
     }
 }
 
@@ -152,11 +113,10 @@ pub struct MpcConfig {
     /// costs one relaxed atomic load per hook; protocol bits and
     /// [`RunStats`] are identical either way.
     pub prof: Option<ProfConfig>,
-    /// Wire framing and gate-scheduling mode (see [`Batching`]). The
-    /// round-batched default and the per-element reference mode are
-    /// protocol-equivalent; only the message accounting, the physical TCP
-    /// frame count, and local parallelism differ.
-    pub batching: Batching,
+    /// Worker-pool sizing for wide share/recombine batches (see
+    /// [`BatchOptions`]). Wall-clock only: results are bit-identical for
+    /// every setting.
+    pub batching: BatchOptions,
 }
 
 impl MpcConfig {
@@ -185,7 +145,7 @@ impl MpcConfig {
             faults: None,
             live: None,
             prof: None,
-            batching: Batching::default(),
+            batching: BatchOptions::default(),
         }
     }
 
@@ -239,17 +199,12 @@ impl MpcConfig {
         self
     }
 
-    /// Select the wire framing / gate-scheduling mode (see [`Batching`]).
-    pub fn with_batching(mut self, batching: Batching) -> Self {
-        self.batching = batching;
-        self
-    }
-
     fn validate(&self) {
         assert!(self.n_parties >= 2, "need at least 2 parties");
-        if let Batching::PerRound(opts) = self.batching {
-            assert!(opts.workers >= 1, "batching needs at least one worker");
-        }
+        assert!(
+            self.batching.workers >= 1,
+            "batching needs at least one worker"
+        );
         assert!(
             2 * self.threshold < self.n_parties,
             "BGW multiplication requires 2t < n (t={}, n={})",
@@ -398,7 +353,7 @@ pub struct PartyCtx<F: PrimeField> {
     rng: StdRng,
     link: PartyLink<F>,
     lagrange_all: Vec<F>,
-    batching: Batching,
+    batching: BatchOptions,
 }
 
 impl<F: PrimeField> PartyCtx<F> {
@@ -413,50 +368,30 @@ impl<F: PrimeField> PartyCtx<F> {
         &mut self.rng
     }
 
-    /// The worker-pool options of the round-batched mode, or `None` in the
-    /// per-element reference mode. Callers scheduling their own wide local
-    /// arithmetic (e.g. the circuit evaluator's gate layers) use this to
-    /// match the engine's parallelism policy.
-    pub fn batch_options(&self) -> Option<BatchOptions> {
-        match self.batching {
-            Batching::Off => None,
-            Batching::PerRound(opts) => Some(opts),
-        }
+    /// The run's worker-pool options. Callers scheduling their own wide
+    /// local arithmetic (e.g. the circuit evaluator's gate layers) use this
+    /// to match the engine's parallelism policy.
+    pub fn batch_options(&self) -> BatchOptions {
+        self.batching
     }
 
     /// Share a whole vector with fresh degree-`degree` polynomials:
-    /// party-major shares of `values`. Dispatches on the batching mode — the
-    /// reference mode keeps the original one-`share_secret`-per-value loop;
-    /// the round-batched mode draws the identical RNG stream but evaluates
-    /// the share polynomials through the width-parallel batch kernel.
-    /// Identical output by construction.
+    /// party-major shares of `values`.
     fn share_vector(&mut self, values: &[F], degree: usize) -> Vec<Vec<F>> {
-        match self.batching {
-            Batching::Off => {
-                let mut per_party: Vec<Vec<F>> = vec![Vec::with_capacity(values.len()); self.n];
-                for &v in values {
-                    let shares = share_secret(&mut self.rng, v, degree, self.n);
-                    for (j, s) in shares.into_iter().enumerate() {
-                        per_party[j].push(s);
-                    }
-                }
-                per_party
-            }
-            Batching::PerRound(opts) => share_secrets_batch(
-                &mut self.rng,
-                values,
-                degree,
-                self.n,
-                opts.workers,
-                opts.min_parallel_width,
-            ),
-        }
+        share_secrets_batch(
+            &mut self.rng,
+            values,
+            degree,
+            self.n,
+            self.batching.workers,
+            self.batching.min_parallel_width,
+        )
     }
 
     /// Lagrange recombination `out[k] = sum_i lambda_i * incoming[i][k]`,
-    /// split across the worker pool when the batch is wide and the
-    /// round-batched mode is on. The per-element accumulation order over
-    /// `i` is unchanged by the chunking, so both paths are bit-identical.
+    /// split across the worker pool when the batch is wide. The
+    /// accumulation order over `i` is unchanged by the chunking, so the
+    /// result is bit-identical for every worker count.
     fn recombine(&self, incoming: &[Vec<F>], len: usize, what: &str) -> Vec<F> {
         for (i, inc) in incoming.iter().enumerate() {
             assert_eq!(inc.len(), len, "{what}: party {i} sent wrong share count");
@@ -473,17 +408,17 @@ impl<F: PrimeField> PartyCtx<F> {
                 }
             }
         };
-        match self.batching {
-            Batching::PerRound(opts) if opts.parallel(len) => {
-                let chunk = len.div_ceil(opts.workers);
-                std::thread::scope(|s| {
-                    let accumulate = &accumulate;
-                    for (ci, slice) in out.chunks_mut(chunk).enumerate() {
-                        s.spawn(move || accumulate(slice, ci * chunk));
-                    }
-                });
-            }
-            _ => accumulate(&mut out, 0),
+        let opts = self.batching;
+        if opts.parallel(len) {
+            let chunk = len.div_ceil(opts.workers);
+            std::thread::scope(|s| {
+                let accumulate = &accumulate;
+                for (ci, slice) in out.chunks_mut(chunk).enumerate() {
+                    s.spawn(move || accumulate(slice, ci * chunk));
+                }
+            });
+        } else {
+            accumulate(&mut out, 0);
         }
         out
     }
@@ -945,7 +880,7 @@ mod tests {
             faults: None,
             live: None,
             prof: None,
-            batching: Batching::default(),
+            batching: BatchOptions::default(),
         });
     }
 
@@ -1329,77 +1264,6 @@ mod tests {
     }
 
     #[test]
-    fn per_element_reference_mode_is_bit_identical_except_messages() {
-        // Batching::Off reframes each round as one message per element but
-        // must not change anything else: same outputs, rounds, bytes, and
-        // element counts; `messages` collapses to the element count.
-        let program = |ctx: &mut PartyCtx<M61>| {
-            ctx.set_phase("input");
-            let a = ctx.share_input(
-                0,
-                (ctx.id == 0)
-                    .then(|| {
-                        (0..300)
-                            .map(|k| M61::from_i128(k - 150))
-                            .collect::<Vec<_>>()
-                    })
-                    .as_deref(),
-                300,
-            );
-            ctx.set_phase("mul");
-            let sq = ctx.mul(&a, &a);
-            ctx.set_phase("open");
-            ctx.open(&sq)
-        };
-        let base = MpcConfig::semi_honest(4).with_latency(Duration::ZERO);
-        for backend in [NetBackend::InProcess, NetBackend::tcp()] {
-            let batched = MpcEngine::new(base.clone().with_backend(backend.clone()))
-                .run::<M61, _, _>(program);
-            let reference = MpcEngine::new(
-                base.clone()
-                    .with_backend(backend.clone())
-                    .with_batching(Batching::Off),
-            )
-            .run::<M61, _, _>(program);
-            assert_eq!(batched.outputs, reference.outputs, "{backend:?}");
-            assert_eq!(
-                batched.stats.total.rounds, reference.stats.total.rounds,
-                "{backend:?}"
-            );
-            assert_eq!(
-                batched.stats.total.bytes, reference.stats.total.bytes,
-                "{backend:?}"
-            );
-            assert_eq!(
-                batched.stats.total.elems, reference.stats.total.elems,
-                "{backend:?}"
-            );
-            // In the reference mode every element is its own message.
-            assert_eq!(
-                reference.stats.total.messages, reference.stats.total.elems,
-                "{backend:?}"
-            );
-            // The batched path frames each link's round in one message, so
-            // it sends strictly fewer messages on this multi-element run.
-            assert!(
-                batched.stats.total.messages < reference.stats.total.messages,
-                "{backend:?}: {} !< {}",
-                batched.stats.total.messages,
-                reference.stats.total.messages
-            );
-            // Per-phase accounting splits the same way.
-            for phase in ["input", "mul", "open"] {
-                let b = &batched.stats.phases[phase];
-                let r = &reference.stats.phases[phase];
-                assert_eq!(b.rounds, r.rounds, "{backend:?} {phase}");
-                assert_eq!(b.bytes, r.bytes, "{backend:?} {phase}");
-                assert_eq!(b.elems, r.elems, "{backend:?} {phase}");
-                assert_eq!(r.messages, r.elems, "{backend:?} {phase}");
-            }
-        }
-    }
-
-    #[test]
     fn worker_pool_width_does_not_change_results() {
         // Any worker count / parallelism threshold must produce the exact
         // same run: the RNG draws are serialized before the pool fans out.
@@ -1434,8 +1298,11 @@ mod tests {
                 min_parallel_width: 1_000_000,
             },
         ] {
-            let run = MpcEngine::new(base.clone().with_batching(Batching::PerRound(opts)))
-                .run::<M61, _, _>(program);
+            let cfg = MpcConfig {
+                batching: opts,
+                ..base.clone()
+            };
+            let run = MpcEngine::new(cfg).run::<M61, _, _>(program);
             assert_eq!(run.outputs, golden.outputs, "{opts:?}");
             assert_eq!(run.stats.total.messages, golden.stats.total.messages);
             assert_eq!(run.stats.total.bytes, golden.stats.total.bytes);

@@ -43,10 +43,10 @@ pub mod stats;
 pub use sqm_net as net;
 
 pub use additive::{AdditiveCtx, AdditiveEngine};
-pub use engine::{BatchOptions, Batching, MpcConfig, MpcEngine, MpcRun, PartyCtx};
+pub use engine::{BatchOptions, MpcConfig, MpcEngine, MpcRun, PartyCtx};
 pub use shamir::{reconstruct, share_secret, share_secrets_batch, ShamirShare};
 pub use sqm_net::fault::{CrashPoint, FaultSpec};
-pub use sqm_net::transport::{FrameMode, NetBackend};
+pub use sqm_net::transport::NetBackend;
 pub use sqm_net::{TcpOptions, TransportError};
 pub use sqm_obs::live::LiveConfig;
 pub use sqm_obs::prof::ProfConfig;

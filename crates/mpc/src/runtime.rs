@@ -286,13 +286,11 @@ where
         .live
         .as_ref()
         .map(|lc| live::begin_run(lc, n, config.seed));
-    let frame_mode = config.batching.frame_mode();
     let party = &party;
     let results: Vec<Result<(T, PartyLink<F>), TransportError>> = std::thread::scope(|s| {
         let handles: Vec<_> = endpoints
             .into_iter()
-            .map(|mut endpoint| {
-                endpoint.set_frame_mode(frame_mode);
+            .map(|endpoint| {
                 s.spawn(move || {
                     let link = PartyLink::new(config, root, endpoint);
                     // A transport failure aborts the program mid-round via a

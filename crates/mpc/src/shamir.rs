@@ -14,7 +14,9 @@ use sqm_field::PrimeField;
 pub type ShamirShare<F> = F;
 
 /// Split `secret` into `n` shares with threshold `t` (degree-`t` polynomial;
-/// any `t+1` shares reconstruct, any `t` reveal nothing).
+/// any `t+1` shares reconstruct, any `t` reveal nothing). The scalar
+/// specification: the engine shares through [`share_secrets_batch`], which
+/// the tests and benches hold against this function.
 pub fn share_secret<F: PrimeField, R: Rng + ?Sized>(
     rng: &mut R,
     secret: F,
@@ -34,7 +36,7 @@ pub fn share_secret<F: PrimeField, R: Rng + ?Sized>(
 }
 
 /// Share a whole vector of secrets at once — the width-parallel batch
-/// variant of [`share_secret`] behind the engine's round-batched path.
+/// variant of [`share_secret`] behind every engine sharing.
 ///
 /// The polynomial coefficients are drawn **serially, in secret order**
 /// (`[secret, r_1..r_t]` per secret), so the RNG stream — and therefore
@@ -247,9 +249,8 @@ mod tests {
     }
 
     /// The batch kernel must consume the RNG in the exact order the scalar
-    /// loop does, so both paths produce bit-identical shares — the
-    /// determinism contract the engine's batched/reference equivalence
-    /// rests on.
+    /// loop does, so the kernel produces the shares `share_secret` specifies
+    /// — the determinism contract every oracle-compared release rests on.
     #[test]
     fn batch_sharing_is_bit_identical_to_scalar_loop() {
         let (t, n) = (2, 5);

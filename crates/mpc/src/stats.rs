@@ -17,15 +17,13 @@ use serde::Serialize;
 pub struct PhaseStats {
     /// Synchronous communication rounds spent in this phase.
     pub rounds: u64,
-    /// Total point-to-point messages (over all parties). Under round-batched
-    /// framing (the default) each non-empty frame is one message; under the
-    /// per-element reference framing each field element is one message.
+    /// Total point-to-point messages (over all parties): each non-empty
+    /// frame is one message.
     pub messages: u64,
     /// Total payload bytes (over all parties).
     pub bytes: u64,
     /// Total field elements sent (over all parties). Identical across
-    /// backends and frame modes — the mode-independent work measure that
-    /// `messages` divides into frames.
+    /// backends — the work measure that `messages` divides into frames.
     pub elems: u64,
     /// Wall time spent in this phase (max over parties).
     pub wall: Duration,

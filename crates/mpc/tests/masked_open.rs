@@ -6,13 +6,12 @@
 //! what that relies on: the opened polynomial has degree at most `2t` with
 //! the expected constant term, every other coefficient is re-randomised by
 //! the masks (uniform, and independent of the inputs), and the primitive
-//! behaves identically under per-element framing, over TCP, and under the
-//! fault wrapper.
+//! behaves identically over TCP and under the fault wrapper.
 
 use std::time::Duration;
 
 use sqm_field::{PrimeField, M61};
-use sqm_mpc::{Batching, FaultSpec, MpcConfig, MpcEngine, MpcRun, NetBackend};
+use sqm_mpc::{FaultSpec, MpcConfig, MpcEngine, MpcRun, NetBackend};
 
 /// Party 0 owns `a`, party 1 owns `b`, every party contributes the masks
 /// `mask(id)`. Each party returns its share of `a[k] * b[k] + sum_i mask_i[k]`
@@ -218,31 +217,21 @@ fn fused_round_is_framing_backend_and_fault_independent() {
         .with_drop(0.2)
         .with_retransmit(Duration::from_micros(100), 32);
     for backend in [NetBackend::InProcess, NetBackend::tcp()] {
-        for batching in [Batching::default(), Batching::Off] {
-            for faults in [None, Some(faults.clone())] {
-                let what = format!("{backend:?} {batching:?} faults={}", faults.is_some());
-                let cfg = fast(4, 5)
-                    .with_backend(backend.clone())
-                    .with_batching(batching)
-                    .with_faults(faults);
-                let run = masked_products(cfg, &a, &b, mask);
-                assert_eq!(run.outputs, golden.outputs, "{what}");
-                assert_eq!(run.stats.total.rounds, 2, "{what}");
-                assert_eq!(run.stats.total.bytes, golden.stats.total.bytes, "{what}");
-                assert_eq!(run.stats.total.elems, golden.stats.total.elems, "{what}");
-                for phase in ["input", "open"] {
-                    let (r, g) = (&run.stats.phases[phase], &golden.stats.phases[phase]);
-                    assert_eq!(r.bytes, g.bytes, "{what} {phase}");
-                    assert_eq!(r.elems, g.elems, "{what} {phase}");
-                }
-                if batching == Batching::Off {
-                    // Per-element reference: one message per field element.
-                    assert_eq!(run.stats.total.messages, run.stats.total.elems, "{what}");
-                } else {
-                    // One frame per link per round.
-                    assert_eq!(run.stats.total.messages, 2 * 4 * 3, "{what}");
-                }
+        for faults in [None, Some(faults.clone())] {
+            let what = format!("{backend:?} faults={}", faults.is_some());
+            let cfg = fast(4, 5).with_backend(backend.clone()).with_faults(faults);
+            let run = masked_products(cfg, &a, &b, mask);
+            assert_eq!(run.outputs, golden.outputs, "{what}");
+            assert_eq!(run.stats.total.rounds, 2, "{what}");
+            assert_eq!(run.stats.total.bytes, golden.stats.total.bytes, "{what}");
+            assert_eq!(run.stats.total.elems, golden.stats.total.elems, "{what}");
+            for phase in ["input", "open"] {
+                let (r, g) = (&run.stats.phases[phase], &golden.stats.phases[phase]);
+                assert_eq!(r.bytes, g.bytes, "{what} {phase}");
+                assert_eq!(r.elems, g.elems, "{what} {phase}");
             }
+            // One frame per link per round.
+            assert_eq!(run.stats.total.messages, 2 * 4 * 3, "{what}");
         }
     }
     // Parties 0 and 1 ship 40 inputs + 40 masks per link, parties 2 and 3

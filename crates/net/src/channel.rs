@@ -14,7 +14,7 @@ use crossbeam::channel::{unbounded, Receiver, Sender};
 use sqm_field::PrimeField;
 
 use crate::error::TransportError;
-use crate::transport::{FrameMode, RoundOutcome, Transport};
+use crate::transport::{RoundOutcome, Transport};
 use crate::wire::TraceHeader;
 
 /// The payload of one hop: a vector of field elements (possibly empty —
@@ -26,7 +26,6 @@ type Payload<F> = (Vec<F>, Option<TraceHeader>);
 pub struct ChannelEndpoint<F: PrimeField> {
     id: usize,
     round: u64,
-    frame_mode: FrameMode,
     /// `senders[j]` delivers to party `j`'s `receivers[self.id]`.
     senders: Vec<Sender<Payload<F>>>,
     /// `receivers[i]` yields messages from party `i`.
@@ -62,13 +61,7 @@ impl<F: PrimeField> Transport<F> for ChannelEndpoint<F> {
         let mut elems = 0u64;
         for (j, payload) in outgoing.into_iter().enumerate() {
             if j != self.id && !payload.is_empty() {
-                // The in-process backend moves typed values, so the frame
-                // mode only changes the accounting: one message per frame
-                // (PerRound) vs one per element (PerElement).
-                messages += match self.frame_mode {
-                    FrameMode::PerRound => 1,
-                    FrameMode::PerElement => payload.len() as u64,
-                };
+                messages += 1;
                 bytes += crate::wire::encoded_len::<F>(payload.len());
                 elems += payload.len() as u64;
             }
@@ -95,10 +88,6 @@ impl<F: PrimeField> Transport<F> for ChannelEndpoint<F> {
             elems,
         })
     }
-
-    fn set_frame_mode(&mut self, mode: FrameMode) {
-        self.frame_mode = mode;
-    }
 }
 
 /// Build a full mesh of `n` in-process endpoints.
@@ -123,7 +112,6 @@ pub fn mesh<F: PrimeField>(n: usize) -> Vec<ChannelEndpoint<F>> {
         .map(|(id, (tx_row, rx_row))| ChannelEndpoint {
             id,
             round: 0,
-            frame_mode: FrameMode::default(),
             senders: tx_row.into_iter().map(Option::unwrap).collect(),
             receivers: rx_row.into_iter().map(Option::unwrap).collect(),
         })
@@ -185,34 +173,6 @@ mod tests {
         assert_eq!(counts_a, (1, 24));
         // B sent nothing to A (empty), loop-back of 1 not counted.
         assert_eq!(counts_b, (0, 0));
-    }
-
-    #[test]
-    fn per_element_mode_counts_elements_as_messages() {
-        let mut endpoints = mesh::<M61>(2);
-        for ep in endpoints.iter_mut() {
-            Transport::<M61>::set_frame_mode(ep, FrameMode::PerElement);
-        }
-        let (counts_a, counts_b) = thread::scope(|s| {
-            let mut it = endpoints.iter_mut();
-            let a = it.next().unwrap();
-            let b = it.next().unwrap();
-            let ha = s.spawn(move || {
-                let out = a
-                    .exchange(vec![vec![M61::ONE; 5], vec![M61::ONE; 3]])
-                    .unwrap();
-                (out.messages, out.bytes, out.elems)
-            });
-            let hb = s.spawn(move || {
-                let out = b.exchange(vec![vec![], vec![M61::ONE]]).unwrap();
-                (out.messages, out.bytes, out.elems)
-            });
-            (ha.join().unwrap(), hb.join().unwrap())
-        });
-        // Same bytes and elems as the batched mode, but each element is
-        // its own message.
-        assert_eq!(counts_a, (3, 24, 3));
-        assert_eq!(counts_b, (0, 0, 0));
     }
 
     #[test]

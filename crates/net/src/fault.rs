@@ -38,7 +38,7 @@ use sqm_obs::metrics;
 use sqm_obs::trace::NetEvent;
 
 use crate::error::TransportError;
-use crate::transport::{FrameMode, RoundOutcome, Transport};
+use crate::transport::{RoundOutcome, Transport};
 use crate::wire::TraceHeader;
 
 /// Crash `party` at the start of its `round`-th exchange (0-based).
@@ -263,13 +263,6 @@ impl<F: PrimeField> Transport<F> for FaultTransport<F> {
         let mut events = std::mem::take(&mut self.events);
         events.extend(self.inner.drain_events());
         events
-    }
-
-    fn set_frame_mode(&mut self, mode: FrameMode) {
-        // The fault schedule is a pure function of (seed, from, to, round)
-        // applied once per link per *round*, so it is identical in both
-        // frame modes by construction; only the inner backend cares.
-        self.inner.set_frame_mode(mode);
     }
 }
 

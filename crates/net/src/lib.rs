@@ -36,7 +36,7 @@ pub mod wire;
 pub use error::{TransportError, WireError};
 pub use fault::{CrashPoint, FaultSpec, FaultTransport, LinkFault};
 pub use tcp::{TcpEndpoint, TcpOptions};
-pub use transport::{build_mesh, FrameMode, NetBackend, RoundOutcome, Transport};
+pub use transport::{build_mesh, NetBackend, RoundOutcome, Transport};
 pub use wire::{Frame, TraceHeader};
 
 pub use channel::ChannelEndpoint;

@@ -12,21 +12,13 @@
 //! the versioned optional [`wire::TraceHeader`] (one byte when absent),
 //! and the [`crate::wire`] encoding of the element vector.
 //!
-//! Under the default [`FrameMode::PerRound`], one frame per (pair, round)
-//! carries *all* of that round's elements for the link. Empty payloads
-//! still send a (count 0) frame — the lock-step structure needs one frame
-//! per (pair, round) — but, like the channel backend, they are excluded
-//! from the message/byte accounting, and accounted bytes are the
-//! wire-encoded payload only (no frame or trace headers). This is what
-//! makes `RunStats` message/byte counts *identical* across backends, and
-//! identical with tracing on or off.
-//!
-//! Under [`FrameMode::PerElement`] (the differential-testing reference
-//! framing) each element travels in its own single-element frame, the
-//! causal header rides on the first frame of the sequence, and an empty
-//! sentinel frame terminates the link's round. Bytes and element counts
-//! are accounted identically to `PerRound`; only the message count (one
-//! per element) and the physical frame count differ.
+//! One frame per (pair, round) carries *all* of that round's elements for
+//! the link. Empty payloads still send a (count 0) frame — the lock-step
+//! structure needs one frame per (pair, round) — but, like the channel
+//! backend, they are excluded from the message/byte accounting, and
+//! accounted bytes are the wire-encoded payload only (no frame or trace
+//! headers). This is what makes `RunStats` message/byte counts *identical*
+//! across backends, and identical with tracing on or off.
 //!
 //! ## Timeouts and reconnection
 //!
@@ -56,7 +48,7 @@ use sqm_obs::metrics;
 use sqm_obs::trace::NetEvent;
 
 use crate::error::{TransportError, WireError};
-use crate::transport::{FrameMode, RoundOutcome, Transport};
+use crate::transport::{RoundOutcome, Transport};
 use crate::wire::{self, Frame, TraceHeader};
 
 /// Read-side result of one exchange: per-sender payloads plus the optional
@@ -69,6 +61,23 @@ const HELLO_MAGIC: u32 = 0x5351_4D4E; // "SQMN"
 /// Largest payload a frame may announce (1 GiB); guards against allocating
 /// on a corrupt length prefix.
 const MAX_FRAME_BYTES: usize = 1 << 30;
+
+/// The length prefix of a `len`-byte frame, or the typed refusal when it
+/// exceeds [`MAX_FRAME_BYTES`]. Sender and receiver apply the same bound,
+/// so a frame the peer would reject as corrupt is never written.
+fn frame_len(len: usize, peer: usize, round: u64) -> Result<u32, TransportError> {
+    match u32::try_from(len) {
+        Ok(prefix) if len <= MAX_FRAME_BYTES => Ok(prefix),
+        _ => Err(TransportError::Wire {
+            party: peer,
+            round,
+            source: WireError::OversizedFrame {
+                len,
+                max: MAX_FRAME_BYTES,
+            },
+        }),
+    }
+}
 
 /// Tuning knobs for the loopback TCP backend.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -107,7 +116,6 @@ pub struct TcpEndpoint<F: PrimeField> {
     id: usize,
     n: usize,
     round: u64,
-    frame_mode: FrameMode,
     read_timeout: Duration,
     /// `writers[j]` carries `me -> j` traffic (`None` at the self slot).
     writers: Vec<Option<TcpStream>>,
@@ -141,11 +149,7 @@ fn write_frame(
     peer: usize,
     round: u64,
 ) -> Result<(), TransportError> {
-    let len = u32::try_from(payload.len()).map_err(|_| TransportError::Io {
-        party: peer,
-        round,
-        detail: format!("payload of {} bytes exceeds u32 framing", payload.len()),
-    })?;
+    let len = frame_len(payload.len(), peer, round)?;
     stream
         .write_all(&len.to_le_bytes())
         .and_then(|()| stream.write_all(payload))
@@ -170,17 +174,7 @@ fn read_frame(
     stream
         .read_exact(&mut header)
         .map_err(|e| fill_timeout(io_error(peer, round, "read frame header", &e)))?;
-    let len = u32::from_le_bytes(header) as usize;
-    if len > MAX_FRAME_BYTES {
-        return Err(TransportError::Wire {
-            party: peer,
-            round,
-            source: WireError::OversizedFrame {
-                len,
-                max: MAX_FRAME_BYTES,
-            },
-        });
-    }
+    let len = frame_len(u32::from_le_bytes(header) as usize, peer, round)? as usize;
     let mut payload = vec![0u8; len];
     stream
         .read_exact(&mut payload)
@@ -305,7 +299,6 @@ pub fn tcp_mesh<F: PrimeField>(
             id,
             n,
             round: 0,
-            frame_mode: FrameMode::default(),
             read_timeout: opts.read_timeout,
             writers: w,
             readers: r,
@@ -341,7 +334,6 @@ impl<F: PrimeField> Transport<F> for TcpEndpoint<F> {
         let id = self.id;
         let round = self.round;
         let read_timeout = self.read_timeout;
-        let frame_mode = self.frame_mode;
 
         // Encode everything up front; account only real messages, and only
         // their element bytes — the trace header and frame prefixes ride
@@ -351,7 +343,7 @@ impl<F: PrimeField> Transport<F> for TcpEndpoint<F> {
         let mut elems = 0u64;
         let loopback = std::mem::take(&mut outgoing[id]);
         let loopback_header = headers.as_ref().and_then(|hs| hs[id]);
-        let frames: Vec<Option<Vec<Bytes>>> = outgoing
+        let frames: Vec<Option<Bytes>> = outgoing
             .iter()
             .enumerate()
             .map(|(j, payload)| {
@@ -359,45 +351,15 @@ impl<F: PrimeField> Transport<F> for TcpEndpoint<F> {
                     return None;
                 }
                 if !payload.is_empty() {
-                    messages += match frame_mode {
-                        FrameMode::PerRound => 1,
-                        FrameMode::PerElement => payload.len() as u64,
-                    };
+                    messages += 1;
                     bytes += wire::encoded_len::<F>(payload.len());
                     elems += payload.len() as u64;
                 }
                 let header = headers.as_ref().and_then(|hs| hs[j]);
-                let sequence = match frame_mode {
-                    // One round-batched frame with all of the link's
-                    // elements for this round.
-                    FrameMode::PerRound => vec![Frame::<F>::encode(payload, header.as_ref())],
-                    // One single-element frame per element, the causal
-                    // header on the first frame of the sequence, closed by
-                    // an empty sentinel frame (which carries the header
-                    // itself when the payload is empty).
-                    FrameMode::PerElement => {
-                        let mut sequence = Vec::with_capacity(payload.len() + 1);
-                        for (k, v) in payload.iter().enumerate() {
-                            let h = if k == 0 { header.as_ref() } else { None };
-                            sequence.push(Frame::<F>::encode(std::slice::from_ref(v), h));
-                        }
-                        let sentinel_header = if payload.is_empty() {
-                            header.as_ref()
-                        } else {
-                            None
-                        };
-                        sequence.push(Frame::<F>::encode(&[], sentinel_header));
-                        sequence
-                    }
-                };
-                Some(sequence)
+                Some(Frame::<F>::encode(payload, header.as_ref()))
             })
             .collect();
-        let frames_sent: u64 = frames
-            .iter()
-            .flatten()
-            .map(|sequence| sequence.len() as u64)
-            .sum();
+        let frames_sent = frames.iter().flatten().count() as u64;
 
         let writers = &mut self.writers;
         let readers = &mut self.readers;
@@ -410,13 +372,11 @@ impl<F: PrimeField> Transport<F> for TcpEndpoint<F> {
         let live_on = live::is_active();
         let (write_result, read_result) = std::thread::scope(|s| {
             let writer = s.spawn(move || -> Result<(), TransportError> {
-                for (j, sequence) in frames.iter().enumerate() {
-                    let Some(sequence) = sequence else { continue };
+                for (j, frame) in frames.iter().enumerate() {
+                    let Some(frame) = frame else { continue };
                     let stream = writers[j].as_mut().expect("writer socket present");
                     let t0 = (timing || live_on).then(Instant::now);
-                    for frame in sequence {
-                        write_frame(stream, frame.as_ref(), j, round)?;
-                    }
+                    write_frame(stream, frame.as_ref(), j, round)?;
                     if let Some(t0) = t0 {
                         let elapsed = t0.elapsed();
                         if timing {
@@ -445,31 +405,10 @@ impl<F: PrimeField> Transport<F> for TcpEndpoint<F> {
                         round,
                         source,
                     };
-                    match frame_mode {
-                        FrameMode::PerRound => {
-                            let raw = read_frame(stream, i, round, read_timeout)?;
-                            let frame = Frame::<F>::decode(raw).map_err(wire_err)?;
-                            in_headers[i] = frame.header;
-                            incoming[i] = frame.elements;
-                        }
-                        FrameMode::PerElement => {
-                            // Accumulate single-element frames until the
-                            // empty sentinel closes the link's round.
-                            let mut first = true;
-                            loop {
-                                let raw = read_frame(stream, i, round, read_timeout)?;
-                                let frame = Frame::<F>::decode(raw).map_err(&wire_err)?;
-                                if first {
-                                    in_headers[i] = frame.header;
-                                    first = false;
-                                }
-                                if frame.elements.is_empty() {
-                                    break;
-                                }
-                                incoming[i].extend(frame.elements);
-                            }
-                        }
-                    }
+                    let raw = read_frame(stream, i, round, read_timeout)?;
+                    let frame = Frame::<F>::decode(raw).map_err(wire_err)?;
+                    in_headers[i] = frame.header;
+                    incoming[i] = frame.elements;
                     if let Some(t0) = t0 {
                         let elapsed = t0.elapsed();
                         if timing {
@@ -509,10 +448,6 @@ impl<F: PrimeField> Transport<F> for TcpEndpoint<F> {
 
     fn drain_events(&mut self) -> Vec<NetEvent> {
         std::mem::take(&mut self.events)
-    }
-
-    fn set_frame_mode(&mut self, mode: FrameMode) {
-        self.frame_mode = mode;
     }
 }
 
@@ -630,97 +565,24 @@ mod tests {
     }
 
     #[test]
-    fn per_element_mode_same_payloads_same_bytes_more_messages() {
-        metrics::set_enabled(false);
-        let run = |mode: FrameMode| -> Vec<(Vec<Vec<M61>>, u64, u64, u64)> {
-            let mut eps = tcp_mesh::<M61>(3, &TcpOptions::default()).unwrap();
-            for ep in eps.iter_mut() {
-                Transport::<M61>::set_frame_mode(ep, mode);
-            }
-            thread::scope(|s| {
-                let handles: Vec<_> = eps
-                    .iter_mut()
-                    .map(|ep| {
-                        s.spawn(move || {
-                            let id = Transport::<M61>::id(ep);
-                            let out: Vec<Vec<M61>> = (0..3)
-                                .map(|j| {
-                                    if j == 2 {
-                                        vec![] // party 2 gets a non-message
-                                    } else {
-                                        vec![M61::from_u64((10 * id + j) as u64); 4]
-                                    }
-                                })
-                                .collect();
-                            let o = ep.exchange(out).unwrap();
-                            (o.incoming, o.messages, o.bytes, o.elems)
-                        })
-                    })
-                    .collect();
-                handles.into_iter().map(|h| h.join().unwrap()).collect()
-            })
-        };
-        let batched = run(FrameMode::PerRound);
-        let reference = run(FrameMode::PerElement);
-        for (j, (b, r)) in batched.iter().zip(&reference).enumerate() {
-            // Identical payloads, bytes, and element counts in both modes.
-            assert_eq!(b.0, r.0, "party {j} incoming differs across modes");
-            assert_eq!(b.2, r.2, "party {j} bytes differ across modes");
-            assert_eq!(b.3, r.3, "party {j} elems differ across modes");
-            // PerRound: one message per non-empty link; PerElement: one
-            // per element (4 per non-empty link here).
-            let real_destinations = [0usize, 1].iter().filter(|&&d| d != j).count() as u64;
-            assert_eq!(b.1, real_destinations);
-            assert_eq!(r.1, real_destinations * 4);
-        }
-    }
-
-    #[test]
-    fn per_element_mode_carries_trace_headers() {
-        let mut eps = tcp_mesh::<M61>(2, &TcpOptions::default()).unwrap();
-        for ep in eps.iter_mut() {
-            Transport::<M61>::set_frame_mode(ep, FrameMode::PerElement);
-        }
-        let results: Vec<RoundOutcome<M61>> = thread::scope(|s| {
-            let handles: Vec<_> = eps
-                .iter_mut()
-                .map(|ep| {
-                    s.spawn(move || {
-                        let id = Transport::<M61>::id(ep);
-                        let headers: Vec<Option<TraceHeader>> = (0..2)
-                            .map(|j| {
-                                (j != id).then_some(TraceHeader {
-                                    run_id: 21,
-                                    party: id as u32,
-                                    round: 0,
-                                    link_seq: 0,
-                                    lamport: 5 + id as u64,
-                                })
-                            })
-                            .collect();
-                        // Party 0 sends three elements, party 1 sends none:
-                        // the header must survive both the multi-frame and
-                        // the sentinel-only sequences.
-                        let payload = if id == 0 { vec![M61::ONE; 3] } else { vec![] };
-                        let out: Vec<Vec<M61>> = (0..2)
-                            .map(|j| if j == id { vec![] } else { payload.clone() })
-                            .collect();
-                        ep.exchange_stamped(out, Some(headers)).unwrap()
-                    })
+    fn oversized_frame_is_refused_with_the_same_typed_error_on_both_sides() {
+        assert_eq!(frame_len(MAX_FRAME_BYTES, 1, 0), Ok(1 << 30));
+        // One byte over the receiver's bound, and a length no u32 prefix
+        // can carry: the sender refuses both before writing anything.
+        let too_long = (u32::MAX as usize).saturating_add(1);
+        for len in [MAX_FRAME_BYTES + 1, too_long] {
+            assert_eq!(
+                frame_len(len, 2, 7),
+                Err(TransportError::Wire {
+                    party: 2,
+                    round: 7,
+                    source: WireError::OversizedFrame {
+                        len,
+                        max: MAX_FRAME_BYTES
+                    },
                 })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
-        for (me, out) in results.iter().enumerate() {
-            let peer = 1 - me;
-            let h = out.headers[peer].expect("peer header in per-element mode");
-            assert_eq!(h.run_id, 21);
-            assert_eq!(h.party, peer as u32);
-            assert_eq!(h.lamport, 5 + peer as u64);
-            assert_eq!(out.headers[me], None);
+            );
         }
-        assert_eq!(results[0].incoming[1], vec![]);
-        assert_eq!(results[1].incoming[0], vec![M61::ONE; 3]);
     }
 
     #[test]

@@ -16,27 +16,6 @@ use crate::fault::{FaultSpec, FaultTransport};
 use crate::tcp::{self, TcpOptions};
 use crate::wire::TraceHeader;
 
-/// How a backend packs one round's payload onto each link, and therefore
-/// what one "message" means in the traffic accounting.
-///
-/// The mode never changes *which* field elements cross *which* link in
-/// *which* round — rounds, bytes, and element counts are identical in both
-/// modes — only how they are framed and counted.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum FrameMode {
-    /// One round-batched [`crate::wire::Frame`] per link per round carrying
-    /// all of that round's elements; each non-empty frame counts as one
-    /// message. This is the default and the batched engine's mode.
-    #[default]
-    PerRound,
-    /// The per-element reference framing: every field element is its own
-    /// message (the TCP backend physically sends one frame per element,
-    /// terminated by an empty sentinel frame; the in-process backend counts
-    /// elements). Kept as the differential-testing baseline for
-    /// `MpcConfig`'s `Batching::Off`.
-    PerElement,
-}
-
 /// The result of one successful synchronous round.
 #[derive(Clone, Debug)]
 pub struct RoundOutcome<F> {
@@ -47,19 +26,16 @@ pub struct RoundOutcome<F> {
     /// payload, if any. Always `n_parties()` entries; all `None` when the
     /// sender ran without tracing.
     pub headers: Vec<Option<TraceHeader>>,
-    /// Messages this party sent. Under [`FrameMode::PerRound`] each
-    /// non-empty payload to another party is one message (one frame);
-    /// under [`FrameMode::PerElement`] each *element* of such a payload is
-    /// one message.
+    /// Messages this party sent: each non-empty payload to another party
+    /// is one message (one frame).
     pub messages: u64,
     /// Payload bytes this party sent, at the canonical wire encoding
     /// ([`crate::wire::encoded_len`]); framing overhead is *not* counted
     /// and neither are trace headers, so the figure is identical across
-    /// backends, identical with tracing on or off, and identical across
-    /// [`FrameMode`]s.
+    /// backends and identical with tracing on or off.
     pub bytes: u64,
     /// Field elements this party sent in non-empty payloads to other
-    /// parties. Identical across backends and [`FrameMode`]s.
+    /// parties. Identical across backends.
     pub elems: u64,
 }
 
@@ -119,13 +95,6 @@ pub trait Transport<F: PrimeField>: Send {
     fn drain_events(&mut self) -> Vec<NetEvent> {
         Vec::new()
     }
-
-    /// Select the wire framing / message-accounting mode for subsequent
-    /// exchanges (see [`FrameMode`]). Must be called at the same point in
-    /// the SPMD program on every endpoint of the mesh, before any exchange.
-    /// The default implementation ignores the request and stays on
-    /// [`FrameMode::PerRound`].
-    fn set_frame_mode(&mut self, _mode: FrameMode) {}
 }
 
 /// Which transport backend a protocol run uses.

@@ -155,10 +155,10 @@ impl Tenant {
     pub fn create(config: TenantConfig) -> Result<Tenant, ServeError> {
         config.validate()?;
         let partition = ColumnPartition::even(config.n_cols, config.n_clients);
-        let mut cfg = VflConfig::fast(config.n_clients)
+        let cfg = VflConfig::fast(config.n_clients)
             .with_seed(config.seed)
-            .with_trace(config.request_tracing);
-        cfg.faults = config.faults.clone();
+            .with_trace(config.request_tracing)
+            .with_faults(config.faults.clone());
         let stream = StreamCov::new(
             partition,
             config.gamma,

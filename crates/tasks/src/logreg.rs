@@ -217,12 +217,12 @@ impl SqmLogReg {
                 })
             }
             LrBackend::Mpc(cfg) => {
-                let partition = ColumnPartition::even(d + 1, cfg.n_clients);
+                let partition = ColumnPartition::even(d + 1, cfg.n_clients());
                 let gamma = self.gamma;
                 let mut round = 0u64;
                 sgd_loop(rng, m, d, &self.cfg, |_rng, w, batch| {
                     round += 1;
-                    let step_cfg = cfg.clone().with_seed(cfg.seed ^ round);
+                    let step_cfg = cfg.clone().with_seed(cfg.seed() ^ round);
                     gradient_sum_skellam(&data, &partition, batch, w, gamma, mu, &step_cfg).grad_sum
                 })
             }

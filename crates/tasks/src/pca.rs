@@ -112,7 +112,7 @@ impl SqmPca {
                 covariance_skellam_plaintext(rng, data, self.gamma, mu, self.n_clients)
             }
             PcaBackend::Mpc(cfg) => {
-                let partition = ColumnPartition::even(n, cfg.n_clients);
+                let partition = ColumnPartition::even(n, cfg.n_clients());
                 covariance_skellam(data, &partition, self.gamma, mu, cfg).c_hat
             }
         };

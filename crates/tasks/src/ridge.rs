@@ -100,7 +100,7 @@ impl SqmRidge {
                 covariance_skellam_plaintext(rng, &aug, self.gamma, mu, self.n_clients)
             }
             RidgeBackend::Mpc(cfg) => {
-                let partition = ColumnPartition::even(n_cols, cfg.n_clients);
+                let partition = ColumnPartition::even(n_cols, cfg.n_clients());
                 covariance_skellam(&aug, &partition, self.gamma, mu, cfg).c_hat
             }
         };

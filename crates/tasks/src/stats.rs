@@ -79,7 +79,7 @@ impl SqmMean {
                 column_sums_skellam_plaintext(rng, data, self.gamma, mu, self.n_clients)
             }
             MeanBackend::Mpc(cfg) => {
-                let partition = ColumnPartition::even(n, cfg.n_clients);
+                let partition = ColumnPartition::even(n, cfg.n_clients());
                 column_sums_skellam(data, &partition, self.gamma, mu, cfg).sums_hat
             }
         };

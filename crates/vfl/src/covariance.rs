@@ -123,18 +123,13 @@ pub fn covariance_skellam_plaintext<R: rand::Rng + ?Sized>(
 ///
 /// Unlike [`covariance_skellam_plaintext`] (output-*equivalent* law, its own
 /// RNG), this replays the exact per-party randomness streams the MPC party
-/// threads derive from `cfg.seed` — quantization stream
+/// threads derive from `cfg.seed()` — quantization stream
 /// `seed ^ (0xA11C_E000 + p)` consumed column-by-column in partition order,
 /// then `n(n+1)/2` Skellam(mu/P) draws from `seed ^ (0x5E11_A000 + p)` per
 /// party — and therefore predicts the *opened integer output* of the secure
 /// protocol exactly, for any backend. It is the differential-fuzzing oracle:
 /// any bit of divergence from the MPC run is a correctness bug in
 /// secret-sharing, the masked open, or transport.
-///
-/// The oracle honors `cfg.batching` implicitly: both the round-batched and
-/// the per-element reference engine modes consume the party RNG streams in
-/// the same order and release the same values, so one replay predicts both.
-/// A divergence *between modes* would therefore also surface here.
 pub fn covariance_quantized_oracle(
     data: &Matrix,
     partition: &ColumnPartition,
@@ -149,8 +144,8 @@ pub fn covariance_quantized_oracle(
 
     // Replay each party's quantization stream over its own columns.
     let mut qcols: Vec<Vec<i64>> = vec![Vec::new(); n];
-    for p in 0..cfg.n_clients {
-        let mut qrng = StdRng::seed_from_u64(cfg.seed ^ (0xA11C_E000 + p as u64));
+    for p in 0..cfg.n_clients() {
+        let mut qrng = StdRng::seed_from_u64(cfg.seed() ^ (0xA11C_E000 + p as u64));
         for j in partition.columns_of(p) {
             qcols[j] = quantize_vec(&mut qrng, &data.col(j), gamma);
         }
@@ -170,9 +165,9 @@ pub fn covariance_quantized_oracle(
     }
 
     // Replay each party's noise stream.
-    let local_mu = mu / cfg.n_clients as f64;
-    for p in 0..cfg.n_clients {
-        let mut nrng = StdRng::seed_from_u64(cfg.seed ^ (0x5E11_A000 + p as u64));
+    let local_mu = mu / cfg.n_clients() as f64;
+    for p in 0..cfg.n_clients() {
+        let mut nrng = StdRng::seed_from_u64(cfg.seed() ^ (0x5E11_A000 + p as u64));
         for slot in opened.iter_mut() {
             *slot += sample_skellam(&mut nrng, local_mu) as i128;
         }
@@ -189,10 +184,9 @@ fn validate(data: &Matrix, partition: &ColumnPartition, cfg: &VflConfig) {
     );
     assert_eq!(
         partition.n_clients(),
-        cfg.n_clients,
+        cfg.n_clients(),
         "partition/config client-count mismatch"
     );
-    assert!(cfg.n_clients >= 2, "MPC needs at least 2 clients");
 }
 
 fn magnitude_bound(data: &Matrix, gamma: f64, mu: f64) -> f64 {
@@ -305,15 +299,15 @@ fn chunked_impl<F: PrimeField>(
     let engine = MpcEngine::new(cfg.mpc_config());
     let upper_len = n * (n + 1) / 2;
     let counts = partition.counts();
-    let local_mu = mu / cfg.n_clients as f64;
+    let local_mu = mu / cfg.n_clients() as f64;
 
     let run = engine.run::<F, Vec<i128>, _>(|ctx| {
         let me = ctx.id;
-        let mut qrng = StdRng::seed_from_u64(cfg.seed ^ (0xA11C_E000 + me as u64));
+        let mut qrng = StdRng::seed_from_u64(cfg.seed() ^ (0xA11C_E000 + me as u64));
         let my_cols = partition.columns_of(me);
 
         ctx.set_phase("dp_noise");
-        let mut nrng = StdRng::seed_from_u64(cfg.seed ^ (0x5E11_A000 + me as u64));
+        let mut nrng = StdRng::seed_from_u64(cfg.seed() ^ (0x5E11_A000 + me as u64));
         let mut masks = Some(ctx.mask_shares(&sample_noise(&mut nrng, local_mu, upper_len)));
         prof::record("vfl;dp_noise;skellam_draw", 1, upper_len as u64);
 
@@ -381,13 +375,13 @@ fn covariance_impl<F: PrimeField>(
     // Column share lengths per client (column-major flattening).
     let counts = partition.counts();
     let expected: Vec<usize> = counts.iter().map(|&c| c * m).collect();
-    let local_mu = mu / cfg.n_clients as f64;
+    let local_mu = mu / cfg.n_clients() as f64;
 
     let run = engine.try_run::<F, Vec<i128>, _>(|ctx| {
         let me = ctx.id;
         // --- quantize my own columns with my private randomness ----------
         ctx.set_phase("quantize");
-        let mut qrng = StdRng::seed_from_u64(cfg.seed ^ (0xA11C_E000 + me as u64));
+        let mut qrng = StdRng::seed_from_u64(cfg.seed() ^ (0xA11C_E000 + me as u64));
         let my_cols = partition.columns_of(me);
         let mut my_values: Vec<F> = Vec::with_capacity(my_cols.len() * m);
         for &j in &my_cols {
@@ -397,7 +391,7 @@ fn covariance_impl<F: PrimeField>(
 
         // --- distributed Skellam noise, shared at degree 2t (local) -------
         ctx.set_phase("dp_noise");
-        let mut nrng = StdRng::seed_from_u64(cfg.seed ^ (0x5E11_A000 + me as u64));
+        let mut nrng = StdRng::seed_from_u64(cfg.seed() ^ (0x5E11_A000 + me as u64));
         let masks = ctx.mask_shares(&sample_noise(&mut nrng, local_mu, upper_len));
         prof::record("vfl;dp_noise;skellam_draw", 1, upper_len as u64);
 
@@ -559,22 +553,6 @@ mod tests {
                 mpc.c_hat, oracle,
                 "oracle diverged at P={n_clients} seed={seed} mu={mu}"
             );
-        }
-    }
-
-    #[test]
-    fn quantized_oracle_matches_both_batching_modes() {
-        // One replay predicts both engine modes: the per-element reference
-        // path and the round-batched path consume identical RNG streams.
-        let data = small_data();
-        let partition = ColumnPartition::even(4, 3);
-        let gamma = 512.0;
-        let mu = 25.0;
-        for batching in [crate::Batching::default(), crate::Batching::Off] {
-            let cfg = VflConfig::fast(3).with_seed(41).with_batching(batching);
-            let mpc = covariance_skellam(&data, &partition, gamma, mu, &cfg);
-            let oracle = covariance_quantized_oracle(&data, &partition, gamma, mu, &cfg);
-            assert_eq!(mpc.c_hat, oracle, "oracle diverged under {batching:?}");
         }
     }
 

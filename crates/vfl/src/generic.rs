@@ -44,7 +44,7 @@ pub fn eval_polynomial_skellam(
     );
     assert_eq!(
         partition.n_clients(),
-        cfg.n_clients,
+        cfg.n_clients(),
         "partition/config mismatch"
     );
 
@@ -127,11 +127,11 @@ fn eval_impl<F: PrimeField>(
 ) -> (Vec<f64>, RunStats) {
     let m = data.rows();
     let d = poly.n_dims();
-    let p_clients = cfg.n_clients;
+    let p_clients = cfg.n_clients();
 
     // Public coefficient quantization (Algorithm 3 lines 1-3): all parties
     // derive the same integers from the public seed.
-    let mut crng = StdRng::seed_from_u64(cfg.seed ^ 0xC0EF_0000);
+    let mut crng = StdRng::seed_from_u64(cfg.seed() ^ 0xC0EF_0000);
     let qpoly = quantize_polynomial(&mut crng, poly, gamma);
     let coeffs: Vec<Vec<i128>> = (0..d)
         .map(|t| qpoly.dim(t).iter().map(|qm| qm.coeff).collect())
@@ -144,7 +144,7 @@ fn eval_impl<F: PrimeField>(
     let run = engine.run::<F, Vec<i128>, _>(|ctx| {
         let me = ctx.id;
         ctx.set_phase("quantize");
-        let mut qrng = StdRng::seed_from_u64(cfg.seed ^ (0x9E4E_0000 + me as u64));
+        let mut qrng = StdRng::seed_from_u64(cfg.seed() ^ (0x9E4E_0000 + me as u64));
         let my_cols = partition.columns_of(me);
         let mut my_inputs: Vec<F> = Vec::with_capacity(m * my_cols.len());
         for i in 0..m {
@@ -158,7 +158,7 @@ fn eval_impl<F: PrimeField>(
         let mut shares = circuit.eval_mpc(ctx, &my_inputs);
 
         ctx.set_phase("dp_noise");
-        let mut nrng = StdRng::seed_from_u64(cfg.seed ^ (0x5E11_C000 + me as u64));
+        let mut nrng = StdRng::seed_from_u64(cfg.seed() ^ (0x5E11_C000 + me as u64));
         let local_mu = mu / p_clients as f64;
         for contrib in ctx.share_all(&sample_noise(&mut nrng, local_mu, d)) {
             shares = ctx.add(&shares, &contrib);

@@ -89,7 +89,7 @@ pub fn gradient_sum_skellam(
     );
     assert_eq!(
         partition.n_clients(),
-        cfg.n_clients,
+        cfg.n_clients(),
         "partition/config mismatch"
     );
     assert!(!batch.is_empty(), "empty batch");
@@ -164,8 +164,8 @@ fn gradient_impl<F: PrimeField>(
 ) -> GradientOutput {
     let d = data.cols() - 1;
     let mb = batch.len();
-    let local_mu = mu / cfg.n_clients as f64;
-    let coeffs = quantize_lr_coeffs(w, gamma, cfg.seed);
+    let local_mu = mu / cfg.n_clients() as f64;
+    let coeffs = quantize_lr_coeffs(w, gamma, cfg.seed());
     let engine = MpcEngine::new(cfg.mpc_config());
     let counts = partition.counts();
     let expected: Vec<usize> = counts.iter().map(|&c| c * mb).collect();
@@ -174,7 +174,7 @@ fn gradient_impl<F: PrimeField>(
         let me = ctx.id;
         // --- quantize my columns (batch rows only) ------------------------
         ctx.set_phase("quantize");
-        let mut qrng = StdRng::seed_from_u64(cfg.seed ^ (0x96AD_0000 + me as u64));
+        let mut qrng = StdRng::seed_from_u64(cfg.seed() ^ (0x96AD_0000 + me as u64));
         let my_cols = partition.columns_of(me);
         let mut my_values: Vec<F> = Vec::with_capacity(my_cols.len() * mb);
         for &j in &my_cols {
@@ -186,7 +186,7 @@ fn gradient_impl<F: PrimeField>(
 
         // --- distributed Skellam noise, shared at degree 2t (local) --------
         ctx.set_phase("dp_noise");
-        let mut nrng = StdRng::seed_from_u64(cfg.seed ^ (0x5E11_B000 + me as u64));
+        let mut nrng = StdRng::seed_from_u64(cfg.seed() ^ (0x5E11_B000 + me as u64));
         let masks = ctx.mask_shares(&sample_noise(&mut nrng, local_mu, d));
         prof::record("vfl;dp_noise;skellam_draw", 1, d as u64);
 

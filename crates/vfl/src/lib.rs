@@ -61,66 +61,28 @@ pub use stream::{covariance_streaming_oracle, StreamCov};
 
 pub use sqm_mpc::net;
 pub use sqm_mpc::{
-    BatchOptions, Batching, CrashPoint, FaultSpec, LiveConfig, NetBackend, ProfConfig, TcpOptions,
-    TransportError,
+    CrashPoint, FaultSpec, LiveConfig, NetBackend, ProfConfig, TcpOptions, TransportError,
 };
 
 use std::time::Duration;
 
 use sqm_mpc::MpcConfig;
 
-/// Configuration shared by the VFL protocols.
+/// Configuration shared by the VFL protocols: the [`MpcConfig`] every
+/// protocol run uses (one party per client, maximal semi-honest threshold),
+/// with VFL's seed default. The seed also derives the per-party
+/// quantization and noise-sampling streams.
 #[derive(Clone, Debug)]
 pub struct VflConfig {
-    /// Number of clients `P` (MPC parties).
-    pub n_clients: usize,
-    /// Simulated per-hop network latency (paper: 0.1 s).
-    pub latency: Duration,
-    /// Seed for quantization randomness, noise sampling and share
-    /// polynomials (per-party streams are derived from it).
-    pub seed: u64,
-    /// Record structured MPC traces (see `sqm_obs::trace`). Off by default.
-    pub trace: bool,
-    /// Cap on per-party trace *detail* records (spans/rounds/net events);
-    /// `None` uses `sqm_obs::trace::DEFAULT_EVENT_CAP`. Summaries stay
-    /// exact regardless — see `PartyRecorder::with_event_cap`.
-    pub trace_event_cap: Option<usize>,
-    /// Party-to-party transport backend (in-process channels by default;
-    /// `NetBackend::Tcp` runs the same protocols over loopback sockets).
-    pub backend: NetBackend,
-    /// Optional deterministic fault injection layered over the backend.
-    pub faults: Option<FaultSpec>,
-    /// Stream live telemetry for the MPC runs this config drives (see
-    /// `sqm_obs::live`): per-round events, stall watchdog, `/metrics` +
-    /// `/snapshot` HTTP endpoint, crash flight recorder. `None` (the
-    /// default) publishes nothing; `RunStats` are bit-identical either way.
-    pub live: Option<sqm_mpc::LiveConfig>,
-    /// Attach the deterministic cost profiler (see `sqm_obs::prof`) to the
-    /// MPC runs this config drives: collapsed-stack attribution of engine
-    /// traffic, mask sharing and degree reductions, Skellam draws, and the
-    /// circuit path's batching opportunity report. `None` (the default) records nothing; release
-    /// bits and `RunStats` are bit-identical either way.
-    pub prof: Option<sqm_mpc::ProfConfig>,
-    /// Wire framing and gate-scheduling mode of the underlying MPC engine
-    /// (see [`Batching`]). The round-batched default and the per-element
-    /// reference mode release bit-identical values; only message accounting
-    /// and local parallelism differ.
-    pub batching: Batching,
+    mpc: MpcConfig,
 }
 
 impl VflConfig {
+    /// `n_clients` clients (MPC parties), 0.1 s simulated per-hop latency
+    /// (the paper's), seed 7, in-process transport, no observers.
     pub fn new(n_clients: usize) -> Self {
         VflConfig {
-            n_clients,
-            latency: Duration::from_millis(100),
-            seed: 7,
-            trace: false,
-            trace_event_cap: None,
-            backend: NetBackend::InProcess,
-            faults: None,
-            live: None,
-            prof: None,
-            batching: Batching::default(),
+            mpc: MpcConfig::semi_honest(n_clients).with_seed(7),
         }
     }
 
@@ -130,74 +92,67 @@ impl VflConfig {
         Self::new(n_clients).with_latency(Duration::ZERO)
     }
 
+    /// Number of clients `P` (MPC parties).
+    pub fn n_clients(&self) -> usize {
+        self.mpc.n_parties
+    }
+
+    /// Seed for quantization randomness, noise sampling and share
+    /// polynomials (per-party streams are derived from it).
+    pub fn seed(&self) -> u64 {
+        self.mpc.seed
+    }
+
+    /// See [`MpcConfig::with_latency`].
     pub fn with_latency(mut self, latency: Duration) -> Self {
-        self.latency = latency;
+        self.mpc = self.mpc.with_latency(latency);
         self
     }
 
+    /// See [`MpcConfig::with_seed`].
     pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
+        self.mpc = self.mpc.with_seed(seed);
         self
     }
 
-    /// Turn structured trace recording on or off.
+    /// See [`MpcConfig::with_trace`].
     pub fn with_trace(mut self, trace: bool) -> Self {
-        self.trace = trace;
+        self.mpc = self.mpc.with_trace(trace);
         self
     }
 
-    /// Bound the number of per-party trace detail records.
+    /// See [`MpcConfig::with_trace_event_cap`].
     pub fn with_trace_event_cap(mut self, cap: usize) -> Self {
-        self.trace_event_cap = Some(cap);
+        self.mpc = self.mpc.with_trace_event_cap(cap);
         self
     }
 
-    /// Select the transport backend the MPC parties communicate over.
+    /// See [`MpcConfig::with_backend`].
     pub fn with_backend(mut self, backend: NetBackend) -> Self {
-        self.backend = backend;
+        self.mpc = self.mpc.with_backend(backend);
         self
     }
 
-    /// Layer deterministic fault injection over the selected backend.
-    pub fn with_faults(mut self, faults: FaultSpec) -> Self {
-        self.faults = Some(faults);
+    /// See [`MpcConfig::with_faults`].
+    pub fn with_faults(mut self, faults: Option<FaultSpec>) -> Self {
+        self.mpc = self.mpc.with_faults(faults);
         self
     }
 
-    /// Stream live telemetry for the MPC runs this config drives.
-    pub fn with_live(mut self, live: Option<sqm_mpc::LiveConfig>) -> Self {
-        self.live = live;
+    /// See [`MpcConfig::with_live`].
+    pub fn with_live(mut self, live: Option<LiveConfig>) -> Self {
+        self.mpc = self.mpc.with_live(live);
         self
     }
 
-    /// Attach the deterministic cost profiler to the MPC runs this config
-    /// drives (see `sqm_obs::prof`).
-    pub fn with_prof(mut self, prof: Option<sqm_mpc::ProfConfig>) -> Self {
-        self.prof = prof;
+    /// See [`MpcConfig::with_prof`].
+    pub fn with_prof(mut self, prof: Option<ProfConfig>) -> Self {
+        self.mpc = self.mpc.with_prof(prof);
         self
     }
 
-    /// Select the wire framing / gate-scheduling mode of the MPC engine
-    /// (see [`Batching`]).
-    pub fn with_batching(mut self, batching: Batching) -> Self {
-        self.batching = batching;
-        self
-    }
-
-    /// The `MpcConfig` every VFL protocol derives from this configuration.
+    /// The `MpcConfig` every VFL protocol runs under.
     pub fn mpc_config(&self) -> MpcConfig {
-        let config = MpcConfig::semi_honest(self.n_clients)
-            .with_latency(self.latency)
-            .with_seed(self.seed)
-            .with_trace(self.trace)
-            .with_backend(self.backend.clone())
-            .with_faults(self.faults.clone())
-            .with_live(self.live.clone())
-            .with_prof(self.prof.clone())
-            .with_batching(self.batching);
-        match self.trace_event_cap {
-            Some(cap) => config.with_trace_event_cap(cap),
-            None => config,
-        }
+        self.mpc.clone()
     }
 }

@@ -45,7 +45,7 @@ pub fn column_sums_skellam(
     );
     assert_eq!(
         partition.n_clients(),
-        cfg.n_clients,
+        cfg.n_clients(),
         "partition/config mismatch"
     );
     let c = data.max_row_norm().max(1e-9);
@@ -99,7 +99,7 @@ pub fn column_sums_skellam_additive(
     );
     assert_eq!(
         partition.n_clients(),
-        cfg.n_clients,
+        cfg.n_clients(),
         "partition/config mismatch"
     );
     let c = data.max_row_norm().max(1e-9);
@@ -119,12 +119,12 @@ fn additive_impl<F: PrimeField>(
 ) -> MeanOutput {
     use sqm_mpc::AdditiveEngine;
     let n = data.cols();
-    let p_clients = cfg.n_clients;
+    let p_clients = cfg.n_clients();
     let engine = AdditiveEngine::new(cfg.mpc_config());
     let run = engine.run::<F, Vec<i128>, _>(|ctx| {
         let me = ctx.id;
         ctx.set_phase("quantize");
-        let mut qrng = StdRng::seed_from_u64(cfg.seed ^ (0x3EA4_0000 + me as u64));
+        let mut qrng = StdRng::seed_from_u64(cfg.seed() ^ (0x3EA4_0000 + me as u64));
         let my_cols = partition.columns_of(me);
         let my_sums: Vec<(usize, F)> = my_cols
             .iter()
@@ -152,7 +152,7 @@ fn additive_impl<F: PrimeField>(
         }
 
         ctx.set_phase("dp_noise");
-        let mut nrng = StdRng::seed_from_u64(cfg.seed ^ (0x5E11_D000 + me as u64));
+        let mut nrng = StdRng::seed_from_u64(cfg.seed() ^ (0x5E11_D000 + me as u64));
         let local_mu = mu / p_clients as f64;
         // Additive backend: each party simply adds its own noise share to
         // its additive share — no extra communication round at all.
@@ -181,7 +181,7 @@ fn mean_impl<F: PrimeField>(
     cfg: &VflConfig,
 ) -> MeanOutput {
     let n = data.cols();
-    let local_mu = mu / cfg.n_clients as f64;
+    let local_mu = mu / cfg.n_clients() as f64;
     let engine = MpcEngine::new(cfg.mpc_config());
     // Each client only shares its *column sums* — for a linear function the
     // per-record values never need to be shared at all, so the input cost
@@ -191,7 +191,7 @@ fn mean_impl<F: PrimeField>(
     let run = engine.run::<F, Vec<i128>, _>(|ctx| {
         let me = ctx.id;
         ctx.set_phase("quantize");
-        let mut qrng = StdRng::seed_from_u64(cfg.seed ^ (0x3EA4_0000 + me as u64));
+        let mut qrng = StdRng::seed_from_u64(cfg.seed() ^ (0x3EA4_0000 + me as u64));
         let my_cols = partition.columns_of(me);
         let my_sums: Vec<F> = my_cols
             .iter()
@@ -202,7 +202,7 @@ fn mean_impl<F: PrimeField>(
             .collect();
 
         ctx.set_phase("dp_noise");
-        let mut nrng = StdRng::seed_from_u64(cfg.seed ^ (0x5E11_D000 + me as u64));
+        let mut nrng = StdRng::seed_from_u64(cfg.seed() ^ (0x5E11_D000 + me as u64));
         let masks = ctx.mask_shares(&sample_noise(&mut nrng, local_mu, n));
 
         ctx.set_phase("input");

@@ -124,10 +124,10 @@ impl VflSession {
     pub fn with_delta(partition: ColumnPartition, cfg: VflConfig, delta: f64) -> Self {
         assert_eq!(
             partition.n_clients(),
-            cfg.n_clients,
+            cfg.n_clients(),
             "partition/config mismatch"
         );
-        let ledger = PrivacyLedger::new(cfg.n_clients, delta);
+        let ledger = PrivacyLedger::new(cfg.n_clients(), delta);
         VflSession {
             partition,
             cfg,

@@ -18,7 +18,7 @@
 //!   batches are pending, and prior work is amortized, never recomputed.
 //! * **Randomness streams persist.** Quantization and Skellam noise RNGs
 //!   are the same per-party streams the one-shot protocols derive from
-//!   `cfg.seed`, carried across releases. Release 0 is therefore
+//!   `cfg.seed()`, carried across releases. Release 0 is therefore
 //!   bit-identical to [`crate::covariance::covariance_skellam_chunked`]
 //!   with chunk boundaries at the batch boundaries, and release `r` is
 //!   predicted bit-exactly by [`covariance_streaming_oracle`] with
@@ -77,10 +77,10 @@ impl<F: PrimeField> StreamImpl<F> {
         let upper_len = n_cols * (n_cols + 1) / 2;
         let mpc = cfg.mpc_config();
         let mesh = build_mesh::<F>(mpc.n_parties, &mpc.backend, mpc.faults.as_ref())?;
-        let party = (0..cfg.n_clients)
+        let party = (0..cfg.n_clients())
             .map(|p| PartyStream {
-                qrng: StdRng::seed_from_u64(cfg.seed ^ (0xA11C_E000 + p as u64)),
-                nrng: StdRng::seed_from_u64(cfg.seed ^ (0x5E11_A000 + p as u64)),
+                qrng: StdRng::seed_from_u64(cfg.seed() ^ (0xA11C_E000 + p as u64)),
+                nrng: StdRng::seed_from_u64(cfg.seed() ^ (0x5E11_A000 + p as u64)),
                 acc: vec![F::ZERO; upper_len],
             })
             .collect();
@@ -107,7 +107,7 @@ impl<F: PrimeField> StreamImpl<F> {
         let upper_len = n * (n + 1) / 2;
         let partition = &self.partition;
         let gamma = self.gamma;
-        let local_mu = self.mu / self.cfg.n_clients as f64;
+        let local_mu = self.mu / self.cfg.n_clients() as f64;
         let pending = std::mem::take(&mut self.pending);
         let pending = &pending;
         let pending_rows: usize = pending.iter().map(|b| b.rows()).sum();
@@ -230,10 +230,9 @@ impl StreamCov {
     ) -> Result<StreamCov, TransportError> {
         assert_eq!(
             partition.n_clients(),
-            cfg.n_clients,
+            cfg.n_clients(),
             "partition/config client-count mismatch"
         );
-        assert!(cfg.n_clients >= 2, "MPC needs at least 2 clients");
         assert!(max_rows >= 1, "declare a positive record envelope");
         let c = max_row_norm.max(1e-9);
         let per_entry = gamma * c + 1.0;
@@ -359,8 +358,8 @@ pub fn covariance_streaming_oracle(
     // Per-party quantization streams, consumed batch-major / column-major /
     // record-minor — the session's exact order.
     let mut qcols: Vec<Vec<i64>> = vec![Vec::new(); n];
-    for p in 0..cfg.n_clients {
-        let mut qrng = StdRng::seed_from_u64(cfg.seed ^ (0xA11C_E000 + p as u64));
+    for p in 0..cfg.n_clients() {
+        let mut qrng = StdRng::seed_from_u64(cfg.seed() ^ (0xA11C_E000 + p as u64));
         for batch in batches {
             for &j in &partition.columns_of(p) {
                 for i in 0..batch.rows() {
@@ -382,9 +381,9 @@ pub fn covariance_streaming_oracle(
         }
     }
 
-    let local_mu = mu / cfg.n_clients as f64;
-    for p in 0..cfg.n_clients {
-        let mut nrng = StdRng::seed_from_u64(cfg.seed ^ (0x5E11_A000 + p as u64));
+    let local_mu = mu / cfg.n_clients() as f64;
+    for p in 0..cfg.n_clients() {
+        let mut nrng = StdRng::seed_from_u64(cfg.seed() ^ (0x5E11_A000 + p as u64));
         for _ in 0..noise_skip * upper_len {
             let _ = sample_skellam(&mut nrng, local_mu);
         }
@@ -508,7 +507,7 @@ mod tests {
         // Crash party 1 at round 1: the first release dies at its open.
         let cfg = VflConfig::fast(3)
             .with_seed(5)
-            .with_faults(sqm_mpc::FaultSpec::seeded(5).with_crash(1, 1));
+            .with_faults(Some(sqm_mpc::FaultSpec::seeded(5).with_crash(1, 1)));
         let mut stream = StreamCov::new(partition, 64.0, 0.0, &cfg, 16, 1.0).unwrap();
         stream.ingest(&batches()[0]);
         let err = stream.release().unwrap_err();

@@ -16,8 +16,8 @@ use sqm_sampling::skellam::sample_skellam;
 use sqm_vfl::gradient::quantize_lr_coeffs;
 use sqm_vfl::{
     column_sums_skellam, covariance_quantized_oracle, covariance_skellam,
-    covariance_skellam_chunked, covariance_streaming_oracle, gradient_sum_skellam, Batching,
-    ColumnPartition, NetBackend, StreamCov, VflConfig,
+    covariance_skellam_chunked, covariance_streaming_oracle, gradient_sum_skellam, ColumnPartition,
+    NetBackend, StreamCov, VflConfig,
 };
 
 const CLIENTS: [usize; 4] = [2, 3, 5, 10];
@@ -67,18 +67,12 @@ fn covariance_oracle_holds_over_tcp_and_per_element_frames() {
     for p in [3usize, 5] {
         let partition = ColumnPartition::even(N, p);
         for backend in [NetBackend::InProcess, NetBackend::tcp()] {
-            for batching in [Batching::default(), Batching::Off] {
-                let cfg = VflConfig::fast(p)
-                    .with_seed(77)
-                    .with_backend(backend.clone())
-                    .with_batching(batching);
-                let oracle = covariance_quantized_oracle(&x, &partition, gamma, mu, &cfg);
-                let out = covariance_skellam(&x, &partition, gamma, mu, &cfg);
-                assert_eq!(out.c_hat, oracle, "P={p} {backend:?} {batching:?}");
-                if batching == Batching::Off {
-                    assert_eq!(out.stats.total.messages, out.stats.total.elems);
-                }
-            }
+            let cfg = VflConfig::fast(p)
+                .with_seed(77)
+                .with_backend(backend.clone());
+            let oracle = covariance_quantized_oracle(&x, &partition, gamma, mu, &cfg);
+            let out = covariance_skellam(&x, &partition, gamma, mu, &cfg);
+            assert_eq!(out.c_hat, oracle, "P={p} {backend:?}");
         }
     }
 }
@@ -133,14 +127,14 @@ fn gradient_equals_a_replay_of_its_streams_at_every_threshold() {
         // coefficients, Eq. 9 on integers, then per-party noise.
         let mut q = vec![[0i128; N]; batch.len()]; // [record][column]
         for client in 0..p {
-            let mut qrng = StdRng::seed_from_u64(cfg.seed ^ (0x96AD_0000 + client as u64));
+            let mut qrng = StdRng::seed_from_u64(cfg.seed() ^ (0x96AD_0000 + client as u64));
             for j in partition.columns_of(client) {
                 for (slot, &i) in batch.iter().enumerate() {
                     q[slot][j] = stochastic_round(&mut qrng, gamma * x[(i, j)]) as i128;
                 }
             }
         }
-        let coeffs = quantize_lr_coeffs(&w, gamma, cfg.seed);
+        let coeffs = quantize_lr_coeffs(&w, gamma, cfg.seed());
         let mut grad = vec![0i128; d];
         for row in &q {
             let v: i128 = (0..d)
@@ -152,7 +146,7 @@ fn gradient_equals_a_replay_of_its_streams_at_every_threshold() {
             }
         }
         for client in 0..p {
-            let mut nrng = StdRng::seed_from_u64(cfg.seed ^ (0x5E11_B000 + client as u64));
+            let mut nrng = StdRng::seed_from_u64(cfg.seed() ^ (0x5E11_B000 + client as u64));
             for g in grad.iter_mut() {
                 *g += sample_skellam(&mut nrng, mu / p as f64) as i128;
             }
@@ -175,7 +169,7 @@ fn column_sums_equal_a_replay_of_their_streams_at_every_threshold() {
 
         let mut sums = [0i128; N];
         for client in 0..p {
-            let mut qrng = StdRng::seed_from_u64(cfg.seed ^ (0x3EA4_0000 + client as u64));
+            let mut qrng = StdRng::seed_from_u64(cfg.seed() ^ (0x3EA4_0000 + client as u64));
             for j in partition.columns_of(client) {
                 sums[j] = quantize_vec(&mut qrng, &x.col(j), gamma)
                     .into_iter()
@@ -184,7 +178,7 @@ fn column_sums_equal_a_replay_of_their_streams_at_every_threshold() {
             }
         }
         for client in 0..p {
-            let mut nrng = StdRng::seed_from_u64(cfg.seed ^ (0x5E11_D000 + client as u64));
+            let mut nrng = StdRng::seed_from_u64(cfg.seed() ^ (0x5E11_D000 + client as u64));
             for s in sums.iter_mut() {
                 *s += sample_skellam(&mut nrng, mu / p as f64) as i128;
             }

@@ -12,8 +12,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sqm_linalg::Matrix;
 use sqm_vfl::{
-    covariance_skellam, try_covariance_skellam, Batching, ColumnPartition, FaultSpec, NetBackend,
-    TransportError, VflConfig,
+    covariance_skellam, try_covariance_skellam, ColumnPartition, FaultSpec, NetBackend,
+    TransportError, VflConfig, VflSession,
 };
 
 const M: usize = 100;
@@ -54,6 +54,41 @@ fn tcp_covariance_is_bit_identical_to_in_process() {
     assert_eq!(inproc.stats.total.rounds, tcp.stats.total.rounds);
     assert_eq!(inproc.stats.total.messages, tcp.stats.total.messages);
     assert_eq!(inproc.stats.total.bytes, tcp.stats.total.bytes);
+
+    // A whole session agrees too: the server's view of every release and
+    // the accounted epsilons are the same over either backend, bit for bit.
+    let batch: Vec<usize> = vec![1, 3, 6, 9];
+    let w = vec![-0.02; N - 1];
+    let session = |backend: NetBackend| {
+        let mut session = VflSession::new(partition.clone(), base_cfg().with_backend(backend));
+        session.covariance(&data, GAMMA, MU);
+        session.gradient_sum(&data, &batch, &w, GAMMA, MU);
+        session
+    };
+    let (a, b) = (session(NetBackend::InProcess), session(NetBackend::tcp()));
+    assert_eq!(a.server_view().len(), 2);
+    assert_eq!(a.server_view().len(), b.server_view().len());
+    for (x, y) in a
+        .server_view()
+        .releases()
+        .iter()
+        .zip(b.server_view().releases())
+    {
+        assert_eq!(x.kind, y.kind);
+        assert_eq!(x.values, y.values);
+        assert_eq!(x.gamma, y.gamma);
+        assert_eq!(x.mu, y.mu);
+    }
+    assert_eq!(a.ledger().len(), b.ledger().len());
+    for (x, y) in a.ledger().entries().iter().zip(b.ledger().entries()) {
+        assert_eq!(x.kind, y.kind);
+        assert_eq!(x.server_epsilon.to_bits(), y.server_epsilon.to_bits());
+        assert_eq!(x.client_epsilon.to_bits(), y.client_epsilon.to_bits());
+    }
+    assert_eq!(
+        a.ledger().server_epsilon().to_bits(),
+        b.ledger().server_epsilon().to_bits()
+    );
 }
 
 #[test]
@@ -69,7 +104,7 @@ fn five_percent_drop_completes_via_retransmit_with_identical_output() {
         &partition,
         GAMMA,
         MU,
-        &base_cfg().with_faults(faults),
+        &base_cfg().with_faults(Some(faults)),
     );
 
     // Drops cost retransmit time, never data: the protocol completes and
@@ -82,24 +117,29 @@ fn five_percent_drop_completes_via_retransmit_with_identical_output() {
 
 #[test]
 fn crashed_party_yields_typed_error_naming_party_and_round() {
+    // A crash is a property of (party, round), not of the medium: both
+    // backends surface the identical typed error.
     let (data, partition) = workload();
-    let cfg = base_cfg().with_faults(FaultSpec::seeded(3).with_crash(2, 1));
-
-    let err = try_covariance_skellam(&data, &partition, GAMMA, MU, &cfg)
-        .expect_err("a crashed party must not produce an output");
-    assert_eq!(err, TransportError::Crashed { party: 2, round: 1 });
+    for backend in [NetBackend::InProcess, NetBackend::tcp()] {
+        let cfg = base_cfg()
+            .with_backend(backend)
+            .with_faults(Some(FaultSpec::seeded(3).with_crash(2, 1)));
+        let err = try_covariance_skellam(&data, &partition, GAMMA, MU, &cfg)
+            .expect_err("a crashed party must not produce an output");
+        assert_eq!(err, TransportError::Crashed { party: 2, round: 1 });
+    }
 }
 
 #[test]
 fn seeded_faults_are_deterministic_across_runs() {
     let (data, partition) = workload();
     let faulty = || {
-        base_cfg().with_faults(
+        base_cfg().with_faults(Some(
             FaultSpec::seeded(11)
                 .with_delay(Duration::ZERO, Duration::from_micros(200))
                 .with_drop(0.1)
                 .with_retransmit(Duration::from_micros(50), 20),
-        )
+        ))
     };
 
     let a = covariance_skellam(&data, &partition, GAMMA, MU, &faulty());
@@ -115,52 +155,46 @@ fn seeded_faults_are_deterministic_across_runs() {
 fn faults_compose_over_the_tcp_backend_too() {
     let (data, partition) = workload();
     let clean = covariance_skellam(&data, &partition, GAMMA, MU, &base_cfg());
-    let cfg = base_cfg().with_backend(NetBackend::tcp()).with_faults(
-        FaultSpec::seeded(5)
-            .with_drop(0.05)
-            .with_retransmit(Duration::from_micros(50), 20),
-    );
-    let out = covariance_skellam(&data, &partition, GAMMA, MU, &cfg);
-    assert_eq!(clean.c_hat, out.c_hat);
-}
-
-#[test]
-fn per_element_framing_survives_drops_over_tcp_with_identical_output() {
-    // The reference mode sends one physical frame per element plus a
-    // sentinel, so a seeded drop schedule hits a very different wire
-    // pattern than the batched default — yet retransmission must still
-    // deliver the exact same opened matrix and payload-byte accounting.
-    let (data, partition) = workload();
-    let clean = covariance_skellam(&data, &partition, GAMMA, MU, &base_cfg());
+    // 24 messages at a 25 % drop rate: this seed's schedule drops several,
+    // and the trace's net events prove it (tracing never moves accounting).
     let cfg = base_cfg()
-        .with_batching(Batching::Off)
         .with_backend(NetBackend::tcp())
-        .with_faults(
+        .with_trace(true)
+        .with_faults(Some(
             FaultSpec::seeded(5)
-                .with_drop(0.05)
+                .with_drop(0.25)
                 .with_retransmit(Duration::from_micros(50), 20),
-        );
+        ));
     let out = covariance_skellam(&data, &partition, GAMMA, MU, &cfg);
-    assert_eq!(clean.c_hat, out.c_hat);
-    assert_eq!(clean.stats.total.rounds, out.stats.total.rounds);
-    assert_eq!(clean.stats.total.bytes, out.stats.total.bytes);
-    assert_eq!(clean.stats.total.elems, out.stats.total.elems);
-    // One accounted message per element in the reference framing.
-    assert_eq!(out.stats.total.messages, out.stats.total.elems);
-}
+    let retransmits = out
+        .trace
+        .as_ref()
+        .expect("trace requested")
+        .parties
+        .iter()
+        .flat_map(|p| &p.net_events)
+        .filter(|e| e.kind == "retransmit")
+        .count();
+    assert!(retransmits >= 1, "the drop schedule injected nothing");
 
-#[test]
-fn mid_round_crash_is_typed_identically_in_the_reference_mode() {
-    // A crash is a property of (party, round), not of wire framing: both
-    // modes must surface the identical typed error over framed TCP.
-    let (data, partition) = workload();
-    for batching in [Batching::default(), Batching::Off] {
-        let cfg = base_cfg()
-            .with_batching(batching)
-            .with_backend(NetBackend::tcp())
-            .with_faults(FaultSpec::seeded(3).with_crash(2, 1));
-        let err = try_covariance_skellam(&data, &partition, GAMMA, MU, &cfg)
-            .expect_err("a crashed party must not produce an output");
-        assert_eq!(err, TransportError::Crashed { party: 2, round: 1 });
+    // Retransmits are a transport detail: same opened matrix, same
+    // accounted traffic, phase by phase.
+    assert_eq!(clean.c_hat, out.c_hat);
+    assert_eq!(
+        clean.stats.phases.keys().collect::<Vec<_>>(),
+        out.stats.phases.keys().collect::<Vec<_>>()
+    );
+    for (name, c) in &clean.stats.phases {
+        let o = &out.stats.phases[name];
+        assert_eq!(
+            (c.rounds, c.messages, c.bytes, c.elems),
+            (o.rounds, o.messages, o.bytes, o.elems),
+            "phase {name}"
+        );
     }
+    let (c, o) = (&clean.stats.total, &out.stats.total);
+    assert_eq!(
+        (c.rounds, c.messages, c.bytes, c.elems),
+        (o.rounds, o.messages, o.bytes, o.elems)
+    );
 }

@@ -6,7 +6,11 @@
 #   * `catch_unwind` appears on more than one line under crates/mpc/src,
 #   * `set_hook` / `take_hook` / `panic_any` appears in crates/*/src outside
 #     a `#[cfg(test)]` module (test modules close every file here, so each
-#     file is read up to its first `#[cfg(test)]`).
+#     file is read up to its first `#[cfg(test)]`),
+#   * the deleted per-element execution mode comes back: `Batching`,
+#     `FrameMode`, `PerElement`, `set_frame_mode` or `with_batching` as a
+#     whole word under crates/, tests/ or examples/ (`BatchingReport` is not
+#     a hit).
 #
 # Usage: scripts/check_one_runtime.sh
 set -euo pipefail
@@ -34,6 +38,12 @@ hooks=$(find crates/*/src -name '*.rs' -print0 | sort -z | xargs -0 awk '
 if [ -n "$hooks" ]; then
   echo "panic-hook / panic_any use outside #[cfg(test)]:" >&2
   echo "$hooks" >&2
+  fail=1
+fi
+
+if grep -rnwE 'Batching|FrameMode|PerElement|set_frame_mode|with_batching' \
+    crates tests examples >&2; then
+  echo "the per-element mode is deleted: one wire framing, one sharing path" >&2
   fail=1
 fi
 
