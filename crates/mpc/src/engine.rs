@@ -302,7 +302,10 @@ impl MpcEngine {
     /// caller must re-mesh (via [`crate::net::build_mesh`]) before retrying.
     ///
     /// Party round counters continue across runs on a reused mesh; nothing
-    /// in the protocol layer depends on absolute round numbers.
+    /// in the protocol layer depends on absolute round numbers. The counter
+    /// at run start salts each party's share randomness, so two runs on one
+    /// mesh never draw the same share or mask polynomials (a fresh mesh
+    /// starts at round 0, which leaves the seed unsalted).
     pub fn try_run_on<F, T, P>(
         &self,
         endpoints: Vec<Box<dyn Transport<F>>>,
@@ -324,12 +327,17 @@ impl MpcEngine {
         }
         run_parties(&self.config, "engine", endpoints, |link| {
             let id = link.id();
+            // A replayed stream shares two secrets under one polynomial: a
+            // curious party subtracts its shares and reads their difference.
+            let run_salt = link.round().wrapping_mul(0xD6E8_FEB8_6659_FD93);
             let mut ctx = PartyCtx {
                 id,
                 n,
                 t: self.config.threshold,
                 rng: StdRng::seed_from_u64(
-                    self.config.seed ^ (0x9E37_79B9_7F4A_7C15u64.wrapping_mul(id as u64 + 1)),
+                    self.config.seed
+                        ^ 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(id as u64 + 1)
+                        ^ run_salt,
                 ),
                 link,
                 lagrange_all: lagrange_all.clone(),

@@ -88,6 +88,12 @@ impl<F: PrimeField> PartyLink<F> {
         self.endpoint.id()
     }
 
+    /// Index of this party's next round; continues across runs on a reused
+    /// mesh.
+    pub(crate) fn round(&self) -> u64 {
+        self.endpoint.round()
+    }
+
     /// The accounting phase rounds and wall time are currently charged to.
     pub(crate) fn phase(&self) -> &str {
         &self.phase

@@ -11,6 +11,7 @@
 use std::time::Duration;
 
 use sqm_field::{PrimeField, M61};
+use sqm_mpc::net::build_mesh;
 use sqm_mpc::{FaultSpec, MpcConfig, MpcEngine, MpcRun, NetBackend};
 
 /// Party 0 owns `a`, party 1 owns `b`, every party contributes the masks
@@ -241,6 +242,55 @@ fn fused_round_is_framing_backend_and_fault_independent() {
         (2 * 80 + 2 * 40) * 3 * 8
     );
     assert_eq!(golden.stats.phases["dp_noise"].bytes, 0);
+}
+
+#[test]
+fn runs_on_a_reused_mesh_never_replay_share_or_mask_polynomials() {
+    // Two releases on one mesh from one config: party 0 moves its input
+    // 1000 -> 2000, party 1 moves 1001 -> 2007. Were the share polynomials
+    // replayed, curious party 2 would subtract its two shares of each input
+    // and read the differences (1000 and 1006) in the clear.
+    let inputs = [[1000i128, 1001], [2000, 2007]];
+    for backend in [NetBackend::InProcess, NetBackend::tcp()] {
+        let cfg = fast(3, 21).with_backend(backend.clone());
+        let engine = MpcEngine::new(cfg.clone());
+        let mut mesh = build_mesh::<M61>(3, &cfg.backend, None).unwrap();
+        let mut runs = Vec::new();
+        for owned in inputs {
+            let (run, back) = engine
+                .try_run_on(mesh, |ctx| {
+                    let mine: Vec<M61> = owned
+                        .get(ctx.id)
+                        .map(|&v| M61::from_i128(v))
+                        .into_iter()
+                        .collect();
+                    let masks = ctx.mask_shares(&[M61::from_u64(5)]);
+                    let (contributions, mask_sum) = ctx.share_all_masked(&mine, &[1, 1, 0], masks);
+                    ctx.open(&mask_sum);
+                    (contributions[0][0], contributions[1][0], mask_sum[0])
+                })
+                .unwrap();
+            mesh = back;
+            runs.push(run);
+        }
+        let (first, second) = (&runs[0].outputs, &runs[1].outputs);
+        // Party 2's view of the two owners' inputs.
+        let (a0, b0, _) = first[2];
+        let (a1, b1, _) = second[2];
+        assert_ne!((a1 - a0).to_centered_i128(), 1000, "{backend:?}: party 0");
+        assert_ne!((b1 - b0).to_centered_i128(), 1006, "{backend:?}: party 1");
+        // The opened mask polynomial: same constant term (3 x 5), every
+        // other coefficient drawn afresh.
+        let poly = |outputs: &[(M61, M61, M61)]| {
+            interpolate(&outputs.iter().map(|o| o.2).collect::<Vec<_>>())
+        };
+        let (p0, p1) = (poly(first), poly(second));
+        assert_eq!(p0[0], M61::from_u64(15), "{backend:?}");
+        assert_eq!(p1[0], p0[0], "{backend:?}");
+        for d in 1..=2 {
+            assert_ne!(p0[d], p1[d], "{backend:?}: coefficient {d} replayed");
+        }
+    }
 }
 
 #[test]

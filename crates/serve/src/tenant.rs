@@ -1,13 +1,13 @@
 //! One tenant: a long-lived streaming covariance session with an enforced
 //! privacy budget.
 //!
-//! Every release goes through [`PrivacyOdometer::admit`] *before* any MPC
+//! Every release goes through [`PrivacyAccount::admit`] *before* any MPC
 //! round runs; a refusal is the typed [`ServeError::BudgetExhausted`] and
-//! costs nothing. Admitted releases are recorded in both the odometer and
-//! the obs [`PrivacyLedger`], and the two accounts are cross-checked after
-//! every release ([`Tenant::budget_consistent_with_ledger`]).
+//! costs nothing. A release is written to the account — the odometer and
+//! the obs [`PrivacyLedger`] in one [`PrivacyAccount::commit`] — only after
+//! its MPC run has succeeded, so a failed run costs nothing either.
 
-use sqm_accounting::{default_alpha_grid, skellam_rdp, Admission, PrivacyOdometer, RdpCurve};
+use sqm_accounting::PrivacyOdometer;
 use sqm_core::sensitivity::pca_sensitivity;
 use sqm_linalg::Matrix;
 use sqm_mpc::{FaultSpec, RunStats};
@@ -15,7 +15,8 @@ use sqm_obs::causal::MessageDag;
 use sqm_obs::ledger::PrivacyLedger;
 use sqm_obs::metrics;
 use sqm_obs::span::{CriticalSummary, RequestContext, EXEC};
-use sqm_vfl::{ColumnPartition, StreamCov, VflConfig};
+use sqm_vfl::session::{ReleaseKind, ReleasePermit};
+use sqm_vfl::{ColumnPartition, PrivacyAccount, StreamCov, VflConfig};
 
 use std::time::Instant;
 
@@ -87,8 +88,8 @@ impl TenantConfig {
         if self.n_clients < 2 || self.n_clients > self.n_cols.max(2) {
             return bad("n_clients must be in 2..=n_cols");
         }
-        if self.gamma <= 0.0 || self.gamma.is_nan() {
-            return bad("gamma must be positive");
+        if !(self.gamma > 0.0 && self.gamma.is_finite()) {
+            return bad("gamma must be positive and finite");
         }
         if self.mu < 0.0 {
             return bad("mu must be non-negative");
@@ -144,8 +145,7 @@ pub struct TenantReport {
 pub struct Tenant {
     config: TenantConfig,
     stream: StreamCov,
-    odometer: PrivacyOdometer,
-    ledger: PrivacyLedger,
+    account: PrivacyAccount,
     refusals: u64,
 }
 
@@ -171,13 +171,11 @@ impl Tenant {
             tenant: config.name.clone(),
             error,
         })?;
-        let odometer = PrivacyOdometer::new(config.budget_eps, config.delta);
-        let ledger = PrivacyLedger::new(config.n_clients, config.delta);
+        let account = PrivacyAccount::new(config.n_clients, config.budget_eps, config.delta);
         Ok(Tenant {
             config,
             stream,
-            odometer,
-            ledger,
+            account,
             refusals: 0,
         })
     }
@@ -229,48 +227,30 @@ impl Tenant {
         Ok(self.stream.pending_rows())
     }
 
-    /// The per-release server-observed RDP curve (pinned by the session's
-    /// gamma/mu/envelope, so every release costs the same).
-    fn release_curve(&self) -> RdpCurve {
-        let sens = pca_sensitivity(
-            self.config.gamma,
-            self.config.max_row_norm.max(1e-9),
-            self.config.n_cols,
-        );
-        let mu = self.config.mu;
-        RdpCurve::from_fn(&default_alpha_grid(), |a| skellam_rdp(a, sens, mu))
-    }
-
-    /// One DP release: odometer admission first, MPC second, ledger third.
+    /// One DP release: budget gate first, MPC second, both books third.
     pub fn release(&mut self) -> Result<ReleaseReply, ServeError> {
         self.release_spanned(None)
     }
 
-    /// The budget gate alone, before any MPC round. Returns the admitted
-    /// release's standalone epsilon.
-    fn admit_release(&mut self) -> Result<f64, ServeError> {
-        if self.config.mu <= 0.0 {
-            // An unperturbed release is infinite epsilon: always refused
-            // on a (necessarily finite) serving budget.
-            return Err(self.refuse());
-        }
-        let curve = self.release_curve();
-        let release_epsilon = curve.to_epsilon(self.config.delta).0;
-        match self.odometer.admit(&curve) {
-            Admission::Admitted => Ok(release_epsilon),
-            Admission::Rejected => Err(self.refuse()),
-        }
-    }
-
-    fn refuse(&mut self) -> ServeError {
-        self.refusals += 1;
-        metrics::counter_add("serve.budget_refusals", 1);
-        metrics::counter_add(&format!("serve.budget_refusals.{}", self.config.name), 1);
-        ServeError::BudgetExhausted {
-            tenant: self.config.name.clone(),
-            spent: self.odometer.spent_epsilon(),
-            budget: self.config.budget_eps,
-        }
+    /// The budget gate alone, before any MPC round. Every release costs the
+    /// same: its curve is pinned by the session's gamma/mu/envelope.
+    fn admit_release(&mut self) -> Result<ReleasePermit, ServeError> {
+        let TenantConfig {
+            gamma, mu, n_cols, ..
+        } = self.config;
+        let sens = pca_sensitivity(gamma, self.config.max_row_norm.max(1e-9), n_cols);
+        let kind = ReleaseKind::Covariance;
+        let admitted = self.account.admit(kind, n_cols * n_cols, gamma, mu, sens);
+        admitted.map_err(|refusal| {
+            self.refusals += 1;
+            metrics::counter_add("serve.budget_refusals", 1);
+            metrics::counter_add(&format!("serve.budget_refusals.{}", self.config.name), 1);
+            ServeError::BudgetExhausted {
+                tenant: self.config.name.clone(),
+                spent: refusal.spent,
+                budget: refusal.budget,
+            }
+        })
     }
 
     /// [`Tenant::release`] with request-scoped tracing: the admit / MPC /
@@ -300,7 +280,7 @@ impl Tenant {
         if let Some(c) = ctx.as_deref_mut() {
             c.add_child(EXEC, "admit", admit_wall);
         }
-        let release_epsilon = admitted?;
+        let permit = admitted?;
         // --- MPC over the reused mesh -----------------------------------
         let mpc_started = Instant::now();
         let out = self.stream.release().map_err(|error| {
@@ -332,22 +312,11 @@ impl Tenant {
             }
         }
         let out = out?;
-        // --- ledger cross-account, reply encoding -----------------------
+        // --- the run succeeded: spend the permit, encode the reply -------
         let encode_started = Instant::now();
-        let sens = pca_sensitivity(
-            self.config.gamma,
-            self.config.max_row_norm.max(1e-9),
-            self.config.n_cols,
-        );
-        self.ledger.record(
-            "covariance",
-            self.config.n_cols * self.config.n_cols,
-            self.config.gamma,
-            self.config.mu,
-            sens,
-        );
+        let release_epsilon = self.account.commit(permit).server_epsilon;
         debug_assert!(
-            self.budget_consistent_with_ledger(),
+            self.account.budget_consistent_with_ledger(),
             "odometer and ledger disagree for tenant {}",
             self.config.name
         );
@@ -359,8 +328,8 @@ impl Tenant {
             rows_covered: self.stream.rows_ingested(),
             release_index: self.stream.releases(),
             release_epsilon,
-            spent_epsilon: self.odometer.spent_epsilon(),
-            remaining_epsilon: self.odometer.remaining_epsilon(),
+            spent_epsilon: self.odometer().spent_epsilon(),
+            remaining_epsilon: self.odometer().remaining_epsilon(),
             stats: out.stats,
         };
         let encode_wall = encode_started.elapsed();
@@ -374,29 +343,19 @@ impl Tenant {
         Ok(reply)
     }
 
-    /// Cross-check: the odometer's recorded spend must agree with the obs
-    /// ledger's composed server curve (both are fed the same per-release
-    /// curves).
-    pub fn budget_consistent_with_ledger(&self) -> bool {
-        if self.ledger.is_empty() {
-            return self.odometer.releases() == 0;
-        }
-        let ledger_eps = self.ledger.server_epsilon();
-        if !ledger_eps.is_finite() {
-            return false; // serving never admits unbounded releases
-        }
-        let spent = self.odometer.spent_epsilon();
-        (spent - ledger_eps).abs() <= 1e-9 * ledger_eps.max(1.0)
+    /// The tenant's privacy account (both books and their cross-check).
+    pub fn account(&self) -> &PrivacyAccount {
+        &self.account
     }
 
-    /// The obs privacy ledger (one entry per admitted release).
+    /// The obs privacy ledger (one entry per successful release).
     pub fn ledger(&self) -> &PrivacyLedger {
-        &self.ledger
+        self.account.ledger()
     }
 
     /// The odometer enforcing the budget.
     pub fn odometer(&self) -> &PrivacyOdometer {
-        &self.odometer
+        self.account.odometer()
     }
 
     pub fn report(&self) -> TenantReport {
@@ -406,8 +365,8 @@ impl Tenant {
             refusals: self.refusals,
             rows_ingested: self.stream.rows_ingested(),
             pending_rows: self.stream.pending_rows(),
-            spent_epsilon: self.odometer.spent_epsilon(),
-            remaining_epsilon: self.odometer.remaining_epsilon(),
+            spent_epsilon: self.odometer().spent_epsilon(),
+            remaining_epsilon: self.odometer().remaining_epsilon(),
             budget_eps: self.config.budget_eps,
             failed: self.stream.failure().is_some(),
         }
@@ -477,8 +436,35 @@ mod tests {
         let report = tenant.report();
         assert_eq!(report.releases, admitted);
         assert_eq!(report.refusals, 1);
-        assert!(tenant.budget_consistent_with_ledger());
+        assert!(tenant.account().budget_consistent_with_ledger());
         assert_eq!(tenant.ledger().len(), admitted);
+    }
+
+    #[test]
+    fn failed_release_spends_nothing_in_either_book() {
+        let mut cfg = TenantConfig::new("doomed");
+        cfg.mu = 1e8;
+        cfg.gamma = 64.0;
+        // Crash party 1 in the first release's second (open) round, after
+        // the budget gate has admitted the release.
+        cfg.faults = Some(FaultSpec::seeded(5).with_crash(1, 1));
+        let mut tenant = Tenant::create(cfg).unwrap();
+        tenant.ingest(&records(4, 3, 0.9)).unwrap();
+        // A zero-release odometer reports the zero curve's conversion
+        // floor, not 0: compare against the value before the call.
+        let before = tenant.report().spent_epsilon;
+        match tenant.release().unwrap_err() {
+            ServeError::SessionFailed { tenant, error } => {
+                assert_eq!(tenant, "doomed");
+                let crash = sqm_mpc::TransportError::Crashed { party: 1, round: 1 };
+                assert_eq!(error, crash);
+            }
+            other => panic!("expected SessionFailed, got {other:?}"),
+        }
+        assert_eq!(tenant.report().spent_epsilon.to_bits(), before.to_bits());
+        assert!(tenant.ledger().is_empty());
+        assert_eq!(tenant.odometer().releases(), 0);
+        assert!(tenant.account().budget_consistent_with_ledger());
     }
 
     #[test]

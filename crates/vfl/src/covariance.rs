@@ -14,18 +14,30 @@
 //! would buy for a value that is opened next — and the result is opened.
 //! Non-input communication is `O(n^2 P)` independent of `m`, matching
 //! Table I.
+//!
+//! One per-party program, [`CovSession::release`], is the whole protocol.
+//! Its input is a list of *frames* (one input round each), each a list of
+//! row blocks; the first frame carries the noise shares. One-shot is one
+//! frame of one block on a fresh session, chunked is one frame per chunk,
+//! and [`crate::stream::StreamCov`] passes one frame of all pending batches
+//! to a session it keeps.
+
+use std::ops::Range;
+use std::sync::Mutex;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sqm_core::quantize::quantize_vec;
-use sqm_field::{FieldChoice, PrimeField, M127, M61};
+use sqm_field::PrimeField;
 use sqm_linalg::Matrix;
+use sqm_mpc::net::transport::{build_mesh, Transport};
 use sqm_mpc::{MpcEngine, RunStats, TransportError};
 use sqm_obs::prof;
+use sqm_sampling::rounding::stochastic_round;
 use sqm_sampling::skellam::{sample_skellam, sample_skellam_symmetric};
 
 use crate::partition::ColumnPartition;
-use crate::VflConfig;
+use crate::{open_centered, or_panic, validate_gamma, VflConfig};
 
 /// The opened, still-amplified covariance and the run statistics.
 #[derive(Debug)]
@@ -51,8 +63,7 @@ pub fn covariance_skellam(
     mu: f64,
     cfg: &VflConfig,
 ) -> CovarianceOutput {
-    try_covariance_skellam(data, partition, gamma, mu, cfg)
-        .unwrap_or_else(|e| panic!("mpc transport failure: {e}"))
+    or_panic(try_covariance_skellam(data, partition, gamma, mu, cfg))
 }
 
 /// [`covariance_skellam`] with transport failures surfaced as values.
@@ -63,12 +74,8 @@ pub fn try_covariance_skellam(
     mu: f64,
     cfg: &VflConfig,
 ) -> Result<CovarianceOutput, TransportError> {
-    validate(data, partition, cfg);
-    let bound = magnitude_bound(data, gamma, mu);
-    match FieldChoice::for_magnitude(bound).expect("workload exceeds M127 headroom") {
-        FieldChoice::M61 => covariance_impl::<M61>(data, partition, gamma, mu, cfg),
-        FieldChoice::M127 => covariance_impl::<M127>(data, partition, gamma, mu, cfg),
-    }
+    let frames = [vec![(data, 0..data.rows())]];
+    release_once(data, partition, gamma, mu, cfg, &frames)
 }
 
 /// Output-equivalent plaintext simulation (identical output law; the MPC
@@ -176,7 +183,7 @@ pub fn covariance_quantized_oracle(
     symmetric_from_upper(&opened, n)
 }
 
-fn validate(data: &Matrix, partition: &ColumnPartition, cfg: &VflConfig) {
+pub(crate) fn validate(data: &Matrix, partition: &ColumnPartition, cfg: &VflConfig) {
     assert_eq!(
         partition.n_cols(),
         data.cols(),
@@ -189,10 +196,12 @@ fn validate(data: &Matrix, partition: &ColumnPartition, cfg: &VflConfig) {
     );
 }
 
-fn magnitude_bound(data: &Matrix, gamma: f64, mu: f64) -> f64 {
-    let c = data.max_row_norm().max(1e-9);
+/// Largest magnitude an opened entry can reach over `rows` records of l2
+/// norm at most `max_row_norm` (with a 12-sigma noise allowance).
+pub(crate) fn magnitude_bound(rows: usize, max_row_norm: f64, gamma: f64, mu: f64) -> f64 {
+    let c = max_row_norm.max(1e-9);
     let per_entry = gamma * c + 1.0;
-    data.rows() as f64 * per_entry * per_entry + 12.0 * (2.0 * mu).sqrt() + 1.0
+    rows as f64 * per_entry * per_entry + 12.0 * (2.0 * mu).sqrt() + 1.0
 }
 
 /// One party's `len` Skellam(`local_mu`) draws as field elements, in stream
@@ -277,149 +286,156 @@ pub fn covariance_skellam_chunked(
     cfg: &VflConfig,
     chunk_records: usize,
 ) -> CovarianceOutput {
-    validate(data, partition, cfg);
     assert!(chunk_records >= 1, "chunk size must be positive");
-    let bound = magnitude_bound(data, gamma, mu);
-    match FieldChoice::for_magnitude(bound).expect("workload exceeds M127 headroom") {
-        FieldChoice::M61 => chunked_impl::<M61>(data, partition, gamma, mu, cfg, chunk_records),
-        FieldChoice::M127 => chunked_impl::<M127>(data, partition, gamma, mu, cfg, chunk_records),
-    }
+    let m = data.rows();
+    // An empty matrix still has the one frame that carries the noise.
+    let frames: Vec<Vec<RowBlock>> = (0..m.max(1))
+        .step_by(chunk_records)
+        .map(|start| vec![(data, start..(start + chunk_records).min(m))])
+        .collect();
+    or_panic(release_once(data, partition, gamma, mu, cfg, &frames))
 }
 
-fn chunked_impl<F: PrimeField>(
+/// One release over a fresh mesh and fresh party state, both dropped after.
+fn release_once(
     data: &Matrix,
     partition: &ColumnPartition,
     gamma: f64,
     mu: f64,
     cfg: &VflConfig,
-    chunk_records: usize,
-) -> CovarianceOutput {
-    let n = data.cols();
-    let m = data.rows();
-    let engine = MpcEngine::new(cfg.mpc_config());
-    let upper_len = n * (n + 1) / 2;
-    let counts = partition.counts();
-    let local_mu = mu / cfg.n_clients() as f64;
+    frames: &[Vec<RowBlock>],
+) -> Result<CovarianceOutput, TransportError> {
+    validate(data, partition, cfg);
+    validate_gamma(gamma);
+    let bound = magnitude_bound(data.rows(), data.max_row_norm(), gamma, mu);
+    with_field!(bound, F => {
+        CovSession::<F>::open(cfg, data.cols())?.release(cfg, partition, gamma, mu, frames)
+    })
+}
 
-    let run = engine.run::<F, Vec<i128>, _>(|ctx| {
-        let me = ctx.id;
-        let mut qrng = StdRng::seed_from_u64(cfg.seed() ^ (0xA11C_E000 + me as u64));
-        let my_cols = partition.columns_of(me);
+/// A run of consecutive rows of one matrix: what a party quantizes, shares
+/// and multiplies as a unit.
+pub(crate) type RowBlock<'a> = (&'a Matrix, Range<usize>);
 
-        ctx.set_phase("dp_noise");
-        let mut nrng = StdRng::seed_from_u64(cfg.seed() ^ (0x5E11_A000 + me as u64));
-        let mut masks = Some(ctx.mask_shares(&sample_noise(&mut nrng, local_mu, upper_len)));
-        prof::record("vfl;dp_noise;skellam_draw", 1, upper_len as u64);
+/// One party's share of a covariance computation: its private quantization
+/// and noise streams and its degree-2t share of the noise-free
+/// upper-triangular Gram accumulator.
+struct PartyState<F: PrimeField> {
+    qrng: StdRng,
+    nrng: StdRng,
+    acc: Vec<F>,
+}
 
-        // Degree-2t accumulator for the upper-triangular covariance; the
-        // first chunk's round seeds it with the summed noise shares.
-        let mut acc = Vec::new();
-        let mut start = 0;
-        loop {
-            let end = (start + chunk_records).min(m);
-            let rows = end - start;
-            ctx.set_phase("quantize");
-            let mut my_values: Vec<F> = Vec::with_capacity(my_cols.len() * rows);
-            for &j in &my_cols {
-                for i in start..end {
-                    let q =
-                        sqm_sampling::rounding::stochastic_round(&mut qrng, gamma * data[(i, j)]);
-                    my_values.push(F::from_i128(q as i128));
+/// Everything a covariance computation keeps between releases: the party
+/// mesh and every party's [`PartyState`]. A one-shot protocol opens one,
+/// releases once and drops it; [`crate::stream::StreamCov`] keeps it.
+pub(crate) struct CovSession<F: PrimeField> {
+    mesh: Vec<Box<dyn Transport<F>>>,
+    parties: Vec<PartyState<F>>,
+}
+
+impl<F: PrimeField> CovSession<F> {
+    /// Mesh the parties and start their streams and accumulators afresh.
+    pub(crate) fn open(cfg: &VflConfig, n_cols: usize) -> Result<Self, TransportError> {
+        let mpc = cfg.mpc_config();
+        let mesh = build_mesh::<F>(mpc.n_parties, &mpc.backend, mpc.faults.as_ref())?;
+        let parties = (0..cfg.n_clients())
+            .map(|p| PartyState {
+                qrng: StdRng::seed_from_u64(cfg.seed() ^ (0xA11C_E000 + p as u64)),
+                nrng: StdRng::seed_from_u64(cfg.seed() ^ (0x5E11_A000 + p as u64)),
+                acc: vec![F::ZERO; n_cols * (n_cols + 1) / 2],
+            })
+            .collect();
+        Ok(CovSession { mesh, parties })
+    }
+
+    /// One DP release. Each of `frames` is one input round: its row blocks
+    /// are quantized in order (block -> column -> row), shared in one frame
+    /// and multiplied into the accumulator; the first frame also carries
+    /// this release's `n(n+1)/2` noise shares. A noise-masked copy of the
+    /// accumulator is opened. A transport failure leaves the session empty
+    /// (its mesh and party states died with the party threads): drop it.
+    pub(crate) fn release(
+        &mut self,
+        cfg: &VflConfig,
+        partition: &ColumnPartition,
+        gamma: f64,
+        mu: f64,
+        frames: &[Vec<RowBlock>],
+    ) -> Result<CovarianceOutput, TransportError> {
+        assert!(!frames.is_empty(), "the first frame carries the noise");
+        let local_mu = mu / cfg.n_clients() as f64;
+        let counts = partition.counts();
+        // Each party thread takes its state out of its slot and returns it
+        // with its output.
+        let slots: Vec<Mutex<Option<PartyState<F>>>> = self
+            .parties
+            .drain(..)
+            .map(|s| Mutex::new(Some(s)))
+            .collect();
+        let mesh = std::mem::take(&mut self.mesh);
+
+        let engine = MpcEngine::new(cfg.mpc_config());
+        let (run, mesh) = engine.try_run_on::<F, _, _>(mesh, |ctx| {
+            let mut slot = slots[ctx.id].lock().expect("each slot has one user");
+            let mut st = slot.take().expect("party state");
+            let my_cols = partition.columns_of(ctx.id);
+            let mut masked = Vec::new();
+            for (index, frame) in frames.iter().enumerate() {
+                let rows: usize = frame.iter().map(|(_, rows)| rows.len()).sum();
+                ctx.set_phase("quantize");
+                let mut my_values: Vec<F> = Vec::with_capacity(my_cols.len() * rows);
+                for (data, rows) in frame {
+                    for &j in &my_cols {
+                        for i in rows.clone() {
+                            let q = stochastic_round(&mut st.qrng, gamma * data[(i, j)]);
+                            my_values.push(F::from_i128(q as i128));
+                        }
+                    }
                 }
-            }
-            ctx.set_phase("input");
-            let expected: Vec<usize> = counts.iter().map(|&c| c * rows).collect();
-            let contributions = match masks.take() {
-                Some(masks) => {
+                let expected: Vec<usize> = counts.iter().map(|&c| c * rows).collect();
+                let contributions = if index == 0 {
+                    ctx.set_phase("dp_noise");
+                    let noise = sample_noise(&mut st.nrng, local_mu, st.acc.len());
+                    let masks = ctx.mask_shares(&noise);
+                    prof::record("vfl;dp_noise;skellam_draw", 1, noise.len() as u64);
+                    ctx.set_phase("input");
                     let (contributions, mask_sum) =
                         ctx.share_all_masked(&my_values, &expected, masks);
-                    acc = mask_sum;
+                    masked = mask_sum;
                     contributions
+                } else {
+                    ctx.set_phase("input");
+                    ctx.share_all_uneven(&my_values, &expected)
+                };
+                drop(my_values);
+                ctx.set_phase("compute");
+                let mut rows_done = 0;
+                for (_, rows) in frame {
+                    let cols = column_shares(&contributions, partition, rows_done, rows.len());
+                    add_gram(&mut st.acc, &cols);
+                    rows_done += rows.len();
                 }
-                None => ctx.share_all_uneven(&my_values, &expected),
-            };
-            drop(my_values);
-            ctx.set_phase("compute");
-            add_gram(&mut acc, &column_shares(&contributions, partition, 0, rows));
-            start = end;
-            if start >= m {
-                break;
             }
+            // Mask a copy: the accumulator itself stays noise-free.
+            for (share, &acc) in masked.iter_mut().zip(&st.acc) {
+                *share += acc;
+            }
+            (open_centered(ctx, &masked), st)
+        })?;
+
+        let (opened, parties): (Vec<_>, Vec<_>) = run.outputs.into_iter().unzip();
+        // All parties opened the same values; take party 0's view.
+        for other in &opened[1..] {
+            debug_assert_eq!(other, &opened[0], "parties disagree on the opened result");
         }
-
-        ctx.set_phase("open");
-        ctx.open(&acc)
-            .into_iter()
-            .map(|v| v.to_centered_i128())
-            .collect()
-    });
-
-    CovarianceOutput {
-        c_hat: symmetric_from_upper(&run.outputs[0], n),
-        stats: run.stats,
-        trace: run.trace,
+        (self.mesh, self.parties) = (mesh, parties);
+        Ok(CovarianceOutput {
+            c_hat: symmetric_from_upper(&opened[0], partition.n_cols()),
+            stats: run.stats,
+            trace: run.trace,
+        })
     }
-}
-
-fn covariance_impl<F: PrimeField>(
-    data: &Matrix,
-    partition: &ColumnPartition,
-    gamma: f64,
-    mu: f64,
-    cfg: &VflConfig,
-) -> Result<CovarianceOutput, TransportError> {
-    let n = data.cols();
-    let m = data.rows();
-    let engine = MpcEngine::new(cfg.mpc_config());
-    let upper_len = n * (n + 1) / 2;
-    // Column share lengths per client (column-major flattening).
-    let counts = partition.counts();
-    let expected: Vec<usize> = counts.iter().map(|&c| c * m).collect();
-    let local_mu = mu / cfg.n_clients() as f64;
-
-    let run = engine.try_run::<F, Vec<i128>, _>(|ctx| {
-        let me = ctx.id;
-        // --- quantize my own columns with my private randomness ----------
-        ctx.set_phase("quantize");
-        let mut qrng = StdRng::seed_from_u64(cfg.seed() ^ (0xA11C_E000 + me as u64));
-        let my_cols = partition.columns_of(me);
-        let mut my_values: Vec<F> = Vec::with_capacity(my_cols.len() * m);
-        for &j in &my_cols {
-            let q = quantize_vec(&mut qrng, &data.col(j), gamma);
-            my_values.extend(q.into_iter().map(|v| F::from_i128(v as i128)));
-        }
-
-        // --- distributed Skellam noise, shared at degree 2t (local) -------
-        ctx.set_phase("dp_noise");
-        let mut nrng = StdRng::seed_from_u64(cfg.seed() ^ (0x5E11_A000 + me as u64));
-        let masks = ctx.mask_shares(&sample_noise(&mut nrng, local_mu, upper_len));
-        prof::record("vfl;dp_noise;skellam_draw", 1, upper_len as u64);
-
-        // --- round 1: columns + noise shares, all clients simultaneously --
-        ctx.set_phase("input");
-        let (contributions, mut masked) = ctx.share_all_masked(&my_values, &expected, masks);
-        drop(my_values);
-
-        // --- covariance: local inner products on top of the noise shares --
-        ctx.set_phase("compute");
-        add_gram(&mut masked, &column_shares(&contributions, partition, 0, m));
-
-        // --- round 2: open the masked degree-2t sharing --------------------
-        ctx.set_phase("open");
-        let opened = ctx.open(&masked);
-        opened.into_iter().map(|v| v.to_centered_i128()).collect()
-    })?;
-
-    // All parties opened the same values; take party 0's view.
-    let opened = &run.outputs[0];
-    for other in &run.outputs[1..] {
-        debug_assert_eq!(other, opened, "parties disagree on the opened result");
-    }
-    Ok(CovarianceOutput {
-        c_hat: symmetric_from_upper(opened, n),
-        stats: run.stats,
-        trace: run.trace,
-    })
 }
 
 #[cfg(test)]
@@ -427,6 +443,7 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use sqm_field::{M127, M61};
 
     fn small_data() -> Matrix {
         Matrix::from_rows(&[

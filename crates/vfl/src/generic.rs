@@ -11,19 +11,21 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sqm_core::polynomial::Polynomial;
-use sqm_core::quantize::{quantize_polynomial, quantize_value};
-use sqm_field::{FieldChoice, PrimeField, M127, M61};
+use sqm_core::quantize::quantize_polynomial;
+use sqm_field::PrimeField;
 use sqm_linalg::Matrix;
 use sqm_mpc::circuit::{Circuit, CircuitBuilder, Wire};
-use sqm_mpc::{MpcEngine, RunStats};
+use sqm_mpc::{MpcEngine, RunStats, TransportError};
+use sqm_sampling::rounding::stochastic_round;
 
-use crate::covariance::sample_noise;
+use crate::covariance::{sample_noise, validate};
 use crate::partition::ColumnPartition;
-use crate::VflConfig;
+use crate::{open_centered, or_panic, validate_gamma, VflConfig};
 
 /// Evaluate `sum_x f(x)` under SQM with full BGW execution.
 ///
 /// Returns the down-scaled estimates (one per output dimension) and stats.
+/// Panics on transport failure.
 pub fn eval_polynomial_skellam(
     poly: &Polynomial,
     data: &Matrix,
@@ -37,16 +39,8 @@ pub fn eval_polynomial_skellam(
         data.cols(),
         "polynomial/data dimension mismatch"
     );
-    assert_eq!(
-        partition.n_cols(),
-        data.cols(),
-        "partition/data column mismatch"
-    );
-    assert_eq!(
-        partition.n_clients(),
-        cfg.n_clients(),
-        "partition/config mismatch"
-    );
+    validate(data, partition, cfg);
+    validate_gamma(gamma);
 
     // Conservative magnitude bound for field selection.
     let lambda = poly.degree() as i32;
@@ -61,10 +55,7 @@ pub fn eval_polynomial_skellam(
         * poly.max_monomials_per_dim() as f64;
     let bound = data.rows() as f64 * per_record + 12.0 * (2.0 * mu).sqrt() + 1.0;
 
-    match FieldChoice::for_magnitude(bound).expect("workload exceeds M127 headroom") {
-        FieldChoice::M61 => eval_impl::<M61>(poly, data, partition, gamma, mu, cfg),
-        FieldChoice::M127 => eval_impl::<M127>(poly, data, partition, gamma, mu, cfg),
-    }
+    or_panic(with_field!(bound, F => eval_impl::<F>(poly, data, partition, gamma, mu, cfg)))
 }
 
 /// Compile the quantized polynomial sum into a circuit. Input ordering per
@@ -124,7 +115,7 @@ fn eval_impl<F: PrimeField>(
     gamma: f64,
     mu: f64,
     cfg: &VflConfig,
-) -> (Vec<f64>, RunStats) {
+) -> Result<(Vec<f64>, RunStats), TransportError> {
     let m = data.rows();
     let d = poly.n_dims();
     let p_clients = cfg.n_clients();
@@ -141,7 +132,7 @@ fn eval_impl<F: PrimeField>(
     let circuit = compile::<F>(poly, partition, &coeffs, m);
     let engine = MpcEngine::new(cfg.mpc_config());
 
-    let run = engine.run::<F, Vec<i128>, _>(|ctx| {
+    let run = engine.try_run::<F, Vec<i128>, _>(|ctx| {
         let me = ctx.id;
         ctx.set_phase("quantize");
         let mut qrng = StdRng::seed_from_u64(cfg.seed() ^ (0x9E4E_0000 + me as u64));
@@ -149,7 +140,7 @@ fn eval_impl<F: PrimeField>(
         let mut my_inputs: Vec<F> = Vec::with_capacity(m * my_cols.len());
         for i in 0..m {
             for &j in &my_cols {
-                let q = quantize_value(&mut qrng, data[(i, j)], gamma);
+                let q = stochastic_round(&mut qrng, gamma * data[(i, j)]);
                 my_inputs.push(F::from_i128(q as i128));
             }
         }
@@ -164,16 +155,12 @@ fn eval_impl<F: PrimeField>(
             shares = ctx.add(&shares, &contrib);
         }
 
-        ctx.set_phase("open");
-        ctx.open(&shares)
-            .into_iter()
-            .map(|f| f.to_centered_i128())
-            .collect()
-    });
+        open_centered(ctx, &shares)
+    })?;
 
     let opened = &run.outputs[0];
     let values = opened.iter().map(|&v| v as f64 / amplification).collect();
-    (values, run.stats)
+    Ok((values, run.stats))
 }
 
 #[cfg(test)]

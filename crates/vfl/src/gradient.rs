@@ -18,16 +18,16 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sqm_core::quantize::quantize_vec;
-use sqm_field::{FieldChoice, PrimeField, M127, M61};
+use sqm_field::PrimeField;
 use sqm_linalg::Matrix;
-use sqm_mpc::{MpcEngine, RunStats};
+use sqm_mpc::{MpcEngine, RunStats, TransportError};
 use sqm_obs::prof;
 use sqm_sampling::rounding::stochastic_round;
 use sqm_sampling::skellam::sample_skellam;
 
-use crate::covariance::{column_shares, sample_noise};
+use crate::covariance::{column_shares, sample_noise, validate};
 use crate::partition::ColumnPartition;
-use crate::VflConfig;
+use crate::{open_centered, or_panic, validate_gamma, VflConfig};
 
 /// The opened, down-scaled gradient sum and run statistics.
 #[derive(Debug)]
@@ -71,6 +71,7 @@ pub fn quantize_lr_coeffs(w: &[f64], gamma: f64, public_seed: u64) -> QuantizedL
 /// `data` is the VFL matrix (`m x (d+1)`, last column = label), `batch`
 /// indexes the subsampled records (known to the clients through shared
 /// randomness, hidden from the server), `w` the current public weights.
+/// Panics on transport failure.
 pub fn gradient_sum_skellam(
     data: &Matrix,
     partition: &ColumnPartition,
@@ -80,18 +81,25 @@ pub fn gradient_sum_skellam(
     mu: f64,
     cfg: &VflConfig,
 ) -> GradientOutput {
+    or_panic(try_gradient_sum_skellam(
+        data, partition, batch, w, gamma, mu, cfg,
+    ))
+}
+
+/// [`gradient_sum_skellam`] with transport failures surfaced as values.
+pub(crate) fn try_gradient_sum_skellam(
+    data: &Matrix,
+    partition: &ColumnPartition,
+    batch: &[usize],
+    w: &[f64],
+    gamma: f64,
+    mu: f64,
+    cfg: &VflConfig,
+) -> Result<GradientOutput, TransportError> {
     let d = data.cols() - 1;
     assert_eq!(w.len(), d, "weight vector length must equal feature count");
-    assert_eq!(
-        partition.n_cols(),
-        data.cols(),
-        "partition/data column mismatch"
-    );
-    assert_eq!(
-        partition.n_clients(),
-        cfg.n_clients(),
-        "partition/config mismatch"
-    );
+    validate(data, partition, cfg);
+    validate_gamma(gamma);
     assert!(!batch.is_empty(), "empty batch");
     assert!(
         batch.iter().all(|&i| i < data.rows()),
@@ -99,10 +107,7 @@ pub fn gradient_sum_skellam(
     );
 
     let bound = magnitude_bound(batch.len(), d, gamma, mu);
-    match FieldChoice::for_magnitude(bound).expect("workload exceeds M127 headroom") {
-        FieldChoice::M61 => gradient_impl::<M61>(data, partition, batch, w, gamma, mu, cfg),
-        FieldChoice::M127 => gradient_impl::<M127>(data, partition, batch, w, gamma, mu, cfg),
-    }
+    with_field!(bound, F => gradient_impl::<F>(data, partition, batch, w, gamma, mu, cfg))
 }
 
 /// Output-equivalent plaintext simulation of the same release (used by the
@@ -161,7 +166,7 @@ fn gradient_impl<F: PrimeField>(
     gamma: f64,
     mu: f64,
     cfg: &VflConfig,
-) -> GradientOutput {
+) -> Result<GradientOutput, TransportError> {
     let d = data.cols() - 1;
     let mb = batch.len();
     let local_mu = mu / cfg.n_clients() as f64;
@@ -170,7 +175,7 @@ fn gradient_impl<F: PrimeField>(
     let counts = partition.counts();
     let expected: Vec<usize> = counts.iter().map(|&c| c * mb).collect();
 
-    let run = engine.run::<F, Vec<i128>, _>(|ctx| {
+    let run = engine.try_run::<F, Vec<i128>, _>(|ctx| {
         let me = ctx.id;
         // --- quantize my columns (batch rows only) ------------------------
         ctx.set_phase("quantize");
@@ -223,20 +228,15 @@ fn gradient_impl<F: PrimeField>(
         }
 
         // --- round 2: open ---------------------------------------------------
-        ctx.set_phase("open");
-        ctx.open(&masked)
-            .into_iter()
-            .map(|f| f.to_centered_i128())
-            .collect()
-    });
+        open_centered(ctx, &masked)
+    })?;
 
-    let opened = &run.outputs[0];
     let amp = gamma.powi(3);
-    GradientOutput {
-        grad_sum: opened.iter().map(|&v| v as f64 / amp).collect(),
+    Ok(GradientOutput {
+        grad_sum: run.outputs[0].iter().map(|&v| v as f64 / amp).collect(),
         stats: run.stats,
         trace: run.trace,
-    }
+    })
 }
 
 #[cfg(test)]

@@ -32,13 +32,45 @@
 //!   workloads and cross-checking.
 //!
 //! Field width (`M61` vs `M127`) is chosen automatically from a worst-case
-//! magnitude bound so the integer computation cannot wrap.
+//! magnitude bound so the integer computation cannot wrap; `with_field!` is
+//! the one place a bound becomes a field or is refused for lack of headroom.
+//! Every protocol has a fallible core on `MpcEngine::try_run{,_on}`; the
+//! public names without a `try_` prefix panic on a transport failure. The
+//! three covariance entry points (one-shot, chunked, [`stream::StreamCov`])
+//! run one per-party program, `covariance::CovSession::release`.
+//!
+//! **Randomness streams.** A party draws from three private streams derived
+//! from `cfg.seed()`: quantization, Skellam noise, and (inside the engine)
+//! share and mask polynomials. A one-shot protocol starts all three afresh.
+//! [`stream::StreamCov`] carries the first two across releases and the
+//! engine re-keys the third from the mesh's round counter on every run, so
+//! no release repeats a draw. [`session::VflSession`] runs one-shot
+//! protocols from one seed: see the noise-replay caveat on that type.
 //!
 //! **Two-client caveat:** BGW with `P = 2` degenerates to threshold `t = 0`
 //! (shares equal secrets), so outputs are correct but the clients have no
 //! secrecy from each other. Use three or more MPC parties — two data owners
 //! can enlist a neutral compute helper that owns no columns — or the
 //! additive backend (`sqm_mpc::additive`) for genuine two-party secrecy.
+
+/// Evaluate `$body` with the type `$F` bound to the field wide enough for
+/// integers up to `$bound`. The only place a magnitude bound is turned into
+/// a field, and so the only place a workload past `M127`'s headroom is
+/// refused.
+macro_rules! with_field {
+    ($bound:expr, $F:ident => $body:expr) => {
+        match $crate::field_for($bound) {
+            sqm_field::FieldChoice::M61 => {
+                type $F = sqm_field::M61;
+                $body
+            }
+            sqm_field::FieldChoice::M127 => {
+                type $F = sqm_field::M127;
+                $body
+            }
+        }
+    };
+}
 
 pub mod covariance;
 pub mod generic;
@@ -56,7 +88,9 @@ pub use generic::eval_polynomial_skellam;
 pub use gradient::{gradient_sum_skellam, GradientOutput};
 pub use mean::{column_sums_skellam, column_sums_skellam_additive, MeanOutput};
 pub use partition::ColumnPartition;
-pub use session::{BudgetRefusal, ServerView, VflSession};
+pub use session::{
+    BudgetRefusal, PrivacyAccount, ReleaseError, ReleasePermit, ServerView, VflSession,
+};
 pub use stream::{covariance_streaming_oracle, StreamCov};
 
 pub use sqm_mpc::net;
@@ -66,7 +100,33 @@ pub use sqm_mpc::{
 
 use std::time::Duration;
 
-use sqm_mpc::MpcConfig;
+use sqm_field::{FieldChoice, PrimeField};
+use sqm_mpc::{MpcConfig, PartyCtx};
+
+/// The choice behind `with_field!`; `StreamCov` pins a session's field by it.
+pub(crate) fn field_for(bound: f64) -> FieldChoice {
+    FieldChoice::for_magnitude(bound).expect("workload exceeds M127 headroom")
+}
+
+/// Checked once per release where `gamma` enters, not once per value.
+pub(crate) fn validate_gamma(gamma: f64) {
+    assert!(
+        gamma > 0.0 && gamma.is_finite(),
+        "gamma must be positive and finite"
+    );
+}
+
+/// What the protocol names without a `try_` prefix do on transport failure.
+pub(crate) fn or_panic<T>(result: Result<T, TransportError>) -> T {
+    result.unwrap_or_else(|e| panic!("mpc transport failure: {e}"))
+}
+
+/// Round 2 of every release: open the masked shares as centred integers.
+pub(crate) fn open_centered<F: PrimeField>(ctx: &mut PartyCtx<F>, shares: &[F]) -> Vec<i128> {
+    ctx.set_phase("open");
+    let opened = ctx.open(shares);
+    opened.into_iter().map(|v| v.to_centered_i128()).collect()
+}
 
 /// Configuration shared by the VFL protocols: the [`MpcConfig`] every
 /// protocol run uses (one party per client, maximal semi-honest threshold),

@@ -10,14 +10,14 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sqm_core::quantize::quantize_vec;
-use sqm_field::{FieldChoice, PrimeField, M127, M61};
+use sqm_field::PrimeField;
 use sqm_linalg::Matrix;
-use sqm_mpc::{MpcEngine, RunStats};
+use sqm_mpc::{AdditiveEngine, MpcEngine, MpcRun, RunStats, TransportError};
 use sqm_sampling::skellam::sample_skellam;
 
-use crate::covariance::sample_noise;
+use crate::covariance::{sample_noise, validate};
 use crate::partition::ColumnPartition;
-use crate::VflConfig;
+use crate::{open_centered, or_panic, validate_gamma, VflConfig};
 
 /// The opened, still-amplified column sums plus statistics.
 #[derive(Debug)]
@@ -30,7 +30,8 @@ pub struct MeanOutput {
     pub trace: Option<sqm_obs::trace::Trace>,
 }
 
-/// Full BGW execution of the noisy column-sum release.
+/// Full BGW execution of the noisy column-sum release. Panics on transport
+/// failure.
 pub fn column_sums_skellam(
     data: &Matrix,
     partition: &ColumnPartition,
@@ -38,21 +39,61 @@ pub fn column_sums_skellam(
     mu: f64,
     cfg: &VflConfig,
 ) -> MeanOutput {
-    assert_eq!(
-        partition.n_cols(),
-        data.cols(),
-        "partition/data column mismatch"
-    );
-    assert_eq!(
-        partition.n_clients(),
-        cfg.n_clients(),
-        "partition/config mismatch"
-    );
+    or_panic(try_column_sums_skellam(data, partition, gamma, mu, cfg))
+}
+
+/// [`column_sums_skellam`] with transport failures surfaced as values.
+pub(crate) fn try_column_sums_skellam(
+    data: &Matrix,
+    partition: &ColumnPartition,
+    gamma: f64,
+    mu: f64,
+    cfg: &VflConfig,
+) -> Result<MeanOutput, TransportError> {
+    let bound = checked_bound(data, partition, gamma, mu, cfg);
+    with_field!(bound, F => mean_impl::<F>(data, partition, gamma, mu, cfg))
+}
+
+/// The entry checks both backends share, and the magnitude bound of the
+/// opened sums.
+fn checked_bound(
+    data: &Matrix,
+    partition: &ColumnPartition,
+    gamma: f64,
+    mu: f64,
+    cfg: &VflConfig,
+) -> f64 {
+    validate(data, partition, cfg);
+    validate_gamma(gamma);
     let c = data.max_row_norm().max(1e-9);
-    let bound = data.rows() as f64 * (gamma * c + 1.0) + 12.0 * (2.0 * mu).sqrt();
-    match FieldChoice::for_magnitude(bound).expect("workload exceeds M127 headroom") {
-        FieldChoice::M61 => mean_impl::<M61>(data, partition, gamma, mu, cfg),
-        FieldChoice::M127 => mean_impl::<M127>(data, partition, gamma, mu, cfg),
+    data.rows() as f64 * (gamma * c + 1.0) + 12.0 * (2.0 * mu).sqrt()
+}
+
+/// Party `me`'s quantized sums of its own columns, ascending. Each client
+/// only shares its *column sums* — for a linear function the per-record
+/// values never need to be shared at all, so the input cost is `O(n P^2)`
+/// rather than `O(m n P^2)`.
+fn my_column_sums<F: PrimeField>(
+    data: &Matrix,
+    partition: &ColumnPartition,
+    gamma: f64,
+    cfg: &VflConfig,
+    me: usize,
+) -> Vec<F> {
+    let mut qrng = StdRng::seed_from_u64(cfg.seed() ^ (0x3EA4_0000 + me as u64));
+    let sum = |j| {
+        let q = quantize_vec(&mut qrng, &data.col(j), gamma);
+        F::from_i128(q.into_iter().map(|v| v as i128).sum())
+    };
+    partition.columns_of(me).into_iter().map(sum).collect()
+}
+
+/// What the server receives from either backend's run.
+fn output(run: MpcRun<Vec<i128>>) -> MeanOutput {
+    MeanOutput {
+        sums_hat: run.outputs[0].iter().map(|&v| v as f64).collect(),
+        stats: run.stats,
+        trace: run.trace,
     }
 }
 
@@ -84,7 +125,8 @@ pub fn column_sums_skellam_plaintext<R: rand::Rng + ?Sized>(
 /// (SPDZ-style online phase) instead of BGW — a working demonstration of
 /// the paper's claim that the MPC layer is replaceable. For a linear
 /// function no triples are needed at all: the additive backend pays one
-/// input round per owner, adds its noise locally, and opens.
+/// input round per owner, adds its noise locally, and opens. Panics on
+/// transport failure.
 pub fn column_sums_skellam_additive(
     data: &Matrix,
     partition: &ColumnPartition,
@@ -92,22 +134,8 @@ pub fn column_sums_skellam_additive(
     mu: f64,
     cfg: &VflConfig,
 ) -> MeanOutput {
-    assert_eq!(
-        partition.n_cols(),
-        data.cols(),
-        "partition/data column mismatch"
-    );
-    assert_eq!(
-        partition.n_clients(),
-        cfg.n_clients(),
-        "partition/config mismatch"
-    );
-    let c = data.max_row_norm().max(1e-9);
-    let bound = data.rows() as f64 * (gamma * c + 1.0) + 12.0 * (2.0 * mu).sqrt();
-    match FieldChoice::for_magnitude(bound).expect("workload exceeds M127 headroom") {
-        FieldChoice::M61 => additive_impl::<M61>(data, partition, gamma, mu, cfg),
-        FieldChoice::M127 => additive_impl::<M127>(data, partition, gamma, mu, cfg),
-    }
+    let bound = checked_bound(data, partition, gamma, mu, cfg);
+    or_panic(with_field!(bound, F => additive_impl::<F>(data, partition, gamma, mu, cfg)))
 }
 
 fn additive_impl<F: PrimeField>(
@@ -116,23 +144,14 @@ fn additive_impl<F: PrimeField>(
     gamma: f64,
     mu: f64,
     cfg: &VflConfig,
-) -> MeanOutput {
-    use sqm_mpc::AdditiveEngine;
+) -> Result<MeanOutput, TransportError> {
     let n = data.cols();
     let p_clients = cfg.n_clients();
     let engine = AdditiveEngine::new(cfg.mpc_config());
-    let run = engine.run::<F, Vec<i128>, _>(|ctx| {
+    let run = engine.try_run::<F, Vec<i128>, _>(|ctx| {
         let me = ctx.id;
         ctx.set_phase("quantize");
-        let mut qrng = StdRng::seed_from_u64(cfg.seed() ^ (0x3EA4_0000 + me as u64));
-        let my_cols = partition.columns_of(me);
-        let my_sums: Vec<(usize, F)> = my_cols
-            .iter()
-            .map(|&j| {
-                let q = quantize_vec(&mut qrng, &data.col(j), gamma);
-                (j, F::from_i128(q.into_iter().map(|v| v as i128).sum()))
-            })
-            .collect();
+        let my_sums: Vec<F> = my_column_sums(data, partition, gamma, cfg, me);
 
         // Input sharing: one round per owner batched as n owner-calls would
         // be expensive; instead every client shares its own column sums in a
@@ -143,9 +162,8 @@ fn additive_impl<F: PrimeField>(
         let mut col_sum_shares: Vec<F> = vec![F::ZERO; n];
         for owner in 0..ctx.n {
             let owned = partition.columns_of(owner);
-            let values: Option<Vec<F>> =
-                (ctx.id == owner).then(|| my_sums.iter().map(|&(_, v)| v).collect());
-            let shares = ctx.share_input(owner, values.as_deref(), owned.len());
+            let values = (me == owner).then_some(&my_sums[..]);
+            let shares = ctx.share_input(owner, values, owned.len());
             for (slot, &j) in owned.iter().enumerate() {
                 col_sum_shares[j] = shares[slot];
             }
@@ -165,12 +183,8 @@ fn additive_impl<F: PrimeField>(
             .into_iter()
             .map(|f| f.to_centered_i128())
             .collect()
-    });
-    MeanOutput {
-        sums_hat: run.outputs[0].iter().map(|&v| v as f64).collect(),
-        stats: run.stats,
-        trace: run.trace,
-    }
+    })?;
+    Ok(output(run))
 }
 
 fn mean_impl<F: PrimeField>(
@@ -179,27 +193,16 @@ fn mean_impl<F: PrimeField>(
     gamma: f64,
     mu: f64,
     cfg: &VflConfig,
-) -> MeanOutput {
+) -> Result<MeanOutput, TransportError> {
     let n = data.cols();
     let local_mu = mu / cfg.n_clients() as f64;
     let engine = MpcEngine::new(cfg.mpc_config());
-    // Each client only shares its *column sums* — for a linear function the
-    // per-record values never need to be shared at all, so the input cost
-    // is O(n P^2) rather than O(m n P^2).
     let counts = partition.counts();
 
-    let run = engine.run::<F, Vec<i128>, _>(|ctx| {
+    let run = engine.try_run::<F, Vec<i128>, _>(|ctx| {
         let me = ctx.id;
         ctx.set_phase("quantize");
-        let mut qrng = StdRng::seed_from_u64(cfg.seed() ^ (0x3EA4_0000 + me as u64));
-        let my_cols = partition.columns_of(me);
-        let my_sums: Vec<F> = my_cols
-            .iter()
-            .map(|&j| {
-                let q = quantize_vec(&mut qrng, &data.col(j), gamma);
-                F::from_i128(q.into_iter().map(|v| v as i128).sum())
-            })
-            .collect();
+        let my_sums: Vec<F> = my_column_sums(data, partition, gamma, cfg, me);
 
         ctx.set_phase("dp_noise");
         let mut nrng = StdRng::seed_from_u64(cfg.seed() ^ (0x5E11_D000 + me as u64));
@@ -213,18 +216,9 @@ fn mean_impl<F: PrimeField>(
             }
         }
 
-        ctx.set_phase("open");
-        ctx.open(&masked)
-            .into_iter()
-            .map(|f| f.to_centered_i128())
-            .collect()
-    });
-
-    MeanOutput {
-        sums_hat: run.outputs[0].iter().map(|&v| v as f64).collect(),
-        stats: run.stats,
-        trace: run.trace,
-    }
+        open_centered(ctx, &masked)
+    })?;
+    Ok(output(run))
 }
 
 #[cfg(test)]

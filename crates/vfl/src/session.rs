@@ -7,18 +7,24 @@
 //! records it, so a test (or an auditor) can verify that the server's
 //! entire view of a protocol run consists of exactly the DP-accounted
 //! releases — never raw data, shares, or noise components.
+//!
+//! [`PrivacyAccount`] owns both books of a session — the budget odometer
+//! and the obs ledger — for [`VflSession`] and `sqm::serve` tenants alike:
+//! `admit` is the pure gate before a release, `commit` writes both books in
+//! one call after its MPC run succeeded, so a release that is refused or
+//! whose run fails spends nothing in either.
 
 use sqm_accounting::skellam::Sensitivity;
 use sqm_accounting::{default_alpha_grid, skellam_rdp, Admission, PrivacyOdometer, RdpCurve};
 use sqm_core::sensitivity::{lr_sensitivity, pca_sensitivity};
 use sqm_linalg::Matrix;
-use sqm_mpc::RunStats;
-use sqm_obs::ledger::PrivacyLedger;
+use sqm_mpc::{RunStats, TransportError};
+use sqm_obs::ledger::{LedgerEntry, PrivacyLedger};
 use std::fmt;
 
-use crate::covariance::covariance_skellam;
-use crate::gradient::gradient_sum_skellam;
-use crate::mean::column_sums_skellam;
+use crate::covariance::try_covariance_skellam;
+use crate::gradient::try_gradient_sum_skellam;
+use crate::mean::try_column_sums_skellam;
 use crate::partition::ColumnPartition;
 use crate::VflConfig;
 
@@ -41,6 +47,17 @@ pub enum ReleaseKind {
     Covariance,
     GradientSum,
     ColumnSums,
+}
+
+impl ReleaseKind {
+    /// The kind as the privacy ledger spells it.
+    fn ledger_name(self) -> &'static str {
+        match self {
+            ReleaseKind::Covariance => "covariance",
+            ReleaseKind::GradientSum => "gradient_sum",
+            ReleaseKind::ColumnSums => "column_sums",
+        }
+    }
 }
 
 /// The untrusted coordinator's complete view of a session.
@@ -69,8 +86,8 @@ impl ServerView {
     }
 }
 
-/// A release refused by the session's [`PrivacyOdometer`]: admitting it
-/// would push the composed server-observed epsilon past the session budget.
+/// A release refused by [`PrivacyAccount::admit`]: admitting it would push
+/// the composed server-observed epsilon past the session budget.
 /// The refusal happens *before* any MPC round runs — no shares move, no
 /// noise is drawn, nothing reaches the server view or the ledger.
 #[derive(Clone, Debug, PartialEq)]
@@ -99,16 +116,151 @@ impl fmt::Display for BudgetRefusal {
 
 impl std::error::Error for BudgetRefusal {}
 
+/// Why a [`VflSession`] release produced no output; either way nothing
+/// reached the server view, the account or `stats()`.
+#[derive(Clone, Debug, PartialEq)]
+pub enum ReleaseError {
+    /// Refused by the budget gate before any MPC round ran.
+    Refused(BudgetRefusal),
+    /// Admitted, but the MPC run failed; the permit was dropped unspent.
+    Transport(TransportError),
+}
+
+impl fmt::Display for ReleaseError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ReleaseError::Refused(refusal) => refusal.fmt(f),
+            ReleaseError::Transport(e) => write!(f, "mpc transport failure: {e}"),
+        }
+    }
+}
+
+impl std::error::Error for ReleaseError {}
+
+/// Proof that a release passed [`PrivacyAccount::admit`]. It spends nothing
+/// until [`PrivacyAccount::commit`]; drop it when the release's run fails.
+#[derive(Debug)]
+pub struct ReleasePermit {
+    kind: ReleaseKind,
+    dims: usize,
+    gamma: f64,
+    mu: f64,
+    sens: Sensitivity,
+    /// `None`: an unperturbed release, which the odometer cannot price.
+    curve: Option<RdpCurve>,
+}
+
+/// The privacy account of one session: the odometer that enforces the
+/// budget and the ledger that reports the spend, in step because
+/// [`PrivacyAccount::commit`] is the only way to write either.
+pub struct PrivacyAccount {
+    odometer: PrivacyOdometer,
+    ledger: PrivacyLedger,
+}
+
+impl PrivacyAccount {
+    /// An empty account with an overall server-observed `(budget_eps,
+    /// delta)` budget; `f64::INFINITY` never refuses.
+    pub fn new(n_clients: usize, budget_eps: f64, delta: f64) -> Self {
+        PrivacyAccount {
+            odometer: PrivacyOdometer::new(budget_eps, delta),
+            ledger: PrivacyLedger::new(n_clients, delta),
+        }
+    }
+
+    /// The budget gate, before any MPC work; records nothing.
+    pub fn admit(
+        &self,
+        kind: ReleaseKind,
+        dims: usize,
+        gamma: f64,
+        mu: f64,
+        sens: Sensitivity,
+    ) -> Result<ReleasePermit, BudgetRefusal> {
+        let (budget, delta) = self.odometer.budget();
+        let grid = default_alpha_grid();
+        let curve = (mu > 0.0).then(|| RdpCurve::from_fn(&grid, |a| skellam_rdp(a, sens, mu)));
+        // An unperturbed opening is an infinite-epsilon release: only an
+        // unlimited budget admits one.
+        let fits = match &curve {
+            Some(curve) => self.odometer.fits(curve),
+            None => budget.is_infinite(),
+        };
+        if !fits {
+            return Err(BudgetRefusal {
+                kind,
+                requested_epsilon: curve.map_or(f64::INFINITY, |c| c.to_epsilon(delta).0),
+                spent: self.odometer.spent_epsilon(),
+                budget,
+            });
+        }
+        Ok(ReleasePermit {
+            kind,
+            dims,
+            gamma,
+            mu,
+            sens,
+            curve,
+        })
+    }
+
+    /// Record an admitted release whose run succeeded: compose its curve
+    /// into the odometer and append its ledger entry, which is returned.
+    pub fn commit(&mut self, permit: ReleasePermit) -> &LedgerEntry {
+        if let Some(curve) = &permit.curve {
+            let admitted = self.odometer.admit(curve);
+            assert_eq!(admitted, Admission::Admitted, "permit outlived a commit");
+        }
+        let kind = permit.kind.ledger_name();
+        self.ledger
+            .record(kind, permit.dims, permit.gamma, permit.mu, permit.sens)
+            .expect("record appends an entry")
+    }
+
+    /// One entry per committed release, with server- and client-observed
+    /// epsilons and the running RDP composition.
+    pub fn ledger(&self) -> &PrivacyLedger {
+        &self.ledger
+    }
+
+    /// The budget odometer behind [`PrivacyAccount::admit`].
+    pub fn odometer(&self) -> &PrivacyOdometer {
+        &self.odometer
+    }
+
+    /// Does the odometer's spend agree with the ledger's composed server
+    /// curve? `commit` feeds both the same curve, so a disagreement beyond
+    /// floating error is a bug here. (An unperturbed release makes the
+    /// ledger unbounded; only an unlimited budget, which the odometer then
+    /// does not charge, admits one.)
+    pub fn budget_consistent_with_ledger(&self) -> bool {
+        let ledger_eps = self.ledger.server_epsilon();
+        if ledger_eps.is_infinite() {
+            return self.odometer.budget().0.is_infinite();
+        }
+        if self.ledger.is_empty() {
+            return self.odometer.releases() == 0;
+        }
+        let spent = self.odometer.spent_epsilon();
+        (spent - ledger_eps).abs() <= 1e-9 * ledger_eps.max(1.0)
+    }
+}
+
 /// A VFL session: fixed clients/partition, a sequence of protocol calls,
-/// and the accumulated [`ServerView`].
+/// the accumulated [`ServerView`] and the session's [`PrivacyAccount`].
+///
+/// **Caveat: noise replay.** Every release is a one-shot protocol run from
+/// the session's one `cfg.seed()`, so two releases of the same kind draw
+/// the same quantization and noise streams, while the account composes
+/// them as if their noise were independent. Reseed between such releases
+/// (`tasks::logreg` does, per round). Per-release seeds wait on the
+/// benchmark: `lr_train` pins a session's releases to one fixed-seed run.
 pub struct VflSession {
     partition: ColumnPartition,
     cfg: VflConfig,
     view: ServerView,
     total_stats: Vec<RunStats>,
-    ledger: PrivacyLedger,
-    odometer: PrivacyOdometer,
-    delta: f64,
+    account: PrivacyAccount,
 }
 
 /// The `delta` the session's privacy ledger reports epsilons at unless
@@ -127,26 +279,24 @@ impl VflSession {
             cfg.n_clients(),
             "partition/config mismatch"
         );
-        let ledger = PrivacyLedger::new(cfg.n_clients(), delta);
         VflSession {
+            // Unlimited by default: `admit` still gates every release, it
+            // just always fits. `with_budget` makes the gate bite.
+            account: PrivacyAccount::new(cfg.n_clients(), f64::INFINITY, delta),
             partition,
             cfg,
             view: ServerView::default(),
             total_stats: Vec::new(),
-            ledger,
-            // Unlimited by default: `admit()` still gates every release,
-            // it just always fits. `with_budget` makes the gate bite.
-            odometer: PrivacyOdometer::new(f64::INFINITY, delta),
-            delta,
         }
     }
 
     /// Enforce an overall server-observed `(budget_eps, delta)` budget:
-    /// every release must pass [`PrivacyOdometer::admit`] *before* its MPC
+    /// every release must pass [`PrivacyAccount::admit`] *before* its MPC
     /// rounds run, and an over-budget request is refused with a typed
     /// [`BudgetRefusal`]. The delta is the session's ledger delta.
     pub fn with_budget(mut self, budget_eps: f64) -> Self {
-        self.odometer = PrivacyOdometer::new(budget_eps, self.delta);
+        let delta = self.account.ledger.delta();
+        self.account = PrivacyAccount::new(self.cfg.n_clients(), budget_eps, delta);
         self
     }
 
@@ -160,106 +310,81 @@ impl VflSession {
         &self.total_stats
     }
 
-    /// The privacy ledger: one entry per release, with server- and
-    /// client-observed epsilons and the running RDP composition.
+    /// The session's privacy account: both books and their cross-check.
+    pub fn account(&self) -> &PrivacyAccount {
+        &self.account
+    }
+
+    /// See [`PrivacyAccount::ledger`].
     pub fn ledger(&self) -> &PrivacyLedger {
-        &self.ledger
+        &self.account.ledger
     }
 
-    /// The budget odometer gating every release.
+    /// See [`PrivacyAccount::odometer`].
     pub fn odometer(&self) -> &PrivacyOdometer {
-        &self.odometer
+        &self.account.odometer
     }
 
-    /// Does the odometer's recorded spend agree with the ledger's composed
-    /// server curve? Both are fed the same per-release Skellam RDP curves,
-    /// so any disagreement beyond floating error means a release bypassed
-    /// one of the two accounts. (Trivially true while the ledger is
-    /// unbounded from an unperturbed release — the odometer only admits
-    /// those on unlimited sessions.)
-    pub fn budget_consistent_with_ledger(&self) -> bool {
-        let ledger_eps = self.ledger.server_epsilon();
-        if ledger_eps.is_infinite() {
-            return self.odometer.budget().0.is_infinite();
-        }
-        if self.ledger.is_empty() {
-            return self.odometer.releases() == 0;
-        }
-        let spent = self.odometer.spent_epsilon();
-        (spent - ledger_eps).abs() <= 1e-9 * ledger_eps.max(1.0)
-    }
-
-    /// Gate one release through the odometer, before any MPC work.
-    fn admit(
+    /// Every release: admit, run, and only then record, so the server view,
+    /// both books and `stats()` move together or not at all. `run` returns
+    /// the amplified values the server receives, the run's statistics and
+    /// the caller's down-scaled output.
+    fn release<T>(
         &mut self,
         kind: ReleaseKind,
+        dims: usize,
+        gamma: f64,
         mu: f64,
         sens: Sensitivity,
-    ) -> Result<(), BudgetRefusal> {
-        let (budget, _) = self.odometer.budget();
-        if mu <= 0.0 {
-            // An unperturbed opening is an infinite-epsilon release; only
-            // a session with an unlimited budget may run one.
-            if budget.is_infinite() {
-                return Ok(());
-            }
-            return Err(BudgetRefusal {
-                kind,
-                requested_epsilon: f64::INFINITY,
-                spent: self.odometer.spent_epsilon(),
-                budget,
-            });
-        }
-        let curve = RdpCurve::from_fn(&default_alpha_grid(), |a| skellam_rdp(a, sens, mu));
-        match self.odometer.admit(&curve) {
-            Admission::Admitted => Ok(()),
-            Admission::Rejected => Err(BudgetRefusal {
-                kind,
-                requested_epsilon: curve.to_epsilon(self.delta).0,
-                spent: self.odometer.spent_epsilon(),
-                budget,
-            }),
-        }
+        run: impl FnOnce(&ColumnPartition, &VflConfig) -> RunResult<T>,
+    ) -> Result<T, ReleaseError> {
+        let admitted = self.account.admit(kind, dims, gamma, mu, sens);
+        let permit = admitted.map_err(ReleaseError::Refused)?;
+        let ran = run(&self.partition, &self.cfg);
+        let (values, stats, out) = ran.map_err(ReleaseError::Transport)?;
+        self.view.receive(Release {
+            kind,
+            values,
+            mu,
+            gamma,
+        });
+        self.account.commit(permit);
+        self.total_stats.push(stats);
+        Ok(out)
     }
 
     /// Run the noisy covariance protocol; the server receives only the
     /// opened `hatC` and down-scales it.
     ///
-    /// Panics on a budget refusal; use [`VflSession::try_covariance`] on
-    /// budgeted sessions.
+    /// Panics on a [`ReleaseError`]; use [`VflSession::try_covariance`] on
+    /// budgeted sessions or faulty transports.
     pub fn covariance(&mut self, data: &Matrix, gamma: f64, mu: f64) -> Matrix {
         self.try_covariance(data, gamma, mu)
             .unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// [`VflSession::covariance`] with over-budget requests refused as a
-    /// typed [`BudgetRefusal`] before any MPC round runs.
+    /// [`VflSession::covariance`] with an over-budget request (refused
+    /// before any MPC round runs) or a failed run as a typed
+    /// [`ReleaseError`]; neither spends anything.
     pub fn try_covariance(
         &mut self,
         data: &Matrix,
         gamma: f64,
         mu: f64,
-    ) -> Result<Matrix, BudgetRefusal> {
+    ) -> Result<Matrix, ReleaseError> {
         let n = data.cols();
-        let c = data.max_row_norm().max(1e-9);
-        let sens = pca_sensitivity(gamma, c, n);
-        self.admit(ReleaseKind::Covariance, mu, sens)?;
-        let out = covariance_skellam(data, &self.partition, gamma, mu, &self.cfg);
-        self.view.receive(Release {
-            kind: ReleaseKind::Covariance,
-            values: out.c_hat.as_slice().to_vec(),
-            mu,
-            gamma,
-        });
-        self.ledger.record("covariance", n * n, gamma, mu, sens);
-        self.total_stats.push(out.stats);
-        Ok(out.c_hat.scaled(1.0 / (gamma * gamma)))
+        let sens = pca_sensitivity(gamma, data.max_row_norm().max(1e-9), n);
+        let kind = ReleaseKind::Covariance;
+        self.release(kind, n * n, gamma, mu, sens, |partition, cfg| {
+            let out = try_covariance_skellam(data, partition, gamma, mu, cfg)?;
+            let scaled = out.c_hat.scaled(1.0 / (gamma * gamma));
+            Ok((out.c_hat.as_slice().to_vec(), out.stats, scaled))
+        })
     }
 
     /// Run one noisy gradient-sum step.
     ///
-    /// Panics on a budget refusal; use [`VflSession::try_gradient_sum`] on
-    /// budgeted sessions.
+    /// Panics on a [`ReleaseError`]; see [`VflSession::try_gradient_sum`].
     pub fn gradient_sum(
         &mut self,
         data: &Matrix,
@@ -272,8 +397,7 @@ impl VflSession {
             .unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// [`VflSession::gradient_sum`] with over-budget requests refused as a
-    /// typed [`BudgetRefusal`] before any MPC round runs.
+    /// [`VflSession::gradient_sum`] with a typed [`ReleaseError`].
     pub fn try_gradient_sum(
         &mut self,
         data: &Matrix,
@@ -281,58 +405,49 @@ impl VflSession {
         w: &[f64],
         gamma: f64,
         mu: f64,
-    ) -> Result<Vec<f64>, BudgetRefusal> {
+    ) -> Result<Vec<f64>, ReleaseError> {
         let d = w.len();
+        let kind = ReleaseKind::GradientSum;
         let sens = lr_sensitivity(gamma, d);
-        self.admit(ReleaseKind::GradientSum, mu, sens)?;
-        let out = gradient_sum_skellam(data, &self.partition, batch, w, gamma, mu, &self.cfg);
-        self.view.receive(Release {
-            kind: ReleaseKind::GradientSum,
-            values: out.grad_sum.iter().map(|&g| g * gamma.powi(3)).collect(),
-            mu,
-            gamma,
-        });
-        self.ledger.record("gradient_sum", d, gamma, mu, sens);
-        self.total_stats.push(out.stats);
-        Ok(out.grad_sum)
+        self.release(kind, d, gamma, mu, sens, |partition, cfg| {
+            let out = try_gradient_sum_skellam(data, partition, batch, w, gamma, mu, cfg)?;
+            let amplified = out.grad_sum.iter().map(|&g| g * gamma.powi(3)).collect();
+            Ok((amplified, out.stats, out.grad_sum))
+        })
     }
 
     /// Run the noisy column-sum (mean) protocol.
     ///
-    /// Panics on a budget refusal; use [`VflSession::try_column_sums`] on
-    /// budgeted sessions.
+    /// Panics on a [`ReleaseError`]; see [`VflSession::try_column_sums`].
     pub fn column_sums(&mut self, data: &Matrix, gamma: f64, mu: f64) -> Vec<f64> {
         self.try_column_sums(data, gamma, mu)
             .unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// [`VflSession::column_sums`] with over-budget requests refused as a
-    /// typed [`BudgetRefusal`] before any MPC round runs.
+    /// [`VflSession::column_sums`] with a typed [`ReleaseError`].
     pub fn try_column_sums(
         &mut self,
         data: &Matrix,
         gamma: f64,
         mu: f64,
-    ) -> Result<Vec<f64>, BudgetRefusal> {
+    ) -> Result<Vec<f64>, ReleaseError> {
         // Lemma 3 shape at lambda = 1: replacing one record moves the
         // amplified sums by at most `gamma * c` plus one rounding unit per
         // column.
         let n = data.cols();
         let c = data.max_row_norm().max(1e-9);
         let sens = Sensitivity::from_l2_for_dim(gamma * c + (n as f64).sqrt(), n);
-        self.admit(ReleaseKind::ColumnSums, mu, sens)?;
-        let out = column_sums_skellam(data, &self.partition, gamma, mu, &self.cfg);
-        self.view.receive(Release {
-            kind: ReleaseKind::ColumnSums,
-            values: out.sums_hat.clone(),
-            mu,
-            gamma,
-        });
-        self.ledger.record("column_sums", n, gamma, mu, sens);
-        self.total_stats.push(out.stats);
-        Ok(out.sums_hat.iter().map(|&s| s / gamma).collect())
+        let kind = ReleaseKind::ColumnSums;
+        self.release(kind, n, gamma, mu, sens, |partition, cfg| {
+            let out = try_column_sums_skellam(data, partition, gamma, mu, cfg)?;
+            let scaled = out.sums_hat.iter().map(|&s| s / gamma).collect();
+            Ok((out.sums_hat, out.stats, scaled))
+        })
     }
 }
+
+/// What a release's protocol run hands [`VflSession::release`].
+type RunResult<T> = Result<(Vec<f64>, RunStats, T), TransportError>;
 
 #[cfg(test)]
 mod tests {
@@ -345,6 +460,14 @@ mod tests {
             vec![0.1, 0.1, -0.5, 1.0],
             vec![0.6, 0.0, 0.3, 0.0],
         ])
+    }
+
+    /// The refusal a `try_*` call was expected to end in.
+    fn refusal(err: ReleaseError) -> BudgetRefusal {
+        match err {
+            ReleaseError::Refused(refusal) => refusal,
+            other => panic!("expected a budget refusal, got {other:?}"),
+        }
     }
 
     #[test]
@@ -477,7 +600,7 @@ mod tests {
         // no server view, no ledger entry, no odometer spend.
         let mut session =
             VflSession::new(ColumnPartition::even(4, 2), VflConfig::fast(2)).with_budget(1.0);
-        let err = session.try_covariance(&data(), 512.0, 1e-6).unwrap_err();
+        let err = refusal(session.try_covariance(&data(), 512.0, 1e-6).unwrap_err());
         assert_eq!(err.kind, ReleaseKind::Covariance);
         assert!(err.requested_epsilon > err.budget);
         assert_eq!(err.budget, 1.0);
@@ -505,7 +628,7 @@ mod tests {
         let err = loop {
             match session.try_covariance(&x, 64.0, 1e8) {
                 Ok(_) => admitted += 1,
-                Err(e) => break e,
+                Err(e) => break refusal(e),
             }
             assert!(admitted < 50, "refusal never fired");
         };
@@ -517,17 +640,70 @@ mod tests {
         assert_eq!(session.stats().len(), admitted);
         assert_eq!(session.ledger().len(), admitted);
         assert_eq!(session.odometer().releases(), admitted);
-        assert!(session.budget_consistent_with_ledger());
+        assert!(session.account().budget_consistent_with_ledger());
     }
 
     #[test]
     fn unperturbed_release_needs_an_unlimited_budget() {
         let mut session =
             VflSession::new(ColumnPartition::even(4, 2), VflConfig::fast(2)).with_budget(10.0);
-        let err = session.try_column_sums(&data(), 64.0, 0.0).unwrap_err();
+        let err = refusal(session.try_column_sums(&data(), 64.0, 0.0).unwrap_err());
         assert_eq!(err.kind, ReleaseKind::ColumnSums);
         assert!(err.requested_epsilon.is_infinite());
         assert!(session.stats().is_empty());
+    }
+
+    #[test]
+    fn failed_run_is_a_typed_error_that_spends_nothing_in_either_book() {
+        use sqm_mpc::{FaultSpec, NetBackend};
+        // Party 1 crashes in round 1: every release dies at its open, after
+        // the budget gate has admitted it.
+        let crash = TransportError::Crashed { party: 1, round: 1 };
+        let x = data();
+        let w = [0.1, 0.0, -0.1];
+        for backend in [NetBackend::InProcess, NetBackend::tcp()] {
+            let cfg = VflConfig::fast(2)
+                .with_seed(5)
+                .with_backend(backend.clone());
+            let faulty = cfg
+                .clone()
+                .with_faults(Some(FaultSpec::seeded(5).with_crash(1, 1)));
+            let mut session =
+                VflSession::new(ColumnPartition::even(4, 2), faulty).with_budget(10.0);
+            let before = session.odometer().spent_epsilon();
+            let errors = [
+                session.try_covariance(&x, 64.0, 1e8).unwrap_err(),
+                session
+                    .try_gradient_sum(&x, &[0, 1, 2], &w, 64.0, 1e12)
+                    .unwrap_err(),
+                session.try_column_sums(&x, 64.0, 1e8).unwrap_err(),
+            ];
+            for err in errors {
+                assert_eq!(err, ReleaseError::Transport(crash.clone()), "{backend:?}");
+            }
+            assert!(session.server_view().is_empty(), "{backend:?}");
+            assert!(session.ledger().is_empty(), "{backend:?}");
+            assert!(session.stats().is_empty(), "{backend:?}");
+            assert_eq!(session.odometer().releases(), 0, "{backend:?}");
+            assert_eq!(
+                session.odometer().spent_epsilon().to_bits(),
+                before.to_bits(),
+                "{backend:?}"
+            );
+            assert!(session.account().budget_consistent_with_ledger());
+
+            // A fault-free session of the same seed is unaffected: it
+            // releases what a session that never saw a fault releases.
+            let release = |cfg: &VflConfig| {
+                let mut session =
+                    VflSession::new(ColumnPartition::even(4, 2), cfg.clone()).with_budget(10.0);
+                let c = session.try_covariance(&x, 64.0, 1e8).unwrap();
+                assert_eq!(session.odometer().releases(), 1);
+                assert!(session.account().budget_consistent_with_ledger());
+                c
+            };
+            assert_eq!(release(&cfg), release(&VflConfig::fast(2).with_seed(5)));
+        }
     }
 
     #[test]
@@ -536,7 +712,7 @@ mod tests {
         let x = data();
         session.covariance(&x, 512.0, 1e6);
         session.column_sums(&x, 512.0, 1e4);
-        assert!(session.budget_consistent_with_ledger());
+        assert!(session.account().budget_consistent_with_ledger());
         assert_eq!(session.odometer().releases(), session.ledger().len());
     }
 }

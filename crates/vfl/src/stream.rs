@@ -3,7 +3,9 @@
 //! The one-shot protocols in [`crate::covariance`] mesh the parties, run,
 //! and tear everything down. A serving deployment (see `sqm::serve`)
 //! instead keeps a session alive across many mini-batch arrivals and many
-//! DP releases. [`StreamCov`] is that session:
+//! DP releases. [`StreamCov`] is that session: the one-shot covariance's
+//! per-party program (`CovSession::release`) on a mesh and share state it
+//! keeps.
 //!
 //! * **Transports are reused.** The party mesh is built once
 //!   (`net::build_mesh`) and threaded through every release via
@@ -23,194 +25,51 @@
 //!   with chunk boundaries at the batch boundaries, and release `r` is
 //!   predicted bit-exactly by [`covariance_streaming_oracle`] with
 //!   `noise_skip = r` (each release consumes the next `n(n+1)/2` noise
-//!   draws per party).
+//!   draws per party). The third stream, the engine's share and mask
+//!   polynomials, is re-keyed by `MpcEngine::try_run_on` from the mesh's
+//!   round counter (0 on a fresh mesh, continuing across releases), so no
+//!   release is shared or masked under a polynomial an earlier one used.
 //!
-//! A transport failure poisons the session: the mesh is discarded, the
-//! typed error is kept, and every later call returns it. The caller (one
-//! serve tenant) fails; other sessions are untouched.
+//! A transport failure poisons the session: the mesh and the accumulator
+//! shares died with the party threads, the typed error is kept, and every
+//! later call returns it. The caller (one serve tenant) fails; other
+//! sessions are untouched.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sqm_field::{FieldChoice, PrimeField, M127, M61};
+use sqm_field::{FieldChoice, M127, M61};
 use sqm_linalg::Matrix;
-use sqm_mpc::net::transport::{build_mesh, Transport};
-use sqm_mpc::{MpcEngine, TransportError};
+use sqm_mpc::TransportError;
 use sqm_sampling::rounding::stochastic_round;
 use sqm_sampling::skellam::sample_skellam;
-use std::sync::Mutex;
 
 use crate::covariance::{
-    add_gram, column_shares, sample_noise, symmetric_from_upper, CovarianceOutput,
+    magnitude_bound, symmetric_from_upper, CovSession, CovarianceOutput, RowBlock,
 };
 use crate::partition::ColumnPartition;
-use crate::VflConfig;
+use crate::{field_for, validate_gamma, VflConfig};
 
-/// Per-party state that survives between releases: the private randomness
-/// streams and this party's share of the running Gram accumulator.
-struct PartyStream<F: PrimeField> {
-    qrng: StdRng,
-    nrng: StdRng,
-    acc: Vec<F>,
-}
-
-struct StreamImpl<F: PrimeField> {
-    partition: ColumnPartition,
-    gamma: f64,
-    mu: f64,
-    cfg: VflConfig,
-    mesh: Option<Vec<Box<dyn Transport<F>>>>,
-    party: Vec<PartyStream<F>>,
-    pending: Vec<Matrix>,
-    rows_ingested: usize,
-    releases: usize,
-    failed: Option<TransportError>,
-}
-
-impl<F: PrimeField> StreamImpl<F> {
-    fn new(
-        partition: ColumnPartition,
-        gamma: f64,
-        mu: f64,
-        cfg: VflConfig,
-    ) -> Result<Self, TransportError> {
-        let n_cols = partition.n_cols();
-        let upper_len = n_cols * (n_cols + 1) / 2;
-        let mpc = cfg.mpc_config();
-        let mesh = build_mesh::<F>(mpc.n_parties, &mpc.backend, mpc.faults.as_ref())?;
-        let party = (0..cfg.n_clients())
-            .map(|p| PartyStream {
-                qrng: StdRng::seed_from_u64(cfg.seed() ^ (0xA11C_E000 + p as u64)),
-                nrng: StdRng::seed_from_u64(cfg.seed() ^ (0x5E11_A000 + p as u64)),
-                acc: vec![F::ZERO; upper_len],
-            })
-            .collect();
-        Ok(StreamImpl {
-            partition,
-            gamma,
-            mu,
-            cfg,
-            mesh: Some(mesh),
-            party,
-            pending: Vec::new(),
-            rows_ingested: 0,
-            releases: 0,
-            failed: None,
-        })
-    }
-
-    fn release(&mut self) -> Result<CovarianceOutput, TransportError> {
-        if let Some(e) = &self.failed {
-            return Err(e.clone());
-        }
-        let mesh = self.mesh.take().expect("mesh present unless failed");
-        let n = self.partition.n_cols();
-        let upper_len = n * (n + 1) / 2;
-        let partition = &self.partition;
-        let gamma = self.gamma;
-        let local_mu = self.mu / self.cfg.n_clients() as f64;
-        let pending = std::mem::take(&mut self.pending);
-        let pending = &pending;
-        let pending_rows: usize = pending.iter().map(|b| b.rows()).sum();
-        let expected: Vec<usize> = partition
-            .counts()
-            .iter()
-            .map(|&c| c * pending_rows)
-            .collect();
-
-        // Hand each party thread its persistent state through an indexed
-        // slot; the thread takes it at the start of the program and returns
-        // the updated state as part of its output.
-        let slots: Vec<Mutex<Option<PartyStream<F>>>> =
-            self.party.drain(..).map(|s| Mutex::new(Some(s))).collect();
-
-        let engine = MpcEngine::new(self.cfg.mpc_config());
-        type Out<F> = (Vec<i128>, PartyStream<F>);
-        let result = engine.try_run_on::<F, Out<F>, _>(mesh, |ctx| {
-            let me = ctx.id;
-            let mut st = slots[me].lock().unwrap().take().expect("party state");
-            let my_cols = partition.columns_of(me);
-
-            // All pending batches ride one input frame, quantized in
-            // arrival order (batch -> column -> row).
-            ctx.set_phase("quantize");
-            let mut my_values: Vec<F> = Vec::with_capacity(my_cols.len() * pending_rows);
-            for batch in pending {
-                for &j in &my_cols {
-                    for i in 0..batch.rows() {
-                        let q = stochastic_round(&mut st.qrng, gamma * batch[(i, j)]);
-                        my_values.push(F::from_i128(q as i128));
-                    }
-                }
-            }
-
-            ctx.set_phase("dp_noise");
-            let masks = ctx.mask_shares(&sample_noise(&mut st.nrng, local_mu, upper_len));
-
-            ctx.set_phase("input");
-            let (contributions, mut masked) = ctx.share_all_masked(&my_values, &expected, masks);
-            drop(my_values);
-
-            ctx.set_phase("compute");
-            let mut rows_done = 0;
-            for batch in pending {
-                let cols = column_shares(&contributions, partition, rows_done, batch.rows());
-                add_gram(&mut st.acc, &cols);
-                rows_done += batch.rows();
-            }
-            // Mask a copy: the running accumulator itself stays noise-free.
-            for (share, &acc) in masked.iter_mut().zip(&st.acc) {
-                *share += acc;
-            }
-
-            ctx.set_phase("open");
-            let opened = ctx
-                .open(&masked)
-                .into_iter()
-                .map(|v| v.to_centered_i128())
-                .collect();
-            (opened, st)
-        });
-
-        match result {
-            Ok((run, mesh)) => {
-                self.mesh = Some(mesh);
-                let mut opened_first: Option<Vec<i128>> = None;
-                for (opened, st) in run.outputs {
-                    opened_first.get_or_insert(opened);
-                    self.party.push(st);
-                }
-                self.releases += 1;
-                let opened = opened_first.expect("at least one party");
-                Ok(CovarianceOutput {
-                    c_hat: symmetric_from_upper(&opened, n),
-                    stats: run.stats,
-                    trace: run.trace,
-                })
-            }
-            Err(e) => {
-                // Poisoned: the mesh round state is undefined and some
-                // party states were lost with their threads.
-                self.failed = Some(e.clone());
-                Err(e)
-            }
-        }
-    }
-}
-
-/// Field-width dispatch (mirrors `FieldChoice::for_magnitude` in the
-/// one-shot protocols, but the choice is pinned at session creation from a
-/// declared workload bound — it cannot change once accumulator shares
-/// exist).
-enum Inner {
-    M61(StreamImpl<M61>),
-    M127(StreamImpl<M127>),
+/// The only field-dependent part of a streaming session: the mesh and the
+/// per-party share state. The width is pinned at creation from the declared
+/// workload envelope — it cannot change once accumulator shares exist.
+enum FieldSession {
+    M61(CovSession<M61>),
+    M127(CovSession<M127>),
 }
 
 /// A long-lived streaming covariance session: ingest mini-batches, release
 /// the running noisy covariance on demand. See the module docs for the
 /// determinism and reuse contract.
 pub struct StreamCov {
-    inner: Inner,
+    partition: ColumnPartition,
+    gamma: f64,
+    mu: f64,
+    cfg: VflConfig,
+    session: FieldSession,
+    failed: Option<TransportError>,
+    pending: Vec<Matrix>,
+    rows_ingested: usize,
+    releases: usize,
     max_rows: usize,
     max_row_norm: f64,
 }
@@ -233,17 +92,23 @@ impl StreamCov {
             cfg.n_clients(),
             "partition/config client-count mismatch"
         );
+        validate_gamma(gamma);
         assert!(max_rows >= 1, "declare a positive record envelope");
-        let c = max_row_norm.max(1e-9);
-        let per_entry = gamma * c + 1.0;
-        let bound = max_rows as f64 * per_entry * per_entry + 12.0 * (2.0 * mu).sqrt() + 1.0;
-        let inner = match FieldChoice::for_magnitude(bound).expect("workload exceeds M127 headroom")
-        {
-            FieldChoice::M61 => Inner::M61(StreamImpl::new(partition, gamma, mu, cfg.clone())?),
-            FieldChoice::M127 => Inner::M127(StreamImpl::new(partition, gamma, mu, cfg.clone())?),
+        let n = partition.n_cols();
+        let session = match field_for(magnitude_bound(max_rows, max_row_norm, gamma, mu)) {
+            FieldChoice::M61 => FieldSession::M61(CovSession::open(cfg, n)?),
+            FieldChoice::M127 => FieldSession::M127(CovSession::open(cfg, n)?),
         };
         Ok(StreamCov {
-            inner,
+            partition,
+            gamma,
+            mu,
+            cfg: cfg.clone(),
+            session,
+            failed: None,
+            pending: Vec::new(),
+            rows_ingested: 0,
+            releases: 0,
             max_rows,
             max_row_norm,
         })
@@ -258,7 +123,7 @@ impl StreamCov {
             "batch/partition column mismatch"
         );
         assert!(
-            self.rows_ingested() + self.pending_rows() + batch.rows() <= self.max_rows,
+            self.rows_ingested + self.pending_rows() + batch.rows() <= self.max_rows,
             "session would exceed its declared {}-record envelope",
             self.max_rows
         );
@@ -267,10 +132,7 @@ impl StreamCov {
             "record norm exceeds the declared envelope {}",
             self.max_row_norm
         );
-        match &mut self.inner {
-            Inner::M61(s) => s.pending.push(batch.clone()),
-            Inner::M127(s) => s.pending.push(batch.clone()),
-        }
+        self.pending.push(batch.clone());
     }
 
     /// Run one DP release over the reused mesh: share the pending batches
@@ -280,58 +142,51 @@ impl StreamCov {
     /// statistics under fresh noise (it still costs privacy budget —
     /// admission is the caller's job).
     pub fn release(&mut self) -> Result<CovarianceOutput, TransportError> {
-        let rows = self.pending_rows();
-        let out = match &mut self.inner {
-            Inner::M61(s) => s.release(),
-            Inner::M127(s) => s.release(),
-        };
-        if out.is_ok() {
-            match &mut self.inner {
-                Inner::M61(s) => s.rows_ingested += rows,
-                Inner::M127(s) => s.rows_ingested += rows,
-            }
+        if let Some(e) = &self.failed {
+            return Err(e.clone());
         }
-        out
+        let rows = self.pending_rows();
+        let pending = std::mem::take(&mut self.pending);
+        // All pending batches ride one input frame, in arrival order.
+        let frame: Vec<RowBlock> = pending.iter().map(|b| (b, 0..b.rows())).collect();
+        let (cfg, partition, gamma, mu) = (&self.cfg, &self.partition, self.gamma, self.mu);
+        let released = match &mut self.session {
+            FieldSession::M61(s) => s.release(cfg, partition, gamma, mu, &[frame]),
+            FieldSession::M127(s) => s.release(cfg, partition, gamma, mu, &[frame]),
+        };
+        match &released {
+            Ok(_) => {
+                self.releases += 1;
+                self.rows_ingested += rows;
+            }
+            Err(e) => self.failed = Some(e.clone()),
+        }
+        released
     }
 
     /// Records already folded into the accumulator (past releases).
     pub fn rows_ingested(&self) -> usize {
-        match &self.inner {
-            Inner::M61(s) => s.rows_ingested,
-            Inner::M127(s) => s.rows_ingested,
-        }
+        self.rows_ingested
     }
 
     /// Records queued for the next release.
     pub fn pending_rows(&self) -> usize {
-        match &self.inner {
-            Inner::M61(s) => s.pending.iter().map(|b| b.rows()).sum(),
-            Inner::M127(s) => s.pending.iter().map(|b| b.rows()).sum(),
-        }
+        self.pending.iter().map(Matrix::rows).sum()
     }
 
     /// Releases completed so far.
     pub fn releases(&self) -> usize {
-        match &self.inner {
-            Inner::M61(s) => s.releases,
-            Inner::M127(s) => s.releases,
-        }
+        self.releases
     }
 
     /// Number of feature columns.
     pub fn n_cols(&self) -> usize {
-        match &self.inner {
-            Inner::M61(s) => s.partition.n_cols(),
-            Inner::M127(s) => s.partition.n_cols(),
-        }
+        self.partition.n_cols()
     }
 
     /// The transport error that poisoned this session, if any.
     pub fn failure(&self) -> Option<&TransportError> {
-        match &self.inner {
-            Inner::M61(s) => s.failed.as_ref(),
-            Inner::M127(s) => s.failed.as_ref(),
-        }
+        self.failed.as_ref()
     }
 }
 

@@ -106,6 +106,79 @@ fn streaming_releases_coalesce_batches_and_match_the_streaming_oracle() {
     }
 }
 
+/// One-shot, chunked and streaming are one per-party program fed different
+/// frames. A seeded grid of uneven, interleaved partitions (a client may own
+/// several columns or none), record counts that are no multiple of the
+/// chunk, and one `M127` case.
+#[test]
+fn one_shot_chunked_and_streaming_run_the_same_program() {
+    let wide = (1u64 << 30) as f64; // dispatches to M127
+    let cases = [
+        (2usize, 300.0, 60.0, 7usize, 3usize),
+        (3, 512.0, 25.0, 14, 4),
+        (5, 256.0, 0.0, 11, 5),
+        (3, wide, 1e6, 10, 4),
+    ];
+    for (case, (p, gamma, mu, rows, chunk)) in cases.into_iter().enumerate() {
+        let what = format!("case {case}: P={p} gamma={gamma} rows={rows} chunk={chunk}");
+        let mut rng = StdRng::seed_from_u64(40 + case as u64);
+        let owners: Vec<usize> = (0..N).map(|_| rng.gen_range(0..p)).collect();
+        let partition = ColumnPartition::from_owners(owners, p);
+        assert!(partition.counts().iter().any(|&c| c >= 2), "{what}");
+        let cfg = VflConfig::fast(p).with_seed(rng.gen());
+        let x = data(rows, 50 + case as u64);
+        let batches: Vec<Matrix> = (0..rows)
+            .step_by(chunk)
+            .map(|start| {
+                let rows: Vec<_> = (start..(start + chunk).min(rows))
+                    .map(|i| x.row(i).to_vec())
+                    .collect();
+                Matrix::from_rows(&rows)
+            })
+            .collect();
+        // The envelope a one-shot run derives from the data, so both pick
+        // the same field.
+        let stream =
+            || StreamCov::new(partition.clone(), gamma, mu, &cfg, rows, x.max_row_norm()).unwrap();
+
+        // Chunked == the streaming oracle with batches at the chunk
+        // boundaries == a session fed those batches and released once.
+        let oracle = covariance_streaming_oracle(&batches, &partition, gamma, mu, &cfg, 0);
+        let chunked = covariance_skellam_chunked(&x, &partition, gamma, mu, &cfg, chunk);
+        assert_eq!(chunked.c_hat, oracle, "{what}");
+        assert_eq!(chunked.stats.total.rounds as usize, batches.len() + 1);
+        let mut session = stream();
+        for batch in &batches {
+            session.ingest(batch);
+        }
+        assert_eq!(session.release().unwrap().c_hat, oracle, "{what}");
+
+        // One-shot == a one-batch session's first release, in value and in
+        // what every phase put on the wire.
+        let one_shot = covariance_skellam(&x, &partition, gamma, mu, &cfg);
+        let mut session = stream();
+        session.ingest(&x);
+        let first = session.release().unwrap();
+        assert_eq!(first.c_hat, one_shot.c_hat, "{what}");
+        assert_eq!(
+            first.stats.phases.keys().collect::<Vec<_>>(),
+            one_shot.stats.phases.keys().collect::<Vec<_>>(),
+            "{what}"
+        );
+        for (name, a) in &one_shot.stats.phases {
+            let b = &first.stats.phases[name];
+            assert_eq!(
+                (a.rounds, a.messages, a.bytes, a.elems),
+                (b.rounds, b.messages, b.bytes, b.elems),
+                "{what} phase {name}"
+            );
+        }
+        let open = &one_shot.stats.phases["open"];
+        let width = if gamma == wide { 16 } else { 8 };
+        assert_eq!(open.bytes, width * open.elems, "{what}");
+    }
+}
+
 #[test]
 fn gradient_equals_a_replay_of_its_streams_at_every_threshold() {
     let rows = 12;

@@ -14,7 +14,7 @@ use sqm_linalg::Matrix;
 use sqm_obs::prof;
 use sqm_vfl::{
     covariance_quantized_oracle, covariance_skellam, gradient_sum_skellam, ColumnPartition,
-    ProfConfig, VflConfig,
+    ProfConfig, StreamCov, VflConfig,
 };
 
 static PROF_LOCK: Mutex<()> = Mutex::new(());
@@ -137,6 +137,32 @@ fn gradient_records_skellam_draws_per_dimension() {
     assert_eq!(draws.work, 2 * 3); // d = 3 draws each
     assert_eq!(snap.nodes["engine;dp_noise;mask_shares"].work, 2 * 3);
     assert!(snap.batching.is_none(), "no mul round, nothing to batch");
+
+    prof::deactivate();
+    prof::reset();
+}
+
+#[test]
+fn streaming_release_records_skellam_draws_like_the_one_shot() {
+    let _g = lock();
+    prof::deactivate();
+    prof::reset();
+
+    let partition = ColumnPartition::even(4, 2);
+    let cfg = VflConfig::fast(2)
+        .with_seed(5)
+        .with_prof(Some(ProfConfig::default().with_dir(std::env::temp_dir())));
+    let mut stream = StreamCov::new(partition, 128.0, 10.0, &cfg, 16, 1.0).unwrap();
+    stream.ingest(&small_data());
+    stream.release().unwrap();
+    stream.release().unwrap();
+
+    // Each of the 2 parties draws n(n+1)/2 = 10 Skellam samples per release.
+    let snap = prof::snapshot().expect("profiler installed");
+    let draws = &snap.nodes["vfl;dp_noise;skellam_draw"];
+    assert_eq!(draws.calls, 2 * 2);
+    assert_eq!(draws.work, 2 * 2 * 10);
+    assert_eq!(snap.nodes["engine;dp_noise;mask_shares"].work, draws.work);
 
     prof::deactivate();
     prof::reset();

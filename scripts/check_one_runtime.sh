@@ -12,6 +12,18 @@
 #     whole word under crates/, tests/ or examples/ (`BatchingReport` is not
 #     a hit).
 #
+# And for the one release path above the engine (crates/vfl, crates/serve),
+# again reading each file up to its first `#[cfg(test)]`:
+#   * `FieldChoice::for_magnitude` on exactly one line under crates/vfl/src
+#     (one place turns a magnitude bound into a field),
+#   * no `.run::<` under crates/vfl/src (the panicking engine entry: every
+#     protocol core is fallible),
+#   * `PrivacyOdometer::new` / `PrivacyLedger::new` nowhere under
+#     crates/serve/src and only in session.rs under crates/vfl/src (one
+#     account owns both books),
+#   * at most two `match` on the stream's field enum (counted by their
+#     `<Enum>::M61(..) =>` arm) in crates/vfl/src/stream.rs.
+#
 # Usage: scripts/check_one_runtime.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -30,11 +42,32 @@ if [ "$(count 'catch_unwind')" -ne 1 ]; then
   fail=1
 fi
 
-hooks=$(find crates/*/src -name '*.rs' -print0 | sort -z | xargs -0 awk '
-  FNR == 1 { in_tests = 0 }
-  /#\[cfg\(test\)\]/ { in_tests = 1 }
-  !in_tests && /set_hook|take_hook|panic_any/ { print FILENAME ":" FNR ": " $0 }
-')
+# non_test PATTERN DIR...: `file:line: text` for every match of the awk
+# regex PATTERN in DIR's sources outside their test modules.
+non_test() {
+  local pattern=$1
+  shift
+  find "$@" -name '*.rs' -print0 | sort -z | xargs -0 awk -v pattern="$pattern" '
+    FNR == 1 { in_tests = 0 }
+    /#\[cfg\(test\)\]/ { in_tests = 1 }
+    !in_tests && $0 ~ pattern { print FILENAME ":" FNR ": " $0 }
+  '
+}
+# expect WHAT WANT HITS: fail unless HITS has WANT lines (`N`, or `-N` for
+# at most N).
+expect() {
+  local what=$1 want=$2 hits=$3 n
+  n=$(printf '%s' "$hits" | grep -c . || true)
+  case $want in
+    -*) [ "$n" -le "${want#-}" ] && return 0 ;;
+    *) [ "$n" -eq "$want" ] && return 0 ;;
+  esac
+  echo "$what (found $n):" >&2
+  echo "$hits" >&2
+  fail=1
+}
+
+hooks=$(non_test 'set_hook|take_hook|panic_any' crates/*/src)
 if [ -n "$hooks" ]; then
   echo "panic-hook / panic_any use outside #[cfg(test)]:" >&2
   echo "$hooks" >&2
@@ -47,5 +80,15 @@ if grep -rnwE 'Batching|FrameMode|PerElement|set_frame_mode|with_batching' \
   fail=1
 fi
 
-[ "$fail" -eq 0 ] && echo "one runtime: ok"
+expect "expected FieldChoice::for_magnitude on exactly one line under crates/vfl/src" 1 \
+  "$(non_test 'FieldChoice::for_magnitude' crates/vfl/src)"
+expect "the panicking engine entry (.run::<) is back under crates/vfl/src" 0 \
+  "$(non_test '[.]run::<' crates/vfl/src)"
+expect "a privacy book is built outside vfl::session::PrivacyAccount" 0 \
+  "$(non_test 'Privacy(Odometer|Ledger)::new' crates/vfl/src crates/serve/src |
+    grep -v '^crates/vfl/src/session.rs:' || true)"
+expect "more than two matches on the stream's field enum in crates/vfl/src/stream.rs" -2 \
+  "$(non_test '^ *[A-Za-z]+::M61[(].*=>' crates/vfl/src/stream.rs)"
+
+[ "$fail" -eq 0 ] && echo "one runtime, one release path: ok"
 exit "$fail"
