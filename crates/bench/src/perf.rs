@@ -35,6 +35,8 @@ use sqm::datasets::SpectralSpec;
 use sqm::field::{PrimeField, M127, M61};
 use sqm::mpc::shamir::{lagrange_at_zero, share_secret, share_secrets_batch};
 use sqm::mpc::{MpcConfig, MpcEngine, RunStats};
+use sqm::obs::live::Collector;
+use sqm::obs::prof::Profiler;
 use sqm::obs::trace::Trace;
 use sqm::obs::{metrics, MessageDag, SpanConfig};
 use sqm::sampling::skellam::sample_skellam_vec;
@@ -525,18 +527,17 @@ pub fn run_vfl(tier: Tier) -> BenchArtifact {
 
     // Same covariance workload with live telemetry streaming (aggregator
     // only, no HTTP endpoint): the gate's median-ratio rule on this entry
-    // is the standing bound on publish-path overhead. Note the first
-    // iteration installs the process-global collector, which stays active
-    // for the rest of the process — deterministic counters are unaffected
-    // by design (asserted in the vfl crate's bit-identity tests).
+    // is the standing bound on publish-path overhead. One collector serves
+    // every repeat, as a long-lived embedder's would.
     let live_name = format!("live_overhead_covariance_m{m}_n{n}_p{p}");
+    let collector = Collector::new(LiveConfig::default()).expect("no endpoint to bind");
     entries.push(measure(&live_name, tier, || {
         let data = SpectralSpec::new(m, n).with_seed(31).generate();
         let partition = ColumnPartition::even(n, p);
         let cfg = VflConfig::new(p)
             .with_seed(32)
             .with_trace(true)
-            .with_live(Some(LiveConfig::default()));
+            .with_live(Some(collector.clone()));
         let out = covariance_skellam(&data, &partition, 18.0, 100.0, &cfg);
         black_box(&out.c_hat);
         RunCost::from_stats_and_trace(&out.stats, out.trace.as_ref())
@@ -545,26 +546,20 @@ pub fn run_vfl(tier: Tier) -> BenchArtifact {
     // Same covariance workload with the cost profiler attached: the gate's
     // 1.5x median rule on this entry is the standing bound on attribution
     // overhead (every exchange, mask sharing and Skellam draw records
-    // into the process-global profile). The profiler is torn down after
-    // the entry unless the process had it on already (`sqm-perf --prof`),
-    // so later suites and the gate see the same world either way.
+    // into the profile). The profile is this entry's own and goes with it.
     let prof_name = format!("prof_overhead_covariance_m{m}_n{n}_p{p}");
-    let prof_was_active = sqm::obs::prof::is_active();
+    let profiler = Profiler::new(ProfConfig::default().with_dir("results/perf"));
     entries.push(measure(&prof_name, tier, || {
         let data = SpectralSpec::new(m, n).with_seed(31).generate();
         let partition = ColumnPartition::even(n, p);
         let cfg = VflConfig::new(p)
             .with_seed(32)
             .with_trace(true)
-            .with_prof(Some(ProfConfig::default().with_dir("results/perf")));
+            .with_prof(Some(profiler.clone()));
         let out = covariance_skellam(&data, &partition, 18.0, 100.0, &cfg);
         black_box(&out.c_hat);
         RunCost::from_stats_and_trace(&out.stats, out.trace.as_ref())
     }));
-    if !prof_was_active {
-        sqm::obs::prof::deactivate();
-        sqm::obs::prof::reset();
-    }
 
     // Message accounting at the paper's n = 31 covariance shape (mask and
     // open width n(n+1)/2 = 496 at P = 4): one frame per link per round,

@@ -46,7 +46,7 @@ fn cfg(p: usize, seed: u64) -> VflConfig {
     VflConfig::new(p)
         .with_latency(HOP_LATENCY)
         .with_seed(seed)
-        .with_live(sqm_experiments::live_config())
+        .with_live(sqm_experiments::live_handle())
 }
 
 fn run_pca(m: usize, n: usize, p: usize, seed: u64) -> Row {

@@ -66,7 +66,7 @@ fn cfg(p: usize, seed: u64, backend: &NetBackend) -> VflConfig {
         .with_seed(seed)
         .with_trace(true)
         .with_backend(backend.clone())
-        .with_live(sqm_experiments::live_config())
+        .with_live(sqm_experiments::live_handle())
 }
 
 fn analyze(

@@ -8,7 +8,6 @@
 //! sqm-perf --suite small --write-baseline     # refresh bench/baseline.json
 //! sqm-perf --gate-self-test          # prove the gate catches a 2x slowdown
 //! sqm-perf --suite small --report    # also write the covariance HTML report
-//! sqm-perf --suite small --prof      # per-suite cost-profiler attribution
 //! sqm-perf --suite small --append-history   # append medians to history.jsonl
 //! ```
 //!
@@ -26,7 +25,7 @@ use sqm::datasets::SpectralSpec;
 use sqm::obs::{html_report, metrics, PrivacyLedger};
 use sqm::vfl::{covariance_skellam, ColumnPartition, VflConfig};
 use sqm_bench::gate::{self, Baseline, GateConfig};
-use sqm_bench::perf::{run_micro, run_mpc, run_serve, run_vfl, BenchArtifact, Tier};
+use sqm_bench::perf::Tier;
 
 struct PerfOptions {
     tier: Tier,
@@ -38,9 +37,6 @@ struct PerfOptions {
     gate_self_test: bool,
     report: bool,
     live: Option<String>,
-    /// Attach the cost profiler and print a per-suite attribution delta
-    /// (`--prof` / `SQM_PROF=1`).
-    prof: bool,
     /// Append this run's medians to `<out>/history.jsonl`.
     append_history: bool,
 }
@@ -57,7 +53,6 @@ impl Default for PerfOptions {
             gate_self_test: false,
             report: false,
             live: sqm_experiments::live_addr_from_env(),
-            prof: std::env::var("SQM_PROF").ok().as_deref() == Some("1"),
             append_history: false,
         }
     }
@@ -88,7 +83,6 @@ fn parse_args() -> PerfOptions {
             "--write-baseline" => opts.write_baseline = true,
             "--gate-self-test" => opts.gate_self_test = true,
             "--report" => opts.report = true,
-            "--prof" => opts.prof = true,
             "--append-history" => opts.append_history = true,
             "--live" => {
                 // Optional value: bare `--live` uses the default address.
@@ -103,49 +97,13 @@ fn parse_args() -> PerfOptions {
             other => panic!(
                 "unknown flag {other} (expected --suite small|full, --out DIR, --baseline PATH, \
                  --gate, --warn-only, --write-baseline, --gate-self-test, --report, \
-                 --live [addr], --prof, --append-history)"
+                 --live [addr], --append-history)"
             ),
         }
         i += 1;
     }
     sqm_experiments::install_live(opts.live.as_deref());
     opts
-}
-
-/// Print what each suite added to the cost profile: the per-node delta of
-/// the deterministic counters between two snapshots, heaviest first.
-fn print_prof_delta(suite: &str, before: Option<sqm::obs::ProfSnapshot>) {
-    let Some(after) = sqm::obs::prof::snapshot() else {
-        return;
-    };
-    let empty = Default::default();
-    let before_nodes = before.as_ref().map_or(&empty, |s| &s.nodes);
-    let mut rows: Vec<(String, sqm::obs::prof::NodeAgg)> = Vec::new();
-    for (name, agg) in &after.nodes {
-        let prev = before_nodes.get(name).cloned().unwrap_or_default();
-        let delta = sqm::obs::prof::NodeAgg {
-            calls: agg.calls - prev.calls,
-            work: agg.work - prev.work,
-            messages: agg.messages - prev.messages,
-            bytes: agg.bytes - prev.bytes,
-            wall_ns: agg.wall_ns.saturating_sub(prev.wall_ns),
-        };
-        if delta.calls > 0 || delta.work > 0 {
-            rows.push((name.clone(), delta));
-        }
-    }
-    if rows.is_empty() {
-        println!("  [prof {suite}] no instrumented work in this suite");
-        return;
-    }
-    rows.sort_by(|a, b| b.1.weight().cmp(&a.1.weight()).then(a.0.cmp(&b.0)));
-    println!("  [prof {suite}] top attribution (this suite's delta):");
-    for (name, d) in rows.iter().take(8) {
-        println!(
-            "    {:>14} work {:>10} calls {:>10} msgs {:>12} B  {name}",
-            d.work, d.calls, d.messages, d.bytes
-        );
-    }
 }
 
 /// One traced covariance release (metrics on) rendered as the
@@ -162,7 +120,7 @@ fn write_covariance_report(opts: &PerfOptions) -> std::io::Result<PathBuf> {
         .with_latency(Duration::from_millis(100))
         .with_seed(42)
         .with_trace(true)
-        .with_live(sqm_experiments::live_config());
+        .with_live(sqm_experiments::live_handle());
     let out = covariance_skellam(&data, &partition, gamma, mu, &cfg);
     metrics::set_enabled(false);
     let trace = out.trace.expect("trace requested");
@@ -206,43 +164,11 @@ fn main() -> ExitCode {
     let opts = parse_args();
     let cfg = GateConfig::default();
 
-    if opts.prof {
-        // Install the process-global profiler before any suite runs so the
-        // per-suite deltas below have a baseline to diff against. The
-        // aggregate artifacts land next to the BENCH_*.json files.
-        sqm::obs::prof::install(
-            &sqm::obs::prof::ProfConfig::default().with_dir(&opts.out_dir),
-            42,
-        );
-    }
-
     println!(
         "sqm-perf: running micro/mpc/vfl/serve suites at tier '{}'",
         opts.tier.name()
     );
-    // Same fixed order as `sqm_bench::perf::run_all`, run one suite at a
-    // time so `--prof` can attribute instrumented work to the suite that
-    // did it.
-    type SuiteFn = fn(Tier) -> BenchArtifact;
-    let suites: [(&str, SuiteFn); 4] = [
-        ("micro", run_micro),
-        ("mpc", run_mpc),
-        ("vfl", run_vfl),
-        ("serve", run_serve),
-    ];
-    let mut artifacts = Vec::new();
-    for (suite, run) in suites {
-        let before = if opts.prof {
-            sqm::obs::prof::snapshot()
-        } else {
-            None
-        };
-        let artifact = run(opts.tier);
-        if opts.prof {
-            print_prof_delta(suite, before);
-        }
-        artifacts.push(artifact);
-    }
+    let artifacts = sqm_bench::perf::run_all(opts.tier);
     for artifact in &artifacts {
         match artifact.write_to(&opts.out_dir) {
             Ok(path) => println!(
@@ -268,20 +194,6 @@ fn main() -> ExitCode {
                 eprintln!("error: cannot append history: {e}");
                 return ExitCode::FAILURE;
             }
-        }
-    }
-
-    if opts.prof {
-        // Re-target the dump at the suite output directory (an engine run
-        // inside the vfl suite re-installs with its own dir/seed; install
-        // never clears the accumulated nodes) and flush the artifacts.
-        sqm::obs::prof::install(
-            &sqm::obs::prof::ProfConfig::default().with_dir(&opts.out_dir),
-            42,
-        );
-        if let Err(e) = sqm_experiments::obsout::dump_prof() {
-            eprintln!("error: cannot write profiler artifacts: {e}");
-            return ExitCode::FAILURE;
         }
     }
 

@@ -17,16 +17,15 @@
 //!   `127.0.0.1:9184`);
 //! * `--prof` (or `SQM_PROF=1`) — attach the deterministic cost profiler
 //!   (`sqm_obs::prof`): collapsed-stack attribution of every MPC round,
-//!   mask sharing, degree reduction and Skellam draw, a batching-opportunity
-//!   report for circuit workloads, and
+//!   mask sharing, degree reduction and Skellam draw, and
 //!   seed-deterministic `results/prof_<seed>.{folded,json,html}` artifacts
 //!   dumped at exit. Release bits are identical with or without it.
 
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 use sqm::datasets::Scale;
-use sqm::obs::live::LiveConfig;
-use sqm::obs::prof::ProfConfig;
+use sqm::obs::live::{Collector, LiveConfig};
+use sqm::obs::prof::{ProfConfig, Profiler};
 
 /// Default bind address for `--live` without an explicit value.
 pub const DEFAULT_LIVE_ADDR: &str = "127.0.0.1:9184";
@@ -73,42 +72,43 @@ pub fn live_addr_from_env() -> Option<String> {
     }
 }
 
-static LIVE_CONFIG: OnceLock<Option<LiveConfig>> = OnceLock::new();
+/// The collector behind `--live`: one handle for the process, attached to
+/// every config the harness builds.
+static LIVE: OnceLock<Option<Arc<Collector>>> = OnceLock::new();
 
-/// The live-telemetry config selected by [`parse_options`] (`None` when
-/// `--live` was not requested). The timing harness attaches this to every
+/// The live collector selected by [`parse_options`] (`None` when `--live`
+/// was not requested). The timing harness attaches this to every
 /// `VflConfig` it builds, so watchdog run-bracketing and flight-recorder
 /// dumps follow the workload without each binary threading the flag
 /// through by hand.
-pub fn live_config() -> Option<LiveConfig> {
-    LIVE_CONFIG.get().cloned().flatten()
+pub fn live_handle() -> Option<Arc<Collector>> {
+    LIVE.get().cloned().flatten()
 }
 
-static PROF_CONFIG: OnceLock<Option<ProfConfig>> = OnceLock::new();
+/// The profiler behind `--prof`, likewise one handle for the process.
+static PROF: OnceLock<Option<Arc<Profiler>>> = OnceLock::new();
 
-/// The profiler config selected by [`parse_options`] (`None` when `--prof`
+/// The cost profiler selected by [`parse_options`] (`None` when `--prof`
 /// was not requested). The timing harness attaches this to every
 /// `VflConfig` it builds, so attribution follows the workload without each
 /// binary threading the flag through by hand; artifacts land in
 /// `results/prof_<seed>.*` via [`obsout::dump_prof`].
-pub fn prof_config() -> Option<ProfConfig> {
-    PROF_CONFIG.get().cloned().flatten()
+pub fn prof_handle() -> Option<Arc<Profiler>> {
+    PROF.get().cloned().flatten()
 }
 
-/// Remember whether the cost profiler was requested. First call wins,
-/// mirroring [`install_live`]. The profiler itself is installed lazily by
-/// the first MPC engine run that carries the config.
+/// Create the process's cost profiler when `--prof` asked for one. First
+/// call wins, mirroring [`install_live`].
 pub fn install_prof(enabled: bool) {
-    let cfg = enabled.then(|| ProfConfig::default().with_dir("results"));
-    let _ = PROF_CONFIG.set(cfg);
+    PROF.get_or_init(|| enabled.then(|| Profiler::new(ProfConfig::default().with_dir("results"))));
 }
 
 /// Parse the common flags from `std::env::args`.
 ///
 /// When tracing is requested (via `--trace` or `SQM_TRACE=1`) this also
 /// switches the global metrics registry on. When live telemetry is
-/// requested (`--live [addr]` / `SQM_LIVE`), the process-global collector
-/// is installed and its HTTP endpoint bound before any workload starts.
+/// requested (`--live [addr]` / `SQM_LIVE`), the process's collector is
+/// started and its HTTP endpoint bound before any workload starts.
 pub fn parse_options() -> ExpOptions {
     let mut opts = ExpOptions::default();
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -159,26 +159,26 @@ pub fn parse_options() -> ExpOptions {
     opts
 }
 
-/// Install the process-global live collector (and bind its HTTP endpoint)
-/// for the given `--live` address, remembering the resulting `LiveConfig`
-/// for [`live_config`]. A `None` address records "live off" so later
-/// calls to [`live_config`] stay `None`. Idempotent per process: the
-/// first call wins, matching `sqm_obs::live::install`.
+/// Start the process's live collector (and bind its HTTP endpoint) for the
+/// given `--live` address, keeping the handle for [`live_handle`]. A `None`
+/// address records "live off". First call wins.
 pub fn install_live(addr: Option<&str>) {
-    let live_cfg = addr.map(|addr| LiveConfig::default().with_addr(addr.to_string()));
-    if let Some(cfg) = &live_cfg {
-        match sqm::obs::live::install(cfg) {
-            Ok(Some(bound)) => {
-                eprintln!("[live] serving http://{bound}/metrics and http://{bound}/snapshot")
-            }
-            Ok(None) => {}
-            Err(e) => eprintln!(
-                "[live] bind {} failed ({e}); telemetry aggregates without serving",
-                cfg.addr.as_deref().unwrap_or("?")
-            ),
+    LIVE.get_or_init(|| {
+        let addr = addr?;
+        let config = LiveConfig::default().with_addr(addr);
+        let collector = Collector::new(config.clone()).or_else(|e| {
+            eprintln!("[live] bind {addr} failed ({e}); telemetry aggregates without serving");
+            Collector::new(LiveConfig {
+                addr: None,
+                ..config
+            })
+        });
+        let collector = collector.expect("a collector without an endpoint binds nothing");
+        if let Some(bound) = collector.bound_addr() {
+            eprintln!("[live] serving http://{bound}/metrics and http://{bound}/snapshot");
         }
-    }
-    let _ = LIVE_CONFIG.set(live_cfg);
+        Some(collector)
+    });
 }
 
 /// Mean and sample standard deviation.
@@ -236,8 +236,8 @@ pub mod timing {
             .with_latency(Duration::from_millis(100))
             .with_seed(seed)
             .with_trace(trace)
-            .with_live(crate::live_config())
-            .with_prof(crate::prof_config())
+            .with_live(crate::live_handle())
+            .with_prof(crate::prof_handle())
     }
 
     fn timing(stats: RunStats, trace: Option<Trace>) -> Timing {
@@ -380,13 +380,13 @@ pub mod obsout {
     /// `results/prof_<seed>.{folded,json,html}` triple and prints the
     /// top-weight attribution summary.
     pub fn dump_prof() -> io::Result<Vec<PathBuf>> {
-        let written = sqm::obs::prof::dump_if_active()?;
-        if let Some(snap) = (!written.is_empty())
-            .then(sqm::obs::prof::snapshot)
-            .flatten()
-        {
+        let Some(prof) = crate::prof_handle() else {
+            return Ok(Vec::new());
+        };
+        let written = prof.dump()?;
+        if !written.is_empty() {
             println!("[prof]");
-            println!("{}", sqm::obs::prof::render_summary(&snap, 12));
+            println!("{}", sqm::obs::prof::render_summary(&prof.snapshot(), 12));
             for p in &written {
                 println!("[prof] wrote {}", p.display());
             }

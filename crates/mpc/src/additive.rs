@@ -21,7 +21,6 @@ use rand::SeedableRng;
 use sqm_field::PrimeField;
 use sqm_net::transport::build_mesh;
 use sqm_net::TransportError;
-use sqm_obs::prof;
 
 use crate::engine::{MpcConfig, MpcRun};
 use crate::runtime::{run_parties, PartyLink};
@@ -67,9 +66,6 @@ impl AdditiveEngine {
         P: Fn(&mut AdditiveCtx<F>) -> T + Sync,
     {
         let n = self.config.n_parties;
-        if let Some(pc) = &self.config.prof {
-            prof::install(pc, self.config.seed);
-        }
         let endpoints = build_mesh::<F>(n, &self.config.backend, self.config.faults.as_ref())?;
         let seed = self.config.seed;
         run_parties(&self.config, "additive", endpoints, |link| {

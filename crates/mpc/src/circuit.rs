@@ -8,7 +8,6 @@
 //! (sequential in depth, parallel in width).
 
 use sqm_field::PrimeField;
-use sqm_obs::prof::{self, BatchingReport};
 
 use crate::engine::PartyCtx;
 
@@ -230,14 +229,6 @@ impl<F: PrimeField> Circuit<F> {
         schedule
     }
 
-    /// The batching-opportunity analysis for this circuit evaluated over
-    /// `n_parties` parties: the per-round width histogram and the
-    /// message-count reduction round-batched multiplication frames
-    /// (ROADMAP item 1) would achieve over one-round-per-mul execution.
-    pub fn batching_report(&self, n_parties: usize) -> BatchingReport {
-        BatchingReport::from_level_widths(self.mul_level_widths(), n_parties)
-    }
-
     /// Evaluate in the clear (reference semantics for tests and the
     /// plaintext VFL backend). `inputs[p]` are party `p`'s private inputs.
     pub fn eval_plain(&self, inputs: &[Vec<F>]) -> Vec<F> {
@@ -273,11 +264,10 @@ impl<F: PrimeField> Circuit<F> {
             self.input_counts.len(),
             ctx.n
         );
-        // Cost profiling (when installed): per-gate-kind counts, scratch
-        // allocation sizes, and the batching-opportunity report. Purely
-        // observational — the evaluation below is identical either way.
-        let profiling = prof::is_active();
-        if profiling {
+        // Cost profiling (when the run has a profiler): per-gate-kind
+        // counts and scratch allocation sizes. Purely observational — the
+        // evaluation below is identical either way.
+        if let Some(prof) = ctx.profiler() {
             const KINDS: [&str; 7] = [
                 "input",
                 "const",
@@ -302,11 +292,10 @@ impl<F: PrimeField> Circuit<F> {
             }
             for (kind, &count) in KINDS.iter().zip(&counts) {
                 if count > 0 {
-                    prof::record(&format!("circuit;gates;{kind}"), count, count);
+                    prof.record(&format!("circuit;gates;{kind}"), count, count);
                 }
             }
-            prof::record("circuit;alloc;values", 1, self.gates.len() as u64);
-            prof::set_batching_report(self.batching_report(ctx.n));
+            prof.record("circuit;alloc;values", 1, self.gates.len() as u64);
         }
 
         // Input phase: every party shares its inputs simultaneously.
@@ -378,13 +367,13 @@ impl<F: PrimeField> Circuit<F> {
             } else {
                 batch.iter().map(|&i| gate_product(i, &values)).collect()
             };
-            if profiling {
-                prof::record(
+            if let Some(prof) = ctx.profiler() {
+                prof.record(
                     &format!("circuit;mul;layer{level:04}"),
                     1,
                     batch.len() as u64,
                 );
-                prof::record("circuit;alloc;mul_locals", 1, batch.len() as u64);
+                prof.record("circuit;alloc;mul_locals", 1, batch.len() as u64);
             }
             let reduced = ctx.reduce_degree(&locals);
             for (&i, r) in batch.iter().zip(reduced) {
@@ -527,48 +516,9 @@ mod tests {
     }
 
     #[test]
-    fn batching_report_totals_match_circuit_invariants() {
-        // Balanced product tree over 8 factors: widths 4, 2, 1.
-        let mut b = CircuitBuilder::<M61>::new(1);
-        let factors: Vec<Wire> = (0..8).map(|_| b.input(0)).collect();
-        let p = b.product(&factors);
-        b.output(p);
-        let c = b.build();
-        let report = c.batching_report(4);
-        assert_eq!(report.level_widths, vec![4, 2, 1]);
-        assert_eq!(report.width_histogram, vec![(1, 1), (2, 1), (4, 1)]);
-        assert_eq!(report.n_mul_gates, c.n_mul_gates());
-        assert_eq!(report.mul_depth as u32, c.mul_depth());
-        // 4 parties: n(n-1) = 12 reduce-degree messages per round.
-        assert_eq!(report.messages_unbatched, 7 * 12);
-        assert_eq!(report.messages_batched, 3 * 12);
-
-        // A wide-but-shallow circuit batches 16 muls into one round.
-        let mut b = CircuitBuilder::<M61>::new(2);
-        for _ in 0..16 {
-            let x = b.input(0);
-            let y = b.input(1);
-            let p = b.mul(x, y);
-            b.output(p);
-        }
-        let c = b.build();
-        let report = c.batching_report(3);
-        assert_eq!(report.level_widths, vec![16]);
-        assert_eq!(report.n_mul_gates, c.n_mul_gates());
-        assert_eq!(report.mul_depth as u32, c.mul_depth());
-        assert!((report.reduction_factor() - 16.0).abs() < 1e-12);
-
-        // The sample circuit's single mul: no batching opportunity.
-        let report = sample_circuit().batching_report(3);
-        assert_eq!(report.n_mul_gates, sample_circuit().n_mul_gates());
-        assert_eq!(report.mul_depth as u32, sample_circuit().mul_depth());
-        assert_eq!(report.messages_unbatched, report.messages_batched);
-    }
-
-    #[test]
     fn mul_schedule_widths_match_batching_report_predictions() {
         // The widths the evaluator actually batches must equal the
-        // BatchingReport's per-level predictions, gate for gate.
+        // circuit's own per-level widths, gate for gate.
         let circuits: Vec<Circuit<M61>> = vec![
             sample_circuit(),
             {
@@ -593,8 +543,8 @@ mod tests {
             let schedule = c.mul_schedule();
             let widths: Vec<usize> = schedule.iter().map(Vec::len).collect();
             assert_eq!(widths, c.mul_level_widths());
-            assert_eq!(widths, c.batching_report(4).level_widths);
             assert_eq!(widths.iter().sum::<usize>(), c.n_mul_gates());
+            assert_eq!(widths.len() as u32, c.mul_depth());
             // Gate order within a level is ascending (deterministic batch).
             for batch in &schedule {
                 assert!(batch.windows(2).all(|w| w[0] < w[1]));

@@ -18,6 +18,7 @@
 //! ordered party pair regardless of how many field elements it carries,
 //! matching the paper's synchronous cost model.
 
+use std::sync::Arc;
 use std::time::Duration;
 
 use rand::rngs::StdRng;
@@ -26,9 +27,9 @@ use sqm_field::PrimeField;
 use sqm_net::fault::FaultSpec;
 use sqm_net::transport::{build_mesh, NetBackend, Transport};
 use sqm_net::TransportError;
-use sqm_obs::live::LiveConfig;
+use sqm_obs::live::Collector;
 use sqm_obs::metrics;
-use sqm_obs::prof::{self, ProfConfig};
+use sqm_obs::prof::Profiler;
 use sqm_obs::trace::Trace;
 
 use crate::runtime::{run_parties, PartyLink};
@@ -98,21 +99,20 @@ pub struct MpcConfig {
     pub backend: NetBackend,
     /// Optional deterministic fault plan injected over the backend.
     pub faults: Option<FaultSpec>,
-    /// Stream live telemetry for this run (see [`sqm_obs::live`]): the
-    /// engines publish per-round events into the process-global collector,
-    /// the stall watchdog brackets the run, and failures dump a flight
-    /// recorder. `None` (the default) publishes nothing and costs one
-    /// relaxed atomic load per round. Accounting (`RunStats`, traces) is
-    /// bit-identical either way.
-    pub live: Option<LiveConfig>,
-    /// Attach the deterministic cost profiler (see [`sqm_obs::prof`]) to
-    /// runs under this config: the engine installs the process-global
-    /// profiler at run start and the hot paths attribute per-phase
-    /// exchange/round traffic, degree reductions, and bulk field ops to
-    /// collapsed-stack paths. `None` (the default) records nothing and
-    /// costs one relaxed atomic load per hook; protocol bits and
-    /// [`RunStats`] are identical either way.
-    pub prof: Option<ProfConfig>,
+    /// The live-telemetry collector runs under this config report to (see
+    /// [`sqm_obs::live`]): rounds are published into it, the stall watchdog
+    /// brackets the run, and a failure dumps its flight recorder. The
+    /// embedder creates it and keeps a handle to read. `None` (the default)
+    /// means unobserved: the run touches no collector. Accounting
+    /// (`RunStats`, traces) is bit-identical either way.
+    pub live: Option<Arc<Collector>>,
+    /// The cost profiler runs under this config record into (see
+    /// [`sqm_obs::prof`]): exchange/round traffic, degree reductions, mask
+    /// sharing and bulk field ops by collapsed-stack path. The embedder
+    /// creates it and keeps a handle to read. `None` (the default) means
+    /// unprofiled: the run touches no profiler and builds no path string.
+    /// Protocol bits and [`RunStats`] are identical either way.
+    pub prof: Option<Arc<Profiler>>,
     /// Worker-pool sizing for wide share/recombine batches (see
     /// [`BatchOptions`]). Wall-clock only: results are bit-identical for
     /// every setting.
@@ -186,15 +186,14 @@ impl MpcConfig {
         self
     }
 
-    /// Stream live telemetry for runs under this config (see
-    /// [`sqm_obs::live`]).
-    pub fn with_live(mut self, live: Option<LiveConfig>) -> Self {
+    /// Report runs under this config to `live` (see [`MpcConfig::live`]).
+    pub fn with_live(mut self, live: Option<Arc<Collector>>) -> Self {
         self.live = live;
         self
     }
 
-    /// Attach the deterministic cost profiler (see [`sqm_obs::prof`]).
-    pub fn with_prof(mut self, prof: Option<ProfConfig>) -> Self {
+    /// Profile runs under this config into `prof` (see [`MpcConfig::prof`]).
+    pub fn with_prof(mut self, prof: Option<Arc<Profiler>>) -> Self {
         self.prof = prof;
         self
     }
@@ -317,13 +316,10 @@ impl MpcEngine {
         P: Fn(&mut PartyCtx<F>) -> T + Sync,
     {
         let n = self.config.n_parties;
-        if let Some(pc) = &self.config.prof {
-            prof::install(pc, self.config.seed);
-        }
         let lagrange_all = lagrange_at_zero::<F>(&(0..n).collect::<Vec<_>>());
-        if prof::is_active() {
+        if let Some(prof) = &self.config.prof {
             // One field inversion per Lagrange denominator.
-            prof::record("engine;setup;field_inv", 1, n as u64);
+            prof.record("engine;setup;field_inv", 1, n as u64);
         }
         run_parties(&self.config, "engine", endpoints, |link| {
             let id = link.id();
@@ -381,6 +377,20 @@ impl<F: PrimeField> PartyCtx<F> {
     /// to match the engine's parallelism policy.
     pub fn batch_options(&self) -> BatchOptions {
         self.batching
+    }
+
+    /// The run's cost profiler, for attributing protocol-level work; `None`
+    /// on an unprofiled run, so a hook's path string is never built.
+    pub fn profiler(&self) -> Option<&Profiler> {
+        self.link.observer().profiler()
+    }
+
+    /// Attribute `work` units to `engine;<phase>;<what>` on a profiled run.
+    fn profile(&self, what: &str, work: usize) {
+        if let Some(prof) = self.profiler() {
+            let phase = self.link.phase();
+            prof.record(&format!("engine;{phase};{what}"), 1, work as u64);
+        }
     }
 
     /// Share a whole vector with fresh degree-`degree` polynomials:
@@ -481,13 +491,7 @@ impl<F: PrimeField> PartyCtx<F> {
     /// frame. Local: no communication. The masks are data-independent, so
     /// they can be prepared before the inputs exist.
     pub fn mask_shares(&mut self, masks: &[F]) -> Vec<Vec<F>> {
-        if prof::is_active() {
-            prof::record(
-                &format!("engine;{};mask_shares", self.link.phase()),
-                1,
-                masks.len() as u64,
-            );
-        }
+        self.profile("mask_shares", masks.len());
         self.share_vector(masks, 2 * self.t)
     }
 
@@ -586,21 +590,11 @@ impl<F: PrimeField> PartyCtx<F> {
             metrics::counter_add("mpc.reduced_elems", len as u64);
             metrics::histogram_record("mpc.degree_reduction_batch", len as f64);
         }
-        if prof::is_active() {
-            prof::record(
-                &format!("engine;{};reduce_degree", self.link.phase()),
-                1,
-                len as u64,
-            );
-            // Bulk field multiplications underneath: re-sharing evaluates a
-            // degree-t polynomial at n points (t muls each, Horner) and
-            // recombination applies n Lagrange weights per element.
-            prof::record(
-                &format!("engine;{};reduce_degree;field_mul", self.link.phase()),
-                1,
-                (len * self.n * (self.t + 1)) as u64,
-            );
-        }
+        self.profile("reduce_degree", len);
+        // Bulk field multiplications underneath: re-sharing evaluates a
+        // degree-t polynomial at n points (t muls each, Horner) and
+        // recombination applies n Lagrange weights per element.
+        self.profile("reduce_degree;field_mul", len * self.n * (self.t + 1));
         // Re-share each local value with a fresh degree-t polynomial.
         let per_party = self.share_vector(d, self.t);
         let incoming = self.link.exchange(per_party);
@@ -638,14 +632,8 @@ impl<F: PrimeField> PartyCtx<F> {
     /// below `n`, so degree-`2t` (masked product) shares open unchanged.
     /// One round.
     pub fn open(&mut self, shares: &[F]) -> Vec<F> {
-        if prof::is_active() {
-            // Reconstruction applies n Lagrange weights per opened element.
-            prof::record(
-                &format!("engine;{};open;field_mul", self.link.phase()),
-                1,
-                (shares.len() * self.n) as u64,
-            );
-        }
+        // Reconstruction applies n Lagrange weights per opened element.
+        self.profile("open;field_mul", shares.len() * self.n);
         let incoming = self.link.exchange(vec![shares.to_vec(); self.n]);
         self.recombine(&incoming, shares.len(), "open")
     }

@@ -14,7 +14,9 @@
 //! * `runtime` (crate-private) — the party runtime both engines share: the
 //!   one run loop that spawns `n` party threads, runs the same protocol
 //!   program in each and merges outputs, [`stats::RunStats`] and traces,
-//!   and the one instrumented round exchange every observer hangs off.
+//!   and the one round exchange, which reports each round as one
+//!   `sqm_obs::round::RoundEvent` to the observers the run's config
+//!   attached ([`MpcConfig::live`], [`MpcConfig::prof`], `trace`).
 //!   Transport failures surface as typed [`TransportError`]s from
 //!   [`MpcEngine::try_run`] / [`AdditiveEngine::try_run`] (or a diagnostic
 //!   panic from `run`); no process-wide panic hook is involved.

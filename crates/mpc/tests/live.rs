@@ -7,28 +7,26 @@
 //! telemetry on or off. Both engines share one run loop, so the additive
 //! backend must fail, dump and recover exactly as BGW does.
 //!
-//! The live collector is process-global (like the metrics registry), so
-//! these tests serialize on one mutex and never assert on cumulative
-//! counters such as `runs_started`.
+//! A collector is a value its embedder owns, so every test creates its own
+//! and the tests run in parallel; the last two pin that a run without a
+//! collector cannot touch one, and that two observed runs at once do not
+//! see each other.
 
 use std::path::PathBuf;
-use std::sync::Mutex;
+use std::sync::Arc;
 use std::time::Duration;
 
 use sqm_field::{PrimeField, M61};
 use sqm_mpc::{
-    AdditiveEngine, FaultSpec, LiveConfig, MpcConfig, MpcEngine, NetBackend, TransportError,
+    AdditiveEngine, FaultSpec, LiveConfig, MpcConfig, MpcEngine, NetBackend, ProfConfig,
+    TransportError,
 };
 use sqm_net::fault::schedule;
-use sqm_obs::live;
+use sqm_obs::live::Collector;
+use sqm_obs::prof::Profiler;
 
-/// Serializes the tests in this file: they share the process-global
-/// collector, and a run beginning mid-way through another test's
-/// assertions would mix aggregates.
-static LIVE_LOCK: Mutex<()> = Mutex::new(());
-
-fn lock() -> std::sync::MutexGuard<'static, ()> {
-    LIVE_LOCK.lock().unwrap_or_else(|p| p.into_inner())
+fn collector(config: LiveConfig) -> Arc<Collector> {
+    Collector::new(config).expect("no endpoint to bind")
 }
 
 fn flight_dir(test: &str) -> PathBuf {
@@ -55,8 +53,7 @@ fn squares_program(ctx: &mut sqm_mpc::PartyCtx<M61>) -> Vec<M61> {
 
 #[test]
 fn runstats_bit_identical_with_live_on_and_off() {
-    let _g = lock();
-    let cfg = |live: Option<LiveConfig>| {
+    let cfg = |live: Option<Arc<Collector>>| {
         MpcConfig::semi_honest(4)
             .with_latency(Duration::ZERO)
             .with_seed(11)
@@ -64,7 +61,7 @@ fn runstats_bit_identical_with_live_on_and_off() {
     };
     let off = MpcEngine::new(cfg(None)).run::<M61, _, _>(squares_program);
     let on_cfg = LiveConfig::default().with_flight_dir(flight_dir("bgw-bitident"));
-    let on = MpcEngine::new(cfg(Some(on_cfg))).run::<M61, _, _>(squares_program);
+    let on = MpcEngine::new(cfg(Some(collector(on_cfg)))).run::<M61, _, _>(squares_program);
 
     assert_eq!(off.outputs, on.outputs);
     assert_eq!(off.stats.total.rounds, on.stats.total.rounds);
@@ -80,13 +77,12 @@ fn runstats_bit_identical_with_live_on_and_off() {
 
 #[test]
 fn additive_runstats_bit_identical_with_live_on_and_off() {
-    let _g = lock();
     let program = |ctx: &mut sqm_mpc::AdditiveCtx<M61>| {
         let v = vec![M61::from_i128(-5), M61::from_u64(40)];
         let shares = ctx.share_input(1, (ctx.id == 1).then_some(&v), 2);
         ctx.open(&shares)
     };
-    let cfg = |live: Option<LiveConfig>| {
+    let cfg = |live: Option<Arc<Collector>>| {
         MpcConfig::semi_honest(3)
             .with_latency(Duration::ZERO)
             .with_seed(12)
@@ -94,7 +90,7 @@ fn additive_runstats_bit_identical_with_live_on_and_off() {
     };
     let off = AdditiveEngine::new(cfg(None)).run::<M61, _, _>(program);
     let on_cfg = LiveConfig::default().with_flight_dir(flight_dir("additive-bitident"));
-    let on = AdditiveEngine::new(cfg(Some(on_cfg))).run::<M61, _, _>(program);
+    let on = AdditiveEngine::new(cfg(Some(collector(on_cfg)))).run::<M61, _, _>(program);
 
     assert_eq!(off.outputs, on.outputs);
     assert_eq!(off.stats.total.rounds, on.stats.total.rounds);
@@ -109,24 +105,23 @@ const GOLDEN_CRASH_DUMP: &str = concat!(
 
 #[test]
 fn crash_fault_emits_stall_event_and_deterministic_flight_dump() {
-    let _g = lock();
     let dir = flight_dir("crash");
     let seed = 9u64;
     let dump_path = dir.join(format!("flightrec_{seed}.jsonl"));
     let _ = std::fs::remove_file(&dump_path);
 
+    let collector = collector(LiveConfig::default().with_flight_dir(&dir));
     let cfg = MpcConfig::semi_honest(4)
         .with_latency(Duration::ZERO)
         .with_seed(seed)
         .with_faults(Some(FaultSpec::seeded(1).with_crash(2, 1)))
-        .with_live(Some(LiveConfig::default().with_flight_dir(&dir)));
+        .with_live(Some(collector.clone()));
     let err = MpcEngine::new(cfg)
         .try_run::<M61, _, _>(squares_program)
         .unwrap_err();
     assert_eq!(err, TransportError::Crashed { party: 2, round: 1 });
 
     // The watchdog surfaces the crash as a typed stall naming the party.
-    let collector = live::collector().expect("run installed the collector");
     let stalls = collector.stalls();
     assert!(
         stalls
@@ -167,7 +162,6 @@ fn share_then_open_additive(ctx: &mut sqm_mpc::AdditiveCtx<M61>) -> Vec<M61> {
 
 #[test]
 fn crash_is_typed_identically_by_both_engines_and_the_additive_run_dumps_too() {
-    let _g = lock();
     let dir = flight_dir("parity-crash");
     let seed = 21u64;
     let dump_path = dir.join(format!("flightrec_{seed}.jsonl"));
@@ -178,7 +172,7 @@ fn crash_is_typed_identically_by_both_engines_and_the_additive_run_dumps_too() {
             .with_seed(seed)
             .with_backend(backend.clone())
             .with_faults(Some(FaultSpec::seeded(3).with_crash(2, 1)))
-            .with_live(Some(LiveConfig::default().with_flight_dir(&dir)));
+            .with_live(Some(collector(LiveConfig::default().with_flight_dir(&dir))));
         let bgw = MpcEngine::new(cfg.clone())
             .try_run::<M61, _, _>(share_then_open_bgw)
             .unwrap_err();
@@ -202,7 +196,6 @@ fn crash_is_typed_identically_by_both_engines_and_the_additive_run_dumps_too() {
 
 #[test]
 fn additive_run_recovers_from_drops_and_delays_with_identical_counters() {
-    let _g = lock();
     let cfg = MpcConfig::semi_honest(4)
         .with_latency(Duration::ZERO)
         .with_seed(22);
@@ -231,8 +224,6 @@ fn additive_run_recovers_from_drops_and_delays_with_identical_counters() {
 
 #[test]
 fn seeded_delay_flags_exactly_the_delayed_party_at_the_right_round() {
-    let _g = lock();
-
     // Learn the workload's round count from a clean run (delay faults
     // never change the round/message structure).
     let probe = MpcEngine::new(
@@ -286,20 +277,22 @@ fn seeded_delay_flags_exactly_the_delayed_party_at_the_right_round() {
         picked.expect("no schedule seed in 0..4096 delays exactly one link");
     let threshold = timeout / 2;
 
-    let live_cfg = LiveConfig::default()
-        .with_flight_dir(flight_dir("delay"))
-        .with_stall_threshold(threshold);
+    let collector = collector(
+        LiveConfig::default()
+            .with_flight_dir(flight_dir("delay"))
+            .with_stall_threshold(threshold),
+    );
     let run = MpcEngine::new(
         MpcConfig::semi_honest(4)
             .with_latency(Duration::ZERO)
             .with_seed(13)
             .with_faults(Some(spec))
-            .with_live(Some(live_cfg)),
+            .with_live(Some(collector.clone())),
     )
     .run::<M61, _, _>(squares_program);
     assert_eq!(run.stats.total.rounds, rounds, "delays must not add rounds");
 
-    let stalls = live::collector().expect("collector installed").stalls();
+    let stalls = collector.stalls();
     assert!(
         !stalls.is_empty(),
         "the delayed round must trip the watchdog"
@@ -311,5 +304,111 @@ fn seeded_delay_flags_exactly_the_delayed_party_at_the_right_round() {
             "watchdog flagged {stalls:?}, expected party {culprit} at round {round}"
         );
         assert_eq!(s.kind, "slow_round");
+    }
+}
+
+/// Party 0's secret, shared, squared once and opened: 3 rounds.
+fn share_mul_open(ctx: &mut sqm_mpc::PartyCtx<M61>) -> Vec<M61> {
+    let x = ctx.share_input(
+        0,
+        (ctx.id == 0).then(|| vec![M61::from_u64(3)]).as_deref(),
+        1,
+    );
+    let y = ctx.mul(&x, &x);
+    ctx.open(&y)
+}
+
+/// `live: None` means unobserved, always: a run whose config carries no
+/// collector must not add to one an earlier run in this process reported
+/// to (at the parent of this change run B's rounds landed in run A's
+/// finished aggregates: party 0 rounds 3 -> 6, messages 9 -> 18).
+#[test]
+fn a_run_without_a_collector_leaves_an_earlier_runs_snapshot_alone() {
+    let cfg = |seed: u64| {
+        MpcConfig::semi_honest(4)
+            .with_latency(Duration::ZERO)
+            .with_seed(seed)
+    };
+    let collector = collector(LiveConfig::default().with_flight_dir(flight_dir("outlive")));
+    let a =
+        MpcEngine::new(cfg(3).with_live(Some(collector.clone()))).run::<M61, _, _>(share_mul_open);
+    // Every deterministic field of the finished run's view.
+    let view = |c: &Collector| {
+        let snap = c.snapshot();
+        let run = snap.run.expect("run A was bracketed");
+        let parties: Vec<(u64, u64, u64)> = snap
+            .parties
+            .iter()
+            .map(|p| (p.rounds, p.messages, p.bytes))
+            .collect();
+        let phases: Vec<(String, u64, u64, u64)> = snap
+            .phases
+            .iter()
+            .map(|(name, c)| (name.clone(), c.rounds, c.messages, c.bytes))
+            .collect();
+        (
+            snap.runs_started,
+            run.seed,
+            run.in_progress,
+            parties,
+            phases,
+        )
+    };
+    let before = view(&collector);
+    assert_eq!((before.0, before.1, before.2), (1, 3, false));
+    assert_eq!(before.3[0].0, a.stats.total.rounds);
+    let messages: u64 = before.3.iter().map(|p| p.1).sum();
+    assert_eq!(messages, a.stats.total.messages);
+
+    MpcEngine::new(cfg(99)).run::<M61, _, _>(share_mul_open);
+    assert_eq!(before, view(&collector), "run B leaked into run A's view");
+}
+
+/// Two engines of different sizes, each with its own collector and
+/// profiler, running at once: each view holds exactly its own run.
+#[test]
+fn concurrent_runs_with_their_own_observers_do_not_mix() {
+    let observed = |n: usize, seed: u64| {
+        let live = collector(LiveConfig::default().with_flight_dir(flight_dir("tenants")));
+        let prof = Profiler::new(ProfConfig::default());
+        let cfg = MpcConfig::semi_honest(n)
+            .with_latency(Duration::ZERO)
+            .with_seed(seed)
+            .with_live(Some(live.clone()))
+            .with_prof(Some(prof.clone()));
+        let run = MpcEngine::new(cfg).run::<M61, _, _>(squares_program);
+        (n, seed, run.stats, live.snapshot(), prof.snapshot())
+    };
+    let runs = std::thread::scope(|s| {
+        let a = s.spawn(|| observed(3, 31));
+        let b = s.spawn(|| observed(5, 32));
+        [a.join().unwrap(), b.join().unwrap()]
+    });
+    for (n, seed, stats, live, prof) in runs {
+        let run = live.run.expect("bracketed");
+        assert_eq!((run.n_parties, run.seed, live.runs_started), (n, seed, 1));
+        assert_eq!(live.parties.len(), n);
+        for p in &live.parties {
+            assert_eq!(p.rounds, stats.total.rounds, "P={n} party {}", p.party);
+        }
+        let sum = |f: fn(&sqm_obs::live::PartyLive) -> u64| live.parties.iter().map(f).sum::<u64>();
+        assert_eq!(sum(|p| p.messages), stats.total.messages, "P={n}");
+        assert_eq!(sum(|p| p.bytes), stats.total.bytes, "P={n}");
+        assert_eq!(
+            live.phases.keys().collect::<Vec<_>>(),
+            stats.phases.keys().collect::<Vec<_>>()
+        );
+        for (name, phase) in &stats.phases {
+            let (seen, exchange) = (&live.phases[name], format!("engine;{name};exchange"));
+            // Live counts a round once per party; RunStats takes the max.
+            assert_eq!(seen.rounds, n as u64 * phase.rounds, "P={n} {name}");
+            assert_eq!(seen.messages, phase.messages, "P={n} {name}");
+            assert_eq!(seen.bytes, phase.bytes, "P={n} {name}");
+            let node = &prof.nodes[&exchange];
+            assert_eq!(node.calls, n as u64 * phase.rounds, "P={n} {exchange}");
+            assert_eq!(node.messages, phase.messages, "P={n} {exchange}");
+            assert_eq!(node.bytes, phase.bytes, "P={n} {exchange}");
+        }
+        assert_eq!(prof.seed, seed);
     }
 }

@@ -1,29 +1,27 @@
 //! Acceptance tests for the cost profiler (`sqm_obs::prof`) at the engine
 //! level: profiling must be *passive* (outputs and every deterministic
-//! `RunStats` counter bit-identical with profiling on or off), the
+//! `RunStats` counter bit-identical with a profiler attached or not), the
 //! deterministic artifacts must be byte-identical across two same-seed
-//! runs, and the batching-opportunity report attached by `eval_mpc` must
-//! agree exactly with the circuit's own `n_mul_gates()` / `mul_depth()`.
+//! runs, the per-layer attribution `eval_mpc` records must agree exactly
+//! with the circuit's own mul widths, and a profiler must see the runs it
+//! was handed to and no others.
 //!
-//! The profiler is process-global (like the live collector), so these
-//! tests serialize on one mutex and reset the profile between runs.
+//! Every test owns its profiler, so they run in parallel.
 
-use std::sync::Mutex;
+use std::sync::Arc;
 use std::time::Duration;
 
 use sqm_field::{PrimeField, M61};
 use sqm_mpc::circuit::{Circuit, CircuitBuilder};
 use sqm_mpc::{AdditiveEngine, MpcConfig, MpcEngine, ProfConfig};
-use sqm_obs::prof;
+use sqm_obs::prof::{self, Profiler};
 
-static PROF_LOCK: Mutex<()> = Mutex::new(());
-
-fn lock() -> std::sync::MutexGuard<'static, ()> {
-    PROF_LOCK.lock().unwrap_or_else(|p| p.into_inner())
+fn profiler() -> Arc<Profiler> {
+    Profiler::new(ProfConfig::default())
 }
 
 /// Product of six inputs (two per party): mul widths 3, 1, 1 — a circuit
-/// with a real batching profile.
+/// with more than one layer to attribute.
 fn product_circuit() -> Circuit<M61> {
     let mut b = CircuitBuilder::<M61>::new(3);
     let mut wires = Vec::new();
@@ -37,12 +35,12 @@ fn product_circuit() -> Circuit<M61> {
     b.build()
 }
 
-fn run_product(prof_cfg: Option<ProfConfig>) -> sqm_mpc::MpcRun<Vec<M61>> {
+fn run_product(prof: Option<Arc<Profiler>>) -> sqm_mpc::MpcRun<Vec<M61>> {
     let circ = product_circuit();
     let cfg = MpcConfig::semi_honest(3)
         .with_latency(Duration::ZERO)
         .with_seed(33)
-        .with_prof(prof_cfg);
+        .with_prof(prof);
     MpcEngine::new(cfg).run::<M61, _, _>(move |ctx| {
         ctx.set_phase("compute");
         let my_inputs = vec![M61::from_u64(ctx.id as u64 + 2); 2];
@@ -54,12 +52,17 @@ fn run_product(prof_cfg: Option<ProfConfig>) -> sqm_mpc::MpcRun<Vec<M61>> {
 
 #[test]
 fn outputs_and_runstats_bit_identical_with_prof_on_and_off() {
-    let _g = lock();
-    prof::deactivate();
-    prof::reset();
+    let prof = profiler();
     let off = run_product(None);
-    let on = run_product(Some(ProfConfig::default().with_dir(std::env::temp_dir())));
-    assert!(prof::is_active(), "engine must install the profiler");
+    assert!(
+        prof.snapshot().nodes.is_empty(),
+        "an unprofiled run must record nothing"
+    );
+    let on = run_product(Some(prof.clone()));
+    assert!(
+        !prof.snapshot().nodes.is_empty(),
+        "the engine must profile the run"
+    );
 
     // 2^2 * 3^2 * 4^2 at every party, profiled or not.
     for run in [&off, &on] {
@@ -81,46 +84,32 @@ fn outputs_and_runstats_bit_identical_with_prof_on_and_off() {
         assert_eq!(p_off.messages, p_on.messages, "{name}");
         assert_eq!(p_off.bytes, p_on.bytes, "{name}");
     }
-    prof::deactivate();
-    prof::reset();
 }
 
 #[test]
 fn profile_is_byte_deterministic_and_batching_matches_circuit() {
-    let _g = lock();
-    prof::deactivate();
-    prof::reset();
-
-    let dir = std::env::temp_dir().join(format!("sqm-prof-mpc-{}", std::process::id()));
-    run_product(Some(ProfConfig::default().with_dir(&dir)));
-    let first = prof::snapshot().expect("profiler installed");
+    let profiled = || {
+        let prof = profiler();
+        run_product(Some(prof.clone()));
+        prof.snapshot()
+    };
+    let (first, second) = (profiled(), profiled());
     let (folded1, json1) = (prof::render_folded(&first), prof::render_json(&first));
-    prof::deactivate();
-    prof::reset();
-    run_product(Some(ProfConfig::default().with_dir(&dir)));
-    let second = prof::snapshot().expect("profiler installed");
     assert_eq!(folded1, prof::render_folded(&second));
     assert_eq!(json1, prof::render_json(&second));
+    assert_eq!(second.seed, 33, "the run's seed names the artifacts");
 
-    // The batching report eval_mpc attached agrees exactly with the
-    // circuit's own invariants.
+    // Attribution structure: per-layer mul widths exactly the circuit's
+    // own (3 parties each record the batch width), degree reductions with
+    // their field-mul bulk, the setup inversions, and per-phase exchange
+    // traffic.
     let circ = product_circuit();
-    let batching = second.batching.as_ref().expect("eval_mpc reports batching");
-    assert_eq!(batching.level_widths, vec![3, 1, 1]);
-    assert_eq!(batching.n_mul_gates, circ.n_mul_gates());
-    assert_eq!(batching.mul_depth as u32, circ.mul_depth());
-    assert_eq!(batching.n_parties, 3);
-    // 5 muls one-per-round vs 3 batched rounds, 6 messages per round.
-    assert_eq!(batching.messages_unbatched, 5 * 6);
-    assert_eq!(batching.messages_batched, 3 * 6);
-
-    // Attribution structure: per-layer mul widths (3 parties each record
-    // the batch width), degree reductions with their field-mul bulk, the
-    // setup inversions, and per-phase exchange traffic.
+    assert_eq!(circ.mul_level_widths(), vec![3, 1, 1]);
     let nodes = &second.nodes;
     assert_eq!(nodes["circuit;mul;layer0001"].work, 3 * 3);
     assert_eq!(nodes["circuit;mul;layer0002"].work, 3);
     assert_eq!(nodes["circuit;mul;layer0003"].work, 3);
+    assert!(!nodes.contains_key("circuit;mul;layer0004"));
     assert_eq!(nodes["circuit;gates;mul"].calls, 3 * 5);
     assert_eq!(nodes["engine;compute;reduce_degree"].work, 3 * (3 + 1 + 1));
     assert!(nodes.contains_key("engine;compute;reduce_degree;field_mul"));
@@ -130,21 +119,15 @@ fn profile_is_byte_deterministic_and_batching_matches_circuit() {
     assert!(nodes.contains_key("engine;open;round0004"));
     // Wall time is collected in memory but never rendered.
     assert!(!json1.contains("wall"));
-    prof::deactivate();
-    prof::reset();
 }
 
 #[test]
 fn additive_backend_records_under_additive_prefix() {
-    let _g = lock();
-    prof::deactivate();
-    prof::reset();
-
-    let dir = std::env::temp_dir().join(format!("sqm-prof-add-{}", std::process::id()));
+    let prof = profiler();
     let cfg = MpcConfig::semi_honest(3)
         .with_latency(Duration::ZERO)
         .with_seed(44)
-        .with_prof(Some(ProfConfig::default().with_dir(&dir)));
+        .with_prof(Some(prof.clone()));
     let run = AdditiveEngine::new(cfg).run::<M61, _, _>(|ctx| {
         let x = ctx.share_input(
             0,
@@ -158,7 +141,7 @@ fn additive_backend_records_under_additive_prefix() {
     for out in run.outputs {
         assert!(out.iter().all(|v| v.to_canonical() == 36));
     }
-    let snap = prof::snapshot().expect("profiler installed");
+    let snap = prof.snapshot();
     let exchange = &snap.nodes["additive;default;exchange"];
     // share + mask-open + final open = 3 rounds per party.
     assert_eq!(exchange.calls, 3 * 3);
@@ -166,6 +149,37 @@ fn additive_backend_records_under_additive_prefix() {
     assert_eq!(exchange.bytes, run.stats.total.bytes);
     assert!(snap.nodes.contains_key("additive;default;round0000"));
     assert!(!snap.nodes.keys().any(|k| k.starts_with("engine;")));
-    prof::deactivate();
-    prof::reset();
+}
+
+/// `prof: None` means unprofiled, always: a run whose config carries no
+/// profiler must not add to one an earlier run in this process was handed.
+#[test]
+fn a_run_without_a_profiler_leaves_an_earlier_runs_profile_alone() {
+    let share_mul_open = |ctx: &mut sqm_mpc::PartyCtx<M61>| {
+        let x = ctx.share_input(
+            0,
+            (ctx.id == 0).then(|| vec![M61::from_u64(3)]).as_deref(),
+            1,
+        );
+        let y = ctx.mul(&x, &x);
+        ctx.open(&y)
+    };
+    let cfg = |seed: u64| {
+        MpcConfig::semi_honest(4)
+            .with_latency(Duration::ZERO)
+            .with_seed(seed)
+    };
+    let prof = profiler();
+    let a = MpcEngine::new(cfg(3).with_prof(Some(prof.clone()))).run::<M61, _, _>(share_mul_open);
+    let before = prof.snapshot();
+    let profiled: u64 = before.nodes.values().map(|n| n.messages).sum();
+    assert_eq!(profiled, 2 * a.stats.total.messages);
+
+    MpcEngine::new(cfg(99)).run::<M61, _, _>(share_mul_open);
+    let after = prof.snapshot();
+    assert_eq!(
+        before.nodes, after.nodes,
+        "run B leaked into run A's profile"
+    );
+    assert_eq!(after.seed, 3);
 }

@@ -86,6 +86,8 @@ impl<F: PrimeField> Transport<F> for ChannelEndpoint<F> {
             messages,
             bytes,
             elems,
+            events: Vec::new(),
+            link_walls: Vec::new(),
         })
     }
 }

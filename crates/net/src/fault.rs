@@ -27,7 +27,7 @@
 //! `RunStats` traffic counts therefore stay those of *successful*
 //! payloads; the retry traffic shows up in the metrics registry
 //! (`net.fault.retransmits`, `net.fault.dropped_messages`) and in the
-//! trace's [`NetEvent`] stream instead.
+//! round's [`NetEvent`]s ([`RoundOutcome::events`]) instead.
 
 use std::time::Duration;
 
@@ -163,16 +163,11 @@ pub fn schedule(spec: &FaultSpec, from: usize, to: usize, round: u64) -> LinkFau
 pub struct FaultTransport<F: PrimeField> {
     inner: Box<dyn Transport<F>>,
     spec: FaultSpec,
-    events: Vec<NetEvent>,
 }
 
 impl<F: PrimeField> FaultTransport<F> {
     pub fn new(inner: Box<dyn Transport<F>>, spec: FaultSpec) -> Self {
-        FaultTransport {
-            inner,
-            spec,
-            events: Vec::new(),
-        }
+        FaultTransport { inner, spec }
     }
 }
 
@@ -215,6 +210,7 @@ impl<F: PrimeField> Transport<F> for FaultTransport<F> {
         // round's injected cost is the worst link, since sends to distinct
         // destinations proceed concurrently on a real network.
         let mut injected = Duration::ZERO;
+        let mut events = Vec::new();
         for (to, payload) in outgoing.iter().enumerate() {
             if to == me || payload.is_empty() {
                 continue;
@@ -231,7 +227,7 @@ impl<F: PrimeField> Transport<F> for FaultTransport<F> {
             if fault.dropped_attempts > 0 {
                 metrics::counter_add("net.fault.dropped_messages", 1);
                 metrics::counter_add("net.fault.retransmits", fault.dropped_attempts as u64);
-                self.events.push(NetEvent {
+                events.push(NetEvent {
                     party: me,
                     round,
                     peer: to,
@@ -240,7 +236,7 @@ impl<F: PrimeField> Transport<F> for FaultTransport<F> {
                 });
             }
             if fault.delay > Duration::ZERO {
-                self.events.push(NetEvent {
+                events.push(NetEvent {
                     party: me,
                     round,
                     peer: to,
@@ -256,13 +252,9 @@ impl<F: PrimeField> Transport<F> for FaultTransport<F> {
             std::thread::sleep(injected);
         }
 
-        self.inner.exchange_stamped(outgoing, headers)
-    }
-
-    fn drain_events(&mut self) -> Vec<NetEvent> {
-        let mut events = std::mem::take(&mut self.events);
-        events.extend(self.inner.drain_events());
-        events
+        let mut outcome = self.inner.exchange_stamped(outgoing, headers)?;
+        outcome.events.extend(events);
+        Ok(outcome)
     }
 }
 
@@ -428,11 +420,8 @@ mod tests {
                     let spec = spec.clone();
                     s.spawn(move || {
                         let mut t = FaultTransport::new(Box::new(ep), spec);
-                        for _ in 0..64 {
-                            t.broadcast(vec![M61::ONE]).unwrap();
-                        }
-                        t.drain_events()
-                            .iter()
+                        (0..64)
+                            .flat_map(|_| t.broadcast(vec![M61::ONE]).unwrap().events)
                             .filter(|e| e.kind == "retransmit")
                             .count()
                     })

@@ -43,17 +43,16 @@ use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use sqm_field::PrimeField;
-use sqm_obs::live;
 use sqm_obs::metrics;
-use sqm_obs::trace::NetEvent;
+use sqm_obs::round::LinkWall;
 
 use crate::error::{TransportError, WireError};
 use crate::transport::{RoundOutcome, Transport};
 use crate::wire::{self, Frame, TraceHeader};
 
-/// Read-side result of one exchange: per-sender payloads plus the optional
-/// trace header decoded from each frame.
-type ReadHalf<F> = Result<(Vec<Vec<F>>, Vec<Option<TraceHeader>>), TransportError>;
+/// Read-side result of one exchange: per-sender payloads, the optional
+/// trace header decoded from each frame, and how long each read took.
+type ReadHalf<F> = Result<(Vec<Vec<F>>, Vec<Option<TraceHeader>>, Vec<Duration>), TransportError>;
 
 /// Hello preamble: magic, sender id, receiver id (validates pairing).
 const HELLO_MAGIC: u32 = 0x5351_4D4E; // "SQMN"
@@ -121,7 +120,6 @@ pub struct TcpEndpoint<F: PrimeField> {
     writers: Vec<Option<TcpStream>>,
     /// `readers[i]` carries `i -> me` traffic (`None` at the self slot).
     readers: Vec<Option<TcpStream>>,
-    events: Vec<NetEvent>,
     _field: PhantomData<F>,
 }
 
@@ -302,7 +300,6 @@ pub fn tcp_mesh<F: PrimeField>(
             read_timeout: opts.read_timeout,
             writers: w,
             readers: r,
-            events: Vec::new(),
             _field: PhantomData,
         })
         .collect())
@@ -359,47 +356,32 @@ impl<F: PrimeField> Transport<F> for TcpEndpoint<F> {
                 Some(Frame::<F>::encode(payload, header.as_ref()))
             })
             .collect();
-        let frames_sent = frames.iter().flatten().count() as u64;
-
         let writers = &mut self.writers;
         let readers = &mut self.readers;
-        // Per-link latency histograms are priced at one `is_enabled` load
-        // per exchange, not per frame; the timing itself only runs when the
-        // registry is on. Live telemetry shares the same measurements and
-        // publishes per-link send/recv events out-of-band of the byte
-        // accounting.
-        let timing = metrics::is_enabled();
-        let live_on = live::is_active();
+        // Each link's send and receive are timed unconditionally (two clock
+        // reads apiece): the endpoint cannot know whether the run's
+        // observers want them, and the round's outcome is where they look.
         let (write_result, read_result) = std::thread::scope(|s| {
-            let writer = s.spawn(move || -> Result<(), TransportError> {
+            let writer = s.spawn(move || -> Result<Vec<Duration>, TransportError> {
+                let mut walls = vec![Duration::ZERO; n];
                 for (j, frame) in frames.iter().enumerate() {
                     let Some(frame) = frame else { continue };
                     let stream = writers[j].as_mut().expect("writer socket present");
-                    let t0 = (timing || live_on).then(Instant::now);
+                    let t0 = Instant::now();
                     write_frame(stream, frame.as_ref(), j, round)?;
-                    if let Some(t0) = t0 {
-                        let elapsed = t0.elapsed();
-                        if timing {
-                            metrics::histogram_record(
-                                &format!("net.tcp.send_ns.p{id}_to_p{j}"),
-                                elapsed.as_nanos() as f64,
-                            );
-                        }
-                        if live_on {
-                            live::publish(live::LiveEvent::link(id, round, j, true, elapsed));
-                        }
-                    }
+                    walls[j] = t0.elapsed();
                 }
-                Ok(())
+                Ok(walls)
             });
             let read = (|| -> ReadHalf<F> {
                 let mut incoming: Vec<Vec<F>> = (0..n).map(|_| Vec::new()).collect();
                 let mut in_headers: Vec<Option<TraceHeader>> = vec![None; n];
+                let mut walls = vec![Duration::ZERO; n];
                 for (i, reader) in readers.iter_mut().enumerate() {
                     let Some(stream) = reader.as_mut() else {
                         continue;
                     };
-                    let t0 = (timing || live_on).then(Instant::now);
+                    let t0 = Instant::now();
                     let wire_err = |source| TransportError::Wire {
                         party: i,
                         round,
@@ -409,33 +391,20 @@ impl<F: PrimeField> Transport<F> for TcpEndpoint<F> {
                     let frame = Frame::<F>::decode(raw).map_err(wire_err)?;
                     in_headers[i] = frame.header;
                     incoming[i] = frame.elements;
-                    if let Some(t0) = t0 {
-                        let elapsed = t0.elapsed();
-                        if timing {
-                            metrics::histogram_record(
-                                &format!("net.tcp.recv_ns.p{i}_to_p{id}"),
-                                elapsed.as_nanos() as f64,
-                            );
-                        }
-                        if live_on {
-                            live::publish(live::LiveEvent::link(id, round, i, false, elapsed));
-                        }
-                    }
+                    walls[i] = t0.elapsed();
                 }
-                Ok((incoming, in_headers))
+                Ok((incoming, in_headers, walls))
             })();
             (writer.join().expect("tcp writer thread panicked"), read)
         });
 
         // Prefer the read-side error: it attributes the failure to the peer
         // whose data never arrived, which is the actionable diagnosis.
-        let (mut incoming, mut in_headers) = read_result?;
-        write_result?;
+        let (mut incoming, mut in_headers, recv_walls) = read_result?;
+        let send_walls = write_result?;
         incoming[id] = loopback;
         in_headers[id] = loopback_header;
 
-        metrics::counter_add("net.tcp.frames_sent", frames_sent);
-        metrics::counter_add("net.tcp.payload_bytes_sent", bytes);
         self.round += 1;
         Ok(RoundOutcome {
             incoming,
@@ -443,11 +412,16 @@ impl<F: PrimeField> Transport<F> for TcpEndpoint<F> {
             messages,
             bytes,
             elems,
+            events: Vec::new(),
+            link_walls: (0..n)
+                .filter(|&peer| peer != id)
+                .map(|peer| LinkWall {
+                    peer,
+                    send: send_walls[peer],
+                    recv: recv_walls[peer],
+                })
+                .collect(),
         })
-    }
-
-    fn drain_events(&mut self) -> Vec<NetEvent> {
-        std::mem::take(&mut self.events)
     }
 }
 
@@ -624,40 +598,40 @@ mod tests {
     }
 
     #[test]
-    fn per_link_latency_histograms_recorded_when_metrics_on() {
-        let mut eps = tcp_mesh::<M61>(2, &TcpOptions::default()).unwrap();
-        metrics::set_enabled(true);
-        thread::scope(|s| {
-            for ep in eps.iter_mut() {
-                s.spawn(move || {
-                    let id = Transport::<M61>::id(ep);
-                    let out: Vec<Vec<M61>> = (0..2)
-                        .map(|j| {
-                            if j == id {
-                                vec![]
-                            } else {
-                                vec![M61::from_u64(7); 3]
-                            }
-                        })
-                        .collect();
-                    ep.exchange(out).unwrap();
-                });
-            }
+    fn per_link_walls_reported_in_the_round_outcome() {
+        let mut eps = tcp_mesh::<M61>(3, &TcpOptions::default()).unwrap();
+        let outcomes: Vec<RoundOutcome<M61>> = thread::scope(|s| {
+            let handles: Vec<_> = eps
+                .iter_mut()
+                .map(|ep| {
+                    s.spawn(move || {
+                        let id = Transport::<M61>::id(ep);
+                        let out: Vec<Vec<M61>> = (0..3)
+                            .map(|j| {
+                                if j == id {
+                                    vec![]
+                                } else {
+                                    vec![M61::from_u64(7); 3]
+                                }
+                            })
+                            .collect();
+                        ep.exchange(out).unwrap()
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
         });
-        metrics::set_enabled(false);
-        let snap = metrics::snapshot();
-        for name in [
-            "net.tcp.send_ns.p0_to_p1",
-            "net.tcp.send_ns.p1_to_p0",
-            "net.tcp.recv_ns.p0_to_p1",
-            "net.tcp.recv_ns.p1_to_p0",
-        ] {
-            let h = snap
-                .histograms
-                .get(name)
-                .unwrap_or_else(|| panic!("missing histogram {name}"));
-            assert!(h.count >= 1, "{name} recorded no samples");
-            assert!(h.min >= 0.0);
+        // One entry per directed link out of (and into) each party, with no
+        // observer attached and the metrics registry off.
+        for (me, outcome) in outcomes.iter().enumerate() {
+            let peers: Vec<usize> = outcome.link_walls.iter().map(|l| l.peer).collect();
+            let want: Vec<usize> = (0..3).filter(|&p| p != me).collect();
+            assert_eq!(peers, want, "party {me}");
+            for l in &outcome.link_walls {
+                assert!(l.send > Duration::ZERO, "{me}->{}: no send wall", l.peer);
+                assert!(l.recv > Duration::ZERO, "{}->{me}: no recv wall", l.peer);
+            }
+            assert!(outcome.events.is_empty());
         }
     }
 

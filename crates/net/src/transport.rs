@@ -8,6 +8,7 @@
 //! name the round they occurred in.
 
 use sqm_field::PrimeField;
+use sqm_obs::round::LinkWall;
 use sqm_obs::trace::NetEvent;
 
 use crate::channel;
@@ -37,6 +38,13 @@ pub struct RoundOutcome<F> {
     /// Field elements this party sent in non-empty payloads to other
     /// parties. Identical across backends.
     pub elems: u64,
+    /// Transport incidents of this round (injected delays, retransmits),
+    /// in the order they occurred. A round that fails reports none: the run
+    /// is abandoned with the typed error instead.
+    pub events: Vec<NetEvent>,
+    /// One send wall and one receive wall per peer, on backends that move
+    /// real frames (TCP); empty in-process.
+    pub link_walls: Vec<LinkWall>,
 }
 
 /// One party's connection to the full mesh.
@@ -87,13 +95,6 @@ pub trait Transport<F: PrimeField>: Send {
     fn broadcast(&mut self, payload: Vec<F>) -> Result<RoundOutcome<F>, TransportError> {
         let n = self.n_parties();
         self.exchange(vec![payload; n])
-    }
-
-    /// Drain transport-level events (injected faults, retransmits,
-    /// reconnects) accumulated since the last call. Backends without
-    /// incidents return nothing.
-    fn drain_events(&mut self) -> Vec<NetEvent> {
-        Vec::new()
     }
 }
 

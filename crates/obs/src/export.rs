@@ -686,40 +686,17 @@ pub fn html_report_full(
     out
 }
 
-/// The "Cost profile" report section: batching-opportunity summary plus
-/// the self-contained SVG flamegraph. Deterministic for a given snapshot
+/// The "Cost profile" report section: node count and seed plus the
+/// self-contained SVG flamegraph. Deterministic for a given snapshot
 /// (key-sorted layout, hash-stable colors, no wall time).
 fn flamegraph_section(prof: &crate::prof::ProfSnapshot) -> String {
     let mut out = String::with_capacity(8 * 1024);
     out.push_str("<h2>Cost profile (flamegraph)</h2>\n<p class=\"meta\">");
     out.push_str(&format!(
-        "{} attribution node(s), seed {}",
+        "{} attribution node(s), seed {}</p>\n",
         prof.nodes.len(),
         prof.seed
     ));
-    if let Some(b) = &prof.batching {
-        out.push_str(&format!(
-            " · batching opportunity: {} secure mul(s) over {} round(s) — \
-             {} reduce-degree messages gate-at-a-time vs {} round-batched \
-             (x{:.1} reduction, P = {})",
-            b.n_mul_gates,
-            b.mul_depth,
-            b.messages_unbatched,
-            b.messages_batched,
-            b.reduction_factor(),
-            b.n_parties,
-        ));
-    }
-    out.push_str("</p>\n");
-    if let Some(b) = &prof.batching {
-        out.push_str(
-            "<table>\n<tr><th>independent-mul width</th><th>rounds at this width</th></tr>\n",
-        );
-        for (width, count) in &b.width_histogram {
-            out.push_str(&format!("<tr><td>{width}</td><td>{count}</td></tr>\n"));
-        }
-        out.push_str("</table>\n");
-    }
     out.push_str(&crate::prof::render_flamegraph_svg(prof));
     out
 }
@@ -1050,7 +1027,7 @@ mod tests {
 
     #[test]
     fn html_report_renders_cost_profile_section_when_given() {
-        use crate::prof::{BatchingReport, NodeAgg, ProfSnapshot};
+        use crate::prof::{NodeAgg, ProfSnapshot};
         let mut nodes = std::collections::BTreeMap::new();
         nodes.insert(
             "engine;compute;reduce_degree".to_string(),
@@ -1064,11 +1041,10 @@ mod tests {
             seed: 5,
             dir: PathBuf::new(),
             nodes,
-            batching: Some(BatchingReport::from_level_widths(vec![16], 4)),
         };
         let html = html_report_full("prof run", &sample_trace(), None, None, None, Some(&snap));
         assert!(html.contains("Cost profile (flamegraph)"));
-        assert!(html.contains("x16.0 reduction"));
+        assert!(html.contains("1 attribution node(s), seed 5"));
         assert!(!html.contains("<script") && !html.contains("http://"));
         let standalone = flamegraph_html("prof", &snap);
         assert!(standalone.starts_with("<!DOCTYPE html>"));

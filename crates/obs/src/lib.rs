@@ -5,6 +5,9 @@
 //! accounting alone answers "how much" — not "where", "when", or "under
 //! what privacy claim". This crate adds the missing views:
 //!
+//! * [`round`] — the spine: one [`round::RoundEvent`] per party per
+//!   exchange, fanned out by observers the *run* owns to the trace, live
+//!   telemetry, cost profiler and metrics below — why those views agree.
 //! * [`trace`] — structured span/round records keyed to the **simulated
 //!   clock**. Each MPC party thread owns a lock-free [`trace::PartyRecorder`]
 //!   fed from the same code paths (and the *same* `Instant` measurements) as
@@ -49,26 +52,27 @@
 //!   slow-request recorder whose `slowreq_<seed>.jsonl` dump is
 //!   byte-deterministic (flight-recorder discipline: counters and
 //!   structure only, never measured wall time).
-//! * [`prof`] — a deterministic hierarchical cost profiler: `;`-separated
-//!   collapsed-stack paths attribute engine cost to circuit layers, gate
-//!   kinds, degree reductions, bulk field ops and sampler draws; a
-//!   batching-opportunity analyzer ([`prof::BatchingReport`]) predicts the
-//!   message-count reduction of round-batched multiplication frames; and
-//!   the exporters (folded format, deterministic `prof_<seed>.json`,
-//!   self-contained SVG flamegraph) never carry wall time, so same-seed
-//!   runs dump byte-identical artifacts.
-//! * [`live`] — streaming telemetry for runs *in flight*: a bounded
-//!   lock-free event ring the engines and the TCP transport publish
-//!   per-round events into, a background aggregator with rolling per-party
-//!   / per-phase counters and latency quantiles, a stall watchdog emitting
+//! * [`prof`] — a deterministic hierarchical cost profiler: a
+//!   [`prof::Profiler`] handle the embedder creates and attaches to runs;
+//!   `;`-separated collapsed-stack paths attribute engine cost to circuit
+//!   layers, gate kinds, degree reductions, bulk field ops and sampler
+//!   draws; and the exporters (folded format, deterministic
+//!   `prof_<seed>.json`, self-contained SVG flamegraph) never carry wall
+//!   time, so same-seed runs dump byte-identical artifacts.
+//! * [`live`] — streaming telemetry for runs *in flight*: a
+//!   [`live::Collector`] handle the embedder creates and attaches to runs,
+//!   holding a bounded lock-free event ring every observed round is
+//!   published into, a background aggregator with rolling per-party /
+//!   per-phase counters and latency quantiles, a stall watchdog emitting
 //!   typed [`live::StallEvent`]s, a crash flight recorder dumping
 //!   `results/flightrec_<seed>.jsonl` on failure, and a std-only HTTP
 //!   endpoint serving Prometheus text at `/metrics` and JSON at
 //!   `/snapshot`.
 //!
 //! Everything here is *passive*: recording is driven by the `mpc`/`vfl`
-//! layers behind `trace: bool` config flags, and the experiment binaries
-//! gate exports behind `--trace` / `SQM_TRACE=1`.
+//! layers from what a run's config attaches (`trace: bool`, a collector, a
+//! profiler), and the experiment binaries gate exports behind `--trace` /
+//! `SQM_TRACE=1`. Only [`metrics`] is process-wide, by decision.
 
 pub mod causal;
 pub mod export;
@@ -78,6 +82,7 @@ pub mod ledger;
 pub mod live;
 pub mod metrics;
 pub mod prof;
+pub mod round;
 pub mod span;
 pub mod trace;
 
@@ -89,7 +94,7 @@ pub use export::{
 };
 pub use ledger::{LedgerEntry, LedgerReport, PrivacyLedger};
 pub use live::{LiveConfig, LiveEvent, LiveSnapshot, StallEvent};
-pub use prof::{BatchingReport, ProfConfig, ProfSnapshot};
+pub use prof::{ProfConfig, ProfSnapshot};
 pub use span::{
     CriticalSummary, FinishedRequest, PartyCost, RequestContext, RequestOutcome, SloBucket,
     SloSnapshot, Span, SpanCollector, SpanConfig,

@@ -6,12 +6,12 @@
 //! ledgers and causal DAGs exist only after `try_run` returns. This module
 //! makes a run visible *while it executes*:
 //!
-//! * **Event ring** — both MPC engines and the TCP transport publish
-//!   fixed-size [`LiveEvent`]s into a bounded lock-free MPMC ring
-//!   (Vyukov-style sequence-stamped slots). Producers never block and never
-//!   allocate: when the ring is full the event is dropped and counted, so
-//!   telemetry can never stall the engine's round path. When no collector
-//!   is installed, [`publish`] is a single relaxed atomic load.
+//! * **Event ring** — every observed round is published by the run's
+//!   observer ([`crate::round`]) as fixed-size [`LiveEvent`]s into a bounded
+//!   lock-free MPMC ring (Vyukov-style sequence-stamped slots). Producers
+//!   never block and never allocate: when the ring is full the event is
+//!   dropped and counted, so telemetry can never stall the engine's round
+//!   path.
 //! * **Aggregator** — a background thread (or any `/metrics` request)
 //!   drains the ring into rolling per-party / per-phase counters and
 //!   round-wall latency quantiles over a bounded window.
@@ -34,13 +34,17 @@
 //!   (live aggregates plus the [`crate::metrics`] registry, keys always in
 //!   sorted order) and a JSON [`LiveSnapshot`] at `/snapshot`.
 //!
-//! The collector is process-global, like the metrics registry: engines gate
-//! publishing on [`is_active`], and bracket runs with [`begin_run`] /
-//! [`RunGuard::finish`] when their config carries a `LiveConfig`. One live
-//! run is aggregated at a time; overlapping runs mix aggregates (harmless)
-//! but the flight recorder and watchdog follow the most recent
-//! [`begin_run`]. Nothing here touches `RunStats` or the trace: the
-//! accounting contracts are bit-identical with live telemetry on or off.
+//! A [`Collector`] is a value: the embedder creates one from a
+//! [`LiveConfig`] and hands the `Arc` to the runs it wants to watch
+//! (`MpcConfig::with_live`); a run whose config carries none publishes
+//! nothing, anywhere. The collector owns its config, its aggregator thread
+//! and its HTTP endpoint, and all three end when the last handle is
+//! dropped. One live run is aggregated at a time per collector: overlapping
+//! runs on one handle mix aggregates (harmless) while the flight recorder
+//! and watchdog follow the most recent [`Collector::begin_run`]; runs that
+//! must not mix take a collector each. Nothing here touches `RunStats` or
+//! the trace: the accounting contracts are bit-identical with live
+//! telemetry on or off.
 
 use std::cell::UnsafeCell;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
@@ -49,7 +53,8 @@ use std::mem::MaybeUninit;
 use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use serde::{json, Serialize};
@@ -62,8 +67,7 @@ use crate::metrics::{self, MetricsSnapshot};
 // Configuration
 // ---------------------------------------------------------------------------
 
-/// Configuration for live telemetry, carried as `live: Option<LiveConfig>`
-/// on `MpcConfig` / `VflConfig` and installed process-wide on first use.
+/// Configuration of one [`Collector`], which owns it for its whole life.
 #[derive(Clone, Debug)]
 pub struct LiveConfig {
     /// HTTP bind address for `/metrics` + `/snapshot` (e.g.
@@ -301,7 +305,7 @@ struct Slot {
 /// block: a full ring drops the event and bumps a counter. The consumer
 /// side is also lock-free, though the collector serializes consumers behind
 /// its state mutex anyway.
-pub(crate) struct EventRing {
+struct EventRing {
     mask: usize,
     slots: Box<[Slot]>,
     enqueue_pos: AtomicUsize,
@@ -476,7 +480,7 @@ pub struct LinkLive {
 }
 
 /// Metadata for the run currently (or most recently) bracketed by
-/// [`begin_run`].
+/// [`Collector::begin_run`].
 #[derive(Clone, Debug, Serialize)]
 pub struct RunLive {
     pub seed: u64,
@@ -758,41 +762,18 @@ impl RunError {
             round,
         }
     }
-
-    /// The digest used when a party thread panics (no typed error to mine).
-    pub fn panic() -> Self {
-        RunError::new("panic", None, None)
-    }
 }
 
-/// The telemetry collector: ring + aggregation state + optional background
-/// threads. Usually accessed through the process-global instance
-/// ([`install`] / [`publish`] / [`begin_run`]); tests may drive a detached
-/// instance synchronously via [`Collector::pump`].
-pub struct Collector {
+/// Ring + aggregation state: what a collector's handle, its aggregator
+/// thread and its HTTP handler share.
+struct Shared {
+    config: LiveConfig,
     ring: EventRing,
     state: Mutex<AggState>,
     stop: AtomicBool,
-    threads: Mutex<Vec<std::thread::JoinHandle<()>>>,
-    http: Mutex<Option<HttpServer>>,
 }
 
-impl Collector {
-    pub fn new(config: &LiveConfig) -> Arc<Self> {
-        Arc::new(Collector {
-            ring: EventRing::new(config.ring_capacity),
-            state: Mutex::new(AggState::default()),
-            stop: AtomicBool::new(false),
-            threads: Mutex::new(Vec::new()),
-            http: Mutex::new(None),
-        })
-    }
-
-    /// Push one event (never blocks; drops + counts when full).
-    pub fn publish(&self, event: LiveEvent) {
-        self.ring.try_push(event);
-    }
-
+impl Shared {
     fn lock_state(&self) -> MutexGuard<'_, AggState> {
         // Same poison policy as the metrics registry: a consumer that died
         // mid-aggregation loses at most one event.
@@ -803,9 +784,9 @@ impl Collector {
     }
 
     /// Drain the ring into the aggregates and run the watchdog once.
-    /// Called by the background aggregator, by every HTTP request (so
-    /// `/metrics` is fresh even between polls), and directly by tests.
-    pub fn pump(&self) {
+    /// Called by the aggregator thread, by every HTTP request (so
+    /// `/metrics` is fresh even between polls), and by every read.
+    fn pump(&self) {
         let mut state = self.lock_state();
         let mut emitted = 0;
         while let Some(event) = self.ring.pop() {
@@ -819,57 +800,7 @@ impl Collector {
         state.stalls_total += emitted;
     }
 
-    fn begin_run(&self, settings: &LiveConfig, n_parties: usize, seed: u64) {
-        self.pump();
-        let mut state = self.lock_state();
-        state.runs_started += 1;
-        state.run = Some(RunAgg::new(settings.clone(), n_parties, seed));
-    }
-
-    fn end_run(&self, error: Option<RunError>) {
-        self.pump();
-        let mut state = self.lock_state();
-        let Some(run) = state.run.as_mut() else {
-            return;
-        };
-        let mut emitted = run.resolve_pending(true);
-        run.in_progress = false;
-        let failed = error.is_some();
-        if let Some(err) = &error {
-            run.error = Some(match (err.party, err.round) {
-                (Some(p), Some(r)) => format!("{} party={p} round={r}", err.kind),
-                (Some(p), None) => format!("{} party={p}", err.kind),
-                _ => err.kind.clone(),
-            });
-            // A crash names its party and round exactly; synthesize the
-            // typed stall the watchdog may not have seen complete.
-            if let Some(party) = err.party.filter(|&p| p < run.n_parties) {
-                let round = err.round.unwrap_or(run.parties[party].last_round);
-                let gap = run.parties[party].last_seen.elapsed();
-                if run.record_stall(party, round, gap, "crash") {
-                    emitted += 1;
-                }
-            }
-            let dump = render_flight_dump(run);
-            let path = run
-                .settings
-                .flight_dir
-                .join(format!("flightrec_{}.jsonl", run.seed));
-            if let Err(e) = atomic_write_str(&path, &dump) {
-                eprintln!(
-                    "[live] flight-recorder dump to {} failed: {e}",
-                    path.display()
-                );
-            }
-        }
-        state.stalls_total += emitted;
-        if failed {
-            state.runs_failed += 1;
-        }
-    }
-
-    /// Build the JSON/Prometheus view (after a [`Collector::pump`]).
-    pub fn snapshot(&self) -> LiveSnapshot {
+    fn snapshot(&self) -> LiveSnapshot {
         self.pump();
         let state = self.lock_state();
         let mut snap = LiveSnapshot {
@@ -917,68 +848,149 @@ impl Collector {
         }
         snap
     }
+}
+
+/// The telemetry collector an embedder holds: the ring and aggregates its
+/// runs publish into, the background aggregator that drains them, and (when
+/// [`LiveConfig::addr`] is set) the HTTP endpoint. Dropping the last handle
+/// stops the aggregator and shuts the endpoint down.
+pub struct Collector {
+    shared: Arc<Shared>,
+    aggregator: Option<JoinHandle<()>>,
+    http: Option<HttpServer>,
+}
+
+impl std::fmt::Debug for Collector {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Collector")
+            .field("config", &self.shared.config)
+            .finish_non_exhaustive()
+    }
+}
+
+impl Collector {
+    /// Start a collector: spawn its aggregator and, when `config.addr` is
+    /// set, bind `/metrics` + `/snapshot` there (the only way this fails).
+    pub fn new(config: LiveConfig) -> io::Result<Arc<Collector>> {
+        let shared = Arc::new(Shared {
+            ring: EventRing::new(config.ring_capacity),
+            state: Mutex::new(AggState::default()),
+            stop: AtomicBool::new(false),
+            config,
+        });
+        let serve = |addr: &String| {
+            let shared = Arc::clone(&shared);
+            let handler = move |req: &HttpRequest| handle_live_request(req, &shared);
+            HttpServer::bind(addr, "sqm-live-http", Arc::new(handler))
+        };
+        let http = shared.config.addr.as_ref().map(serve).transpose()?;
+        let aggregator = {
+            let shared = Arc::clone(&shared);
+            std::thread::Builder::new()
+                .name("sqm-live-agg".to_string())
+                .spawn(move || {
+                    while !shared.stop.load(Ordering::Relaxed) {
+                        shared.pump();
+                        // Woken early by the handle's Drop.
+                        std::thread::park_timeout(shared.config.poll);
+                    }
+                })
+                .expect("spawn live aggregator")
+        };
+        Ok(Arc::new(Collector {
+            shared,
+            aggregator: Some(aggregator),
+            http,
+        }))
+    }
+
+    /// Push one event (never blocks; drops + counts when full).
+    pub fn publish(&self, event: LiveEvent) {
+        self.shared.ring.try_push(event);
+    }
+
+    /// Bracket one engine run: reset per-run aggregation. Every begun run
+    /// must be ended with [`Collector::end_run`], also when it panics
+    /// (`crate::round::RunObserver` does so from its `Drop`).
+    pub fn begin_run(&self, n_parties: usize, seed: u64) {
+        self.shared.pump();
+        let mut state = self.shared.lock_state();
+        state.runs_started += 1;
+        state.run = Some(RunAgg::new(self.shared.config.clone(), n_parties, seed));
+    }
+
+    /// End the current run. `None`: it completed — resolve the watchdog and
+    /// leave the aggregates visible. `Some(error)`: it failed — synthesize
+    /// the crash stall and dump the flight recorder.
+    pub fn end_run(&self, error: Option<RunError>) {
+        self.shared.pump();
+        let mut state = self.shared.lock_state();
+        let Some(run) = state.run.as_mut() else {
+            return;
+        };
+        let mut emitted = run.resolve_pending(true);
+        run.in_progress = false;
+        let failed = error.is_some();
+        if let Some(err) = &error {
+            run.error = Some(match (err.party, err.round) {
+                (Some(p), Some(r)) => format!("{} party={p} round={r}", err.kind),
+                (Some(p), None) => format!("{} party={p}", err.kind),
+                _ => err.kind.clone(),
+            });
+            // A crash names its party and round exactly; synthesize the
+            // typed stall the watchdog may not have seen complete.
+            if let Some(party) = err.party.filter(|&p| p < run.n_parties) {
+                let round = err.round.unwrap_or(run.parties[party].last_round);
+                let gap = run.parties[party].last_seen.elapsed();
+                if run.record_stall(party, round, gap, "crash") {
+                    emitted += 1;
+                }
+            }
+            let dump = render_flight_dump(run);
+            let path = run
+                .settings
+                .flight_dir
+                .join(format!("flightrec_{}.jsonl", run.seed));
+            if let Err(e) = atomic_write_str(&path, &dump) {
+                eprintln!(
+                    "[live] flight-recorder dump to {} failed: {e}",
+                    path.display()
+                );
+            }
+        }
+        state.stalls_total += emitted;
+        if failed {
+            state.runs_failed += 1;
+        }
+    }
+
+    /// The JSON/Prometheus view, with everything published so far drained
+    /// into it.
+    pub fn snapshot(&self) -> LiveSnapshot {
+        self.shared.snapshot()
+    }
 
     /// Stalls recorded for the current (or most recent) run.
     pub fn stalls(&self) -> Vec<StallEvent> {
-        self.pump();
-        let state = self.lock_state();
-        state
-            .run
-            .as_ref()
-            .map(|r| r.stalls.clone())
-            .unwrap_or_default()
+        self.snapshot().stalls
     }
 
-    /// Spawn the background aggregator (idempotent per call site; callers
-    /// only invoke this once per collector).
-    pub fn spawn_aggregator(self: &Arc<Self>, poll: Duration) {
-        let collector = Arc::clone(self);
-        let handle = std::thread::Builder::new()
-            .name("sqm-live-agg".to_string())
-            .spawn(move || {
-                while !collector.stop.load(Ordering::Relaxed) {
-                    collector.pump();
-                    std::thread::sleep(poll);
-                }
-            })
-            .expect("spawn live aggregator");
-        self.threads.lock().unwrap().push(handle);
-    }
-
-    /// Bind the HTTP endpoint and serve `/metrics` + `/snapshot` until
-    /// [`Collector::stop`]. Returns the bound address (useful with port 0).
-    pub fn start_server(self: &Arc<Self>, addr: &str) -> io::Result<SocketAddr> {
-        let mut slot = self.http.lock().unwrap();
-        if let Some(server) = slot.as_ref() {
-            return Ok(server.local_addr());
-        }
-        let collector = Arc::clone(self);
-        let server = HttpServer::bind(
-            addr,
-            "sqm-live-http",
-            Arc::new(move |req: &HttpRequest| handle_live_request(req, &collector)),
-        )?;
-        let bound = server.local_addr();
-        *slot = Some(server);
-        Ok(bound)
-    }
-
-    /// Address the HTTP endpoint is bound to, if serving.
+    /// Address the HTTP endpoint is bound to, if serving (useful with
+    /// port 0).
     pub fn bound_addr(&self) -> Option<SocketAddr> {
-        self.http.lock().unwrap().as_ref().map(|s| s.local_addr())
+        self.http.as_ref().map(HttpServer::local_addr)
     }
+}
 
-    /// Stop background threads (detached/test collectors; the process-global
-    /// collector lives for the whole process).
-    pub fn stop(&self) {
-        self.stop.store(true, Ordering::Relaxed);
-        let handles: Vec<_> = self.threads.lock().unwrap().drain(..).collect();
-        for h in handles {
-            let _ = h.join();
+impl Drop for Collector {
+    fn drop(&mut self) {
+        // The flag publishes no data: the aggregator only stops polling.
+        self.shared.stop.store(true, Ordering::Relaxed);
+        if let Some(handle) = self.aggregator.take() {
+            handle.thread().unpark();
+            let _ = handle.join();
         }
-        if let Some(mut server) = self.http.lock().unwrap().take() {
-            server.shutdown();
-        }
+        // `http` shuts down and drains in its own Drop.
     }
 }
 
@@ -1259,14 +1271,14 @@ pub fn render_metrics_prometheus(metrics: &MetricsSnapshot) -> String {
 // HTTP endpoint (routes over the shared `obs::httpd` listener)
 // ---------------------------------------------------------------------------
 
-fn handle_live_request(req: &HttpRequest, collector: &Arc<Collector>) -> HttpResponse {
+fn handle_live_request(req: &HttpRequest, shared: &Shared) -> HttpResponse {
     if req.method != "GET" {
         return HttpResponse::text(405, "only GET is supported\n");
     }
     match req.path.as_str() {
-        "/metrics" => HttpResponse::prometheus(render_prometheus(&collector.snapshot())),
+        "/metrics" => HttpResponse::prometheus(render_prometheus(&shared.snapshot())),
         "/snapshot" => {
-            let mut body = collector.snapshot().to_json();
+            let mut body = shared.snapshot().to_json();
             body.push('\n');
             HttpResponse::json(200, body)
         }
@@ -1275,107 +1287,6 @@ fn handle_live_request(req: &HttpRequest, collector: &Arc<Collector>) -> HttpRes
             "sqm live telemetry\n/metrics  Prometheus text exposition\n/snapshot JSON snapshot\n",
         ),
         _ => HttpResponse::not_found(),
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Process-global collector
-// ---------------------------------------------------------------------------
-
-static ACTIVE: AtomicBool = AtomicBool::new(false);
-
-fn global() -> &'static OnceLock<Arc<Collector>> {
-    static GLOBAL: OnceLock<Arc<Collector>> = OnceLock::new();
-    &GLOBAL
-}
-
-/// Is a process-global collector installed? When `false` — the default —
-/// [`publish`] is a single relaxed atomic load, cheap enough for the
-/// engines' per-round path.
-pub fn is_active() -> bool {
-    ACTIVE.load(Ordering::Relaxed)
-}
-
-/// Publish one event to the process-global collector, if installed.
-pub fn publish(event: LiveEvent) {
-    if !is_active() {
-        return;
-    }
-    if let Some(c) = global().get() {
-        c.publish(event);
-    }
-}
-
-/// Install the process-global collector (idempotent) and, when
-/// `config.addr` is set, bind the HTTP endpoint. Returns the bound address
-/// when serving. The first install's ring capacity and poll interval win;
-/// per-run thresholds come from the `LiveConfig` passed to [`begin_run`].
-pub fn install(config: &LiveConfig) -> io::Result<Option<SocketAddr>> {
-    let collector = global().get_or_init(|| {
-        let c = Collector::new(config);
-        c.spawn_aggregator(config.poll);
-        c
-    });
-    ACTIVE.store(true, Ordering::Relaxed);
-    match &config.addr {
-        Some(addr) => collector.start_server(addr).map(Some),
-        None => Ok(collector.bound_addr()),
-    }
-}
-
-/// The process-global collector, if installed.
-pub fn collector() -> Option<Arc<Collector>> {
-    global().get().cloned()
-}
-
-/// Bracket one engine run: installs the global collector on first use,
-/// resets per-run aggregation, and returns a guard. Call
-/// [`RunGuard::finish`] on success or [`RunGuard::fail`] on a typed
-/// transport error; a guard dropped any other way (a party-thread panic
-/// unwinding through `try_run`) records the run as failed with a `"panic"`
-/// digest and still dumps the flight recorder.
-pub fn begin_run(config: &LiveConfig, n_parties: usize, seed: u64) -> RunGuard {
-    if let Err(e) = install(config) {
-        eprintln!("[live] endpoint bind failed (telemetry continues unserved): {e}");
-    }
-    if let Some(c) = collector() {
-        c.begin_run(config, n_parties, seed);
-    }
-    RunGuard { done: false }
-}
-
-/// See [`begin_run`].
-pub struct RunGuard {
-    done: bool,
-}
-
-impl RunGuard {
-    /// The run completed; resolve the watchdog and leave the aggregates
-    /// visible (no dump).
-    pub fn finish(mut self) {
-        self.done = true;
-        if let Some(c) = collector() {
-            c.end_run(None);
-        }
-    }
-
-    /// The run failed with a typed transport error; synthesize the crash
-    /// stall and dump the flight recorder.
-    pub fn fail(mut self, error: RunError) {
-        self.done = true;
-        if let Some(c) = collector() {
-            c.end_run(Some(error));
-        }
-    }
-}
-
-impl Drop for RunGuard {
-    fn drop(&mut self) {
-        if !self.done {
-            if let Some(c) = collector() {
-                c.end_run(Some(RunError::panic()));
-            }
-        }
     }
 }
 
@@ -1392,10 +1303,11 @@ mod tests {
         }
     }
 
-    /// Drive a detached collector synchronously through a run.
-    fn detached(config: &LiveConfig, n: usize, seed: u64) -> Arc<Collector> {
-        let c = Collector::new(config);
-        c.begin_run(config, n, seed);
+    /// A collector with a run begun. Reads pump for themselves, so the
+    /// aggregator thread running beside the test changes nothing.
+    fn started(config: &LiveConfig, n: usize, seed: u64) -> Arc<Collector> {
+        let c = Collector::new(config.clone()).unwrap();
+        c.begin_run(n, seed);
         c
     }
 
@@ -1454,7 +1366,7 @@ mod tests {
     #[test]
     fn watchdog_attributes_slow_round_to_injected_culprit() {
         let cfg = test_config();
-        let c = detached(&cfg, 3, 1);
+        let c = started(&cfg, 3, 1);
         // Round 4: party 1 injected a 50 ms delay; every party's round wall
         // spikes, but only party 1 must be flagged.
         for party in 0..3 {
@@ -1477,7 +1389,7 @@ mod tests {
                 64,
             ));
         }
-        c.pump();
+        c.shared.pump();
         let stalls = c.stalls();
         assert_eq!(stalls.len(), 1, "{stalls:?}");
         assert_eq!((stalls[0].party, stalls[0].round), (1, 4));
@@ -1491,7 +1403,7 @@ mod tests {
             stall_min: Duration::from_micros(1),
             ..LiveConfig::default()
         };
-        let c = detached(&cfg, 2, 2);
+        let c = started(&cfg, 2, 2);
         // Warm the window with 1 ms rounds, then one 100 ms outlier at
         // party 0 (factor 8 × median 1 ms = 8 ms threshold).
         for round in 0..20u64 {
@@ -1515,7 +1427,7 @@ mod tests {
             8,
         ));
         c.publish(LiveEvent::round(1, 20, "p", Duration::from_millis(1), 1, 8));
-        c.pump();
+        c.shared.pump();
         let stalls = c.stalls();
         assert_eq!(stalls.len(), 1, "{stalls:?}");
         assert_eq!((stalls[0].party, stalls[0].round), (0, 20));
@@ -1545,8 +1457,8 @@ mod tests {
             c.end_run(Some(RunError::new("crashed", Some(2), Some(1))));
             std::fs::read_to_string(dir.join("flightrec_9.jsonl")).unwrap()
         };
-        let first = render(&detached(&cfg, 3, 9));
-        let second = render(&detached(&cfg, 3, 9));
+        let first = render(&started(&cfg, 3, 9));
+        let second = render(&started(&cfg, 3, 9));
         assert_eq!(first, second, "dump must be byte-deterministic");
         assert!(first.contains("\"type\":\"flightrec_meta\""));
         assert!(first.contains("\"error\":\"crashed party=2 round=1\""));
@@ -1560,7 +1472,7 @@ mod tests {
     #[test]
     fn snapshot_and_prometheus_are_sorted_and_deterministic() {
         let cfg = test_config();
-        let c = detached(&cfg, 2, 5);
+        let c = started(&cfg, 2, 5);
         c.publish(LiveEvent::round(
             0,
             0,
@@ -1605,7 +1517,7 @@ mod tests {
         // Populate every exported family: per-party, per-phase, run gauges,
         // a stall, and all three registry metric kinds.
         let cfg = test_config();
-        let c = detached(&cfg, 3, 5);
+        let c = started(&cfg, 3, 5);
         for party in 0..3 {
             c.publish(
                 LiveEvent::fault(
@@ -1626,7 +1538,7 @@ mod tests {
                 64,
             ));
         }
-        c.pump();
+        c.shared.pump();
         let mut snap = c.snapshot();
         assert!(!snap.stalls.is_empty(), "need a stall line in the fixture");
         snap.metrics.counters.insert("mpc.rounds".to_string(), 7);
@@ -1667,8 +1579,7 @@ mod tests {
 
     #[test]
     fn http_endpoint_serves_metrics_snapshot_and_404() {
-        let cfg = test_config();
-        let c = detached(&cfg, 2, 11);
+        let c = started(&test_config().with_addr("127.0.0.1:0"), 2, 11);
         c.publish(LiveEvent::round(
             0,
             0,
@@ -1677,7 +1588,7 @@ mod tests {
             1,
             16,
         ));
-        let addr = c.start_server("127.0.0.1:0").unwrap();
+        let addr = c.bound_addr().unwrap();
         let get = |path: &str| -> (String, String) {
             let mut s = TcpStream::connect(addr).unwrap();
             write!(s, "GET {path} HTTP/1.1\r\nHost: localhost\r\n\r\n").unwrap();
@@ -1696,7 +1607,14 @@ mod tests {
         assert!(body.contains("\"parties\""));
         let (head, _) = get("/nope");
         assert!(head.starts_with("HTTP/1.1 404"));
-        c.stop();
+        // The endpoint and the aggregator (each holds the shared state)
+        // end with the last handle.
+        let shared = Arc::downgrade(&c.shared);
+        drop(c);
+        assert!(
+            shared.upgrade().is_none(),
+            "a thread outlived its collector"
+        );
     }
 
     #[test]
@@ -1708,16 +1626,16 @@ mod tests {
             stall_threshold: Some(Duration::from_millis(1)),
             ..LiveConfig::default()
         };
-        let c = detached(&cfg, 2, 3);
+        let c = started(&cfg, 2, 3);
         c.publish(LiveEvent::round(0, 0, "p", Duration::from_micros(5), 1, 8));
         c.publish(LiveEvent::round(1, 0, "p", Duration::from_micros(5), 1, 8));
-        c.pump();
+        c.shared.pump();
         {
-            let mut state = c.lock_state();
+            let mut state = c.shared.lock_state();
             let run = state.run.as_mut().unwrap();
             run.parties[1].last_seen = Instant::now() - Duration::from_secs(5);
         }
-        c.pump();
+        c.shared.pump();
         let stalls = c.stalls();
         assert_eq!(stalls.len(), 1, "{stalls:?}");
         assert_eq!(stalls[0].party, 1);
@@ -1733,7 +1651,7 @@ mod tests {
             flight_dir: dir.clone(),
             ..test_config()
         };
-        let c = detached(&cfg, 2, 13);
+        let c = started(&cfg, 2, 13);
         c.publish(LiveEvent::round(0, 0, "p", Duration::from_micros(5), 1, 8));
         c.end_run(None);
         assert!(!dir.join("flightrec_13.jsonl").exists());

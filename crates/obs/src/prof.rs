@@ -7,35 +7,33 @@
 //! same collapsed-stack convention flamegraph tooling consumes, and every
 //! aggregate is keyed in a `BTreeMap` so rendering is byte-deterministic.
 //!
+//! A [`Profiler`] is a value: the embedder creates one, hands the `Arc` to
+//! every run it wants attributed (`MpcConfig::with_prof`) and reads it back
+//! with [`Profiler::snapshot`] / [`Profiler::dump`]. A run whose config
+//! carries no profiler records nothing, into nothing. Aggregates accumulate
+//! across the runs that share a handle, so multi-run workloads profile
+//! cumulatively; two profilers never see each other's runs.
+//!
 //! Two disciplines are load-bearing:
 //!
-//! * **Passive**: when profiling is off, every hook is a single relaxed
-//!   atomic load ([`is_active`]). Hooks only *observe* — they never touch
-//!   an engine RNG, mutate stats, or change message contents, so protocol
-//!   bits and `RunStats` are identical profiling-on vs off.
+//! * **Passive**: hooks only *observe* — they never touch an engine RNG,
+//!   mutate stats, or change message contents, so protocol bits and
+//!   `RunStats` are identical with a profiler attached or not, and an
+//!   unprofiled run evaluates no path string at all.
 //! * **Deterministic artifacts**: wall time is collected (for interactive
 //!   attribution summaries) but never written to the folded, JSON, or
 //!   flamegraph artifacts — those carry structure and deterministic
 //!   counters only, so two same-seed runs dump byte-identical files
 //!   (flight-recorder discipline).
-//!
-//! The batching-opportunity analyzer ([`BatchingReport`]) quantifies what
-//! ROADMAP item 1 (width-parallel round batching) would buy: given the
-//! per-mul-round independent-multiplication widths of a workload, it
-//! predicts the message-count reduction from batching each round's
-//! multiplications into one exchange (`n_mul × n(n-1)` messages down to
-//! `depth × n(n-1)`).
 
 use std::collections::BTreeMap;
 use std::io;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use crate::export::atomic_write_str;
 
-/// Configuration for the profiler, carried as `Option<ProfConfig>` on
-/// `MpcConfig` / `VflConfig` (mirroring `LiveConfig`).
+/// Where a [`Profiler`] dumps its artifacts.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ProfConfig {
     /// Directory the deterministic artifacts (`prof_<seed>.json`,
@@ -88,156 +86,60 @@ impl NodeAgg {
     }
 }
 
-/// The batching-opportunity analysis: per-mul-round independent
-/// multiplication widths and the message-count reduction round-batched
-/// frames (ROADMAP item 1) would achieve.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct BatchingReport {
-    /// Parties in the mesh the prediction is computed for.
-    pub n_parties: usize,
-    /// Independent-mul width of each sequential mul round, in round order.
-    pub level_widths: Vec<usize>,
-    /// Histogram over `level_widths`: `(width, number of rounds with that
-    /// width)`, ascending by width.
-    pub width_histogram: Vec<(usize, usize)>,
-    /// Total secure multiplications (`== level_widths.iter().sum()`).
-    pub n_mul_gates: usize,
-    /// Sequential mul rounds (`== level_widths.len()`).
-    pub mul_depth: usize,
-    /// Degree-reduction messages if every multiplication paid its own
-    /// round: `n_mul_gates × n(n-1)`.
-    pub messages_unbatched: u64,
-    /// Degree-reduction messages with one batched frame per mul round:
-    /// `mul_depth × n(n-1)`.
-    pub messages_batched: u64,
-}
-
-impl BatchingReport {
-    /// Build the report from the per-round width list.
-    pub fn from_level_widths(level_widths: Vec<usize>, n_parties: usize) -> BatchingReport {
-        let n_mul_gates: usize = level_widths.iter().sum();
-        let mul_depth = level_widths.len();
-        let mut hist: BTreeMap<usize, usize> = BTreeMap::new();
-        for &w in &level_widths {
-            *hist.entry(w).or_default() += 1;
-        }
-        let per_round = (n_parties * n_parties.saturating_sub(1)) as u64;
-        BatchingReport {
-            n_parties,
-            width_histogram: hist.into_iter().collect(),
-            n_mul_gates,
-            mul_depth,
-            messages_unbatched: n_mul_gates as u64 * per_round,
-            messages_batched: mul_depth as u64 * per_round,
-            level_widths,
-        }
-    }
-
-    /// Predicted message-count reduction factor (`unbatched / batched`);
-    /// 1.0 when there is nothing to batch.
-    pub fn reduction_factor(&self) -> f64 {
-        if self.messages_batched == 0 {
-            1.0
-        } else {
-            self.messages_unbatched as f64 / self.messages_batched as f64
-        }
-    }
-}
-
 /// A point-in-time copy of the profile tree.
 #[derive(Clone, Debug, Default)]
 pub struct ProfSnapshot {
-    /// Seed of the last installed run (names the artifact files).
+    /// Seed of the most recent run profiled (names the artifact files).
     pub seed: u64,
     /// Artifact directory.
     pub dir: PathBuf,
     /// All recorded paths, key-sorted.
     pub nodes: BTreeMap<String, NodeAgg>,
-    /// The batching-opportunity analysis, when a workload reported one.
-    pub batching: Option<BatchingReport>,
 }
 
-struct ProfState {
-    seed: u64,
-    dir: PathBuf,
-    nodes: BTreeMap<String, NodeAgg>,
-    batching: Option<BatchingReport>,
+/// The profile tree the runs sharing this handle record into.
+#[derive(Debug)]
+pub struct Profiler {
+    state: Mutex<ProfSnapshot>,
 }
 
-static ACTIVE: AtomicBool = AtomicBool::new(false);
-static STATE: Mutex<Option<ProfState>> = Mutex::new(None);
-
-fn lock() -> MutexGuard<'static, Option<ProfState>> {
-    // A panicking party thread mid-record must not disable profiling for
-    // the rest of the process (same recovery as the metrics registry).
-    STATE.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Is the profiler collecting? When `false` — the default — every hook in
-/// the engines' hot paths is exactly this one relaxed atomic load.
-pub fn is_active() -> bool {
-    ACTIVE.load(Ordering::Relaxed)
-}
-
-/// Install (or re-target) the process-global profiler. Idempotent;
-/// aggregates survive across engine runs so multi-run workloads profile
-/// cumulatively. The seed and dir of the most recent install name the
-/// dump artifacts.
-pub fn install(config: &ProfConfig, seed: u64) {
-    let mut guard = lock();
-    match guard.as_mut() {
-        Some(state) => {
-            state.seed = seed;
-            state.dir = config.dir.clone();
-        }
-        None => {
-            *guard = Some(ProfState {
-                seed,
-                dir: config.dir.clone(),
-                nodes: BTreeMap::new(),
-                batching: None,
-            });
-        }
+impl Profiler {
+    pub fn new(config: ProfConfig) -> Arc<Profiler> {
+        Arc::new(Profiler {
+            state: Mutex::new(ProfSnapshot {
+                dir: config.dir,
+                ..ProfSnapshot::default()
+            }),
+        })
     }
-    drop(guard);
-    ACTIVE.store(true, Ordering::Relaxed);
-}
 
-/// Stop collecting (hooks return to the single-load fast path). The
-/// aggregates stay readable via [`snapshot`] until [`reset`].
-pub fn deactivate() {
-    ACTIVE.store(false, Ordering::Relaxed);
-}
-
-/// Clear all aggregates and the batching report (dir/seed are kept).
-pub fn reset() {
-    if let Some(state) = lock().as_mut() {
-        state.nodes.clear();
-        state.batching = None;
+    fn lock(&self) -> MutexGuard<'_, ProfSnapshot> {
+        // A party thread panicking mid-record must not lose the profile
+        // (same recovery as the metrics registry): every update leaves the
+        // tree valid.
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
-}
 
-/// Record `calls` invocations carrying `work` deterministic work units
-/// against `path`. No-op unless [`is_active`].
-pub fn record(path: &str, calls: u64, work: u64) {
-    if !is_active() {
-        return;
+    /// A run under `seed` starts recording here: the most recent run's seed
+    /// names the dump artifacts.
+    pub fn begin_run(&self, seed: u64) {
+        self.lock().seed = seed;
     }
-    if let Some(state) = lock().as_mut() {
+
+    /// Record `calls` invocations carrying `work` deterministic work units
+    /// against `path`.
+    pub fn record(&self, path: &str, calls: u64, work: u64) {
+        let mut state = self.lock();
         let node = state.nodes.entry(path.to_string()).or_default();
         node.calls += calls;
         node.work += work;
     }
-}
 
-/// Record one exchange round against `path`: traffic counters are
-/// deterministic (and double as the node's weight); `wall_ns` is kept for
-/// in-memory summaries only. No-op unless [`is_active`].
-pub fn record_round(path: &str, messages: u64, bytes: u64, wall_ns: u64) {
-    if !is_active() {
-        return;
-    }
-    if let Some(state) = lock().as_mut() {
+    /// Record one exchange round against `path`: traffic counters are
+    /// deterministic (and double as the node's weight); `wall_ns` is kept
+    /// for in-memory summaries only.
+    pub fn record_round(&self, path: &str, messages: u64, bytes: u64, wall_ns: u64) {
+        let mut state = self.lock();
         let node = state.nodes.entry(path.to_string()).or_default();
         node.calls += 1;
         node.work += bytes;
@@ -245,29 +147,34 @@ pub fn record_round(path: &str, messages: u64, bytes: u64, wall_ns: u64) {
         node.bytes += bytes;
         node.wall_ns += wall_ns;
     }
-}
 
-/// Attach the batching-opportunity analysis of the profiled workload.
-/// Party threads report identical values; the last write wins. No-op
-/// unless [`is_active`].
-pub fn set_batching_report(report: BatchingReport) {
-    if !is_active() {
-        return;
+    /// Copy out the current profile tree.
+    pub fn snapshot(&self) -> ProfSnapshot {
+        self.lock().clone()
     }
-    if let Some(state) = lock().as_mut() {
-        state.batching = Some(report);
-    }
-}
 
-/// Copy out the current profile tree (readable even after
-/// [`deactivate`]); `None` if the profiler was never installed.
-pub fn snapshot() -> Option<ProfSnapshot> {
-    lock().as_ref().map(|state| ProfSnapshot {
-        seed: state.seed,
-        dir: state.dir.clone(),
-        nodes: state.nodes.clone(),
-        batching: state.batching.clone(),
-    })
+    /// Write the three deterministic artifacts (`prof_<seed>.folded`,
+    /// `prof_<seed>.json`, `prof_<seed>.html`) into the configured dir and
+    /// return their paths. No-op (empty vec) while the profile holds no
+    /// data.
+    pub fn dump(&self) -> io::Result<Vec<PathBuf>> {
+        let snap = self.snapshot();
+        if snap.nodes.is_empty() {
+            return Ok(Vec::new());
+        }
+        std::fs::create_dir_all(&snap.dir)?;
+        let stem = format!("prof_{}", snap.seed);
+        let folded = snap.dir.join(format!("{stem}.folded"));
+        let json = snap.dir.join(format!("{stem}.json"));
+        let html = snap.dir.join(format!("{stem}.html"));
+        atomic_write_str(&folded, &render_folded(&snap))?;
+        atomic_write_str(&json, &render_json(&snap))?;
+        atomic_write_str(
+            &html,
+            &crate::export::flamegraph_html("SQM cost profile", &snap),
+        )?;
+        Ok(vec![folded, json, html])
+    }
 }
 
 /// Render the collapsed-stack folded format (`path weight` per line,
@@ -285,8 +192,8 @@ pub fn render_folded(snap: &ProfSnapshot) -> String {
 }
 
 /// Render the deterministic JSON artifact: schema version, seed, the full
-/// node table (calls/work/messages/bytes — **no wall time**), and the
-/// batching report when present. Key-sorted, byte-deterministic.
+/// node table (calls/work/messages/bytes — **no wall time**). Key-sorted,
+/// byte-deterministic.
 pub fn render_json(snap: &ProfSnapshot) -> String {
     let mut out = String::with_capacity(4096);
     out.push_str("{\"schema_version\":1,\"seed\":");
@@ -303,34 +210,7 @@ pub fn render_json(snap: &ProfSnapshot) -> String {
             node.calls, node.work, node.messages, node.bytes
         ));
     }
-    out.push_str("],\"batching\":");
-    match &snap.batching {
-        None => out.push_str("null"),
-        Some(b) => {
-            out.push_str(&format!(
-                "{{\"n_parties\":{},\"n_mul_gates\":{},\"mul_depth\":{},\"level_widths\":[",
-                b.n_parties, b.n_mul_gates, b.mul_depth
-            ));
-            for (i, w) in b.level_widths.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push_str(&w.to_string());
-            }
-            out.push_str("],\"width_histogram\":[");
-            for (i, (w, c)) in b.width_histogram.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push_str(&format!("[{w},{c}]"));
-            }
-            out.push_str(&format!(
-                "],\"messages_unbatched\":{},\"messages_batched\":{}}}",
-                b.messages_unbatched, b.messages_batched
-            ));
-        }
-    }
-    out.push_str("}\n");
+    out.push_str("]}\n");
     out
 }
 
@@ -466,83 +346,38 @@ pub fn render_summary(snap: &ProfSnapshot, limit: usize) -> String {
             node.wall_ns as f64 / 1e6,
         ));
     }
-    if let Some(b) = &snap.batching {
-        out.push_str(&format!(
-            "  batching: {} muls over {} rounds -> {} vs {} reduce-degree messages (x{:.1} reduction)\n",
-            b.n_mul_gates,
-            b.mul_depth,
-            b.messages_unbatched,
-            b.messages_batched,
-            b.reduction_factor(),
-        ));
-    }
     out
-}
-
-/// Write the three deterministic artifacts (`prof_<seed>.folded`,
-/// `prof_<seed>.json`, `prof_<seed>.html`) into the installed dir and
-/// return their paths. No-op (empty vec) when the profiler was never
-/// installed or holds no data.
-pub fn dump_if_active() -> io::Result<Vec<PathBuf>> {
-    let Some(snap) = snapshot() else {
-        return Ok(Vec::new());
-    };
-    if snap.nodes.is_empty() {
-        return Ok(Vec::new());
-    }
-    std::fs::create_dir_all(&snap.dir)?;
-    let stem = format!("prof_{}", snap.seed);
-    let folded = snap.dir.join(format!("{stem}.folded"));
-    let json = snap.dir.join(format!("{stem}.json"));
-    let html = snap.dir.join(format!("{stem}.html"));
-    atomic_write_str(&folded, &render_folded(&snap))?;
-    atomic_write_str(&json, &render_json(&snap))?;
-    atomic_write_str(
-        &html,
-        &crate::export::flamegraph_html("SQM cost profile", &snap),
-    )?;
-    Ok(vec![folded, json, html])
-}
-
-#[cfg(test)]
-pub(crate) fn test_lock() -> MutexGuard<'static, ()> {
-    static TEST_LOCK: Mutex<()> = Mutex::new(());
-    TEST_LOCK.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn fresh(seed: u64) {
-        install(&ProfConfig::default(), seed);
-        reset();
+    fn profiler(seed: u64) -> Arc<Profiler> {
+        let prof = Profiler::new(ProfConfig::default());
+        prof.begin_run(seed);
+        prof
     }
 
     #[test]
     fn records_only_when_active_and_renders_deterministically() {
-        let _guard = test_lock();
-        fresh(7);
-        deactivate();
-        record("engine;input;exchange", 1, 100);
-        assert!(snapshot().unwrap().nodes.is_empty(), "inactive must no-op");
-
-        install(&ProfConfig::default(), 7);
-        let run = || {
-            record("engine;compute;reduce_degree;field_mul", 1, 4000);
-            record("engine;compute;reduce_degree", 1, 50);
-            record_round("engine;input;exchange", 12, 960, 1234);
-            record_round("engine;input;exchange", 12, 960, 9999);
-            set_batching_report(BatchingReport::from_level_widths(vec![3, 1, 3], 4));
+        // "Active" is holding the handle: a profiler nobody recorded into
+        // stays empty whatever another one sees.
+        let idle = profiler(7);
+        let run = |prof: &Profiler, wall: u64| {
+            prof.record("engine;compute;reduce_degree;field_mul", 1, 4000);
+            prof.record("engine;compute;reduce_degree", 1, 50);
+            prof.record_round("engine;input;exchange", 12, 960, wall);
+            prof.record_round("engine;input;exchange", 12, 960, 9999);
         };
-        run();
-        let first = snapshot().unwrap();
+        let (first, second) = (profiler(7), profiler(7));
+        run(&first, 1234);
+        run(&second, 4321);
+        assert!(idle.snapshot().nodes.is_empty(), "unattached must no-op");
+        let (first, second) = (first.snapshot(), second.snapshot());
         let (folded1, json1) = (render_folded(&first), render_json(&first));
-        reset();
-        run();
-        let second = snapshot().unwrap();
         // Byte-identical across two identical runs even though wall time
-        // differed (1234 vs 9999 on the first run's two rounds).
+        // differed (1234 vs 4321 on the first round).
         assert_eq!(folded1, render_folded(&second));
         assert_eq!(json1, render_json(&second));
         // Wall never leaks into the deterministic artifacts.
@@ -556,36 +391,15 @@ mod tests {
              engine;input;exchange 1920\n"
         );
         assert!(json1.contains("\"messages\":24"));
-        assert!(json1.contains("\"level_widths\":[3,1,3]"));
-        assert!(json1.contains("\"width_histogram\":[[1,1],[3,2]]"));
-        deactivate();
-        reset();
-    }
-
-    #[test]
-    fn batching_report_totals_and_prediction() {
-        let report = BatchingReport::from_level_widths(vec![8, 4, 2, 1], 4);
-        assert_eq!(report.n_mul_gates, 15);
-        assert_eq!(report.mul_depth, 4);
-        assert_eq!(report.width_histogram, vec![(1, 1), (2, 1), (4, 1), (8, 1)]);
-        // 4 parties -> 12 messages per reduce-degree round.
-        assert_eq!(report.messages_unbatched, 15 * 12);
-        assert_eq!(report.messages_batched, 4 * 12);
-        assert!((report.reduction_factor() - 3.75).abs() < 1e-12);
-        // Degenerate cases stay finite.
-        let empty = BatchingReport::from_level_widths(vec![], 4);
-        assert_eq!(empty.reduction_factor(), 1.0);
-        assert_eq!(empty.messages_unbatched, 0);
+        assert!(json1.ends_with("\"bytes\":1920}]}\n"), "{json1}");
     }
 
     #[test]
     fn flamegraph_is_self_contained_and_weighted() {
-        let _guard = test_lock();
-        fresh(9);
-        record("engine;compute;reduce_degree;field_mul", 1, 900);
-        record("engine;open;exchange", 1, 100);
-        let snap = snapshot().unwrap();
-        let svg = render_flamegraph_svg(&snap);
+        let prof = profiler(9);
+        prof.record("engine;compute;reduce_degree;field_mul", 1, 900);
+        prof.record("engine;open;exchange", 1, 100);
+        let svg = render_flamegraph_svg(&prof.snapshot());
         for banned in ["<script", "<link", "http://", "https://"] {
             assert!(
                 !svg.contains(banned),
@@ -598,25 +412,25 @@ mod tests {
         assert!(svg.contains("reduce_degree;field_mul (900)"));
         assert!(svg.contains("width=\"864.00\""), "{svg}");
         // Hostile frame names are escaped.
-        record("engine;<b>evil</b>;x", 1, 5);
-        let svg = render_flamegraph_svg(&snapshot().unwrap());
+        prof.record("engine;<b>evil</b>;x", 1, 5);
+        let svg = render_flamegraph_svg(&prof.snapshot());
         assert!(!svg.contains("<b>evil</b>"));
         assert!(svg.contains("&lt;b&gt;evil&lt;/b&gt;"));
-        deactivate();
-        reset();
     }
 
     #[test]
     fn dump_writes_three_deterministic_artifacts() {
-        let _guard = test_lock();
         let dir = std::env::temp_dir().join(format!("sqm_prof_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        install(&ProfConfig::default().with_dir(&dir), 21);
-        reset();
-        record("vfl;dp_noise;skellam_draw", 1, 1830);
-        record_round("engine;open;exchange", 6, 480, 555);
-        let paths = dump_if_active().unwrap();
-        assert_eq!(paths.len(), 3);
+        let collect = |wall: u64| {
+            let prof = Profiler::new(ProfConfig::default().with_dir(&dir));
+            assert!(prof.dump().unwrap().is_empty(), "nothing recorded yet");
+            prof.begin_run(21);
+            prof.record("vfl;dp_noise;skellam_draw", 1, 1830);
+            prof.record_round("engine;open;exchange", 6, 480, wall);
+            prof.dump().unwrap()
+        };
+        assert_eq!(collect(555).len(), 3);
         let folded = std::fs::read_to_string(dir.join("prof_21.folded")).unwrap();
         assert!(folded.contains("vfl;dp_noise;skellam_draw 1830"));
         let json = std::fs::read_to_string(dir.join("prof_21.json")).unwrap();
@@ -624,10 +438,7 @@ mod tests {
         let html = std::fs::read_to_string(dir.join("prof_21.html")).unwrap();
         assert!(html.contains("<svg") && !html.contains("<script"));
         // Re-dump after identical re-collection is byte-identical.
-        reset();
-        record("vfl;dp_noise;skellam_draw", 1, 1830);
-        record_round("engine;open;exchange", 6, 480, 777);
-        dump_if_active().unwrap();
+        collect(777);
         assert_eq!(
             folded,
             std::fs::read_to_string(dir.join("prof_21.folded")).unwrap()
@@ -636,8 +447,6 @@ mod tests {
             json,
             std::fs::read_to_string(dir.join("prof_21.json")).unwrap()
         );
-        deactivate();
-        reset();
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

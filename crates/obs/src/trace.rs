@@ -108,9 +108,10 @@ pub struct CausalRound {
     pub recvs: Vec<MsgStamp>,
 }
 
-/// One transport-level incident (injected fault, retransmit, reconnect,
-/// timeout) as observed by one party's transport endpoint. Emitted by the
-/// `sqm-net` backends and drained into the trace by the engine.
+/// One transport-level incident (an injected delay or a drop/retransmit
+/// cycle) as observed by one party's transport endpoint. Reported by the
+/// `sqm-net` fault injector in the round's `RoundOutcome` and recorded from
+/// the round's event.
 #[derive(Clone, Debug, Serialize)]
 pub struct NetEvent {
     /// Party whose endpoint observed the event.
@@ -119,10 +120,10 @@ pub struct NetEvent {
     pub round: u64,
     /// The peer on the affected link.
     pub peer: usize,
-    /// Event kind: `"delay"`, `"retransmit"`, `"reconnect"`, `"timeout"`.
+    /// Event kind: `"delay"` or `"retransmit"`.
     pub kind: String,
     /// Kind-specific magnitude: injected delay in seconds for `"delay"`,
-    /// attempt count for `"retransmit"` / `"reconnect"`.
+    /// dropped-attempt count for `"retransmit"`.
     pub value: f64,
 }
 
@@ -311,9 +312,9 @@ impl PartyRecorder {
         }
     }
 
-    /// Record a transport-level event (drained from the transport by the
-    /// engine after each exchange). Events do not affect the simulated
-    /// clock — injected delays already show up in the measured wall time.
+    /// Record a transport-level event of the round just recorded. Events do
+    /// not affect the simulated clock — injected delays already show up in
+    /// the measured wall time.
     pub fn record_net_event(&mut self, event: NetEvent) {
         if self.stored_events() < self.event_cap {
             self.net_events.push(event);
@@ -346,7 +347,7 @@ pub struct PartyTrace {
     pub party: usize,
     pub spans: Vec<SpanRecord>,
     pub rounds: Vec<RoundRecord>,
-    /// Transport incidents (faults, retransmits, reconnects), in order.
+    /// Transport incidents (injected delays, retransmits), in order.
     pub net_events: Vec<NetEvent>,
     /// Per-exchange causal context (empty unless the run was traced with
     /// a causal-stamping engine). Feeds [`crate::causal`].

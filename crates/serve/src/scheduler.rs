@@ -485,6 +485,7 @@ impl Drop for Server {
 mod tests {
     use super::*;
     use sqm_mpc::{FaultSpec, TransportError};
+    use std::time::Duration;
 
     fn records(n: usize, cols: usize, salt: u64) -> Vec<Vec<f64>> {
         (0..n)
@@ -583,6 +584,21 @@ mod tests {
             tracing: None,
         });
         server.add_tenant(tenant_cfg("t", 7)).unwrap();
+        // Hold the single worker on a release that outlasts the flood (two
+        // rounds, each sleeping a fixed injected 250 ms), so the overload
+        // does not depend on out-running a free worker.
+        let mut slow = tenant_cfg("slow", 8);
+        let hold = Duration::from_millis(250);
+        slow.faults = Some(FaultSpec::seeded(1).with_delay(hold, hold));
+        server.add_tenant(slow).unwrap();
+        let records_in = Request::Ingest {
+            records: records(3, 3, 1),
+        };
+        server.call("slow", records_in).unwrap();
+        let held = server.submit("slow", Request::Release).unwrap();
+        while server.queue_depth() > 0 {
+            thread::yield_now(); // until the worker has taken the release
+        }
         // Flood from many threads; some must be refused, none may queue
         // past the bound.
         let handles: Vec<_> = (0..16)
@@ -621,6 +637,7 @@ mod tests {
             "queue exceeded its bound: {}",
             server.max_queued_observed()
         );
+        assert!(matches!(held.wait(), Ok(Reply::Released(_))));
         server.shutdown();
     }
 

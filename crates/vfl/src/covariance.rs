@@ -32,7 +32,6 @@ use sqm_field::PrimeField;
 use sqm_linalg::Matrix;
 use sqm_mpc::net::transport::{build_mesh, Transport};
 use sqm_mpc::{MpcEngine, RunStats, TransportError};
-use sqm_obs::prof;
 use sqm_sampling::rounding::stochastic_round;
 use sqm_sampling::skellam::{sample_skellam, sample_skellam_symmetric};
 
@@ -398,7 +397,9 @@ impl<F: PrimeField> CovSession<F> {
                     ctx.set_phase("dp_noise");
                     let noise = sample_noise(&mut st.nrng, local_mu, st.acc.len());
                     let masks = ctx.mask_shares(&noise);
-                    prof::record("vfl;dp_noise;skellam_draw", 1, noise.len() as u64);
+                    if let Some(prof) = ctx.profiler() {
+                        prof.record("vfl;dp_noise;skellam_draw", 1, noise.len() as u64);
+                    }
                     ctx.set_phase("input");
                     let (contributions, mask_sum) =
                         ctx.share_all_masked(&my_values, &expected, masks);

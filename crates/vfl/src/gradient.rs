@@ -21,7 +21,6 @@ use sqm_core::quantize::quantize_vec;
 use sqm_field::PrimeField;
 use sqm_linalg::Matrix;
 use sqm_mpc::{MpcEngine, RunStats, TransportError};
-use sqm_obs::prof;
 use sqm_sampling::rounding::stochastic_round;
 use sqm_sampling::skellam::sample_skellam;
 
@@ -193,7 +192,9 @@ fn gradient_impl<F: PrimeField>(
         ctx.set_phase("dp_noise");
         let mut nrng = StdRng::seed_from_u64(cfg.seed() ^ (0x5E11_B000 + me as u64));
         let masks = ctx.mask_shares(&sample_noise(&mut nrng, local_mu, d));
-        prof::record("vfl;dp_noise;skellam_draw", 1, d as u64);
+        if let Some(prof) = ctx.profiler() {
+            prof.record("vfl;dp_noise;skellam_draw", 1, d as u64);
+        }
 
         // --- round 1: columns + noise shares --------------------------------
         ctx.set_phase("input");

@@ -98,10 +98,13 @@ pub use sqm_mpc::{
     CrashPoint, FaultSpec, LiveConfig, NetBackend, ProfConfig, TcpOptions, TransportError,
 };
 
+use std::sync::Arc;
 use std::time::Duration;
 
 use sqm_field::{FieldChoice, PrimeField};
 use sqm_mpc::{MpcConfig, PartyCtx};
+use sqm_obs::live::Collector;
+use sqm_obs::prof::Profiler;
 
 /// The choice behind `with_field!`; `StreamCov` pins a session's field by it.
 pub(crate) fn field_for(bound: f64) -> FieldChoice {
@@ -200,13 +203,13 @@ impl VflConfig {
     }
 
     /// See [`MpcConfig::with_live`].
-    pub fn with_live(mut self, live: Option<LiveConfig>) -> Self {
+    pub fn with_live(mut self, live: Option<Arc<Collector>>) -> Self {
         self.mpc = self.mpc.with_live(live);
         self
     }
 
     /// See [`MpcConfig::with_prof`].
-    pub fn with_prof(mut self, prof: Option<ProfConfig>) -> Self {
+    pub fn with_prof(mut self, prof: Option<Arc<Profiler>>) -> Self {
         self.mpc = self.mpc.with_prof(prof);
         self
     }

@@ -1,7 +1,7 @@
 //! Live telemetry at the VFL layer: a Table II-shaped covariance release
-//! with `live` enabled must produce bit-identical outputs and accounting
-//! to a live-disabled run, while the process-global collector serves
-//! Prometheus text at `/metrics` and JSON at `/snapshot` over HTTP.
+//! with a live collector attached must produce bit-identical outputs and
+//! accounting to an unobserved run, while the collector serves Prometheus
+//! text at `/metrics` and JSON at `/snapshot` over HTTP.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -10,7 +10,7 @@ use std::time::Duration;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sqm_linalg::Matrix;
-use sqm_obs::live;
+use sqm_obs::live::Collector;
 use sqm_vfl::{covariance_skellam, ColumnPartition, LiveConfig, VflConfig};
 
 const M: usize = 100;
@@ -51,12 +51,13 @@ fn covariance_with_live_telemetry_is_bit_identical_and_served_over_http() {
     let live_cfg = LiveConfig::default()
         .with_addr("127.0.0.1:0") // ephemeral port: tests must not collide
         .with_flight_dir(&flight_dir);
+    let collector = Collector::new(live_cfg).expect("bind an ephemeral port");
     let on = covariance_skellam(
         &data,
         &partition,
         GAMMA,
         MU,
-        &base().with_live(Some(live_cfg)),
+        &base().with_live(Some(collector.clone())),
     );
 
     // Telemetry rides entirely out-of-band: outputs and every
@@ -70,9 +71,8 @@ fn covariance_with_live_telemetry_is_bit_identical_and_served_over_http() {
     let dump = flight_dir.join("flightrec_42.jsonl");
     assert!(!dump.exists(), "no dump expected for a clean run");
 
-    // The endpoint the run installed keeps serving: Prometheus text with
-    // the run's per-party counters, and a JSON snapshot.
-    let collector = live::collector().expect("run installed the collector");
+    // The collector's endpoint keeps serving after the run: Prometheus
+    // text with the run's per-party counters, and a JSON snapshot.
     let addr = collector.bound_addr().expect("endpoint bound");
     let metrics = http_get(addr, "/metrics");
     assert!(metrics.starts_with("HTTP/1.1 200 OK"));

@@ -74,11 +74,23 @@ if [ -n "$hooks" ]; then
   fail=1
 fi
 
-if grep -rnwE 'Batching|FrameMode|PerElement|set_frame_mode|with_batching' \
+if grep -rnwE 'Batching|FrameMode|PerElement|set_frame_mode|with_batching|BatchingReport|batching_report' \
     crates tests examples >&2; then
-  echo "the per-element mode is deleted: one wire framing, one sharing path" >&2
+  echo "the per-element mode and its what-if analyzer are deleted: one wire framing, one sharing path" >&2
   fail=1
 fi
+
+expect "a process global is back in obs::live / obs::prof" 0 \
+  "$(non_test '^ *(pub(\\(crate\\))? )?static ' crates/obs/src/live.rs crates/obs/src/prof.rs)"
+expect "the party runtime hand-feeds a telemetry API again" 0 \
+  "$(non_test 'live::|prof::|metrics::|PartyRecorder' crates/mpc/src/runtime.rs)"
+expect "the TCP round path observes for itself again" 0 \
+  "$(non_test 'sqm_obs::live|metrics::histogram_record' crates/net/src/tcp.rs)"
+expect "transport incidents have a side door again (fn drain_events)" 0 \
+  "$(grep -rn 'fn drain_events' crates/net/src || true)"
+expect "an observer test serialises on a mutex again" 0 \
+  "$(grep -n 'LOCK: Mutex<()>' crates/mpc/tests/live.rs crates/mpc/tests/prof.rs \
+    crates/vfl/tests/prof.rs 2>/dev/null || true)"
 
 expect "expected FieldChoice::for_magnitude on exactly one line under crates/vfl/src" 1 \
   "$(non_test 'FieldChoice::for_magnitude' crates/vfl/src)"
@@ -90,5 +102,5 @@ expect "a privacy book is built outside vfl::session::PrivacyAccount" 0 \
 expect "more than two matches on the stream's field enum in crates/vfl/src/stream.rs" -2 \
   "$(non_test '^ *[A-Za-z]+::M61[(].*=>' crates/vfl/src/stream.rs)"
 
-[ "$fail" -eq 0 ] && echo "one runtime, one release path: ok"
+[ "$fail" -eq 0 ] && echo "one runtime, one round event, one release path: ok"
 exit "$fail"
