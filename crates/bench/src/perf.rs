@@ -545,7 +545,7 @@ pub fn run_vfl(tier: Tier) -> BenchArtifact {
 
     // Same covariance workload with the cost profiler attached: the gate's
     // 1.5x median rule on this entry is the standing bound on attribution
-    // overhead (every exchange, mask sharing and Skellam draw records
+    // overhead (every exchange, masked sum and Skellam draw records
     // into the profile). The profile is this entry's own and goes with it.
     let prof_name = format!("prof_overhead_covariance_m{m}_n{n}_p{p}");
     let profiler = Profiler::new(ProfConfig::default().with_dir("results/perf"));
@@ -561,9 +561,10 @@ pub fn run_vfl(tier: Tier) -> BenchArtifact {
         RunCost::from_stats_and_trace(&out.stats, out.trace.as_ref())
     }));
 
-    // Message accounting at the paper's n = 31 covariance shape (mask and
-    // open width n(n+1)/2 = 496 at P = 4): one frame per link per round,
-    // so the exact-diffed `messages` of this entry pins 24 — a frame-codec
+    // Message accounting at the paper's n = 31 covariance shape (round-2
+    // width n(n+1)/2 = 496 at P = 4): one frame per link in round 1, one
+    // per non-receiver in round 2, so the exact-diffed `messages` of this
+    // entry pins 12 + 3 = 15 — a frame-codec
     // regression that quietly splits frames fails the gate even if
     // wall-clock is unchanged. The shape is fixed across tiers: it is the
     // acceptance point, not a load knob.

@@ -14,19 +14,18 @@ fn main() {
     println!("  LR   computation/client O(m(n-1)P + m(n-1) log m / P),  communication O(m(n-1) P log m log gamma), time O(m(n-1) log m)");
     println!();
     println!("This implementation sums the record products at share level (degree 2t)");
-    println!("and opens them under degree-2t noise shares, so non-data communication");
-    println!("is O(n^2 P^2) for PCA and O(n P^2) for LR, independent of m; input");
-    println!("sharing remains O(m n P^2). Every release is two rounds.");
+    println!("and sends each party's masked partial sum to one receiver, so non-data");
+    println!("communication is O(n^2 P) for PCA and O(n P) for LR, independent of m;");
+    println!("input sharing remains O(m n P). Every release is two rounds.");
     println!("Measured validation:\n");
 
     // Communication scaling in n (PCA): double n => ~4x non-input bytes.
     let a = timing::time_pca(50, 16, 4, opts.seed, opts.trace);
     let b = timing::time_pca(50, 32, 4, opts.seed, opts.trace);
+    let (round2_a, round2_b) = (a.stats.phases["open"].bytes, b.stats.phases["open"].bytes);
     println!(
-        "PCA traffic n=16 -> n=32 (m fixed): {:.3} MiB -> {:.3} MiB  (x{:.2}, expect ~4 for the n^2 term)",
-        a.megabytes,
-        b.megabytes,
-        b.megabytes / a.megabytes
+        "PCA round-2 traffic n=16 -> n=32 (m fixed): {round2_a} B -> {round2_b} B  (x{:.2}, expect ~4 for the n^2 term)",
+        round2_b as f64 / round2_a as f64
     );
 
     // Communication scaling in m (PCA input sharing).
@@ -41,7 +40,7 @@ fn main() {
     let e = timing::time_pca(50, 16, 2, opts.seed, opts.trace);
     let f = timing::time_pca(50, 16, 4, opts.seed, opts.trace);
     println!(
-        "PCA traffic P=2 -> P=4 (m, n fixed): {:.3} MiB -> {:.3} MiB  (x{:.2}, expect ~P^2 growth of the mesh)",
+        "PCA traffic P=2 -> P=4 (m, n fixed): {:.3} MiB -> {:.3} MiB  (x{:.2}, expect ~(P-1) growth: x3)",
         e.megabytes,
         f.megabytes,
         f.megabytes / e.megabytes

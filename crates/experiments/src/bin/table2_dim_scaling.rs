@@ -55,5 +55,5 @@ fn main() {
             .expect("writing results/");
     }
     obsout::dump_metrics("table2_dim_scaling").expect("writing results/");
-    println!("\nThe DP-noise phase owns no round (its shares ride the input frame): its\ncost is local sampling and mask sharing, negligible next to the\ncovariance/gradient computation as n grows (the paper's conclusion).");
+    println!("\nThe DP-noise phase owns no round and no traffic (the draws are never\nshared; they enter round 2's masked sum): its cost is local sampling,\nnegligible next to the covariance/gradient computation as n grows (the\npaper's conclusion).");
 }

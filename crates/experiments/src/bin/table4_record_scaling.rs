@@ -41,5 +41,5 @@ fn main() {
         }
     }
     obsout::dump_metrics("table4_record_scaling").expect("writing results/");
-    println!("\nDP-noise time (local sampling + mask sharing, no round) is independent of\nm: the noise matrix/vector size depends only on n, while input sharing\nand local compute grow with m.");
+    println!("\nDP-noise time (local sampling only, no round) is independent of\nm: the noise matrix/vector size depends only on n, while input sharing\nand local compute grow with m.");
 }

@@ -40,5 +40,5 @@ fn main() {
         }
     }
     obsout::dump_metrics("table5_client_scaling").expect("writing results/");
-    println!("\nTraffic grows with P^2 (full-mesh sharing) and per-party mask sharing\ngrows with P, but the DP phase adds no round and the release stays at\ntwo — matching Table V's trend.");
+    println!("\nTraffic grows with P (each input goes to P - 1 peers, round 2 is P - 1\nvectors) and per-party mask streams grow with P, but the DP phase is\nlocal sampling, adds no round, and the release stays at two — matching\nTable V's trend.");
 }

@@ -17,7 +17,7 @@
 //!   `127.0.0.1:9184`);
 //! * `--prof` (or `SQM_PROF=1`) — attach the deterministic cost profiler
 //!   (`sqm_obs::prof`): collapsed-stack attribution of every MPC round,
-//!   mask sharing, degree reduction and Skellam draw, and
+//!   masked sum, degree reduction and Skellam draw, and
 //!   seed-deterministic `results/prof_<seed>.{folded,json,html}` artifacts
 //!   dumped at exit. Release bits are identical with or without it.
 
@@ -219,7 +219,7 @@ pub mod timing {
     use sqm::vfl::{ColumnPartition, VflConfig};
 
     /// One timing measurement: overall and DP-noise simulated seconds (the
-    /// DP-noise phase is local sampling + mask sharing — it owns no round),
+    /// DP-noise phase is local sampling only — it owns no round and no bytes),
     /// plus the full per-phase stats and (when tracing) the merged trace.
     #[derive(Clone, Debug)]
     pub struct Timing {

@@ -8,11 +8,12 @@
 //! * linear operations on shares (local, free);
 //! * batched multiplication and inner products with GRR degree reduction
 //!   (one communication round per batch, `t < n/2`);
-//! * input sharing (single-owner and simultaneous all-party), optionally
-//!   fused with degree-`2t` mask shares in the same frame
-//!   ([`PartyCtx::share_all_masked`]);
-//! * opening (reconstruction from all `n` shares — valid for any sharing
-//!   of degree at most `2t`, since `2t < n`).
+//! * input sharing (single-owner and simultaneous all-party);
+//! * opening to every party (reconstruction from all `n` shares — valid
+//!   for any sharing of degree at most `2t`, since `2t < n`);
+//! * the masked sum to one receiver ([`PartyCtx::sum_to_receiver`]): secure
+//!   aggregation of the Lagrange-weighted shares plus one private addend
+//!   per party, under pairwise [`crate::chacha`] zero-shares.
 //!
 //! All vector operations are batched: one round moves one payload per
 //! ordered party pair regardless of how many field elements it carries,
@@ -32,6 +33,7 @@ use sqm_obs::metrics;
 use sqm_obs::prof::Profiler;
 use sqm_obs::trace::Trace;
 
+use crate::chacha::PairStream;
 use crate::runtime::{run_parties, PartyLink};
 use crate::shamir::{lagrange_at_zero, share_secrets_batch};
 use crate::stats::RunStats;
@@ -303,8 +305,9 @@ impl MpcEngine {
     /// Party round counters continue across runs on a reused mesh; nothing
     /// in the protocol layer depends on absolute round numbers. The counter
     /// at run start salts each party's share randomness, so two runs on one
-    /// mesh never draw the same share or mask polynomials (a fresh mesh
-    /// starts at round 0, which leaves the seed unsalted).
+    /// mesh never draw the same share polynomials (a fresh mesh starts at
+    /// round 0, which leaves the seed unsalted); the pair masks of
+    /// [`PartyCtx::sum_to_receiver`] are nonced with the counter itself.
     pub fn try_run_on<F, T, P>(
         &self,
         endpoints: Vec<Box<dyn Transport<F>>>,
@@ -338,12 +341,16 @@ impl MpcEngine {
                 link,
                 lagrange_all: lagrange_all.clone(),
                 batching: self.config.batching,
+                seed: self.config.seed,
             };
             let out = program(&mut ctx);
             (out, ctx.link)
         })
     }
 }
+
+/// The party that learns the result of [`PartyCtx::sum_to_receiver`].
+pub const RECEIVER: usize = 0;
 
 /// One party's protocol context. A *share vector* is a plain `Vec<F>` whose
 /// `k`-th entry is this party's Shamir share of the `k`-th secret.
@@ -358,6 +365,8 @@ pub struct PartyCtx<F: PrimeField> {
     link: PartyLink<F>,
     lagrange_all: Vec<F>,
     batching: BatchOptions,
+    /// The session seed the pair-mask keys derive from.
+    seed: u64,
 }
 
 impl<F: PrimeField> PartyCtx<F> {
@@ -482,39 +491,6 @@ impl<F: PrimeField> PartyCtx<F> {
     /// (publicly known) number of secrets; `expected[i]` is party `i`'s
     /// contribution length. One round.
     pub fn share_all_uneven(&mut self, my_values: &[F], expected: &[usize]) -> Vec<Vec<F>> {
-        let no_masks = vec![Vec::new(); self.n];
-        self.share_all_masked(my_values, expected, no_masks).0
-    }
-
-    /// Degree-`2t` shares of this party's additive masks (its local DP
-    /// noise), party-major, ready to ride a [`Self::share_all_masked`]
-    /// frame. Local: no communication. The masks are data-independent, so
-    /// they can be prepared before the inputs exist.
-    pub fn mask_shares(&mut self, masks: &[F]) -> Vec<Vec<F>> {
-        self.profile("mask_shares", masks.len());
-        self.share_vector(masks, 2 * self.t)
-    }
-
-    /// The fused input round: every party simultaneously shares its own
-    /// inputs at degree `t` *and* its masks at degree `2t`, one frame per
-    /// link (`mask_shares` comes from [`Self::mask_shares`]; every party
-    /// must contribute the same number of masks). Returns
-    /// `(contributions, mask_sum)`: `contributions[i]` is my shares of party
-    /// `i`'s `expected[i]` inputs, and `mask_sum[k]` is my degree-`2t` share
-    /// of the sum over all parties of mask `k`.
-    ///
-    /// Adding `mask_sum` to a local degree-`2t` product share and opening
-    /// the result replaces a degree reduction followed by a separate noise
-    /// round: the sum of `n` independent uniformly random degree-`2t`
-    /// polynomials re-randomises every non-constant coefficient of the
-    /// product polynomial, and [`Self::open`] interpolates over all `n`
-    /// points, which is exact for degree `2t < n`. One round.
-    pub fn share_all_masked(
-        &mut self,
-        my_values: &[F],
-        expected: &[usize],
-        mask_shares: Vec<Vec<F>>,
-    ) -> (Vec<Vec<F>>, Vec<F>) {
         assert_eq!(expected.len(), self.n, "need one expected length per party");
         assert_eq!(
             my_values.len(),
@@ -522,31 +498,16 @@ impl<F: PrimeField> PartyCtx<F> {
             "party {}: declared length mismatch",
             self.id
         );
-        assert_eq!(
-            mask_shares.len(),
-            self.n,
-            "need one mask-share vector per party"
-        );
-        let mask_len = mask_shares[0].len();
-        let mut per_party = self.share_vector(my_values, self.t);
-        for (frame, masks) in per_party.iter_mut().zip(mask_shares) {
-            assert_eq!(masks.len(), mask_len, "ragged mask shares");
-            frame.extend(masks);
-        }
-        let mut incoming = self.link.exchange(per_party);
-        let mut mask_sum = vec![F::ZERO; mask_len];
-        for (i, inc) in incoming.iter_mut().enumerate() {
+        let per_party = self.share_vector(my_values, self.t);
+        let incoming = self.link.exchange(per_party);
+        for (i, inc) in incoming.iter().enumerate() {
             assert_eq!(
                 inc.len(),
-                expected[i] + mask_len,
+                expected[i],
                 "party {i} contributed a wrong-length vector"
             );
-            for (acc, &share) in mask_sum.iter_mut().zip(&inc[expected[i]..]) {
-                *acc += share;
-            }
-            inc.truncate(expected[i]);
         }
-        (incoming, mask_sum)
+        incoming
     }
 
     // ----- linear operations (local, no communication) ---------------------
@@ -636,6 +597,52 @@ impl<F: PrimeField> PartyCtx<F> {
         self.profile("open;field_mul", shares.len() * self.n);
         let incoming = self.link.exchange(vec![shares.to_vec(); self.n]);
         self.recombine(&incoming, shares.len(), "open")
+    }
+
+    /// Secure aggregation to party [`RECEIVER`], the only party that gets
+    /// `Some(sum)`: `sum[k] = sum_i (lambda_i * shares_i[k] + addend_i[k])` —
+    /// the secrets behind any sharing of degree below `n`, plus every party's
+    /// private addend (its local DP noise, never shared). One round.
+    ///
+    /// Party `i` sends the receiver `u_i = lambda_i * shares_i + addend_i +
+    /// r_i` and everyone else a non-message. `r_i = sum_{j > i} G(s_ij) -
+    /// sum_{j < i} G(s_ji)` is a pairwise zero-share: the `r_i` cancel in the
+    /// sum, and any proper subset of the honest `u_i` is pseudorandom to
+    /// whoever lacks one of their pair keys (DESIGN.md's security note). The
+    /// streams are nonced with this round's index, which no later call on
+    /// this mesh repeats.
+    pub fn sum_to_receiver(&mut self, shares: &[F], addend: &[F]) -> Option<Vec<F>> {
+        let len = shares.len();
+        assert_eq!(addend.len(), len, "one addend per share");
+        self.profile("sum_to_receiver", len);
+        let weight = self.lagrange_all[self.id];
+        let mut masked: Vec<F> = shares
+            .iter()
+            .zip(addend)
+            .map(|(&share, &own)| weight * share + own)
+            .collect();
+        let nonce = self.link.round();
+        for peer in (0..self.n).filter(|&peer| peer != self.id) {
+            let mut stream = PairStream::for_pair(self.seed, self.id, peer, nonce);
+            let adds = self.id < peer;
+            for slot in masked.iter_mut() {
+                let mask = F::random(&mut stream);
+                *slot += if adds { mask } else { -mask };
+            }
+        }
+        let mut outgoing = vec![Vec::new(); self.n];
+        outgoing[RECEIVER] = masked;
+        let incoming = self.link.exchange(outgoing);
+        (self.id == RECEIVER).then(|| {
+            let mut sum = vec![F::ZERO; len];
+            for (i, inc) in incoming.iter().enumerate() {
+                assert_eq!(inc.len(), len, "party {i} sent a wrong-length masked share");
+                for (acc, &part) in sum.iter_mut().zip(inc) {
+                    *acc += part;
+                }
+            }
+            sum
+        })
     }
 }
 

@@ -1,9 +1,9 @@
 //! Semi-honest BGW multiparty computation over a simulated network.
 //!
 //! SQM invokes MPC as a black box (Section IV of the paper): the clients
-//! secret-share their quantized columns and locally-sampled Skellam noise,
-//! jointly evaluate an arithmetic circuit, and open only the perturbed
-//! result. This crate provides that black box:
+//! secret-share their quantized columns, jointly evaluate an arithmetic
+//! circuit, add their locally-sampled Skellam noise, and open only the
+//! perturbed result. This crate provides that black box:
 //!
 //! * [`shamir`] — Shamir secret sharing and Lagrange reconstruction.
 //! * [`net`] — party-to-party networking, the `sqm-net` crate re-exported:
@@ -20,12 +20,13 @@
 //!   Transport failures surface as typed [`TransportError`]s from
 //!   [`MpcEngine::try_run`] / [`AdditiveEngine::try_run`] (or a diagnostic
 //!   panic from `run`); no process-wide panic hook is involved.
-//! * [`engine`] — the BGW protocol layer: Shamir input sharing, the fused
-//!   masked input round, opening, and multiplication by GRR degree
-//!   reduction (`t < n/2`); vector operations
+//! * [`engine`] — the BGW protocol layer: Shamir input sharing, opening,
+//!   multiplication by GRR degree reduction (`t < n/2`), and the masked sum
+//!   to one receiver that is round 2 of every SQM release; vector operations
 //!   (element-wise products, inner products) are batched into single rounds,
 //!   which is what makes covariance computation `O(n^2)` *communication*
 //!   instead of `O(m n^2)`.
+//! * [`chacha`] — the ChaCha20 keystream behind that sum's pairwise masks.
 //! * [`circuit`] — a small retained arithmetic-circuit IR with plaintext and
 //!   MPC evaluators, used by the generic polynomial mechanism.
 //! * [`additive`] — a second backend: SPDZ-style additive sharing with
@@ -36,6 +37,7 @@
 //!   reproduces that model (`simulated_time = wall + rounds * latency`).
 
 pub mod additive;
+pub mod chacha;
 pub mod circuit;
 pub mod engine;
 pub(crate) mod runtime;
@@ -45,7 +47,7 @@ pub mod stats;
 pub use sqm_net as net;
 
 pub use additive::{AdditiveCtx, AdditiveEngine};
-pub use engine::{BatchOptions, MpcConfig, MpcEngine, MpcRun, PartyCtx};
+pub use engine::{BatchOptions, MpcConfig, MpcEngine, MpcRun, PartyCtx, RECEIVER};
 pub use shamir::{reconstruct, share_secret, share_secrets_batch, ShamirShare};
 pub use sqm_net::fault::{CrashPoint, FaultSpec};
 pub use sqm_net::transport::NetBackend;

@@ -6,21 +6,20 @@
 //! and eigendecomposes.
 //!
 //! Communication structure (two rounds): every client shares its quantized
-//! columns at degree `t` and, in the same frame, its `n(n+1)/2` noise draws
-//! at degree `2t`. The local products `hat x_ij * hat x_ik` are summed over
-//! records at degree `2t` (addition is free at any degree), the summed noise
-//! shares are added on top — they re-randomise every non-constant
-//! coefficient of the product polynomial, which is all a degree reduction
-//! would buy for a value that is opened next — and the result is opened.
-//! Non-input communication is `O(n^2 P)` independent of `m`, matching
-//! Table I.
+//! columns at degree `t`. The local products `hat x_ij * hat x_ik` are
+//! summed over records at degree `2t` (addition is free at any degree), and
+//! round 2 is a secure aggregation: each client sends party 0 its
+//! Lagrange-weighted share plus its own `n(n+1)/2` noise draws under
+//! pairwise masks that cancel in the sum (`PartyCtx::sum_to_receiver`) — a
+//! degree reduction would buy nothing for a value that is summed and
+//! released next. Non-input communication is `O(n^2 P)` independent of `m`,
+//! matching Table I.
 //!
 //! One per-party program, [`CovSession::release`], is the whole protocol.
 //! Its input is a list of *frames* (one input round each), each a list of
-//! row blocks; the first frame carries the noise shares. One-shot is one
-//! frame of one block on a fresh session, chunked is one frame per chunk,
-//! and [`crate::stream::StreamCov`] passes one frame of all pending batches
-//! to a session it keeps.
+//! row blocks. One-shot is one frame of one block on a fresh session,
+//! chunked is one frame per chunk, and [`crate::stream::StreamCov`] passes
+//! one frame of all pending batches to a session it keeps.
 
 use std::ops::Range;
 use std::sync::Mutex;
@@ -36,7 +35,7 @@ use sqm_sampling::rounding::stochastic_round;
 use sqm_sampling::skellam::{sample_skellam, sample_skellam_symmetric};
 
 use crate::partition::ColumnPartition;
-use crate::{open_centered, or_panic, validate_gamma, VflConfig};
+use crate::{noisy_sum, or_panic, received, validate_gamma, VflConfig};
 
 /// The opened, still-amplified covariance and the run statistics.
 #[derive(Debug)]
@@ -135,7 +134,7 @@ pub fn covariance_skellam_plaintext<R: rand::Rng + ?Sized>(
 /// party — and therefore predicts the *opened integer output* of the secure
 /// protocol exactly, for any backend. It is the differential-fuzzing oracle:
 /// any bit of divergence from the MPC run is a correctness bug in
-/// secret-sharing, the masked open, or transport.
+/// secret-sharing, the masked sum, or transport.
 pub fn covariance_quantized_oracle(
     data: &Matrix,
     partition: &ColumnPartition,
@@ -273,10 +272,10 @@ pub(crate) fn symmetric_from_upper(opened: &[i128], n: usize) -> Matrix {
 /// Memory-bounded variant: records are shared and locally multiplied in
 /// chunks of `chunk_records` rows, so peak share memory is
 /// `O(chunk_records * n)` per party instead of `O(m * n)`. Costs one input
-/// round per chunk (`chunks + 1` rounds in all); the noise shares ride the
-/// first chunk's frame and the degree-2t accumulator carries across chunks
-/// (addition is free at any degree), so noise and opening still happen
-/// exactly once. Output law identical to [`covariance_skellam`].
+/// round per chunk (`chunks + 1` rounds in all); the degree-2t accumulator
+/// carries across chunks (addition is free at any degree), so noise and
+/// opening still happen exactly once. Output law identical to
+/// [`covariance_skellam`].
 pub fn covariance_skellam_chunked(
     data: &Matrix,
     partition: &ColumnPartition,
@@ -287,7 +286,7 @@ pub fn covariance_skellam_chunked(
 ) -> CovarianceOutput {
     assert!(chunk_records >= 1, "chunk size must be positive");
     let m = data.rows();
-    // An empty matrix still has the one frame that carries the noise.
+    // An empty matrix still has its one (empty) input round.
     let frames: Vec<Vec<RowBlock>> = (0..m.max(1))
         .step_by(chunk_records)
         .map(|start| vec![(data, start..(start + chunk_records).min(m))])
@@ -350,10 +349,11 @@ impl<F: PrimeField> CovSession<F> {
 
     /// One DP release. Each of `frames` is one input round: its row blocks
     /// are quantized in order (block -> column -> row), shared in one frame
-    /// and multiplied into the accumulator; the first frame also carries
-    /// this release's `n(n+1)/2` noise shares. A noise-masked copy of the
-    /// accumulator is opened. A transport failure leaves the session empty
-    /// (its mesh and party states died with the party threads): drop it.
+    /// and multiplied into the accumulator. The accumulator plus this
+    /// release's `n(n+1)/2` noise draws per party is then summed to the
+    /// receiver; the accumulator itself stays noise-free. A transport
+    /// failure leaves the session empty (its mesh and party states died
+    /// with the party threads): drop it.
     pub(crate) fn release(
         &mut self,
         cfg: &VflConfig,
@@ -362,7 +362,6 @@ impl<F: PrimeField> CovSession<F> {
         mu: f64,
         frames: &[Vec<RowBlock>],
     ) -> Result<CovarianceOutput, TransportError> {
-        assert!(!frames.is_empty(), "the first frame carries the noise");
         let local_mu = mu / cfg.n_clients() as f64;
         let counts = partition.counts();
         // Each party thread takes its state out of its slot and returns it
@@ -379,8 +378,7 @@ impl<F: PrimeField> CovSession<F> {
             let mut slot = slots[ctx.id].lock().expect("each slot has one user");
             let mut st = slot.take().expect("party state");
             let my_cols = partition.columns_of(ctx.id);
-            let mut masked = Vec::new();
-            for (index, frame) in frames.iter().enumerate() {
+            for frame in frames {
                 let rows: usize = frame.iter().map(|(_, rows)| rows.len()).sum();
                 ctx.set_phase("quantize");
                 let mut my_values: Vec<F> = Vec::with_capacity(my_cols.len() * rows);
@@ -393,22 +391,8 @@ impl<F: PrimeField> CovSession<F> {
                     }
                 }
                 let expected: Vec<usize> = counts.iter().map(|&c| c * rows).collect();
-                let contributions = if index == 0 {
-                    ctx.set_phase("dp_noise");
-                    let noise = sample_noise(&mut st.nrng, local_mu, st.acc.len());
-                    let masks = ctx.mask_shares(&noise);
-                    if let Some(prof) = ctx.profiler() {
-                        prof.record("vfl;dp_noise;skellam_draw", 1, noise.len() as u64);
-                    }
-                    ctx.set_phase("input");
-                    let (contributions, mask_sum) =
-                        ctx.share_all_masked(&my_values, &expected, masks);
-                    masked = mask_sum;
-                    contributions
-                } else {
-                    ctx.set_phase("input");
-                    ctx.share_all_uneven(&my_values, &expected)
-                };
+                ctx.set_phase("input");
+                let contributions = ctx.share_all_uneven(&my_values, &expected);
                 drop(my_values);
                 ctx.set_phase("compute");
                 let mut rows_done = 0;
@@ -418,21 +402,13 @@ impl<F: PrimeField> CovSession<F> {
                     rows_done += rows.len();
                 }
             }
-            // Mask a copy: the accumulator itself stays noise-free.
-            for (share, &acc) in masked.iter_mut().zip(&st.acc) {
-                *share += acc;
-            }
-            (open_centered(ctx, &masked), st)
+            (noisy_sum(ctx, &st.acc, &mut st.nrng, local_mu), st)
         })?;
 
         let (opened, parties): (Vec<_>, Vec<_>) = run.outputs.into_iter().unzip();
-        // All parties opened the same values; take party 0's view.
-        for other in &opened[1..] {
-            debug_assert_eq!(other, &opened[0], "parties disagree on the opened result");
-        }
         (self.mesh, self.parties) = (mesh, parties);
         Ok(CovarianceOutput {
-            c_hat: symmetric_from_upper(&opened[0], partition.n_cols()),
+            c_hat: symmetric_from_upper(received(&opened), partition.n_cols()),
             stats: run.stats,
             trace: run.trace,
         })
@@ -510,7 +486,7 @@ mod tests {
         let r1 = covariance_skellam(&d1, &partition, 16.0, 1.0, &cfg);
         let r2 = covariance_skellam(&d2, &partition, 16.0, 1.0, &cfg);
         assert_eq!(r1.stats.total.rounds, r2.stats.total.rounds);
-        assert_eq!(r1.stats.total.rounds, 2); // input + noise shares, open
+        assert_eq!(r1.stats.total.rounds, 2); // input, masked sum
     }
 
     #[test]
@@ -519,14 +495,17 @@ mod tests {
         let partition = ColumnPartition::even(4, 4);
         let cfg = VflConfig::fast(4);
         let out = covariance_skellam(&data, &partition, 32.0, 10.0, &cfg);
-        // Sampling and sharing the noise is local work: the phase is
-        // tracked but owns no round and no traffic...
+        // Sampling the noise is local work: the phase is tracked but owns
+        // no round and no traffic...
         assert_eq!(out.stats.phases["dp_noise"].rounds, 0);
         assert_eq!(out.stats.phases["dp_noise"].bytes, 0);
-        // ...because the 10 noise shares ride the input frame behind the
-        // 5 column shares: 12 links x 15 elements x 8 bytes.
+        // ...because the draws are never shared. Round 1 carries the 5
+        // column shares on 12 links; round 2 the 10 masked sums from each of
+        // the 3 non-receivers. 8 bytes per element.
         assert_eq!(out.stats.phases["input"].rounds, 1);
-        assert_eq!(out.stats.phases["input"].bytes, 12 * 15 * 8);
+        assert_eq!(out.stats.phases["input"].bytes, 12 * 5 * 8);
+        assert_eq!(out.stats.phases["open"].rounds, 1);
+        assert_eq!(out.stats.phases["open"].bytes, 3 * 10 * 8);
     }
 
     #[test]
@@ -666,7 +645,7 @@ mod chunked_tests {
         let partition = ColumnPartition::even(2, 2);
         let cfg = VflConfig::fast(2);
         let out = covariance_skellam_chunked(&data, &partition, 32.0, 1.0, &cfg, 4);
-        // ceil(10/4) = 3 input rounds (noise rides the first) + open.
+        // ceil(10/4) = 3 input rounds + open.
         assert_eq!(out.stats.total.rounds, 4);
         assert_eq!(out.stats.phases["input"].rounds, 3);
     }

@@ -20,7 +20,7 @@ use sqm_sampling::rounding::stochastic_round;
 
 use crate::covariance::{sample_noise, validate};
 use crate::partition::ColumnPartition;
-use crate::{open_centered, or_panic, validate_gamma, VflConfig};
+use crate::{or_panic, validate_gamma, VflConfig};
 
 /// Evaluate `sum_x f(x)` under SQM with full BGW execution.
 ///
@@ -155,7 +155,9 @@ fn eval_impl<F: PrimeField>(
             shares = ctx.add(&shares, &contrib);
         }
 
-        open_centered(ctx, &shares)
+        ctx.set_phase("open");
+        let opened = ctx.open(&shares);
+        opened.into_iter().map(|v| v.to_centered_i128()).collect()
     })?;
 
     let opened = &run.outputs[0];

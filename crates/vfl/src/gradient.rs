@@ -11,9 +11,9 @@
 //!
 //! Because the weights are public, `<hat w/4, hat x>` is a *local* linear
 //! combination of shares; the only secure multiplications are the `|B|`
-//! products `v_i * hat x_ik`, summed over the batch at degree `2t`. The `d`
-//! noise draws are shared at degree `2t` in the input round's frame, added
-//! to those sums, and the masked result is opened: two rounds per step.
+//! products `v_i * hat x_ik`, summed over the batch at degree `2t`. Those
+//! sums plus each party's own `d` noise draws are summed to the receiver
+//! (`PartyCtx::sum_to_receiver`): two rounds per step.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -24,9 +24,9 @@ use sqm_mpc::{MpcEngine, RunStats, TransportError};
 use sqm_sampling::rounding::stochastic_round;
 use sqm_sampling::skellam::sample_skellam;
 
-use crate::covariance::{column_shares, sample_noise, validate};
+use crate::covariance::{column_shares, validate};
 use crate::partition::ColumnPartition;
-use crate::{open_centered, or_panic, validate_gamma, VflConfig};
+use crate::{noisy_sum, or_panic, received, validate_gamma, VflConfig};
 
 /// The opened, down-scaled gradient sum and run statistics.
 #[derive(Debug)]
@@ -174,7 +174,7 @@ fn gradient_impl<F: PrimeField>(
     let counts = partition.counts();
     let expected: Vec<usize> = counts.iter().map(|&c| c * mb).collect();
 
-    let run = engine.try_run::<F, Vec<i128>, _>(|ctx| {
+    let run = engine.try_run::<F, Option<Vec<i128>>, _>(|ctx| {
         let me = ctx.id;
         // --- quantize my columns (batch rows only) ------------------------
         ctx.set_phase("quantize");
@@ -188,17 +188,9 @@ fn gradient_impl<F: PrimeField>(
             }
         }
 
-        // --- distributed Skellam noise, shared at degree 2t (local) --------
-        ctx.set_phase("dp_noise");
-        let mut nrng = StdRng::seed_from_u64(cfg.seed() ^ (0x5E11_B000 + me as u64));
-        let masks = ctx.mask_shares(&sample_noise(&mut nrng, local_mu, d));
-        if let Some(prof) = ctx.profiler() {
-            prof.record("vfl;dp_noise;skellam_draw", 1, d as u64);
-        }
-
-        // --- round 1: columns + noise shares --------------------------------
+        // --- round 1: columns ----------------------------------------------
         ctx.set_phase("input");
-        let (contributions, mut masked) = ctx.share_all_masked(&my_values, &expected, masks);
+        let contributions = ctx.share_all_uneven(&my_values, &expected);
         drop(my_values);
         let col_shares = column_shares(&contributions, partition, 0, mb);
 
@@ -222,19 +214,20 @@ fn gradient_impl<F: PrimeField>(
         for (vi, &yi) in v.iter_mut().zip(col_shares[d]) {
             *vi -= f_label * yi;
         }
-        // G_k = sum_i v_i * x_ik [degree 2t], accumulated on top of the
-        // degree-2t noise shares.
-        for (g, col) in masked.iter_mut().zip(&col_shares) {
-            *g += F::dot(&v, col);
-        }
+        // G_k = sum_i v_i * x_ik [degree 2t].
+        let grad: Vec<F> = col_shares[..d].iter().map(|col| F::dot(&v, col)).collect();
 
-        // --- round 2: open ---------------------------------------------------
-        open_centered(ctx, &masked)
+        // --- round 2: my own Skellam draws (never shared) + the masked sum --
+        let mut nrng = StdRng::seed_from_u64(cfg.seed() ^ (0x5E11_B000 + me as u64));
+        noisy_sum(ctx, &grad, &mut nrng, local_mu)
     })?;
 
     let amp = gamma.powi(3);
     Ok(GradientOutput {
-        grad_sum: run.outputs[0].iter().map(|&v| v as f64 / amp).collect(),
+        grad_sum: received(&run.outputs)
+            .iter()
+            .map(|&v| v as f64 / amp)
+            .collect(),
         stats: run.stats,
         trace: run.trace,
     })

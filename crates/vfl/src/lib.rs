@@ -9,11 +9,13 @@
 //! down-scaling.
 //!
 //! Every release protocol below is two rounds: round 1 ships each client's
-//! degree-`t` input shares with degree-`2t` shares of its Skellam noise in
-//! the same frame; the local degree-`2t` products plus the summed noise
-//! shares are opened in round 2, with no degree reduction in between (see
-//! `PartyCtx::share_all_masked` in `sqm-mpc` and the security note in
-//! DESIGN.md).
+//! degree-`t` input shares; round 2 is a secure aggregation in which each
+//! client sends party 0 (the receiver) its Lagrange-weighted local
+//! degree-`2t` product share plus its own Skellam noise under pairwise masks
+//! that cancel in the sum, with no degree reduction in between and no noise
+//! ever shared (see `PartyCtx::sum_to_receiver` in `sqm-mpc` and the
+//! security note in DESIGN.md). Only the receiver learns the released
+//! integers.
 //!
 //! * [`covariance::covariance_skellam`] — the PCA covariance `X^T X + Sk`
 //!   (Section V-A): local inner products for all `n(n+1)/2` entries.
@@ -41,11 +43,13 @@
 //!
 //! **Randomness streams.** A party draws from three private streams derived
 //! from `cfg.seed()`: quantization, Skellam noise, and (inside the engine)
-//! share and mask polynomials. A one-shot protocol starts all three afresh.
+//! share polynomials; the engine also keys one mask stream per party pair
+//! from it. A one-shot protocol starts all of them afresh.
 //! [`stream::StreamCov`] carries the first two across releases and the
-//! engine re-keys the third from the mesh's round counter on every run, so
-//! no release repeats a draw. [`session::VflSession`] runs one-shot
-//! protocols from one seed: see the noise-replay caveat on that type.
+//! engine re-keys share polynomials and pair masks from the mesh's round
+//! counter on every run, so no release repeats a draw.
+//! [`session::VflSession`] runs one-shot protocols from one seed: see the
+//! noise-replay caveat on that type.
 //!
 //! **Two-client caveat:** BGW with `P = 2` degenerates to threshold `t = 0`
 //! (shares equal secrets), so outputs are correct but the clients have no
@@ -101,6 +105,7 @@ pub use sqm_mpc::{
 use std::sync::Arc;
 use std::time::Duration;
 
+use rand::rngs::StdRng;
 use sqm_field::{FieldChoice, PrimeField};
 use sqm_mpc::{MpcConfig, PartyCtx};
 use sqm_obs::live::Collector;
@@ -124,11 +129,29 @@ pub(crate) fn or_panic<T>(result: Result<T, TransportError>) -> T {
     result.unwrap_or_else(|e| panic!("mpc transport failure: {e}"))
 }
 
-/// Round 2 of every release: open the masked shares as centred integers.
-pub(crate) fn open_centered<F: PrimeField>(ctx: &mut PartyCtx<F>, shares: &[F]) -> Vec<i128> {
+/// The noise phase and round 2 of every release: one Skellam(`local_mu`)
+/// draw per share from `nrng`, summed with the secrets behind `shares` to
+/// the receiver as centred integers (`None` at every other party).
+pub(crate) fn noisy_sum<F: PrimeField>(
+    ctx: &mut PartyCtx<F>,
+    shares: &[F],
+    nrng: &mut StdRng,
+    local_mu: f64,
+) -> Option<Vec<i128>> {
+    ctx.set_phase("dp_noise");
+    let noise = covariance::sample_noise(nrng, local_mu, shares.len());
+    if let Some(prof) = ctx.profiler() {
+        prof.record("vfl;dp_noise;skellam_draw", 1, noise.len() as u64);
+    }
     ctx.set_phase("open");
-    let opened = ctx.open(shares);
-    opened.into_iter().map(|v| v.to_centered_i128()).collect()
+    let sum = ctx.sum_to_receiver(shares, &noise)?;
+    Some(sum.into_iter().map(|v| v.to_centered_i128()).collect())
+}
+
+/// What [`noisy_sum`] returned at the receiver, out of a run's outputs.
+pub(crate) fn received(outputs: &[Option<Vec<i128>>]) -> &[i128] {
+    let sum = outputs[sqm_mpc::RECEIVER].as_ref();
+    sum.expect("the receiver holds the sum")
 }
 
 /// Configuration shared by the VFL protocols: the [`MpcConfig`] every

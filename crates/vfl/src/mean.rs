@@ -3,9 +3,9 @@
 //!
 //! Releasing per-attribute sums/means is the simplest member of SQM's
 //! polynomial class: the function is linear, so the MPC evaluation needs
-//! *no* multiplications at all — one round sharing the column sums with the
-//! noise shares in the same frame, local addition, one opening. Two rounds
-//! total, any record count.
+//! *no* multiplications at all — one round sharing the column sums, local
+//! addition, one masked sum of the shares and each party's own noise to the
+//! receiver. Two rounds total, any record count.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -15,9 +15,9 @@ use sqm_linalg::Matrix;
 use sqm_mpc::{AdditiveEngine, MpcEngine, MpcRun, RunStats, TransportError};
 use sqm_sampling::skellam::sample_skellam;
 
-use crate::covariance::{sample_noise, validate};
+use crate::covariance::validate;
 use crate::partition::ColumnPartition;
-use crate::{open_centered, or_panic, validate_gamma, VflConfig};
+use crate::{noisy_sum, or_panic, received, validate_gamma, VflConfig};
 
 /// The opened, still-amplified column sums plus statistics.
 #[derive(Debug)]
@@ -88,10 +88,10 @@ fn my_column_sums<F: PrimeField>(
     partition.columns_of(me).into_iter().map(sum).collect()
 }
 
-/// What the server receives from either backend's run.
-fn output(run: MpcRun<Vec<i128>>) -> MeanOutput {
+/// What the server receives from either backend's run: the receiver's sums.
+fn output(run: MpcRun<Option<Vec<i128>>>) -> MeanOutput {
     MeanOutput {
-        sums_hat: run.outputs[0].iter().map(|&v| v as f64).collect(),
+        sums_hat: received(&run.outputs).iter().map(|&v| v as f64).collect(),
         stats: run.stats,
         trace: run.trace,
     }
@@ -148,7 +148,7 @@ fn additive_impl<F: PrimeField>(
     let n = data.cols();
     let p_clients = cfg.n_clients();
     let engine = AdditiveEngine::new(cfg.mpc_config());
-    let run = engine.try_run::<F, Vec<i128>, _>(|ctx| {
+    let run = engine.try_run::<F, Option<Vec<i128>>, _>(|ctx| {
         let me = ctx.id;
         ctx.set_phase("quantize");
         let my_sums: Vec<F> = my_column_sums(data, partition, gamma, cfg, me);
@@ -179,10 +179,8 @@ fn additive_impl<F: PrimeField>(
         }
 
         ctx.set_phase("open");
-        ctx.open(&col_sum_shares)
-            .into_iter()
-            .map(|f| f.to_centered_i128())
-            .collect()
+        let opened = ctx.open(&col_sum_shares);
+        Some(opened.into_iter().map(|f| f.to_centered_i128()).collect())
     })?;
     Ok(output(run))
 }
@@ -199,24 +197,21 @@ fn mean_impl<F: PrimeField>(
     let engine = MpcEngine::new(cfg.mpc_config());
     let counts = partition.counts();
 
-    let run = engine.try_run::<F, Vec<i128>, _>(|ctx| {
+    let run = engine.try_run::<F, Option<Vec<i128>>, _>(|ctx| {
         let me = ctx.id;
         ctx.set_phase("quantize");
         let my_sums: Vec<F> = my_column_sums(data, partition, gamma, cfg, me);
 
-        ctx.set_phase("dp_noise");
-        let mut nrng = StdRng::seed_from_u64(cfg.seed() ^ (0x5E11_D000 + me as u64));
-        let masks = ctx.mask_shares(&sample_noise(&mut nrng, local_mu, n));
-
         ctx.set_phase("input");
-        let (contributions, mut masked) = ctx.share_all_masked(&my_sums, &counts, masks);
-        for (client, contrib) in contributions.into_iter().enumerate() {
+        let mut sums = vec![F::ZERO; n];
+        for (client, contrib) in ctx.share_all_uneven(&my_sums, &counts).iter().enumerate() {
             for (slot, &j) in partition.columns_of(client).iter().enumerate() {
-                masked[j] += contrib[slot];
+                sums[j] = contrib[slot];
             }
         }
 
-        open_centered(ctx, &masked)
+        let mut nrng = StdRng::seed_from_u64(cfg.seed() ^ (0x5E11_D000 + me as u64));
+        noisy_sum(ctx, &sums, &mut nrng, local_mu)
     })?;
     Ok(output(run))
 }
@@ -249,7 +244,7 @@ mod tests {
         for (s, t) in out.sums_hat.iter().zip(true_sums(&x)) {
             assert!((s / gamma - t).abs() < 0.01, "{} vs {t}", s / gamma);
         }
-        // Linear protocol: input with noise shares + open = 2 rounds.
+        // Linear protocol: input + masked sum = 2 rounds.
         assert_eq!(out.stats.total.rounds, 2);
     }
 

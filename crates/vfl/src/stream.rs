@@ -15,9 +15,10 @@
 //!   the degree-2t upper-triangular Gram accumulator between releases.
 //!   A release only quantizes/shares/multiplies the records that arrived
 //!   since the previous release — all pending batches coalesced into one
-//!   input frame that also carries the degree-2t noise shares — then opens
-//!   a noise-masked *copy* of the accumulator: two rounds however many
-//!   batches are pending, and prior work is amortized, never recomputed.
+//!   input frame — then sums the accumulator plus fresh per-party noise to
+//!   the receiver, leaving the accumulator itself noise-free: two rounds
+//!   however many batches are pending, and prior work is amortized, never
+//!   recomputed.
 //! * **Randomness streams persist.** Quantization and Skellam noise RNGs
 //!   are the same per-party streams the one-shot protocols derive from
 //!   `cfg.seed()`, carried across releases. Release 0 is therefore
@@ -25,10 +26,11 @@
 //!   with chunk boundaries at the batch boundaries, and release `r` is
 //!   predicted bit-exactly by [`covariance_streaming_oracle`] with
 //!   `noise_skip = r` (each release consumes the next `n(n+1)/2` noise
-//!   draws per party). The third stream, the engine's share and mask
-//!   polynomials, is re-keyed by `MpcEngine::try_run_on` from the mesh's
-//!   round counter (0 on a fresh mesh, continuing across releases), so no
-//!   release is shared or masked under a polynomial an earlier one used.
+//!   draws per party). The engine's own streams — share polynomials and
+//!   the pairwise masks of round 2 — are re-keyed by
+//!   `MpcEngine::try_run_on` from the mesh's round counter (0 on a fresh
+//!   mesh, continuing across releases), so no release is shared under a
+//!   polynomial or masked under a stream an earlier one used.
 //!
 //! A transport failure poisons the session: the mesh and the accumulator
 //! shares died with the party threads, the typed error is kept, and every
@@ -135,9 +137,9 @@ impl StreamCov {
         self.pending.push(batch.clone());
     }
 
-    /// Run one DP release over the reused mesh: share the pending batches
-    /// and fresh distributed Skellam noise in one round, accumulate, open a
-    /// noise-masked copy of the running accumulator. Consumes the pending
+    /// Run one DP release over the reused mesh: share the pending batches in
+    /// one round, accumulate, sum the running accumulator plus fresh
+    /// distributed Skellam noise to the receiver. Consumes the pending
     /// queue. A release with nothing pending re-releases the current
     /// statistics under fresh noise (it still costs privacy budget —
     /// admission is the caller's job).
@@ -198,7 +200,7 @@ impl StreamCov {
 /// order the session consumed it; the noise streams skip the
 /// `noise_skip * n(n+1)/2` draws earlier releases consumed. Any divergence
 /// from the MPC session is a correctness bug in share persistence,
-/// transport reuse, or the masked open.
+/// transport reuse, or the masked sum.
 pub fn covariance_streaming_oracle(
     batches: &[Matrix],
     partition: &ColumnPartition,

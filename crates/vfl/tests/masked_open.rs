@@ -1,23 +1,29 @@
 //! Every two-round release equals a plaintext replay of its seeded streams,
-//! bit for bit, at every threshold the masked open can run at: P = 2 (t = 0,
+//! bit for bit, at every threshold the masked sum can run at: P = 2 (t = 0,
 //! degree-0 "sharing"), P = 3 (t = 1), P = 5 (t = 2, 2t + 1 = P exactly) and
 //! P = 10 (t = 4, one spare point).
 //!
 //! The noise and quantisation draws come from their own per-party streams,
-//! so only the share polynomials differ from run to run; a divergence here
-//! is a bug in the fused input frame, the degree-2t mask shares, or the open.
+//! so only the share polynomials and pair masks differ from run to run; a
+//! divergence here is a bug in the input frame, the local products, or the
+//! masked sum to the receiver. The last tests pin what round 2 puts on the
+//! wire and what a fault aimed at it does.
+
+use std::time::Duration;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sqm_core::quantize::quantize_vec;
 use sqm_linalg::Matrix;
+use sqm_mpc::RunStats;
 use sqm_sampling::rounding::stochastic_round;
 use sqm_sampling::skellam::sample_skellam;
 use sqm_vfl::gradient::quantize_lr_coeffs;
+use sqm_vfl::net::fault::schedule;
 use sqm_vfl::{
     column_sums_skellam, covariance_quantized_oracle, covariance_skellam,
     covariance_skellam_chunked, covariance_streaming_oracle, gradient_sum_skellam, ColumnPartition,
-    NetBackend, StreamCov, VflConfig,
+    FaultSpec, NetBackend, ReleaseError, StreamCov, TransportError, VflConfig, VflSession,
 };
 
 const CLIENTS: [usize; 4] = [2, 3, 5, 10];
@@ -86,7 +92,7 @@ fn streaming_releases_coalesce_batches_and_match_the_streaming_oracle() {
         let cfg = VflConfig::fast(p).with_seed(500 + p as u64);
         let mut stream = StreamCov::new(partition.clone(), gamma, mu, &cfg, 64, 1.0).unwrap();
         // Release 0: three pending batches in one input frame. Release 1:
-        // nothing pending (masks only). Release 2: two more batches.
+        // nothing pending (noise only). Release 2: two more batches.
         let mut ingested = 0;
         for (release, upto) in [(0usize, 3usize), (1, 3), (2, 5)] {
             for b in &batches[ingested..upto] {
@@ -258,5 +264,164 @@ fn column_sums_equal_a_replay_of_their_streams_at_every_threshold() {
         }
         let want: Vec<f64> = sums.iter().map(|&s| s as f64).collect();
         assert_eq!(out.sums_hat, want, "P={p}");
+    }
+}
+
+/// `stats` is `frames.len()` input rounds then the masked sum: each input
+/// round is one message per link out of every party that holds inputs
+/// (`frames[f][i]` elements at party `i`), round 2 one `width`-element
+/// vector from each of the `P - 1` non-receivers. M61, 8 bytes an element.
+fn assert_traffic(what: &str, stats: &RunStats, frames: &[Vec<usize>], width: usize) {
+    let links = frames[0].len() as u64 - 1;
+    let senders: usize = frames
+        .iter()
+        .map(|f| f.iter().filter(|&&len| len > 0).count())
+        .sum();
+    let inputs: usize = frames.iter().flatten().sum();
+    assert_eq!(stats.total.rounds as usize, frames.len() + 1, "{what}");
+    assert_eq!(stats.total.messages, (senders as u64 + 1) * links, "{what}");
+    assert_eq!(
+        stats.total.bytes,
+        8 * links * (inputs + width) as u64,
+        "{what}"
+    );
+    let open = &stats.phases["open"];
+    assert_eq!((open.rounds, open.messages), (1, links), "{what}");
+    assert_eq!(open.bytes, 8 * links * width as u64, "{what}");
+    let noise = &stats.phases["dp_noise"];
+    assert_eq!(
+        (noise.rounds, noise.messages, noise.bytes),
+        (0, 0, 0),
+        "{what}"
+    );
+}
+
+#[test]
+fn every_release_moves_its_inputs_once_and_one_masked_vector_per_non_receiver() {
+    let (gamma, mu) = (64.0, 30.0);
+    let upper = N * (N + 1) / 2;
+    // An even split (every party sends: P(P-1) + (P-1) messages for one
+    // frame) and one where client 2 owns nothing and so sends non-messages.
+    let uneven = ColumnPartition::from_owners(vec![0, 0, 1, 3, 3, 0, 1, 1, 3, 0, 3], 4);
+    for partition in [ColumnPartition::even(N, 3), uneven] {
+        let p = partition.n_clients();
+        let cfg = VflConfig::fast(p).with_seed(8);
+        let counts = partition.counts();
+        let frame = |rows: usize| counts.iter().map(|&c| c * rows).collect::<Vec<_>>();
+        let x = data(7, 5);
+
+        let out = covariance_skellam(&x, &partition, gamma, mu, &cfg);
+        assert_traffic("one-shot", &out.stats, &[frame(7)], upper);
+        let out = covariance_skellam_chunked(&x, &partition, gamma, mu, &cfg, 3);
+        let chunks = [frame(3), frame(3), frame(1)];
+        assert_traffic("chunked", &out.stats, &chunks, upper);
+
+        // 0, 1 and 3 pending batches: one input frame each, empty or not.
+        let mut stream = StreamCov::new(partition.clone(), gamma, mu, &cfg, 64, 1.0).unwrap();
+        for pending in [0usize, 1, 3] {
+            for b in 0..pending {
+                stream.ingest(&data(2 + b, 20 + b as u64));
+            }
+            let rows = stream.pending_rows();
+            let out = stream.release().unwrap();
+            let what = format!("P={p} stream, {pending} pending");
+            assert_traffic(&what, &out.stats, &[frame(rows)], upper);
+        }
+
+        let batch = [0usize, 2, 3, 6];
+        let w = vec![0.1; N - 1];
+        let out = gradient_sum_skellam(&x, &partition, &batch, &w, gamma, mu, &cfg);
+        assert_traffic("gradient", &out.stats, &[frame(batch.len())], N - 1);
+        let out = column_sums_skellam(&x, &partition, gamma, mu, &cfg);
+        assert_traffic("column sums", &out.stats, &[frame(1)], N);
+    }
+}
+
+#[test]
+fn a_crash_in_round_two_is_a_typed_error_that_spends_nothing() {
+    // The receiver dying before it sums, and a client dying before it sends
+    // its masked vector: either way every release fails typed, on both
+    // backends, with both books of the account untouched.
+    let x = data(6, 6);
+    let w = vec![0.1; N - 1];
+    let partition = ColumnPartition::even(N, 4);
+    for backend in [NetBackend::InProcess, NetBackend::tcp()] {
+        for party in [0usize, 2] {
+            let what = format!("{backend:?}, party {party}");
+            let cfg = VflConfig::fast(4)
+                .with_backend(backend.clone())
+                .with_faults(Some(FaultSpec::seeded(1).with_crash(party, 1)));
+            let mut session = VflSession::new(partition.clone(), cfg).with_budget(10.0);
+            let before = session.odometer().spent_epsilon();
+            let errors = [
+                session.try_covariance(&x, 64.0, 1e8).unwrap_err(),
+                session
+                    .try_gradient_sum(&x, &[0, 1, 4], &w, 64.0, 1e12)
+                    .unwrap_err(),
+                session.try_column_sums(&x, 64.0, 1e8).unwrap_err(),
+            ];
+            let crash = TransportError::Crashed { party, round: 1 };
+            for err in errors {
+                assert_eq!(err, ReleaseError::Transport(crash.clone()), "{what}");
+            }
+            assert!(session.server_view().is_empty(), "{what}");
+            assert!(session.ledger().is_empty(), "{what}");
+            assert_eq!(session.odometer().releases(), 0, "{what}");
+            assert_eq!(
+                session.odometer().spent_epsilon().to_bits(),
+                before.to_bits(),
+                "{what}"
+            );
+            assert!(session.account().budget_consistent_with_ledger(), "{what}");
+        }
+    }
+}
+
+#[test]
+fn a_fault_aimed_at_an_idle_round_two_link_changes_nothing() {
+    // Round 2 uses the P - 1 links into the receiver; the other links carry
+    // non-messages. Find a schedule that drops and delays 1 -> 2 in round 1
+    // (round 2 of a fresh mesh): the injector must leave that link alone —
+    // no wait, no event — and the released integers must not move.
+    let x = data(9, 7);
+    let (gamma, mu) = (256.0, 25.0);
+    let partition = ColumnPartition::even(N, 4);
+    let spec = |seed| {
+        FaultSpec::seeded(seed)
+            .with_delay(Duration::from_micros(50), Duration::from_micros(300))
+            .with_drop(0.3)
+            .with_retransmit(Duration::from_micros(100), 32)
+    };
+    let seed = (0..)
+        .find(|&seed| schedule(&spec(seed), 1, 2, 1).dropped_attempts >= 2)
+        .unwrap();
+    for backend in [NetBackend::InProcess, NetBackend::tcp()] {
+        let cfg = VflConfig::fast(4)
+            .with_seed(31)
+            .with_backend(backend.clone())
+            .with_trace(true)
+            .with_faults(Some(spec(seed)));
+        let out = covariance_skellam(&x, &partition, gamma, mu, &cfg);
+        let oracle = covariance_quantized_oracle(&x, &partition, gamma, mu, &cfg);
+        assert_eq!(out.c_hat, oracle, "{backend:?}");
+        let frame: Vec<usize> = partition.counts().iter().map(|&c| c * 9).collect();
+        assert_traffic("faulted", &out.stats, &[frame], N * (N + 1) / 2);
+        let trace = out.trace.expect("trace requested");
+        let events = trace.parties.iter().flat_map(|p| &p.net_events);
+        let (mut round1, mut round2) = (0, 0);
+        for e in events {
+            match e.round {
+                0 => round1 += 1,
+                _ => {
+                    assert_eq!(e.peer, 0, "{backend:?}: a fault on an idle link");
+                    round2 += 1;
+                }
+            }
+        }
+        // Every real message is delayed: 12 in round 1, 3 in round 2.
+        assert!(
+            round1 >= 12 && round2 >= 3,
+            "{backend:?}: {round1} {round2}"
+        );
     }
 }

@@ -155,7 +155,7 @@ fn seeded_faults_are_deterministic_across_runs() {
 fn faults_compose_over_the_tcp_backend_too() {
     let (data, partition) = workload();
     let clean = covariance_skellam(&data, &partition, GAMMA, MU, &base_cfg());
-    // 24 messages at a 25 % drop rate: this seed's schedule drops several,
+    // 15 messages at a 25 % drop rate: this seed's schedule drops several,
     // and the trace's net events prove it (tracing never moves accounting).
     let cfg = base_cfg()
         .with_backend(NetBackend::tcp())

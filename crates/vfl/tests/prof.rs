@@ -3,8 +3,8 @@
 //! released bit (the opened covariance still matches the bit-exact
 //! quantized oracle and equals the unprofiled run entry-for-entry), the
 //! artifacts must be byte-identical across two same-seed runs, and the
-//! Skellam draw counter plus the fused two-round structure (mask shares,
-//! no degree reduction) must land in the profile. The generic circuit path
+//! Skellam draw counter plus the two-round structure (a masked sum to the
+//! receiver, no degree reduction) must land in the profile. The generic circuit path
 //! is the one VFL release that still degree-reduces; its realized traffic
 //! is held against the engine's own accounting.
 //!
@@ -90,10 +90,11 @@ fn covariance_profile_is_byte_deterministic_with_skellam_and_batching() {
     assert_eq!(draws.calls, 2);
     assert_eq!(draws.work, 2 * 10);
 
-    // ...and shares them at degree 2t, locally, under the same phase.
-    let masks = &second.nodes["engine;dp_noise;mask_shares"];
-    assert_eq!(masks.calls, 2);
-    assert_eq!(masks.work, 2 * 10);
+    // ...and never shares them: they enter round 2's masked sum, and the
+    // noise phase moves nothing.
+    let sums = &second.nodes["engine;open;sum_to_receiver"];
+    assert_eq!(sums.calls, 2);
+    assert_eq!(sums.work, 2 * 10);
     assert!(!second.nodes.contains_key("engine;dp_noise;exchange"));
 
     // The release has no secure-multiplication round: nothing is degree-
@@ -122,7 +123,7 @@ fn gradient_records_skellam_draws_per_dimension() {
     let draws = &snap.nodes["vfl;dp_noise;skellam_draw"];
     assert_eq!(draws.calls, 2); // one batch of draws per party
     assert_eq!(draws.work, 2 * 3); // d = 3 draws each
-    assert_eq!(snap.nodes["engine;dp_noise;mask_shares"].work, 2 * 3);
+    assert_eq!(snap.nodes["engine;open;sum_to_receiver"].work, 2 * 3);
     assert!(
         !snap.nodes.keys().any(|k| k.contains("reduce_degree")),
         "no mul round, nothing to reduce"
@@ -146,11 +147,11 @@ fn streaming_release_records_skellam_draws_like_the_one_shot() {
     let draws = &snap.nodes["vfl;dp_noise;skellam_draw"];
     assert_eq!(draws.calls, 2 * 2);
     assert_eq!(draws.work, 2 * 2 * 10);
-    assert_eq!(snap.nodes["engine;dp_noise;mask_shares"].work, draws.work);
+    assert_eq!(snap.nodes["engine;open;sum_to_receiver"].work, draws.work);
 }
 
-/// The generic circuit path on the covariance polynomial: the fused
-/// covariance/gradient releases no longer degree-reduce, so the circuit
+/// The generic circuit path on the covariance polynomial: the two-round
+/// covariance/gradient releases do not degree-reduce, so the circuit
 /// evaluator is the VFL path whose realized reduce-degree traffic can be
 /// held against the engine's accounting.
 #[test]

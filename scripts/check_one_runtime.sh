@@ -10,7 +10,9 @@
 #   * the deleted per-element execution mode comes back: `Batching`,
 #     `FrameMode`, `PerElement`, `set_frame_mode` or `with_batching` as a
 #     whole word under crates/, tests/ or examples/ (`BatchingReport` is not
-#     a hit).
+#     a hit),
+#   * the deleted Shamir-mask release comes back: `mask_shares` or
+#     `share_all_masked` as a whole word under crates/, tests/ or examples/.
 #
 # And for the one release path above the engine (crates/vfl, crates/serve),
 # again reading each file up to its first `#[cfg(test)]`:
@@ -22,7 +24,11 @@
 #     crates/serve/src and only in session.rs under crates/vfl/src (one
 #     account owns both books),
 #   * at most two `match` on the stream's field enum (counted by their
-#     `<Enum>::M61(..) =>` arm) in crates/vfl/src/stream.rs.
+#     `<Enum>::M61(..) =>` arm) in crates/vfl/src/stream.rs,
+#   * no `.open(` / `open_centered` under crates/vfl/src outside generic.rs
+#     (the circuit path keeps the broadcast open; every other release ends in
+#     `sum_to_receiver`) — bar the additive backend's own `AdditiveCtx::open`
+#     in mean.rs (ROADMAP 3(d)).
 #
 # Usage: scripts/check_one_runtime.sh
 set -euo pipefail
@@ -80,6 +86,11 @@ if grep -rnwE 'Batching|FrameMode|PerElement|set_frame_mode|with_batching|Batchi
   fail=1
 fi
 
+if grep -rnwE 'mask_shares|share_all_masked' crates tests examples >&2; then
+  echo "the Shamir-mask release is deleted: round 2 is PartyCtx::sum_to_receiver" >&2
+  fail=1
+fi
+
 expect "a process global is back in obs::live / obs::prof" 0 \
   "$(non_test '^ *(pub(\\(crate\\))? )?static ' crates/obs/src/live.rs crates/obs/src/prof.rs)"
 expect "the party runtime hand-feeds a telemetry API again" 0 \
@@ -101,6 +112,11 @@ expect "a privacy book is built outside vfl::session::PrivacyAccount" 0 \
     grep -v '^crates/vfl/src/session.rs:' || true)"
 expect "more than two matches on the stream's field enum in crates/vfl/src/stream.rs" -2 \
   "$(non_test '^ *[A-Za-z]+::M61[(].*=>' crates/vfl/src/stream.rs)"
+
+expect "a release opens to every party again (.open( / open_centered outside generic.rs)" 0 \
+  "$(non_test '[.]open[(]|open_centered' crates/vfl/src |
+    grep -v -e '^crates/vfl/src/generic.rs:' \
+      -e '^crates/vfl/src/mean.rs:.*ctx[.]open[(]&col_sum_shares[)]' || true)"
 
 [ "$fail" -eq 0 ] && echo "one runtime, one round event, one release path: ok"
 exit "$fail"
