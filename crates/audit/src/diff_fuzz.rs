@@ -12,13 +12,14 @@
 //! * **in-process channels** vs **loopback TCP** (`NetBackend`),
 //! * fault-free vs **delay** / **drop-with-retransmit** / **crash**
 //!   injection (`FaultSpec`),
-//! * BGW vs the **additive-sharing** engine on the linear column-sum
-//!   release (whose shared seed streams make the two backends
-//!   bit-identical by construction),
+//! * three protocol layers: the covariance release against its oracle,
+//!   and the **column-sum** release (two rounds, no multiplication) and a
+//!   **generic** degree-2 polynomial (the GRR circuit evaluator) each
+//!   against its own fault-free in-process run,
 //!
 //! and asserts the invariant from the network layer's design: faults
 //! perturb *timing*, never *payloads*. Every completing run must equal
-//! the oracle exactly (integer outputs — no tolerance), every crashed
+//! its reference exactly (integer outputs — no tolerance), every crashed
 //! run must surface a typed [`TransportError`], and nothing may panic.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -27,10 +28,11 @@ use std::time::Duration;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::Serialize;
+use sqm_core::polynomial::{Monomial, Polynomial};
 use sqm_linalg::Matrix;
 use sqm_mpc::{FaultSpec, NetBackend};
 use sqm_vfl::{
-    column_sums_skellam, column_sums_skellam_additive, covariance_quantized_oracle,
+    column_sums_skellam, covariance_quantized_oracle, eval_polynomial_skellam,
     try_covariance_skellam, ColumnPartition, VflConfig,
 };
 
@@ -114,16 +116,24 @@ fn run_covariance_case(case: &mut FuzzCase, data: &Matrix, cfg: &VflConfig) {
     }
 }
 
-/// Cross-engine case: the linear column-sum release on BGW vs the
-/// additive-sharing engine. The two engines draw quantization and noise
-/// from the same per-party seed streams, so their opened outputs must be
-/// bit-identical.
-fn run_cross_engine_case(case: &mut FuzzCase, data: &Matrix, cfg: &VflConfig) {
+/// What a `column_sums` or `generic` case releases under `cfg`.
+fn release(case: &FuzzCase, data: &Matrix, cfg: &VflConfig) -> Vec<f64> {
     let partition = ColumnPartition::even(case.cols, case.n_clients);
+    if case.workload == "column_sums" {
+        return column_sums_skellam(data, &partition, case.gamma, case.mu, cfg).sums_hat;
+    }
+    // Sum over records of x0 * x1: input, one GRR layer, masked sum.
+    let product = Monomial::new(1.0, vec![(0, 1), (1, 1)]);
+    let poly = Polynomial::one_dimensional(case.cols, vec![product]);
+    eval_polynomial_skellam(&poly, data, &partition, case.gamma, case.mu, cfg).0
+}
+
+/// Cross-path case: the release under the case's backend and faults must
+/// equal, bit for bit, the same seed's fault-free in-process run.
+fn run_cross_path_case(case: &mut FuzzCase, data: &Matrix, cfg: &VflConfig) {
+    let clean = VflConfig::fast(case.n_clients).with_seed(case.seed);
     let result = catch_unwind(AssertUnwindSafe(|| {
-        let bgw = column_sums_skellam(data, &partition, case.gamma, case.mu, cfg);
-        let additive = column_sums_skellam_additive(data, &partition, case.gamma, case.mu, cfg);
-        bgw.sums_hat == additive.sums_hat
+        release(case, data, cfg) == release(case, data, &clean)
     }));
     case.outcome = match result {
         Err(_) => "panic".to_string(),
@@ -145,23 +155,23 @@ pub fn run_diff_fuzz(cfg: &AuditConfig) -> FuzzSummary {
         let gamma = [16.0, 64.0, 256.0][gen.gen_range(0usize..3)];
         let mu = [0.0, 4.0, 100.0][gen.gen_range(0usize..3)];
         let seed = gen.gen::<u64>();
-        // Cross-engine cases only make sense fault-free and in-process
-        // (the additive engine shares the same transport stack, exercised
-        // by the covariance cases).
-        let workload = if id % 5 == 4 {
-            "column_sums"
-        } else {
-            "covariance"
+        let workload = match id % 5 {
+            3 => "generic",
+            4 => "column_sums",
+            _ => "covariance",
         };
-        let (backend_name, backend) = if workload == "covariance" && id % 2 == 1 {
+        let (backend_name, backend) = if id % 2 == 1 {
             ("tcp", NetBackend::tcp())
         } else {
             ("in_process", NetBackend::InProcess)
         };
+        // Only the covariance entry point is fallible, so only it takes
+        // crashes; `id / 5` walks the other workloads through every
+        // backend x fault pair.
         let fault = if workload == "covariance" {
             ["none", "delay", "drop", "crash"][(id % 4) as usize]
         } else {
-            "none"
+            ["none", "delay", "drop"][(id / 5 % 3) as usize]
         };
         let faults = match fault {
             "delay" => Some(
@@ -200,7 +210,7 @@ pub fn run_diff_fuzz(cfg: &AuditConfig) -> FuzzSummary {
         let data = random_data(&mut gen, records, cols);
         match workload {
             "covariance" => run_covariance_case(&mut case, &data, &vfl_cfg),
-            _ => run_cross_engine_case(&mut case, &data, &vfl_cfg),
+            _ => run_cross_path_case(&mut case, &data, &vfl_cfg),
         }
         results.push(case);
     }
@@ -256,7 +266,16 @@ mod tests {
         for fault in ["none", "delay", "drop", "crash"] {
             assert!(has(&|c| c.fault == fault), "no {fault} case");
         }
-        assert!(has(&|c| c.workload == "column_sums"));
+        for workload in ["column_sums", "generic"] {
+            for backend in ["in_process", "tcp"] {
+                for fault in ["none", "delay", "drop"] {
+                    let hit = has(&|c| {
+                        c.workload == workload && c.backend == backend && c.fault == fault
+                    });
+                    assert!(hit, "no {workload} case on {backend} with fault {fault}");
+                }
+            }
+        }
         // Every crash case surfaced the root-cause error.
         for c in summary.results.iter().filter(|c| c.fault == "crash") {
             assert_eq!(c.outcome, "typed_error", "{c:?}");

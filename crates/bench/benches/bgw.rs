@@ -72,61 +72,5 @@ fn bench_bgw(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_additive(c: &mut Criterion) {
-    use sqm::mpc::AdditiveEngine;
-    let mut g = c.benchmark_group("backend_mul_batch256");
-    g.sample_size(20);
-    g.bench_function("bgw_grr", |bch| {
-        let eng = engine(4);
-        bch.iter(|| {
-            let run = eng.run::<M61, _, _>(|ctx| {
-                let x = ctx.share_input(
-                    0,
-                    (ctx.id == 0)
-                        .then(|| vec![M61::from_u64(3); 256])
-                        .as_deref(),
-                    256,
-                );
-                let y = ctx.share_input(
-                    1,
-                    (ctx.id == 1)
-                        .then(|| vec![M61::from_u64(5); 256])
-                        .as_deref(),
-                    256,
-                );
-                let z = ctx.mul(&x, &y);
-                ctx.open(&z)
-            });
-            black_box(run.outputs)
-        })
-    });
-    g.bench_function("additive_beaver", |bch| {
-        let eng = AdditiveEngine::new(MpcConfig::semi_honest(4).with_latency(Duration::ZERO));
-        bch.iter(|| {
-            let run = eng.run::<M61, _, _>(|ctx| {
-                let x = ctx.share_input(
-                    0,
-                    (ctx.id == 0)
-                        .then(|| vec![M61::from_u64(3); 256])
-                        .as_deref(),
-                    256,
-                );
-                let y = ctx.share_input(
-                    1,
-                    (ctx.id == 1)
-                        .then(|| vec![M61::from_u64(5); 256])
-                        .as_deref(),
-                    256,
-                );
-                let triples = ctx.dealer_triples(256);
-                let z = ctx.mul_beaver(&x, &y, &triples);
-                ctx.open(&z)
-            });
-            black_box(run.outputs)
-        })
-    });
-    g.finish();
-}
-
-criterion_group!(benches, bench_bgw, bench_additive);
+criterion_group!(benches, bench_bgw);
 criterion_main!(benches);

@@ -1,6 +1,6 @@
 //! The BGW protocol layer.
 //!
-//! [`MpcEngine::run`] hands one SPMD protocol program to the shared party
+//! [`MpcEngine::run`] hands one SPMD protocol program to the party
 //! runtime (`crate::runtime`: one thread per party, one instrumented round
 //! exchange), each party executing it against its own [`PartyCtx`]. The
 //! context exposes the BGW operations SQM needs:
@@ -128,9 +128,8 @@ impl MpcConfig {
     /// `t = 0`, i.e. degree-0 "shares" that *are* the secret — the protocol
     /// stays correct but provides **no secrecy between the two parties**
     /// (information-theoretic BGW fundamentally needs `n >= 3`). Real
-    /// two-party deployments should use the [`crate::additive`] backend
-    /// (full-threshold additive sharing) or add a neutral third compute
-    /// party.
+    /// two-party deployments should enlist a third, column-less compute
+    /// party (ROADMAP item 8(c) turns this caveat into a typed refusal).
     pub fn semi_honest(n_parties: usize) -> Self {
         assert!(
             n_parties >= 2,
@@ -324,7 +323,7 @@ impl MpcEngine {
             // One field inversion per Lagrange denominator.
             prof.record("engine;setup;field_inv", 1, n as u64);
         }
-        run_parties(&self.config, "engine", endpoints, |link| {
+        run_parties(&self.config, endpoints, |link| {
             let id = link.id();
             // A replayed stream shares two secrets under one polynomial: a
             // curious party subtracts its shares and reads their difference.
@@ -480,8 +479,7 @@ impl<F: PrimeField> PartyCtx<F> {
 
     /// Every party simultaneously shares its own equal-length vector.
     /// Returns `contributions[i]` = my shares of party `i`'s vector.
-    /// One round — this is how the `n` local Skellam noise vectors are
-    /// injected with a single exchange.
+    /// One round.
     pub fn share_all(&mut self, my_values: &[F]) -> Vec<Vec<F>> {
         let expected = vec![my_values.len(); self.n];
         self.share_all_uneven(my_values, &expected)

@@ -11,32 +11,28 @@
 //!   channel mesh and a loopback-TCP backend) plus a deterministic fault
 //!   injector, all with per-round, per-message and per-byte accounting.
 //!   Backend selection lives on [`MpcConfig`].
-//! * `runtime` (crate-private) — the party runtime both engines share: the
+//! * `runtime` (crate-private) — the party runtime under the engine: the
 //!   one run loop that spawns `n` party threads, runs the same protocol
 //!   program in each and merges outputs, [`stats::RunStats`] and traces,
 //!   and the one round exchange, which reports each round as one
 //!   `sqm_obs::round::RoundEvent` to the observers the run's config
 //!   attached ([`MpcConfig::live`], [`MpcConfig::prof`], `trace`).
 //!   Transport failures surface as typed [`TransportError`]s from
-//!   [`MpcEngine::try_run`] / [`AdditiveEngine::try_run`] (or a diagnostic
-//!   panic from `run`); no process-wide panic hook is involved.
+//!   [`MpcEngine::try_run`] (or a diagnostic panic from `run`); no
+//!   process-wide panic hook is involved.
 //! * [`engine`] — the BGW protocol layer: Shamir input sharing, opening,
 //!   multiplication by GRR degree reduction (`t < n/2`), and the masked sum
-//!   to one receiver that is round 2 of every SQM release; vector operations
+//!   to one receiver that every SQM release ends in; vector operations
 //!   (element-wise products, inner products) are batched into single rounds,
 //!   which is what makes covariance computation `O(n^2)` *communication*
 //!   instead of `O(m n^2)`.
 //! * [`chacha`] — the ChaCha20 keystream behind that sum's pairwise masks.
 //! * [`circuit`] — a small retained arithmetic-circuit IR with plaintext and
 //!   MPC evaluators, used by the generic polynomial mechanism.
-//! * [`additive`] — a second backend: SPDZ-style additive sharing with
-//!   Beaver triples from a trusted preprocessing dealer, demonstrating the
-//!   paper's "replace BGW with any semi-honest MPC" claim.
 //! * [`stats`] — virtual-clock accounting. The paper simulates parties on
 //!   one machine and charges 0.1 s per message hop; [`stats::RunStats`]
 //!   reproduces that model (`simulated_time = wall + rounds * latency`).
 
-pub mod additive;
 pub mod chacha;
 pub mod circuit;
 pub mod engine;
@@ -46,7 +42,6 @@ pub mod stats;
 
 pub use sqm_net as net;
 
-pub use additive::{AdditiveCtx, AdditiveEngine};
 pub use engine::{BatchOptions, MpcConfig, MpcEngine, MpcRun, PartyCtx, RECEIVER};
 pub use shamir::{reconstruct, share_secret, share_secrets_batch, ShamirShare};
 pub use sqm_net::fault::{CrashPoint, FaultSpec};

@@ -1,15 +1,13 @@
-//! The party runtime both engines stand on: the only place a party thread
+//! The party runtime the engine stands on: the only place a party thread
 //! is spawned ([`run_parties`]) and the only place a round is exchanged and
 //! reported ([`PartyLink::exchange`]).
 //!
-//! A sharing scheme ([`crate::engine`]'s Shamir/BGW, [`crate::additive`]'s
-//! full-threshold additive) is a protocol layer over a [`PartyLink`]: it
-//! decides *what* goes into a round's payloads and what to do with the
-//! ones that come back; the link moves them, accounts for them in its
-//! `PartyStats`, and hands the run's observers (`sqm_obs::round`) one
-//! `RoundEvent` per round. Which observers exist — trace and causal stamps,
-//! a live collector, a cost profiler — is the run's config, not process
-//! state; this module names none of them.
+//! [`crate::engine`] decides *what* goes into a round's payloads and what
+//! to do with the ones that come back; the [`PartyLink`] moves them,
+//! accounts for them in its `PartyStats`, and hands the run's observers
+//! (`sqm_obs::round`) one `RoundEvent` per round. Which observers exist —
+//! trace and causal stamps, a live collector, a cost profiler — is the
+//! run's config, not process state; this module names none of them.
 
 use std::panic::{self, AssertUnwindSafe};
 use std::time::Instant;
@@ -182,7 +180,7 @@ fn stamps_of(headers: &[Option<TraceHeader>], me: usize) -> Vec<MsgStamp> {
 /// Run one party program per endpoint, each on its own thread, and merge
 /// what they return.
 ///
-/// `party` receives the thread's [`PartyLink`], wraps it in its engine's
+/// `party` receives the thread's [`PartyLink`], wraps it in the engine's
 /// protocol context, runs the SPMD program against that and hands the link
 /// back with the program's output. On success the endpoints are returned
 /// for the next run to reuse; on a transport error they are consumed (the
@@ -191,7 +189,6 @@ fn stamps_of(headers: &[Option<TraceHeader>], me: usize) -> Vec<MsgStamp> {
 /// propagates as `"party thread panicked"`.
 pub(crate) fn run_parties<F, T>(
     config: &MpcConfig,
-    root: &'static str,
     endpoints: Vec<Box<dyn Transport<F>>>,
     party: impl Fn(PartyLink<F>) -> (T, PartyLink<F>) + Sync,
 ) -> Result<RunOnMesh<F, T>, TransportError>
@@ -208,7 +205,6 @@ where
     // Dropped unfinished — a party-thread panic unwinding past the join
     // below — the observer records the run as failed.
     let observers = RunObserver::begin(
-        root,
         n,
         config.seed,
         config.latency,

@@ -1,7 +1,8 @@
 //! A transport failure is an error return, not a panic the embedding
-//! process hears about: neither engine installs a panic hook, and the
-//! unwind that carries a `TransportError` out of a party program never
-//! reaches whatever hook the embedder configured. Genuine panics in a
+//! process hears about: the engine installs no panic hook, and the unwind
+//! that carries a `TransportError` out of a party program — out of a
+//! broadcast open or out of a release's sparse masked sum — never reaches
+//! whatever hook the embedder configured. Genuine panics in a
 //! party program still do, and still propagate out of the run.
 //!
 //! The panic hook is process-global, so this file is its own test binary
@@ -12,7 +13,10 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
 use sqm_field::{PrimeField, M61};
-use sqm_mpc::{AdditiveEngine, FaultSpec, MpcConfig, MpcEngine, NetBackend, TransportError};
+use sqm_mpc::{FaultSpec, MpcConfig, MpcEngine, NetBackend, TransportError};
+
+mod common;
+use common::{assert_released, release_program};
 
 static HOOK_CALLS: AtomicUsize = AtomicUsize::new(0);
 
@@ -22,20 +26,14 @@ fn bgw_program(ctx: &mut sqm_mpc::PartyCtx<M61>) -> Vec<M61> {
     ctx.open(&shares)
 }
 
-fn additive_program(ctx: &mut sqm_mpc::AdditiveCtx<M61>) -> Vec<M61> {
-    let v = [M61::from_u64(7), M61::from_i128(-2)];
-    let shares = ctx.share_input(0, (ctx.id == 0).then_some(&v[..]), 2);
-    ctx.open(&shares)
-}
-
 #[test]
 fn transport_aborts_bypass_the_panic_hook_and_real_panics_still_reach_it() {
     let base = MpcConfig::semi_honest(4).with_latency(Duration::ZERO);
 
-    // Fault-free runs first, so that anything an engine sets up once per
+    // Fault-free runs first, so that anything the engine sets up once per
     // process has been set up before the embedder's hook goes in.
     MpcEngine::new(base.clone()).run::<M61, _, _>(bgw_program);
-    AdditiveEngine::new(base.clone()).run::<M61, _, _>(additive_program);
+    assert_released(&MpcEngine::new(base.clone()).run(release_program).outputs);
 
     // The embedder configures its own hook after start-up.
     let previous = take_hook();
@@ -49,16 +47,9 @@ fn transport_aborts_bypass_the_panic_hook_and_real_panics_still_reach_it() {
             .clone()
             .with_backend(backend)
             .with_faults(Some(FaultSpec::seeded(1).with_crash(2, 1)));
-        crashes.push(
-            MpcEngine::new(cfg.clone())
-                .try_run::<M61, _, _>(bgw_program)
-                .map(|run| run.outputs),
-        );
-        crashes.push(
-            AdditiveEngine::new(cfg)
-                .try_run::<M61, _, _>(additive_program)
-                .map(|run| run.outputs),
-        );
+        let engine = MpcEngine::new(cfg);
+        crashes.push(engine.try_run(bgw_program).map(|_| ()));
+        crashes.push(engine.try_run(release_program).map(|_| ()));
     }
     let calls_after_crashes = HOOK_CALLS.load(Ordering::SeqCst);
 

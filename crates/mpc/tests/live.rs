@@ -4,8 +4,9 @@
 //! produce both a typed `StallEvent` and a byte-deterministic
 //! flight-recorder dump (golden file, `BLESS=1` to regenerate), and every
 //! deterministic `RunStats` counter must be bit-identical with live
-//! telemetry on or off. Both engines share one run loop, so the additive
-//! backend must fail, dump and recover exactly as BGW does.
+//! telemetry on or off. Every program shares one run loop, so a
+//! release-shaped run (uneven input sharing, then the sparse masked sum)
+//! must fail, dump and recover exactly as a GRR + broadcast-open run does.
 //!
 //! A collector is a value its embedder owns, so every test creates its own
 //! and the tests run in parallel; the last two pin that a run without a
@@ -18,12 +19,14 @@ use std::time::Duration;
 
 use sqm_field::{PrimeField, M61};
 use sqm_mpc::{
-    AdditiveEngine, FaultSpec, LiveConfig, MpcConfig, MpcEngine, NetBackend, ProfConfig,
-    TransportError,
+    FaultSpec, LiveConfig, MpcConfig, MpcEngine, NetBackend, ProfConfig, TransportError,
 };
 use sqm_net::fault::schedule;
 use sqm_obs::live::Collector;
 use sqm_obs::prof::Profiler;
+
+mod common;
+use common::{assert_released, release_program};
 
 fn collector(config: LiveConfig) -> Arc<Collector> {
     Collector::new(config).expect("no endpoint to bind")
@@ -76,26 +79,24 @@ fn runstats_bit_identical_with_live_on_and_off() {
 }
 
 #[test]
-fn additive_runstats_bit_identical_with_live_on_and_off() {
-    let program = |ctx: &mut sqm_mpc::AdditiveCtx<M61>| {
-        let v = vec![M61::from_i128(-5), M61::from_u64(40)];
-        let shares = ctx.share_input(1, (ctx.id == 1).then_some(&v), 2);
-        ctx.open(&shares)
-    };
+fn release_shaped_runstats_bit_identical_with_live_on_and_off() {
     let cfg = |live: Option<Arc<Collector>>| {
         MpcConfig::semi_honest(3)
             .with_latency(Duration::ZERO)
             .with_seed(12)
             .with_live(live)
     };
-    let off = AdditiveEngine::new(cfg(None)).run::<M61, _, _>(program);
-    let on_cfg = LiveConfig::default().with_flight_dir(flight_dir("additive-bitident"));
-    let on = AdditiveEngine::new(cfg(Some(collector(on_cfg)))).run::<M61, _, _>(program);
+    let off = MpcEngine::new(cfg(None)).run::<M61, _, _>(release_program);
+    let on_cfg = LiveConfig::default().with_flight_dir(flight_dir("release-bitident"));
+    let on = MpcEngine::new(cfg(Some(collector(on_cfg)))).run::<M61, _, _>(release_program);
 
     assert_eq!(off.outputs, on.outputs);
+    assert_released(&on.outputs);
     assert_eq!(off.stats.total.rounds, on.stats.total.rounds);
     assert_eq!(off.stats.total.messages, on.stats.total.messages);
     assert_eq!(off.stats.total.bytes, on.stats.total.bytes);
+    // Two real input payloads to each of two peers, then two masked sums.
+    assert_eq!((on.stats.total.rounds, on.stats.total.messages), (2, 4 + 2));
 }
 
 const GOLDEN_CRASH_DUMP: &str = concat!(
@@ -147,21 +148,15 @@ fn crash_fault_emits_stall_event_and_deterministic_flight_dump() {
     );
 }
 
-/// The same share-then-open program for either engine's context.
-fn share_then_open_bgw(ctx: &mut sqm_mpc::PartyCtx<M61>) -> Vec<M61> {
-    let v = [M61::from_i128(-5), M61::from_u64(40)];
-    let shares = ctx.share_input(1, (ctx.id == 1).then_some(&v[..]), 2);
-    ctx.open(&shares)
-}
-
-fn share_then_open_additive(ctx: &mut sqm_mpc::AdditiveCtx<M61>) -> Vec<M61> {
+/// One owner's two secrets, shared and opened to every party.
+fn share_then_open(ctx: &mut sqm_mpc::PartyCtx<M61>) -> Vec<M61> {
     let v = [M61::from_i128(-5), M61::from_u64(40)];
     let shares = ctx.share_input(1, (ctx.id == 1).then_some(&v[..]), 2);
     ctx.open(&shares)
 }
 
 #[test]
-fn crash_is_typed_identically_by_both_engines_and_the_additive_run_dumps_too() {
+fn crash_is_typed_identically_by_both_protocol_shapes_and_the_release_shaped_run_dumps_too() {
     let dir = flight_dir("parity-crash");
     let seed = 21u64;
     let dump_path = dir.join(format!("flightrec_{seed}.jsonl"));
@@ -173,33 +168,35 @@ fn crash_is_typed_identically_by_both_engines_and_the_additive_run_dumps_too() {
             .with_backend(backend.clone())
             .with_faults(Some(FaultSpec::seeded(3).with_crash(2, 1)))
             .with_live(Some(collector(LiveConfig::default().with_flight_dir(&dir))));
-        let bgw = MpcEngine::new(cfg.clone())
-            .try_run::<M61, _, _>(share_then_open_bgw)
+        let broadcast = MpcEngine::new(cfg.clone())
+            .try_run::<M61, _, _>(share_then_open)
             .unwrap_err();
-        // Same seed, same file name: drop the BGW run's dump so the one
-        // read back below can only be the additive run's.
+        // Same seed, same file name: drop the first run's dump so the one
+        // read back below can only be the release-shaped run's.
         let _ = std::fs::remove_file(&dump_path);
-        let additive = AdditiveEngine::new(cfg)
-            .try_run::<M61, _, _>(share_then_open_additive)
+        // Party 2 dies entering the sparse round, where it owes the
+        // receiver its one message.
+        let sparse = MpcEngine::new(cfg)
+            .try_run::<M61, _, _>(release_program)
             .unwrap_err();
-        assert_eq!(bgw, additive, "{backend:?}");
+        assert_eq!(broadcast, sparse, "{backend:?}");
         assert_eq!(
-            additive,
+            sparse,
             TransportError::Crashed { party: 2, round: 1 },
             "{backend:?}"
         );
         let dump = std::fs::read_to_string(&dump_path)
-            .expect("the failed additive run must write a flight-recorder dump");
+            .expect("the failed release-shaped run must write a flight-recorder dump");
         assert!(dump.contains("crash"), "{backend:?}: {dump}");
     }
 }
 
 #[test]
-fn additive_run_recovers_from_drops_and_delays_with_identical_counters() {
+fn release_shaped_run_recovers_from_drops_and_delays_with_identical_counters() {
     let cfg = MpcConfig::semi_honest(4)
         .with_latency(Duration::ZERO)
         .with_seed(22);
-    let clean = AdditiveEngine::new(cfg.clone()).run::<M61, _, _>(share_then_open_additive);
+    let clean = MpcEngine::new(cfg.clone()).run::<M61, _, _>(release_program);
     // The recoverable plan of `sqm-vfl`'s net_backend suite: 5% drops
     // recovered by retransmit, plus a seeded per-link delay.
     let faults = FaultSpec::seeded(7)
@@ -207,13 +204,12 @@ fn additive_run_recovers_from_drops_and_delays_with_identical_counters() {
         .with_drop(0.05)
         .with_retransmit(Duration::from_micros(50), 20);
     let lossy = || {
-        AdditiveEngine::new(cfg.clone().with_faults(Some(faults.clone())))
-            .run::<M61, _, _>(share_then_open_additive)
+        MpcEngine::new(cfg.clone().with_faults(Some(faults.clone())))
+            .run::<M61, _, _>(release_program)
     };
     for run in [lossy(), lossy()] {
         assert_eq!(run.outputs, clean.outputs);
-        assert_eq!(run.outputs[0][0].to_centered_i128(), -5);
-        assert_eq!(run.outputs[0][1].to_centered_i128(), 40);
+        assert_released(&run.outputs);
         let (got, want) = (&run.stats.total, &clean.stats.total);
         assert_eq!(
             (got.rounds, got.messages, got.bytes, got.elems),

@@ -13,8 +13,11 @@ use std::time::Duration;
 
 use sqm_field::{PrimeField, M61};
 use sqm_mpc::circuit::{Circuit, CircuitBuilder};
-use sqm_mpc::{AdditiveEngine, MpcConfig, MpcEngine, ProfConfig};
+use sqm_mpc::{MpcConfig, MpcEngine, ProfConfig};
 use sqm_obs::prof::{self, Profiler};
+
+mod common;
+use common::{assert_released, release_program};
 
 fn profiler() -> Arc<Profiler> {
     Profiler::new(ProfConfig::default())
@@ -122,33 +125,29 @@ fn profile_is_byte_deterministic_and_batching_matches_circuit() {
 }
 
 #[test]
-fn additive_backend_records_under_additive_prefix() {
+fn release_shaped_run_records_its_sparse_round_like_any_other() {
     let prof = profiler();
     let cfg = MpcConfig::semi_honest(3)
         .with_latency(Duration::ZERO)
         .with_seed(44)
         .with_prof(Some(prof.clone()));
-    let run = AdditiveEngine::new(cfg).run::<M61, _, _>(|ctx| {
-        let x = ctx.share_input(
-            0,
-            (ctx.id == 0).then(|| vec![M61::from_u64(6); 2]).as_deref(),
-            2,
-        );
-        let triples = ctx.dealer_triples(2);
-        let z = ctx.mul_beaver(&x, &x.clone(), &triples);
-        ctx.open(&z)
-    });
-    for out in run.outputs {
-        assert!(out.iter().all(|v| v.to_canonical() == 36));
-    }
-    let snap = prof.snapshot();
-    let exchange = &snap.nodes["additive;default;exchange"];
-    // share + mask-open + final open = 3 rounds per party.
-    assert_eq!(exchange.calls, 3 * 3);
-    assert_eq!(exchange.messages, run.stats.total.messages);
-    assert_eq!(exchange.bytes, run.stats.total.bytes);
-    assert!(snap.nodes.contains_key("additive;default;round0000"));
-    assert!(!snap.nodes.keys().any(|k| k.starts_with("engine;")));
+    let run = MpcEngine::new(cfg).run::<M61, _, _>(release_program);
+    assert_released(&run.outputs);
+    let nodes = prof.snapshot().nodes;
+    // One exchange per party per phase; two owners ship two peers their
+    // shares, then the two non-receivers ship the receiver one masked sum.
+    let (input, open) = (
+        &nodes["engine;input;exchange"],
+        &nodes["engine;open;exchange"],
+    );
+    assert_eq!((input.calls, input.messages), (3, 2 * 2));
+    assert_eq!((open.calls, open.messages), (3, 2));
+    assert_eq!(input.messages + open.messages, run.stats.total.messages);
+    assert_eq!(input.bytes + open.bytes, run.stats.total.bytes);
+    assert_eq!(nodes["engine;open;round0001"].messages, open.messages);
+    // Three parties each mask two sums.
+    assert_eq!(nodes["engine;open;sum_to_receiver"].work, 3 * 2);
+    assert!(nodes.keys().all(|k| k.starts_with("engine;")));
 }
 
 /// `prof: None` means unprofiled, always: a run whose config carries no

@@ -57,7 +57,6 @@ pub struct RoundEvent<'a> {
 /// Dropped unfinished (a party-thread panic unwinding through the run loop)
 /// it records the run as failed and dumps the flight recorder.
 pub struct RunObserver {
-    root: &'static str,
     n_parties: usize,
     seed: u64,
     latency: Duration,
@@ -68,11 +67,9 @@ pub struct RunObserver {
 }
 
 impl RunObserver {
-    /// Begin observing a run. `root` is the first frame of the engine's
-    /// cost-profile paths (`"engine"`, `"additive"`); `trace` is `Some(cap)`
-    /// to record a trace with at most `cap` detail records per party.
+    /// Begin observing a run. `trace` is `Some(cap)` to record a trace with
+    /// at most `cap` detail records per party.
     pub fn begin(
-        root: &'static str,
         n_parties: usize,
         seed: u64,
         latency: Duration,
@@ -87,7 +84,6 @@ impl RunObserver {
             prof.begin_run(seed);
         }
         RunObserver {
-            root,
             n_parties,
             seed,
             latency,
@@ -102,7 +98,6 @@ impl RunObserver {
     pub fn party(&self, party: usize) -> PartyObserver {
         PartyObserver {
             party,
-            root: self.root,
             run_id: self.seed,
             live: self.live.clone(),
             prof: self.prof.clone(),
@@ -148,7 +143,6 @@ impl Drop for RunObserver {
 /// messages from (run id, Lamport clock, per-link sequence numbers).
 pub struct PartyObserver {
     party: usize,
-    root: &'static str,
     run_id: u64,
     live: Option<Arc<Collector>>,
     prof: Option<Arc<Profiler>>,
@@ -242,10 +236,9 @@ impl PartyObserver {
         } = event;
         let wall_ns = wall.as_nanos() as u64;
         if let Some(prof) = &self.prof {
-            let root = self.root;
             let record = |path: String| prof.record_round(&path, messages, bytes, wall_ns);
-            record(format!("{root};{phase};exchange"));
-            record(format!("{root};{phase};round{round:04}"));
+            record(format!("engine;{phase};exchange"));
+            record(format!("engine;{phase};round{round:04}"));
         }
         if let Some(live) = &self.live {
             for l in &event.link_walls {

@@ -3,10 +3,10 @@
 //!
 //! Per-record monomials are built as balanced product trees, so the round
 //! count is the polynomial's multiplicative depth (`ceil(log2 lambda)`)
-//! plus input/noise/open — independent of the record count and the number
-//! of monomials. This path is the reference implementation and is
-//! cross-checked against the plaintext mechanism; the covariance and
-//! gradient fast paths specialize it.
+//! plus the input round and the masked sum to the receiver — independent of
+//! the record count and the number of monomials. This path is the reference
+//! implementation and is cross-checked against the plaintext mechanism; the
+//! covariance and gradient fast paths specialize it.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -15,12 +15,12 @@ use sqm_core::quantize::quantize_polynomial;
 use sqm_field::PrimeField;
 use sqm_linalg::Matrix;
 use sqm_mpc::circuit::{Circuit, CircuitBuilder, Wire};
-use sqm_mpc::{MpcEngine, RunStats, TransportError};
+use sqm_mpc::{MpcEngine, MpcRun, RunStats, TransportError};
 use sqm_sampling::rounding::stochastic_round;
 
-use crate::covariance::{sample_noise, validate};
+use crate::covariance::validate;
 use crate::partition::ColumnPartition;
-use crate::{or_panic, validate_gamma, VflConfig};
+use crate::{noisy_sum, or_panic, received, validate_gamma, VflConfig};
 
 /// Evaluate `sum_x f(x)` under SQM with full BGW execution.
 ///
@@ -55,7 +55,13 @@ pub fn eval_polynomial_skellam(
         * poly.max_monomials_per_dim() as f64;
     let bound = data.rows() as f64 * per_record + 12.0 * (2.0 * mu).sqrt() + 1.0;
 
-    or_panic(with_field!(bound, F => eval_impl::<F>(poly, data, partition, gamma, mu, cfg)))
+    let run =
+        or_panic(with_field!(bound, F => eval_impl::<F>(poly, data, partition, gamma, mu, cfg)));
+    // The server divides out the amplification (Algorithm 3 line 11).
+    let amplification = gamma.powi(lambda + 1);
+    let opened = received(&run.outputs);
+    let values = opened.iter().map(|&v| v as f64 / amplification).collect();
+    (values, run.stats)
 }
 
 /// Compile the quantized polynomial sum into a circuit. Input ordering per
@@ -108,6 +114,7 @@ fn compile<F: PrimeField>(
     b.build()
 }
 
+/// The run whose receiver holds the amplified noisy sums.
 fn eval_impl<F: PrimeField>(
     poly: &Polynomial,
     data: &Matrix,
@@ -115,10 +122,10 @@ fn eval_impl<F: PrimeField>(
     gamma: f64,
     mu: f64,
     cfg: &VflConfig,
-) -> Result<(Vec<f64>, RunStats), TransportError> {
+) -> Result<MpcRun<Option<Vec<i128>>>, TransportError> {
     let m = data.rows();
     let d = poly.n_dims();
-    let p_clients = cfg.n_clients();
+    let local_mu = mu / cfg.n_clients() as f64;
 
     // Public coefficient quantization (Algorithm 3 lines 1-3): all parties
     // derive the same integers from the public seed.
@@ -127,12 +134,11 @@ fn eval_impl<F: PrimeField>(
     let coeffs: Vec<Vec<i128>> = (0..d)
         .map(|t| qpoly.dim(t).iter().map(|qm| qm.coeff).collect())
         .collect();
-    let amplification = qpoly.amplification();
 
     let circuit = compile::<F>(poly, partition, &coeffs, m);
     let engine = MpcEngine::new(cfg.mpc_config());
 
-    let run = engine.try_run::<F, Vec<i128>, _>(|ctx| {
+    engine.try_run::<F, Option<Vec<i128>>, _>(|ctx| {
         let me = ctx.id;
         ctx.set_phase("quantize");
         let mut qrng = StdRng::seed_from_u64(cfg.seed() ^ (0x9E4E_0000 + me as u64));
@@ -146,23 +152,11 @@ fn eval_impl<F: PrimeField>(
         }
 
         ctx.set_phase("compute");
-        let mut shares = circuit.eval_mpc(ctx, &my_inputs);
+        let shares = circuit.eval_mpc(ctx, &my_inputs);
 
-        ctx.set_phase("dp_noise");
         let mut nrng = StdRng::seed_from_u64(cfg.seed() ^ (0x5E11_C000 + me as u64));
-        let local_mu = mu / p_clients as f64;
-        for contrib in ctx.share_all(&sample_noise(&mut nrng, local_mu, d)) {
-            shares = ctx.add(&shares, &contrib);
-        }
-
-        ctx.set_phase("open");
-        let opened = ctx.open(&shares);
-        opened.into_iter().map(|v| v.to_centered_i128()).collect()
-    })?;
-
-    let opened = &run.outputs[0];
-    let values = opened.iter().map(|&v| v as f64 / amplification).collect();
-    Ok((values, run.stats))
+        noisy_sum(ctx, &shares, &mut nrng, local_mu)
+    })
 }
 
 #[cfg(test)]
@@ -199,9 +193,9 @@ mod tests {
             "got {} want {truth}",
             vals[0]
         );
-        // rounds: input(1) + mul depth 2 (x0^3 tree: ceil(log2 3) = 2) +
-        // noise(1) + open(1) = 5.
-        assert_eq!(stats.total.rounds, 5);
+        // rounds: input 1 + depth 2 (x0^3 tree: ceil(log2 3) = 2) + masked
+        // sum 1 = 4.
+        assert_eq!(stats.total.rounds, 4);
     }
 
     #[test]
@@ -254,10 +248,18 @@ mod tests {
         // noise is visible.
         let gamma = 4.0;
         let mu = 1e6;
-        let (vals, stats) =
-            eval_polynomial_skellam(&p, &data, &partition, gamma, mu, &VflConfig::fast(2));
+        let cfg = VflConfig::fast(2);
+        let (vals, stats) = eval_polynomial_skellam(&p, &data, &partition, gamma, mu, &cfg);
         assert!(vals[0].abs() > 0.01, "noise should perturb: {}", vals[0]);
-        assert_eq!(stats.phases["dp_noise"].rounds, 1);
+        // dp_noise is sampling only: the noise travels inside the masked sum.
+        assert_eq!(stats.phases["dp_noise"].rounds, 0);
+        assert_eq!(stats.total.rounds, 2);
+
+        // And only the receiver learns that sum.
+        let run = eval_impl::<sqm_field::M61>(&p, &data, &partition, gamma, mu, &cfg).unwrap();
+        for (party, out) in run.outputs.iter().enumerate() {
+            assert_eq!(out.is_some(), party == sqm_mpc::RECEIVER, "party {party}");
+        }
     }
 
     #[test]

@@ -8,14 +8,16 @@
 //! perturbed integer result, and hand it to the (untrusted) server for
 //! down-scaling.
 //!
-//! Every release protocol below is two rounds: round 1 ships each client's
-//! degree-`t` input shares; round 2 is a secure aggregation in which each
-//! client sends party 0 (the receiver) its Lagrange-weighted local
-//! degree-`2t` product share plus its own Skellam noise under pairwise masks
-//! that cancel in the sum, with no degree reduction in between and no noise
-//! ever shared (see `PartyCtx::sum_to_receiver` in `sqm-mpc` and the
-//! security note in DESIGN.md). Only the receiver learns the released
-//! integers.
+//! Every release below starts with one round shipping each client's
+//! degree-`t` input shares and ends in one secure aggregation in which each
+//! client sends party 0 (the receiver) its Lagrange-weighted local share of
+//! the result plus its own Skellam noise under pairwise masks that cancel
+//! in the sum; no noise is ever shared (see `PartyCtx::sum_to_receiver` in
+//! `sqm-mpc` and the security note in DESIGN.md). Only the receiver learns
+//! the released integers. The first four protocols are those two rounds and
+//! nothing else — the aggregated share is the local degree-`2t` product,
+//! with no degree reduction in between; the generic path spends one GRR
+//! round per multiplication layer before the same last round.
 //!
 //! * [`covariance::covariance_skellam`] — the PCA covariance `X^T X + Sk`
 //!   (Section V-A): local inner products for all `n(n+1)/2` entries.
@@ -29,9 +31,9 @@
 //! * [`stream::StreamCov`] — the covariance as a long-lived session: any
 //!   number of pending mini-batches ride one input frame per release.
 //! * [`generic::eval_polynomial_skellam`] — any [`sqm_core::Polynomial`],
-//!   compiled to an arithmetic circuit (GRR degree reduction per mul layer,
-//!   a separate noise round). General but per-record; intended for small
-//!   workloads and cross-checking.
+//!   compiled to an arithmetic circuit (GRR degree reduction per mul
+//!   layer). General but per-record; intended for small workloads and
+//!   cross-checking.
 //!
 //! Field width (`M61` vs `M127`) is chosen automatically from a worst-case
 //! magnitude bound so the integer computation cannot wrap; `with_field!` is
@@ -53,9 +55,9 @@
 //!
 //! **Two-client caveat:** BGW with `P = 2` degenerates to threshold `t = 0`
 //! (shares equal secrets), so outputs are correct but the clients have no
-//! secrecy from each other. Use three or more MPC parties — two data owners
-//! can enlist a neutral compute helper that owns no columns — or the
-//! additive backend (`sqm_mpc::additive`) for genuine two-party secrecy.
+//! secrecy from each other. Use three or more MPC parties: two data owners
+//! enlist a third, column-less compute party (ROADMAP item 8(c) turns this
+//! caveat into a typed refusal).
 
 /// Evaluate `$body` with the type `$F` bound to the field wide enough for
 /// integers up to `$bound`. The only place a magnitude bound is turned into
@@ -90,7 +92,7 @@ pub use covariance::{
 };
 pub use generic::eval_polynomial_skellam;
 pub use gradient::{gradient_sum_skellam, GradientOutput};
-pub use mean::{column_sums_skellam, column_sums_skellam_additive, MeanOutput};
+pub use mean::{column_sums_skellam, MeanOutput};
 pub use partition::ColumnPartition;
 pub use session::{
     BudgetRefusal, PrivacyAccount, ReleaseError, ReleasePermit, ServerView, VflSession,
@@ -129,7 +131,7 @@ pub(crate) fn or_panic<T>(result: Result<T, TransportError>) -> T {
     result.unwrap_or_else(|e| panic!("mpc transport failure: {e}"))
 }
 
-/// The noise phase and round 2 of every release: one Skellam(`local_mu`)
+/// The noise phase and last round of every release: one Skellam(`local_mu`)
 /// draw per share from `nrng`, summed with the secrets behind `shares` to
 /// the receiver as centred integers (`None` at every other party).
 pub(crate) fn noisy_sum<F: PrimeField>(

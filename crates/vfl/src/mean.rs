@@ -12,7 +12,7 @@ use rand::SeedableRng;
 use sqm_core::quantize::quantize_vec;
 use sqm_field::PrimeField;
 use sqm_linalg::Matrix;
-use sqm_mpc::{AdditiveEngine, MpcEngine, MpcRun, RunStats, TransportError};
+use sqm_mpc::{MpcEngine, RunStats, TransportError};
 use sqm_sampling::skellam::sample_skellam;
 
 use crate::covariance::validate;
@@ -50,51 +50,55 @@ pub(crate) fn try_column_sums_skellam(
     mu: f64,
     cfg: &VflConfig,
 ) -> Result<MeanOutput, TransportError> {
-    let bound = checked_bound(data, partition, gamma, mu, cfg);
+    validate(data, partition, cfg);
+    validate_gamma(gamma);
+    // Magnitude bound of the opened sums.
+    let c = data.max_row_norm().max(1e-9);
+    let bound = data.rows() as f64 * (gamma * c + 1.0) + 12.0 * (2.0 * mu).sqrt();
     with_field!(bound, F => mean_impl::<F>(data, partition, gamma, mu, cfg))
 }
 
-/// The entry checks both backends share, and the magnitude bound of the
-/// opened sums.
-fn checked_bound(
+fn mean_impl<F: PrimeField>(
     data: &Matrix,
     partition: &ColumnPartition,
     gamma: f64,
     mu: f64,
     cfg: &VflConfig,
-) -> f64 {
-    validate(data, partition, cfg);
-    validate_gamma(gamma);
-    let c = data.max_row_norm().max(1e-9);
-    data.rows() as f64 * (gamma * c + 1.0) + 12.0 * (2.0 * mu).sqrt()
-}
+) -> Result<MeanOutput, TransportError> {
+    let n = data.cols();
+    let local_mu = mu / cfg.n_clients() as f64;
+    let engine = MpcEngine::new(cfg.mpc_config());
+    let counts = partition.counts();
 
-/// Party `me`'s quantized sums of its own columns, ascending. Each client
-/// only shares its *column sums* — for a linear function the per-record
-/// values never need to be shared at all, so the input cost is `O(n P^2)`
-/// rather than `O(m n P^2)`.
-fn my_column_sums<F: PrimeField>(
-    data: &Matrix,
-    partition: &ColumnPartition,
-    gamma: f64,
-    cfg: &VflConfig,
-    me: usize,
-) -> Vec<F> {
-    let mut qrng = StdRng::seed_from_u64(cfg.seed() ^ (0x3EA4_0000 + me as u64));
-    let sum = |j| {
-        let q = quantize_vec(&mut qrng, &data.col(j), gamma);
-        F::from_i128(q.into_iter().map(|v| v as i128).sum())
-    };
-    partition.columns_of(me).into_iter().map(sum).collect()
-}
+    let run = engine.try_run::<F, Option<Vec<i128>>, _>(|ctx| {
+        let me = ctx.id;
+        // Each client only shares its quantized *column sums* — for a
+        // linear function the per-record values never need to be shared at
+        // all, so the input cost is `O(n P^2)` rather than `O(m n P^2)`.
+        ctx.set_phase("quantize");
+        let mut qrng = StdRng::seed_from_u64(cfg.seed() ^ (0x3EA4_0000 + me as u64));
+        let sum = |j| {
+            let q = quantize_vec(&mut qrng, &data.col(j), gamma);
+            F::from_i128(q.into_iter().map(|v| v as i128).sum())
+        };
+        let my_sums: Vec<F> = partition.columns_of(me).into_iter().map(sum).collect();
 
-/// What the server receives from either backend's run: the receiver's sums.
-fn output(run: MpcRun<Option<Vec<i128>>>) -> MeanOutput {
-    MeanOutput {
+        ctx.set_phase("input");
+        let mut sums = vec![F::ZERO; n];
+        for (client, contrib) in ctx.share_all_uneven(&my_sums, &counts).iter().enumerate() {
+            for (slot, &j) in partition.columns_of(client).iter().enumerate() {
+                sums[j] = contrib[slot];
+            }
+        }
+
+        let mut nrng = StdRng::seed_from_u64(cfg.seed() ^ (0x5E11_D000 + me as u64));
+        noisy_sum(ctx, &sums, &mut nrng, local_mu)
+    })?;
+    Ok(MeanOutput {
         sums_hat: received(&run.outputs).iter().map(|&v| v as f64).collect(),
         stats: run.stats,
         trace: run.trace,
-    }
+    })
 }
 
 /// Output-equivalent plaintext simulation.
@@ -119,101 +123,6 @@ pub fn column_sums_skellam_plaintext<R: rand::Rng + ?Sized>(
         }
     }
     sums.into_iter().map(|s| s as f64).collect()
-}
-
-/// The same column-sum release executed on the *additive-sharing* backend
-/// (SPDZ-style online phase) instead of BGW — a working demonstration of
-/// the paper's claim that the MPC layer is replaceable. For a linear
-/// function no triples are needed at all: the additive backend pays one
-/// input round per owner, adds its noise locally, and opens. Panics on
-/// transport failure.
-pub fn column_sums_skellam_additive(
-    data: &Matrix,
-    partition: &ColumnPartition,
-    gamma: f64,
-    mu: f64,
-    cfg: &VflConfig,
-) -> MeanOutput {
-    let bound = checked_bound(data, partition, gamma, mu, cfg);
-    or_panic(with_field!(bound, F => additive_impl::<F>(data, partition, gamma, mu, cfg)))
-}
-
-fn additive_impl<F: PrimeField>(
-    data: &Matrix,
-    partition: &ColumnPartition,
-    gamma: f64,
-    mu: f64,
-    cfg: &VflConfig,
-) -> Result<MeanOutput, TransportError> {
-    let n = data.cols();
-    let p_clients = cfg.n_clients();
-    let engine = AdditiveEngine::new(cfg.mpc_config());
-    let run = engine.try_run::<F, Option<Vec<i128>>, _>(|ctx| {
-        let me = ctx.id;
-        ctx.set_phase("quantize");
-        let my_sums: Vec<F> = my_column_sums(data, partition, gamma, cfg, me);
-
-        // Input sharing: one round per owner batched as n owner-calls would
-        // be expensive; instead every client shares its own column sums in a
-        // single round each (owner order is public). For the linear release
-        // this is still O(P) rounds at most; with even partitions each
-        // client calls share_input once per owned slot sequentially.
-        ctx.set_phase("input");
-        let mut col_sum_shares: Vec<F> = vec![F::ZERO; n];
-        for owner in 0..ctx.n {
-            let owned = partition.columns_of(owner);
-            let values = (me == owner).then_some(&my_sums[..]);
-            let shares = ctx.share_input(owner, values, owned.len());
-            for (slot, &j) in owned.iter().enumerate() {
-                col_sum_shares[j] = shares[slot];
-            }
-        }
-
-        ctx.set_phase("dp_noise");
-        let mut nrng = StdRng::seed_from_u64(cfg.seed() ^ (0x5E11_D000 + me as u64));
-        let local_mu = mu / p_clients as f64;
-        // Additive backend: each party simply adds its own noise share to
-        // its additive share — no extra communication round at all.
-        for share in col_sum_shares.iter_mut() {
-            *share += F::from_i128(sample_skellam(&mut nrng, local_mu) as i128);
-        }
-
-        ctx.set_phase("open");
-        let opened = ctx.open(&col_sum_shares);
-        Some(opened.into_iter().map(|f| f.to_centered_i128()).collect())
-    })?;
-    Ok(output(run))
-}
-
-fn mean_impl<F: PrimeField>(
-    data: &Matrix,
-    partition: &ColumnPartition,
-    gamma: f64,
-    mu: f64,
-    cfg: &VflConfig,
-) -> Result<MeanOutput, TransportError> {
-    let n = data.cols();
-    let local_mu = mu / cfg.n_clients() as f64;
-    let engine = MpcEngine::new(cfg.mpc_config());
-    let counts = partition.counts();
-
-    let run = engine.try_run::<F, Option<Vec<i128>>, _>(|ctx| {
-        let me = ctx.id;
-        ctx.set_phase("quantize");
-        let my_sums: Vec<F> = my_column_sums(data, partition, gamma, cfg, me);
-
-        ctx.set_phase("input");
-        let mut sums = vec![F::ZERO; n];
-        for (client, contrib) in ctx.share_all_uneven(&my_sums, &counts).iter().enumerate() {
-            for (slot, &j) in partition.columns_of(client).iter().enumerate() {
-                sums[j] = contrib[slot];
-            }
-        }
-
-        let mut nrng = StdRng::seed_from_u64(cfg.seed() ^ (0x5E11_D000 + me as u64));
-        noisy_sum(ctx, &sums, &mut nrng, local_mu)
-    })?;
-    Ok(output(run))
 }
 
 #[cfg(test)]
@@ -270,59 +179,6 @@ mod tests {
         let mean = vals.iter().sum::<f64>() / vals.len() as f64;
         let var = vals.iter().map(|v| (v - mean).powi(2)).sum::<f64>() / vals.len() as f64;
         assert!((var - 2.0 * mu).abs() / (2.0 * mu) < 0.15, "var {var}");
-    }
-
-    #[test]
-    fn additive_backend_matches_truth() {
-        let x = data();
-        let partition = ColumnPartition::even(3, 3);
-        let gamma = 4096.0;
-        let out = column_sums_skellam_additive(&x, &partition, gamma, 0.0, &VflConfig::fast(3));
-        for (s, t) in out.sums_hat.iter().zip(true_sums(&x)) {
-            assert!((s / gamma - t).abs() < 0.01, "{} vs {t}", s / gamma);
-        }
-    }
-
-    #[test]
-    fn additive_noise_is_free_of_extra_rounds() {
-        let x = data();
-        let partition = ColumnPartition::even(3, 3);
-        let out = column_sums_skellam_additive(&x, &partition, 64.0, 100.0, &VflConfig::fast(3));
-        // P input rounds + 1 open; the local-noise trick costs zero rounds.
-        assert_eq!(out.stats.total.rounds, 4);
-        assert!(out.stats.phases.get("dp_noise").map_or(0, |p| p.rounds) == 0);
-    }
-
-    #[test]
-    fn additive_and_bgw_have_same_output_law() {
-        // Both perturb the quantized sums with aggregate Sk(mu); compare
-        // empirical variance of the two backends' outputs around the truth.
-        let x = data();
-        let partition = ColumnPartition::even(3, 3);
-        let gamma = 64.0;
-        let mu = 400.0;
-        let mut var_bgw = 0.0;
-        let mut var_add = 0.0;
-        let reps = 60;
-        for seed in 0..reps {
-            let cfg = VflConfig::fast(3).with_seed(seed);
-            let truth: Vec<f64> = true_sums(&x).iter().map(|t| t * gamma).collect();
-            let b = column_sums_skellam(&x, &partition, gamma, mu, &cfg);
-            let a = column_sums_skellam_additive(&x, &partition, gamma, mu, &cfg);
-            var_bgw += (b.sums_hat[0] - truth[0]).powi(2);
-            var_add += (a.sums_hat[0] - truth[0]).powi(2);
-        }
-        var_bgw /= reps as f64;
-        var_add /= reps as f64;
-        let expect = 2.0 * mu;
-        // Quantization adds a little variance on top of the noise; both
-        // backends must be in the same ballpark of 2*mu.
-        for (name, v) in [("bgw", var_bgw), ("additive", var_add)] {
-            assert!(
-                v > 0.4 * expect && v < 2.5 * expect,
-                "{name}: var {v} vs 2mu {expect}"
-            );
-        }
     }
 
     #[test]

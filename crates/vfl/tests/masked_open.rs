@@ -13,6 +13,7 @@ use std::time::Duration;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use sqm_core::polynomial::{Monomial, Polynomial};
 use sqm_core::quantize::quantize_vec;
 use sqm_linalg::Matrix;
 use sqm_mpc::RunStats;
@@ -22,8 +23,9 @@ use sqm_vfl::gradient::quantize_lr_coeffs;
 use sqm_vfl::net::fault::schedule;
 use sqm_vfl::{
     column_sums_skellam, covariance_quantized_oracle, covariance_skellam,
-    covariance_skellam_chunked, covariance_streaming_oracle, gradient_sum_skellam, ColumnPartition,
-    FaultSpec, NetBackend, ReleaseError, StreamCov, TransportError, VflConfig, VflSession,
+    covariance_skellam_chunked, covariance_streaming_oracle, eval_polynomial_skellam,
+    gradient_sum_skellam, ColumnPartition, FaultSpec, NetBackend, ReleaseError, StreamCov,
+    TransportError, VflConfig, VflSession,
 };
 
 const CLIENTS: [usize; 4] = [2, 3, 5, 10];
@@ -285,6 +287,13 @@ fn assert_traffic(what: &str, stats: &RunStats, frames: &[Vec<usize>], width: us
         8 * links * (inputs + width) as u64,
         "{what}"
     );
+    assert_masked_sum(what, stats, links, width);
+}
+
+/// The last round of `stats` is the masked sum — one `width`-element vector
+/// from each of the `links` non-receivers — and sampling the noise moved
+/// nothing.
+fn assert_masked_sum(what: &str, stats: &RunStats, links: u64, width: usize) {
     let open = &stats.phases["open"];
     assert_eq!((open.rounds, open.messages), (1, links), "{what}");
     assert_eq!(open.bytes, 8 * links * width as u64, "{what}");
@@ -334,6 +343,19 @@ fn every_release_moves_its_inputs_once_and_one_masked_vector_per_non_receiver() 
         assert_traffic("gradient", &out.stats, &[frame(batch.len())], N - 1);
         let out = column_sums_skellam(&x, &partition, gamma, mu, &cfg);
         assert_traffic("column sums", &out.stats, &[frame(1)], N);
+
+        // The generic path ends the same way after its GRR layers:
+        // input 1 + depth 1 + masked sum 1.
+        let poly = Polynomial::new(
+            N,
+            vec![
+                vec![Monomial::new(1.0, vec![(0, 1), (2, 1)])],
+                vec![Monomial::linear(1.0, 3), Monomial::linear(1.0, 4)],
+            ],
+        );
+        let (_, stats) = eval_polynomial_skellam(&poly, &x, &partition, gamma, mu, &cfg);
+        assert_eq!(stats.total.rounds, 3, "P={p} generic");
+        assert_masked_sum("generic", &stats, p as u64 - 1, poly.n_dims());
     }
 }
 

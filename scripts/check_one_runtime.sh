@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# Structural guard for the party runtime (crates/mpc/src/runtime.rs): the
-# engines must keep sharing ONE instrumented exchange and ONE run loop, and
-# no library code may touch the process-wide panic hook. Fails if
+# Structural guard for the party runtime (crates/mpc/src/runtime.rs): ONE
+# engine over ONE instrumented exchange and ONE run loop, and no library
+# code may touch the process-wide panic hook. Fails if
 #   * `fn exchange` is defined anywhere but once under crates/mpc/src,
 #   * `catch_unwind` appears on more than one line under crates/mpc/src,
 #   * `set_hook` / `take_hook` / `panic_any` appears in crates/*/src outside
@@ -12,7 +12,11 @@
 #     whole word under crates/, tests/ or examples/ (`BatchingReport` is not
 #     a hit),
 #   * the deleted Shamir-mask release comes back: `mask_shares` or
-#     `share_all_masked` as a whole word under crates/, tests/ or examples/.
+#     `share_all_masked` as a whole word under crates/, tests/ or examples/,
+#   * the deleted second engine comes back: `AdditiveEngine`, `AdditiveCtx`,
+#     `AdditiveTriple`, `dealer_triples`, `mul_beaver` or
+#     `column_sums_skellam_additive` as a whole word under crates/, tests/
+#     or examples/.
 #
 # And for the one release path above the engine (crates/vfl, crates/serve),
 # again reading each file up to its first `#[cfg(test)]`:
@@ -25,10 +29,8 @@
 #     account owns both books),
 #   * at most two `match` on the stream's field enum (counted by their
 #     `<Enum>::M61(..) =>` arm) in crates/vfl/src/stream.rs,
-#   * no `.open(` / `open_centered` under crates/vfl/src outside generic.rs
-#     (the circuit path keeps the broadcast open; every other release ends in
-#     `sum_to_receiver`) — bar the additive backend's own `AdditiveCtx::open`
-#     in mean.rs (ROADMAP 3(d)).
+#   * no `.open(` / `open_centered` under crates/vfl/src (every release
+#     ends in `sum_to_receiver`).
 #
 # Usage: scripts/check_one_runtime.sh
 set -euo pipefail
@@ -91,6 +93,12 @@ if grep -rnwE 'mask_shares|share_all_masked' crates tests examples >&2; then
   fail=1
 fi
 
+if grep -rnwE 'AdditiveEngine|AdditiveCtx|AdditiveTriple|dealer_triples|mul_beaver|column_sums_skellam_additive' \
+    crates tests examples >&2; then
+  echo "the additive engine is deleted: one engine, and a release's masked sum is its additive step" >&2
+  fail=1
+fi
+
 expect "a process global is back in obs::live / obs::prof" 0 \
   "$(non_test '^ *(pub(\\(crate\\))? )?static ' crates/obs/src/live.rs crates/obs/src/prof.rs)"
 expect "the party runtime hand-feeds a telemetry API again" 0 \
@@ -113,10 +121,8 @@ expect "a privacy book is built outside vfl::session::PrivacyAccount" 0 \
 expect "more than two matches on the stream's field enum in crates/vfl/src/stream.rs" -2 \
   "$(non_test '^ *[A-Za-z]+::M61[(].*=>' crates/vfl/src/stream.rs)"
 
-expect "a release opens to every party again (.open( / open_centered outside generic.rs)" 0 \
-  "$(non_test '[.]open[(]|open_centered' crates/vfl/src |
-    grep -v -e '^crates/vfl/src/generic.rs:' \
-      -e '^crates/vfl/src/mean.rs:.*ctx[.]open[(]&col_sum_shares[)]' || true)"
+expect "a release opens to every party again (.open( / open_centered under crates/vfl/src)" 0 \
+  "$(non_test '[.]open[(]|open_centered' crates/vfl/src)"
 
-[ "$fail" -eq 0 ] && echo "one runtime, one round event, one release path: ok"
+[ "$fail" -eq 0 ] && echo "one engine, one runtime, one round event, one release path: ok"
 exit "$fail"
