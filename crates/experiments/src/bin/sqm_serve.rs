@@ -1,15 +1,13 @@
-//! `sqm-serve` — the multi-tenant VFL serving endpoint plus its perf
-//! suite and regression gate.
+//! `sqm-serve` — the multi-tenant VFL serving endpoint under a seeded load.
 //!
 //! ```text
-//! sqm-serve                                # serve, drive seeded load, write BENCH_serve.json
+//! sqm-serve                                # serve, drive seeded load, write the span artifacts
 //! sqm-serve --addr 127.0.0.1:9190         # fixed listen address
 //! sqm-serve --hold-secs 45                # keep serving after the load run
-//! sqm-serve --suite small --gate          # ...and diff against bench/baseline.json
-//! sqm-serve --write-baseline              # refresh the serve suite in the baseline
+//! sqm-serve --out results/serve_smoke     # where the artifacts land
 //! ```
 //!
-//! The run has three acts:
+//! The run has two acts:
 //!
 //! 1. **Serve.** Bind the JSON-over-HTTP protocol (`/v1/tenant`,
 //!    `/v1/ingest`, `/v1/release`, `/status`, `/metrics`) on `--addr`.
@@ -23,13 +21,11 @@
 //!    `slowreq_<seed>.jsonl` (the zero threshold is pinned, so it retains
 //!    every request — the full deterministic request log) and a
 //!    `serve_report.html` with the "Serving SLO" section into `--out`.
-//! 3. **Measure.** Run the `serve` bench suite and write
-//!    `BENCH_serve.json` (sessions/sec from `serve_load_*`, p99 release
-//!    latency from `serve_release_*`), optionally gated against
-//!    `bench/baseline.json` like every other suite.
 //!
 //! With `--hold-secs N` the endpoint stays up for N more seconds after
-//! the artifact is written, so external probes can scrape mid-run state.
+//! the artifacts are written, so external probes can scrape mid-run state.
+//! What the load admits and refuses is pinned by `tests/release_counters.rs`;
+//! serving wall-clock is `benchmark/run.sh`'s `serve_mix` workload.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -38,39 +34,21 @@ use std::time::Duration;
 
 use sqm::obs::span::SpanConfig;
 use sqm::obs::trace::Trace;
-use sqm::obs::{html_report_with_slo, metrics};
+use sqm::obs::{html_report, metrics};
 use sqm::serve::{run_load, LoadSpec, ServeHttp, Server, ServerConfig};
-use sqm_bench::gate::{self, Baseline, GateConfig};
-use sqm_bench::perf::{run_serve, Tier};
 
 struct ServeOptions {
     addr: String,
     hold_secs: u64,
-    tier: Tier,
     out_dir: PathBuf,
-    baseline_path: PathBuf,
-    gate: bool,
-    warn_only: bool,
-    write_baseline: bool,
-}
-
-impl Default for ServeOptions {
-    fn default() -> Self {
-        ServeOptions {
-            addr: "127.0.0.1:9190".to_string(),
-            hold_secs: 0,
-            tier: Tier::Small,
-            out_dir: PathBuf::from("results/perf"),
-            baseline_path: PathBuf::from("bench/baseline.json"),
-            gate: false,
-            warn_only: false,
-            write_baseline: false,
-        }
-    }
 }
 
 fn parse_args() -> ServeOptions {
-    let mut opts = ServeOptions::default();
+    let mut opts = ServeOptions {
+        addr: "127.0.0.1:9190".to_string(),
+        hold_secs: 0,
+        out_dir: PathBuf::from("results/perf"),
+    };
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
     while i < args.len() {
@@ -87,47 +65,17 @@ fn parse_args() -> ServeOptions {
                     .parse()
                     .expect("--hold-secs expects seconds");
             }
-            "--suite" => {
-                i += 1;
-                let value = args.get(i).expect("--suite needs small|full");
-                opts.tier = Tier::parse(value)
-                    .unwrap_or_else(|| panic!("--suite expects small|full, got {value:?}"));
-            }
             "--out" => {
                 i += 1;
                 opts.out_dir = PathBuf::from(args.get(i).expect("--out needs a directory"));
             }
-            "--baseline" => {
-                i += 1;
-                opts.baseline_path = PathBuf::from(args.get(i).expect("--baseline needs a path"));
+            other => {
+                panic!("unknown flag {other} (expected --addr HOST:PORT, --hold-secs N, --out DIR)")
             }
-            "--gate" => opts.gate = true,
-            "--warn-only" => opts.warn_only = true,
-            "--write-baseline" => opts.write_baseline = true,
-            other => panic!(
-                "unknown flag {other} (expected --addr HOST:PORT, --hold-secs N, \
-                 --suite small|full, --out DIR, --baseline PATH, --gate, --warn-only, \
-                 --write-baseline)"
-            ),
         }
         i += 1;
     }
     opts
-}
-
-/// Replace (or append) the `serve` suite in an existing baseline so
-/// blessing this binary's numbers never drops the other suites.
-fn merge_baseline(path: &PathBuf, artifact: sqm_bench::BenchArtifact) -> Baseline {
-    let mut suites = match std::fs::read_to_string(path)
-        .ok()
-        .and_then(|text| Baseline::from_json_str(&text).ok())
-    {
-        Some(baseline) => baseline.suites,
-        None => Vec::new(),
-    };
-    suites.retain(|s| s.suite != artifact.suite);
-    suites.push(artifact);
-    Baseline { suites }
 }
 
 fn main() -> ExitCode {
@@ -190,12 +138,13 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     }
-    let html = html_report_with_slo(
+    let html = html_report(
         "sqm-serve load run",
         &Trace::from_parties(Duration::ZERO, Vec::new()),
         None,
         Some(&metrics::snapshot()),
         Some(&collector.snapshot()),
+        None,
     );
     let html_path = opts.out_dir.join("serve_report.html");
     match sqm::obs::atomic_write_str(&html_path, &html) {
@@ -203,71 +152,6 @@ fn main() -> ExitCode {
         Err(e) => {
             eprintln!("error: cannot write HTML report: {e}");
             return ExitCode::FAILURE;
-        }
-    }
-
-    // Act 3: the bench suite and its artifact.
-    println!(
-        "sqm-serve: running serve suite at tier '{}'",
-        opts.tier.name()
-    );
-    let artifact = run_serve(opts.tier);
-    match artifact.write_to(&opts.out_dir) {
-        Ok(path) => println!(
-            "  wrote {} ({} entries)",
-            path.display(),
-            artifact.entries.len()
-        ),
-        Err(e) => {
-            eprintln!("error: cannot write artifact: {e}");
-            return ExitCode::FAILURE;
-        }
-    }
-
-    if opts.write_baseline {
-        let baseline = merge_baseline(&opts.baseline_path, artifact.clone());
-        if let Err(e) = sqm::obs::atomic_write_str(&opts.baseline_path, &baseline.to_json_string())
-        {
-            eprintln!("error: cannot write baseline: {e}");
-            return ExitCode::FAILURE;
-        }
-        println!(
-            "  wrote {} (serve suite refreshed)",
-            opts.baseline_path.display()
-        );
-    }
-
-    let mut failed = false;
-    if opts.gate {
-        match std::fs::read_to_string(&opts.baseline_path) {
-            Ok(text) => match Baseline::from_json_str(&text) {
-                Ok(baseline) => {
-                    let report = gate::gate_artifacts(
-                        &baseline,
-                        std::slice::from_ref(&artifact),
-                        &GateConfig::default(),
-                    );
-                    print!("{}", report.render(false));
-                    if !report.passed() {
-                        if opts.warn_only {
-                            println!("(--warn-only: regressions reported but not fatal)");
-                        } else {
-                            failed = true;
-                        }
-                    }
-                }
-                Err(e) => {
-                    eprintln!("error: malformed baseline: {e}");
-                    failed = true;
-                }
-            },
-            Err(e) => {
-                eprintln!(
-                    "error: cannot read baseline {}: {e}",
-                    opts.baseline_path.display()
-                );
-                failed = true;
-            }
         }
     }
 
@@ -279,10 +163,5 @@ fn main() -> ExitCode {
         std::thread::sleep(Duration::from_secs(opts.hold_secs));
     }
     endpoint.shutdown();
-
-    if failed {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    }
+    ExitCode::SUCCESS
 }

@@ -1,16 +1,17 @@
 //! A minimal JSON reader.
 //!
 //! The workspace's offline `serde` stand-in only *writes* JSON
-//! (`Deserialize` is a marker trait with no parser behind it), but two
-//! consumers must read JSON back: the bench regression gate (the committed
-//! baseline and freshly written `BENCH_*.json` artifacts) and the
-//! `sqm-serve` HTTP protocol (request bodies). This module is that reader — a
-//! small recursive-descent parser over the JSON our own serializer emits
-//! plus ordinary hand-edited baselines. It accepts standard JSON
-//! (RFC 8259) with two deliberate simplifications: numbers are always
-//! parsed as `f64` (artifact counters fit in the 2^53 exact-integer
-//! range), and `\uXXXX` escapes outside the BMP are not combined into
-//! surrogate pairs (artifact strings are suite names and commit hashes).
+//! (`Deserialize` is a marker trait with no parser behind it), but some
+//! consumers must read JSON back: the `sqm-serve` HTTP protocol (request
+//! bodies), the `benchmark/` harness (`BENCHMARK.json` and its own result
+//! lines) and the tests that parse our exports back (Chrome traces,
+//! ledger JSONL, span dumps). This module is that reader — a small
+//! recursive-descent parser over the JSON our own serializer emits plus
+//! ordinary hand-written documents. It accepts standard JSON (RFC 8259)
+//! with two deliberate simplifications: numbers are always parsed as
+//! `f64` (counters fit in the 2^53 exact-integer range), and `\uXXXX`
+//! escapes outside the BMP are not combined into surrogate pairs (the
+//! strings read here are tenant, workload and field names).
 
 use std::collections::BTreeMap;
 use std::fmt;

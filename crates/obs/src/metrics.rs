@@ -153,11 +153,11 @@ pub struct HistogramSummary {
     pub samples_dropped: u64,
 }
 
-/// The canonical nearest-rank quantile index used repo-wide (`bench::perf`
-/// sample quantiles, `serve::loadgen` p99, the live aggregator, and this
-/// registry's summaries all agree): `round((len - 1) * p)` into an
-/// ascending-sorted sample slice. Returns 0 for an empty slice so callers
-/// can guard on emptiness themselves.
+/// The canonical nearest-rank quantile index used repo-wide
+/// (`serve::loadgen` p99, the live aggregator, and this registry's
+/// summaries all agree): `round((len - 1) * p)` into an ascending-sorted
+/// sample slice. Returns 0 for an empty slice so callers can guard on
+/// emptiness themselves.
 pub fn nearest_rank_index(len: usize, p: f64) -> usize {
     if len == 0 {
         return 0;
@@ -312,13 +312,14 @@ mod tests {
 
         // --- poisoning recovery (keep last: the mutex stays poisoned) ---
         set_enabled(true);
-        let prev_hook = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
-        let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        // A thread dies holding the guard. `resume_unwind` runs no panic
+        // hook, so the process-wide hook is left alone and a genuine
+        // failure in a test running beside this one still prints.
+        let poisoner = std::thread::spawn(|| {
             let _guard = registry().lock().unwrap();
-            panic!("poison the registry mutex");
-        }));
-        std::panic::set_hook(prev_hook);
+            std::panic::resume_unwind(Box::new(()));
+        });
+        assert!(poisoner.join().is_err());
         // Every later lock recovers the inner state instead of panicking,
         // and each recovery is visible in the poison counter.
         counter_add("t.after_poison", 1);

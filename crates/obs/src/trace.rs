@@ -146,9 +146,9 @@ pub struct PhaseTotal {
 }
 
 /// Default bound on detail records (spans + rounds + net events) kept per
-/// party. Long epoch loops (e.g. the `sqm-perf` suite) can emit millions of
-/// per-round records; beyond the cap they are counted, not stored, and the
-/// per-phase aggregates keep the summary exact.
+/// party. Long epoch loops (e.g. a full logistic-regression fit) can emit
+/// millions of per-round records; beyond the cap they are counted, not
+/// stored, and the per-phase aggregates keep the summary exact.
 pub const DEFAULT_EVENT_CAP: usize = 1 << 20;
 
 /// Per-party-thread recorder. Owned by exactly one thread; all methods are

@@ -9,13 +9,13 @@
 //! serialized byte stream, so any accidental change to flow-event layout
 //! (field order, id assignment, timestamp units) shows up as a diff, not
 //! as a silently different Perfetto rendering. Regenerate with
-//! `BLESS=1 cargo test -p sqm-bench --test chrome_flow`.
+//! `BLESS=1 cargo test -p sqm-obs --test chrome_flow`.
 
 use std::time::Duration;
 
-use sqm::obs::json::{self, JsonValue};
-use sqm::obs::trace::{MsgStamp, PartyRecorder, Trace};
-use sqm::obs::write_chrome_trace;
+use sqm_obs::json::{self, JsonValue};
+use sqm_obs::trace::{MsgStamp, PartyRecorder, Trace};
+use sqm_obs::write_chrome_trace;
 
 const GOLDEN_PATH: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),

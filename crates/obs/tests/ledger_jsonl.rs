@@ -7,11 +7,11 @@
 //! stream of a fixed two-release account, so any schema drift — renamed
 //! field, reordered field, changed float formatting — shows up as a test
 //! diff, not as a silently broken consumer. Regenerate with
-//! `BLESS=1 cargo test -p sqm-bench --test ledger_jsonl`.
+//! `BLESS=1 cargo test -p sqm-obs --test ledger_jsonl`.
 
-use sqm::accounting::skellam::Sensitivity;
-use sqm::obs::json::{self, JsonValue};
-use sqm::obs::{write_ledger_jsonl, PrivacyLedger};
+use sqm_accounting::skellam::Sensitivity;
+use sqm_obs::json::{self, JsonValue};
+use sqm_obs::{write_ledger_jsonl, PrivacyLedger};
 
 const GOLDEN_PATH: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),

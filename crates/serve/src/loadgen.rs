@@ -342,7 +342,7 @@ mod tests {
         // 67 samples 0..=66: round((67 - 1) * 0.99) = 65 — one below the
         // max, exactly where the old `ceil(len * p)` rank method returned
         // the max (66). Pinned at a length where the two methods differ,
-        // so loadgen can never drift from `bench::perf`'s quantiles again.
+        // so loadgen can never drift from the registry's quantiles again.
         assert_eq!(report.p99_release_ns(), 65);
         assert_eq!(sqm_obs::metrics::nearest_rank_index(67, 0.99), 65);
     }

@@ -4,9 +4,11 @@
 # code may touch the process-wide panic hook. Fails if
 #   * `fn exchange` is defined anywhere but once under crates/mpc/src,
 #   * `catch_unwind` appears on more than one line under crates/mpc/src,
-#   * `set_hook` / `take_hook` / `panic_any` appears in crates/*/src outside
-#     a `#[cfg(test)]` module (test modules close every file here, so each
-#     file is read up to its first `#[cfg(test)]`),
+#   * `set_hook` / `take_hook` appears anywhere in a file under crates/*/src,
+#     test modules included (unit tests share one process: a swapped hook
+#     silences whatever fails beside it), or `panic_any` appears there
+#     outside a `#[cfg(test)]` module (test modules close every file here,
+#     so each file is read up to its first `#[cfg(test)]`),
 #   * the deleted per-element execution mode comes back: `Batching`,
 #     `FrameMode`, `PerElement`, `set_frame_mode` or `with_batching` as a
 #     whole word under crates/, tests/ or examples/ (`BatchingReport` is not
@@ -16,7 +18,12 @@
 #   * the deleted second engine comes back: `AdditiveEngine`, `AdditiveCtx`,
 #     `AdditiveTriple`, `dealer_triples`, `mul_beaver` or
 #     `column_sums_skellam_additive` as a whole word under crates/, tests/
-#     or examples/.
+#     or examples/,
+#   * the deleted second and third yardsticks come back (the wall-clock
+#     gate crate and its binary, the gate script, the stand-in bench
+#     harness under compat/): their names as whole words in Cargo.toml,
+#     crates/, compat/, scripts/ or .github/. Wall-clock is measured by
+#     benchmark/run.sh; exact counters are pinned by tests/release_counters.rs.
 #
 # And for the one release path above the engine (crates/vfl, crates/serve),
 # again reading each file up to its first `#[cfg(test)]`:
@@ -75,12 +82,9 @@ expect() {
   fail=1
 }
 
-hooks=$(non_test 'set_hook|take_hook|panic_any' crates/*/src)
-if [ -n "$hooks" ]; then
-  echo "panic-hook / panic_any use outside #[cfg(test)]:" >&2
-  echo "$hooks" >&2
-  fail=1
-fi
+expect "the process-wide panic hook is touched under crates/*/src (tests included)" 0 \
+  "$(grep -rnE 'set_hook|take_hook' crates/*/src --include='*.rs' || true)"
+expect "panic_any outside #[cfg(test)]" 0 "$(non_test 'panic_any' crates/*/src)"
 
 if grep -rnwE 'Batching|FrameMode|PerElement|set_frame_mode|with_batching|BatchingReport|batching_report' \
     crates tests examples >&2; then
@@ -98,6 +102,11 @@ if grep -rnwE 'AdditiveEngine|AdditiveCtx|AdditiveTriple|dealer_triples|mul_beav
   echo "the additive engine is deleted: one engine, and a release's masked sum is its additive step" >&2
   fail=1
 fi
+
+# Spelled with bracket expressions so this file does not match itself.
+expect "a second yardstick is back (benchmark/run.sh times, tests/release_counters.rs pins)" 0 \
+  "$(grep -rnwE 'criteri[o]n|sqm[-_]bench|sqm[-_]perf|perf[_]gate' \
+    Cargo.toml crates compat scripts .github || true)"
 
 expect "a process global is back in obs::live / obs::prof" 0 \
   "$(non_test '^ *(pub(\\(crate\\))? )?static ' crates/obs/src/live.rs crates/obs/src/prof.rs)"
