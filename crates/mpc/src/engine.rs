@@ -36,7 +36,7 @@ use sqm_obs::trace::Trace;
 use crate::chacha::PairStream;
 use crate::runtime::{run_parties, PartyLink};
 use crate::shamir::{lagrange_at_zero, share_secrets_batch};
-use crate::stats::RunStats;
+use sqm_obs::round::RunStats;
 
 /// Sizing of the per-party worker pool for wide local arithmetic.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -91,11 +91,6 @@ pub struct MpcConfig {
     /// records on the simulated clock). Off by default; the accounting in
     /// [`RunStats`] is always on.
     pub trace: bool,
-    /// Per-party bound on trace detail records (spans + rounds + net
-    /// events). `None` uses [`sqm_obs::trace::DEFAULT_EVENT_CAP`]. Dropped
-    /// detail is counted (`PartyTrace::dropped_events`, metric
-    /// `obs.trace.dropped_events`); trace summaries stay exact regardless.
-    pub trace_event_cap: Option<usize>,
     /// Transport backend the parties communicate over. The protocol is
     /// backend-agnostic; message/byte counts are identical across backends.
     pub backend: NetBackend,
@@ -141,7 +136,6 @@ impl MpcConfig {
             latency: Duration::from_millis(100),
             seed: 0x5153_4D00, // "SQM"
             trace: false,
-            trace_event_cap: None,
             backend: NetBackend::InProcess,
             faults: None,
             live: None,
@@ -165,13 +159,6 @@ impl MpcConfig {
     /// Turn structured trace recording on or off.
     pub fn with_trace(mut self, trace: bool) -> Self {
         self.trace = trace;
-        self
-    }
-
-    /// Bound the trace detail kept per party (see
-    /// [`MpcConfig::trace_event_cap`]).
-    pub fn with_trace_event_cap(mut self, cap: usize) -> Self {
-        self.trace_event_cap = Some(cap);
         self
     }
 
@@ -222,7 +209,7 @@ pub struct MpcRun<T> {
     /// Rounds / traffic / virtual-clock accounting.
     pub stats: RunStats,
     /// Structured per-party trace (only when [`MpcConfig::trace`] is set).
-    /// Its merged summary reproduces `stats.simulated_time()` exactly.
+    /// Each party's timeline carries its tally: `trace.stats()` is `stats`.
     pub trace: Option<Trace>,
 }
 
@@ -396,7 +383,7 @@ impl<F: PrimeField> PartyCtx<F> {
     /// Attribute `work` units to `engine;<phase>;<what>` on a profiled run.
     fn profile(&self, what: &str, work: usize) {
         if let Some(prof) = self.profiler() {
-            let phase = self.link.phase();
+            let phase = self.link.observer().phase();
             prof.record(&format!("engine;{phase};{what}"), 1, work as u64);
         }
     }
@@ -876,7 +863,6 @@ mod tests {
             latency: Duration::ZERO,
             seed: 0,
             trace: false,
-            trace_event_cap: None,
             backend: NetBackend::InProcess,
             faults: None,
             live: None,
@@ -1012,78 +998,48 @@ mod tests {
     }
 
     #[test]
-    fn trace_reproduces_simulated_time_exactly() {
-        let cfg = MpcConfig::semi_honest(4)
-            .with_latency(Duration::from_millis(100))
+    fn a_reused_mesh_numbers_rounds_alike_in_every_view() {
+        // The second traced, profiled run on one mesh continues the mesh's
+        // round counter. Every view numbers its rounds alike: the trace's
+        // round and causal records, the profile's `roundNNNN` nodes and the
+        // stamps that crossed the wire.
+        let program = |ctx: &mut PartyCtx<M61>| {
+            let x = ctx.share_input(0, (ctx.id == 0).then(|| vec![M61::ONE]).as_deref(), 1);
+            let y = ctx.mul(&x, &x);
+            ctx.open(&y)
+        };
+        let cfg = MpcConfig::semi_honest(3)
+            .with_latency(Duration::ZERO)
             .with_trace(true);
-        let run = MpcEngine::new(cfg).run::<M61, _, _>(|ctx| {
-            ctx.set_phase("input");
-            let x = ctx.share_input(
-                0,
-                (ctx.id == 0).then(|| vec![M61::from_u64(5); 3]).as_deref(),
-                3,
-            );
-            ctx.set_phase("mul");
-            let y = ctx.mul(&x, &x);
-            ctx.set_phase("open");
-            ctx.open(&y)
-        });
-        let trace = run.trace.expect("trace requested");
-        let summary = trace.summary();
-        // The recorder was fed the same Instant measurements as the stats,
-        // so the totals must agree to the nanosecond — not approximately.
-        assert_eq!(summary.total_simulated(), run.stats.simulated_time());
-        assert_eq!(summary.total.rounds, run.stats.total.rounds);
-        assert_eq!(summary.total.messages, run.stats.total.messages);
-        assert_eq!(summary.total.bytes, run.stats.total.bytes);
-        for (name, p) in &run.stats.phases {
-            let row = summary
-                .phases
-                .iter()
-                .find(|r| &r.name == name)
-                .unwrap_or_else(|| panic!("phase {name} missing from trace summary"));
-            assert_eq!(row.rounds, p.rounds, "{name}");
-            assert_eq!(row.messages, p.messages, "{name}");
-            assert_eq!(row.bytes, p.bytes, "{name}");
-            assert_eq!(row.simulated, p.simulated_time(run.stats.latency), "{name}");
+        let mut mesh = build_mesh::<M61>(3, &cfg.backend, None).unwrap();
+        let mut runs = Vec::new();
+        for _ in 0..2 {
+            let prof = Profiler::new(sqm_obs::prof::ProfConfig::default());
+            let engine = MpcEngine::new(cfg.clone().with_prof(Some(prof.clone())));
+            let (run, back) = engine.try_run_on(mesh, program).unwrap();
+            mesh = back;
+            runs.push((run, prof.snapshot()));
         }
-        // Each party recorded each of its rounds.
-        assert_eq!(
-            trace.parties.iter().map(|p| p.rounds.len()).sum::<usize>() as u64,
-            4 * run.stats.total.rounds
-        );
-    }
-
-    #[test]
-    fn capped_trace_still_reproduces_simulated_time_exactly() {
-        // A cap of 2 detail events per party drops most spans/rounds, but
-        // the per-phase totals keep the merged summary exact.
-        let cfg = MpcConfig::semi_honest(4)
-            .with_latency(Duration::from_millis(50))
-            .with_trace(true)
-            .with_trace_event_cap(2);
-        let run = MpcEngine::new(cfg).run::<M61, _, _>(|ctx| {
-            ctx.set_phase("input");
-            let x = ctx.share_input(
-                0,
-                (ctx.id == 0).then(|| vec![M61::from_u64(5); 3]).as_deref(),
-                3,
-            );
-            ctx.set_phase("mul");
-            let y = ctx.mul(&x, &x);
-            let y = ctx.mul(&y, &x);
-            ctx.set_phase("open");
-            ctx.open(&y)
-        });
-        let trace = run.trace.expect("trace requested");
-        assert!(trace.dropped_events() > 0, "cap of 2 must drop detail");
-        let summary = trace.summary();
-        assert_eq!(summary.total_simulated(), run.stats.simulated_time());
-        assert_eq!(summary.total.rounds, run.stats.total.rounds);
-        assert_eq!(summary.total.messages, run.stats.total.messages);
-        assert_eq!(summary.total.bytes, run.stats.total.bytes);
-        for pt in &trace.parties {
-            assert!(pt.spans.len() + pt.rounds.len() + pt.net_events.len() <= 2);
+        let (second, prof) = &runs[1];
+        let rounds = second.stats.total.rounds;
+        let want: Vec<u64> = (rounds..2 * rounds).collect();
+        let profiled: std::collections::BTreeSet<u64> = prof
+            .nodes
+            .keys()
+            .filter_map(|path| path.rsplit_once(";round")?.1.parse().ok())
+            .collect();
+        assert_eq!(profiled.into_iter().collect::<Vec<_>>(), want);
+        let trace = second.trace.as_ref().expect("trace requested");
+        for party in &trace.parties {
+            let id = party.party;
+            let records: Vec<u64> = party.rounds.iter().map(|r| r.index).collect();
+            assert_eq!(records, want, "party {id}: round records");
+            let causal: Vec<u64> = party.causal.iter().map(|c| c.index).collect();
+            assert_eq!(causal, want, "party {id}: causal rounds");
+            for c in &party.causal {
+                let mut stamps = c.sends.iter().chain(&c.recvs);
+                assert!(stamps.all(|s| s.round == c.index), "party {id}: {c:?}");
+            }
         }
     }
 

@@ -13,10 +13,12 @@
 //!   Backend selection lives on [`MpcConfig`].
 //! * `runtime` (crate-private) — the party runtime under the engine: the
 //!   one run loop that spawns `n` party threads, runs the same protocol
-//!   program in each and merges outputs, [`stats::RunStats`] and traces,
-//!   and the one round exchange, which reports each round as one
-//!   `sqm_obs::round::RoundEvent` to the observers the run's config
-//!   attached ([`MpcConfig::live`], [`MpcConfig::prof`], `trace`).
+//!   program in each and collects outputs, and the one round exchange,
+//!   which hands each round to the party's `sqm_obs::round` observer. That
+//!   observer charges it to the party's one tally — merged into the run's
+//!   [`RunStats`] and carried by its trace — and reports it to what the
+//!   run's config attached ([`MpcConfig::live`], [`MpcConfig::prof`],
+//!   `trace`).
 //!   Transport failures surface as typed [`TransportError`]s from
 //!   [`MpcEngine::try_run`] (or a diagnostic panic from `run`); no
 //!   process-wide panic hook is involved.
@@ -29,9 +31,11 @@
 //! * [`chacha`] — the ChaCha20 keystream behind that sum's pairwise masks.
 //! * [`circuit`] — a small retained arithmetic-circuit IR with plaintext and
 //!   MPC evaluators, used by the generic polynomial mechanism.
-//! * [`stats`] — virtual-clock accounting. The paper simulates parties on
-//!   one machine and charges 0.1 s per message hop; [`stats::RunStats`]
-//!   reproduces that model (`simulated_time = wall + rounds * latency`).
+//! * [`RunStats`] / [`PhaseStats`] — virtual-clock accounting, re-exported
+//!   from `sqm_obs::round`, where the tally they merge lives. The paper
+//!   simulates parties on one machine and charges 0.1 s per message hop;
+//!   [`RunStats`] reproduces that model
+//!   (`simulated_time = wall + rounds * latency`).
 #![forbid(unsafe_code)]
 
 pub mod chacha;
@@ -39,7 +43,6 @@ pub mod circuit;
 pub mod engine;
 pub(crate) mod runtime;
 pub mod shamir;
-pub mod stats;
 
 pub use sqm_net as net;
 
@@ -50,4 +53,4 @@ pub use sqm_net::transport::NetBackend;
 pub use sqm_net::{TcpOptions, TransportError};
 pub use sqm_obs::live::LiveConfig;
 pub use sqm_obs::prof::ProfConfig;
-pub use stats::{PhaseStats, RunStats};
+pub use sqm_obs::round::{PhaseStats, RunStats};

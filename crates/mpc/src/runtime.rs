@@ -3,23 +3,21 @@
 //! reported ([`PartyLink::exchange`]).
 //!
 //! [`crate::engine`] decides *what* goes into a round's payloads and what
-//! to do with the ones that come back; the [`PartyLink`] moves them,
-//! accounts for them in its `PartyStats`, and hands the run's observers
-//! (`sqm_obs::round`) one `RoundEvent` per round. Which observers exist —
-//! trace and causal stamps, a live collector, a cost profiler — is the
-//! run's config, not process state; this module names none of them.
+//! to do with the ones that come back; the [`PartyLink`] moves them and
+//! hands each round to the party's observer (`sqm_obs::round`), which
+//! charges it to the party's one tally and reports it to whatever the
+//! run's config attached — trace and causal stamps, a live collector, a
+//! cost profiler. This module names none of them and keeps no tally.
 
 use std::panic::{self, AssertUnwindSafe};
-use std::time::Instant;
 
 use sqm_field::PrimeField;
 use sqm_net::transport::Transport;
 use sqm_net::{TraceHeader, TransportError};
-use sqm_obs::round::{PartyObserver, RoundEvent, RunObserver};
-use sqm_obs::trace::{MsgStamp, DEFAULT_EVENT_CAP};
+use sqm_obs::round::{PartyObserver, RunObserver};
+use sqm_obs::trace::MsgStamp;
 
 use crate::engine::{MpcConfig, MpcRun, RunOnMesh};
-use crate::stats::{merge, PartyStats};
 
 /// Unwind payload a party thread aborts with when its transport fails.
 /// [`run_parties`] catches it and converts it back into the typed
@@ -41,27 +39,14 @@ fn error_priority(e: &TransportError) -> u8 {
     }
 }
 
-/// One party's connection to the run: its mesh endpoint, its accounting,
-/// the phase rounds and wall time are charged to, and its observers.
+/// One party's connection to the run: its mesh endpoint and its observer,
+/// which owns the phase its rounds and wall time are charged to.
 pub(crate) struct PartyLink<F: PrimeField> {
     endpoint: Box<dyn Transport<F>>,
-    stats: PartyStats,
     observer: PartyObserver,
-    phase: String,
-    phase_started: Instant,
 }
 
 impl<F: PrimeField> PartyLink<F> {
-    fn new(endpoint: Box<dyn Transport<F>>, observer: PartyObserver) -> Self {
-        PartyLink {
-            endpoint,
-            stats: PartyStats::default(),
-            observer,
-            phase: "default".to_string(),
-            phase_started: Instant::now(),
-        }
-    }
-
     /// This party's index in the mesh.
     pub(crate) fn id(&self) -> usize {
         self.endpoint.id()
@@ -73,13 +58,8 @@ impl<F: PrimeField> PartyLink<F> {
         self.endpoint.round()
     }
 
-    /// The accounting phase rounds and wall time are currently charged to.
-    pub(crate) fn phase(&self) -> &str {
-        &self.phase
-    }
-
-    /// This party's observers (the protocol layers' cost hooks ask them
-    /// for the run's profiler).
+    /// This party's observer (the protocol layers' cost hooks ask it for
+    /// the run's profiler and the current phase).
     pub(crate) fn observer(&self) -> &PartyObserver {
         &self.observer
     }
@@ -87,18 +67,7 @@ impl<F: PrimeField> PartyLink<F> {
     /// Switch accounting to a named phase (e.g. `"dp_noise"`). Wall time and
     /// rounds accrued so far are attributed to the previous phase.
     pub(crate) fn set_phase(&mut self, name: &str) {
-        self.flush_phase();
-        self.phase = name.to_string();
         self.observer.set_phase(name);
-    }
-
-    fn flush_phase(&mut self) {
-        // One measurement feeds both the accounting and the trace, so a
-        // merged trace reproduces RunStats::simulated_time() exactly.
-        let elapsed = self.phase_started.elapsed();
-        self.stats.record_wall(&self.phase, elapsed);
-        self.observer.flush_phase(elapsed);
-        self.phase_started = Instant::now();
     }
 
     /// One synchronous round: ship `outgoing[j]` to every party `j`, return
@@ -109,39 +78,24 @@ impl<F: PrimeField> PartyLink<F> {
         let me = self.endpoint.id();
         // The round index, read before the exchange bumps it.
         let round = self.endpoint.round();
-        // The wall clock is read only for an observer that reports it.
-        let started = self.observer.wants_wall().then(Instant::now);
         // Traced runs stamp every real outgoing payload; the header travels
         // out-of-band of the byte accounting.
         let dests = (0..outgoing.len()).filter(|&j| j != me && !outgoing[j].is_empty());
-        let stamps = self.observer.stamp_sends(round, dests);
+        let stamps = self.observer.send(round, dests);
         let headers = stamps.map(|(run_id, sends)| headers_of(sends, outgoing.len(), run_id, me));
-        let wall_send = headers.is_some().then(|| self.phase_started.elapsed());
         let outcome = match self.endpoint.exchange_stamped(outgoing, headers) {
             Ok(outcome) => outcome,
             // `resume_unwind` does not run the panic hook: this is a
             // controlled error return, not a bug to report on stderr.
             Err(e) => panic::resume_unwind(Box::new(PartyAbort(e))),
         };
-        let wall = started.map(|t0| t0.elapsed()).unwrap_or_default();
-        let (messages, bytes, elems) = (outcome.messages, outcome.bytes, outcome.elems);
-        self.stats.record_round(&self.phase, messages, bytes, elems);
-        if let Some(wall_send) = wall_send {
-            let recvs = stamps_of(&outcome.headers, me);
-            let wall_recv = self.phase_started.elapsed();
-            self.observer.merge_recvs(recvs, wall_send, wall_recv);
-        }
-        self.observer.round(RoundEvent {
-            party: me,
+        self.observer.round(
             round,
-            phase: &self.phase,
-            messages,
-            bytes,
-            elems,
-            wall,
-            net_events: outcome.events,
-            link_walls: outcome.link_walls,
-        });
+            (outcome.messages, outcome.bytes, outcome.elems),
+            outcome.events,
+            outcome.link_walls,
+            stamps_of(&outcome.headers, me),
+        );
         outcome.incoming
     }
 }
@@ -208,29 +162,25 @@ where
         n,
         config.seed,
         config.latency,
-        config
-            .trace
-            .then(|| config.trace_event_cap.unwrap_or(DEFAULT_EVENT_CAP)),
+        config.trace,
         config.live.clone(),
         config.prof.clone(),
     );
-    let party = &party;
-    let results: Vec<Result<(T, PartyLink<F>), TransportError>> = std::thread::scope(|s| {
+    let (party, observing) = (&party, &observers);
+    let results: Vec<Result<_, TransportError>> = std::thread::scope(|s| {
         let handles: Vec<_> = endpoints
             .into_iter()
             .map(|endpoint| {
-                let observer = observers.party(endpoint.id());
                 s.spawn(move || {
-                    let link = PartyLink::new(endpoint, observer);
+                    // The party's phase clock starts on its own thread.
+                    let observer = observing.party(endpoint.id());
+                    let link = PartyLink { endpoint, observer };
                     // A transport failure aborts the program mid-round via a
                     // PartyAbort unwind; catch it here and surface the typed
                     // error. The unwind drops the link and with it this
                     // party's endpoint, which unblocks any peer waiting on it.
                     match panic::catch_unwind(AssertUnwindSafe(|| party(link))) {
-                        Ok((out, mut link)) => {
-                            link.flush_phase();
-                            Ok((out, link))
-                        }
+                        Ok((out, link)) => Ok((out, link.endpoint, link.observer.finish())),
                         Err(payload) => match payload.downcast::<PartyAbort>() {
                             Ok(abort) => Err(abort.0),
                             Err(other) => panic::resume_unwind(other),
@@ -246,18 +196,15 @@ where
     });
 
     let mut outputs = Vec::with_capacity(n);
-    let mut stats = Vec::with_capacity(n);
-    let mut party_traces = Vec::with_capacity(n);
+    let mut parties = Vec::with_capacity(n);
     let mut mesh = Vec::with_capacity(n);
     let mut errors = Vec::new();
     for result in results {
         match result {
-            Ok((out, link)) => {
-                let sent = &link.stats.total;
-                party_traces.extend(link.observer.finish(sent.messages, sent.bytes));
+            Ok((out, endpoint, finished)) => {
                 outputs.push(out);
-                stats.push(link.stats);
-                mesh.push(link.endpoint);
+                parties.push(finished);
+                mesh.push(endpoint);
             }
             Err(e) => errors.push(e),
         }
@@ -266,10 +213,10 @@ where
         observers.fail(err.kind(), err.party(), err.round());
         return Err(err);
     }
-    let trace = observers.finish(party_traces);
+    let (stats, trace) = observers.finish(parties);
     let run = MpcRun {
         outputs,
-        stats: merge(stats, config.latency),
+        stats,
         trace,
     };
     Ok((run, mesh))

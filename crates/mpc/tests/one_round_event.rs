@@ -27,7 +27,7 @@ const P: usize = 4;
 
 /// `(rounds, messages, bytes)` per phase that exchanged at least once, with
 /// rounds counted once per party (the unit every per-round observer sees;
-/// `RunStats` and the trace summary report the max over parties instead).
+/// `RunStats` reports the max over parties instead).
 type PhaseTotals = BTreeMap<String, (u64, u64, u64)>;
 
 /// Hold every view of `run`, a `shape` program that exchanges in
@@ -55,19 +55,18 @@ fn check<T>(
         stats.total.bytes,
     );
 
-    // Trace: the merged summary is RunStats, row for row.
+    // Trace: every party's round records, summed per phase.
     let trace = run.trace.as_ref().expect("traced");
-    let summary = trace.summary();
-    let rows: PhaseTotals = summary
-        .phases
-        .iter()
-        .filter(|r| r.rounds > 0)
-        .map(|r| (r.name.clone(), (n * r.rounds, r.messages, r.bytes)))
-        .collect();
-    assert_eq!(rows, want, "{shape}: trace summary");
-    let t = &summary.total;
-    assert_eq!((n * t.rounds, t.messages, t.bytes), total, "{shape}: trace");
-    assert_eq!(summary.total_simulated(), stats.simulated_time());
+    let mut rows = PhaseTotals::new();
+    for r in trace.parties.iter().flat_map(|p| &p.rounds) {
+        let row = rows.entry(r.phase.clone()).or_default();
+        *row = (row.0 + 1, row.1 + r.messages, row.2 + r.bytes);
+    }
+    assert_eq!(rows, want, "{shape}: trace rounds");
+    let summed = rows
+        .values()
+        .fold((0, 0, 0), |a, r| (a.0 + r.0, a.1 + r.1, a.2 + r.2));
+    assert_eq!(summed, total, "{shape}: trace");
 
     // Live: per-phase counters and per-party totals.
     let seen: PhaseTotals = live

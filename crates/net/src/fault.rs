@@ -315,7 +315,7 @@ mod tests {
                         let mut t = FaultTransport::new(Box::new(ep), spec);
                         for _ in 0..5 {
                             let payload = vec![M61::from_u64(Transport::<M61>::id(&t) as u64)];
-                            match t.broadcast(payload) {
+                            match t.exchange(vec![payload; 2]) {
                                 Ok(_) => {}
                                 Err(e) => return Some(e),
                             }
@@ -357,7 +357,9 @@ mod tests {
                         let id = Transport::<M61>::id(&t) as u64;
                         let mut got = Vec::new();
                         for round in 0..8u64 {
-                            let out = t.broadcast(vec![M61::from_u64(id * 1000 + round)]).unwrap();
+                            let out = t
+                                .exchange(vec![vec![M61::from_u64(id * 1000 + round)]; 3])
+                                .unwrap();
                             got.push(out.incoming.into_iter().flatten().collect::<Vec<_>>());
                         }
                         got
@@ -386,7 +388,7 @@ mod tests {
         let mut endpoints = mesh::<M61>(2);
         let ep = endpoints.remove(0);
         let mut t = FaultTransport::new(Box::new(ep), spec);
-        let err = t.broadcast(vec![M61::ONE]).unwrap_err();
+        let err = t.exchange(vec![vec![M61::ONE]; 2]).unwrap_err();
         assert_eq!(
             err,
             TransportError::RetransmitExhausted {
@@ -421,7 +423,7 @@ mod tests {
                     s.spawn(move || {
                         let mut t = FaultTransport::new(Box::new(ep), spec);
                         (0..64)
-                            .flat_map(|_| t.broadcast(vec![M61::ONE]).unwrap().events)
+                            .flat_map(|_| t.exchange(vec![vec![M61::ONE]; 2]).unwrap().events)
                             .filter(|e| e.kind == "retransmit")
                             .count()
                     })

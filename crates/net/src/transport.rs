@@ -2,7 +2,7 @@
 //! round, pluggable backends, typed errors.
 //!
 //! The trait is extracted from the original in-process
-//! `Endpoint::exchange`/`broadcast` API of `sqm-mpc`, with two changes:
+//! `Endpoint::exchange` API of `sqm-mpc`, with two changes:
 //! exchanges return `Result<_, TransportError>` instead of panicking on a
 //! closed link, and the endpoint tracks its own round counter so errors can
 //! name the round they occurred in.
@@ -89,13 +89,6 @@ pub trait Transport<F: PrimeField>: Send {
         outgoing: Vec<Vec<F>>,
         headers: Option<Vec<Option<TraceHeader>>>,
     ) -> Result<RoundOutcome<F>, TransportError>;
-
-    /// Broadcast the same payload to every party and collect one from each
-    /// (used for opening shares).
-    fn broadcast(&mut self, payload: Vec<F>) -> Result<RoundOutcome<F>, TransportError> {
-        let n = self.n_parties();
-        self.exchange(vec![payload; n])
-    }
 }
 
 /// Which transport backend a protocol run uses.
@@ -196,19 +189,6 @@ mod tests {
             for (i, payload) in incoming.iter().enumerate() {
                 assert_eq!(payload, &vec![M61::from_u64((10 * i + j) as u64)]);
             }
-        }
-    }
-
-    #[test]
-    fn broadcast_defaults_to_exchange_of_clones() {
-        let eps = build_mesh::<M61>(2, &NetBackend::InProcess, None).unwrap();
-        let results = run_all(eps, |ep| {
-            let payload = vec![M61::from_u64(ep.id() as u64 + 7)];
-            ep.broadcast(payload).unwrap().incoming
-        });
-        for incoming in &results {
-            assert_eq!(incoming[0], vec![M61::from_u64(7)]);
-            assert_eq!(incoming[1], vec![M61::from_u64(8)]);
         }
     }
 }

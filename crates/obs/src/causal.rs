@@ -1,8 +1,8 @@
 //! Cross-party causal analysis of a traced run.
 //!
-//! When tracing is on, both MPC engines stamp every real message with a
-//! compact trace context (run id, party, round, per-link sequence number,
-//! Lamport clock — see `sqm_net::wire::TraceHeader`) and record one
+//! When tracing is on, the engine stamps every real message with a compact
+//! trace context (run id, party, round, per-link sequence number, Lamport
+//! clock — see `sqm_net::wire::TraceHeader`) and records one
 //! [`CausalRound`] per exchange. [`MessageDag::build`] reconstructs the
 //! full message DAG from a completed [`Trace`]: the nodes are per-party
 //! exchange events on the simulated timeline, the intra-party edges follow
@@ -14,22 +14,23 @@
 //!
 //! ## Exactness contract
 //!
-//! The critical-path **total** is computed from the same per-phase
-//! aggregates (and with the same `Duration` arithmetic) as
-//! [`Trace::summary`]: per party, `wall + latency * rounds`, maximized
-//! over parties. For the engines' SPMD runs — every party executes the
-//! same number of rounds — this equals `RunStats::simulated_time()`
-//! **exactly**, which the engine tests assert. The walked segment list is
-//! an *attribution* of that total: per-party clocks share the simulated
-//! origin but drift by measured wall differences, so individual segment
-//! boundaries are measurements, not invariants.
+//! The critical-path **total** is the end of the straggler's timeline,
+//! read off each party's tally ([`PartyTrace::stats`]): per party,
+//! `wall + latency * rounds`, maximized over parties. For the engine's SPMD
+//! runs — every party executes the same number of rounds — this equals
+//! `RunStats::simulated_time()` **exactly**, the same tallies merged. The
+//! walked segment list is an *attribution* of that total: per-party clocks
+//! share the simulated origin but drift by measured wall differences, so
+//! individual segment boundaries are measurements, not invariants.
+//!
+//! [`PartyTrace::stats`]: crate::trace::PartyTrace::stats
 
 use std::collections::BTreeMap;
 use std::time::Duration;
 
 use serde::Serialize;
 
-use crate::trace::{CausalRound, Trace};
+use crate::trace::{CausalRound, PartyTrace, Trace};
 
 /// One matched send→recv flow edge of the message DAG.
 #[derive(Clone, Debug, Serialize)]
@@ -75,7 +76,7 @@ pub struct PathSegment {
 pub struct PartyBreakdown {
     pub party: usize,
     /// End of the party's simulated timeline (`wall + latency * rounds`,
-    /// exact from the per-phase aggregates).
+    /// exact from the party's tally).
     pub total: Duration,
     /// Time spent waiting inside exchanges (sum of `t_recv - t_send`
     /// over recorded causal rounds; includes the modeled latency).
@@ -256,29 +257,19 @@ impl<'a> MessageDag<'a> {
         violations
     }
 
-    /// Per-party timeline ends, exact from the phase aggregates:
-    /// `wall + latency * rounds` with the engine's `Duration` arithmetic.
+    /// Per-party timeline ends, exact from each party's tally:
+    /// `wall + latency * rounds`.
     fn party_totals(&self) -> Vec<(usize, Duration, u64, u64)> {
-        self.trace
-            .parties
-            .iter()
-            .map(|pt| {
-                let mut wall = Duration::ZERO;
-                let mut rounds = 0u64;
-                let mut messages = 0u64;
-                for t in &pt.phase_totals {
-                    wall += t.wall;
-                    rounds += t.rounds;
-                    messages += t.messages;
-                }
-                (
-                    pt.party,
-                    wall + self.latency * rounds as u32,
-                    rounds,
-                    messages,
-                )
-            })
-            .collect()
+        let total = |pt: &PartyTrace| {
+            let t = &pt.stats.total;
+            (
+                pt.party,
+                t.simulated_time(self.latency),
+                t.rounds,
+                t.messages,
+            )
+        };
+        self.trace.parties.iter().map(total).collect()
     }
 
     /// Compute the latency-weighted critical path and per-party breakdown.
@@ -422,49 +413,69 @@ impl<'a> MessageDag<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::round::{PartyStats, PhaseStats};
     use crate::trace::{MsgStamp, PartyRecorder};
 
     fn ms(v: u64) -> Duration {
         Duration::from_millis(v)
     }
 
+    /// Close `rec`'s one visit to `phase` — `rounds` rounds sending
+    /// `messages` messages in all, lasting `wall` — in the party's tally and
+    /// the recorder alike, and finish, the way a `PartyObserver` does.
+    fn finish(
+        mut rec: PartyRecorder,
+        phase: &str,
+        rounds: u64,
+        messages: u64,
+        wall: Duration,
+    ) -> PartyTrace {
+        let visit = PhaseStats {
+            rounds,
+            messages,
+            bytes: 8 * messages,
+            elems: messages,
+            wall,
+        };
+        rec.close_span(phase, &visit);
+        let mut stats = PartyStats::default();
+        stats.add_visit(phase, &visit);
+        rec.finish(stats)
+    }
+
     /// Two parties exchanging one message each for `rounds` rounds,
-    /// recorded the way the engines record: causal context first, then the
-    /// round, then one flush per phase.
+    /// recorded the way the engine records: causal context first, then the
+    /// round, then the visit's close.
     fn two_party_trace(rounds: u64) -> Trace {
         let latency = ms(100);
         let parties = (0..2usize)
             .map(|me| {
                 let peer = 1 - me;
                 let mut rec = PartyRecorder::new(me, latency);
-                rec.set_phase("compute");
                 let mut lamport = 0u64;
                 for k in 0..rounds {
                     let send = lamport + 1;
                     let recv = send + 1; // peer's stamp is `send` too; max+1
+                    let stamp = MsgStamp {
+                        peer,
+                        link_seq: k,
+                        lamport: send,
+                        round: k,
+                    };
+                    let (wall, clocks) = ((ms(k), ms(k)), (send, recv));
                     rec.record_causal_round(
-                        ms(k),
-                        ms(k),
-                        send,
-                        recv,
-                        vec![MsgStamp {
-                            peer,
-                            link_seq: k,
-                            lamport: send,
-                            round: k,
-                        }],
-                        vec![MsgStamp {
-                            peer,
-                            link_seq: k,
-                            lamport: send,
-                            round: k,
-                        }],
+                        "compute",
+                        k,
+                        k,
+                        wall,
+                        clocks,
+                        vec![stamp],
+                        vec![stamp],
                     );
-                    rec.record_round(1, 8);
+                    rec.record_round("compute", k, 1, 8);
                     lamport = recv;
                 }
-                rec.flush_phase(ms(rounds));
-                rec.finish()
+                finish(rec, "compute", rounds, rounds, ms(rounds))
             })
             .collect();
         Trace::from_parties(latency, parties)
@@ -495,25 +506,21 @@ mod tests {
     fn missing_recv_is_reported_not_matched() {
         let latency = ms(10);
         let mut a = PartyRecorder::new(0, latency);
-        a.record_causal_round(
-            ms(0),
-            ms(0),
-            1,
-            2,
-            vec![MsgStamp {
-                peer: 1,
-                link_seq: 0,
-                lamport: 1,
-                round: 0,
-            }],
-            vec![],
-        );
-        a.record_round(1, 8);
-        a.flush_phase(ms(1));
+        let sent = MsgStamp {
+            peer: 1,
+            link_seq: 0,
+            lamport: 1,
+            round: 0,
+        };
+        a.record_causal_round("default", 0, 0, (ms(0), ms(0)), (1, 2), vec![sent], vec![]);
+        a.record_round("default", 0, 1, 8);
         let mut b = PartyRecorder::new(1, latency);
-        b.record_round(0, 0);
-        b.flush_phase(ms(1));
-        let trace = Trace::from_parties(latency, vec![a.finish(), b.finish()]);
+        b.record_round("default", 0, 0, 0);
+        let parties = vec![
+            finish(a, "default", 1, 1, ms(1)),
+            finish(b, "default", 1, 0, ms(1)),
+        ];
+        let trace = Trace::from_parties(latency, parties);
         let dag = MessageDag::build(&trace);
         assert!(!dag.fully_matched());
         assert_eq!(dag.unmatched_sends(), 1);
@@ -526,7 +533,8 @@ mod tests {
         let trace = two_party_trace(4);
         let dag = MessageDag::build(&trace);
         let cp = dag.critical_path();
-        assert_eq!(cp.total, trace.summary().total_simulated());
+        assert_eq!(cp.total, trace.stats().simulated_time());
+        assert_eq!(cp.total, ms(4 + 4 * 100));
         assert_eq!(cp.parties.len(), 2);
         for p in &cp.parties {
             assert_eq!(p.rounds, 4);
@@ -544,13 +552,12 @@ mod tests {
     fn empty_causal_data_yields_exact_total_and_no_segments() {
         let latency = ms(100);
         let mut r = PartyRecorder::new(0, latency);
-        r.set_phase("x");
-        r.record_round(2, 16);
-        r.flush_phase(ms(5));
-        let trace = Trace::from_parties(latency, vec![r.finish()]);
+        r.record_round("x", 0, 2, 16);
+        let trace = Trace::from_parties(latency, vec![finish(r, "x", 1, 2, ms(5))]);
         let dag = MessageDag::build(&trace);
         let cp = dag.critical_path();
-        assert_eq!(cp.total, trace.summary().total_simulated());
+        assert_eq!(cp.total, trace.stats().simulated_time());
+        assert_eq!(cp.total, ms(105));
         assert!(cp.segments.is_empty());
         assert_eq!(cp.parties[0].idle, Duration::ZERO);
     }
@@ -560,16 +567,15 @@ mod tests {
         let latency = ms(10);
         let mut a = PartyRecorder::new(0, latency);
         // Broken stamping: recv clock not past the send clock.
-        a.record_causal_round(ms(0), ms(0), 5, 5, vec![], vec![]);
-        a.record_round(0, 0);
-        a.flush_phase(ms(1));
-        let trace = Trace::from_parties(latency, vec![a.finish()]);
+        a.record_causal_round("default", 0, 0, (ms(0), ms(0)), (5, 5), vec![], vec![]);
+        a.record_round("default", 0, 0, 0);
+        let trace = Trace::from_parties(latency, vec![finish(a, "default", 1, 0, ms(1))]);
         let dag = MessageDag::build(&trace);
         assert_eq!(dag.lamport_violations(), 1);
     }
 
-    /// Simulate a fault-free synchronous-round run the way the engines
-    /// stamp it: per global round every party picks `lamport + 1` as its
+    /// Simulate a fault-free synchronous-round run the way the engine
+    /// stamps it: per global round every party picks `lamport + 1` as its
     /// send clock, delivery is exact, and each receiver merges to
     /// `max(send, received...) + 1`. The message pattern, per-party wall
     /// times, and latency all come from proptest.
@@ -577,7 +583,9 @@ mod tests {
         let mut recs: Vec<PartyRecorder> = (0..n).map(|p| PartyRecorder::new(p, latency)).collect();
         let mut lamport = vec![0u64; n];
         let mut link_seq = vec![vec![0u64; n]; n];
+        let mut sent = vec![0u64; n];
         for (k, round) in pattern.iter().enumerate() {
+            let k = k as u64;
             // Who sends to whom this round: `round[me * n + peer]`.
             let mut sends: Vec<Vec<MsgStamp>> = vec![Vec::new(); n];
             let mut recvs: Vec<Vec<MsgStamp>> = vec![Vec::new(); n];
@@ -591,7 +599,7 @@ mod tests {
                         peer,
                         link_seq: link_seq[me][peer],
                         lamport: send_clock[me],
-                        round: k as u64,
+                        round: k,
                     };
                     link_seq[me][peer] += 1;
                     sends[me].push(stamp);
@@ -601,27 +609,27 @@ mod tests {
             for me in 0..n {
                 let max_recv = recvs[me].iter().map(|s| s.lamport).max().unwrap_or(0);
                 let merged = send_clock[me].max(max_recv) + 1;
-                let wall = ms(walls_ms[(k * n + me) % walls_ms.len()]);
+                let wall = ms(walls_ms[(k as usize * n + me) % walls_ms.len()]);
                 let n_sent = sends[me].len() as u64;
                 recs[me].record_causal_round(
-                    wall,
-                    wall + ms(1),
-                    send_clock[me],
-                    merged,
+                    "default",
+                    k,
+                    k,
+                    (wall, wall + ms(1)),
+                    (send_clock[me], merged),
                     std::mem::take(&mut sends[me]),
                     std::mem::take(&mut recvs[me]),
                 );
-                recs[me].record_round(n_sent, 8 * n_sent);
+                recs[me].record_round("default", k, n_sent, 8 * n_sent);
+                sent[me] += n_sent;
                 lamport[me] = merged;
             }
         }
         let total_rounds = pattern.len() as u64;
         let parties = recs
             .into_iter()
-            .map(|mut r| {
-                r.flush_phase(ms(total_rounds * 2));
-                r.finish()
-            })
+            .zip(sent)
+            .map(|(r, sent)| finish(r, "default", total_rounds, sent, ms(total_rounds * 2)))
             .collect();
         Trace::from_parties(latency, parties)
     }
@@ -653,9 +661,12 @@ mod tests {
             // Lamport clocks are monotone along every DAG edge (flow and
             // program order) — zero violations on a fault-free run.
             proptest::prop_assert_eq!(dag.lamport_violations(), 0);
-            // Equal-round (SPMD) runs reproduce the summary total exactly.
+            // Equal-round (SPMD) runs end the critical path at the merged
+            // stats' virtual clock.
             let cp = dag.critical_path();
-            proptest::prop_assert_eq!(cp.total, trace.summary().total_simulated());
+            let stats = trace.stats();
+            proptest::prop_assert_eq!(cp.total, stats.simulated_time());
+            proptest::prop_assert_eq!(stats.total.messages, total_sends as u64);
             for p in &cp.parties {
                 proptest::prop_assert_eq!(p.total, p.idle + p.compute);
             }

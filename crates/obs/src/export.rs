@@ -335,7 +335,7 @@ pub fn html_report(
     slo: Option<&crate::span::SloSnapshot>,
     prof: Option<&crate::prof::ProfSnapshot>,
 ) -> String {
-    let summary = trace.summary();
+    let stats = trace.stats();
     let mut out = String::with_capacity(16 * 1024);
     out.push_str("<!DOCTYPE html>\n<html><head><meta charset=\"utf-8\">\n<title>");
     out.push_str(&html_escape(title));
@@ -357,9 +357,9 @@ pub fn html_report(
         "{} parties · {} per hop · total simulated {} · {} messages · {}",
         trace.parties.len(),
         fmt_duration(trace.latency),
-        fmt_duration(summary.total.simulated),
-        summary.total.messages,
-        fmt_bytes(summary.total.bytes),
+        fmt_duration(stats.simulated_time()),
+        stats.total.messages,
+        fmt_bytes(stats.total.bytes),
     ));
     out.push_str("</p>\n");
     if trace.dropped_events() > 0 {
@@ -426,11 +426,11 @@ pub fn html_report(
         fmt_duration(Duration::from_secs_f64(horizon)),
     ));
     out.push_str("</svg>\n<p>");
-    for row in &summary.phases {
+    for name in stats.phases.keys() {
         out.push_str(&format!(
             "<span class=\"chip\" style=\"background:{}\"></span>{}&nbsp;&nbsp;",
-            phase_color(&row.name),
-            html_escape(&row.name)
+            phase_color(name),
+            html_escape(name)
         ));
     }
     out.push_str("</p>\n");
@@ -440,15 +440,16 @@ pub fn html_report(
         "<h2>Per-phase summary</h2>\n<table>\n<tr><th class=\"l\">phase</th><th>rounds</th>\
          <th>messages</th><th>bytes</th><th>wall</th><th>simulated</th></tr>\n",
     );
-    for row in summary.phases.iter().chain(std::iter::once(&summary.total)) {
+    let rows = stats.phases.iter().map(|(n, p)| (n.as_str(), p));
+    for (name, row) in rows.chain([("total", &stats.total)]) {
         out.push_str(&format!(
             "<tr><td class=\"l\">{}</td><td>{}</td><td>{}</td><td>{}</td><td>{}</td><td>{}</td></tr>\n",
-            html_escape(&row.name),
+            html_escape(name),
             row.rounds,
             row.messages,
             fmt_bytes(row.bytes),
             fmt_duration(row.wall),
-            fmt_duration(row.simulated),
+            fmt_duration(row.simulated_time(stats.latency)),
         ));
     }
     out.push_str("</table>\n");
@@ -459,20 +460,15 @@ pub fn html_report(
          <th>messages</th><th>bytes</th><th>wall</th><th>net events</th><th>dropped</th></tr>\n",
     );
     for pt in &trace.parties {
-        let (mut rounds, mut messages, mut bytes) = (0u64, 0u64, 0u64);
-        let mut wall = Duration::ZERO;
-        for t in &pt.phase_totals {
-            rounds += t.rounds;
-            messages += t.messages;
-            bytes += t.bytes;
-            wall += t.wall;
-        }
+        let t = &pt.stats.total;
         out.push_str(&format!(
-            "<tr><td class=\"l\">party {}</td><td>{rounds}</td><td>{messages}</td>\
+            "<tr><td class=\"l\">party {}</td><td>{}</td><td>{}</td>\
              <td>{}</td><td>{}</td><td>{}</td><td>{}</td></tr>\n",
             pt.party,
-            fmt_bytes(bytes),
-            fmt_duration(wall),
+            t.rounds,
+            t.messages,
+            fmt_bytes(t.bytes),
+            fmt_duration(t.wall),
             pt.net_events.len(),
             pt.dropped_events,
         ));
@@ -705,20 +701,40 @@ pub fn flamegraph_html(title: &str, prof: &crate::prof::ProfSnapshot) -> String 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::round::{PartyStats, PhaseStats};
     use crate::trace::PartyRecorder;
+
+    /// Close a visit to `phase` — `rounds` rounds of one message carrying
+    /// `bytes` each, lasting `wall_ms` — in the tally and the recorder alike.
+    fn close(
+        rec: &mut PartyRecorder,
+        stats: &mut PartyStats,
+        phase: &str,
+        rounds: u64,
+        bytes: u64,
+        wall_ms: u64,
+    ) {
+        let visit = PhaseStats {
+            rounds,
+            messages: rounds,
+            bytes: rounds * bytes,
+            elems: rounds,
+            wall: Duration::from_millis(wall_ms),
+        };
+        rec.close_span(phase, &visit);
+        stats.add_visit(phase, &visit);
+    }
 
     fn sample_trace() -> Trace {
         let latency = Duration::from_millis(100);
         let parties = (0..2)
             .map(|id| {
-                let mut r = PartyRecorder::new(id, latency);
-                r.set_phase("input");
-                r.record_round(1, 64);
-                r.flush_phase(Duration::from_millis(2));
-                r.set_phase("open");
-                r.record_round(1, 16);
-                r.flush_phase(Duration::from_millis(1));
-                r.finish()
+                let (mut r, mut stats) = (PartyRecorder::new(id, latency), PartyStats::default());
+                r.record_round("input", 0, 1, 64);
+                close(&mut r, &mut stats, "input", 1, 64, 2);
+                r.record_round("open", 1, 1, 16);
+                close(&mut r, &mut stats, "open", 1, 16, 1);
+                r.finish(stats)
             })
             .collect();
         Trace::from_parties(latency, parties)
@@ -744,8 +760,8 @@ mod tests {
     #[test]
     fn jsonl_includes_net_events() {
         let latency = Duration::from_millis(100);
-        let mut r = PartyRecorder::new(0, latency);
-        r.record_round(1, 8);
+        let (mut r, mut stats) = (PartyRecorder::new(0, latency), PartyStats::default());
+        r.record_round("default", 0, 1, 8);
         r.record_net_event(crate::trace::NetEvent {
             party: 0,
             round: 0,
@@ -753,8 +769,8 @@ mod tests {
             kind: "retransmit".to_string(),
             value: 3.0,
         });
-        r.flush_phase(Duration::from_millis(1));
-        let trace = Trace::from_parties(latency, vec![r.finish()]);
+        close(&mut r, &mut stats, "default", 1, 8, 1);
+        let trace = Trace::from_parties(latency, vec![r.finish(stats)]);
         let mut buf = Vec::new();
         write_jsonl(&trace, &mut buf).unwrap();
         let text = String::from_utf8(buf).unwrap();
@@ -824,8 +840,7 @@ mod tests {
         let parties = (0..2usize)
             .map(|me| {
                 let peer = 1 - me;
-                let mut rec = PartyRecorder::new(me, latency);
-                rec.set_phase("compute");
+                let (mut rec, mut stats) = (PartyRecorder::new(me, latency), PartyStats::default());
                 let mut lamport = 0u64;
                 for k in 0..2u64 {
                     let send = lamport + 1;
@@ -836,19 +851,14 @@ mod tests {
                         lamport: send,
                         round: k,
                     };
-                    rec.record_causal_round(
-                        Duration::from_millis(k),
-                        Duration::from_millis(k),
-                        send,
-                        recv,
-                        vec![stamp],
-                        vec![stamp],
-                    );
-                    rec.record_round(1, 8);
+                    let wall = (Duration::from_millis(k), Duration::from_millis(k));
+                    let (sends, recvs) = (vec![stamp], vec![stamp]);
+                    rec.record_causal_round("compute", k, k, wall, (send, recv), sends, recvs);
+                    rec.record_round("compute", k, 1, 8);
                     lamport = recv;
                 }
-                rec.flush_phase(Duration::from_millis(2));
-                rec.finish()
+                close(&mut rec, &mut stats, "compute", 2, 8, 2);
+                rec.finish(stats)
             })
             .collect();
         Trace::from_parties(latency, parties)
@@ -1056,11 +1066,11 @@ mod tests {
     #[test]
     fn html_escapes_hostile_phase_names() {
         let latency = Duration::from_millis(1);
-        let mut r = PartyRecorder::new(0, latency);
-        r.set_phase("<script>alert(1)</script>");
-        r.record_round(1, 8);
-        r.flush_phase(Duration::from_millis(1));
-        let trace = Trace::from_parties(latency, vec![r.finish()]);
+        let (mut r, mut stats) = (PartyRecorder::new(0, latency), PartyStats::default());
+        let phase = "<script>alert(1)</script>";
+        r.record_round(phase, 0, 1, 8);
+        close(&mut r, &mut stats, phase, 1, 8, 1);
+        let trace = Trace::from_parties(latency, vec![r.finish(stats)]);
         let html = html_report("x & <y>", &trace, None, None, None, None);
         assert!(!html.contains("<script>alert"));
         assert!(html.contains("&lt;script&gt;"));

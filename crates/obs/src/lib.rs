@@ -1,18 +1,21 @@
 //! Observability for SQM: tracing, metrics, and a privacy ledger.
 //!
-//! The simulation layer already *accounts* (rounds, bytes, virtual-clock
-//! time in `sqm_mpc::RunStats`; RDP spend in `sqm_accounting::budget`), but
-//! accounting alone answers "how much" — not "where", "when", or "under
-//! what privacy claim". This crate adds the missing views:
+//! The simulation accounts for rounds, bytes and virtual-clock time
+//! ([`round::RunStats`]) and the accounting crate for RDP spend
+//! (`sqm_accounting::budget`), but accounting alone answers "how much" —
+//! not "where", "when", or "under what privacy claim". This crate holds
+//! that accounting's one tally and adds the missing views:
 //!
 //! * [`round`] — the spine: one [`round::RoundEvent`] per party per
-//!   exchange, fanned out by observers the *run* owns to the trace, live
-//!   telemetry, cost profiler and metrics below — why those views agree.
+//!   exchange. A party's observer records it in the party's one tally
+//!   ([`round::PartyStats`], merged into the run's [`round::RunStats`] when
+//!   the run finishes) and fans it out to the trace, live telemetry, cost
+//!   profiler and metrics below — why those views agree.
 //! * [`trace`] — structured span/round records keyed to the **simulated
-//!   clock**. Each MPC party thread owns a lock-free [`trace::PartyRecorder`]
-//!   fed from the same code paths (and the *same* `Instant` measurements) as
-//!   the engine's `PartyStats`, so a merged [`trace::Trace`] reproduces
-//!   `RunStats::simulated_time()` exactly — see [`trace::TraceSummary`].
+//!   clock**. Each party's [`trace::PartyRecorder`] keeps detail records
+//!   only and takes each phase visit's totals from the party's tally, which
+//!   its [`trace::PartyTrace`] carries, so a [`trace::Trace`]'s merged
+//!   stats *are* the run's `RunStats`.
 //! * [`metrics`] — a process-wide registry of counters, gauges and
 //!   histograms (messages per round, bytes per party, degree-reduction batch
 //!   sizes, eigensolver sweeps, ...). Disabled by default; every recording
@@ -29,12 +32,13 @@
 //!   [`causal::MessageDag`] reconstructs the full send→recv flow graph,
 //!   validates it (Lamport monotonicity, one matching receive per send),
 //!   and computes the latency-weighted critical path with a per-party
-//!   idle/compute breakdown. On the in-process backend the critical-path
-//!   total equals `RunStats::simulated_time()` exactly.
+//!   idle/compute breakdown. On SPMD runs the critical-path total equals
+//!   `RunStats::simulated_time()` exactly: both are read off the same
+//!   per-party tallies.
 //! * [`export`] — JSONL event logs, Chrome trace-event JSON (loadable in
 //!   Perfetto / `chrome://tracing`, timestamps on the simulated timeline,
-//!   flow arrows from the causal stamps), and a human-readable per-phase
-//!   summary table. File-writing goes through [`export::atomic_write`]
+//!   flow arrows from the causal stamps), and a self-contained HTML run
+//!   report. File-writing goes through [`export::atomic_write`]
 //!   (temp file + rename), so interrupted runs never leave truncated
 //!   artifacts.
 //! * [`httpd`] — the minimal std-only HTTP/1.1 listener shared by every
@@ -94,11 +98,11 @@ pub use export::{
 pub use ledger::{LedgerEntry, LedgerReport, PrivacyLedger};
 pub use live::{LiveConfig, LiveSnapshot, StallEvent};
 pub use prof::{ProfConfig, ProfSnapshot};
+pub use round::{PartyStats, PhaseStats, RunStats};
 pub use span::{
     CriticalSummary, FinishedRequest, PartyCost, RequestContext, RequestOutcome, SloBucket,
     SloSnapshot, Span, SpanCollector, SpanConfig,
 };
 pub use trace::{
-    CausalRound, MsgStamp, NetEvent, PartyRecorder, PartyTrace, PhaseTotal, RoundRecord,
-    SpanRecord, Trace, TraceSummary,
+    CausalRound, MsgStamp, NetEvent, PartyRecorder, PartyTrace, RoundRecord, SpanRecord, Trace,
 };

@@ -109,11 +109,6 @@ impl LiveConfig {
         self.stall_threshold = Some(threshold);
         self
     }
-
-    pub fn with_stall_min(mut self, min: Duration) -> Self {
-        self.stall_min = min;
-        self
-    }
 }
 
 /// A typed watchdog finding: `party` made no acceptable progress at

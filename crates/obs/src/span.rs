@@ -20,8 +20,8 @@
 //!   in the serve crate — no epsilon).
 //! * The MPC child span's [`CriticalSummary::total`] is the causal
 //!   critical path of the release's trace, which equals
-//!   `RunStats::simulated_time()` exactly on SPMD runs (the engines'
-//!   exactness contract, see [`crate::causal`]).
+//!   `RunStats::simulated_time()` exactly on SPMD runs: both are read off
+//!   the parties' one tally (see [`crate::causal`]).
 //! * Collection is passive: span recording never feeds back into
 //!   protocol execution, so results are bit-identical with request
 //!   tracing on or off (asserted in the serve crate).

@@ -14,6 +14,7 @@
 use std::time::Duration;
 
 use sqm_obs::json::{self, JsonValue};
+use sqm_obs::round::{PartyStats, PhaseStats};
 use sqm_obs::trace::{MsgStamp, PartyRecorder, Trace};
 use sqm_obs::write_chrome_trace;
 
@@ -22,8 +23,8 @@ const GOLDEN_PATH: &str = concat!(
     "/tests/golden/chrome_flow_golden.json"
 );
 
-/// Two parties, two causally-stamped rounds each — the engines' recording
-/// order (causal context, then the round, then one flush per phase), with
+/// Two parties, two causally-stamped rounds each — the engine's recording
+/// order (causal context, then the round, then the visit's close), with
 /// every wall-clock duration pinned so the serialization is byte-stable.
 fn golden_trace() -> Trace {
     let latency = Duration::from_millis(100);
@@ -31,7 +32,6 @@ fn golden_trace() -> Trace {
         .map(|me| {
             let peer = 1 - me;
             let mut rec = PartyRecorder::new(me, latency);
-            rec.set_phase("compute");
             let mut lamport = 0u64;
             for k in 0..2u64 {
                 let send = lamport + 1;
@@ -42,19 +42,23 @@ fn golden_trace() -> Trace {
                     lamport: send,
                     round: k,
                 };
-                rec.record_causal_round(
-                    Duration::from_millis(k),
-                    Duration::from_millis(k),
-                    send,
-                    recv,
-                    vec![stamp],
-                    vec![stamp],
-                );
-                rec.record_round(1, 8);
+                let wall = (Duration::from_millis(k), Duration::from_millis(k));
+                let (sends, recvs) = (vec![stamp], vec![stamp]);
+                rec.record_causal_round("compute", k, k, wall, (send, recv), sends, recvs);
+                rec.record_round("compute", k, 1, 8);
                 lamport = recv;
             }
-            rec.flush_phase(Duration::from_millis(2));
-            rec.finish()
+            let visit = PhaseStats {
+                rounds: 2,
+                messages: 2,
+                bytes: 16,
+                elems: 2,
+                wall: Duration::from_millis(2),
+            };
+            rec.close_span("compute", &visit);
+            let mut stats = PartyStats::default();
+            stats.add_visit("compute", &visit);
+            rec.finish(stats)
         })
         .collect();
     Trace::from_parties(latency, parties)

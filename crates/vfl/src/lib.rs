@@ -210,12 +210,6 @@ impl VflConfig {
         self
     }
 
-    /// See [`MpcConfig::with_trace_event_cap`].
-    pub fn with_trace_event_cap(mut self, cap: usize) -> Self {
-        self.mpc = self.mpc.with_trace_event_cap(cap);
-        self
-    }
-
     /// See [`MpcConfig::with_backend`].
     pub fn with_backend(mut self, backend: NetBackend) -> Self {
         self.mpc = self.mpc.with_backend(backend);

@@ -31,7 +31,14 @@
 #     its capacity option or its drop counter by name (whole words) under
 #     crates/, scripts/ or tests/, or a thread spawned (`thread::spawn`,
 #     `Builder::new`) in crates/obs/src/live.rs outside its tests — a round
-#     is folded into the collector at the call, under one lock.
+#     is folded into the collector at the call, under one lock,
+#   * a second tally of a run's rounds comes back: the deleted trace
+#     summary's and phase totals' names, the wall-on-demand switch, or the
+#     deleted knobs (`TraceSummary`, `PhaseRow`, `PhaseTotal`,
+#     `phase_totals`, `wants_wall`, `trace_event_cap`, `with_stall_min`) as
+#     whole words under crates/, tests/ or examples/, or a `struct
+#     PartyStats` anywhere there but crates/obs/src (one per-party tally,
+#     in `obs::round`, merged once into `RunStats`).
 #
 # And for the one release path above the engine (crates/vfl, crates/serve),
 # again reading each file up to its first `#[cfg(test)]`:
@@ -123,6 +130,11 @@ expect "a library root without #![forbid(unsafe_code)]" 0 \
 # Spelled with bracket expressions so this file does not match itself.
 expect "the live event ring is back (live telemetry folds each round under one lock)" 0 \
   "$(grep -rnwE 'EventRin[g]|PhaseTa[g]|ring_capacit[y]|events_droppe[d]' crates scripts tests || true)"
+expect "a second tally of the rounds is back (one PartyStats in obs::round, one merge)" 0 \
+  "$(grep -rnwE 'TraceSummary|PhaseRow|PhaseTotal|phase_totals|wants_wall|trace_event_cap|with_stall_min' \
+    crates tests examples || true)"
+expect "a struct PartyStats outside crates/obs/src" 0 \
+  "$(grep -rnw 'struct PartyStats' crates tests examples | grep -v '^crates/obs/src/' || true)"
 expect "obs::live spawns a thread of its own again" 0 \
   "$(non_test 'thread::spawn|Builder::new' crates/obs/src/live.rs)"
 expect "a process global is back in obs::live / obs::prof" 0 \
@@ -150,5 +162,5 @@ expect "more than two matches on the stream's field enum in crates/vfl/src/strea
 expect "a release opens to every party again (.open( / open_centered under crates/vfl/src)" 0 \
   "$(non_test '[.]open[(]|open_centered' crates/vfl/src)"
 
-[ "$fail" -eq 0 ] && echo "one engine, one runtime, one round event, one release path: ok"
+[ "$fail" -eq 0 ] && echo "one engine, one runtime, one round event, one tally, one release path: ok"
 exit "$fail"

@@ -20,22 +20,26 @@ timeout 420 cargo run --release -p sqm-experiments --bin table2_dim_scaling -- \
 RUN_PID=$!
 trap 'kill "$RUN_PID" 2>/dev/null || true' EXIT
 
-echo "workload pid $RUN_PID; polling http://$ADDR/metrics"
-for i in $(seq 1 120); do
+# A quick Table II run is under a second of wall on a fast box, so poll
+# every 20 ms (up to 120 s) and take both endpoints in the same pass: the
+# run must still be serving when the second fetch lands.
+rm -f "$OUT/metrics.prom" "$OUT/snapshot.json"
+echo "workload pid $RUN_PID; polling http://$ADDR/metrics and /snapshot"
+for i in $(seq 1 6000); do
   if ! kill -0 "$RUN_PID" 2>/dev/null; then
     echo "error: workload exited before the endpoint answered" >&2
     cat "$OUT/run.log" >&2
     exit 1
   fi
   if curl -sf "http://$ADDR/metrics" -o "$OUT/metrics.prom" \
-      && [ -s "$OUT/metrics.prom" ]; then
+      && [ -s "$OUT/metrics.prom" ] \
+      && curl -sf "http://$ADDR/snapshot" -o "$OUT/snapshot.json" \
+      && [ -s "$OUT/snapshot.json" ]; then
     break
   fi
-  sleep 1
+  sleep 0.02
 done
-[ -s "$OUT/metrics.prom" ] || { echo "error: /metrics never answered" >&2; exit 1; }
-
-curl -sf "http://$ADDR/snapshot" -o "$OUT/snapshot.json"
+[ -s "$OUT/snapshot.json" ] || { echo "error: /metrics and /snapshot never answered" >&2; exit 1; }
 
 # Well-formedness: Prometheus text exposition with the live family and
 # parseable JSON naming the run.
