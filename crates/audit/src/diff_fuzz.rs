@@ -7,6 +7,8 @@
 //! [`sqm_vfl::covariance_quantized_oracle`] predicts the opened integer
 //! covariance of [`sqm_vfl::try_covariance_skellam`] bit-for-bit. The
 //! fuzzer sweeps a seeded grid of `(seed, P, m, n, gamma, mu)` workloads
+//! — covariance cases alternating contiguous and interleaved column
+//! partitions, the shapes whose own blocks and cross-owner rows differ —
 //! across the execution axes —
 //!
 //! * **in-process channels** vs **loopback TCP** (`NetBackend`),
@@ -45,6 +47,9 @@ pub struct FuzzCase {
     pub seed: u64,
     pub workload: String,
     pub n_clients: usize,
+    /// `"even"` (contiguous blocks) or `"interleaved"` (column `j` to
+    /// client `j mod P`).
+    pub partition: String,
     pub records: usize,
     pub cols: usize,
     pub gamma: f64,
@@ -85,9 +90,18 @@ fn random_data(rng: &mut StdRng, m: usize, n: usize) -> Matrix {
     Matrix::from_rows(&rows)
 }
 
+/// The column partition a case names.
+fn partition(case: &FuzzCase) -> ColumnPartition {
+    let (n, p) = (case.cols, case.n_clients);
+    match case.partition.as_str() {
+        "interleaved" => ColumnPartition::from_owners((0..n).map(|j| j % p).collect(), p),
+        _ => ColumnPartition::even(n, p),
+    }
+}
+
 /// Run one covariance case and classify its outcome.
 fn run_covariance_case(case: &mut FuzzCase, data: &Matrix, cfg: &VflConfig) {
-    let partition = ColumnPartition::even(case.cols, case.n_clients);
+    let partition = partition(case);
     let oracle = covariance_quantized_oracle(data, &partition, case.gamma, case.mu, cfg);
     let crash_expected = case.fault == "crash";
     let result = catch_unwind(AssertUnwindSafe(|| {
@@ -118,7 +132,7 @@ fn run_covariance_case(case: &mut FuzzCase, data: &Matrix, cfg: &VflConfig) {
 
 /// What a `column_sums` or `generic` case releases under `cfg`.
 fn release(case: &FuzzCase, data: &Matrix, cfg: &VflConfig) -> Vec<f64> {
-    let partition = ColumnPartition::even(case.cols, case.n_clients);
+    let partition = partition(case);
     if case.workload == "column_sums" {
         return column_sums_skellam(data, &partition, case.gamma, case.mu, cfg).sums_hat;
     }
@@ -160,6 +174,13 @@ pub fn run_diff_fuzz(cfg: &AuditConfig) -> FuzzSummary {
             4 => "column_sums",
             _ => "covariance",
         };
+        // Covariance cases alternate partition shapes five ids at a time, so
+        // each shape meets both backends.
+        let partition = if workload == "covariance" && id / 5 % 2 == 1 {
+            "interleaved"
+        } else {
+            "even"
+        };
         let (backend_name, backend) = if id % 2 == 1 {
             ("tcp", NetBackend::tcp())
         } else {
@@ -198,6 +219,7 @@ pub fn run_diff_fuzz(cfg: &AuditConfig) -> FuzzSummary {
             seed,
             workload: workload.to_string(),
             n_clients,
+            partition: partition.to_string(),
             records,
             cols,
             gamma,
@@ -278,6 +300,22 @@ mod tests {
                     });
                     assert!(hit, "no {workload} case on {backend} with fault {fault}");
                 }
+            }
+        }
+        // Covariance cases meet odd P (no spare evaluation point) and even P
+        // (one party sits out each Gram row), in both partition shapes.
+        for shape in ["even", "interleaved"] {
+            for parity in [0, 1] {
+                let hit = has(&|c| {
+                    c.workload == "covariance"
+                        && c.partition == shape
+                        && c.n_clients % 2 == parity
+                        && c.fault != "crash"
+                });
+                assert!(
+                    hit,
+                    "no completing {shape} covariance case at P mod 2 = {parity}"
+                );
             }
         }
         // Every crash case surfaced the root-cause error.

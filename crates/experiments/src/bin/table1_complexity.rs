@@ -17,6 +17,10 @@ fn main() {
     println!("and sends each party's masked partial sum to one receiver, so non-data");
     println!("communication is O(n^2 P) for PCA and O(n P) for LR, independent of m;");
     println!("input sharing remains O(m n P). Every release is two rounds.");
+    println!("PCA computation/client: its own block in the clear plus the cross-owner");
+    println!("Gram rows it keeps (at even P party j mod P sits out row j), about");
+    println!("m n^2 (1/P^2 + (1 - 1/P)^2) / 2 multiply-accumulates at even P and");
+    println!("m n^2 (1/P^2 + 1 - 1/P) / 2 at odd P, against m n(n+1)/2 for the whole triangle.");
     println!("Measured validation:\n");
 
     // Communication scaling in n (PCA): double n => ~4x non-input bytes.

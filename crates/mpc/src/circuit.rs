@@ -255,8 +255,9 @@ impl<F: PrimeField> Circuit<F> {
     /// Evaluate under BGW: inputs are shared (one round), multiplications
     /// run level-by-level with one batched degree reduction per level, and
     /// the caller receives degree-`t` *shares* of the outputs: release them
-    /// with [`PartyCtx::sum_to_receiver`] (each party's noise as its addend)
-    /// or open them to every party with [`PartyCtx::open`].
+    /// with [`PartyCtx::sum_to_receiver`] (weighted by
+    /// [`PartyCtx::lagrange_weight`], plus each party's noise) or open them
+    /// to every party with [`PartyCtx::open`].
     pub fn eval_mpc(&self, ctx: &mut PartyCtx<F>, my_inputs: &[F]) -> Vec<F> {
         assert_eq!(
             ctx.n,

@@ -12,8 +12,11 @@
 //! * opening to every party (reconstruction from all `n` shares — valid
 //!   for any sharing of degree at most `2t`, since `2t < n`);
 //! * the masked sum to one receiver ([`PartyCtx::sum_to_receiver`]): secure
-//!   aggregation of the Lagrange-weighted shares plus one private addend
-//!   per party, under pairwise [`crate::chacha`] zero-shares.
+//!   aggregation of one private vector per party under pairwise
+//!   [`crate::chacha`] zero-shares. A release passes its local product
+//!   shares weighted by [`PartyCtx::lagrange_weight`] — over all `n` points,
+//!   or, when `n > 2t + 1`, over the `n - 1` left by a party that sits the
+//!   entry out — plus its own noise.
 //!
 //! All vector operations are batched: one round moves one payload per
 //! ordered party pair regardless of how many field elements it carries,
@@ -305,10 +308,26 @@ impl MpcEngine {
         P: Fn(&mut PartyCtx<F>) -> T + Sync,
     {
         let n = self.config.n_parties;
-        let lagrange_all = lagrange_at_zero::<F>(&(0..n).collect::<Vec<_>>());
+        let points: Vec<usize> = (0..n).collect();
+        let lagrange_all = lagrange_at_zero::<F>(&points);
+        // A degree-2t product is fixed by any 2t + 1 of its n evaluations:
+        // with a spare point, the weights over the n - 1 left when party `j`
+        // sits out, as row `j` (zero at `j` itself).
+        let without = |j: usize| {
+            let rest: Vec<usize> = points.iter().copied().filter(|&i| i != j).collect();
+            let mut weights = lagrange_at_zero::<F>(&rest);
+            weights.insert(j, F::ZERO);
+            weights
+        };
+        let lagrange_without: Vec<Vec<F>> = if n > 2 * self.config.threshold + 1 {
+            (0..n).map(without).collect()
+        } else {
+            Vec::new()
+        };
         if let Some(prof) = &self.config.prof {
             // One field inversion per Lagrange denominator.
-            prof.record("engine;setup;field_inv", 1, n as u64);
+            let inversions = n + lagrange_without.len() * (n - 1);
+            prof.record("engine;setup;field_inv", 1, inversions as u64);
         }
         run_parties(&self.config, endpoints, |link| {
             let id = link.id();
@@ -326,6 +345,7 @@ impl MpcEngine {
                 ),
                 link,
                 lagrange_all: lagrange_all.clone(),
+                lagrange_without: lagrange_without.iter().map(|row| row[id]).collect(),
                 batching: self.config.batching,
                 seed: self.config.seed,
             };
@@ -350,6 +370,9 @@ pub struct PartyCtx<F: PrimeField> {
     rng: StdRng,
     link: PartyLink<F>,
     lagrange_all: Vec<F>,
+    /// `lagrange_without[j]`: this party's weight over every point but
+    /// party `j`'s (empty when `n = 2t + 1` leaves no spare point).
+    lagrange_without: Vec<F>,
     batching: BatchOptions,
     /// The session seed the pair-mask keys derive from.
     seed: u64,
@@ -584,39 +607,50 @@ impl<F: PrimeField> PartyCtx<F> {
         self.recombine(&incoming, shares.len(), "open")
     }
 
+    /// This party's Lagrange weight at zero: over all `n` evaluation points
+    /// (`None`), or over the `n - 1` left when party `j` sits out
+    /// (`Some(j)`; zero at `j` itself). Weighted by either, local shares of
+    /// a degree-`2t` product sum to the product — the second needs a spare
+    /// point, `n > 2t + 1`.
+    pub fn lagrange_weight(&self, without: Option<usize>) -> F {
+        let Some(j) = without else {
+            return self.lagrange_all[self.id];
+        };
+        assert!(
+            !self.lagrange_without.is_empty(),
+            "no spare evaluation point at n = {}, t = {}",
+            self.n,
+            self.t
+        );
+        self.lagrange_without[j]
+    }
+
     /// Secure aggregation to party [`RECEIVER`], the only party that gets
-    /// `Some(sum)`: `sum[k] = sum_i (lambda_i * shares_i[k] + addend_i[k])` —
-    /// the secrets behind any sharing of degree below `n`, plus every party's
-    /// private addend (its local DP noise, never shared). One round.
+    /// `Some(sum)`: `sum[k] = sum_i local_i[k]` over one private vector per
+    /// party (for a release: its weighted product shares, see
+    /// [`Self::lagrange_weight`], plus its local DP noise, never shared). One
+    /// round.
     ///
-    /// Party `i` sends the receiver `u_i = lambda_i * shares_i + addend_i +
-    /// r_i` and everyone else a non-message. `r_i = sum_{j > i} G(s_ij) -
-    /// sum_{j < i} G(s_ji)` is a pairwise zero-share: the `r_i` cancel in the
-    /// sum, and any proper subset of the honest `u_i` is pseudorandom to
-    /// whoever lacks one of their pair keys (DESIGN.md's security note). The
-    /// streams are nonced with this round's index, which no later call on
-    /// this mesh repeats.
-    pub fn sum_to_receiver(&mut self, shares: &[F], addend: &[F]) -> Option<Vec<F>> {
-        let len = shares.len();
-        assert_eq!(addend.len(), len, "one addend per share");
+    /// Party `i` sends the receiver `u_i = local_i + r_i` and everyone else
+    /// a non-message. `r_i = sum_{j > i} G(s_ij) - sum_{j < i} G(s_ji)` is a
+    /// pairwise zero-share: the `r_i` cancel in the sum, and any proper
+    /// subset of the honest `u_i` is pseudorandom to whoever lacks one of
+    /// their pair keys (DESIGN.md's security note). The streams are nonced
+    /// with this round's index, which no later call on this mesh repeats.
+    pub fn sum_to_receiver(&mut self, mut local: Vec<F>) -> Option<Vec<F>> {
+        let len = local.len();
         self.profile("sum_to_receiver", len);
-        let weight = self.lagrange_all[self.id];
-        let mut masked: Vec<F> = shares
-            .iter()
-            .zip(addend)
-            .map(|(&share, &own)| weight * share + own)
-            .collect();
         let nonce = self.link.round();
         for peer in (0..self.n).filter(|&peer| peer != self.id) {
             let mut stream = PairStream::for_pair(self.seed, self.id, peer, nonce);
             let adds = self.id < peer;
-            for slot in masked.iter_mut() {
+            for slot in local.iter_mut() {
                 let mask = F::random(&mut stream);
                 *slot += if adds { mask } else { -mask };
             }
         }
         let mut outgoing = vec![Vec::new(); self.n];
-        outgoing[RECEIVER] = masked;
+        outgoing[RECEIVER] = local;
         let incoming = self.link.exchange(outgoing);
         (self.id == RECEIVER).then(|| {
             let mut sum = vec![F::ZERO; len];
@@ -1265,6 +1299,50 @@ mod tests {
             assert_eq!(run.stats.total.bytes, golden.stats.total.bytes);
             assert_eq!(run.stats.total.elems, golden.stats.total.elems);
         }
+    }
+
+    #[test]
+    fn weights_without_a_spare_party_still_sum_a_product_to_its_value() {
+        // A degree-2t product of shared values, weighted over all points or
+        // over the n - 1 left by each party in turn; the sitter's weight is
+        // zero. At n = 2t + 1 there is no spare point.
+        for n in [2usize, 4, 6, 10] {
+            let run = engine(n).run::<M61, _, _>(|ctx| {
+                let x = ctx.share_input(
+                    0,
+                    (ctx.id == 0).then(|| vec![M61::from_i128(-7)]).as_deref(),
+                    1,
+                );
+                let y = ctx.share_input(
+                    1,
+                    (ctx.id == 1).then(|| vec![M61::from_u64(6)]).as_deref(),
+                    1,
+                );
+                let product = x[0] * y[0];
+                let weights: Vec<M61> = std::iter::once(None)
+                    .chain((0..ctx.n).map(Some))
+                    .map(|without| ctx.lagrange_weight(without))
+                    .collect();
+                (product, weights)
+            });
+            for without in 0..=n {
+                let sum = run
+                    .outputs
+                    .iter()
+                    .fold(M61::ZERO, |acc, (share, w)| acc + w[without] * *share);
+                assert_eq!(sum.to_centered_i128(), -42, "n={n} column {without}");
+            }
+            for (id, (_, w)) in run.outputs.iter().enumerate() {
+                assert_eq!(w[id + 1], M61::ZERO, "n={n}: party {id} sits out");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "party thread panicked")]
+    fn weights_without_a_party_need_a_spare_point() {
+        // n = 5, t = 2: "no spare evaluation point" in every party thread.
+        engine(5).run::<M61, _, _>(|ctx| ctx.lagrange_weight(Some(0)));
     }
 
     #[test]

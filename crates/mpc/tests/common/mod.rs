@@ -13,14 +13,20 @@ pub fn release_program(ctx: &mut PartyCtx<M61>) -> Option<Vec<M61>> {
     ctx.set_phase("input");
     let counts: Vec<usize> = (0..ctx.n).map(|i| 2 * usize::from(i + 1 < ctx.n)).collect();
     let mine = [M61::from_u64(ctx.id as u64 + 1), M61::from_i128(-5)];
-    let mut shares = vec![M61::ZERO; 2];
+    let mut shares = [M61::ZERO; 2];
     for contrib in ctx.share_all_uneven(&mine[..counts[ctx.id]], &counts) {
         for (share, &part) in shares.iter_mut().zip(&contrib) {
             *share += part;
         }
     }
     ctx.set_phase("open");
-    ctx.sum_to_receiver(&shares, &[M61::from_u64(10 * ctx.id as u64); 2])
+    let (weight, addend) = (ctx.lagrange_weight(None), M61::from_u64(10 * ctx.id as u64));
+    ctx.sum_to_receiver(
+        shares
+            .iter()
+            .map(|&share| weight * share + addend)
+            .collect(),
+    )
 }
 
 /// `outputs` are what [`release_program`] returns at each party: the two

@@ -17,7 +17,9 @@ use sqm_field::{PrimeField, M127, M61};
 use sqm_mpc::chacha::PairStream;
 use sqm_mpc::net::{build_mesh, RoundOutcome, TraceHeader, Transport};
 use sqm_mpc::shamir::lagrange_at_zero;
-use sqm_mpc::{FaultSpec, MpcConfig, MpcEngine, MpcRun, NetBackend, TransportError, RECEIVER};
+use sqm_mpc::{
+    FaultSpec, MpcConfig, MpcEngine, MpcRun, NetBackend, PartyCtx, TransportError, RECEIVER,
+};
 
 /// What one party put on and took off the wire in one round.
 struct Round<F> {
@@ -107,6 +109,17 @@ fn zero_share<F: PrimeField>(
     r
 }
 
+/// What a release hands `sum_to_receiver`: its shares under its Lagrange
+/// weight over every point, plus its addend.
+fn weighted<F: PrimeField>(ctx: &PartyCtx<F>, shares: &[F], addend: &[F]) -> Vec<F> {
+    let weight = ctx.lagrange_weight(None);
+    shares
+        .iter()
+        .zip(addend)
+        .map(|(&s, &a)| weight * s + a)
+        .collect()
+}
+
 fn sub<F: PrimeField>(a: &[F], b: &[F]) -> Vec<F> {
     assert_eq!(a.len(), b.len());
     a.iter().zip(b).map(|(&x, &y)| x - y).collect()
@@ -145,7 +158,8 @@ fn masked_products<F: PrimeField>(
                 .map(|k| contributions[0][k] * contributions[1][k])
                 .collect();
             ctx.set_phase("open");
-            let sum = ctx.sum_to_receiver(&product, &field(&addend(ctx.id)));
+            let local = weighted(ctx, &product, &field(&addend(ctx.id)));
+            let sum = ctx.sum_to_receiver(local);
             (product, sum)
         })
         .unwrap();
@@ -348,7 +362,8 @@ fn a_coalition_of_receiver_and_t_clients_sees_only_the_honest_sum() {
         let (mesh, wire) = tapped_mesh::<M61>(&cfg);
         MpcEngine::new(cfg.clone())
             .try_run_on(mesh, |ctx| {
-                ctx.sum_to_receiver(&shares(ctx.id), &addend(ctx.id))
+                let local = weighted(ctx, &shares(ctx.id), &addend(ctx.id));
+                ctx.sum_to_receiver(local)
             })
             .unwrap();
         let wire = wire.lock().unwrap();
@@ -463,7 +478,7 @@ fn runs_on_a_reused_mesh_never_replay_share_or_mask_polynomials() {
                         .into_iter()
                         .collect();
                     let contributions = ctx.share_all_uneven(&mine, &[1, 1, 0]);
-                    let sum = ctx.sum_to_receiver(&shares, &addend);
+                    let sum = ctx.sum_to_receiver(weighted(ctx, &shares, &addend));
                     (contributions[0][0], contributions[1][0], sum)
                 })
                 .unwrap();
@@ -509,6 +524,6 @@ fn ragged_mask_shares_are_rejected() {
     // A party whose masked share vector u_i is shorter than the receiver's.
     MpcEngine::new(fast(3, 1)).run::<M61, _, _>(|ctx| {
         let len = if ctx.id == 1 { 1 } else { 2 };
-        ctx.sum_to_receiver(&vec![M61::ONE; len], &vec![M61::ONE; len])
+        ctx.sum_to_receiver(vec![M61::ONE; len])
     });
 }

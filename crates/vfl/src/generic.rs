@@ -154,8 +154,9 @@ fn eval_impl<F: PrimeField>(
         ctx.set_phase("compute");
         let shares = circuit.eval_mpc(ctx, &my_inputs);
 
+        let local = ctx.scale_public(&shares, ctx.lagrange_weight(None));
         let mut nrng = StdRng::seed_from_u64(cfg.seed() ^ (0x5E11_C000 + me as u64));
-        noisy_sum(ctx, &shares, &mut nrng, local_mu)
+        noisy_sum(ctx, local, &mut nrng, local_mu)
     })
 }
 

@@ -218,8 +218,9 @@ fn gradient_impl<F: PrimeField>(
         let grad: Vec<F> = col_shares[..d].iter().map(|col| F::dot(&v, col)).collect();
 
         // --- round 2: my own Skellam draws (never shared) + the masked sum --
+        let local = ctx.scale_public(&grad, ctx.lagrange_weight(None));
         let mut nrng = StdRng::seed_from_u64(cfg.seed() ^ (0x5E11_B000 + me as u64));
-        noisy_sum(ctx, &grad, &mut nrng, local_mu)
+        noisy_sum(ctx, local, &mut nrng, local_mu)
     })?;
 
     let amp = gamma.powi(3);

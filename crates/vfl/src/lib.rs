@@ -10,17 +10,20 @@
 //!
 //! Every release below starts with one round shipping each client's
 //! degree-`t` input shares and ends in one secure aggregation in which each
-//! client sends party 0 (the receiver) its Lagrange-weighted local share of
-//! the result plus its own Skellam noise under pairwise masks that cancel
-//! in the sum; no noise is ever shared (see `PartyCtx::sum_to_receiver` in
-//! `sqm-mpc` and the security note in DESIGN.md). Only the receiver learns
+//! client sends party 0 (the receiver) one vector under pairwise masks that
+//! cancel in the sum: its local shares of the result under its Lagrange
+//! weight (`PartyCtx::lagrange_weight`), plus its own Skellam noise; no
+//! noise is ever shared (see `PartyCtx::sum_to_receiver` in `sqm-mpc` and
+//! the security note in DESIGN.md). Only the receiver learns
 //! the released integers. The first four protocols are those two rounds and
 //! nothing else — the aggregated share is the local degree-`2t` product,
 //! with no degree reduction in between; the generic path spends one GRR
 //! round per multiplication layer before the same last round.
 //!
 //! * [`covariance::covariance_skellam`] — the PCA covariance `X^T X + Sk`
-//!   (Section V-A): local inner products for all `n(n+1)/2` entries.
+//!   (Section V-A): each client computes its own columns' block in the
+//!   clear and local share products for the cross-owner entries of the
+//!   triangle rows it keeps (at even `P` one client sits out each row).
 //! * [`gradient::gradient_sum_skellam`] — one LR gradient-sum step on a
 //!   batch (Section V-B, Eq. 9). The weight vector is public, so the inner
 //!   product `<w/4, x>` is a *local* linear operation; only the `d`
@@ -113,6 +116,7 @@ use sqm_field::{FieldChoice, PrimeField};
 use sqm_mpc::{MpcConfig, PartyCtx};
 use sqm_obs::live::Collector;
 use sqm_obs::prof::Profiler;
+use sqm_sampling::skellam::sample_skellam;
 
 /// The choice behind `with_field!`; `StreamCov` pins a session's field by it.
 pub(crate) fn field_for(bound: f64) -> FieldChoice {
@@ -133,21 +137,25 @@ pub(crate) fn or_panic<T>(result: Result<T, TransportError>) -> T {
 }
 
 /// The noise phase and last round of every release: one Skellam(`local_mu`)
-/// draw per share from `nrng`, summed with the secrets behind `shares` to
-/// the receiver as centred integers (`None` at every other party).
+/// draw from `nrng` added to each entry of `local` (this party's weighted
+/// product shares, see [`PartyCtx::lagrange_weight`]), and the sum over
+/// parties handed to the receiver as centred integers (`None` at every
+/// other party).
 pub(crate) fn noisy_sum<F: PrimeField>(
     ctx: &mut PartyCtx<F>,
-    shares: &[F],
+    mut local: Vec<F>,
     nrng: &mut StdRng,
     local_mu: f64,
 ) -> Option<Vec<i128>> {
     ctx.set_phase("dp_noise");
-    let noise = covariance::sample_noise(nrng, local_mu, shares.len());
+    for slot in local.iter_mut() {
+        *slot += F::from_i128(sample_skellam(nrng, local_mu) as i128);
+    }
     if let Some(prof) = ctx.profiler() {
-        prof.record("vfl;dp_noise;skellam_draw", 1, noise.len() as u64);
+        prof.record("vfl;dp_noise;skellam_draw", 1, local.len() as u64);
     }
     ctx.set_phase("open");
-    let sum = ctx.sum_to_receiver(shares, &noise)?;
+    let sum = ctx.sum_to_receiver(local)?;
     Some(sum.into_iter().map(|v| v.to_centered_i128()).collect())
 }
 

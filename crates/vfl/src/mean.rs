@@ -91,8 +91,9 @@ fn mean_impl<F: PrimeField>(
             }
         }
 
+        let local = ctx.scale_public(&sums, ctx.lagrange_weight(None));
         let mut nrng = StdRng::seed_from_u64(cfg.seed() ^ (0x5E11_D000 + me as u64));
-        noisy_sum(ctx, &sums, &mut nrng, local_mu)
+        noisy_sum(ctx, local, &mut nrng, local_mu)
     })?;
     Ok(MeanOutput {
         sums_hat: received(&run.outputs).iter().map(|&v| v as f64).collect(),

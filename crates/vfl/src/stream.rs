@@ -11,8 +11,9 @@
 //!   (`net::build_mesh`) and threaded through every release via
 //!   `MpcEngine::try_run_on`, so a release costs protocol rounds but never
 //!   re-meshing. Party round counters simply continue across releases.
-//! * **Sufficient statistics accumulate.** Each party keeps its share of
-//!   the degree-2t upper-triangular Gram accumulator between releases.
+//! * **Sufficient statistics accumulate.** Each party keeps its
+//!   degree-2t shares of the cross-owner Gram entries it evaluates and,
+//!   in the clear, its own columns' block between releases.
 //!   A release only quantizes/shares/multiplies the records that arrived
 //!   since the previous release — all pending batches coalesced into one
 //!   input frame — then sums the accumulator plus fresh per-party noise to
@@ -96,10 +97,9 @@ impl StreamCov {
         );
         validate_gamma(gamma);
         assert!(max_rows >= 1, "declare a positive record envelope");
-        let n = partition.n_cols();
         let session = match field_for(magnitude_bound(max_rows, max_row_norm, gamma, mu)) {
-            FieldChoice::M61 => FieldSession::M61(CovSession::open(cfg, n)?),
-            FieldChoice::M127 => FieldSession::M127(CovSession::open(cfg, n)?),
+            FieldChoice::M61 => FieldSession::M61(CovSession::open(cfg, &partition)?),
+            FieldChoice::M127 => FieldSession::M127(CovSession::open(cfg, &partition)?),
         };
         Ok(StreamCov {
             partition,

@@ -18,8 +18,9 @@ use sqm_core::polynomial::Polynomial;
 use sqm_linalg::Matrix;
 use sqm_obs::prof::{self, Profiler};
 use sqm_vfl::{
-    covariance_quantized_oracle, covariance_skellam, eval_polynomial_skellam, gradient_sum_skellam,
-    ColumnPartition, ProfConfig, StreamCov, VflConfig,
+    covariance_quantized_oracle, covariance_skellam, covariance_skellam_chunked,
+    eval_polynomial_skellam, gradient_sum_skellam, ColumnPartition, ProfConfig, StreamCov,
+    VflConfig,
 };
 
 fn profiler() -> Arc<Profiler> {
@@ -190,4 +191,79 @@ fn prof_counters_differ_only_in_exchange_message_counts() {
         snap.nodes["engine;compute;round0001"].messages,
         (p * (p - 1)) as u64
     );
+}
+
+/// The multiply-accumulates one party spends on the Gram of `m` records:
+/// its own columns' upper triangle in the clear, plus the cross-owner
+/// entries `(j, k > j)` of every triangle row it keeps — party `j mod P`
+/// sits out row `j` when `P > 2t + 1`, i.e. at even `P`.
+fn gram_macs(partition: &ColumnPartition, party: usize, m: usize) -> u64 {
+    let (n, p) = (partition.n_cols(), partition.n_clients());
+    let own = partition.counts()[party];
+    let cross = |j: usize| {
+        let owner = partition.owner_of(j);
+        (j + 1..n)
+            .filter(|&k| partition.owner_of(k) != owner)
+            .count()
+    };
+    let kept = (0..n).filter(|&j| p % 2 == 1 || j % p != party);
+    (m * (own * (own + 1) / 2 + kept.map(cross).sum::<usize>())) as u64
+}
+
+#[test]
+fn gram_node_pins_each_partys_own_block_and_kept_rows() {
+    // Table II's widest row: 4 x 125 columns, 1000 records. Every party
+    // multiplied the whole triangle before: 4 x 125,250 x 1000.
+    let wide = ColumnPartition::even(500, 4);
+    let total: u64 = (0..4).map(|p| gram_macs(&wide, p, 1000)).sum();
+    assert_eq!(total, 312_750_000);
+    assert_eq!(4 * 500 * 501 / 2 * 1000, 501_000_000);
+
+    let (n, m) = (11usize, 7usize);
+    let mut rng = StdRng::seed_from_u64(11);
+    let data = Matrix::from_vec(m, n, (0..m * n).map(|_| rng.gen_range(-0.3..0.3)).collect());
+    // P = 3 keeps every row (2t + 1 = P); P = 4 rotates one party out.
+    for p in [3usize, 4] {
+        let interleaved = ColumnPartition::from_owners((0..n).map(|j| j % p).collect(), p);
+        for partition in [ColumnPartition::even(n, p), interleaved] {
+            let what = format!("P={p} {partition:?}");
+            let prof = profiler();
+            let cfg = VflConfig::fast(p)
+                .with_seed(3)
+                .with_prof(Some(prof.clone()));
+            let out = covariance_skellam(&data, &partition, 64.0, 5.0, &cfg);
+            let oracle = covariance_quantized_oracle(&data, &partition, 64.0, 5.0, &cfg);
+            assert_eq!(out.c_hat, oracle, "{what}");
+
+            let work: Vec<u64> = (0..p)
+                .map(|party| gram_macs(&partition, party, m))
+                .collect();
+            let gram = &prof.snapshot().nodes["vfl;compute;gram"];
+            assert_eq!(gram.calls, p as u64, "{what}: one call per party per frame");
+            assert_eq!(gram.work, work.iter().sum::<u64>(), "{what}");
+            // Less than every party multiplying the whole triangle...
+            assert!(gram.work < (p * n * (n + 1) / 2 * m) as u64, "{what}");
+            // ...and spread within one triangle row's worth.
+            let spread = work.iter().max().unwrap() - work.iter().min().unwrap();
+            assert!(spread <= (n * m) as u64, "{what}: {work:?}");
+        }
+    }
+
+    // Chunked and streamed: one call per party per input frame, the same
+    // total work, and a frame with nothing pending multiplies nothing.
+    let partition = ColumnPartition::even(n, 4);
+    let work: u64 = (0..4).map(|party| gram_macs(&partition, party, m)).sum();
+    let prof = profiler();
+    let cfg = VflConfig::fast(4).with_prof(Some(prof.clone()));
+    covariance_skellam_chunked(&data, &partition, 64.0, 5.0, &cfg, 3);
+    let gram = &prof.snapshot().nodes["vfl;compute;gram"];
+    assert_eq!((gram.calls, gram.work), (4 * 3, work));
+    let prof = profiler();
+    let cfg = VflConfig::fast(4).with_prof(Some(prof.clone()));
+    let mut stream = StreamCov::new(partition, 64.0, 5.0, &cfg, m, 1.0).unwrap();
+    stream.release().unwrap();
+    stream.ingest(&data);
+    stream.release().unwrap();
+    let gram = &prof.snapshot().nodes["vfl;compute;gram"];
+    assert_eq!((gram.calls, gram.work), (4 * 2, work));
 }

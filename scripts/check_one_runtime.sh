@@ -3,6 +3,9 @@
 # engine over ONE instrumented exchange and ONE run loop, and no library
 # code may touch the process-wide panic hook. Fails if
 #   * `fn exchange` is defined anywhere but once under crates/mpc/src,
+#   * the body of `fn sum_to_receiver` mentions `lagrange`: round 2 is plain
+#     masked aggregation of one private vector per party, and the Shamir
+#     weights are the caller's (`PartyCtx::lagrange_weight`),
 #   * `catch_unwind` appears on more than one line under crates/mpc/src,
 #   * `set_hook` / `take_hook` appears anywhere in a file under crates/*/src,
 #     test modules included (unit tests share one process: a swapped hook
@@ -52,7 +55,9 @@
 #   * at most two `match` on the stream's field enum (counted by their
 #     `<Enum>::M61(..) =>` arm) in crates/vfl/src/stream.rs,
 #   * no `.open(` / `open_centered` under crates/vfl/src (every release
-#     ends in `sum_to_receiver`).
+#     ends in `sum_to_receiver`),
+#   * `fn add_gram` defined exactly once under crates/vfl/src (one Gram
+#     kernel, fed runs of triangle rows: own blocks and shared rows alike).
 #
 # Usage: scripts/check_one_runtime.sh
 set -euo pipefail
@@ -69,6 +74,15 @@ fi
 if [ "$(count 'catch_unwind')" -ne 1 ]; then
   echo "expected exactly one 'catch_unwind' under crates/mpc/src:" >&2
   grep -rn 'catch_unwind' crates/mpc/src >&2 || true
+  fail=1
+fi
+if find crates/mpc/src -name '*.rs' -print0 | xargs -0 awk '
+    /fn sum_to_receiver/ { inside = 1 }
+    inside && /lagrange/ { print FILENAME ":" FNR ": " $0; hit = 1 }
+    inside && /^    }$/ { inside = 0 }
+    END { exit !hit }
+  ' >&2; then
+  echo "fn sum_to_receiver weights its input again: it sums one private vector per party" >&2
   fail=1
 fi
 
@@ -161,6 +175,8 @@ expect "more than two matches on the stream's field enum in crates/vfl/src/strea
 
 expect "a release opens to every party again (.open( / open_centered under crates/vfl/src)" 0 \
   "$(non_test '[.]open[(]|open_centered' crates/vfl/src)"
+expect "expected fn add_gram defined exactly once under crates/vfl/src (one Gram kernel)" 1 \
+  "$(grep -rnw 'fn add_gram' crates/vfl/src || true)"
 
 [ "$fail" -eq 0 ] && echo "one engine, one runtime, one round event, one tally, one release path: ok"
 exit "$fail"
