@@ -11,7 +11,7 @@ use std::ops::{Add, AddAssign, Mul, MulAssign, Neg, Sub, SubAssign};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use crate::traits::PrimeField;
+use crate::traits::{check_combine, PrimeField};
 
 /// The modulus `2^127 - 1`.
 pub const P127: u128 = (1u128 << 127) - 1;
@@ -110,6 +110,26 @@ impl PrimeField for M127 {
             if v < P127 {
                 return M127(v);
             }
+        }
+    }
+
+    /// One reduction per output element instead of one per term: each
+    /// 254-bit product `hi * 2^128 + lo` is folded below `2^128` as
+    /// `lo mod* 2^127 + 2 * hi` (`2^127 = 1`, `2^128 = 2`; `hi < 2^126`
+    /// for canonical operands, so the fold is at most `2^128 - 4`), the
+    /// folds are summed in a `u128` that counts its carries, and a carry is
+    /// worth `2^128 = 2`.
+    fn combine(weights: &[Self], rows: &[&[Self]], out: &mut [Self]) {
+        check_combine(weights, rows, out.len());
+        for (k, o) in out.iter_mut().enumerate() {
+            let (mut low, mut carries) = (0u128, 0u128);
+            for (w, row) in weights.iter().zip(rows) {
+                let (hi, lo) = Self::wide_mul(w.0, row[k].0);
+                let (sum, carry) = low.overflowing_add(Self::fold(lo) + (hi << 1));
+                low = sum;
+                carries += carry as u128;
+            }
+            *o = M127(Self::reduce(Self::fold(low) + 2 * carries));
         }
     }
 }

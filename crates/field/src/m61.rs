@@ -10,13 +10,14 @@ use std::ops::{Add, AddAssign, Mul, MulAssign, Neg, Sub, SubAssign};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use crate::traits::PrimeField;
+use crate::traits::{check_combine, PrimeField};
 
 /// The modulus `2^61 - 1`.
 pub const P61: u64 = (1u64 << 61) - 1;
 
 /// Products summed into one `u128` between two reductions in
-/// [`PrimeField::dot`] / [`PrimeField::dot4`].
+/// [`PrimeField::dot`] / [`PrimeField::dot4`], and rows summed into one in
+/// [`PrimeField::combine`].
 const DOT_BLOCK: usize = 32;
 
 // The release profile does not check overflow, so the accumulator bound is
@@ -56,19 +57,11 @@ impl M61 {
     /// Reduce an arbitrary `u128` modulo `p`.
     #[inline]
     fn reduce128(v: u128) -> u64 {
-        // Two folds bring any u128 below 2^62, then a conditional subtract.
-        let lo = (v & P61 as u128) as u64;
-        let hi = v >> 61;
-        let lo2 = (hi & P61 as u128) as u64;
-        let hi2 = (hi >> 61) as u64;
-        let mut acc = lo as u128 + lo2 as u128 + hi2 as u128;
-        if acc >= P61 as u128 {
-            acc -= P61 as u128;
-        }
-        if acc >= P61 as u128 {
-            acc -= P61 as u128;
-        }
-        acc as u64
+        // v = l0 + l1 * 2^61 + l2 * 2^122 with l0, l1 < 2^61 and l2 < 2^6,
+        // and 2^61 = 1 (mod p): the limbs sum below 2^63 in a u64, which
+        // one fold and one conditional subtract bring into [0, p).
+        let limbs = (v as u64 & P61) + ((v >> 61) as u64 & P61) + (v >> 122) as u64;
+        Self::reduce64(limbs)
     }
 
     /// `out[l] = <x, cols[l]>` with delayed reduction: raw 122-bit products
@@ -100,6 +93,17 @@ impl M61 {
             start = end;
         }
         out
+    }
+
+    /// `sum_i weights[i] * rows[i][k]` over at most [`DOT_BLOCK`] rows, the
+    /// products added in one `u128` and reduced once.
+    #[inline]
+    fn column_sum(weights: &[M61], rows: &[&[M61]], k: usize) -> M61 {
+        let mut wide = 0u128;
+        for (w, row) in weights.iter().zip(rows) {
+            wide += w.0 as u128 * row[k].0 as u128;
+        }
+        M61(Self::reduce128(wide))
     }
 }
 
@@ -148,6 +152,35 @@ impl PrimeField for M61 {
     #[inline]
     fn dot4(x: &[Self], cols: [&[Self]; 4]) -> [Self; 4] {
         Self::dot_lanes(x, cols)
+    }
+
+    /// Two's complement reads a negative `v` as `v + 2^64`, and
+    /// `2^64 = 8 * 2^61 = 8 (mod p)`: the sign mask adds `p - 8` back. The
+    /// two limbs of `v` and that correction sum below `2^62 + 8`, so one
+    /// [`M61::reduce64`] lands in `[0, p)` with no branch on the sign.
+    #[inline]
+    fn from_i64(v: i64) -> Self {
+        let u = v as u64;
+        let sign_fix = (v >> 63) as u64 & (P61 - 8);
+        M61(Self::reduce64((u & P61) + (u >> 61) + sign_fix))
+    }
+
+    /// Delayed reduction, as in [`M61::dot_lanes`]: each output element sums
+    /// the raw 122-bit products of up to [`DOT_BLOCK`] rows in one `u128`
+    /// (the `const` bound above) and is reduced once per block of rows.
+    fn combine(weights: &[Self], rows: &[&[Self]], out: &mut [Self]) {
+        check_combine(weights, rows, out.len());
+        let head = weights.len().min(DOT_BLOCK);
+        let (head_w, tail_w) = weights.split_at(head);
+        let (head_rows, tail_rows) = rows.split_at(head);
+        for (k, o) in out.iter_mut().enumerate() {
+            *o = Self::column_sum(head_w, head_rows, k);
+        }
+        for (ws, rs) in tail_w.chunks(DOT_BLOCK).zip(tail_rows.chunks(DOT_BLOCK)) {
+            for (k, o) in out.iter_mut().enumerate() {
+                *o += Self::column_sum(ws, rs, k);
+            }
+        }
     }
 }
 
@@ -306,7 +339,86 @@ mod tests {
         assert_eq!(M61::dot4(&top, [&top, &top, &top, &top]), [expect; 4]);
     }
 
+    /// `v mod p` by `u128` division: the reference for [`M61::reduce128`].
+    fn mod_p(v: u128) -> u64 {
+        (v % P61 as u128) as u64
+    }
+
+    /// `v mod p` in `[0, p)` by `rem_euclid`: the reference for the signed
+    /// conversions.
+    fn rem_p(v: i128) -> u64 {
+        v.rem_euclid(P61 as i128) as u64
+    }
+
+    #[test]
+    fn conversions_match_the_division_references_at_the_edges() {
+        let p = P61 as u128;
+        let unsigned = [
+            0,
+            1,
+            p - 1,
+            p,
+            p + 1,
+            2 * p,
+            (p - 1) * (p - 1),
+            DOT_BLOCK as u128 * (p - 1) * (p - 1),
+            1 << 61,
+            1 << 122,
+            (1 << 122) - 1,
+            u64::MAX as u128,
+            u128::MAX / p * p,
+            u128::MAX - 1,
+            u128::MAX,
+        ];
+        for v in unsigned {
+            assert_eq!(M61::reduce128(v), mod_p(v), "reduce128({v})");
+            assert_eq!(M61::from_u128(v).raw(), mod_p(v), "from_u128({v})");
+        }
+        let k = P61 as i64;
+        let signed = [
+            0,
+            1,
+            -1,
+            k - 1,
+            k,
+            k + 1,
+            -k + 1,
+            -k,
+            -k - 1,
+            2 * k,
+            -2 * k,
+            4 * k,
+            -4 * k,
+            -8,
+            i64::MAX,
+            i64::MIN,
+            i64::MIN + 1,
+        ];
+        for v in signed {
+            assert_eq!(M61::from_i64(v).raw(), rem_p(v as i128), "from_i64({v})");
+            assert_eq!(
+                M61::from_i128(v as i128).raw(),
+                rem_p(v as i128),
+                "from_i128({v})"
+            );
+        }
+        let wide = [i128::MAX, i128::MIN, i128::MIN + 1, -(1 << 122), 1 << 122];
+        for v in wide {
+            assert_eq!(M61::from_i128(v).raw(), rem_p(v), "from_i128({v})");
+        }
+    }
+
     proptest! {
+        #[test]
+        fn prop_conversions_match_the_division_references(hi in any::<u64>(), lo in any::<u64>()) {
+            let v = (hi as u128) << 64 | lo as u128;
+            prop_assert_eq!(M61::reduce128(v), mod_p(v));
+            prop_assert_eq!(M61::reduce128(v >> 6), mod_p(v >> 6));
+            prop_assert_eq!(M61::from_i64(lo as i64).raw(), rem_p(lo as i64 as i128));
+            prop_assert_eq!(M61::from_i64(lo as i64 >> 20).raw(), rem_p((lo as i64 >> 20) as i128));
+            prop_assert_eq!(M61::from_i128(v as i128).raw(), rem_p(v as i128));
+        }
+
         #[test]
         fn prop_dot_matches_u128_mod(
             raw in collection::vec(0u64..P61, 5 * 130),

@@ -56,6 +56,13 @@ pub trait PrimeField:
         }
     }
 
+    /// [`Self::from_i128`] for a value that fits an `i64` (quantized data,
+    /// noise draws): the same element, which an implementation may reach
+    /// without branching on the sign (see `M61`).
+    fn from_i64(v: i64) -> Self {
+        Self::from_i128(v as i128)
+    }
+
     /// Canonical representative in `[0, p)`.
     fn to_canonical(self) -> u128;
 
@@ -124,9 +131,46 @@ pub trait PrimeField:
         cols.map(|c| Self::dot(x, c))
     }
 
+    /// Linear combination of equal-length rows: `out[k] = sum_i weights[i] *
+    /// rows[i][k]`, overwriting `out`. Panics unless there is one weight per
+    /// row and every row is as long as `out`.
+    ///
+    /// The one kernel behind Shamir sharing (a party's share vector is its
+    /// Vandermonde row against the coefficient planes) and Lagrange
+    /// recombination (the weights against the parties' incoming vectors).
+    /// Like [`Self::dot`], an implementation may reduce as rarely as its
+    /// representation allows (see `M61`, `M127`); this body is per-term
+    /// field ops, row by row.
+    fn combine(weights: &[Self], rows: &[&[Self]], out: &mut [Self]) {
+        combine_per_term(weights, rows, out);
+    }
+
     /// Serialized byte width of one element (for communication accounting).
     fn byte_width() -> usize {
         Self::MODULUS_BITS.div_ceil(8) as usize
+    }
+}
+
+/// The default [`PrimeField::combine`]: per-term field ops, row by row.
+pub(crate) fn combine_per_term<F: PrimeField>(weights: &[F], rows: &[&[F]], out: &mut [F]) {
+    check_combine(weights, rows, out.len());
+    out.fill(F::ZERO);
+    for (&w, row) in weights.iter().zip(rows) {
+        for (o, &x) in out.iter_mut().zip(*row) {
+            *o += w * x;
+        }
+    }
+}
+
+/// The shape checks every [`PrimeField::combine`] makes.
+pub(crate) fn check_combine<F>(weights: &[F], rows: &[&[F]], width: usize) {
+    assert_eq!(
+        weights.len(),
+        rows.len(),
+        "combine: weights and rows length mismatch"
+    );
+    for row in rows {
+        assert_eq!(row.len(), width, "combine: row length mismatch");
     }
 }
 
@@ -193,6 +237,98 @@ mod tests {
     fn m127_default_dot4_rejects_a_ragged_column() {
         let (x, long) = ([M127::ONE; 3], [M127::ONE; 4]);
         M127::dot4(&x, [&x, &x, &x, &long]);
+    }
+
+    type Combine<F> = fn(&[F], &[&[F]], &mut [F]);
+
+    /// A `combine` against a per-term fold at every row count through one
+    /// reduction block (and past it, `max_rows > 32`) and the widths around
+    /// a block edge.
+    fn check_combine_against_fold<F: PrimeField>(combine: Combine<F>, max_rows: usize) {
+        let mut rng = StdRng::seed_from_u64(30);
+        for n_rows in 0..=max_rows {
+            for width in [0, 1, 31, 32, 33, 1000] {
+                let weights: Vec<F> = (0..n_rows).map(|_| F::random(&mut rng)).collect();
+                let rows: Vec<Vec<F>> = (0..n_rows)
+                    .map(|_| (0..width).map(|_| F::random(&mut rng)).collect())
+                    .collect();
+                let want: Vec<F> = (0..width)
+                    .map(|k| {
+                        let terms = weights.iter().zip(&rows).map(|(&w, row)| w * row[k]);
+                        terms.fold(F::ZERO, |acc, v| acc + v)
+                    })
+                    .collect();
+                let rows: Vec<&[F]> = rows.iter().map(Vec::as_slice).collect();
+                let mut out = vec![F::ONE; width];
+                combine(&weights, &rows, &mut out);
+                assert_eq!(out, want, "rows {n_rows}, width {width}");
+            }
+        }
+    }
+
+    #[test]
+    fn m61_combine_matches_fold() {
+        check_combine_against_fold::<M61>(M61::combine, 65);
+    }
+
+    #[test]
+    fn m127_combine_matches_fold() {
+        check_combine_against_fold::<M127>(M127::combine, 65);
+    }
+
+    #[test]
+    fn default_combine_matches_fold() {
+        check_combine_against_fold::<M61>(combine_per_term, 32);
+        check_combine_against_fold::<M127>(combine_per_term, 32);
+    }
+
+    /// Every weight and element at `p - 1`, past a full block of rows: in
+    /// the debug profile an overflowing `+=` in a delayed reduction panics
+    /// here, and `M127`'s carries are counted on every second row.
+    fn check_combine_worst_case<F: PrimeField>() {
+        let top = -F::ONE;
+        for n_rows in [1, 2, 3, 32, 33, 65] {
+            let row = vec![top; 40];
+            let rows = vec![row.as_slice(); n_rows];
+            let mut out = vec![F::ZERO; 40];
+            F::combine(&vec![top; n_rows], &rows, &mut out);
+            // (p - 1)^2 = 1 (mod p), so each sum is the row count.
+            assert_eq!(out, vec![F::from_u64(n_rows as u64); 40], "rows {n_rows}");
+        }
+    }
+
+    #[test]
+    fn combine_worst_case_does_not_overflow() {
+        check_combine_worst_case::<M61>();
+        check_combine_worst_case::<M127>();
+    }
+
+    #[test]
+    #[should_panic(expected = "length mismatch")]
+    fn m61_combine_rejects_a_ragged_row() {
+        let (row, short) = ([M61::ONE; 3], [M61::ONE; 2]);
+        M61::combine(&[M61::ONE; 2], &[&row, &short], &mut [M61::ZERO; 3]);
+    }
+
+    #[test]
+    #[should_panic(expected = "length mismatch")]
+    fn m127_combine_rejects_a_ragged_row() {
+        let (row, long) = ([M127::ONE; 3], [M127::ONE; 4]);
+        M127::combine(&[M127::ONE; 2], &[&long, &row], &mut [M127::ZERO; 3]);
+    }
+
+    #[test]
+    #[should_panic(expected = "length mismatch")]
+    fn default_combine_rejects_a_ragged_row() {
+        let (row, short) = ([M61::ONE; 3], [M61::ONE; 2]);
+        combine_per_term(&[M61::ONE; 2], &[&row, &short], &mut [M61::ZERO; 3]);
+    }
+
+    #[test]
+    #[should_panic(expected = "length mismatch")]
+    fn combine_rejects_a_missing_weight() {
+        let row = [M61::ONE; 3];
+        M61::combine(&[M61::ONE], &[&row, &row], &mut [M61::ZERO; 3]);
     }
 
     #[test]

@@ -38,7 +38,7 @@ use sqm_obs::trace::Trace;
 
 use crate::chacha::PairStream;
 use crate::runtime::{run_parties, PartyLink};
-use crate::shamir::{lagrange_at_zero, share_secrets_batch};
+use crate::shamir::{combine_each, lagrange_at_zero, share_secrets_batch};
 use sqm_obs::round::RunStats;
 
 /// Sizing of the per-party worker pool for wide local arithmetic.
@@ -424,39 +424,22 @@ impl<F: PrimeField> PartyCtx<F> {
         )
     }
 
-    /// Lagrange recombination `out[k] = sum_i lambda_i * incoming[i][k]`,
-    /// split across the worker pool when the batch is wide. The
-    /// accumulation order over `i` is unchanged by the chunking, so the
-    /// result is bit-identical for every worker count.
+    /// Lagrange recombination `out[k] = sum_i lambda_i * incoming[i][k]`:
+    /// the [`PrimeField::combine`] kernel sharing runs on, its width split
+    /// across the worker pool when the batch is wide. The field is exact, so
+    /// the result is bit-identical for every worker count.
     fn recombine(&self, incoming: &[Vec<F>], len: usize, what: &str) -> Vec<F> {
         for (i, inc) in incoming.iter().enumerate() {
             assert_eq!(inc.len(), len, "{what}: party {i} sent wrong share count");
         }
-        let mut out = vec![F::ZERO; len];
-        // Capture only the weight table, not `self`: the endpoint behind
-        // `self` is deliberately not shared with the worker threads.
-        let lagrange_all = &self.lagrange_all;
-        let accumulate = |out: &mut [F], offset: usize| {
-            for (i, inc) in incoming.iter().enumerate() {
-                let li = lagrange_all[i];
-                for (o, &s) in out.iter_mut().zip(&inc[offset..]) {
-                    *o += li * s;
-                }
-            }
-        };
-        let opts = self.batching;
-        if opts.parallel(len) {
-            let chunk = len.div_ceil(opts.workers);
-            std::thread::scope(|s| {
-                let accumulate = &accumulate;
-                for (ci, slice) in out.chunks_mut(chunk).enumerate() {
-                    s.spawn(move || accumulate(slice, ci * chunk));
-                }
-            });
+        let rows: Vec<&[F]> = incoming.iter().map(Vec::as_slice).collect();
+        let workers = if self.batching.parallel(len) {
+            self.batching.workers
         } else {
-            accumulate(&mut out, 0);
-        }
-        out
+            1
+        };
+        let weights = std::slice::from_ref(&self.lagrange_all);
+        combine_each(weights, &rows, workers).remove(0)
     }
 
     // ----- input sharing ---------------------------------------------------
@@ -481,8 +464,8 @@ impl<F: PrimeField> PartyCtx<F> {
                 self.id
             );
         }
-        let incoming = self.link.exchange(outgoing);
-        let mine = incoming[owner].clone();
+        let mut incoming = self.link.exchange(outgoing);
+        let mine = std::mem::take(&mut incoming[owner]);
         assert_eq!(mine.len(), len, "owner sent wrong share count");
         mine
     }
@@ -560,9 +543,9 @@ impl<F: PrimeField> PartyCtx<F> {
             metrics::histogram_record("mpc.degree_reduction_batch", len as f64);
         }
         self.profile("reduce_degree", len);
-        // Bulk field multiplications underneath: re-sharing evaluates a
-        // degree-t polynomial at n points (t muls each, Horner) and
-        // recombination applies n Lagrange weights per element.
+        // Bulk field multiplications underneath: re-sharing weighs t + 1
+        // coefficients for each of n points and recombination applies n
+        // Lagrange weights per element.
         self.profile("reduce_degree;field_mul", len * self.n * (self.t + 1));
         // Re-share each local value with a fresh degree-t polynomial.
         let per_party = self.share_vector(d, self.t);

@@ -5,6 +5,14 @@
 //! Any `t+1` shares reconstruct `s` by Lagrange interpolation at 0; any `t`
 //! shares are jointly uniform and reveal nothing (information-theoretic
 //! secrecy, the foundation of BGW's semi-honest security).
+//!
+//! Sharing a vector is a matrix product: each party's share vector is its
+//! Vandermonde row `[1, x, .., x^t]` against the `t + 1` coefficient planes
+//! (the secrets, then one plane per random degree). Reconstruction is the
+//! same shape, the Lagrange weights against the parties' incoming vectors.
+//! Both run on one kernel, [`PrimeField::combine`], which writes each output
+//! vector once; [`share_secret`] is the scalar specification the batch path
+//! is held to.
 
 use rand::Rng;
 use sqm_field::PrimeField;
@@ -35,16 +43,19 @@ pub fn share_secret<F: PrimeField, R: Rng + ?Sized>(
         .collect()
 }
 
-/// Share a whole vector of secrets at once — the width-parallel batch
-/// variant of [`share_secret`] behind every engine sharing.
+/// Share a whole vector of secrets at once — the batch form of
+/// [`share_secret`] behind every engine sharing.
 ///
 /// The polynomial coefficients are drawn **serially, in secret order**
-/// (`[secret, r_1..r_t]` per secret), so the RNG stream — and therefore
-/// every wire byte — is bit-identical to calling [`share_secret`] once per
-/// secret. Only the pure polynomial evaluations fan out across `workers`
-/// scoped threads, and only once the batch is at least `min_parallel_width`
-/// secrets wide (thread hand-off costs more than it saves on narrow
-/// batches).
+/// (`r_1..r_t` per secret, as [`share_secret`] draws them) into `t`
+/// coefficient planes, so the RNG stream — and therefore every wire byte —
+/// is bit-identical to calling [`share_secret`] once per secret. Plane 0 is
+/// `secrets` itself. Party `j`'s vector is then written once, as
+/// [`PrimeField::combine`] of its Vandermonde row `[1, x, .., x^t]`
+/// (`x = j + 1`) against the planes. Once the batch is at least
+/// `min_parallel_width` secrets wide, `workers` scoped threads split the
+/// width of every party's vector (thread hand-off costs more than it saves
+/// on narrow batches); the draws stay on the calling thread.
 ///
 /// Returns party-major shares: `out[j][k]` is party `j`'s share of
 /// `secrets[k]`.
@@ -58,47 +69,70 @@ pub fn share_secrets_batch<F: PrimeField, R: Rng + ?Sized>(
 ) -> Vec<Vec<F>> {
     assert!(n >= 1, "need at least one party");
     assert!(t < n, "threshold t={t} must be below the party count n={n}");
-    let width = secrets.len();
-    let mut coeffs = Vec::with_capacity(width * (t + 1));
-    for &s in secrets {
-        coeffs.push(s);
-        for _ in 0..t {
-            coeffs.push(F::random(rng));
+    let mut planes: Vec<Vec<F>> = vec![Vec::with_capacity(secrets.len()); t];
+    for _ in secrets {
+        for plane in &mut planes {
+            plane.push(F::random(rng));
         }
     }
-    let xs: Vec<F> = (1..=n as u64).map(F::from_u64).collect();
-    // Secret-major scratch (row `k` holds all n shares of secret `k`) so
-    // each worker owns a contiguous chunk; transposed to party-major below.
-    let mut rows = vec![F::ZERO; width * n];
-    let eval_rows = |rows: &mut [F], coeffs: &[F]| {
-        for (row, poly) in rows.chunks_mut(n).zip(coeffs.chunks(t + 1)) {
-            for (share, &x) in row.iter_mut().zip(&xs) {
-                *share = sqm_field::traits::horner(poly, x);
-            }
-        }
-    };
-    let workers = workers.max(1);
-    if workers > 1 && width >= min_parallel_width.max(2) {
-        let chunk = width.div_ceil(workers);
-        std::thread::scope(|s| {
-            let eval_rows = &eval_rows;
-            for (rows, coeffs) in rows
-                .chunks_mut(chunk * n)
-                .zip(coeffs.chunks(chunk * (t + 1)))
-            {
-                s.spawn(move || eval_rows(rows, coeffs));
-            }
-        });
+    let rows: Vec<&[F]> = std::iter::once(secrets)
+        .chain(planes.iter().map(Vec::as_slice))
+        .collect();
+    let vandermonde: Vec<Vec<F>> = (0..n).map(|j| vandermonde_row(j, t)).collect();
+    let workers = if secrets.len() >= min_parallel_width {
+        workers
     } else {
-        eval_rows(&mut rows, &coeffs);
+        1
+    };
+    combine_each(&vandermonde, &rows, workers)
+}
+
+/// Party `j`'s evaluation point `x = j + 1` raised to `0..=t`: the weights
+/// that turn a degree-`t` polynomial's coefficients into its share.
+fn vandermonde_row<F: PrimeField>(j: usize, t: usize) -> Vec<F> {
+    let x = F::from_u64(j as u64 + 1);
+    std::iter::successors(Some(F::ONE), |&power| Some(power * x))
+        .take(t + 1)
+        .collect()
+}
+
+/// `out[o] = combine(weights[o], rows)` for every weight vector: one
+/// [`PrimeField::combine`] per output, the width split across `workers`
+/// scoped threads when there are at least two (each thread takes the same
+/// slice of every output). The field is exact, so every split gives the
+/// same elements.
+pub(crate) fn combine_each<F: PrimeField>(
+    weights: &[Vec<F>],
+    rows: &[&[F]],
+    workers: usize,
+) -> Vec<Vec<F>> {
+    let width = rows.first().map_or(0, |row| row.len());
+    let mut outs = vec![vec![F::ZERO; width]; weights.len()];
+    if workers < 2 || width < 2 {
+        for (w, out) in weights.iter().zip(&mut outs) {
+            F::combine(w, rows, out);
+        }
+        return outs;
     }
-    let mut per_party: Vec<Vec<F>> = vec![Vec::with_capacity(width); n];
-    for row in rows.chunks(n) {
-        for (j, &share) in row.iter().enumerate() {
-            per_party[j].push(share);
+    let chunk = width.div_ceil(workers);
+    let mut slices: Vec<Vec<&mut [F]>> = (0..width.div_ceil(chunk)).map(|_| Vec::new()).collect();
+    for out in &mut outs {
+        for (slice, piece) in slices.iter_mut().zip(out.chunks_mut(chunk)) {
+            slice.push(piece);
         }
     }
-    per_party
+    std::thread::scope(|s| {
+        for (c, pieces) in slices.into_iter().enumerate() {
+            s.spawn(move || {
+                let span = c * chunk..(c * chunk + chunk).min(width);
+                let rows: Vec<&[F]> = rows.iter().map(|row| &row[span.clone()]).collect();
+                for (w, piece) in weights.iter().zip(pieces) {
+                    F::combine(w, &rows, piece);
+                }
+            });
+        }
+    });
+    outs
 }
 
 /// Lagrange coefficients for interpolating at 0 from evaluation points
@@ -251,35 +285,43 @@ mod tests {
     /// The batch kernel must consume the RNG in the exact order the scalar
     /// loop does, so the kernel produces the shares `share_secret` specifies
     /// — the determinism contract every oracle-compared release rests on.
-    #[test]
-    fn batch_sharing_is_bit_identical_to_scalar_loop() {
-        let (t, n) = (2, 5);
-        for width in [0usize, 1, 3, 7, 64, 513] {
-            let secrets: Vec<M61> = (0..width as u64)
-                .map(|k| M61::from_i128(k as i128 - 200))
-                .collect();
-            let mut scalar_rng = StdRng::seed_from_u64(9 + width as u64);
-            let mut per_party_scalar: Vec<Vec<M61>> = vec![Vec::new(); n];
-            for &v in &secrets {
-                for (j, s) in share_secret(&mut scalar_rng, v, t, n)
-                    .into_iter()
-                    .enumerate()
-                {
-                    per_party_scalar[j].push(s);
+    fn check_batch_against_scalar_loop<F: PrimeField>() {
+        for t in [0usize, 1, 2, 4, 9] {
+            for n in [t + 1, 2 * t + 1, 20] {
+                for width in [0usize, 1, 3, 7, 64, 513] {
+                    let secrets: Vec<F> =
+                        (0..width as i128).map(|k| F::from_i128(k - 200)).collect();
+                    let seed = (t * 1000 + n * 10) as u64 + width as u64;
+                    let mut scalar_rng = StdRng::seed_from_u64(seed);
+                    let mut per_party_scalar: Vec<Vec<F>> = vec![Vec::new(); n];
+                    for &v in &secrets {
+                        let shares = share_secret(&mut scalar_rng, v, t, n);
+                        for (j, s) in shares.into_iter().enumerate() {
+                            per_party_scalar[j].push(s);
+                        }
+                    }
+                    for (workers, min_width) in [(1, 0), (2, 0), (7, 0), (7, 64), (2, usize::MAX)] {
+                        let at = format!("t={t} n={n} width={width} workers={workers}/{min_width}");
+                        let mut batch_rng = StdRng::seed_from_u64(seed);
+                        let batch =
+                            share_secrets_batch(&mut batch_rng, &secrets, t, n, workers, min_width);
+                        assert_eq!(batch, per_party_scalar, "{at}");
+                        // Both paths must leave the RNG in the same state.
+                        assert_eq!(
+                            rand::Rng::gen::<u64>(&mut batch_rng),
+                            rand::Rng::gen::<u64>(&mut scalar_rng.clone()),
+                            "{at}"
+                        );
+                    }
                 }
             }
-            for (workers, min_width) in [(1, 4), (4, 4), (4, 0), (3, 1_000_000)] {
-                let mut batch_rng = StdRng::seed_from_u64(9 + width as u64);
-                let batch = share_secrets_batch(&mut batch_rng, &secrets, t, n, workers, min_width);
-                assert_eq!(batch, per_party_scalar, "width={width} workers={workers}");
-                // Both paths must leave the RNG in the same state.
-                assert_eq!(
-                    rand::Rng::gen::<u64>(&mut batch_rng),
-                    rand::Rng::gen::<u64>(&mut scalar_rng.clone()),
-                    "width={width} workers={workers}"
-                );
-            }
         }
+    }
+
+    #[test]
+    fn batch_sharing_is_bit_identical_to_scalar_loop() {
+        check_batch_against_scalar_loop::<M61>();
+        check_batch_against_scalar_loop::<M127>();
     }
 
     #[test]

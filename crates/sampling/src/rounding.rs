@@ -18,10 +18,15 @@ pub fn stochastic_round<R: Rng + ?Sized>(rng: &mut R, x: f64) -> i64 {
         x.abs() <= (1u64 << 53) as f64,
         "|x| = {x} exceeds exact f64 integer range"
     );
-    let floor = x.floor();
-    let frac = x - floor;
+    // Floor by truncation: `as` rounds toward zero, one above the floor for
+    // a negative non-integer. Exact under the assert above (every integer
+    // of magnitude at most 2^53 is an f64), and branch-free where `floor`
+    // is a libm call (baseline x86-64 has no `roundsd`).
+    let trunc = x as i64;
+    let floor = trunc - i64::from(trunc as f64 > x);
+    let frac = x - floor as f64;
     let up = frac > 0.0 && rng.gen::<f64>() < frac;
-    floor as i64 + i64::from(up)
+    floor + i64::from(up)
 }
 
 /// Stochastically round each entry of a slice (Algorithm 2 without the
@@ -43,6 +48,55 @@ mod tests {
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// The `f64::floor` formulation the truncating floor replaced, kept as
+    /// the reference.
+    fn floor_reference<R: Rng + ?Sized>(rng: &mut R, x: f64) -> i64 {
+        let floor = x.floor();
+        let frac = x - floor;
+        let up = frac > 0.0 && rng.gen::<f64>() < frac;
+        floor as i64 + i64::from(up)
+    }
+
+    /// Same integer and same draws as the reference, at the values where a
+    /// truncating floor could go wrong: signed zeros, integers of either
+    /// sign up to 2^53, subnormals, and values just below an integer.
+    #[test]
+    fn truncating_floor_matches_the_floor_reference() {
+        let top = (1u64 << 53) as f64;
+        let mut xs = vec![
+            0.0,
+            -0.0,
+            f64::MIN_POSITIVE,
+            -f64::MIN_POSITIVE,
+            f64::from_bits(1),
+            -f64::from_bits(1),
+            f64::MIN_POSITIVE / 3.0,
+            top,
+            -top,
+            top - 1.0,
+            -top + 1.0,
+            top / 2.0 + 0.5,
+            -(top / 2.0) - 0.5,
+        ];
+        for k in [-1e15f64, -1e6, -3.0, -2.0, -1.0, 1.0, 2.0, 3.0, 1e6, 1e15] {
+            // The neighbours of `k` one ulp nearer to and further from zero.
+            let nearer = f64::from_bits(k.to_bits() - 1);
+            let further = f64::from_bits(k.to_bits() + 1);
+            xs.extend([k, nearer, further, k - 0.5, k + 0.25]);
+        }
+        let (mut a, mut b) = (StdRng::seed_from_u64(53), StdRng::seed_from_u64(53));
+        for &x in &xs {
+            for _ in 0..8 {
+                assert_eq!(
+                    stochastic_round(&mut a, x),
+                    floor_reference(&mut b, x),
+                    "x={x:e}"
+                );
+            }
+        }
+        assert_eq!(a.gen::<u64>(), b.gen::<u64>(), "same draws consumed");
+    }
 
     #[test]
     fn integers_round_to_themselves() {
@@ -106,6 +160,14 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(7);
             let r = stochastic_round(&mut rng, x) as f64;
             prop_assert!((r - x).abs() < 1.0);
+        }
+
+        #[test]
+        fn prop_truncating_floor_matches_the_floor_reference(x in -1e15f64..1e15f64, seed in any::<u64>()) {
+            let (mut a, mut b) = (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
+            prop_assert_eq!(stochastic_round(&mut a, x), floor_reference(&mut b, x));
+            prop_assert_eq!(stochastic_round(&mut a, x / 1e9), floor_reference(&mut b, x / 1e9));
+            prop_assert_eq!(a.gen::<u64>(), b.gen::<u64>());
         }
 
         #[test]

@@ -43,11 +43,10 @@ use sqm_field::PrimeField;
 use sqm_linalg::Matrix;
 use sqm_mpc::net::transport::{build_mesh, Transport};
 use sqm_mpc::{MpcEngine, RunStats, TransportError};
-use sqm_sampling::rounding::stochastic_round;
 use sqm_sampling::skellam::{sample_skellam, sample_skellam_symmetric};
 
 use crate::partition::ColumnPartition;
-use crate::{noisy_sum, or_panic, received, validate_gamma, VflConfig};
+use crate::{noisy_sum, or_panic, quantize_columns, received, validate_gamma, VflConfig};
 
 /// The opened, still-amplified covariance and the run statistics.
 #[derive(Debug)]
@@ -456,12 +455,14 @@ impl<F: PrimeField> CovSession<F> {
                 ctx.set_phase("quantize");
                 let mut my_values: Vec<F> = Vec::with_capacity(my_cols.len() * rows);
                 for (data, rows) in frame {
-                    for &j in &my_cols {
-                        for i in rows.clone() {
-                            let q = stochastic_round(&mut st.qrng, gamma * data[(i, j)]);
-                            my_values.push(F::from_i128(q as i128));
-                        }
-                    }
+                    quantize_columns(
+                        &mut st.qrng,
+                        gamma,
+                        data,
+                        &my_cols,
+                        rows.clone(),
+                        &mut my_values,
+                    );
                 }
                 let expected: Vec<usize> = counts.iter().map(|&c| c * rows).collect();
                 ctx.set_phase("input");

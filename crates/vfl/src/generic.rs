@@ -16,11 +16,10 @@ use sqm_field::PrimeField;
 use sqm_linalg::Matrix;
 use sqm_mpc::circuit::{Circuit, CircuitBuilder, Wire};
 use sqm_mpc::{MpcEngine, MpcRun, RunStats, TransportError};
-use sqm_sampling::rounding::stochastic_round;
 
 use crate::covariance::validate;
 use crate::partition::ColumnPartition;
-use crate::{noisy_sum, or_panic, received, validate_gamma, VflConfig};
+use crate::{noisy_sum, or_panic, quantize_columns, received, validate_gamma, VflConfig};
 
 /// Evaluate `sum_x f(x)` under SQM with full BGW execution.
 ///
@@ -144,11 +143,10 @@ fn eval_impl<F: PrimeField>(
         let mut qrng = StdRng::seed_from_u64(cfg.seed() ^ (0x9E4E_0000 + me as u64));
         let my_cols = partition.columns_of(me);
         let mut my_inputs: Vec<F> = Vec::with_capacity(m * my_cols.len());
+        // Record-major: each record's columns in turn, as the circuit's
+        // inputs are laid out.
         for i in 0..m {
-            for &j in &my_cols {
-                let q = stochastic_round(&mut qrng, gamma * data[(i, j)]);
-                my_inputs.push(F::from_i128(q as i128));
-            }
+            quantize_columns(&mut qrng, gamma, data, &my_cols, i..i + 1, &mut my_inputs);
         }
 
         ctx.set_phase("compute");

@@ -26,7 +26,7 @@ use sqm_sampling::skellam::sample_skellam;
 
 use crate::covariance::{column_shares, validate};
 use crate::partition::ColumnPartition;
-use crate::{noisy_sum, or_panic, received, validate_gamma, VflConfig};
+use crate::{noisy_sum, or_panic, quantize_columns, received, validate_gamma, VflConfig};
 
 /// The opened, down-scaled gradient sum and run statistics.
 #[derive(Debug)]
@@ -181,12 +181,8 @@ fn gradient_impl<F: PrimeField>(
         let mut qrng = StdRng::seed_from_u64(cfg.seed() ^ (0x96AD_0000 + me as u64));
         let my_cols = partition.columns_of(me);
         let mut my_values: Vec<F> = Vec::with_capacity(my_cols.len() * mb);
-        for &j in &my_cols {
-            for &i in batch {
-                let q = stochastic_round(&mut qrng, gamma * data[(i, j)]);
-                my_values.push(F::from_i128(q as i128));
-            }
-        }
+        let rows = batch.iter().copied();
+        quantize_columns(&mut qrng, gamma, data, &my_cols, rows, &mut my_values);
 
         // --- round 1: columns ----------------------------------------------
         ctx.set_phase("input");
@@ -196,13 +192,9 @@ fn gradient_impl<F: PrimeField>(
 
         // --- gradient: local linear + one product per (record, dim) --------
         ctx.set_phase("compute");
-        let f_half = F::from_i128(coeffs.half as i128);
-        let f_label = F::from_i128(coeffs.label as i128);
-        let f_w: Vec<F> = coeffs
-            .w_quarter
-            .iter()
-            .map(|&c| F::from_i128(c as i128))
-            .collect();
+        let f_half = F::from_i64(coeffs.half);
+        let f_label = F::from_i64(coeffs.label);
+        let f_w: Vec<F> = coeffs.w_quarter.iter().map(|&c| F::from_i64(c)).collect();
         // v_i = sum_j qw_j * x_ij - q_label * y_i + half  (degree-t share,
         // local), column-outer so each share column is read once in order.
         let mut v: Vec<F> = vec![f_half; mb];

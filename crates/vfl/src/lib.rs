@@ -113,9 +113,11 @@ use std::time::Duration;
 
 use rand::rngs::StdRng;
 use sqm_field::{FieldChoice, PrimeField};
+use sqm_linalg::Matrix;
 use sqm_mpc::{MpcConfig, PartyCtx};
 use sqm_obs::live::Collector;
 use sqm_obs::prof::Profiler;
+use sqm_sampling::rounding::stochastic_round;
 use sqm_sampling::skellam::sample_skellam;
 
 /// The choice behind `with_field!`; `StreamCov` pins a session's field by it.
@@ -136,6 +138,27 @@ pub(crate) fn or_panic<T>(result: Result<T, TransportError>) -> T {
     result.unwrap_or_else(|e| panic!("mpc transport failure: {e}"))
 }
 
+/// Algorithm 2 on a party's own columns: for each of `cols`, for each of
+/// `rows`, `gamma * data[(i, j)]` stochastically rounded from `qrng` and
+/// appended to `out` as a field element. The one quantizer of every input
+/// round that shares records — covariance once per row block, the gradient
+/// over its batch, the generic circuit once per record — so each stream's
+/// draw order is its caller's sequence of calls, column-major within one.
+pub(crate) fn quantize_columns<F: PrimeField>(
+    qrng: &mut StdRng,
+    gamma: f64,
+    data: &Matrix,
+    cols: &[usize],
+    rows: impl Iterator<Item = usize> + Clone,
+    out: &mut Vec<F>,
+) {
+    for &j in cols {
+        for i in rows.clone() {
+            out.push(F::from_i64(stochastic_round(qrng, gamma * data[(i, j)])));
+        }
+    }
+}
+
 /// The noise phase and last round of every release: one Skellam(`local_mu`)
 /// draw from `nrng` added to each entry of `local` (this party's weighted
 /// product shares, see [`PartyCtx::lagrange_weight`]), and the sum over
@@ -149,7 +172,7 @@ pub(crate) fn noisy_sum<F: PrimeField>(
 ) -> Option<Vec<i128>> {
     ctx.set_phase("dp_noise");
     for slot in local.iter_mut() {
-        *slot += F::from_i128(sample_skellam(nrng, local_mu) as i128);
+        *slot += F::from_i64(sample_skellam(nrng, local_mu));
     }
     if let Some(prof) = ctx.profiler() {
         prof.record("vfl;dp_noise;skellam_draw", 1, local.len() as u64);
@@ -245,5 +268,73 @@ impl VflConfig {
     /// The `MpcConfig` every VFL protocol runs under.
     pub fn mpc_config(&self) -> MpcConfig {
         self.mpc.clone()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rand::{Rng, SeedableRng};
+    use sqm_field::{M127, M61};
+
+    /// The per-call-site loop `quantize_columns` replaced, kept as the
+    /// reference.
+    fn quantize_loop<F: PrimeField>(
+        qrng: &mut StdRng,
+        gamma: f64,
+        data: &Matrix,
+        cols: &[usize],
+        rows: &[usize],
+    ) -> Vec<F> {
+        let mut out = Vec::new();
+        for &j in cols {
+            for &i in rows {
+                let q = stochastic_round(qrng, gamma * data[(i, j)]);
+                out.push(F::from_i128(q as i128));
+            }
+        }
+        out
+    }
+
+    fn check_quantize_columns<F: PrimeField>() {
+        let mut rng = StdRng::seed_from_u64(30);
+        let data = Matrix::from_rows(
+            &(0..40)
+                .map(|_| {
+                    (0..11)
+                        .map(|_| rng.gen_range(-1.0..1.0))
+                        .collect::<Vec<f64>>()
+                })
+                .collect::<Vec<_>>(),
+        );
+        let batch = [39, 0, 7, 7, 21, 3];
+        for p in [1, 2, 3, 5] {
+            let partition = partition::ColumnPartition::even(11, p);
+            for party in 0..p {
+                let cols = partition.columns_of(party);
+                let ranges: [&[usize]; 3] = [&(0..40).collect::<Vec<_>>(), &[5, 6, 7, 8], &batch];
+                for rows in ranges {
+                    let (mut a, mut b) = (StdRng::seed_from_u64(9), StdRng::seed_from_u64(9));
+                    let mut got = vec![F::ONE];
+                    quantize_columns(&mut a, 4096.5, &data, &cols, rows.iter().copied(), &mut got);
+                    let want = quantize_loop::<F>(&mut b, 4096.5, &data, &cols, rows);
+                    assert_eq!(got[0], F::ONE, "appends, keeping what was there");
+                    assert_eq!(&got[1..], &want[..], "P={p} party={party} rows={rows:?}");
+                    assert_eq!(a.gen::<u64>(), b.gen::<u64>(), "same draws consumed");
+                }
+            }
+        }
+        // A range of rows, as a covariance frame's row block passes it.
+        let (mut a, mut b) = (StdRng::seed_from_u64(4), StdRng::seed_from_u64(4));
+        let mut got: Vec<F> = Vec::new();
+        quantize_columns(&mut a, 1e6, &data, &[10, 2], 12..30, &mut got);
+        let rows: Vec<usize> = (12..30).collect();
+        assert_eq!(got, quantize_loop::<F>(&mut b, 1e6, &data, &[10, 2], &rows));
+    }
+
+    #[test]
+    fn quantize_columns_matches_the_loop_it_replaced() {
+        check_quantize_columns::<M61>();
+        check_quantize_columns::<M127>();
     }
 }

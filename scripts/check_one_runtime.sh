@@ -57,7 +57,14 @@
 #   * no `.open(` / `open_centered` under crates/vfl/src (every release
 #     ends in `sum_to_receiver`),
 #   * `fn add_gram` defined exactly once under crates/vfl/src (one Gram
-#     kernel, fed runs of triangle rows: own blocks and shared rows alike).
+#     kernel, fed runs of triangle rows: own blocks and shared rows alike),
+#   * `fn quantize_columns` defined other than exactly once under
+#     crates/vfl/src (one column quantizer behind every input round).
+#
+# And for the sharing kernel: `horner` anywhere in crates/mpc/src/shamir.rs
+# outside the body of `fn share_secret` (tests and docs included). The
+# scalar `share_secret` is the specification the batch path is held to;
+# `share_secrets_batch` and recombination run on `PrimeField::combine`.
 #
 # Usage: scripts/check_one_runtime.sh
 set -euo pipefail
@@ -177,6 +184,15 @@ expect "a release opens to every party again (.open( / open_centered under crate
   "$(non_test '[.]open[(]|open_centered' crates/vfl/src)"
 expect "expected fn add_gram defined exactly once under crates/vfl/src (one Gram kernel)" 1 \
   "$(grep -rnw 'fn add_gram' crates/vfl/src || true)"
+
+expect "expected fn quantize_columns defined exactly once under crates/vfl/src (one column quantizer)" 1 \
+  "$(grep -rnw 'fn quantize_columns' crates/vfl/src || true)"
+expect "horner outside fn share_secret in crates/mpc/src/shamir.rs (batch sharing runs on PrimeField::combine)" 0 \
+  "$(awk '
+    /fn share_secret[<(]/ { inside = 1 }
+    !inside && /horner/ { print FILENAME ":" FNR ": " $0 }
+    inside && /^}$/ { inside = 0 }
+  ' crates/mpc/src/shamir.rs)"
 
 [ "$fail" -eq 0 ] && echo "one engine, one runtime, one round event, one tally, one release path: ok"
 exit "$fail"
