@@ -10,7 +10,11 @@
 //! Every transmission is one outer frame: a 4-byte little-endian length
 //! prefix followed by a round-batched [`wire::Frame`] — the element count,
 //! the versioned optional [`wire::TraceHeader`] (one byte when absent),
-//! and the [`crate::wire`] encoding of the element vector.
+//! and the [`crate::wire`] encoding of the element vector. Prefix and
+//! frame leave in one write; the receiver reads each link through a
+//! buffered reader and grows a frame's buffer only as its bytes arrive,
+//! so a corrupt or hostile length prefix costs no more memory than the
+//! bytes the peer actually sends.
 //!
 //! One frame per (pair, round) carries *all* of that round's elements for
 //! the link. Empty payloads still send a (count 0) frame — the lock-step
@@ -32,13 +36,22 @@
 //!
 //! All parties write their full round concurrently before reading; if
 //! every payload exceeded the kernel socket buffers, blocking writes could
-//! deadlock. Each exchange therefore performs its writes on a scoped
-//! helper thread while the party thread reads — writes and reads make
-//! progress independently, bounded buffers or not.
+//! deadlock. Each endpoint therefore owns one resident writer thread,
+//! spawned at mesh build and holding the endpoint's `n - 1` outgoing
+//! sockets for the mesh's life. An exchange hands the round's encoded
+//! frames to it over a channel, reads its `n - 1` incoming frames on the
+//! party thread, then takes back the writer's per-link send walls — writes
+//! and reads make progress independently, bounded buffers or not, and no
+//! round spawns a thread. A failed read returns at once without waiting
+//! on the writer. Dropping the endpoint shuts its outgoing sockets down,
+//! so a writer blocked on a peer that stopped reading fails instead of
+//! hanging, and then joins the thread.
 
-use std::io::{ErrorKind, Read, Write};
+use std::io::{BufReader, ErrorKind, IoSlice, Read, Write};
 use std::marker::PhantomData;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
@@ -50,16 +63,16 @@ use crate::error::{TransportError, WireError};
 use crate::transport::{RoundOutcome, Transport};
 use crate::wire::{self, Frame, TraceHeader};
 
-/// Read-side result of one exchange: per-sender payloads, the optional
-/// trace header decoded from each frame, and how long each read took.
-type ReadHalf<F> = Result<(Vec<Vec<F>>, Vec<Option<TraceHeader>>, Vec<Duration>), TransportError>;
-
 /// Hello preamble: magic, sender id, receiver id (validates pairing).
 const HELLO_MAGIC: u32 = 0x5351_4D4E; // "SQMN"
 
-/// Largest payload a frame may announce (1 GiB); guards against allocating
-/// on a corrupt length prefix.
+/// Largest payload a frame may announce (1 GiB); a frame past it is
+/// refused before anything is written or read.
 const MAX_FRAME_BYTES: usize = 1 << 30;
+
+/// Most a read reserves ahead of the bytes that have arrived: frames up to
+/// this size get their exact buffer at once, longer ones grow with the data.
+const READ_RESERVE: usize = 64 << 10;
 
 /// The length prefix of a `len`-byte frame, or the typed refusal when it
 /// exceeds [`MAX_FRAME_BYTES`]. Sender and receiver apply the same bound,
@@ -116,11 +129,139 @@ pub struct TcpEndpoint<F: PrimeField> {
     n: usize,
     round: u64,
     read_timeout: Duration,
-    /// `writers[j]` carries `me -> j` traffic (`None` at the self slot).
-    writers: Vec<Option<TcpStream>>,
+    /// The thread that owns the `me -> j` sockets; `None` only once dropped.
+    writer: Option<Writer>,
     /// `readers[i]` carries `i -> me` traffic (`None` at the self slot).
-    readers: Vec<Option<TcpStream>>,
+    readers: Vec<Option<BufReader<TcpStream>>>,
     _field: PhantomData<F>,
+}
+
+/// One round's work for the resident writer: `frames[j]` goes to party `j`
+/// with its checked length prefix (`None` at the self slot), and `walls`
+/// comes back with one send wall per link.
+struct Job {
+    round: u64,
+    frames: Vec<Option<(u32, Bytes)>>,
+    walls: Vec<Duration>,
+}
+
+/// The writer's answer for one round: the send walls, or the first failed
+/// write.
+type Sent = (u64, Result<Vec<Duration>, TransportError>);
+
+/// An endpoint's resident writer thread and what it takes to stop it.
+struct Writer {
+    jobs: SyncSender<Job>,
+    sent: Receiver<Sent>,
+    /// Handles on the writer's own sockets, kept to unblock it at shutdown.
+    sockets: Vec<TcpStream>,
+    thread: JoinHandle<()>,
+}
+
+impl Writer {
+    /// Start the writer of party `id`, handing it the outgoing sockets.
+    fn spawn(id: usize, streams: Vec<Option<TcpStream>>) -> std::io::Result<Writer> {
+        let sockets = streams
+            .iter()
+            .flatten()
+            .map(TcpStream::try_clone)
+            .collect::<std::io::Result<_>>()?;
+        let (jobs, job_rx) = sync_channel(1);
+        let (sent_tx, sent) = sync_channel(1);
+        let thread = std::thread::Builder::new()
+            .name(format!("sqm-tcp-writer-{id}"))
+            .spawn(move || write_loop(streams, job_rx, sent_tx))?;
+        Ok(Writer {
+            jobs,
+            sent,
+            sockets,
+            thread,
+        })
+    }
+
+    /// The send walls of `round`, skipping the answer to any earlier round
+    /// whose exchange gave up on a failed read.
+    fn sent(&self, round: u64, party: usize) -> Result<Vec<Duration>, TransportError> {
+        loop {
+            match self.sent.recv() {
+                Ok((r, result)) if r == round => return result,
+                Ok(_) => continue,
+                Err(_) => return Err(writer_gone(party, round)),
+            }
+        }
+    }
+
+    /// Shut every outgoing socket down, so a write stuck on a full socket
+    /// fails, and close both channels, so the thread ends; the caller joins
+    /// the returned handle.
+    fn shut_down(self) -> JoinHandle<()> {
+        for socket in &self.sockets {
+            let _ = socket.shutdown(Shutdown::Both);
+        }
+        self.thread
+    }
+}
+
+fn writer_gone(party: usize, round: u64) -> TransportError {
+    TransportError::Io {
+        party,
+        round,
+        detail: "tcp writer thread exited".into(),
+    }
+}
+
+/// The resident writer's body: one job per round, until the endpoint
+/// closes the channels. It allocates nothing of its own.
+fn write_loop(mut streams: Vec<Option<TcpStream>>, jobs: Receiver<Job>, sent: SyncSender<Sent>) {
+    for mut job in jobs {
+        let result = write_round(&mut streams, &mut job);
+        if sent.send((job.round, result.map(|()| job.walls))).is_err() {
+            return;
+        }
+    }
+}
+
+/// Send each of `job`'s frames, timing each link; stops at the first
+/// failed write.
+fn write_round(streams: &mut [Option<TcpStream>], job: &mut Job) -> Result<(), TransportError> {
+    for (j, frame) in job.frames.iter().enumerate() {
+        let Some((prefix, frame)) = frame else {
+            continue;
+        };
+        let stream = streams[j].as_mut().expect("writer socket present");
+        let t0 = Instant::now();
+        write_frame(stream, *prefix, frame.as_ref())
+            .map_err(|e| io_error(j, job.round, "write frame", &e))?;
+        job.walls[j] = t0.elapsed();
+    }
+    Ok(())
+}
+
+/// Send the length prefix and `frame` as one gathered write, with no copy;
+/// only a socket that takes part of it costs a further write.
+fn write_frame(stream: &mut TcpStream, prefix: u32, frame: &[u8]) -> std::io::Result<()> {
+    let prefix = prefix.to_le_bytes();
+    let mut parts = [IoSlice::new(&prefix), IoSlice::new(frame)];
+    let mut rest = &mut parts[..];
+    while !rest.is_empty() {
+        match stream.write_vectored(rest) {
+            Ok(0) => return Err(ErrorKind::WriteZero.into()),
+            Ok(sent) => IoSlice::advance_slices(&mut rest, sent),
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
+}
+
+impl<F: PrimeField> Drop for TcpEndpoint<F> {
+    fn drop(&mut self) {
+        if let Some(writer) = self.writer.take() {
+            // A write error already went to the exchange that asked for
+            // it; a drop has nothing left to report.
+            let _ = writer.shut_down().join();
+        }
+    }
 }
 
 fn io_error(party: usize, round: u64, context: &str, e: &std::io::Error) -> TransportError {
@@ -141,26 +282,13 @@ fn io_error(party: usize, round: u64, context: &str, e: &std::io::Error) -> Tran
     }
 }
 
-fn write_frame(
-    stream: &mut TcpStream,
-    payload: &[u8],
-    peer: usize,
-    round: u64,
-) -> Result<(), TransportError> {
-    let len = frame_len(payload.len(), peer, round)?;
-    stream
-        .write_all(&len.to_le_bytes())
-        .and_then(|()| stream.write_all(payload))
-        .map_err(|e| io_error(peer, round, "write frame", &e))
-}
-
 fn read_frame(
-    stream: &mut TcpStream,
+    stream: &mut BufReader<TcpStream>,
     peer: usize,
     round: u64,
     read_timeout: Duration,
 ) -> Result<Bytes, TransportError> {
-    let fill_timeout = |err: TransportError| match err {
+    let fail = |context: &str, e: std::io::Error| match io_error(peer, round, context, &e) {
         TransportError::Timeout { party, round, .. } => TransportError::Timeout {
             party,
             round,
@@ -171,12 +299,17 @@ fn read_frame(
     let mut header = [0u8; 4];
     stream
         .read_exact(&mut header)
-        .map_err(|e| fill_timeout(io_error(peer, round, "read frame header", &e)))?;
+        .map_err(|e| fail("read frame header", e))?;
     let len = frame_len(u32::from_le_bytes(header) as usize, peer, round)? as usize;
-    let mut payload = vec![0u8; len];
+    let mut payload = Vec::with_capacity(len.min(READ_RESERVE));
     stream
-        .read_exact(&mut payload)
-        .map_err(|e| fill_timeout(io_error(peer, round, "read frame payload", &e)))?;
+        .by_ref()
+        .take(len as u64)
+        .read_to_end(&mut payload)
+        .map_err(|e| fail("read frame payload", e))?;
+    if payload.len() < len {
+        return Err(TransportError::Disconnected { party: peer, round });
+    }
     Ok(Bytes::from(payload))
 }
 
@@ -289,20 +422,27 @@ pub fn tcp_mesh<F: PrimeField>(
         }
     }
 
-    Ok(writers
+    writers
         .into_iter()
         .zip(readers)
         .enumerate()
-        .map(|(id, (w, r))| TcpEndpoint {
-            id,
-            n,
-            round: 0,
-            read_timeout: opts.read_timeout,
-            writers: w,
-            readers: r,
-            _field: PhantomData,
+        .map(|(id, (w, r))| {
+            let writer = Writer::spawn(id, w).map_err(|e| TransportError::Io {
+                party: id,
+                round: 0,
+                detail: format!("spawn writer: {e}"),
+            })?;
+            Ok(TcpEndpoint {
+                id,
+                n,
+                round: 0,
+                read_timeout: opts.read_timeout,
+                writer: Some(writer),
+                readers: r.into_iter().map(|s| s.map(BufReader::new)).collect(),
+                _field: PhantomData,
+            })
         })
-        .collect())
+        .collect()
 }
 
 impl<F: PrimeField> Transport<F> for TcpEndpoint<F> {
@@ -330,78 +470,65 @@ impl<F: PrimeField> Transport<F> for TcpEndpoint<F> {
         }
         let id = self.id;
         let round = self.round;
-        let read_timeout = self.read_timeout;
 
         // Encode everything up front; account only real messages, and only
         // their element bytes — the trace header and frame prefixes ride
-        // inside the frame but never enter the byte accounting.
+        // inside the frame but never enter the byte accounting. A frame
+        // past the size bound is refused before any frame is written.
         let mut messages = 0u64;
         let mut bytes = 0u64;
         let mut elems = 0u64;
         let loopback = std::mem::take(&mut outgoing[id]);
         let loopback_header = headers.as_ref().and_then(|hs| hs[id]);
-        let frames: Vec<Option<Bytes>> = outgoing
-            .iter()
-            .enumerate()
-            .map(|(j, payload)| {
-                if j == id {
-                    return None;
-                }
-                if !payload.is_empty() {
-                    messages += 1;
-                    bytes += wire::encoded_len::<F>(payload.len());
-                    elems += payload.len() as u64;
-                }
-                let header = headers.as_ref().and_then(|hs| hs[j]);
-                Some(Frame::<F>::encode(payload, header.as_ref()))
+        let mut frames = Vec::with_capacity(n);
+        for (j, payload) in outgoing.iter().enumerate() {
+            if j == id {
+                frames.push(None);
+                continue;
+            }
+            if !payload.is_empty() {
+                messages += 1;
+                bytes += wire::encoded_len::<F>(payload.len());
+                elems += payload.len() as u64;
+            }
+            let header = headers.as_ref().and_then(|hs| hs[j]);
+            let frame = Frame::<F>::encode(payload, header.as_ref());
+            frames.push(Some((frame_len(frame.len(), j, round)?, frame)));
+        }
+        let writer = self.writer.as_ref().expect("writer lives until drop");
+        writer
+            .jobs
+            .send(Job {
+                round,
+                frames,
+                walls: vec![Duration::ZERO; n],
             })
-            .collect();
-        let writers = &mut self.writers;
-        let readers = &mut self.readers;
+            .map_err(|_| writer_gone(id, round))?;
+
         // Each link's send and receive are timed unconditionally (two clock
         // reads apiece): the endpoint cannot know whether the run's
         // observers want them, and the round's outcome is where they look.
-        let (write_result, read_result) = std::thread::scope(|s| {
-            let writer = s.spawn(move || -> Result<Vec<Duration>, TransportError> {
-                let mut walls = vec![Duration::ZERO; n];
-                for (j, frame) in frames.iter().enumerate() {
-                    let Some(frame) = frame else { continue };
-                    let stream = writers[j].as_mut().expect("writer socket present");
-                    let t0 = Instant::now();
-                    write_frame(stream, frame.as_ref(), j, round)?;
-                    walls[j] = t0.elapsed();
-                }
-                Ok(walls)
-            });
-            let read = (|| -> ReadHalf<F> {
-                let mut incoming: Vec<Vec<F>> = (0..n).map(|_| Vec::new()).collect();
-                let mut in_headers: Vec<Option<TraceHeader>> = vec![None; n];
-                let mut walls = vec![Duration::ZERO; n];
-                for (i, reader) in readers.iter_mut().enumerate() {
-                    let Some(stream) = reader.as_mut() else {
-                        continue;
-                    };
-                    let t0 = Instant::now();
-                    let wire_err = |source| TransportError::Wire {
-                        party: i,
-                        round,
-                        source,
-                    };
-                    let raw = read_frame(stream, i, round, read_timeout)?;
-                    let frame = Frame::<F>::decode(raw).map_err(wire_err)?;
-                    in_headers[i] = frame.header;
-                    incoming[i] = frame.elements;
-                    walls[i] = t0.elapsed();
-                }
-                Ok((incoming, in_headers, walls))
-            })();
-            (writer.join().expect("tcp writer thread panicked"), read)
-        });
-
-        // Prefer the read-side error: it attributes the failure to the peer
-        // whose data never arrived, which is the actionable diagnosis.
-        let (mut incoming, mut in_headers, recv_walls) = read_result?;
-        let send_walls = write_result?;
+        // A failed read is the actionable diagnosis — it names the peer
+        // whose data never arrived — so it returns without the writer.
+        let mut incoming: Vec<Vec<F>> = (0..n).map(|_| Vec::new()).collect();
+        let mut in_headers: Vec<Option<TraceHeader>> = vec![None; n];
+        let mut recv_walls = vec![Duration::ZERO; n];
+        for (i, reader) in self.readers.iter_mut().enumerate() {
+            let Some(stream) = reader.as_mut() else {
+                continue;
+            };
+            let t0 = Instant::now();
+            let raw = read_frame(stream, i, round, self.read_timeout)?;
+            let frame = Frame::<F>::decode(raw).map_err(|source| TransportError::Wire {
+                party: i,
+                round,
+                source,
+            })?;
+            in_headers[i] = frame.header;
+            incoming[i] = frame.elements;
+            recv_walls[i] = t0.elapsed();
+        }
+        let send_walls = writer.sent(round, id)?;
         incoming[id] = loopback;
         in_headers[id] = loopback_header;
 
@@ -659,5 +786,111 @@ mod tests {
             }
             other => panic!("expected ConnectFailed, got {other:?}"),
         }
+    }
+
+    /// Wait up to `limit` for `thread` to end, then join it.
+    fn join_within(thread: JoinHandle<()>, limit: Duration) {
+        let deadline = Instant::now() + limit;
+        while !thread.is_finished() {
+            assert!(Instant::now() < deadline, "writer thread still running");
+            thread::sleep(Duration::from_millis(1));
+        }
+        thread.join().expect("writer thread ended cleanly");
+    }
+
+    /// Drop `endpoint` on a helper thread and fail unless that returns
+    /// within `limit`: a drop that hangs fails the test instead of the run.
+    fn drop_within(endpoint: TcpEndpoint<M61>, limit: Duration) {
+        let (dropped, done) = std::sync::mpsc::channel();
+        thread::spawn(move || {
+            drop(endpoint);
+            dropped.send(()).unwrap();
+        });
+        done.recv_timeout(limit)
+            .expect("dropping the endpoint hung on its blocked writer");
+    }
+
+    /// A two-party mesh whose party 0 has sent a 16 MiB frame to a party 1
+    /// that never reads, and has given up on party 1's frame after a
+    /// 100 ms read timeout: party 0's writer is left blocked on a full
+    /// socket.
+    fn blocked_writer() -> (TcpEndpoint<M61>, TcpEndpoint<M61>, TransportError, Duration) {
+        let opts = TcpOptions {
+            read_timeout: Duration::from_millis(100),
+            ..TcpOptions::default()
+        };
+        let mut eps = tcp_mesh::<M61>(2, &opts).unwrap();
+        let quiet = eps.pop().unwrap();
+        let mut blocked = eps.pop().unwrap();
+        let big = vec![M61::ONE; (16 << 20) / 8];
+        let start = Instant::now();
+        let err = blocked.exchange(vec![vec![], big]).unwrap_err();
+        (blocked, quiet, err, start.elapsed())
+    }
+
+    #[test]
+    fn read_timeout_surfaces_while_the_writer_is_blocked() {
+        let (blocked, quiet, err, took) = blocked_writer();
+        assert_eq!(
+            err,
+            TransportError::Timeout {
+                party: 1,
+                round: 0,
+                after: Duration::from_millis(100)
+            }
+        );
+        assert!(took < Duration::from_secs(5), "exchange hung for {took:?}");
+        drop_within(blocked, Duration::from_secs(2));
+        drop(quiet);
+    }
+
+    #[test]
+    fn dropping_an_endpoint_unblocks_its_writer_and_the_peer_reads_disconnected() {
+        let (blocked, mut quiet, _, _) = blocked_writer();
+        drop_within(blocked, Duration::from_secs(2));
+        // Party 1 reads what reached its socket of the 16 MiB frame, then
+        // the end of the stream.
+        let err = quiet.exchange(vec![vec![M61::ONE], vec![]]).unwrap_err();
+        assert_eq!(err, TransportError::Disconnected { party: 0, round: 0 });
+    }
+
+    #[test]
+    fn a_reused_mesh_leaves_no_writer_thread_behind() {
+        let mut eps = tcp_mesh::<M61>(3, &TcpOptions::default()).unwrap();
+        thread::scope(|s| {
+            for ep in eps.iter_mut() {
+                s.spawn(move || {
+                    for round in 0..50u64 {
+                        let out = vec![vec![M61::from_u64(round); 2]; 3];
+                        let incoming = ep.exchange(out).unwrap().incoming;
+                        assert!(incoming.iter().all(|v| v[..] == [M61::from_u64(round); 2]));
+                    }
+                });
+            }
+        });
+        let threads: Vec<JoinHandle<()>> = eps
+            .iter_mut()
+            .map(|ep| ep.writer.take().expect("writer").shut_down())
+            .collect();
+        drop(eps);
+        for thread in threads {
+            join_within(thread, Duration::from_secs(2));
+        }
+    }
+
+    #[test]
+    fn a_frame_announced_but_not_sent_is_disconnected_not_allocated() {
+        // A hand-rolled peer announces a 1 GiB frame, sends 16 bytes and
+        // closes; the reader holds what arrived, not what was announced.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (accepted, _) = listener.accept().unwrap();
+        peer.write_all(&(MAX_FRAME_BYTES as u32).to_le_bytes())
+            .unwrap();
+        peer.write_all(&[7u8; 16]).unwrap();
+        drop(peer);
+        let mut reader = BufReader::new(accepted);
+        let err = read_frame(&mut reader, 1, 4, Duration::from_secs(1)).unwrap_err();
+        assert_eq!(err, TransportError::Disconnected { party: 1, round: 4 });
     }
 }

@@ -29,6 +29,6 @@ pub use discrete_gaussian::{
     sample_discrete_laplace,
 };
 pub use gaussian::sample_standard_normal;
-pub use poisson::{poisson_log_pmf, sample_poisson};
+pub use poisson::{poisson_log_pmf, sample_poisson, Poisson};
 pub use rounding::stochastic_round;
-pub use skellam::{sample_skellam, sample_skellam_vec, skellam_log_pmf};
+pub use skellam::{sample_skellam, sample_skellam_vec, skellam_log_pmf, Skellam};

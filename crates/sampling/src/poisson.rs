@@ -27,32 +27,94 @@ const PTRD_MAX: f64 = (1u64 << 50) as f64;
 /// that the result would not fit an `i64` (use
 /// [`crate::skellam::sample_skellam`] for huge noise scales — it samples
 /// the centered difference directly and never materializes the Poisson
-/// counts).
+/// counts). Many draws at one `mu` should build one [`Poisson`] instead.
 pub fn sample_poisson<R: Rng + ?Sized>(rng: &mut R, mu: f64) -> i64 {
-    assert!(
-        mu.is_finite() && mu >= 0.0,
-        "Poisson mean must be finite and >= 0, got {mu}"
-    );
-    assert!(
-        mu < 4.0e18,
-        "Poisson mean {mu} too large for i64 counts; sample the Skellam difference directly"
-    );
-    if mu == 0.0 {
-        0
-    } else if mu < INVERSION_MAX {
-        poisson_inversion(rng, mu)
-    } else if mu < PTRD_MAX {
-        poisson_ptrd(rng, mu)
-    } else {
-        let z = sample_standard_normal(rng);
-        let v = mu + mu.sqrt() * z;
-        v.round().max(0.0) as i64
+    Poisson::new(mu).sample(rng)
+}
+
+/// A `Pois(mu)` sampler: the regime is picked, and its constants computed,
+/// once in [`Poisson::new`]; every [`Poisson::sample`] then draws exactly
+/// what [`sample_poisson`] would, from the same random numbers.
+#[derive(Clone, Copy, Debug)]
+pub struct Poisson(Regime);
+
+#[derive(Clone, Copy, Debug)]
+enum Regime {
+    Zero,
+    /// Inversion stops once the running product falls to `e^{-mu}`.
+    Inversion {
+        exp_neg_mu: f64,
+    },
+    Ptrd(Ptrd),
+    Normal {
+        mu: f64,
+        smu: f64,
+    },
+}
+
+/// PTRD's setup for one `mu` (Hörmann's notation).
+#[derive(Clone, Copy, Debug)]
+struct Ptrd {
+    mu: f64,
+    b: f64,
+    a: f64,
+    inv_alpha: f64,
+    v_r: f64,
+    ln_mu: f64,
+}
+
+impl Poisson {
+    /// The sampler for `Pois(mu)`, with the same panics as
+    /// [`sample_poisson`].
+    pub fn new(mu: f64) -> Poisson {
+        assert!(
+            mu.is_finite() && mu >= 0.0,
+            "Poisson mean must be finite and >= 0, got {mu}"
+        );
+        assert!(
+            mu < 4.0e18,
+            "Poisson mean {mu} too large for i64 counts; sample the Skellam difference directly"
+        );
+        Poisson(if mu == 0.0 {
+            Regime::Zero
+        } else if mu < INVERSION_MAX {
+            Regime::Inversion {
+                exp_neg_mu: (-mu).exp(),
+            }
+        } else if mu < PTRD_MAX {
+            let smu = mu.sqrt();
+            let b = 0.931 + 2.53 * smu;
+            Regime::Ptrd(Ptrd {
+                mu,
+                b,
+                a: -0.059 + 0.02483 * b,
+                inv_alpha: 1.1239 + 1.1328 / (b - 3.4),
+                v_r: 0.9277 - 3.6224 / (b - 2.0),
+                ln_mu: mu.ln(),
+            })
+        } else {
+            Regime::Normal { mu, smu: mu.sqrt() }
+        })
+    }
+
+    /// One `Pois(mu)` variate.
+    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> i64 {
+        match self.0 {
+            Regime::Zero => 0,
+            Regime::Inversion { exp_neg_mu } => poisson_inversion(rng, exp_neg_mu),
+            Regime::Ptrd(ref ptrd) => ptrd.sample(rng),
+            Regime::Normal { mu, smu } => {
+                let z = sample_standard_normal(rng);
+                let v = mu + smu * z;
+                v.round().max(0.0) as i64
+            }
+        }
     }
 }
 
-/// Inversion by sequential search (Knuth). Exact; O(mu) time.
-fn poisson_inversion<R: Rng + ?Sized>(rng: &mut R, mu: f64) -> i64 {
-    let l = (-mu).exp();
+/// Inversion by sequential search (Knuth), stopping at `l = e^{-mu}`.
+/// Exact; O(mu) time.
+fn poisson_inversion<R: Rng + ?Sized>(rng: &mut R, l: f64) -> i64 {
     let mut k: i64 = 0;
     let mut p = 1.0f64;
     loop {
@@ -64,56 +126,60 @@ fn poisson_inversion<R: Rng + ?Sized>(rng: &mut R, mu: f64) -> i64 {
     }
 }
 
-/// PTRD: "The transformed rejection method for generating Poisson random
-/// variables", W. Hörmann, 1993. Valid for `mu >= 10`.
-fn poisson_ptrd<R: Rng + ?Sized>(rng: &mut R, mu: f64) -> i64 {
-    let smu = mu.sqrt();
-    let b = 0.931 + 2.53 * smu;
-    let a = -0.059 + 0.02483 * b;
-    let inv_alpha = 1.1239 + 1.1328 / (b - 3.4);
-    let v_r = 0.9277 - 3.6224 / (b - 2.0);
+impl Ptrd {
+    /// PTRD: "The transformed rejection method for generating Poisson
+    /// random variables", W. Hörmann, 1993. Valid for `mu >= 10`.
+    fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> i64 {
+        let Ptrd {
+            mu,
+            b,
+            a,
+            inv_alpha,
+            v_r,
+            ln_mu,
+        } = *self;
+        loop {
+            let v: f64 = rng.gen();
+            // Fast path: the dominating triangular region.
+            if v <= 0.86 * v_r {
+                let u = v / v_r - 0.43;
+                let us = 0.5 - u.abs();
+                return ((2.0 * a / us + b) * u + mu + 0.445).floor() as i64;
+            }
 
-    loop {
-        let v: f64 = rng.gen();
-        // Fast path: the dominating triangular region.
-        if v <= 0.86 * v_r {
-            let u = v / v_r - 0.43;
+            let (u, v) = if v >= v_r {
+                (rng.gen::<f64>() - 0.5, v)
+            } else {
+                let u = v / v_r - 0.93;
+                let u = 0.5f64.copysign(u) - u;
+                (u, rng.gen::<f64>() * v_r)
+            };
+
             let us = 0.5 - u.abs();
-            return ((2.0 * a / us + b) * u + mu + 0.445).floor() as i64;
-        }
+            if us < 0.013 && v > us {
+                continue;
+            }
 
-        let (u, v) = if v >= v_r {
-            (rng.gen::<f64>() - 0.5, v)
-        } else {
-            let u = v / v_r - 0.93;
-            let u = 0.5f64.copysign(u) - u;
-            (u, rng.gen::<f64>() * v_r)
-        };
+            let k = ((2.0 * a / us + b) * u + mu + 0.445).floor();
+            if k < 0.0 {
+                continue;
+            }
+            let v = v * inv_alpha / (a / (us * us) + b);
 
-        let us = 0.5 - u.abs();
-        if us < 0.013 && v > us {
-            continue;
-        }
-
-        let k = ((2.0 * a / us + b) * u + mu + 0.445).floor();
-        if k < 0.0 {
-            continue;
-        }
-        let v = v * inv_alpha / (a / (us * us) + b);
-
-        // Acceptance test: ln(v) <= ln pmf(k) = k*ln(mu) - mu - ln(k!).
-        // For large k, ln(k!) uses the Stirling series (ln_factorial_f);
-        // computing k*ln(mu/k) keeps the difference of large terms stable.
-        let ln_pmf = if k >= 10.0 {
-            (k + 0.5) * (mu / k).ln() - mu + k
-                - 0.5 * mu.ln()
-                - 0.5 * (2.0 * std::f64::consts::PI).ln()
-                - stirling_log_correction(k)
-        } else {
-            k * mu.ln() - mu - ln_factorial(k as u64)
-        };
-        if v.ln() <= ln_pmf {
-            return k as i64;
+            // Acceptance test: ln(v) <= ln pmf(k) = k*ln(mu) - mu - ln(k!).
+            // For large k, ln(k!) uses the Stirling series (ln_factorial_f);
+            // computing k*ln(mu/k) keeps the difference of large terms stable.
+            let ln_pmf = if k >= 10.0 {
+                (k + 0.5) * (mu / k).ln() - mu + k
+                    - 0.5 * ln_mu
+                    - 0.5 * (2.0 * std::f64::consts::PI).ln()
+                    - stirling_log_correction(k)
+            } else {
+                k * ln_mu - mu - ln_factorial(k as u64)
+            };
+            if v.ln() <= ln_pmf {
+                return k as i64;
+            }
         }
     }
 }

@@ -14,7 +14,7 @@
 use rand::Rng;
 
 use crate::gaussian::sample_standard_normal;
-use crate::poisson::sample_poisson;
+use crate::poisson::Poisson;
 
 /// Above this `mu`, `Sk(mu)` is sampled as its centered normal limit
 /// `round(N(0, 2 mu))`. The Poisson counts themselves would exceed `f64`
@@ -25,18 +25,49 @@ const DIRECT_DIFFERENCE_MAX: f64 = (1u64 << 49) as f64;
 
 /// Sample one `Sk(mu)` variate. Panics if `2 mu` is so large that the
 /// *difference* would overflow `i64` (`mu > ~4e36`), far beyond any
-/// calibrated noise scale.
+/// calibrated noise scale. Many draws at one `mu` should build one
+/// [`Skellam`] instead.
 pub fn sample_skellam<R: Rng + ?Sized>(rng: &mut R, mu: f64) -> i64 {
-    assert!(
-        mu.is_finite() && mu >= 0.0,
-        "Skellam parameter must be finite and >= 0, got {mu}"
-    );
-    if mu < DIRECT_DIFFERENCE_MAX {
-        sample_poisson(rng, mu) - sample_poisson(rng, mu)
-    } else {
-        let std = (2.0 * mu).sqrt();
-        assert!(std < 4.0e18, "Skellam scale {mu} overflows i64");
-        (std * sample_standard_normal(rng)).round() as i64
+    Skellam::new(mu).sample(rng)
+}
+
+/// A `Sk(mu)` sampler: the regime and the Poisson setup are fixed once in
+/// [`Skellam::new`], and every [`Skellam::sample`] draws exactly what
+/// [`sample_skellam`] would, from the same random numbers.
+#[derive(Clone, Copy, Debug)]
+pub struct Skellam(Law);
+
+#[derive(Clone, Copy, Debug)]
+enum Law {
+    /// `Pois(mu) - Pois(mu)`, below [`DIRECT_DIFFERENCE_MAX`].
+    Difference(Poisson),
+    /// `round(std * N(0, 1))` with `std = sqrt(2 mu)`, above it.
+    Normal { std: f64 },
+}
+
+impl Skellam {
+    /// The sampler for `Sk(mu)`, with the same panics as
+    /// [`sample_skellam`].
+    pub fn new(mu: f64) -> Skellam {
+        assert!(
+            mu.is_finite() && mu >= 0.0,
+            "Skellam parameter must be finite and >= 0, got {mu}"
+        );
+        if mu < DIRECT_DIFFERENCE_MAX {
+            Skellam(Law::Difference(Poisson::new(mu)))
+        } else {
+            let std = (2.0 * mu).sqrt();
+            assert!(std < 4.0e18, "Skellam scale {mu} overflows i64");
+            Skellam(Law::Normal { std })
+        }
+    }
+
+    /// One `Sk(mu)` variate.
+    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> i64 {
+        match self.0 {
+            Law::Difference(ref pois) => pois.sample(rng) - pois.sample(rng),
+            Law::Normal { std } => (std * sample_standard_normal(rng)).round() as i64,
+        }
     }
 }
 
@@ -52,7 +83,8 @@ pub fn sample_skellam<R: Rng + ?Sized>(rng: &mut R, mu: f64) -> i64 {
 /// assert!(mean.abs() < 2.0); // mean 0, variance 2*mu = 100
 /// ```
 pub fn sample_skellam_vec<R: Rng + ?Sized>(rng: &mut R, mu: f64, len: usize) -> Vec<i64> {
-    (0..len).map(|_| sample_skellam(rng, mu)).collect()
+    let skellam = Skellam::new(mu);
+    (0..len).map(|_| skellam.sample(rng)).collect()
 }
 
 /// The standard deviation of `Sk(mu)`: `sqrt(2*mu)`.
@@ -106,10 +138,11 @@ pub fn skellam_log_pmf(k: i64, mu: f64) -> f64 {
 /// matrices for PCA (the matrix must stay symmetric so that eigenvectors are
 /// real; see Lemma 13's construction of the noise matrix `N`).
 pub fn sample_skellam_symmetric<R: Rng + ?Sized>(rng: &mut R, mu: f64, n: usize) -> Vec<i64> {
+    let skellam = Skellam::new(mu);
     let mut m = vec![0i64; n * n];
     for i in 0..n {
         for j in i..n {
-            let z = sample_skellam(rng, mu);
+            let z = skellam.sample(rng);
             m[i * n + j] = z;
             m[j * n + i] = z;
         }
@@ -121,7 +154,7 @@ pub fn sample_skellam_symmetric<R: Rng + ?Sized>(rng: &mut R, mu: f64, n: usize)
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
 
     fn moments(xs: &[i64]) -> (f64, f64) {
         let n = xs.len() as f64;
@@ -257,5 +290,125 @@ mod tests {
     fn log_pmf_zero_mu_is_point_mass() {
         assert_eq!(skellam_log_pmf(0, 0.0), 0.0);
         assert_eq!(skellam_log_pmf(2, 0.0), f64::NEG_INFINITY);
+    }
+
+    /// The per-call sampler as it stood before its setup moved into
+    /// [`Skellam::new`]: regime, PTRD constants and `e^{-mu}` recomputed
+    /// on every draw. Kept verbatim as the differential reference.
+    mod per_call {
+        use crate::gaussian::sample_standard_normal;
+        use crate::special::ln_factorial;
+        use rand::Rng;
+
+        pub fn sample_skellam<R: Rng + ?Sized>(rng: &mut R, mu: f64) -> i64 {
+            if mu < super::DIRECT_DIFFERENCE_MAX {
+                sample_poisson(rng, mu) - sample_poisson(rng, mu)
+            } else {
+                let std = (2.0 * mu).sqrt();
+                (std * sample_standard_normal(rng)).round() as i64
+            }
+        }
+
+        fn sample_poisson<R: Rng + ?Sized>(rng: &mut R, mu: f64) -> i64 {
+            if mu == 0.0 {
+                0
+            } else if mu < 10.0 {
+                let l = (-mu).exp();
+                let mut k: i64 = 0;
+                let mut p = 1.0f64;
+                loop {
+                    p *= rng.gen::<f64>();
+                    if p <= l {
+                        return k;
+                    }
+                    k += 1;
+                }
+            } else if mu < (1u64 << 50) as f64 {
+                poisson_ptrd(rng, mu)
+            } else {
+                let z = sample_standard_normal(rng);
+                let v = mu + mu.sqrt() * z;
+                v.round().max(0.0) as i64
+            }
+        }
+
+        fn poisson_ptrd<R: Rng + ?Sized>(rng: &mut R, mu: f64) -> i64 {
+            let smu = mu.sqrt();
+            let b = 0.931 + 2.53 * smu;
+            let a = -0.059 + 0.02483 * b;
+            let inv_alpha = 1.1239 + 1.1328 / (b - 3.4);
+            let v_r = 0.9277 - 3.6224 / (b - 2.0);
+            loop {
+                let v: f64 = rng.gen();
+                if v <= 0.86 * v_r {
+                    let u = v / v_r - 0.43;
+                    let us = 0.5 - u.abs();
+                    return ((2.0 * a / us + b) * u + mu + 0.445).floor() as i64;
+                }
+                let (u, v) = if v >= v_r {
+                    (rng.gen::<f64>() - 0.5, v)
+                } else {
+                    let u = v / v_r - 0.93;
+                    let u = 0.5f64.copysign(u) - u;
+                    (u, rng.gen::<f64>() * v_r)
+                };
+                let us = 0.5 - u.abs();
+                if us < 0.013 && v > us {
+                    continue;
+                }
+                let k = ((2.0 * a / us + b) * u + mu + 0.445).floor();
+                if k < 0.0 {
+                    continue;
+                }
+                let v = v * inv_alpha / (a / (us * us) + b);
+                let ln_pmf = if k >= 10.0 {
+                    let inv = 1.0 / k;
+                    (k + 0.5) * (mu / k).ln() - mu + k
+                        - 0.5 * mu.ln()
+                        - 0.5 * (2.0 * std::f64::consts::PI).ln()
+                        - (1.0 / 12.0 - inv * inv / 360.0) * inv
+                } else {
+                    k * mu.ln() - mu - ln_factorial(k as u64)
+                };
+                if v.ln() <= ln_pmf {
+                    return k as i64;
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn hoisted_setup_draws_what_the_per_call_sampler_drew() {
+        let two49 = (1u64 << 49) as f64;
+        for mu in [
+            0.0,
+            0.3,
+            9.99,
+            10.0,
+            12.5,
+            25.0,
+            1e6,
+            two49 - 1.0,
+            two49 + 1.0,
+            3.9e22,
+        ] {
+            let skellam = Skellam::new(mu);
+            let mut hoisted = StdRng::seed_from_u64(mu.to_bits());
+            let mut per_call = hoisted.clone();
+            let mut wrapper = hoisted.clone();
+            for draw in 0..20_000 {
+                let want = per_call::sample_skellam(&mut per_call, mu);
+                assert_eq!(skellam.sample(&mut hoisted), want, "mu={mu} draw {draw}");
+                assert_eq!(
+                    sample_skellam(&mut wrapper, mu),
+                    want,
+                    "mu={mu} draw {draw}"
+                );
+            }
+            // The same number of random words went into the draws.
+            let next = per_call.next_u64();
+            assert_eq!(hoisted.next_u64(), next, "mu={mu}");
+            assert_eq!(wrapper.next_u64(), next, "mu={mu}");
+        }
     }
 }

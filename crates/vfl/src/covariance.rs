@@ -43,7 +43,7 @@ use sqm_field::PrimeField;
 use sqm_linalg::Matrix;
 use sqm_mpc::net::transport::{build_mesh, Transport};
 use sqm_mpc::{MpcEngine, RunStats, TransportError};
-use sqm_sampling::skellam::{sample_skellam, sample_skellam_symmetric};
+use sqm_sampling::skellam::{sample_skellam_symmetric, Skellam};
 
 use crate::partition::ColumnPartition;
 use crate::{noisy_sum, or_panic, quantize_columns, received, validate_gamma, VflConfig};
@@ -181,11 +181,11 @@ pub fn covariance_quantized_oracle(
     }
 
     // Replay each party's noise stream.
-    let local_mu = mu / cfg.n_clients() as f64;
+    let skellam = Skellam::new(mu / cfg.n_clients() as f64);
     for p in 0..cfg.n_clients() {
         let mut nrng = StdRng::seed_from_u64(cfg.seed() ^ (0x5E11_A000 + p as u64));
         for slot in opened.iter_mut() {
-            *slot += sample_skellam(&mut nrng, local_mu) as i128;
+            *slot += skellam.sample(&mut nrng) as i128;
         }
     }
 

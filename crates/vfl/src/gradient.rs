@@ -22,7 +22,7 @@ use sqm_field::PrimeField;
 use sqm_linalg::Matrix;
 use sqm_mpc::{MpcEngine, RunStats, TransportError};
 use sqm_sampling::rounding::stochastic_round;
-use sqm_sampling::skellam::sample_skellam;
+use sqm_sampling::skellam::Skellam;
 
 use crate::covariance::{column_shares, validate};
 use crate::partition::ColumnPartition;
@@ -140,10 +140,10 @@ pub fn gradient_sum_skellam_plaintext<R: rand::Rng + ?Sized>(
             acc[k] += coeffs.half as i128 * qx[k] as i128 + v * qx[k] as i128;
         }
     }
-    let local_mu = mu / n_clients as f64;
+    let skellam = Skellam::new(mu / n_clients as f64);
     for a in acc.iter_mut() {
         for _ in 0..n_clients {
-            *a += sample_skellam(rng, local_mu) as i128;
+            *a += skellam.sample(rng) as i128;
         }
     }
     let amp = gamma.powi(3);

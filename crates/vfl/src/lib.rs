@@ -118,7 +118,7 @@ use sqm_mpc::{MpcConfig, PartyCtx};
 use sqm_obs::live::Collector;
 use sqm_obs::prof::Profiler;
 use sqm_sampling::rounding::stochastic_round;
-use sqm_sampling::skellam::sample_skellam;
+use sqm_sampling::skellam::Skellam;
 
 /// The choice behind `with_field!`; `StreamCov` pins a session's field by it.
 pub(crate) fn field_for(bound: f64) -> FieldChoice {
@@ -171,8 +171,9 @@ pub(crate) fn noisy_sum<F: PrimeField>(
     local_mu: f64,
 ) -> Option<Vec<i128>> {
     ctx.set_phase("dp_noise");
+    let skellam = Skellam::new(local_mu);
     for slot in local.iter_mut() {
-        *slot += F::from_i64(sample_skellam(nrng, local_mu));
+        *slot += F::from_i64(skellam.sample(nrng));
     }
     if let Some(prof) = ctx.profiler() {
         prof.record("vfl;dp_noise;skellam_draw", 1, local.len() as u64);

@@ -13,7 +13,7 @@ use sqm_core::quantize::quantize_vec;
 use sqm_field::PrimeField;
 use sqm_linalg::Matrix;
 use sqm_mpc::{MpcEngine, RunStats, TransportError};
-use sqm_sampling::skellam::sample_skellam;
+use sqm_sampling::skellam::Skellam;
 
 use crate::covariance::validate;
 use crate::partition::ColumnPartition;
@@ -117,10 +117,10 @@ pub fn column_sums_skellam_plaintext<R: rand::Rng + ?Sized>(
             *s += q as i128;
         }
     }
-    let local_mu = mu / n_clients as f64;
+    let skellam = Skellam::new(mu / n_clients as f64);
     for s in sums.iter_mut() {
         for _ in 0..n_clients {
-            *s += sample_skellam(rng, local_mu) as i128;
+            *s += skellam.sample(rng) as i128;
         }
     }
     sums.into_iter().map(|s| s as f64).collect()

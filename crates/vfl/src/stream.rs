@@ -44,7 +44,7 @@ use sqm_field::{FieldChoice, M127, M61};
 use sqm_linalg::Matrix;
 use sqm_mpc::TransportError;
 use sqm_sampling::rounding::stochastic_round;
-use sqm_sampling::skellam::sample_skellam;
+use sqm_sampling::skellam::Skellam;
 
 use crate::covariance::{
     magnitude_bound, symmetric_from_upper, CovSession, CovarianceOutput, RowBlock,
@@ -238,14 +238,14 @@ pub fn covariance_streaming_oracle(
         }
     }
 
-    let local_mu = mu / cfg.n_clients() as f64;
+    let skellam = Skellam::new(mu / cfg.n_clients() as f64);
     for p in 0..cfg.n_clients() {
         let mut nrng = StdRng::seed_from_u64(cfg.seed() ^ (0x5E11_A000 + p as u64));
         for _ in 0..noise_skip * upper_len {
-            let _ = sample_skellam(&mut nrng, local_mu);
+            let _ = skellam.sample(&mut nrng);
         }
         for slot in opened.iter_mut() {
-            *slot += sample_skellam(&mut nrng, local_mu) as i128;
+            *slot += skellam.sample(&mut nrng) as i128;
         }
     }
 
