@@ -37,7 +37,7 @@ use sqm_obs::prof::Profiler;
 use sqm_obs::trace::Trace;
 
 use crate::chacha::PairStream;
-use crate::runtime::{run_parties, PartyLink};
+use crate::runtime::{run_once, PartyLink, PartyPool, Program};
 use crate::shamir::{combine_each, lagrange_at_zero, share_secrets_batch};
 use sqm_obs::round::RunStats;
 
@@ -286,8 +286,9 @@ impl MpcEngine {
     /// Like [`MpcEngine::try_run`], but over a caller-supplied mesh of party
     /// endpoints instead of building (and tearing down) a fresh one. On
     /// success the endpoints are handed back so the *next* run can reuse
-    /// them — this is how a long-lived server amortizes meshing across many
-    /// releases in one session. On error the endpoints are consumed: a
+    /// them, amortizing meshing across runs (a session that also keeps its
+    /// party threads runs on a [`PartyPool`] instead,
+    /// [`MpcEngine::try_run_pool`]). On error the endpoints are consumed: a
     /// transport failure leaves the mesh in an undefined round state, so the
     /// caller must re-mesh (via [`crate::net::build_mesh`]) before retrying.
     ///
@@ -307,7 +308,44 @@ impl MpcEngine {
         T: Send,
         P: Fn(&mut PartyCtx<F>) -> T + Sync,
     {
-        let n = self.config.n_parties;
+        let program = &program;
+        let party = self.party_program(move |ctx: &mut PartyCtx<F>, _: &mut ()| program(ctx));
+        run_once(&self.config, endpoints, party)
+    }
+
+    /// Like [`MpcEngine::try_run_on`], on a pool of resident party workers
+    /// instead of threads spawned for this run: each party runs `program`
+    /// on its own worker, with the state that worker keeps between runs.
+    /// The program owns what it reads, since it outlives this call's
+    /// borrows. Round counters, share salts and pair-mask nonces continue
+    /// across runs as on a reused mesh. On error the pool has shut down:
+    /// drop it.
+    pub fn try_run_pool<F, S, T, P>(
+        &self,
+        pool: &mut PartyPool<F, S, T>,
+        program: P,
+    ) -> Result<MpcRun<T>, TransportError>
+    where
+        F: PrimeField,
+        S: Send + 'static,
+        T: Send + 'static,
+        P: Fn(&mut PartyCtx<F>, &mut S) -> T + Send + Sync + 'static,
+    {
+        pool.run(&self.config, self.party_program(program))
+    }
+
+    /// `program` as the runtime runs it: each party wraps its link in a
+    /// [`PartyCtx`] keyed to this run, runs the program and hands the link
+    /// back.
+    fn party_program<'a, F, S, T>(
+        &self,
+        program: impl Fn(&mut PartyCtx<F>, &mut S) -> T + Send + Sync + 'a,
+    ) -> Program<'a, F, S, T>
+    where
+        F: PrimeField,
+    {
+        let (n, t) = (self.config.n_parties, self.config.threshold);
+        let (seed, batching) = (self.config.seed, self.config.batching);
         let points: Vec<usize> = (0..n).collect();
         let lagrange_all = lagrange_at_zero::<F>(&points);
         // A degree-2t product is fixed by any 2t + 1 of its n evaluations:
@@ -319,7 +357,7 @@ impl MpcEngine {
             weights.insert(j, F::ZERO);
             weights
         };
-        let lagrange_without: Vec<Vec<F>> = if n > 2 * self.config.threshold + 1 {
+        let lagrange_without: Vec<Vec<F>> = if n > 2 * t + 1 {
             (0..n).map(without).collect()
         } else {
             Vec::new()
@@ -329,7 +367,7 @@ impl MpcEngine {
             let inversions = n + lagrange_without.len() * (n - 1);
             prof.record("engine;setup;field_inv", 1, inversions as u64);
         }
-        run_parties(&self.config, endpoints, |link| {
+        Arc::new(move |link: PartyLink<F>, state: &mut S| {
             let id = link.id();
             // A replayed stream shares two secrets under one polynomial: a
             // curious party subtracts its shares and reads their difference.
@@ -337,19 +375,17 @@ impl MpcEngine {
             let mut ctx = PartyCtx {
                 id,
                 n,
-                t: self.config.threshold,
+                t,
                 rng: StdRng::seed_from_u64(
-                    self.config.seed
-                        ^ 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(id as u64 + 1)
-                        ^ run_salt,
+                    seed ^ 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(id as u64 + 1) ^ run_salt,
                 ),
                 link,
                 lagrange_all: lagrange_all.clone(),
                 lagrange_without: lagrange_without.iter().map(|row| row[id]).collect(),
-                batching: self.config.batching,
-                seed: self.config.seed,
+                batching,
+                seed,
             };
-            let out = program(&mut ctx);
+            let out = program(&mut ctx, state);
             (out, ctx.link)
         })
     }

@@ -12,13 +12,15 @@
 //!   injector, all with per-round, per-message and per-byte accounting.
 //!   Backend selection lives on [`MpcConfig`].
 //! * `runtime` (crate-private) — the party runtime under the engine: the
-//!   one run loop that spawns `n` party threads, runs the same protocol
-//!   program in each and collects outputs, and the one round exchange,
-//!   which hands each round to the party's `sqm_obs::round` observer. That
-//!   observer charges it to the party's one tally — merged into the run's
-//!   [`RunStats`] and carried by its trace — and reports it to what the
-//!   run's config attached ([`MpcConfig::live`], [`MpcConfig::prof`],
-//!   `trace`).
+//!   one party worker that runs the same protocol program at each of the
+//!   `n` parties and reports its output — on scoped threads for a one-shot
+//!   run, or on the resident threads of a [`PartyPool`], which a session
+//!   keeps for its whole life so that a run spawns no thread — and the one
+//!   round exchange, which hands each round to the party's
+//!   `sqm_obs::round` observer. That observer charges it to the party's
+//!   one tally — merged into the run's [`RunStats`] and carried by its
+//!   trace — and reports it to what the run's config attached
+//!   ([`MpcConfig::live`], [`MpcConfig::prof`], `trace`).
 //!   Transport failures surface as typed [`TransportError`]s from
 //!   [`MpcEngine::try_run`] (or a diagnostic panic from `run`); no
 //!   process-wide panic hook is involved.
@@ -47,6 +49,7 @@ pub mod shamir;
 pub use sqm_net as net;
 
 pub use engine::{BatchOptions, MpcConfig, MpcEngine, MpcRun, PartyCtx, RECEIVER};
+pub use runtime::PartyPool;
 pub use shamir::{reconstruct, share_secret, share_secrets_batch, ShamirShare};
 pub use sqm_net::fault::{CrashPoint, FaultSpec};
 pub use sqm_net::transport::NetBackend;

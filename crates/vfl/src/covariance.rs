@@ -27,22 +27,23 @@
 //! `P = 4` the multiply-accumulates per release fall from `4 n(n+1)/2 m` to
 //! about 62 % of that (312.75 M against 501 M at `m = 1000`, `n = 500`).
 //!
-//! One per-party program, [`CovSession::release`], is the whole protocol.
-//! Its input is a list of *frames* (one input round each), each a list of
-//! row blocks. One-shot is one frame of one block on a fresh session,
-//! chunked is one frame per chunk, and [`crate::stream::StreamCov`] passes
-//! one frame of all pending batches to a session it keeps.
+//! One per-party program, `CovPlan::party_release`, is the whole
+//! protocol. Its input is a list of *frames* (one input round each), each a
+//! list of row blocks. One-shot is one frame of one block on fresh party
+//! states, chunked is one frame per chunk, and
+//! [`crate::stream::StreamCov`] passes one frame of all pending batches to
+//! the resident party workers of a `CovSession` it keeps.
 
 use std::ops::Range;
-use std::sync::Mutex;
+use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sqm_core::quantize::quantize_vec;
 use sqm_field::PrimeField;
 use sqm_linalg::Matrix;
-use sqm_mpc::net::transport::{build_mesh, Transport};
-use sqm_mpc::{MpcEngine, RunStats, TransportError};
+use sqm_mpc::net::transport::build_mesh;
+use sqm_mpc::{MpcEngine, MpcRun, PartyCtx, PartyPool, RunStats, TransportError};
 use sqm_sampling::skellam::{sample_skellam_symmetric, Skellam};
 
 use crate::partition::ColumnPartition;
@@ -337,7 +338,8 @@ pub fn covariance_skellam_chunked(
     or_panic(release_once(data, partition, gamma, mu, cfg, &frames))
 }
 
-/// One release over a fresh mesh and fresh party state, both dropped after.
+/// One release over a fresh mesh and fresh party states, both dropped
+/// after: the per-party program on the engine's one-shot run.
 fn release_once(
     data: &Matrix,
     partition: &ColumnPartition,
@@ -349,8 +351,14 @@ fn release_once(
     validate(data, partition, cfg);
     validate_gamma(gamma);
     let bound = magnitude_bound(data.rows(), data.max_row_norm(), gamma, mu);
+    let plan = CovPlan::new(partition, gamma, mu, cfg.n_clients());
     with_field!(bound, F => {
-        CovSession::<F>::open(cfg, partition)?.release(cfg, partition, gamma, mu, frames)
+        let engine = MpcEngine::new(cfg.mpc_config());
+        let run = engine.try_run::<F, _, _>(|ctx| {
+            let mut st = plan.fresh_party(cfg.seed(), ctx.id);
+            plan.party_release(ctx, &mut st, frames)
+        })?;
+        Ok(plan.output(run))
     })
 }
 
@@ -371,145 +379,176 @@ struct PartyState<F: PrimeField> {
     own: Vec<F>,
 }
 
-/// Everything a covariance computation keeps between releases: the party
-/// mesh and every party's [`PartyState`]. A one-shot protocol opens one,
-/// releases once and drops it; [`crate::stream::StreamCov`] keeps it.
+/// What every party of a covariance computation knows in public: the
+/// partition, the cross-owner runs of each triangle row, `gamma` and each
+/// party's share `mu / P` of the noise.
+struct CovPlan {
+    partition: ColumnPartition,
+    counts: Vec<usize>,
+    cross: Vec<Vec<Range<usize>>>,
+    gamma: f64,
+    local_mu: f64,
+}
+
+impl CovPlan {
+    fn new(partition: &ColumnPartition, gamma: f64, mu: f64, n_clients: usize) -> CovPlan {
+        let n = partition.n_cols();
+        CovPlan {
+            partition: partition.clone(),
+            counts: partition.counts(),
+            cross: (0..n).map(|j| cross_runs(partition, j)).collect(),
+            gamma,
+            local_mu: mu / n_clients as f64,
+        }
+    }
+
+    /// Party `p`'s state before its first release: its streams derived from
+    /// `seed`, its accumulators zero.
+    fn fresh_party<F: PrimeField>(&self, seed: u64, p: usize) -> PartyState<F> {
+        let (n, b) = (self.partition.n_cols(), self.counts[p]);
+        PartyState {
+            qrng: StdRng::seed_from_u64(seed ^ (0xA11C_E000 + p as u64)),
+            nrng: StdRng::seed_from_u64(seed ^ (0x5E11_A000 + p as u64)),
+            acc: vec![F::ZERO; n * (n + 1) / 2],
+            own: vec![F::ZERO; b * (b + 1) / 2],
+        }
+    }
+
+    /// One party's DP release: the whole protocol. Each of `frames` is one
+    /// input round: its row blocks are quantized in order (block -> column
+    /// -> row) and shared in one frame. Each party then multiplies only
+    /// what the masked sum needs: its own columns' block in the clear, and
+    /// the cross-owner entries of every triangle row but those it sits out
+    /// — when `P > 2t + 1`, party `j mod P` sits out row `j`, since the
+    /// other `P - 1 >= 2t + 1` points fix the degree-`2t` product. Round
+    /// 2's vector is each row weighted for the parties that evaluate it
+    /// ([`PartyCtx::lagrange_weight`]), plus the own block, plus this
+    /// release's `n(n+1)/2` noise draws; the accumulators themselves stay
+    /// noise-free.
+    fn party_release<F: PrimeField>(
+        &self,
+        ctx: &mut PartyCtx<F>,
+        st: &mut PartyState<F>,
+        frames: &[Vec<RowBlock>],
+    ) -> Option<Vec<i128>> {
+        let (partition, n) = (&self.partition, self.partition.n_cols());
+        let my_cols = partition.columns_of(ctx.id);
+        let (me, parties, spare) = (ctx.id, ctx.n, ctx.n > 2 * ctx.t + 1);
+        let sitter = |j: usize| spare.then_some(j % parties);
+        // The cross-owner runs I multiply: those of every row I keep.
+        let my_runs: Vec<(usize, &Range<usize>)> = (0..n)
+            .filter(|&j| sitter(j) != Some(me))
+            .flat_map(|j| self.cross[j].iter().map(move |run| (j, run)))
+            .collect();
+        let entries = st.own.len() + my_runs.iter().map(|(_, run)| run.len()).sum::<usize>();
+        for frame in frames {
+            let rows: usize = frame.iter().map(|(_, rows)| rows.len()).sum();
+            ctx.set_phase("quantize");
+            let mut my_values: Vec<F> = Vec::with_capacity(my_cols.len() * rows);
+            for (data, rows) in frame {
+                quantize_columns(
+                    &mut st.qrng,
+                    self.gamma,
+                    data,
+                    &my_cols,
+                    rows.clone(),
+                    &mut my_values,
+                );
+            }
+            let expected: Vec<usize> = self.counts.iter().map(|&c| c * rows).collect();
+            ctx.set_phase("input");
+            let contributions = ctx.share_all_uneven(&my_values, &expected);
+            ctx.set_phase("compute");
+            let mut rows_done = 0;
+            for (_, rows) in frame {
+                let rows = rows.len();
+                let own: Vec<&[F]> =
+                    block_columns(&my_values, my_cols.len(), rows_done, rows).collect();
+                add_triangle(&mut st.own, &own);
+                let cols = column_shares(&contributions, partition, rows_done, rows);
+                for &(j, run) in &my_runs {
+                    let at = upper_index(n, j, run.start);
+                    add_gram(&mut st.acc[at..at + run.len()], cols[j], &cols[run.clone()]);
+                }
+                rows_done += rows;
+            }
+            if let Some(prof) = ctx.profiler() {
+                prof.record("vfl;compute;gram", 1, (entries * rows) as u64);
+            }
+        }
+        // Round 2's vector: every row under its weight, my block as is.
+        let mut local = Vec::with_capacity(st.acc.len());
+        for j in 0..n {
+            let weight = ctx.lagrange_weight(sitter(j));
+            let start = upper_index(n, j, j);
+            let row = &st.acc[start..start + n - j];
+            local.extend(row.iter().map(|&share| weight * share));
+        }
+        let own_entries = my_cols
+            .iter()
+            .enumerate()
+            .flat_map(|(s, &j)| my_cols[s..].iter().map(move |&k| (j, k)));
+        for ((j, k), &value) in own_entries.zip(&st.own) {
+            local[upper_index(n, j, k)] += value;
+        }
+        noisy_sum(ctx, local, &mut st.nrng, self.local_mu)
+    }
+
+    /// The released covariance: the receiver's sum as a symmetric matrix.
+    fn output(&self, run: MpcRun<Option<Vec<i128>>>) -> CovarianceOutput {
+        CovarianceOutput {
+            c_hat: symmetric_from_upper(received(&run.outputs), self.partition.n_cols()),
+            stats: run.stats,
+            trace: run.trace,
+        }
+    }
+}
+
+/// Everything a covariance computation keeps between releases: one
+/// resident worker per party, holding the party's mesh endpoint and its
+/// [`PartyState`]. [`crate::stream::StreamCov`] keeps one for its life.
 pub(crate) struct CovSession<F: PrimeField> {
-    mesh: Vec<Box<dyn Transport<F>>>,
-    parties: Vec<PartyState<F>>,
+    engine: MpcEngine,
+    plan: Arc<CovPlan>,
+    pool: PartyPool<F, PartyState<F>, Option<Vec<i128>>>,
 }
 
 impl<F: PrimeField> CovSession<F> {
-    /// Mesh the parties and start their streams and accumulators afresh.
+    /// Mesh the parties, start their streams and accumulators afresh, and
+    /// start one worker per party to hold them.
     pub(crate) fn open(
-        cfg: &VflConfig,
-        partition: &ColumnPartition,
-    ) -> Result<Self, TransportError> {
-        let mpc = cfg.mpc_config();
-        let mesh = build_mesh::<F>(mpc.n_parties, &mpc.backend, mpc.faults.as_ref())?;
-        let n = partition.n_cols();
-        let parties = partition
-            .counts()
-            .into_iter()
-            .enumerate()
-            .map(|(p, b)| PartyState {
-                qrng: StdRng::seed_from_u64(cfg.seed() ^ (0xA11C_E000 + p as u64)),
-                nrng: StdRng::seed_from_u64(cfg.seed() ^ (0x5E11_A000 + p as u64)),
-                acc: vec![F::ZERO; n * (n + 1) / 2],
-                own: vec![F::ZERO; b * (b + 1) / 2],
-            })
-            .collect();
-        Ok(CovSession { mesh, parties })
-    }
-
-    /// One DP release. Each of `frames` is one input round: its row blocks
-    /// are quantized in order (block -> column -> row) and shared in one
-    /// frame. Each party then multiplies only what the masked sum needs:
-    /// its own columns' block in the clear, and the cross-owner entries of
-    /// every triangle row but those it sits out — when `P > 2t + 1`, party
-    /// `j mod P` sits out row `j`, since the other `P - 1 >= 2t + 1` points
-    /// fix the degree-`2t` product. Round 2's vector is each row weighted
-    /// for the parties that evaluate it ([`PartyCtx::lagrange_weight`]),
-    /// plus the own block, plus this release's `n(n+1)/2` noise draws; the
-    /// accumulators themselves stay noise-free. A transport failure leaves
-    /// the session empty (its mesh and party states died with the party
-    /// threads): drop it.
-    ///
-    /// [`PartyCtx::lagrange_weight`]: sqm_mpc::PartyCtx::lagrange_weight
-    pub(crate) fn release(
-        &mut self,
         cfg: &VflConfig,
         partition: &ColumnPartition,
         gamma: f64,
         mu: f64,
-        frames: &[Vec<RowBlock>],
-    ) -> Result<CovarianceOutput, TransportError> {
-        let local_mu = mu / cfg.n_clients() as f64;
-        let counts = partition.counts();
-        let n = partition.n_cols();
-        let cross: Vec<Vec<Range<usize>>> = (0..n).map(|j| cross_runs(partition, j)).collect();
-        // Each party thread takes its state out of its slot and returns it
-        // with its output.
-        let slots: Vec<Mutex<Option<PartyState<F>>>> = self
-            .parties
-            .drain(..)
-            .map(|s| Mutex::new(Some(s)))
+    ) -> Result<Self, TransportError> {
+        let mpc = cfg.mpc_config();
+        let mesh = build_mesh::<F>(mpc.n_parties, &mpc.backend, mpc.faults.as_ref())?;
+        let plan = CovPlan::new(partition, gamma, mu, cfg.n_clients());
+        let parties = (0..mpc.n_parties)
+            .map(|p| plan.fresh_party(cfg.seed(), p))
             .collect();
-        let mesh = std::mem::take(&mut self.mesh);
-
-        let engine = MpcEngine::new(cfg.mpc_config());
-        let (run, mesh) = engine.try_run_on::<F, _, _>(mesh, |ctx| {
-            let mut slot = slots[ctx.id].lock().expect("each slot has one user");
-            let mut st = slot.take().expect("party state");
-            let my_cols = partition.columns_of(ctx.id);
-            let (me, parties, spare) = (ctx.id, ctx.n, ctx.n > 2 * ctx.t + 1);
-            let sitter = |j: usize| spare.then_some(j % parties);
-            // The cross-owner runs I multiply: those of every row I keep.
-            let my_runs: Vec<(usize, &Range<usize>)> = (0..n)
-                .filter(|&j| sitter(j) != Some(me))
-                .flat_map(|j| cross[j].iter().map(move |run| (j, run)))
-                .collect();
-            let entries = st.own.len() + my_runs.iter().map(|(_, run)| run.len()).sum::<usize>();
-            for frame in frames {
-                let rows: usize = frame.iter().map(|(_, rows)| rows.len()).sum();
-                ctx.set_phase("quantize");
-                let mut my_values: Vec<F> = Vec::with_capacity(my_cols.len() * rows);
-                for (data, rows) in frame {
-                    quantize_columns(
-                        &mut st.qrng,
-                        gamma,
-                        data,
-                        &my_cols,
-                        rows.clone(),
-                        &mut my_values,
-                    );
-                }
-                let expected: Vec<usize> = counts.iter().map(|&c| c * rows).collect();
-                ctx.set_phase("input");
-                let contributions = ctx.share_all_uneven(&my_values, &expected);
-                ctx.set_phase("compute");
-                let mut rows_done = 0;
-                for (_, rows) in frame {
-                    let rows = rows.len();
-                    let own: Vec<&[F]> =
-                        block_columns(&my_values, my_cols.len(), rows_done, rows).collect();
-                    add_triangle(&mut st.own, &own);
-                    let cols = column_shares(&contributions, partition, rows_done, rows);
-                    for &(j, run) in &my_runs {
-                        let at = upper_index(n, j, run.start);
-                        add_gram(&mut st.acc[at..at + run.len()], cols[j], &cols[run.clone()]);
-                    }
-                    rows_done += rows;
-                }
-                if let Some(prof) = ctx.profiler() {
-                    prof.record("vfl;compute;gram", 1, (entries * rows) as u64);
-                }
-            }
-            // Round 2's vector: every row under its weight, my block as is.
-            let mut local = Vec::with_capacity(st.acc.len());
-            for j in 0..n {
-                let weight = ctx.lagrange_weight(sitter(j));
-                let start = upper_index(n, j, j);
-                let row = &st.acc[start..start + n - j];
-                local.extend(row.iter().map(|&share| weight * share));
-            }
-            let own_entries = my_cols
-                .iter()
-                .enumerate()
-                .flat_map(|(s, &j)| my_cols[s..].iter().map(move |&k| (j, k)));
-            for ((j, k), &value) in own_entries.zip(&st.own) {
-                local[upper_index(n, j, k)] += value;
-            }
-            (noisy_sum(ctx, local, &mut st.nrng, local_mu), st)
-        })?;
-
-        let (opened, parties): (Vec<_>, Vec<_>) = run.outputs.into_iter().unzip();
-        (self.mesh, self.parties) = (mesh, parties);
-        Ok(CovarianceOutput {
-            c_hat: symmetric_from_upper(received(&opened), partition.n_cols()),
-            stats: run.stats,
-            trace: run.trace,
+        Ok(CovSession {
+            engine: MpcEngine::new(mpc),
+            plan: Arc::new(plan),
+            pool: PartyPool::new(mesh, parties),
         })
+    }
+
+    /// One DP release of `batches`, the records that arrived since the last
+    /// one, as one input frame in arrival order ([`CovPlan::party_release`]
+    /// at every party's worker). A transport failure shut the workers down
+    /// and their endpoints and party states with them: drop the session.
+    pub(crate) fn release(
+        &mut self,
+        batches: Vec<Matrix>,
+    ) -> Result<CovarianceOutput, TransportError> {
+        let plan = Arc::clone(&self.plan);
+        let run = self.engine.try_run_pool(&mut self.pool, move |ctx, st| {
+            let frame: Vec<RowBlock> = batches.iter().map(|b| (b, 0..b.rows())).collect();
+            plan.party_release(ctx, st, &[frame])
+        })?;
+        Ok(self.plan.output(run))
     }
 }
 

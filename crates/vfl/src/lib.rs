@@ -41,10 +41,11 @@
 //! Field width (`M61` vs `M127`) is chosen automatically from a worst-case
 //! magnitude bound so the integer computation cannot wrap; `with_field!` is
 //! the one place a bound becomes a field or is refused for lack of headroom.
-//! Every protocol has a fallible core on `MpcEngine::try_run{,_on}`; the
+//! Every protocol has a fallible core on `MpcEngine::try_run{,_pool}`; the
 //! public names without a `try_` prefix panic on a transport failure. The
 //! three covariance entry points (one-shot, chunked, [`stream::StreamCov`])
-//! run one per-party program, `covariance::CovSession::release`.
+//! run one per-party program, `covariance::CovPlan::party_release`: once on
+//! fresh party threads, or on the resident party workers a stream keeps.
 //!
 //! **Randomness streams.** A party draws from three private streams derived
 //! from `cfg.seed()`: quantization, Skellam noise, and (inside the engine)

@@ -4,13 +4,16 @@
 //! and tear everything down. A serving deployment (see `sqm::serve`)
 //! instead keeps a session alive across many mini-batch arrivals and many
 //! DP releases. [`StreamCov`] is that session: the one-shot covariance's
-//! per-party program (`CovSession::release`) on a mesh and share state it
-//! keeps.
+//! per-party program (`CovPlan::party_release`) on party workers, a mesh
+//! and share state it keeps.
 //!
-//! * **Transports are reused.** The party mesh is built once
-//!   (`net::build_mesh`) and threaded through every release via
-//!   `MpcEngine::try_run_on`, so a release costs protocol rounds but never
-//!   re-meshing. Party round counters simply continue across releases.
+//! * **Transports and party threads are reused.** The party mesh is built
+//!   once (`net::build_mesh`) and each endpoint handed to one resident
+//!   party worker (`sqm_mpc::PartyPool`) that holds it, and that party's
+//!   state, until the session drops. A release posts one job to each
+//!   worker (`MpcEngine::try_run_pool`), so it costs protocol rounds but
+//!   never re-meshing and never a thread spawn. Party round counters simply
+//!   continue across releases.
 //! * **Sufficient statistics accumulate.** Each party keeps its
 //!   degree-2t shares of the cross-owner Gram entries it evaluates and,
 //!   in the clear, its own columns' block between releases.
@@ -28,15 +31,15 @@
 //!   predicted bit-exactly by [`covariance_streaming_oracle`] with
 //!   `noise_skip = r` (each release consumes the next `n(n+1)/2` noise
 //!   draws per party). The engine's own streams — share polynomials and
-//!   the pairwise masks of round 2 — are re-keyed by
-//!   `MpcEngine::try_run_on` from the mesh's round counter (0 on a fresh
-//!   mesh, continuing across releases), so no release is shared under a
-//!   polynomial or masked under a stream an earlier one used.
+//!   the pairwise masks of round 2 — are re-keyed by the engine on every
+//!   run from the mesh's round counter (0 on a fresh mesh, continuing
+//!   across releases), so no release is shared under a polynomial or
+//!   masked under a stream an earlier one used.
 //!
-//! A transport failure poisons the session: the mesh and the accumulator
-//! shares died with the party threads, the typed error is kept, and every
-//! later call returns it. The caller (one serve tenant) fails; other
-//! sessions are untouched.
+//! A transport failure poisons the session: its party workers end, dropping
+//! the mesh and the accumulator shares with them, the typed error is kept,
+//! and every later call returns it. The caller (one serve tenant) fails;
+//! other sessions and their workers are untouched.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -46,9 +49,7 @@ use sqm_mpc::TransportError;
 use sqm_sampling::rounding::stochastic_round;
 use sqm_sampling::skellam::Skellam;
 
-use crate::covariance::{
-    magnitude_bound, symmetric_from_upper, CovSession, CovarianceOutput, RowBlock,
-};
+use crate::covariance::{magnitude_bound, symmetric_from_upper, CovSession, CovarianceOutput};
 use crate::partition::ColumnPartition;
 use crate::{field_for, validate_gamma, VflConfig};
 
@@ -65,9 +66,6 @@ enum FieldSession {
 /// determinism and reuse contract.
 pub struct StreamCov {
     partition: ColumnPartition,
-    gamma: f64,
-    mu: f64,
-    cfg: VflConfig,
     session: FieldSession,
     failed: Option<TransportError>,
     pending: Vec<Matrix>,
@@ -98,14 +96,11 @@ impl StreamCov {
         validate_gamma(gamma);
         assert!(max_rows >= 1, "declare a positive record envelope");
         let session = match field_for(magnitude_bound(max_rows, max_row_norm, gamma, mu)) {
-            FieldChoice::M61 => FieldSession::M61(CovSession::open(cfg, &partition)?),
-            FieldChoice::M127 => FieldSession::M127(CovSession::open(cfg, &partition)?),
+            FieldChoice::M61 => FieldSession::M61(CovSession::open(cfg, &partition, gamma, mu)?),
+            FieldChoice::M127 => FieldSession::M127(CovSession::open(cfg, &partition, gamma, mu)?),
         };
         Ok(StreamCov {
             partition,
-            gamma,
-            mu,
-            cfg: cfg.clone(),
             session,
             failed: None,
             pending: Vec::new(),
@@ -148,13 +143,11 @@ impl StreamCov {
             return Err(e.clone());
         }
         let rows = self.pending_rows();
-        let pending = std::mem::take(&mut self.pending);
         // All pending batches ride one input frame, in arrival order.
-        let frame: Vec<RowBlock> = pending.iter().map(|b| (b, 0..b.rows())).collect();
-        let (cfg, partition, gamma, mu) = (&self.cfg, &self.partition, self.gamma, self.mu);
+        let pending = std::mem::take(&mut self.pending);
         let released = match &mut self.session {
-            FieldSession::M61(s) => s.release(cfg, partition, gamma, mu, &[frame]),
-            FieldSession::M127(s) => s.release(cfg, partition, gamma, mu, &[frame]),
+            FieldSession::M61(s) => s.release(pending),
+            FieldSession::M127(s) => s.release(pending),
         };
         match &released {
             Ok(_) => {
@@ -256,6 +249,7 @@ pub fn covariance_streaming_oracle(
 mod tests {
     use super::*;
     use crate::covariance::covariance_skellam_chunked;
+    use sqm_mpc::NetBackend;
 
     fn batches() -> Vec<Matrix> {
         vec![
@@ -345,8 +339,8 @@ mod tests {
             stream.ingest(b);
         }
         let first = stream.release().unwrap();
-        // Nothing pending: the second release's input frame carries only
-        // the noise shares.
+        // Nothing pending: the second release's input round sends nothing,
+        // and round 2 is the masked sum alone.
         let second = stream.release().unwrap();
         assert!(
             second.stats.total.bytes < first.stats.total.bytes,
@@ -373,6 +367,91 @@ mod tests {
         // Poisoned: later calls return the same typed error, no panic.
         let again = stream.release().unwrap_err();
         assert_eq!(err, again);
+    }
+
+    /// Drop `stream` on a helper thread and fail unless that returns (its
+    /// party workers joined) within 2 s.
+    fn drop_within_two_seconds(stream: StreamCov) {
+        let (done, dropped) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            drop(stream);
+            done.send(()).expect("the test waits");
+        });
+        dropped
+            .recv_timeout(std::time::Duration::from_secs(2))
+            .expect("dropping the session joined its party workers in time");
+    }
+
+    fn backends() -> [NetBackend; 2] {
+        [NetBackend::InProcess, NetBackend::tcp()]
+    }
+
+    #[test]
+    fn dropping_a_session_joins_its_party_workers() {
+        for backend in backends() {
+            let cfg = VflConfig::fast(3).with_seed(3).with_backend(backend);
+            let mut stream = StreamCov::new(ColumnPartition::even(3, 3), 64.0, 4.0, &cfg, 16, 1.0)
+                .expect("mesh");
+            stream.ingest(&batches()[0]);
+            stream.release().expect("fault-free release");
+            drop_within_two_seconds(stream);
+        }
+    }
+
+    #[test]
+    fn a_poisoned_session_drops_in_time() {
+        for backend in backends() {
+            let cfg = VflConfig::fast(3)
+                .with_seed(5)
+                .with_backend(backend)
+                .with_faults(Some(sqm_mpc::FaultSpec::seeded(5).with_crash(2, 1)));
+            let mut stream =
+                StreamCov::new(ColumnPartition::even(3, 3), 64.0, 4.0, &cfg, 16, 1.0).unwrap();
+            stream.ingest(&batches()[0]);
+            let err = stream.release().unwrap_err();
+            assert_eq!(err, TransportError::Crashed { party: 2, round: 1 });
+            drop_within_two_seconds(stream);
+        }
+    }
+
+    #[test]
+    fn a_crashed_session_leaves_another_in_the_process_untouched() {
+        for backend in backends() {
+            let partition = ColumnPartition::even(3, 3);
+            let (gamma, mu) = (256.0, 25.0);
+            let cfg = VflConfig::fast(3).with_seed(8).with_backend(backend);
+            let crashing = cfg
+                .clone()
+                .with_faults(Some(sqm_mpc::FaultSpec::seeded(8).with_crash(1, 3)));
+            let new = |cfg: &VflConfig| {
+                StreamCov::new(partition.clone(), gamma, mu, cfg, 16, 1.0).expect("mesh")
+            };
+            let (mut healthy, mut doomed) = (new(&cfg), new(&crashing));
+            let all = batches();
+            for (r, batch) in all.iter().enumerate() {
+                healthy.ingest(batch);
+                doomed.ingest(batch);
+                let released = healthy.release().expect("the healthy session releases");
+                let oracle =
+                    covariance_streaming_oracle(&all[..=r], &partition, gamma, mu, &cfg, r);
+                assert_eq!(released.c_hat, oracle, "release {r}");
+                // Rounds 0-1 are the doomed session's first release; party
+                // 1 crashes in round 3, its second release's masked sum.
+                let doomed_release = doomed.release();
+                assert_eq!(doomed_release.is_ok(), r == 0, "release {r}");
+            }
+            assert_eq!(
+                doomed.failure(),
+                Some(&TransportError::Crashed { party: 1, round: 3 })
+            );
+            drop_within_two_seconds(doomed);
+            healthy.ingest(&all[0]);
+            let mut history = all.to_vec();
+            history.push(all[0].clone());
+            let last = healthy.release().expect("the healthy session releases");
+            let oracle = covariance_streaming_oracle(&history, &partition, gamma, mu, &cfg, 3);
+            assert_eq!(last.c_hat, oracle);
+        }
     }
 
     #[test]
