@@ -6,8 +6,8 @@
 //! plaintext simulation — the MPC protocol opens exactly this quantity)
 //! on two **adjacent** datasets: `D` with a record of full norm `c = 1`,
 //! and `D'` with that record zeroed — the paper's server-side adjacency
-//! whose quantized L2 shift is bounded by `Delta_2 = gamma^2 c^2 + n`
-//! (Lemma 5). A threshold distinguisher over the released scalar yields,
+//! whose quantized L2 shift is bounded by `Delta_2 = (gamma c + sqrt(n))^2`
+//! (Lemma 5, for every rounding outcome). A threshold distinguisher over the released scalar yields,
 //! with conservative Hoeffding confidence margins, a certified lower
 //! bound
 //!

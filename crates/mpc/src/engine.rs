@@ -1133,9 +1133,10 @@ mod tests {
 
     #[test]
     fn causal_stamps_cross_the_tcp_backend() {
-        // Headers travel inside the TCP frames: the reconstructed DAG over
-        // loopback sockets must match every send to a recv, with the same
-        // message count and zero Lamport violations as in-process.
+        // Stamps come from each party's schedule, whatever the backend: the
+        // reconstructed DAG over loopback sockets must match every send to a
+        // recv, with the same message count and zero Lamport violations as
+        // in-process.
         let cfg = MpcConfig::semi_honest(3)
             .with_latency(Duration::ZERO)
             .with_trace(true)

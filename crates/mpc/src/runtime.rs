@@ -16,6 +16,10 @@
 //! charges it to the party's one tally and reports it to whatever the
 //! run's config attached — trace and causal stamps, a live collector, a
 //! cost profiler. This module names none of them and keeps no tally.
+//! Payloads cross the transport bare: the observer stamps sends and
+//! receives from the party's own schedule (which peers it sent to, which
+//! peers' payloads arrived non-empty), so nothing but the payloads
+//! travels.
 
 use std::any::Any;
 use std::panic::{self, AssertUnwindSafe};
@@ -25,9 +29,9 @@ use std::thread::{self, JoinHandle};
 
 use sqm_field::PrimeField;
 use sqm_net::transport::Transport;
-use sqm_net::{TraceHeader, TransportError};
+use sqm_net::TransportError;
 use sqm_obs::round::{PartyObserver, PartyStats, RunObserver};
-use sqm_obs::trace::{MsgStamp, PartyTrace};
+use sqm_obs::trace::PartyTrace;
 
 use crate::engine::{MpcConfig, MpcRun, RunOnMesh};
 
@@ -90,57 +94,27 @@ impl<F: PrimeField> PartyLink<F> {
         let me = self.endpoint.id();
         // The round index, read before the exchange bumps it.
         let round = self.endpoint.round();
-        // Traced runs stamp every real outgoing payload; the header travels
-        // out-of-band of the byte accounting.
-        let dests = (0..outgoing.len()).filter(|&j| j != me && !outgoing[j].is_empty());
-        let stamps = self.observer.send(round, dests);
-        let headers = stamps.map(|(run_id, sends)| headers_of(sends, outgoing.len(), run_id, me));
-        let outcome = match self.endpoint.exchange_stamped(outgoing, headers) {
+        // A real message is a non-empty payload to another party, on both
+        // sides of the round.
+        let real = |payloads: &[Vec<F>], peer: usize| peer != me && !payloads[peer].is_empty();
+        self.observer
+            .send(round, (0..outgoing.len()).filter(|&j| real(&outgoing, j)));
+        let outcome = match self.endpoint.exchange(outgoing) {
             Ok(outcome) => outcome,
             // `resume_unwind` does not run the panic hook: this is a
             // controlled error return, not a bug to report on stderr.
             Err(e) => panic::resume_unwind(Box::new(PartyAbort(e))),
         };
+        let incoming = &outcome.incoming;
         self.observer.round(
             round,
             (outcome.messages, outcome.bytes, outcome.elems),
             outcome.events,
             outcome.link_walls,
-            stamps_of(&outcome.headers, me),
+            (0..incoming.len()).filter(|&i| real(incoming, i)),
         );
         outcome.incoming
     }
-}
-
-/// The wire form of this party's send stamps: one header slot per party,
-/// filled where a stamp names the peer.
-fn headers_of(sends: &[MsgStamp], n: usize, run_id: u64, party: usize) -> Vec<Option<TraceHeader>> {
-    let mut headers = vec![None; n];
-    for s in sends {
-        headers[s.peer] = Some(TraceHeader {
-            run_id,
-            party: party as u32,
-            round: s.round,
-            link_seq: s.link_seq,
-            lamport: s.lamport,
-        });
-    }
-    headers
-}
-
-/// The stamps the peers put on what `me` received.
-fn stamps_of(headers: &[Option<TraceHeader>], me: usize) -> Vec<MsgStamp> {
-    let peers = headers.iter().enumerate().filter(|&(i, _)| i != me);
-    peers
-        .filter_map(|(peer, h)| {
-            h.map(|h| MsgStamp {
-                peer,
-                link_seq: h.link_seq,
-                lamport: h.lamport,
-                round: h.round,
-            })
-        })
-        .collect()
 }
 
 /// The runtime's view of a party program: take the party's link and its

@@ -15,7 +15,7 @@ use std::time::Duration;
 
 use sqm_field::{PrimeField, M127, M61};
 use sqm_mpc::chacha::PairStream;
-use sqm_mpc::net::{build_mesh, RoundOutcome, TraceHeader, Transport};
+use sqm_mpc::net::{build_mesh, RoundOutcome, Transport};
 use sqm_mpc::shamir::lagrange_at_zero;
 use sqm_mpc::{
     FaultSpec, MpcConfig, MpcEngine, MpcRun, NetBackend, PartyCtx, TransportError, RECEIVER,
@@ -47,13 +47,9 @@ impl<F: PrimeField> Transport<F> for Tap<F> {
     fn round(&self) -> u64 {
         self.inner.round()
     }
-    fn exchange_stamped(
-        &mut self,
-        outgoing: Vec<Vec<F>>,
-        headers: Option<Vec<Option<TraceHeader>>>,
-    ) -> Result<RoundOutcome<F>, TransportError> {
+    fn exchange(&mut self, outgoing: Vec<Vec<F>>) -> Result<RoundOutcome<F>, TransportError> {
         let (index, sent) = (self.inner.round(), outgoing.clone());
-        let outcome = self.inner.exchange_stamped(outgoing, headers)?;
+        let outcome = self.inner.exchange(outgoing)?;
         self.wire.lock().unwrap()[self.inner.id()].push(Round {
             index,
             sent,

@@ -15,21 +15,17 @@ use sqm_field::PrimeField;
 
 use crate::error::TransportError;
 use crate::transport::{RoundOutcome, Transport};
-use crate::wire::TraceHeader;
-
-/// The payload of one hop: a vector of field elements (possibly empty —
-/// empty messages are "non-messages" and are not counted as traffic) plus
-/// the sender's optional causal trace context.
-type Payload<F> = (Vec<F>, Option<TraceHeader>);
 
 /// One party's view of the in-process mesh.
 pub struct ChannelEndpoint<F: PrimeField> {
     id: usize,
     round: u64,
-    /// `senders[j]` delivers to party `j`'s `receivers[self.id]`.
-    senders: Vec<Sender<Payload<F>>>,
+    /// `senders[j]` delivers to party `j`'s `receivers[self.id]`; one hop is
+    /// one payload (possibly empty — empty messages are "non-messages" and
+    /// are not counted as traffic).
+    senders: Vec<Sender<Vec<F>>>,
     /// `receivers[i]` yields messages from party `i`.
-    receivers: Vec<Receiver<Payload<F>>>,
+    receivers: Vec<Receiver<Vec<F>>>,
 }
 
 impl<F: PrimeField> Transport<F> for ChannelEndpoint<F> {
@@ -45,16 +41,9 @@ impl<F: PrimeField> Transport<F> for ChannelEndpoint<F> {
         self.round
     }
 
-    fn exchange_stamped(
-        &mut self,
-        outgoing: Vec<Vec<F>>,
-        headers: Option<Vec<Option<TraceHeader>>>,
-    ) -> Result<RoundOutcome<F>, TransportError> {
+    fn exchange(&mut self, outgoing: Vec<Vec<F>>) -> Result<RoundOutcome<F>, TransportError> {
         let n = self.n_parties();
         assert_eq!(outgoing.len(), n, "exchange: need one payload per party");
-        if let Some(hs) = &headers {
-            assert_eq!(hs.len(), n, "exchange: need one header slot per party");
-        }
         let round = self.round;
         let mut messages = 0u64;
         let mut bytes = 0u64;
@@ -65,24 +54,20 @@ impl<F: PrimeField> Transport<F> for ChannelEndpoint<F> {
                 bytes += crate::wire::encoded_len::<F>(payload.len());
                 elems += payload.len() as u64;
             }
-            let header = headers.as_ref().and_then(|hs| hs[j]);
             self.senders[j]
-                .send((payload, header))
+                .send(payload)
                 .map_err(|_| TransportError::Disconnected { party: j, round })?;
         }
         let mut incoming = Vec::with_capacity(n);
-        let mut in_headers = Vec::with_capacity(n);
-        for i in 0..n {
-            let (payload, header) = self.receivers[i]
+        for (i, receiver) in self.receivers.iter().enumerate() {
+            let payload = receiver
                 .recv()
                 .map_err(|_| TransportError::Disconnected { party: i, round })?;
             incoming.push(payload);
-            in_headers.push(header);
         }
         self.round += 1;
         Ok(RoundOutcome {
             incoming,
-            headers: in_headers,
             messages,
             bytes,
             elems,
@@ -96,9 +81,9 @@ impl<F: PrimeField> Transport<F> for ChannelEndpoint<F> {
 pub fn mesh<F: PrimeField>(n: usize) -> Vec<ChannelEndpoint<F>> {
     assert!(n >= 1);
     // channels[i][j]: the channel from party i to party j.
-    let mut txs: Vec<Vec<Option<Sender<Payload<F>>>>> =
+    let mut txs: Vec<Vec<Option<Sender<Vec<F>>>>> =
         (0..n).map(|_| (0..n).map(|_| None).collect()).collect();
-    let mut rxs: Vec<Vec<Option<Receiver<Payload<F>>>>> =
+    let mut rxs: Vec<Vec<Option<Receiver<Vec<F>>>>> =
         (0..n).map(|_| (0..n).map(|_| None).collect()).collect();
     for (i, tx_row) in txs.iter_mut().enumerate() {
         for (j, tx) in tx_row.iter_mut().enumerate() {
@@ -175,57 +160,6 @@ mod tests {
         assert_eq!(counts_a, (1, 24));
         // B sent nothing to A (empty), loop-back of 1 not counted.
         assert_eq!(counts_b, (0, 0));
-    }
-
-    #[test]
-    fn trace_headers_propagate() {
-        let mut endpoints = mesh::<M61>(2);
-        let results: Vec<RoundOutcome<M61>> = thread::scope(|s| {
-            let handles: Vec<_> = endpoints
-                .iter_mut()
-                .map(|ep| {
-                    s.spawn(move || {
-                        let id = ep.id();
-                        let headers: Vec<Option<TraceHeader>> = (0..2)
-                            .map(|j| {
-                                (j != id).then_some(TraceHeader {
-                                    run_id: 5,
-                                    party: id as u32,
-                                    round: 0,
-                                    link_seq: 0,
-                                    lamport: id as u64 + 1,
-                                })
-                            })
-                            .collect();
-                        let out = vec![vec![M61::ONE], vec![M61::ONE]];
-                        ep.exchange_stamped(out, Some(headers)).unwrap()
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
-        for (me, out) in results.iter().enumerate() {
-            let peer = 1 - me;
-            let h = out.headers[peer].expect("peer header");
-            assert_eq!(h.party, peer as u32);
-            assert_eq!(h.lamport, peer as u64 + 1);
-            assert_eq!(out.headers[me], None, "self slot was not stamped");
-        }
-    }
-
-    #[test]
-    fn plain_exchange_yields_no_headers() {
-        let mut endpoints = mesh::<M61>(2);
-        let results: Vec<RoundOutcome<M61>> = thread::scope(|s| {
-            let handles: Vec<_> = endpoints
-                .iter_mut()
-                .map(|ep| s.spawn(move || ep.exchange(vec![vec![M61::ONE]; 2]).unwrap()))
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
-        for out in &results {
-            assert_eq!(out.headers, vec![None, None]);
-        }
     }
 
     #[test]

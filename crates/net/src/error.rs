@@ -33,15 +33,6 @@ pub enum WireError {
         /// The largest frame the transport accepts.
         max: usize,
     },
-    /// The versioned trace-context header prefixing a frame payload is
-    /// malformed: the buffer is too short for the announced version, or
-    /// the version byte is unknown.
-    BadTraceHeader {
-        /// The version byte observed (0 when the buffer was empty).
-        version: u8,
-        /// Bytes available when header decoding started.
-        remaining: usize,
-    },
     /// A round-batched [`crate::wire::Frame`] ended before its announced
     /// content: the buffer is too short for the element-count prefix, or
     /// for the payload the count announces.
@@ -57,7 +48,7 @@ pub enum WireError {
     FrameCountMismatch {
         /// The element count the prefix announced.
         declared: usize,
-        /// Payload bytes actually present after the header.
+        /// Payload bytes actually present after the count prefix.
         payload_bytes: usize,
         /// Canonical element width in bytes.
         width: usize,
@@ -78,12 +69,6 @@ impl fmt::Display for WireError {
                 write!(
                     f,
                     "frame announces {len} bytes, exceeding the {max}-byte cap"
-                )
-            }
-            WireError::BadTraceHeader { version, remaining } => {
-                write!(
-                    f,
-                    "malformed trace header (version byte {version}, {remaining} bytes available)"
                 )
             }
             WireError::TruncatedFrame { len, needed } => {

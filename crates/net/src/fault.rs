@@ -39,7 +39,6 @@ use sqm_obs::trace::NetEvent;
 
 use crate::error::TransportError;
 use crate::transport::{RoundOutcome, Transport};
-use crate::wire::TraceHeader;
 
 /// Crash `party` at the start of its `round`-th exchange (0-based).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -184,11 +183,7 @@ impl<F: PrimeField> Transport<F> for FaultTransport<F> {
         self.inner.round()
     }
 
-    fn exchange_stamped(
-        &mut self,
-        outgoing: Vec<Vec<F>>,
-        headers: Option<Vec<Option<TraceHeader>>>,
-    ) -> Result<RoundOutcome<F>, TransportError> {
+    fn exchange(&mut self, outgoing: Vec<Vec<F>>) -> Result<RoundOutcome<F>, TransportError> {
         let me = self.inner.id();
         let round = self.inner.round();
 
@@ -252,7 +247,7 @@ impl<F: PrimeField> Transport<F> for FaultTransport<F> {
             std::thread::sleep(injected);
         }
 
-        let mut outcome = self.inner.exchange_stamped(outgoing, headers)?;
+        let mut outcome = self.inner.exchange(outgoing)?;
         outcome.events.extend(events);
         Ok(outcome)
     }

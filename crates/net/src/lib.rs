@@ -38,6 +38,6 @@ pub use error::{TransportError, WireError};
 pub use fault::{CrashPoint, FaultSpec, FaultTransport, LinkFault};
 pub use tcp::{TcpEndpoint, TcpOptions};
 pub use transport::{build_mesh, NetBackend, RoundOutcome, Transport};
-pub use wire::{Frame, TraceHeader};
+pub use wire::Frame;
 
 pub use channel::ChannelEndpoint;

@@ -8,9 +8,9 @@
 //! ## Framing
 //!
 //! Every transmission is one outer frame: a 4-byte little-endian length
-//! prefix followed by a round-batched [`wire::Frame`] — the element count,
-//! the versioned optional [`wire::TraceHeader`] (one byte when absent),
-//! and the [`crate::wire`] encoding of the element vector. Prefix and
+//! prefix followed by a round-batched [`wire::Frame`] — the element count
+//! and the [`crate::wire`] encoding of the element vector, nothing else:
+//! `[u32 length][u32 count][elements]`. Prefix and
 //! frame leave in one write; the receiver reads each link through a
 //! buffered reader and grows a frame's buffer only as its bytes arrive,
 //! so a corrupt or hostile length prefix costs no more memory than the
@@ -20,9 +20,9 @@
 //! the link. Empty payloads still send a (count 0) frame — the lock-step
 //! structure needs one frame per (pair, round) — but, like the channel
 //! backend, they are excluded from the message/byte accounting, and
-//! accounted bytes are the wire-encoded payload only (no frame or trace
-//! headers). This is what makes `RunStats` message/byte counts *identical*
-//! across backends, and identical with tracing on or off.
+//! accounted bytes are the wire-encoded payload only (no length or count
+//! prefixes). This is what makes `RunStats` message/byte counts *identical*
+//! across backends.
 //!
 //! ## Timeouts and reconnection
 //!
@@ -61,7 +61,7 @@ use sqm_obs::round::LinkWall;
 
 use crate::error::{TransportError, WireError};
 use crate::transport::{RoundOutcome, Transport};
-use crate::wire::{self, Frame, TraceHeader};
+use crate::wire::{self, Frame};
 
 /// Hello preamble: magic, sender id, receiver id (validates pairing).
 const HELLO_MAGIC: u32 = 0x5351_4D4E; // "SQMN"
@@ -458,28 +458,20 @@ impl<F: PrimeField> Transport<F> for TcpEndpoint<F> {
         self.round
     }
 
-    fn exchange_stamped(
-        &mut self,
-        mut outgoing: Vec<Vec<F>>,
-        headers: Option<Vec<Option<TraceHeader>>>,
-    ) -> Result<RoundOutcome<F>, TransportError> {
+    fn exchange(&mut self, mut outgoing: Vec<Vec<F>>) -> Result<RoundOutcome<F>, TransportError> {
         let n = self.n;
         assert_eq!(outgoing.len(), n, "exchange: need one payload per party");
-        if let Some(hs) = &headers {
-            assert_eq!(hs.len(), n, "exchange: need one header slot per party");
-        }
         let id = self.id;
         let round = self.round;
 
         // Encode everything up front; account only real messages, and only
-        // their element bytes — the trace header and frame prefixes ride
-        // inside the frame but never enter the byte accounting. A frame
-        // past the size bound is refused before any frame is written.
+        // their element bytes — the length and count prefixes never enter
+        // the byte accounting. A frame past the size bound is refused before
+        // any frame is written.
         let mut messages = 0u64;
         let mut bytes = 0u64;
         let mut elems = 0u64;
         let loopback = std::mem::take(&mut outgoing[id]);
-        let loopback_header = headers.as_ref().and_then(|hs| hs[id]);
         let mut frames = Vec::with_capacity(n);
         for (j, payload) in outgoing.iter().enumerate() {
             if j == id {
@@ -491,8 +483,7 @@ impl<F: PrimeField> Transport<F> for TcpEndpoint<F> {
                 bytes += wire::encoded_len::<F>(payload.len());
                 elems += payload.len() as u64;
             }
-            let header = headers.as_ref().and_then(|hs| hs[j]);
-            let frame = Frame::<F>::encode(payload, header.as_ref());
+            let frame = Frame::<F>::encode(payload, None);
             frames.push(Some((frame_len(frame.len(), j, round)?, frame)));
         }
         let writer = self.writer.as_ref().expect("writer lives until drop");
@@ -511,7 +502,6 @@ impl<F: PrimeField> Transport<F> for TcpEndpoint<F> {
         // A failed read is the actionable diagnosis — it names the peer
         // whose data never arrived — so it returns without the writer.
         let mut incoming: Vec<Vec<F>> = (0..n).map(|_| Vec::new()).collect();
-        let mut in_headers: Vec<Option<TraceHeader>> = vec![None; n];
         let mut recv_walls = vec![Duration::ZERO; n];
         for (i, reader) in self.readers.iter_mut().enumerate() {
             let Some(stream) = reader.as_mut() else {
@@ -519,23 +509,19 @@ impl<F: PrimeField> Transport<F> for TcpEndpoint<F> {
             };
             let t0 = Instant::now();
             let raw = read_frame(stream, i, round, self.read_timeout)?;
-            let frame = Frame::<F>::decode(raw).map_err(|source| TransportError::Wire {
+            incoming[i] = Frame::<F>::decode(raw).map_err(|source| TransportError::Wire {
                 party: i,
                 round,
                 source,
             })?;
-            in_headers[i] = frame.header;
-            incoming[i] = frame.elements;
             recv_walls[i] = t0.elapsed();
         }
         let send_walls = writer.sent(round, id)?;
         incoming[id] = loopback;
-        in_headers[id] = loopback_header;
 
         self.round += 1;
         Ok(RoundOutcome {
             incoming,
-            headers: in_headers,
             messages,
             bytes,
             elems,
@@ -623,46 +609,6 @@ mod tests {
                 }
             });
         });
-    }
-
-    #[test]
-    fn trace_headers_cross_the_socket() {
-        let mut eps = tcp_mesh::<M61>(2, &TcpOptions::default()).unwrap();
-        let results: Vec<RoundOutcome<M61>> = thread::scope(|s| {
-            let handles: Vec<_> = eps
-                .iter_mut()
-                .map(|ep| {
-                    s.spawn(move || {
-                        let id = Transport::<M61>::id(ep);
-                        let headers: Vec<Option<TraceHeader>> = (0..2)
-                            .map(|j| {
-                                (j != id).then_some(TraceHeader {
-                                    run_id: 11,
-                                    party: id as u32,
-                                    round: 0,
-                                    link_seq: 3,
-                                    lamport: 10 + id as u64,
-                                })
-                            })
-                            .collect();
-                        ep.exchange_stamped(vec![vec![M61::ONE]; 2], Some(headers))
-                            .unwrap()
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
-        for (me, out) in results.iter().enumerate() {
-            let peer = 1 - me;
-            let h = out.headers[peer].expect("peer header over tcp");
-            assert_eq!(h.run_id, 11);
-            assert_eq!(h.party, peer as u32);
-            assert_eq!(h.link_seq, 3);
-            assert_eq!(h.lamport, 10 + peer as u64);
-            assert_eq!(out.headers[me], None);
-            // Header bytes never enter the accounting.
-            assert_eq!(out.bytes, 8);
-        }
     }
 
     #[test]

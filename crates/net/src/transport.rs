@@ -15,7 +15,6 @@ use crate::channel;
 use crate::error::TransportError;
 use crate::fault::{FaultSpec, FaultTransport};
 use crate::tcp::{self, TcpOptions};
-use crate::wire::TraceHeader;
 
 /// The result of one successful synchronous round.
 #[derive(Clone, Debug)]
@@ -23,17 +22,12 @@ pub struct RoundOutcome<F> {
     /// `incoming[i]` is the payload received from party `i` (the self slot
     /// holds the loop-back payload).
     pub incoming: Vec<Vec<F>>,
-    /// `headers[i]` is the causal trace context party `i` stamped on its
-    /// payload, if any. Always `n_parties()` entries; all `None` when the
-    /// sender ran without tracing.
-    pub headers: Vec<Option<TraceHeader>>,
     /// Messages this party sent: each non-empty payload to another party
     /// is one message (one frame).
     pub messages: u64,
     /// Payload bytes this party sent, at the canonical wire encoding
-    /// ([`crate::wire::encoded_len`]); framing overhead is *not* counted
-    /// and neither are trace headers, so the figure is identical across
-    /// backends and identical with tracing on or off.
+    /// ([`crate::wire::encoded_len`]); framing overhead is *not* counted,
+    /// so the figure is identical across backends.
     pub bytes: u64,
     /// Field elements this party sent in non-empty payloads to other
     /// parties. Identical across backends.
@@ -74,21 +68,11 @@ pub trait Transport<F: PrimeField>: Send {
     fn round(&self) -> u64;
 
     /// One synchronous round: send `outgoing[j]` to each party `j` and
-    /// receive one payload from every party.
-    fn exchange(&mut self, outgoing: Vec<Vec<F>>) -> Result<RoundOutcome<F>, TransportError> {
-        self.exchange_stamped(outgoing, None)
-    }
-
-    /// [`exchange`](Transport::exchange) with an optional causal trace
-    /// context per destination: `headers[j]` is stamped on the payload to
-    /// party `j` and surfaces in the receiver's
-    /// [`RoundOutcome::headers`]. Headers are observability metadata only
-    /// — they never enter the message/byte accounting.
-    fn exchange_stamped(
-        &mut self,
-        outgoing: Vec<Vec<F>>,
-        headers: Option<Vec<Option<TraceHeader>>>,
-    ) -> Result<RoundOutcome<F>, TransportError>;
+    /// receive one payload from every party. Payloads travel bare: the
+    /// receiver knows each one's sender (its slot), round (its own counter)
+    /// and place on the link (its own count), so an observer can stamp
+    /// receives from its schedule alone.
+    fn exchange(&mut self, outgoing: Vec<Vec<F>>) -> Result<RoundOutcome<F>, TransportError>;
 }
 
 /// Which transport backend a protocol run uses.

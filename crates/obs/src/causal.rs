@@ -1,8 +1,9 @@
 //! Cross-party causal analysis of a traced run.
 //!
-//! When tracing is on, the engine stamps every real message with a compact
-//! trace context (run id, party, round, per-link sequence number, Lamport
-//! clock — see `sqm_net::wire::TraceHeader`) and records one
+//! When tracing is on, both ends of every real message stamp it from
+//! their own schedule — peer, round, per-link sequence number, Lamport
+//! clock; nothing travels on the wire (see
+//! [`PartyObserver`](crate::round::PartyObserver)) — and records one
 //! [`CausalRound`] per exchange. [`MessageDag::build`] reconstructs the
 //! full message DAG from a completed [`Trace`]: the nodes are per-party
 //! exchange events on the simulated timeline, the intra-party edges follow

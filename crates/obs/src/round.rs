@@ -213,7 +213,6 @@ pub(crate) fn merge<'a>(
 /// it records the run as failed and dumps the flight recorder.
 pub struct RunObserver {
     n_parties: usize,
-    seed: u64,
     latency: Duration,
     trace: bool,
     live: Option<Arc<Collector>>,
@@ -239,7 +238,6 @@ impl RunObserver {
         }
         RunObserver {
             n_parties,
-            seed,
             latency,
             trace,
             live,
@@ -253,7 +251,6 @@ impl RunObserver {
     pub fn party(&self, party: usize) -> PartyObserver {
         PartyObserver {
             party,
-            run_id: self.seed,
             live: self.live.clone(),
             prof: self.prof.clone(),
             recorder: self.trace.then(|| PartyRecorder::new(party, self.latency)),
@@ -263,7 +260,8 @@ impl RunObserver {
             stats: PartyStats::default(),
             sent_at: Duration::ZERO,
             lamport: 0,
-            link_seq: vec![0; self.n_parties],
+            send_seq: vec![0; self.n_parties],
+            recv_seq: vec![0; self.n_parties],
             sends: Vec::new(),
         }
     }
@@ -305,10 +303,16 @@ impl Drop for RunObserver {
 /// One party's observers, owned by its thread: the run's handles, the
 /// party's tally with the phase it charges and that phase's clock, the
 /// optional trace recorder, and the causal state traced runs stamp their
-/// messages from (run id, Lamport clock, per-link sequence numbers).
+/// messages from (Lamport clock, per-link send and receive counts).
+///
+/// Both ends of a message stamp it from their own schedule, and nothing
+/// crosses the wire: rounds are lock-step, so the sender is the payload's
+/// slot, the round is the party's own counter, the link sequence is the
+/// party's own count of non-empty payloads on that link this run, and the
+/// Lamport clock — 0 at every party as a run starts, `+2` per exchange —
+/// is equal at every party in the same round.
 pub struct PartyObserver {
     party: usize,
-    run_id: u64,
     live: Option<Arc<Collector>>,
     prof: Option<Arc<Profiler>>,
     recorder: Option<PartyRecorder>,
@@ -320,7 +324,8 @@ pub struct PartyObserver {
     /// The phase clock at the send side of the round in flight.
     sent_at: Duration,
     lamport: u64,
-    link_seq: Vec<u64>,
+    send_seq: Vec<u64>,
+    recv_seq: Vec<u64>,
     /// This round's send stamps, between stamping and recording.
     sends: Vec<MsgStamp>,
 }
@@ -358,50 +363,34 @@ impl PartyObserver {
 
     /// The send side of round `round`: read the phase clock and, on a
     /// traced run, stamp the real outgoing messages, one per peer in
-    /// `dests` — the stamps and the run id they travel under.
-    pub fn send(
-        &mut self,
-        round: u64,
-        dests: impl IntoIterator<Item = usize>,
-    ) -> Option<(u64, &[MsgStamp])> {
+    /// `dests`.
+    pub fn send(&mut self, round: u64, dests: impl IntoIterator<Item = usize>) {
         if self.recorder.is_some() {
-            let (lamport, next_seq) = (self.lamport + 1, &mut self.link_seq);
-            let stamp = |peer: usize| {
-                let link_seq = next_seq[peer];
-                next_seq[peer] += 1;
-                MsgStamp {
-                    peer,
-                    link_seq,
-                    lamport,
-                    round,
-                }
-            };
-            self.sends = dests.into_iter().map(stamp).collect();
+            self.sends = stamps(round, self.lamport + 1, &mut self.send_seq, dests);
         }
         self.sent_at = self.visit_started.elapsed();
-        self.recorder
-            .is_some()
-            .then_some((self.run_id, self.sends.as_slice()))
     }
 
     /// Round `round` came back: `traffic` is the messages, bytes and field
-    /// elements this party sent, `recvs` the stamps its peers put on what
-    /// arrived. Record the round in the party's tally (and trace), then
-    /// report it to every attached observer.
+    /// elements this party sent, `sources` the peers whose payload to it
+    /// was non-empty. Record the round in the party's tally (and trace),
+    /// then report it to every attached observer.
     pub fn round(
         &mut self,
         round: u64,
         traffic: (u64, u64, u64),
         net_events: Vec<NetEvent>,
         link_walls: Vec<LinkWall>,
-        recvs: Vec<MsgStamp>,
+        sources: impl IntoIterator<Item = usize>,
     ) {
         let (messages, bytes, elems) = traffic;
         let received_at = self.visit_started.elapsed();
         if let Some(rec) = &mut self.recorder {
+            // Every peer sent at this same clock, so merging their stamps
+            // is one tick past it.
             let lamport_send = self.lamport + 1;
-            let max_recv = recvs.iter().map(|s| s.lamport).max().unwrap_or(0);
-            self.lamport = lamport_send.max(max_recv) + 1;
+            let recvs = stamps(round, lamport_send, &mut self.recv_seq, sources);
+            self.lamport = lamport_send + 1;
             rec.record_causal_round(
                 &self.phase,
                 round,
@@ -481,6 +470,27 @@ impl PartyObserver {
         let trace = self.recorder.map(|rec| rec.finish(self.stats.clone()));
         (self.stats, trace)
     }
+}
+
+/// One stamp per peer in `peers` on the directed links `seq` counts: the
+/// next sequence number on each link, at `lamport` in round `round`.
+fn stamps(
+    round: u64,
+    lamport: u64,
+    seq: &mut [u64],
+    peers: impl IntoIterator<Item = usize>,
+) -> Vec<MsgStamp> {
+    let stamp = |peer: usize| {
+        let link_seq = seq[peer];
+        seq[peer] += 1;
+        MsgStamp {
+            peer,
+            link_seq,
+            lamport,
+            round,
+        }
+    };
+    peers.into_iter().map(stamp).collect()
 }
 
 #[cfg(test)]

@@ -69,9 +69,10 @@ pub struct MsgStamp {
     pub peer: usize,
     /// Per-directed-link sequence number (matches a send to its receive).
     pub link_seq: u64,
-    /// The sender's Lamport clock stamped on the message.
+    /// The sender's Lamport clock at send time. Rounds are lock-step, so a
+    /// receiver stamps its own send clock, which is the same value.
     pub lamport: u64,
-    /// The sender's round index at send time.
+    /// The round index at send time, the same at both ends.
     pub round: u64,
 }
 
@@ -104,7 +105,7 @@ pub struct CausalRound {
     /// Real messages sent this round (non-empty, non-loopback), one stamp
     /// per destination.
     pub sends: Vec<MsgStamp>,
-    /// Stamped messages received this round, one per stamping sender.
+    /// Real messages received this round, one stamp per sender.
     pub recvs: Vec<MsgStamp>,
 }
 

@@ -14,18 +14,26 @@ use crate::polynomial::Polynomial;
 /// Lemma 5: sensitivities for the covariance computation of PCA.
 ///
 /// Records have L2 norm at most `c`; data quantized at scale `gamma`; the
-/// output is the `n x n` matrix `hatX^T hatX`, so `d = n^2` and
-/// `Delta_2 = gamma^2 c^2 + n`.
+/// output is the `n x n` matrix `hatX^T hatX`, so `d = n^2`. Neighbouring
+/// outputs differ by one quantized record's `hat x hat x^T`, whose
+/// Frobenius norm is `||hat x||^2`. Algorithm 2 rounds each coordinate of
+/// `gamma x` to a neighbouring integer with no norm check, so every
+/// rounding outcome only guarantees `||hat x|| < gamma c + sqrt(n)`, and
+/// `Delta_2 = (gamma c + sqrt(n))^2` — the bound for every outcome, not
+/// `gamma^2 c^2 + n`, which an all-up rounding of a record with equal
+/// fractional coordinates exceeds.
 pub fn pca_sensitivity(gamma: f64, c: f64, n: usize) -> Sensitivity {
     assert!(gamma > 0.0 && c > 0.0 && n > 0);
-    let d2 = gamma * gamma * c * c + n as f64;
+    let d2 = (gamma * c + (n as f64).sqrt()).powi(2);
     Sensitivity::from_l2_for_dim(d2, n * n)
 }
 
 /// The relative sensitivity overhead of PCA quantization:
-/// `(Delta_2 - gamma^2 c^2) / (gamma^2 c^2) = n / (gamma^2 c^2)`.
+/// `(Delta_2 - gamma^2 c^2) / (gamma^2 c^2) = (2 gamma c sqrt(n) + n) /
+/// (gamma^2 c^2)`, which vanishes as `1 / gamma`.
 pub fn pca_sensitivity_overhead(gamma: f64, c: f64, n: usize) -> f64 {
-    n as f64 / (gamma * gamma * c * c)
+    let main = gamma * gamma * c * c;
+    (2.0 * gamma * c * (n as f64).sqrt() + n as f64) / main
 }
 
 /// Lemma 7: sensitivities for one SQM logistic-regression gradient step.
@@ -133,17 +141,101 @@ mod tests {
 
     #[test]
     fn pca_matches_lemma5() {
-        let s = pca_sensitivity(100.0, 1.0, 50);
-        assert_eq!(s.l2, 100.0 * 100.0 + 50.0);
-        // Delta_1 = min(Delta_2^2, n * Delta_2) = min(1.01e8, 50*10050).
-        assert_eq!(s.l1, (50.0f64 * 50.0).sqrt() * s.l2);
+        let s = pca_sensitivity(100.0, 1.0, 49);
+        assert_eq!(s.l2, 107.0 * 107.0);
+        // Delta_1 = min(Delta_2^2, n * Delta_2) = min(1.31e8, 49*11449).
+        assert_eq!(s.l1, (49.0f64 * 49.0).sqrt() * s.l2);
     }
 
     #[test]
     fn pca_overhead_vanishes() {
+        // At rate 1 / gamma: 64x the scale, at least 64x less overhead.
         let o1 = pca_sensitivity_overhead(64.0, 1.0, 100);
         let o2 = pca_sensitivity_overhead(4096.0, 1.0, 100);
-        assert!(o2 < o1 / 1000.0);
+        assert!(o2 * 64.0 < o1);
+        let s = pca_sensitivity(64.0, 1.0, 100);
+        assert!((s.l2 / (64.0 * 64.0) - 1.0 - o1).abs() < 1e-12);
+    }
+
+    /// The squared norms of every outcome of Algorithm 2 on `x` at scale
+    /// `gamma`: each coordinate rounds to the integer below `gamma x_i` or
+    /// the one above (to itself when it is an integer), so `2^k` outcomes
+    /// for `k` fractional coordinates. Returns `(||hat x||_2^2,
+    /// ||hat x||_1^2)` of each.
+    fn rounding_outcomes(x: &[f64], gamma: f64) -> Vec<(f64, f64)> {
+        let support: Vec<Vec<f64>> = x
+            .iter()
+            .map(|&v| {
+                let (lo, hi) = ((gamma * v).floor(), (gamma * v).ceil());
+                if lo == hi {
+                    vec![lo]
+                } else {
+                    vec![lo, hi]
+                }
+            })
+            .collect();
+        let mut outcomes = vec![(0.0, 0.0)];
+        for choices in &support {
+            outcomes = outcomes
+                .iter()
+                .flat_map(|&(l2, l1)| choices.iter().map(move |&q| (l2 + q * q, l1 + q.abs())))
+                .collect();
+        }
+        outcomes.into_iter().map(|(l2, l1)| (l2, l1 * l1)).collect()
+    }
+
+    /// Lemma 5 holds for every rounding outcome, not on average: for
+    /// adversarial records at the norm bound — equal fractional
+    /// coordinates, alternating signs, one dominant coordinate, seeded
+    /// directions — every one of the `2^n` outcomes (`n <= 16`) shifts the
+    /// covariance by at most the charged `Delta_2` in Frobenius norm
+    /// (`||hat x||^2`) and `Delta_1` entrywise (`||hat x||_1^2`).
+    #[test]
+    fn pca_sensitivity_bounds_every_rounding_outcome() {
+        use rand::Rng as _;
+        use rand::SeedableRng as _;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(18);
+        for (gamma, c, n) in [
+            (18.0, 1.0, 16),
+            (24.0, 1.0, 6),
+            (7.0, 2.0, 10),
+            (3.0, 0.5, 12),
+        ] {
+            let on_sphere = |v: Vec<f64>| {
+                let norm = v.iter().map(|a| a * a).sum::<f64>().sqrt();
+                v.into_iter().map(|a| a * c / norm).collect::<Vec<f64>>()
+            };
+            let mut records = vec![
+                on_sphere(vec![1.0; n]),
+                on_sphere(
+                    (0..n)
+                        .map(|i| if i % 2 == 0 { 1.0 } else { -1.0 })
+                        .collect(),
+                ),
+                on_sphere((0..n).map(|i| if i == 0 { 8.0 } else { 0.3 }).collect()),
+            ];
+            for _ in 0..4 {
+                records.push(on_sphere(
+                    (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect(),
+                ));
+            }
+            let s = pca_sensitivity(gamma, c, n);
+            for x in &records {
+                for (l2_shift, l1_shift) in rounding_outcomes(x, gamma) {
+                    let at = format!("(gamma, c, n) = ({gamma}, {c}, {n}), x = {x:?}");
+                    assert!(l2_shift <= s.l2, "Frobenius {l2_shift} > {} at {at}", s.l2);
+                    assert!(l1_shift <= s.l1, "entrywise {l1_shift} > {} at {at}", s.l1);
+                }
+            }
+        }
+        // The equal-coordinate record at (18, 1, 16) sits at 4.5 per
+        // coordinate: rounding all of them up gives ||hat x||^2 = 400, over
+        // gamma^2 c^2 + n = 340.
+        let worst = rounding_outcomes(&[0.25; 16], 18.0)
+            .into_iter()
+            .map(|(l2, _)| l2)
+            .fold(0.0, f64::max);
+        assert_eq!(worst, 400.0);
     }
 
     #[test]
@@ -225,12 +317,17 @@ mod tests {
     /// every epsilon in the ledger, so they are asserted digit-for-digit.
     #[test]
     fn ledger_sensitivity_constants_are_pinned() {
-        // Lemma 5 (covariance): Delta_2 = gamma^2 c^2 + n. The `+ n` term
-        // is exactly one worst-case rounding unit per output coordinate
-        // touched by the replaced record's row/column.
-        for (gamma, c, n) in [(18.0, 1.0, 16), (512.0, 2.0, 4), (4096.0, 0.5, 100)] {
+        // Lemma 5 (covariance): Delta_2 = (gamma c + sqrt(n))^2, the square
+        // of the largest norm a quantized record reaches when every
+        // coordinate rounds away from zero.
+        for (gamma, c, n, l2) in [
+            (18.0, 1.0, 16, 484.0),
+            (512.0, 2.0, 4, 1_052_676.0),
+            (4096.0, 0.5, 100, 4_235_364.0),
+        ] {
             let s = pca_sensitivity(gamma, c, n);
-            assert_eq!(s.l2, gamma * gamma * c * c + n as f64);
+            assert_eq!(s.l2, l2);
+            assert_eq!(s.l2, (gamma * c + (n as f64).sqrt()).powi(2));
             // Lemma 4 packaging: Delta_1 = min(Delta_2^2, sqrt(d) Delta_2)
             // with d = n^2.
             assert_eq!(s.l1, (s.l2 * s.l2).min(n as f64 * s.l2));

@@ -29,6 +29,10 @@
 #     `AdditiveTriple`, `dealer_triples`, `mul_beaver` or
 #     `column_sums_skellam_additive` as a whole word under crates/, tests/
 #     or examples/,
+#   * the deleted trace header comes back: `TraceHeader`, `exchange_stamped`,
+#     `BadTraceHeader`, `headers_of` or `stamps_of` as a whole word under
+#     crates/, tests/ or examples/ (payloads travel bare; each end of a
+#     message stamps it from its own lock-step schedule),
 #   * the deleted second and third yardsticks come back (the wall-clock
 #     gate crate and its binary, the gate script, the stand-in bench
 #     harness under compat/): their names as whole words in Cargo.toml,
@@ -157,6 +161,12 @@ fi
 if grep -rnwE 'AdditiveEngine|AdditiveCtx|AdditiveTriple|dealer_triples|mul_beaver|column_sums_skellam_additive' \
     crates tests examples >&2; then
   echo "the additive engine is deleted: one engine, and a release's masked sum is its additive step" >&2
+  fail=1
+fi
+
+if grep -rnwE 'TraceHeader|exchange_stamped|BadTraceHeader|headers_of|stamps_of' \
+    crates tests examples >&2; then
+  echo "the trace header is deleted: one Transport::exchange, receivers stamp from their own schedule" >&2
   fail=1
 fi
 
