@@ -3,21 +3,23 @@
 //!
 //! The MPC party threads derive **all** their randomness from documented
 //! per-party streams of `VflConfig::seed()`, which makes the secure
-//! protocols exactly replayable in plaintext:
-//! [`sqm_vfl::covariance_quantized_oracle`] predicts the opened integer
-//! covariance of [`sqm_vfl::try_covariance_skellam`] bit-for-bit. The
-//! fuzzer sweeps a seeded grid of `(seed, P, m, n, gamma, mu)` workloads
-//! — covariance cases alternating contiguous and interleaved column
-//! partitions, the shapes whose own blocks and cross-owner rows differ —
-//! across the execution axes —
+//! protocols exactly replayable in plaintext: each release's oracle
+//! ([`sqm_vfl::covariance_quantized_oracle`], [`sqm_vfl::column_sums_oracle`],
+//! [`sqm_vfl::gradient_sum_oracle`], [`sqm_vfl::eval_polynomial_oracle`])
+//! predicts what it releases bit-for-bit. The fuzzer sweeps a seeded grid
+//! of `(seed, P, m, n, gamma, mu)` workloads — covariance cases
+//! alternating contiguous and interleaved column partitions, the shapes
+//! whose own blocks and cross-owner rows differ — across the execution
+//! axes —
 //!
 //! * **in-process channels** vs **loopback TCP** (`NetBackend`),
 //! * fault-free vs **delay** / **drop-with-retransmit** / **crash**
 //!   injection (`FaultSpec`),
-//! * three protocol layers: the covariance release against its oracle,
-//!   and the **column-sum** release (two rounds, no multiplication) and a
-//!   **generic** degree-2 polynomial (the GRR circuit evaluator) each
-//!   against its own fault-free in-process run,
+//! * four protocol layers: the covariance release against its oracle,
+//!   and the **column-sum** release (two rounds, no multiplication), an
+//!   LR **gradient** step and a **generic** degree-2 polynomial (the GRR
+//!   circuit evaluator) each against its oracle and against its own
+//!   fault-free in-process run,
 //!
 //! and asserts the invariant from the network layer's design: faults
 //! perturb *timing*, never *payloads*. Every completing run must equal
@@ -34,8 +36,9 @@ use sqm_core::polynomial::{Monomial, Polynomial};
 use sqm_linalg::Matrix;
 use sqm_mpc::{FaultSpec, NetBackend};
 use sqm_vfl::{
-    column_sums_skellam, covariance_quantized_oracle, eval_polynomial_skellam,
-    try_covariance_skellam, ColumnPartition, VflConfig,
+    column_sums_oracle, column_sums_skellam, covariance_quantized_oracle, eval_polynomial_oracle,
+    eval_polynomial_skellam, gradient_sum_oracle, gradient_sum_skellam, try_covariance_skellam,
+    ColumnPartition, VflConfig,
 };
 
 use crate::AuditConfig;
@@ -130,24 +133,45 @@ fn run_covariance_case(case: &mut FuzzCase, data: &Matrix, cfg: &VflConfig) {
     }
 }
 
-/// What a `column_sums` or `generic` case releases under `cfg`.
-fn release(case: &FuzzCase, data: &Matrix, cfg: &VflConfig) -> Vec<f64> {
-    let partition = partition(case);
-    if case.workload == "column_sums" {
-        return column_sums_skellam(data, &partition, case.gamma, case.mu, cfg).sums_hat;
+/// What a `column_sums`, `gradient` or `generic` case releases under
+/// `cfg`, or with `oracle` what its plaintext oracle predicts there.
+fn release(case: &FuzzCase, data: &Matrix, cfg: &VflConfig, oracle: bool) -> Vec<f64> {
+    let (partition, gamma, mu) = (partition(case), case.gamma, case.mu);
+    match case.workload.as_str() {
+        "column_sums" if oracle => column_sums_oracle(data, &partition, gamma, mu, cfg),
+        "column_sums" => column_sums_skellam(data, &partition, gamma, mu, cfg).sums_hat,
+        "gradient" => {
+            // Every other record, at fixed weights; the last column is the
+            // label.
+            let batch: Vec<usize> = (0..case.records).step_by(2).collect();
+            let w: Vec<f64> = (1..case.cols).map(|j| 0.1 * j as f64 - 0.2).collect();
+            if oracle {
+                gradient_sum_oracle(data, &partition, &batch, &w, gamma, mu, cfg)
+            } else {
+                gradient_sum_skellam(data, &partition, &batch, &w, gamma, mu, cfg).grad_sum
+            }
+        }
+        _ => {
+            // Sum over records of x0 * x1: input, one GRR layer, masked sum.
+            let product = Monomial::new(1.0, vec![(0, 1), (1, 1)]);
+            let poly = Polynomial::one_dimensional(case.cols, vec![product]);
+            if oracle {
+                eval_polynomial_oracle(&poly, data, &partition, gamma, mu, cfg)
+            } else {
+                eval_polynomial_skellam(&poly, data, &partition, gamma, mu, cfg).0
+            }
+        }
     }
-    // Sum over records of x0 * x1: input, one GRR layer, masked sum.
-    let product = Monomial::new(1.0, vec![(0, 1), (1, 1)]);
-    let poly = Polynomial::one_dimensional(case.cols, vec![product]);
-    eval_polynomial_skellam(&poly, data, &partition, case.gamma, case.mu, cfg).0
 }
 
 /// Cross-path case: the release under the case's backend and faults must
-/// equal, bit for bit, the same seed's fault-free in-process run.
+/// equal, bit for bit, its oracle and the same seed's fault-free
+/// in-process run.
 fn run_cross_path_case(case: &mut FuzzCase, data: &Matrix, cfg: &VflConfig) {
     let clean = VflConfig::fast(case.n_clients).with_seed(case.seed);
     let result = catch_unwind(AssertUnwindSafe(|| {
-        release(case, data, cfg) == release(case, data, &clean)
+        let out = release(case, data, cfg, false);
+        out == release(case, data, cfg, true) && out == release(case, data, &clean, false)
     }));
     case.outcome = match result {
         Err(_) => "panic".to_string(),
@@ -169,14 +193,15 @@ pub fn run_diff_fuzz(cfg: &AuditConfig) -> FuzzSummary {
         let gamma = [16.0, 64.0, 256.0][gen.gen_range(0usize..3)];
         let mu = [0.0, 4.0, 100.0][gen.gen_range(0usize..3)];
         let seed = gen.gen::<u64>();
-        let workload = match id % 5 {
-            3 => "generic",
-            4 => "column_sums",
+        let workload = match id % 7 {
+            4 => "generic",
+            5 => "column_sums",
+            6 => "gradient",
             _ => "covariance",
         };
-        // Covariance cases alternate partition shapes five ids at a time, so
+        // Covariance cases alternate partition shapes seven ids at a time, so
         // each shape meets both backends.
-        let partition = if workload == "covariance" && id / 5 % 2 == 1 {
+        let partition = if workload == "covariance" && id / 7 % 2 == 1 {
             "interleaved"
         } else {
             "even"
@@ -187,12 +212,12 @@ pub fn run_diff_fuzz(cfg: &AuditConfig) -> FuzzSummary {
             ("in_process", NetBackend::InProcess)
         };
         // Only the covariance entry point is fallible, so only it takes
-        // crashes; `id / 2` (covariance) and `id / 5` (the others) walk
+        // crashes; `id / 2` (covariance) and `id / 7` (the others) walk
         // every workload through every backend x fault pair.
         let fault = if workload == "covariance" {
             ["none", "delay", "drop", "crash"][(id / 2 % 4) as usize]
         } else {
-            ["none", "delay", "drop"][(id / 5 % 3) as usize]
+            ["none", "delay", "drop"][(id / 7 % 3) as usize]
         };
         let faults = match fault {
             "delay" => Some(
@@ -292,7 +317,7 @@ mod tests {
             "covariance" => &["none", "delay", "drop", "crash"][..],
             _ => &["none", "delay", "drop"][..],
         };
-        for workload in ["covariance", "column_sums", "generic"] {
+        for workload in ["covariance", "column_sums", "gradient", "generic"] {
             for backend in ["in_process", "tcp"] {
                 for &fault in faults(workload) {
                     let hit = has(&|c| {

@@ -2,9 +2,10 @@
 //! below the accountant's analytic upper bound.
 //!
 //! For each audited `(gamma, mu)` configuration we run the
-//! server-observed covariance release (via the output-equivalent
-//! plaintext simulation — the MPC protocol opens exactly this quantity)
-//! on two **adjacent** datasets: `D` with a record of full norm `c = 1`,
+//! server-observed covariance release (via its bit-exact oracle at a fresh
+//! protocol seed per trial — the integers the MPC protocol opens, from the
+//! clients' own quantization and noise streams) on two **adjacent**
+//! datasets: `D` with a record of full norm `c = 1`,
 //! and `D'` with that record zeroed — the paper's server-side adjacency
 //! whose quantized L2 shift is bounded by `Delta_2 = (gamma c + sqrt(n))^2`
 //! (Lemma 5, for every rounding outcome). A threshold distinguisher over the released scalar yields,
@@ -23,13 +24,13 @@
 //! claimed bound, which is exactly what the audit exists to catch.
 
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use serde::Serialize;
 use sqm_accounting::conversion::best_epsilon;
 use sqm_accounting::{default_alpha_grid, skellam_rdp};
 use sqm_core::pca_sensitivity;
 use sqm_linalg::Matrix;
-use sqm_vfl::covariance::covariance_skellam_plaintext;
+use sqm_vfl::{covariance_quantized_oracle, ColumnPartition, VflConfig};
 
 use crate::{AuditConfig, Tier};
 
@@ -53,9 +54,12 @@ pub struct DpAuditResult {
     pub passed: bool,
 }
 
-/// The released scalar: covariance of an `m x 1` dataset.
+/// The released scalar: covariance of an `m x 1` dataset at a protocol
+/// seed drawn from `rng` (client 0 owns the column; the others add noise).
 fn release(rng: &mut StdRng, data: &Matrix, gamma: f64, mu: f64, n_clients: usize) -> f64 {
-    covariance_skellam_plaintext(rng, data, gamma, mu, n_clients)[(0, 0)]
+    let partition = ColumnPartition::even_or_sparse(1, n_clients);
+    let cfg = VflConfig::fast(n_clients).with_seed(rng.gen());
+    covariance_quantized_oracle(data, &partition, gamma, mu, &cfg)[(0, 0)]
 }
 
 /// The certified distinguisher: sweep thresholds over the pooled sample,

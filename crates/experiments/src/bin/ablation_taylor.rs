@@ -56,18 +56,17 @@ fn main() {
     let (eps, delta) = (4.0, 1e-5);
     let mut rng = StdRng::seed_from_u64(opts.seed ^ 0xAB1A);
     let exact: Vec<f64> = (0..opts.runs)
-        .map(|r| {
+        .map(|_| {
             accuracy(
-                &DpSgd::new(cfg.clone().with_seed(r as u64), eps, delta).fit(&mut rng, &train),
+                &DpSgd::new(cfg.clone(), eps, delta).fit(&mut rng, &train),
                 &test,
             )
         })
         .collect();
     let poly1: Vec<f64> = (0..opts.runs)
-        .map(|r| {
+        .map(|_| {
             accuracy(
-                &ApproxPolyLogReg::new(cfg.clone().with_seed(r as u64), eps, delta)
-                    .fit(&mut rng, &train),
+                &ApproxPolyLogReg::new(cfg.clone(), eps, delta).fit(&mut rng, &train),
                 &test,
             )
         })

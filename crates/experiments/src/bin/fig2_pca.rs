@@ -5,10 +5,9 @@
 //! `cargo run -p sqm-experiments --release --bin fig2_pca [--paper] [--runs N]`
 
 use rand::rngs::StdRng;
-use rand::SeedableRng;
 use sqm::linalg::Matrix;
 use sqm::tasks::pca::{pca_utility, AnalyzeGaussPca, LocalDpPca, NonPrivatePca, SqmPca};
-use sqm_experiments::{fmt_pm, mean_std, obsout, parse_options};
+use sqm_experiments::{cell_rng, fmt_pm, mean_std, obsout, parse_options};
 
 struct DatasetCase {
     name: &'static str,
@@ -78,49 +77,39 @@ fn main() {
                 .join("")
         );
 
+        // Each mechanism draws from its own stream per (eps, run), so the
+        // columns are common random numbers: a change to one mechanism
+        // leaves the others' figures unmoved.
+        let utility = |mechanism: &str, eps: f64, run: u64, fit: &dyn Fn(&mut StdRng) -> Matrix| {
+            let mut rng = cell_rng(opts.seed, mechanism, eps, run, case.name);
+            pca_utility(&case.data, &fit(&mut rng))
+        };
+        let cell = |mechanism: &str, eps: f64, fit: &dyn Fn(&mut StdRng) -> Matrix| {
+            let vals: Vec<f64> = (0..opts.runs as u64)
+                .map(|run| utility(mechanism, eps, run, fit))
+                .collect();
+            let (mean, std) = mean_std(&vals);
+            format!("{:>22}", fmt_pm(mean, std))
+        };
         for &eps in &case.eps_grid {
             let mut row = vec![format!("{eps:>22.2}")];
-            let mut rng = StdRng::seed_from_u64(opts.seed ^ eps.to_bits());
-
-            let central: Vec<f64> = (0..opts.runs)
-                .map(|_| {
-                    pca_utility(
-                        &case.data,
-                        &AnalyzeGaussPca::new(k, eps, delta).fit(&mut rng, &case.data),
-                    )
-                })
-                .collect();
-            let (cm, cs) = mean_std(&central);
-            row.push(format!("{:>22}", fmt_pm(cm, cs)));
-
+            row.push(cell("central", eps, &|rng| {
+                AnalyzeGaussPca::new(k, eps, delta).fit(rng, &case.data)
+            }));
             for &g in &case.gammas_log2 {
                 let gamma = 2f64.powi(g);
-                let vals: Vec<f64> = (0..opts.runs)
-                    .map(|_| {
-                        pca_utility(
-                            &case.data,
-                            &SqmPca::new(k, gamma, eps, delta).fit(&mut rng, &case.data),
-                        )
-                    })
-                    .collect();
-                let (m1, s1) = mean_std(&vals);
-                row.push(format!("{:>22}", fmt_pm(m1, s1)));
+                row.push(cell(&format!("sqm-2^{g}"), eps, &|rng| {
+                    SqmPca::new(k, gamma, eps, delta).fit(rng, &case.data)
+                }));
             }
-
-            let local: Vec<f64> = (0..opts.runs)
-                .map(|_| {
-                    pca_utility(
-                        &case.data,
-                        &LocalDpPca::new(k, eps, delta).fit(&mut rng, &case.data),
-                    )
-                })
-                .collect();
-            let (lm, ls) = mean_std(&local);
-            row.push(format!("{:>22}", fmt_pm(lm, ls)));
+            row.push(cell("local-dp", eps, &|rng| {
+                LocalDpPca::new(k, eps, delta).fit(rng, &case.data)
+            }));
             println!("{}", row.join(""));
         }
 
-        // Secondary sweep: utility vs number of components at mid epsilon.
+        // Secondary sweep: utility vs number of components at mid epsilon,
+        // the component count standing in for the run index.
         let eps = case.eps_grid[case.eps_grid.len() / 2];
         let gamma = 2f64.powi(*case.gammas_log2.last().unwrap());
         println!("  -- utility vs top-k at eps = {eps}, gamma = {gamma} --");
@@ -128,21 +117,18 @@ fn main() {
             "{:>8} {:>14} {:>14} {:>14}",
             "k", "central", "SQM", "local-DP"
         );
-        let mut rng = StdRng::seed_from_u64(opts.seed ^ 0xF162);
         for k2 in [2usize, 5, 10, 20] {
             let k2 = k2.min(n);
-            let c = pca_utility(
-                &case.data,
-                &AnalyzeGaussPca::new(k2, eps, delta).fit(&mut rng, &case.data),
-            );
-            let s = pca_utility(
-                &case.data,
-                &SqmPca::new(k2, gamma, eps, delta).fit(&mut rng, &case.data),
-            );
-            let l = pca_utility(
-                &case.data,
-                &LocalDpPca::new(k2, eps, delta).fit(&mut rng, &case.data),
-            );
+            let at_k = k2 as u64;
+            let c = utility("top-k central", eps, at_k, &|rng| {
+                AnalyzeGaussPca::new(k2, eps, delta).fit(rng, &case.data)
+            });
+            let s = utility("top-k sqm", eps, at_k, &|rng| {
+                SqmPca::new(k2, gamma, eps, delta).fit(rng, &case.data)
+            });
+            let l = utility("top-k local-dp", eps, at_k, &|rng| {
+                LocalDpPca::new(k2, eps, delta).fit(rng, &case.data)
+            });
             println!("{k2:>8} {c:>14.2} {s:>14.2} {l:>14.2}");
         }
     }

@@ -5,11 +5,10 @@
 //! `cargo run -p sqm-experiments --release --bin fig3_lr [--paper] [--runs N]`
 
 use rand::rngs::StdRng;
-use rand::SeedableRng;
 use sqm::datasets::presets::acsincome_classification;
 use sqm::datasets::Scale;
 use sqm::tasks::logreg::{accuracy, DpSgd, LocalDpLogReg, LrConfig, NonPrivateLogReg, SqmLogReg};
-use sqm_experiments::{fmt_pm, mean_std, obsout, parse_options};
+use sqm_experiments::{cell_rng, fmt_pm, mean_std, obsout, parse_options};
 
 const STATES: [&str; 4] = ["CA", "TX", "NY", "FL"];
 
@@ -29,7 +28,7 @@ fn main() {
         opts.runs
     );
 
-    for (state_idx, state) in STATES.iter().enumerate() {
+    for (state_idx, &state) in STATES.iter().enumerate() {
         let ds = acsincome_classification(state_idx, opts.scale, opts.seed);
         let (train, test) = ds.split(0.8, opts.seed);
         let d = train.features.cols();
@@ -52,42 +51,34 @@ fn main() {
                 400
             };
             let rounds = (((epochs as f64) / q).round() as u32).min(cap);
-            let cfg = LrConfig::new(rounds, q).with_lr(lr).with_seed(opts.seed);
-            let mut rng = StdRng::seed_from_u64(opts.seed ^ eps.to_bits() ^ state_idx as u64);
-
-            let collect = |f: &mut dyn FnMut(&mut StdRng, u64) -> Vec<f64>, rng: &mut StdRng| {
-                let accs: Vec<f64> = (0..opts.runs)
-                    .map(|r| accuracy(&f(rng, r as u64), &test))
+            let cfg = LrConfig::new(rounds, q).with_lr(lr);
+            // Each mechanism draws from its own stream per run, so a change
+            // to one mechanism leaves the others' columns unmoved.
+            let collect = |mechanism: &str, fit: &dyn Fn(&mut StdRng) -> Vec<f64>| {
+                let accs: Vec<f64> = (0..opts.runs as u64)
+                    .map(|r| {
+                        let mut rng = cell_rng(opts.seed, mechanism, eps, r, state);
+                        accuracy(&fit(&mut rng), &test)
+                    })
                     .collect();
                 mean_std(&accs)
             };
 
-            let (np_m, np_s) = collect(
-                &mut |rng, r| NonPrivateLogReg::new(cfg.clone().with_seed(r)).fit(rng, &train),
-                &mut rng,
-            );
-            let (dp_m, dp_s) = collect(
-                &mut |rng, r| DpSgd::new(cfg.clone().with_seed(r), eps, delta).fit(rng, &train),
-                &mut rng,
-            );
-            let (s10_m, s10_s) = collect(
-                &mut |rng, r| {
-                    SqmLogReg::new(cfg.clone().with_seed(r), 2f64.powi(10), eps, delta)
-                        .fit(rng, &train)
-                },
-                &mut rng,
-            );
-            let (s13_m, s13_s) = collect(
-                &mut |rng, r| {
-                    SqmLogReg::new(cfg.clone().with_seed(r), 2f64.powi(13), eps, delta)
-                        .fit(rng, &train)
-                },
-                &mut rng,
-            );
-            let (lo_m, lo_s) = collect(
-                &mut |rng, _| LocalDpLogReg::new(eps, delta).fit(rng, &train),
-                &mut rng,
-            );
+            let (np_m, np_s) = collect("non-private", &|rng| {
+                NonPrivateLogReg::new(cfg.clone()).fit(rng, &train)
+            });
+            let (dp_m, dp_s) = collect("dpsgd", &|rng| {
+                DpSgd::new(cfg.clone(), eps, delta).fit(rng, &train)
+            });
+            let (s10_m, s10_s) = collect("sqm-2^10", &|rng| {
+                SqmLogReg::new(cfg.clone(), 2f64.powi(10), eps, delta).fit(rng, &train)
+            });
+            let (s13_m, s13_s) = collect("sqm-2^13", &|rng| {
+                SqmLogReg::new(cfg.clone(), 2f64.powi(13), eps, delta).fit(rng, &train)
+            });
+            let (lo_m, lo_s) = collect("local-dp", &|rng| {
+                LocalDpLogReg::new(eps, delta).fit(rng, &train)
+            });
 
             println!(
                 "{eps:>8.1} {epochs:>8} {:>20} {:>20} {:>20} {:>20} {:>20}",

@@ -39,19 +39,17 @@ fn main() {
             let cfg = LrConfig::new(rounds, q).with_lr(2.0);
             let mut rng = StdRng::seed_from_u64(opts.seed ^ eps.to_bits() ^ (idx as u64) << 8);
             let exact: Vec<f64> = (0..opts.runs)
-                .map(|r| {
+                .map(|_| {
                     accuracy(
-                        &DpSgd::new(cfg.clone().with_seed(r as u64), eps, delta)
-                            .fit(&mut rng, &train),
+                        &DpSgd::new(cfg.clone(), eps, delta).fit(&mut rng, &train),
                         &test,
                     )
                 })
                 .collect();
             let poly: Vec<f64> = (0..opts.runs)
-                .map(|r| {
+                .map(|_| {
                     accuracy(
-                        &ApproxPolyLogReg::new(cfg.clone().with_seed(r as u64), eps, delta)
-                            .fit(&mut rng, &train),
+                        &ApproxPolyLogReg::new(cfg.clone(), eps, delta).fit(&mut rng, &train),
                         &test,
                     )
                 })

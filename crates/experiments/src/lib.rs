@@ -24,6 +24,8 @@
 
 use std::sync::{Arc, OnceLock};
 
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use sqm::datasets::Scale;
 use sqm::obs::live::{Collector, LiveConfig};
 use sqm::obs::prof::{ProfConfig, Profiler};
@@ -180,6 +182,24 @@ pub fn install_live(addr: Option<&str>) {
         }
         Some(collector)
     });
+}
+
+/// The RNG one mechanism draws from for one cell of a figure, keyed by
+/// (base seed, mechanism, epsilon, run, dataset). Each mechanism gets the
+/// same numbers whatever the others in its row draw, so a change to one
+/// mechanism moves only that mechanism's column.
+pub fn cell_rng(seed: u64, mechanism: &str, eps: f64, run: u64, dataset: &str) -> StdRng {
+    // FNV-1a over the key's bytes; names end in 0xFF so the fields cannot
+    // run into each other.
+    let mut key: Vec<u8> = seed.to_le_bytes().to_vec();
+    key.extend(mechanism.bytes().chain([0xFF]));
+    key.extend(eps.to_bits().to_le_bytes());
+    key.extend(run.to_le_bytes());
+    key.extend(dataset.bytes().chain([0xFF]));
+    let hash = key.into_iter().fold(0xCBF2_9CE4_8422_2325u64, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01B3)
+    });
+    StdRng::seed_from_u64(hash)
 }
 
 /// Mean and sample standard deviation.

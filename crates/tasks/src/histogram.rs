@@ -17,8 +17,7 @@ use sqm_accounting::skellam::Sensitivity;
 use sqm_core::sensitivity::pca_sensitivity;
 use sqm_linalg::Matrix;
 use sqm_sampling::gaussian::sample_normal;
-use sqm_vfl::covariance::covariance_skellam_plaintext;
-use sqm_vfl::mean::column_sums_skellam_plaintext;
+use sqm_vfl::{column_sums_oracle, covariance_quantized_oracle};
 
 /// A categorical attribute: one value in `0..n_categories` per record.
 #[derive(Clone, Debug)]
@@ -100,9 +99,13 @@ impl SqmHistogram {
 
     /// A record's one-hot row has L2 norm exactly 1; quantized,
     /// `gamma + sqrt(k)` with the rounding slack.
+    pub fn sensitivity(&self, k: usize) -> Sensitivity {
+        Sensitivity::from_l2_for_dim(self.gamma + (k as f64).sqrt(), k)
+    }
+
+    /// The calibrated Skellam parameter over `k` categories.
     pub fn calibrated_mu(&self, k: usize) -> f64 {
-        let sens = Sensitivity::from_l2_for_dim(self.gamma + (k as f64).sqrt(), k);
-        calibrate_skellam_mu(self.target, sens, 1, 1.0)
+        calibrate_skellam_mu(self.target, self.sensitivity(k), 1, 1.0)
     }
 
     /// Estimate the counts.
@@ -110,7 +113,8 @@ impl SqmHistogram {
         let k = data.n_categories();
         let mu = self.calibrated_mu(k);
         let one_hot = data.one_hot();
-        column_sums_skellam_plaintext(rng, &one_hot, self.gamma, mu, self.n_clients)
+        let (partition, cfg) = crate::replay(rng, k, self.n_clients);
+        column_sums_oracle(&one_hot, &partition, self.gamma, mu, &cfg)
             .into_iter()
             .map(|s| s / self.gamma)
             .collect()
@@ -156,7 +160,8 @@ impl SqmContingency {
             joint[(i, a.values[i])] = 1.0;
             joint[(i, ka + b.values[i])] = 1.0;
         }
-        let cov = covariance_skellam_plaintext(rng, &joint, self.gamma, mu, self.n_clients);
+        let (partition, cfg) = crate::replay(rng, n_cols, self.n_clients);
+        let cov = covariance_quantized_oracle(&joint, &partition, self.gamma, mu, &cfg);
         // The A^T B block, down-scaled, is the contingency table.
         let mut t = Matrix::zeros(ka, kb);
         for i in 0..ka {
@@ -234,6 +239,29 @@ mod tests {
         assert_eq!(oh[(1, 2)], 1.0);
         assert_eq!(oh[(1, 0)], 0.0);
         assert_eq!(oh.max_row_norm(), 1.0);
+    }
+
+    /// A record's contribution to the counts is its quantized one-hot row:
+    /// at integer and fractional `gamma`, every rounding outcome of every
+    /// category's row stays within the charged `gamma + sqrt(k)` in L2 and
+    /// `Delta_1` in L1.
+    #[test]
+    fn sensitivity_bounds_every_rounding_outcome() {
+        for k in [1usize, 2, 5, 16] {
+            for gamma in [7.5, 64.0, 100.3, 4096.75] {
+                let s = SqmHistogram::new(gamma, 1.0, 1e-5).sensitivity(k);
+                for v in 0..k {
+                    let row = Categorical::new(vec![v], k).one_hot();
+                    let outcomes = crate::rounding_norms(row.row(0), gamma);
+                    assert_eq!(outcomes.len(), if gamma.fract() == 0.0 { 1 } else { 2 });
+                    for (l2, l1) in outcomes {
+                        let at = format!("(gamma, k, v) = ({gamma}, {k}, {v})");
+                        assert!(l2 <= s.l2, "L2 {l2} > {} at {at}", s.l2);
+                        assert!(l1 <= s.l1, "L1 {l1} > {} at {at}", s.l1);
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -32,3 +32,47 @@ pub use logreg::{ApproxPolyLogReg, DpSgd, LocalDpLogReg, LrConfig, NonPrivateLog
 pub use pca::{AnalyzeGaussPca, LocalDpPca, NonPrivatePca, PcaBackend, SqmPca};
 pub use ridge::{GaussianRidge, LocalDpRidge, NonPrivateRidge, RidgeBackend, SqmRidge};
 pub use stats::{GaussianMean, LocalDpMean, MeanBackend, SqmMean};
+
+use rand::Rng;
+use sqm_vfl::{ColumnPartition, VflConfig};
+
+/// Which execution backend an SQM task runs on.
+#[derive(Clone, Debug)]
+// The Mpc variant carries the whole VflConfig (transport backend
+// included); backends are built once per task, so the size gap is fine.
+#[allow(clippy::large_enum_variant)]
+pub enum Backend {
+    /// The release's bit-exact plaintext oracle, at a seed drawn from the
+    /// task's RNG for each release — fast, for statistical experiments.
+    Plaintext,
+    /// Full BGW execution across `VflConfig::n_clients` parties.
+    Mpc(VflConfig),
+}
+
+/// The run a `Plaintext` backend replays: the `Mpc` backends' partition of
+/// `n` columns over `clients`, at a seed drawn from `rng`.
+fn replay<R: Rng + ?Sized>(rng: &mut R, n: usize, clients: usize) -> (ColumnPartition, VflConfig) {
+    let partition = ColumnPartition::even_or_sparse(n, clients);
+    (partition, VflConfig::fast(clients).with_seed(rng.gen()))
+}
+
+#[cfg(test)]
+/// `(||hat x||_2, ||hat x||_1)` of every outcome of Algorithm 2 on `x` at
+/// scale `gamma`: each coordinate rounds to the integer below `gamma x_i`
+/// or the one above (to itself when it is an integer), so `2^k` outcomes
+/// for `k` fractional coordinates.
+pub(crate) fn rounding_norms(x: &[f64], gamma: f64) -> Vec<(f64, f64)> {
+    let mut outcomes = vec![(0.0f64, 0.0f64)];
+    for &v in x {
+        let (lo, hi) = ((gamma * v).floor(), (gamma * v).ceil());
+        let choices = if lo == hi { vec![lo] } else { vec![lo, hi] };
+        outcomes = outcomes
+            .iter()
+            .flat_map(|&(sq, l1)| choices.iter().map(move |&q| (sq + q * q, l1 + q.abs())))
+            .collect();
+    }
+    outcomes
+        .into_iter()
+        .map(|(sq, l1)| (sq.sqrt(), l1))
+        .collect()
+}

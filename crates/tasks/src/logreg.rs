@@ -16,7 +16,7 @@ use sqm_core::sensitivity::lr_sensitivity;
 use sqm_datasets::ClassificationDataset;
 use sqm_linalg::vector::{clip_norm, dot};
 use sqm_sampling::gaussian::sample_normal;
-use sqm_vfl::gradient::{gradient_sum_skellam, gradient_sum_skellam_plaintext};
+use sqm_vfl::gradient::{gradient_sum_oracle, gradient_sum_skellam};
 use sqm_vfl::{ColumnPartition, VflConfig};
 
 /// Shared SGD hyper-parameters.
@@ -29,29 +29,17 @@ pub struct LrConfig {
     pub q: f64,
     /// Learning rate applied to the *mean* batch gradient.
     pub lr: f64,
-    /// Seed for batch sampling and initialization.
-    pub seed: u64,
 }
 
 impl LrConfig {
     pub fn new(rounds: u32, q: f64) -> Self {
         assert!(rounds >= 1);
         assert!(q > 0.0 && q <= 1.0);
-        LrConfig {
-            rounds,
-            q,
-            lr: 1.0,
-            seed: 0,
-        }
+        LrConfig { rounds, q, lr: 1.0 }
     }
 
     pub fn with_lr(mut self, lr: f64) -> Self {
         self.lr = lr;
-        self
-    }
-
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
         self
     }
 
@@ -127,17 +115,8 @@ where
     w
 }
 
-/// Which execution backend SQM-LR uses.
-#[derive(Clone, Debug)]
-// The Mpc variant carries the whole VflConfig (transport backend
-// included); backends are built once per task, so the size gap is fine.
-#[allow(clippy::large_enum_variant)]
-pub enum LrBackend {
-    /// Output-equivalent plaintext simulation.
-    Plaintext,
-    /// Full BGW execution.
-    Mpc(VflConfig),
-}
+/// Which execution backend SQM-LR runs on.
+pub type LrBackend = crate::Backend;
 
 /// SQM instantiated on logistic regression.
 #[derive(Clone, Debug)]
@@ -207,13 +186,16 @@ impl SqmLogReg {
         let m = train.len();
         let mu = self.calibrated_mu(d);
         let data = train.as_vfl_matrix();
-        let seed = self.cfg.seed;
         match &self.backend {
             LrBackend::Plaintext => {
-                let n_clients = self.n_clients;
+                // One partition and config for the whole fit, re-seeded
+                // from `rng` at every step.
+                let partition = ColumnPartition::even_or_sparse(d + 1, self.n_clients);
+                let replayed = VflConfig::fast(self.n_clients);
                 let gamma = self.gamma;
                 sgd_loop(rng, m, d, &self.cfg, |rng, w, batch| {
-                    gradient_sum_skellam_plaintext(rng, &data, batch, w, gamma, mu, n_clients, seed)
+                    let cfg = replayed.clone().with_seed(rng.gen());
+                    gradient_sum_oracle(&data, &partition, batch, w, gamma, mu, &cfg)
                 })
             }
             LrBackend::Mpc(cfg) => {
@@ -380,7 +362,7 @@ pub fn sqm_normalized_noise_std(gamma: f64, mu: f64) -> f64 {
 }
 
 #[allow(unused_imports)]
-pub use LrBackend::*;
+pub use crate::Backend::*;
 
 #[cfg(test)]
 mod tests {
@@ -397,7 +379,7 @@ mod tests {
     }
 
     fn cfg() -> LrConfig {
-        LrConfig::new(150, 0.05).with_lr(2.0).with_seed(9)
+        LrConfig::new(150, 0.05).with_lr(2.0)
     }
 
     #[test]
@@ -424,8 +406,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(4);
         let reps = 3;
         let (mut a_sqm, mut a_dpsgd, mut a_local) = (0.0, 0.0, 0.0);
-        for r in 0..reps {
-            let c = cfg().with_seed(100 + r);
+        for _ in 0..reps {
+            let c = cfg();
             a_sqm += accuracy(
                 &SqmLogReg::new(c.clone(), 8192.0, 4.0, 1e-5).fit(&mut rng, &train),
                 &test,
@@ -493,7 +475,7 @@ mod tests {
             .generate()
             .split(0.8, 1);
         let mut rng = StdRng::seed_from_u64(9);
-        let c = LrConfig::new(25, 0.2).with_lr(2.0).with_seed(3);
+        let c = LrConfig::new(25, 0.2).with_lr(2.0);
         let w = SqmLogReg::new(c, 4096.0, 8.0, 1e-5)
             .with_backend(LrBackend::Mpc(VflConfig::fast(3)))
             .fit(&mut rng, &train);

@@ -11,8 +11,8 @@ use sqm_core::sensitivity::pca_sensitivity;
 use sqm_linalg::eigen::{captured_variance, top_k_eigenvectors_with_sweeps};
 use sqm_linalg::Matrix;
 use sqm_sampling::gaussian::sample_normal;
-use sqm_vfl::covariance::{covariance_skellam, covariance_skellam_plaintext};
-use sqm_vfl::{ColumnPartition, VflConfig};
+use sqm_vfl::covariance::{covariance_quantized_oracle, covariance_skellam};
+use sqm_vfl::ColumnPartition;
 
 /// Top-k eigenvectors, reporting eigensolver work to the metrics registry
 /// (`eigen.sweeps` histogram) when observability is enabled.
@@ -25,17 +25,7 @@ fn top_k_eigenvectors(a: &Matrix, k: usize) -> Matrix {
 }
 
 /// Which execution backend SQM-PCA runs on.
-#[derive(Clone, Debug)]
-// The Mpc variant carries the whole VflConfig (transport backend
-// included); backends are built once per task, so the size gap is fine.
-#[allow(clippy::large_enum_variant)]
-pub enum PcaBackend {
-    /// Output-equivalent plaintext simulation — fast, for statistical
-    /// experiments.
-    Plaintext,
-    /// Full BGW execution across `VflConfig::n_clients` parties.
-    Mpc(VflConfig),
-}
+pub type PcaBackend = crate::Backend;
 
 /// SQM instantiated on PCA.
 #[derive(Clone, Debug)]
@@ -109,7 +99,8 @@ impl SqmPca {
         let mu = self.calibrated_mu(c, n);
         let c_hat = match &self.backend {
             PcaBackend::Plaintext => {
-                covariance_skellam_plaintext(rng, data, self.gamma, mu, self.n_clients)
+                let (partition, cfg) = crate::replay(rng, n, self.n_clients);
+                covariance_quantized_oracle(data, &partition, self.gamma, mu, &cfg)
             }
             PcaBackend::Mpc(cfg) => {
                 let partition = ColumnPartition::even(n, cfg.n_clients());
@@ -256,6 +247,7 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use sqm_datasets::SpectralSpec;
+    use sqm_vfl::VflConfig;
 
     fn data() -> Matrix {
         SpectralSpec::new(800, 12)

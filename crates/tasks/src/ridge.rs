@@ -19,20 +19,11 @@ use sqm_datasets::RegressionDataset;
 use sqm_linalg::solve::solve_ridge;
 use sqm_linalg::Matrix;
 use sqm_sampling::gaussian::sample_normal;
-use sqm_vfl::covariance::{covariance_skellam, covariance_skellam_plaintext};
-use sqm_vfl::{ColumnPartition, VflConfig};
+use sqm_vfl::covariance::{covariance_quantized_oracle, covariance_skellam};
+use sqm_vfl::ColumnPartition;
 
-/// Execution backend for SQM-Ridge.
-#[derive(Clone, Debug)]
-// The Mpc variant carries the whole VflConfig (transport backend
-// included); backends are built once per task, so the size gap is fine.
-#[allow(clippy::large_enum_variant)]
-pub enum RidgeBackend {
-    /// Output-equivalent plaintext simulation.
-    Plaintext,
-    /// Full BGW execution.
-    Mpc(VflConfig),
-}
+/// Which execution backend SQM-Ridge runs on.
+pub type RidgeBackend = crate::Backend;
 
 /// SQM instantiated on ridge regression.
 #[derive(Clone, Debug)]
@@ -97,7 +88,8 @@ impl SqmRidge {
 
         let c_hat = match &self.backend {
             RidgeBackend::Plaintext => {
-                covariance_skellam_plaintext(rng, &aug, self.gamma, mu, self.n_clients)
+                let (partition, cfg) = crate::replay(rng, n_cols, self.n_clients);
+                covariance_quantized_oracle(&aug, &partition, self.gamma, mu, &cfg)
             }
             RidgeBackend::Mpc(cfg) => {
                 let partition = ColumnPartition::even(n_cols, cfg.n_clients());
@@ -229,6 +221,7 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use sqm_datasets::RegressionSpec;
+    use sqm_vfl::VflConfig;
 
     fn dataset() -> (RegressionDataset, RegressionDataset) {
         RegressionSpec::new(4000, 10)

@@ -12,18 +12,11 @@ use sqm_accounting::skellam::Sensitivity;
 use sqm_core::baseline::local_dp_release;
 use sqm_linalg::Matrix;
 use sqm_sampling::gaussian::sample_normal;
-use sqm_vfl::mean::{column_sums_skellam, column_sums_skellam_plaintext};
-use sqm_vfl::{ColumnPartition, VflConfig};
+use sqm_vfl::mean::{column_sums_oracle, column_sums_skellam};
+use sqm_vfl::ColumnPartition;
 
-/// Execution backend for SQM-Mean.
-#[derive(Clone, Debug)]
-// The Mpc variant carries the whole VflConfig (transport backend
-// included); backends are built once per task, so the size gap is fine.
-#[allow(clippy::large_enum_variant)]
-pub enum MeanBackend {
-    Plaintext,
-    Mpc(VflConfig),
-}
+/// Which execution backend SQM-Mean runs on.
+pub type MeanBackend = crate::Backend;
 
 /// SQM instantiated on per-attribute means.
 #[derive(Clone, Debug)]
@@ -76,7 +69,8 @@ impl SqmMean {
         let mu = self.calibrated_mu(c, n);
         let sums = match &self.backend {
             MeanBackend::Plaintext => {
-                column_sums_skellam_plaintext(rng, data, self.gamma, mu, self.n_clients)
+                let (partition, cfg) = crate::replay(rng, n, self.n_clients);
+                column_sums_oracle(data, &partition, self.gamma, mu, &cfg)
             }
             MeanBackend::Mpc(cfg) => {
                 let partition = ColumnPartition::even(n, cfg.n_clients());
@@ -181,6 +175,7 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use sqm_datasets::SpectralSpec;
+    use sqm_vfl::VflConfig;
 
     fn data() -> Matrix {
         SpectralSpec::new(2000, 8).with_seed(9).generate()
@@ -238,6 +233,56 @@ mod tests {
             .estimate(&mut rng, &x);
         let err = mean_l2_error(&est, &truth);
         assert!(err < 0.05, "err {err}");
+    }
+
+    /// One record's whole contribution to the column sums is its
+    /// quantized row, so for adversarial records at the norm bound —
+    /// equal fractional coordinates, alternating signs, one dominant
+    /// coordinate, seeded directions — every one of the `2^n` rounding
+    /// outcomes (`n <= 16`) shifts the sums by at most the charged
+    /// `Delta_2 = gamma c + sqrt(n)` in L2 and `Delta_1` in L1.
+    #[test]
+    fn sensitivity_bounds_every_rounding_outcome() {
+        use rand::Rng;
+        let mut rng = StdRng::seed_from_u64(18);
+        for (gamma, c, n) in [
+            (18.0, 1.0, 16),
+            (24.0, 1.0, 6),
+            (7.0, 2.0, 10),
+            (3.0, 0.5, 12),
+            (4096.5, 1.0, 14),
+        ] {
+            let on_sphere = |v: Vec<f64>| {
+                let norm = v.iter().map(|a| a * a).sum::<f64>().sqrt();
+                v.into_iter().map(|a| a * c / norm).collect::<Vec<f64>>()
+            };
+            let mut records = vec![
+                on_sphere(vec![1.0; n]),
+                on_sphere((0..n).map(|i| [1.0, -1.0][i % 2]).collect()),
+                on_sphere((0..n).map(|i| if i == 0 { 8.0 } else { 0.3 }).collect()),
+            ];
+            for _ in 0..4 {
+                records.push(on_sphere(
+                    (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect(),
+                ));
+            }
+            let s = SqmMean::new(gamma, 1.0, 1e-5).sensitivity(c, n);
+            for x in &records {
+                for (l2, l1) in crate::rounding_norms(x, gamma) {
+                    let at = format!("(gamma, c, n) = ({gamma}, {c}, {n}), x = {x:?}");
+                    assert!(l2 <= s.l2, "L2 {l2} > {} at {at}", s.l2);
+                    assert!(l1 <= s.l1, "L1 {l1} > {} at {at}", s.l1);
+                }
+            }
+        }
+        // The equal-coordinate record at (18, 1, 16) sits at 4.5 per
+        // coordinate: rounding all of them up gives ||hat x|| = 20, over
+        // gamma c = 18 and under 18 + sqrt(16).
+        let worst = crate::rounding_norms(&[0.25; 16], 18.0)
+            .into_iter()
+            .map(|(l2, _)| l2)
+            .fold(0.0, f64::max);
+        assert_eq!(worst, 20.0);
     }
 
     #[test]

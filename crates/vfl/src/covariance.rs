@@ -33,21 +33,23 @@
 //! states, chunked is one frame per chunk, and
 //! [`crate::stream::StreamCov`] passes one frame of all pending batches to
 //! the resident party workers of a `CovSession` it keeps.
+//! [`covariance_quantized_oracle`] replays its streams and predicts it
+//! exactly.
 
 use std::ops::Range;
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
-use rand::SeedableRng;
-use sqm_core::quantize::quantize_vec;
 use sqm_field::PrimeField;
 use sqm_linalg::Matrix;
 use sqm_mpc::net::transport::build_mesh;
 use sqm_mpc::{MpcEngine, MpcRun, PartyCtx, PartyPool, RunStats, TransportError};
-use sqm_sampling::skellam::{sample_skellam_symmetric, Skellam};
 
 use crate::partition::ColumnPartition;
-use crate::{noisy_sum, or_panic, quantize_columns, received, validate_gamma, VflConfig};
+use crate::stream::covariance_streaming_oracle;
+use crate::{
+    noisy_sum, or_panic, party_streams, quantize_columns, received, validate_gamma, VflConfig,
+};
 
 /// The opened, still-amplified covariance and the run statistics.
 #[derive(Debug)]
@@ -55,7 +57,7 @@ pub struct CovarianceOutput {
     /// `hatX^T hatX + Sk(mu)` as an `n x n` symmetric matrix (integer
     /// values stored in `f64`; the server divides by `gamma^2`).
     pub c_hat: Matrix,
-    /// MPC accounting (empty/default for the plaintext backend).
+    /// MPC accounting.
     pub stats: RunStats,
     /// Structured trace (only when `VflConfig::trace` is set).
     pub trace: Option<sqm_obs::trace::Trace>,
@@ -88,65 +90,9 @@ pub fn try_covariance_skellam(
     release_once(data, partition, gamma, mu, cfg, &frames)
 }
 
-/// Output-equivalent plaintext simulation (identical output law; the MPC
-/// protocol reveals exactly this quantity). Used by the statistical
-/// experiments, which need thousands of runs.
-pub fn covariance_skellam_plaintext<R: rand::Rng + ?Sized>(
-    rng: &mut R,
-    data: &Matrix,
-    gamma: f64,
-    mu: f64,
-    n_clients: usize,
-) -> Matrix {
-    assert!(n_clients >= 1);
-    let n = data.cols();
-    let mut qrows: Vec<Vec<i64>> = Vec::with_capacity(data.rows());
-    for i in 0..data.rows() {
-        qrows.push(quantize_vec(rng, data.row(i), gamma));
-    }
-    let mut c = vec![0i128; n * n];
-    for row in &qrows {
-        for j in 0..n {
-            let xj = row[j] as i128;
-            if xj == 0 {
-                continue;
-            }
-            for k in j..n {
-                c[j * n + k] += xj * row[k] as i128;
-            }
-        }
-    }
-    // Aggregate noise: sum of per-client symmetric Sk(mu/P) matrices.
-    let local_mu = mu / n_clients as f64;
-    for _ in 0..n_clients {
-        let noise = sample_skellam_symmetric(rng, local_mu, n);
-        for j in 0..n {
-            for k in j..n {
-                c[j * n + k] += noise[j * n + k] as i128;
-            }
-        }
-    }
-    let mut out = Matrix::zeros(n, n);
-    for j in 0..n {
-        for k in j..n {
-            out[(j, k)] = c[j * n + k] as f64;
-            out[(k, j)] = out[(j, k)];
-        }
-    }
-    out
-}
-
-/// Bit-exact plaintext replay of [`covariance_skellam`].
-///
-/// Unlike [`covariance_skellam_plaintext`] (output-*equivalent* law, its own
-/// RNG), this replays the exact per-party randomness streams the MPC party
-/// threads derive from `cfg.seed()` — quantization stream
-/// `seed ^ (0xA11C_E000 + p)` consumed column-by-column in partition order,
-/// then `n(n+1)/2` Skellam(mu/P) draws from `seed ^ (0x5E11_A000 + p)` per
-/// party — and therefore predicts the *opened integer output* of the secure
-/// protocol exactly, for any backend. It is the differential-fuzzing oracle:
-/// any bit of divergence from the MPC run is a correctness bug in
-/// secret-sharing, the masked sum, or transport.
+/// Bit-exact plaintext replay of [`covariance_skellam`] on any backend (the
+/// one-batch case of [`crate::stream::covariance_streaming_oracle`]): the
+/// plaintext path of every covariance experiment and the fuzzing oracle.
 pub fn covariance_quantized_oracle(
     data: &Matrix,
     partition: &ColumnPartition,
@@ -155,43 +101,11 @@ pub fn covariance_quantized_oracle(
     cfg: &VflConfig,
 ) -> Matrix {
     validate(data, partition, cfg);
-    let n = data.cols();
-    let m = data.rows();
-    let upper_len = n * (n + 1) / 2;
-
-    // Replay each party's quantization stream over its own columns.
-    let mut qcols: Vec<Vec<i64>> = vec![Vec::new(); n];
-    for p in 0..cfg.n_clients() {
-        let mut qrng = StdRng::seed_from_u64(cfg.seed() ^ (0xA11C_E000 + p as u64));
-        for j in partition.columns_of(p) {
-            qcols[j] = quantize_vec(&mut qrng, &data.col(j), gamma);
-        }
-    }
-
-    // Upper-triangular Gram of the quantized columns, in opened order.
-    let mut opened = vec![0i128; upper_len];
-    let mut idx = 0;
-    for j in 0..n {
-        for k in j..n {
-            let acc: i128 = (0..m)
-                .map(|i| qcols[j][i] as i128 * qcols[k][i] as i128)
-                .sum();
-            opened[idx] = acc;
-            idx += 1;
-        }
-    }
-
-    // Replay each party's noise stream.
-    let skellam = Skellam::new(mu / cfg.n_clients() as f64);
-    for p in 0..cfg.n_clients() {
-        let mut nrng = StdRng::seed_from_u64(cfg.seed() ^ (0x5E11_A000 + p as u64));
-        for slot in opened.iter_mut() {
-            *slot += skellam.sample(&mut nrng) as i128;
-        }
-    }
-
-    symmetric_from_upper(&opened, n)
+    covariance_streaming_oracle(std::slice::from_ref(data), partition, gamma, mu, cfg, 0)
 }
+
+/// This release's quantization and noise salts (see [`party_streams`]).
+pub(crate) const STREAMS: [u64; 2] = [0xA11C_E000, 0x5E11_A000];
 
 pub(crate) fn validate(data: &Matrix, partition: &ColumnPartition, cfg: &VflConfig) {
     assert_eq!(
@@ -406,9 +320,10 @@ impl CovPlan {
     /// `seed`, its accumulators zero.
     fn fresh_party<F: PrimeField>(&self, seed: u64, p: usize) -> PartyState<F> {
         let (n, b) = (self.partition.n_cols(), self.counts[p]);
+        let (qrng, nrng) = party_streams(seed, STREAMS, p);
         PartyState {
-            qrng: StdRng::seed_from_u64(seed ^ (0xA11C_E000 + p as u64)),
-            nrng: StdRng::seed_from_u64(seed ^ (0x5E11_A000 + p as u64)),
+            qrng,
+            nrng,
             acc: vec![F::ZERO; n * (n + 1) / 2],
             own: vec![F::ZERO; b * (b + 1) / 2],
         }
@@ -556,7 +471,7 @@ impl<F: PrimeField> CovSession<F> {
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
     use sqm_field::{M127, M61};
 
     fn small_data() -> Matrix {
@@ -590,8 +505,10 @@ mod tests {
         let gamma = 4096.0;
         let cfg = VflConfig::fast(2);
         let mpc = covariance_skellam(&data, &partition, gamma, 0.0, &cfg);
+        // The oracle at another seed: only the rounding draws differ.
         let mut rng = StdRng::seed_from_u64(99);
-        let plain = covariance_skellam_plaintext(&mut rng, &data, gamma, 0.0, 2);
+        let other = cfg.clone().with_seed(rng.gen());
+        let plain = covariance_quantized_oracle(&data, &partition, gamma, 0.0, &other);
         let diff = mpc
             .c_hat
             .scaled(1.0 / (gamma * gamma))
@@ -661,12 +578,16 @@ mod tests {
 
     #[test]
     fn plaintext_noise_variance_matches_skellam() {
+        // Two columns over four clients: two of them own none and still
+        // add their noise.
         let data = Matrix::zeros(1, 2);
+        let partition = ColumnPartition::even_or_sparse(2, 4);
         let mu = 500.0;
         let mut rng = StdRng::seed_from_u64(5);
         let mut vals = Vec::new();
         for _ in 0..2000 {
-            let c = covariance_skellam_plaintext(&mut rng, &data, 16.0, mu, 4);
+            let cfg = VflConfig::fast(4).with_seed(rng.gen());
+            let c = covariance_quantized_oracle(&data, &partition, 16.0, mu, &cfg);
             vals.push(c[(0, 1)]);
         }
         let mean = vals.iter().sum::<f64>() / vals.len() as f64;

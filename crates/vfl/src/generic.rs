@@ -7,19 +7,24 @@
 //! the record count and the number of monomials. This path is the reference
 //! implementation and is cross-checked against the plaintext mechanism; the
 //! covariance and gradient fast paths specialize it.
+//! [`eval_polynomial_oracle`] replays its streams and predicts it exactly.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sqm_core::polynomial::Polynomial;
-use sqm_core::quantize::quantize_polynomial;
+use sqm_core::quantize::{quantize_polynomial, QuantizedPolynomial};
 use sqm_field::PrimeField;
 use sqm_linalg::Matrix;
 use sqm_mpc::circuit::{Circuit, CircuitBuilder, Wire};
 use sqm_mpc::{MpcEngine, MpcRun, RunStats, TransportError};
+use sqm_sampling::rounding::stochastic_round;
+use sqm_sampling::skellam::Skellam;
 
 use crate::covariance::validate;
 use crate::partition::ColumnPartition;
-use crate::{noisy_sum, or_panic, quantize_columns, received, validate_gamma, VflConfig};
+use crate::{
+    noisy_sum, or_panic, party_streams, quantize_columns, received, validate_gamma, VflConfig,
+};
 
 /// Evaluate `sum_x f(x)` under SQM with full BGW execution.
 ///
@@ -62,6 +67,50 @@ pub fn eval_polynomial_skellam(
     let values = opened.iter().map(|&v| v as f64 / amplification).collect();
     (values, run.stats)
 }
+
+/// Bit-exact plaintext replay of [`eval_polynomial_skellam`]'s values:
+/// the public coefficients, each party's columns quantized record by
+/// record, every quantized monomial on every quantized record
+/// (`QuantizedMonomial::eval_i128`), and `d` Skellam(mu/P) draws a party.
+pub fn eval_polynomial_oracle(
+    poly: &Polynomial,
+    data: &Matrix,
+    partition: &ColumnPartition,
+    gamma: f64,
+    mu: f64,
+    cfg: &VflConfig,
+) -> Vec<f64> {
+    validate(data, partition, cfg);
+    let qpoly = public_coefficients(poly, gamma, cfg.seed());
+    let skellam = Skellam::new(mu / cfg.n_clients() as f64);
+    let mut records = vec![vec![0i64; data.cols()]; data.rows()];
+    let mut sums = vec![0i128; poly.n_dims()];
+    for p in 0..cfg.n_clients() {
+        let (mut qrng, mut nrng) = party_streams(cfg.seed(), STREAMS, p);
+        let my_cols = partition.columns_of(p);
+        for (i, record) in records.iter_mut().enumerate() {
+            for &j in &my_cols {
+                record[j] = stochastic_round(&mut qrng, gamma * data[(i, j)]);
+            }
+        }
+        for s in sums.iter_mut() {
+            *s += skellam.sample(&mut nrng) as i128;
+        }
+    }
+    let values = sums.iter().zip(qpoly.sum_over(&records));
+    values
+        .map(|(&noise, v)| (noise + v) as f64 / qpoly.amplification())
+        .collect()
+}
+
+/// Algorithm 3 lines 1-3: every party, and the oracle, derives the same
+/// public coefficients from the seed.
+fn public_coefficients(poly: &Polynomial, gamma: f64, seed: u64) -> QuantizedPolynomial {
+    quantize_polynomial(&mut StdRng::seed_from_u64(seed ^ 0xC0EF_0000), poly, gamma)
+}
+
+/// This release's quantization and noise salts (see [`party_streams`]).
+const STREAMS: [u64; 2] = [0x9E4E_0000, 0x5E11_C000];
 
 /// Compile the quantized polynomial sum into a circuit. Input ordering per
 /// owner: record-major over the owner's columns in ascending order —
@@ -126,10 +175,7 @@ fn eval_impl<F: PrimeField>(
     let d = poly.n_dims();
     let local_mu = mu / cfg.n_clients() as f64;
 
-    // Public coefficient quantization (Algorithm 3 lines 1-3): all parties
-    // derive the same integers from the public seed.
-    let mut crng = StdRng::seed_from_u64(cfg.seed() ^ 0xC0EF_0000);
-    let qpoly = quantize_polynomial(&mut crng, poly, gamma);
+    let qpoly = public_coefficients(poly, gamma, cfg.seed());
     let coeffs: Vec<Vec<i128>> = (0..d)
         .map(|t| qpoly.dim(t).iter().map(|qm| qm.coeff).collect())
         .collect();
@@ -140,7 +186,7 @@ fn eval_impl<F: PrimeField>(
     engine.try_run::<F, Option<Vec<i128>>, _>(|ctx| {
         let me = ctx.id;
         ctx.set_phase("quantize");
-        let mut qrng = StdRng::seed_from_u64(cfg.seed() ^ (0x9E4E_0000 + me as u64));
+        let (mut qrng, mut nrng) = party_streams(cfg.seed(), STREAMS, me);
         let my_cols = partition.columns_of(me);
         let mut my_inputs: Vec<F> = Vec::with_capacity(m * my_cols.len());
         // Record-major: each record's columns in turn, as the circuit's
@@ -153,7 +199,6 @@ fn eval_impl<F: PrimeField>(
         let shares = circuit.eval_mpc(ctx, &my_inputs);
 
         let local = ctx.scale_public(&shares, ctx.lagrange_weight(None));
-        let mut nrng = StdRng::seed_from_u64(cfg.seed() ^ (0x5E11_C000 + me as u64));
         noisy_sum(ctx, local, &mut nrng, local_mu)
     })
 }

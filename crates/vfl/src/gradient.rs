@@ -14,10 +14,12 @@
 //! products `v_i * hat x_ik`, summed over the batch at degree `2t`. Those
 //! sums plus each party's own `d` noise draws are summed to the receiver
 //! (`PartyCtx::sum_to_receiver`): two rounds per step.
+//!
+//! [`gradient_sum_oracle`] replays its streams in plaintext and predicts
+//! the release exactly: the plaintext path of every LR experiment.
 
 use rand::rngs::StdRng;
-use rand::SeedableRng;
-use sqm_core::quantize::quantize_vec;
+use rand::{Rng, SeedableRng};
 use sqm_field::PrimeField;
 use sqm_linalg::Matrix;
 use sqm_mpc::{MpcEngine, RunStats, TransportError};
@@ -26,7 +28,9 @@ use sqm_sampling::skellam::Skellam;
 
 use crate::covariance::{column_shares, validate};
 use crate::partition::ColumnPartition;
-use crate::{noisy_sum, or_panic, quantize_columns, received, validate_gamma, VflConfig};
+use crate::{
+    noisy_sum, or_panic, party_streams, quantize_columns, received, validate_gamma, VflConfig,
+};
 
 /// The opened, down-scaled gradient sum and run statistics.
 #[derive(Debug)]
@@ -109,10 +113,59 @@ pub(crate) fn try_gradient_sum_skellam(
     with_field!(bound, F => gradient_impl::<F>(data, partition, batch, w, gamma, mu, cfg))
 }
 
-/// Output-equivalent plaintext simulation of the same release (used by the
-/// statistical experiments; thousands of SGD steps).
+/// This release's quantization and noise salts (see [`party_streams`]).
+const STREAMS: [u64; 2] = [0x96AD_0000, 0x5E11_B000];
+
+/// Bit-exact plaintext replay of [`gradient_sum_skellam`]: each party's
+/// columns quantized over the batch, [`quantize_lr_coeffs`] at
+/// `cfg.seed()`, Eq. 9 on integers, then `d` Skellam(mu/P) draws a party.
+pub fn gradient_sum_oracle(
+    data: &Matrix,
+    partition: &ColumnPartition,
+    batch: &[usize],
+    w: &[f64],
+    gamma: f64,
+    mu: f64,
+    cfg: &VflConfig,
+) -> Vec<f64> {
+    let d = data.cols() - 1;
+    assert_eq!(w.len(), d, "weight vector length must equal feature count");
+    validate(data, partition, cfg);
+    let skellam = Skellam::new(mu / cfg.n_clients() as f64);
+    let mut q = vec![0i64; batch.len() * (d + 1)]; // record-major
+    let mut grad = vec![0i128; d];
+    for p in 0..cfg.n_clients() {
+        let (mut qrng, mut nrng) = party_streams(cfg.seed(), STREAMS, p);
+        for j in partition.columns_of(p) {
+            for (row, &i) in q.chunks_exact_mut(d + 1).zip(batch) {
+                row[j] = stochastic_round(&mut qrng, gamma * data[(i, j)]);
+            }
+        }
+        for g in grad.iter_mut() {
+            *g += skellam.sample(&mut nrng) as i128;
+        }
+    }
+    let coeffs = quantize_lr_coeffs(w, gamma, cfg.seed());
+    for row in q.chunks_exact(d + 1) {
+        // v = half + <w/4, x> - label * y, as the protocol's local shares.
+        let wx: i128 = (coeffs.w_quarter.iter().zip(row))
+            .map(|(&c, &x)| i128::from(c) * i128::from(x))
+            .sum();
+        let v = i128::from(coeffs.half) + wx - i128::from(coeffs.label) * i128::from(row[d]);
+        for (g, &x) in grad.iter_mut().zip(row) {
+            *g += v * i128::from(x);
+        }
+    }
+    let amp = gamma.powi(3);
+    grad.into_iter().map(|g| g as f64 / amp).collect()
+}
+
+/// [`gradient_sum_oracle`] at a seed drawn from `rng`, over
+/// [`ColumnPartition::even_or_sparse`]. Kept with its signature for callers
+/// outside the workspace; the coefficients' coin is the drawn seed, not
+/// `_public_seed`.
 #[allow(clippy::too_many_arguments)]
-pub fn gradient_sum_skellam_plaintext<R: rand::Rng + ?Sized>(
+pub fn gradient_sum_skellam_plaintext<R: Rng + ?Sized>(
     rng: &mut R,
     data: &Matrix,
     batch: &[usize],
@@ -120,34 +173,11 @@ pub fn gradient_sum_skellam_plaintext<R: rand::Rng + ?Sized>(
     gamma: f64,
     mu: f64,
     n_clients: usize,
-    public_seed: u64,
+    _public_seed: u64,
 ) -> Vec<f64> {
-    let d = data.cols() - 1;
-    assert_eq!(w.len(), d);
-    let coeffs = quantize_lr_coeffs(w, gamma, public_seed);
-    let mut acc = vec![0i128; d];
-    for &i in batch {
-        let row = data.row(i);
-        let qx = quantize_vec(rng, &row[..d], gamma);
-        let qy = stochastic_round(rng, gamma * row[d]);
-        let v: i128 = qx
-            .iter()
-            .zip(&coeffs.w_quarter)
-            .map(|(&x, &c)| x as i128 * c as i128)
-            .sum::<i128>()
-            - coeffs.label as i128 * qy as i128;
-        for k in 0..d {
-            acc[k] += coeffs.half as i128 * qx[k] as i128 + v * qx[k] as i128;
-        }
-    }
-    let skellam = Skellam::new(mu / n_clients as f64);
-    for a in acc.iter_mut() {
-        for _ in 0..n_clients {
-            *a += skellam.sample(rng) as i128;
-        }
-    }
-    let amp = gamma.powi(3);
-    acc.into_iter().map(|v| v as f64 / amp).collect()
+    let cfg = VflConfig::fast(n_clients).with_seed(rng.gen());
+    let partition = ColumnPartition::even_or_sparse(data.cols(), n_clients);
+    gradient_sum_oracle(data, &partition, batch, w, gamma, mu, &cfg)
 }
 
 fn magnitude_bound(batch_len: usize, d: usize, gamma: f64, mu: f64) -> f64 {
@@ -178,7 +208,7 @@ fn gradient_impl<F: PrimeField>(
         let me = ctx.id;
         // --- quantize my columns (batch rows only) ------------------------
         ctx.set_phase("quantize");
-        let mut qrng = StdRng::seed_from_u64(cfg.seed() ^ (0x96AD_0000 + me as u64));
+        let (mut qrng, mut nrng) = party_streams(cfg.seed(), STREAMS, me);
         let my_cols = partition.columns_of(me);
         let mut my_values: Vec<F> = Vec::with_capacity(my_cols.len() * mb);
         let rows = batch.iter().copied();
@@ -211,7 +241,6 @@ fn gradient_impl<F: PrimeField>(
 
         // --- round 2: my own Skellam draws (never shared) + the masked sum --
         let local = ctx.scale_public(&grad, ctx.lagrange_weight(None));
-        let mut nrng = StdRng::seed_from_u64(cfg.seed() ^ (0x5E11_B000 + me as u64));
         noisy_sum(ctx, local, &mut nrng, local_mu)
     })?;
 
@@ -229,8 +258,6 @@ fn gradient_impl<F: PrimeField>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     /// Reference: Eq. 9 on the raw (unquantized) records.
     fn true_grad_sum(data: &Matrix, batch: &[usize], w: &[f64]) -> Vec<f64> {
@@ -287,7 +314,9 @@ mod tests {
         let w = vec![0.2, -0.1, 0.4];
         let batch: Vec<usize> = (0..6).collect();
         let mut rng = StdRng::seed_from_u64(3);
-        let g = gradient_sum_skellam_plaintext(&mut rng, &data, &batch, &w, 8192.0, 0.0, 4, 7);
+        let cfg = VflConfig::fast(4).with_seed(rng.gen());
+        let partition = ColumnPartition::even(4, 4);
+        let g = gradient_sum_oracle(&data, &partition, &batch, &w, 8192.0, 0.0, &cfg);
         let truth = true_grad_sum(&data, &batch, &w);
         for (gi, t) in g.iter().zip(&truth) {
             assert!((gi - t).abs() < 0.01, "got {gi}, want {t}");
@@ -310,8 +339,10 @@ mod tests {
             0.0,
             &VflConfig::fast(2),
         );
+        // The oracle at another seed: only the rounding draws differ.
         let mut rng = StdRng::seed_from_u64(11);
-        let plain = gradient_sum_skellam_plaintext(&mut rng, &data, &batch, &w, gamma, 0.0, 2, 7);
+        let cfg = VflConfig::fast(2).with_seed(rng.gen());
+        let plain = gradient_sum_oracle(&data, &partition, &batch, &w, gamma, 0.0, &cfg);
         for (a, b) in out.grad_sum.iter().zip(&plain) {
             assert!((a - b).abs() < 0.01, "mpc {a} plain {b}");
         }
@@ -326,11 +357,13 @@ mod tests {
         let batch = vec![0, 1, 2, 3];
         let gamma = 16.0;
         let mu = 1e4;
+        // Three columns over four clients: one owns none.
+        let partition = ColumnPartition::even_or_sparse(3, 4);
         let mut rng = StdRng::seed_from_u64(5);
         let mut vals = Vec::new();
-        for trial in 0..3000 {
-            let g =
-                gradient_sum_skellam_plaintext(&mut rng, &data, &batch, &w, gamma, mu, 4, trial);
+        for _ in 0..3000 {
+            let cfg = VflConfig::fast(4).with_seed(rng.gen());
+            let g = gradient_sum_oracle(&data, &partition, &batch, &w, gamma, mu, &cfg);
             vals.push(g[0]);
         }
         let mean = vals.iter().sum::<f64>() / vals.len() as f64;

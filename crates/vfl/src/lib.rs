@@ -55,7 +55,9 @@
 //! engine re-keys share polynomials and pair masks from the mesh's round
 //! counter on every run, so no release repeats a draw.
 //! [`session::VflSession`] runs one-shot protocols from one seed: see the
-//! noise-replay caveat on that type.
+//! noise-replay caveat on that type. Each release module derives its
+//! streams in one helper that its protocol and its bit-exact plaintext
+//! oracle (`*_oracle`) both call.
 //!
 //! **Two-client caveat:** BGW with `P = 2` degenerates to threshold `t = 0`
 //! (shares equal secrets), so outputs are correct but the clients have no
@@ -95,9 +97,9 @@ pub use covariance::{
     covariance_quantized_oracle, covariance_skellam, covariance_skellam_chunked,
     try_covariance_skellam, CovarianceOutput,
 };
-pub use generic::eval_polynomial_skellam;
-pub use gradient::{gradient_sum_skellam, GradientOutput};
-pub use mean::{column_sums_skellam, MeanOutput};
+pub use generic::{eval_polynomial_oracle, eval_polynomial_skellam};
+pub use gradient::{gradient_sum_oracle, gradient_sum_skellam, GradientOutput};
+pub use mean::{column_sums_oracle, column_sums_skellam, MeanOutput};
 pub use partition::ColumnPartition;
 pub use session::{
     BudgetRefusal, PrivacyAccount, ReleaseError, ReleasePermit, ServerView, VflSession,
@@ -113,6 +115,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use rand::rngs::StdRng;
+use rand::SeedableRng;
 use sqm_field::{FieldChoice, PrimeField};
 use sqm_linalg::Matrix;
 use sqm_mpc::{MpcConfig, PartyCtx};
@@ -137,6 +140,13 @@ pub(crate) fn validate_gamma(gamma: f64) {
 /// What the protocol names without a `try_` prefix do on transport failure.
 pub(crate) fn or_panic<T>(result: Result<T, TransportError>) -> T {
     result.unwrap_or_else(|e| panic!("mpc transport failure: {e}"))
+}
+
+/// Party `p`'s quantization and noise streams, `seed ^ (salt + p)` for the
+/// two salts its release module names once (protocol body and oracle).
+pub(crate) fn party_streams(seed: u64, [q, n]: [u64; 2], p: usize) -> (StdRng, StdRng) {
+    let stream = |salt: u64| StdRng::seed_from_u64(seed ^ (salt + p as u64));
+    (stream(q), stream(n))
 }
 
 /// Algorithm 2 on a party's own columns: for each of `cols`, for each of

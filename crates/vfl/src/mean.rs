@@ -5,10 +5,10 @@
 //! polynomial class: the function is linear, so the MPC evaluation needs
 //! *no* multiplications at all — one round sharing the column sums, local
 //! addition, one masked sum of the shares and each party's own noise to the
-//! receiver. Two rounds total, any record count.
+//! receiver. Two rounds total, any record count. [`column_sums_oracle`]
+//! replays its streams and predicts it exactly.
 
 use rand::rngs::StdRng;
-use rand::SeedableRng;
 use sqm_core::quantize::quantize_vec;
 use sqm_field::PrimeField;
 use sqm_linalg::Matrix;
@@ -17,7 +17,7 @@ use sqm_sampling::skellam::Skellam;
 
 use crate::covariance::validate;
 use crate::partition::ColumnPartition;
-use crate::{noisy_sum, or_panic, received, validate_gamma, VflConfig};
+use crate::{noisy_sum, or_panic, party_streams, received, validate_gamma, VflConfig};
 
 /// The opened, still-amplified column sums plus statistics.
 #[derive(Debug)]
@@ -76,11 +76,8 @@ fn mean_impl<F: PrimeField>(
         // linear function the per-record values never need to be shared at
         // all, so the input cost is `O(n P^2)` rather than `O(m n P^2)`.
         ctx.set_phase("quantize");
-        let mut qrng = StdRng::seed_from_u64(cfg.seed() ^ (0x3EA4_0000 + me as u64));
-        let sum = |j| {
-            let q = quantize_vec(&mut qrng, &data.col(j), gamma);
-            F::from_i128(q.into_iter().map(|v| v as i128).sum())
-        };
+        let (mut qrng, mut nrng) = party_streams(cfg.seed(), STREAMS, me);
+        let sum = |j| F::from_i128(quantized_sum(&mut qrng, data, j, gamma));
         let my_sums: Vec<F> = partition.columns_of(me).into_iter().map(sum).collect();
 
         ctx.set_phase("input");
@@ -92,7 +89,6 @@ fn mean_impl<F: PrimeField>(
         }
 
         let local = ctx.scale_public(&sums, ctx.lagrange_weight(None));
-        let mut nrng = StdRng::seed_from_u64(cfg.seed() ^ (0x5E11_D000 + me as u64));
         noisy_sum(ctx, local, &mut nrng, local_mu)
     })?;
     Ok(MeanOutput {
@@ -102,25 +98,34 @@ fn mean_impl<F: PrimeField>(
     })
 }
 
-/// Output-equivalent plaintext simulation.
-pub fn column_sums_skellam_plaintext<R: rand::Rng + ?Sized>(
-    rng: &mut R,
+/// This release's quantization and noise salts (see [`party_streams`]).
+const STREAMS: [u64; 2] = [0x3EA4_0000, 0x5E11_D000];
+
+/// Column `j` quantized from `qrng` (one draw per record) and summed.
+fn quantized_sum(qrng: &mut StdRng, data: &Matrix, j: usize, gamma: f64) -> i128 {
+    let q = quantize_vec(qrng, &data.col(j), gamma);
+    q.into_iter().map(|v| v as i128).sum()
+}
+
+/// Bit-exact plaintext replay of [`column_sums_skellam`]: each party's
+/// quantized column sums, plus `n` Skellam(mu/P) draws a party.
+pub fn column_sums_oracle(
     data: &Matrix,
+    partition: &ColumnPartition,
     gamma: f64,
     mu: f64,
-    n_clients: usize,
+    cfg: &VflConfig,
 ) -> Vec<f64> {
-    let n = data.cols();
-    let mut sums = vec![0i128; n];
-    for i in 0..data.rows() {
-        for (s, q) in sums.iter_mut().zip(quantize_vec(rng, data.row(i), gamma)) {
-            *s += q as i128;
+    validate(data, partition, cfg);
+    let skellam = Skellam::new(mu / cfg.n_clients() as f64);
+    let mut sums = vec![0i128; data.cols()];
+    for p in 0..cfg.n_clients() {
+        let (mut qrng, mut nrng) = party_streams(cfg.seed(), STREAMS, p);
+        for j in partition.columns_of(p) {
+            sums[j] += quantized_sum(&mut qrng, data, j, gamma);
         }
-    }
-    let skellam = Skellam::new(mu / n_clients as f64);
-    for s in sums.iter_mut() {
-        for _ in 0..n_clients {
-            *s += skellam.sample(rng) as i128;
+        for s in sums.iter_mut() {
+            *s += skellam.sample(&mut nrng) as i128;
         }
     }
     sums.into_iter().map(|s| s as f64).collect()
@@ -129,8 +134,7 @@ pub fn column_sums_skellam_plaintext<R: rand::Rng + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     fn data() -> Matrix {
         Matrix::from_rows(&[
@@ -163,7 +167,8 @@ mod tests {
         let x = data();
         let mut rng = StdRng::seed_from_u64(1);
         let gamma = 4096.0;
-        let plain = column_sums_skellam_plaintext(&mut rng, &x, gamma, 0.0, 3);
+        let cfg = VflConfig::fast(3).with_seed(rng.gen());
+        let plain = column_sums_oracle(&x, &ColumnPartition::even(3, 3), gamma, 0.0, &cfg);
         for (s, t) in plain.iter().zip(true_sums(&x)) {
             assert!((s / gamma - t).abs() < 0.01);
         }
@@ -171,11 +176,16 @@ mod tests {
 
     #[test]
     fn noise_variance_matches_skellam() {
+        // Two columns over five clients: three own none.
         let x = Matrix::zeros(2, 2);
+        let partition = ColumnPartition::even_or_sparse(2, 5);
         let mu = 200.0;
         let mut rng = StdRng::seed_from_u64(2);
         let vals: Vec<f64> = (0..4000)
-            .map(|_| column_sums_skellam_plaintext(&mut rng, &x, 16.0, mu, 5)[0])
+            .map(|_| {
+                let cfg = VflConfig::fast(5).with_seed(rng.gen());
+                column_sums_oracle(&x, &partition, 16.0, mu, &cfg)[0]
+            })
             .collect();
         let mean = vals.iter().sum::<f64>() / vals.len() as f64;
         let var = vals.iter().map(|v| (v - mean).powi(2)).sum::<f64>() / vals.len() as f64;

@@ -28,6 +28,15 @@ impl ColumnPartition {
         ColumnPartition { owner, n_clients }
     }
 
+    /// [`ColumnPartition::even`], or with fewer columns than clients, column
+    /// `j` to client `j` and none to the rest.
+    pub fn even_or_sparse(n_cols: usize, n_clients: usize) -> Self {
+        if n_cols >= n_clients {
+            return Self::even(n_cols, n_clients);
+        }
+        Self::from_owners((0..n_cols).collect(), n_clients)
+    }
+
     /// Explicit assignment.
     pub fn from_owners(owner: Vec<usize>, n_clients: usize) -> Self {
         assert!(!owner.is_empty(), "no columns");
@@ -103,6 +112,17 @@ mod tests {
     fn explicit_owners() {
         let p = ColumnPartition::from_owners(vec![1, 0, 1], 2);
         assert_eq!(p.columns_of(1), vec![0, 2]);
+    }
+
+    #[test]
+    fn even_or_sparse_leaves_the_clients_past_the_last_column_empty() {
+        assert_eq!(
+            ColumnPartition::even_or_sparse(10, 4),
+            ColumnPartition::even(10, 4)
+        );
+        let p = ColumnPartition::even_or_sparse(3, 5);
+        assert_eq!(p.counts(), vec![1, 1, 1, 0, 0]);
+        assert_eq!((p.owner_of(2), p.n_clients()), (2, 5));
     }
 
     #[test]

@@ -41,17 +41,17 @@
 //! and every later call returns it. The caller (one serve tenant) fails;
 //! other sessions and their workers are untouched.
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use sqm_field::{FieldChoice, M127, M61};
 use sqm_linalg::Matrix;
 use sqm_mpc::TransportError;
 use sqm_sampling::rounding::stochastic_round;
 use sqm_sampling::skellam::Skellam;
 
-use crate::covariance::{magnitude_bound, symmetric_from_upper, CovSession, CovarianceOutput};
+use crate::covariance::{
+    magnitude_bound, symmetric_from_upper, CovSession, CovarianceOutput, STREAMS,
+};
 use crate::partition::ColumnPartition;
-use crate::{field_for, validate_gamma, VflConfig};
+use crate::{field_for, party_streams, validate_gamma, VflConfig};
 
 /// The only field-dependent part of a streaming session: the mesh and the
 /// per-party share state. The width is pinned at creation from the declared
@@ -186,14 +186,13 @@ impl StreamCov {
 }
 
 /// Bit-exact plaintext predictor of [`StreamCov`] release `noise_skip`
-/// covering the cumulative `batches` ingested so far (the streaming
-/// counterpart of [`crate::covariance::covariance_quantized_oracle`]).
-///
-/// Quantization replays each party's stream batch-by-batch in exactly the
-/// order the session consumed it; the noise streams skip the
-/// `noise_skip * n(n+1)/2` draws earlier releases consumed. Any divergence
-/// from the MPC session is a correctness bug in share persistence,
-/// transport reuse, or the masked sum.
+/// covering the cumulative `batches` ingested so far: the one covariance
+/// oracle body ([`crate::covariance::covariance_quantized_oracle`] is its
+/// one-batch case). Quantization replays each party's stream batch by
+/// batch in exactly the order the session consumed it; the noise streams
+/// skip the `noise_skip * n(n+1)/2` draws earlier releases consumed. Any
+/// divergence from the MPC session is a correctness bug in share
+/// persistence, transport reuse, or the masked sum.
 pub fn covariance_streaming_oracle(
     batches: &[Matrix],
     partition: &ColumnPartition,
@@ -204,12 +203,13 @@ pub fn covariance_streaming_oracle(
 ) -> Matrix {
     let n = partition.n_cols();
     let upper_len = n * (n + 1) / 2;
-
-    // Per-party quantization streams, consumed batch-major / column-major /
-    // record-minor — the session's exact order.
+    let skellam = Skellam::new(mu / cfg.n_clients() as f64);
+    // Per party: quantization batch-major / column-major / record-minor,
+    // the session's exact order, then this release's noise draws.
     let mut qcols: Vec<Vec<i64>> = vec![Vec::new(); n];
+    let mut opened = vec![0i128; upper_len];
     for p in 0..cfg.n_clients() {
-        let mut qrng = StdRng::seed_from_u64(cfg.seed() ^ (0xA11C_E000 + p as u64));
+        let (mut qrng, mut nrng) = party_streams(cfg.seed(), STREAMS, p);
         for batch in batches {
             for &j in &partition.columns_of(p) {
                 for i in 0..batch.rows() {
@@ -217,31 +217,24 @@ pub fn covariance_streaming_oracle(
                 }
             }
         }
+        for _ in 0..noise_skip * upper_len {
+            skellam.sample(&mut nrng);
+        }
+        for s in opened.iter_mut() {
+            *s += skellam.sample(&mut nrng) as i128;
+        }
     }
 
     let m: usize = batches.iter().map(|b| b.rows()).sum();
-    let mut opened = vec![0i128; upper_len];
     let mut idx = 0;
     for j in 0..n {
         for k in j..n {
-            opened[idx] = (0..m)
+            opened[idx] += (0..m)
                 .map(|i| qcols[j][i] as i128 * qcols[k][i] as i128)
-                .sum();
+                .sum::<i128>();
             idx += 1;
         }
     }
-
-    let skellam = Skellam::new(mu / cfg.n_clients() as f64);
-    for p in 0..cfg.n_clients() {
-        let mut nrng = StdRng::seed_from_u64(cfg.seed() ^ (0x5E11_A000 + p as u64));
-        for _ in 0..noise_skip * upper_len {
-            let _ = skellam.sample(&mut nrng);
-        }
-        for slot in opened.iter_mut() {
-            *slot += skellam.sample(&mut nrng) as i128;
-        }
-    }
-
     symmetric_from_upper(&opened, n)
 }
 

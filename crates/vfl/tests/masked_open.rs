@@ -1,7 +1,8 @@
-//! Every two-round release equals a plaintext replay of its seeded streams,
-//! bit for bit, at every threshold the masked sum can run at: P = 2 (t = 0,
-//! degree-0 "sharing"), P = 3 (t = 1), P = 5 (t = 2, 2t + 1 = P exactly) and
-//! P = 10 (t = 4, one spare point).
+//! Every release equals its crate oracle, the plaintext replay of its
+//! seeded streams, bit for bit, at every threshold the masked sum can run
+//! at: P = 2 (t = 0, degree-0 "sharing"), P = 3 (t = 1), P = 4 (t = 1, one
+//! spare point), P = 5 (t = 2, 2t + 1 = P exactly) and P = 10 (t = 4, one
+//! spare point), on both backends.
 //!
 //! The noise and quantisation draws come from their own per-party streams,
 //! so only the share polynomials and pair masks differ from run to run; a
@@ -14,21 +15,22 @@ use std::time::Duration;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sqm_core::polynomial::{Monomial, Polynomial};
-use sqm_core::quantize::quantize_vec;
 use sqm_linalg::Matrix;
 use sqm_mpc::RunStats;
-use sqm_sampling::rounding::stochastic_round;
-use sqm_sampling::skellam::sample_skellam;
-use sqm_vfl::gradient::quantize_lr_coeffs;
 use sqm_vfl::net::fault::schedule;
 use sqm_vfl::{
-    column_sums_skellam, covariance_quantized_oracle, covariance_skellam,
-    covariance_skellam_chunked, covariance_streaming_oracle, eval_polynomial_skellam,
-    gradient_sum_skellam, ColumnPartition, FaultSpec, NetBackend, ReleaseError, StreamCov,
-    TransportError, VflConfig, VflSession,
+    column_sums_oracle, column_sums_skellam, covariance_quantized_oracle, covariance_skellam,
+    covariance_skellam_chunked, covariance_streaming_oracle, eval_polynomial_oracle,
+    eval_polynomial_skellam, gradient_sum_oracle, gradient_sum_skellam, ColumnPartition, FaultSpec,
+    NetBackend, ReleaseError, StreamCov, TransportError, VflConfig, VflSession,
 };
 
-const CLIENTS: [usize; 4] = [2, 3, 5, 10];
+const CLIENTS: [usize; 5] = [2, 3, 4, 5, 10];
+
+/// Every backend a release must agree with its oracle on.
+fn backends() -> [NetBackend; 2] {
+    [NetBackend::InProcess, NetBackend::tcp()]
+}
 const N: usize = 11;
 
 fn data(rows: usize, seed: u64) -> Matrix {
@@ -72,9 +74,9 @@ fn covariance_equals_the_quantized_oracle_at_every_threshold() {
 fn covariance_oracle_holds_over_tcp_and_per_element_frames() {
     let x = data(9, 2);
     let (gamma, mu) = (256.0, 25.0);
-    for p in [3usize, 5] {
+    for p in CLIENTS {
         let partition = ColumnPartition::even(N, p);
-        for backend in [NetBackend::InProcess, NetBackend::tcp()] {
+        for backend in backends() {
             let cfg = VflConfig::fast(p)
                 .with_seed(77)
                 .with_backend(backend.clone());
@@ -200,41 +202,15 @@ fn gradient_equals_a_replay_of_its_streams_at_every_threshold() {
     let (gamma, mu) = (128.0, 1e4);
     for p in CLIENTS {
         let partition = ColumnPartition::even(N, p);
-        let cfg = VflConfig::fast(p).with_seed(900 + p as u64);
-        let out = gradient_sum_skellam(&x, &partition, &batch, &w, gamma, mu, &cfg);
-        assert_eq!(out.stats.total.rounds, 2, "P={p}");
-
-        // Replay: per-party quantisation (column -> batch row), the public
-        // coefficients, Eq. 9 on integers, then per-party noise.
-        let mut q = vec![[0i128; N]; batch.len()]; // [record][column]
-        for client in 0..p {
-            let mut qrng = StdRng::seed_from_u64(cfg.seed() ^ (0x96AD_0000 + client as u64));
-            for j in partition.columns_of(client) {
-                for (slot, &i) in batch.iter().enumerate() {
-                    q[slot][j] = stochastic_round(&mut qrng, gamma * x[(i, j)]) as i128;
-                }
-            }
+        for backend in backends() {
+            let cfg = VflConfig::fast(p)
+                .with_seed(900 + p as u64)
+                .with_backend(backend.clone());
+            let out = gradient_sum_skellam(&x, &partition, &batch, &w, gamma, mu, &cfg);
+            assert_eq!(out.stats.total.rounds, 2, "P={p}");
+            let want = gradient_sum_oracle(&x, &partition, &batch, &w, gamma, mu, &cfg);
+            assert_eq!(out.grad_sum, want, "P={p} {backend:?}");
         }
-        let coeffs = quantize_lr_coeffs(&w, gamma, cfg.seed());
-        let mut grad = vec![0i128; d];
-        for row in &q {
-            let v: i128 = (0..d)
-                .map(|j| coeffs.w_quarter[j] as i128 * row[j])
-                .sum::<i128>()
-                - coeffs.label as i128 * row[d];
-            for (g, xk) in grad.iter_mut().zip(row) {
-                *g += (v + coeffs.half as i128) * xk;
-            }
-        }
-        for client in 0..p {
-            let mut nrng = StdRng::seed_from_u64(cfg.seed() ^ (0x5E11_B000 + client as u64));
-            for g in grad.iter_mut() {
-                *g += sample_skellam(&mut nrng, mu / p as f64) as i128;
-            }
-        }
-        let amp = gamma.powi(3);
-        let want: Vec<f64> = grad.iter().map(|&g| g as f64 / amp).collect();
-        assert_eq!(out.grad_sum, want, "P={p}");
     }
 }
 
@@ -244,28 +220,52 @@ fn column_sums_equal_a_replay_of_their_streams_at_every_threshold() {
     let (gamma, mu) = (1024.0, 50.0);
     for p in CLIENTS {
         let partition = ColumnPartition::even(N, p);
-        let cfg = VflConfig::fast(p).with_seed(300 + p as u64);
-        let out = column_sums_skellam(&x, &partition, gamma, mu, &cfg);
-        assert_eq!(out.stats.total.rounds, 2, "P={p}");
+        for backend in backends() {
+            let cfg = VflConfig::fast(p)
+                .with_seed(300 + p as u64)
+                .with_backend(backend.clone());
+            let out = column_sums_skellam(&x, &partition, gamma, mu, &cfg);
+            assert_eq!(out.stats.total.rounds, 2, "P={p}");
+            let want = column_sums_oracle(&x, &partition, gamma, mu, &cfg);
+            assert_eq!(out.sums_hat, want, "P={p} {backend:?}");
+        }
+    }
+}
 
-        let mut sums = [0i128; N];
-        for client in 0..p {
-            let mut qrng = StdRng::seed_from_u64(cfg.seed() ^ (0x3EA4_0000 + client as u64));
-            for j in partition.columns_of(client) {
-                sums[j] = quantize_vec(&mut qrng, &x.col(j), gamma)
-                    .into_iter()
-                    .map(|v| v as i128)
-                    .sum();
-            }
+/// The generic circuit path, GRR layers included: a cube (depth 2), a
+/// cross-owner product, a linear term and a constant, over two outputs.
+#[test]
+fn generic_equals_its_oracle_at_every_threshold() {
+    let x = data(5, 8);
+    let poly = Polynomial::new(
+        N,
+        vec![
+            vec![
+                Monomial::new(0.75, vec![(0, 3)]),
+                Monomial::new(-1.5, vec![(1, 1), (N - 1, 1)]),
+                Monomial::constant(0.25),
+            ],
+            vec![
+                Monomial::linear(2.0, 4),
+                Monomial::new(1.0, vec![(2, 1), (7, 1)]),
+            ],
+        ],
+    );
+    let (gamma, mu) = (64.0, 1e5);
+    for p in CLIENTS {
+        let partition = ColumnPartition::even(N, p);
+        for backend in backends() {
+            let cfg = VflConfig::fast(p)
+                .with_seed(700 + p as u64)
+                .with_backend(backend.clone());
+            let (values, stats) = eval_polynomial_skellam(&poly, &x, &partition, gamma, mu, &cfg);
+            assert_eq!(
+                stats.total.rounds, 4,
+                "P={p}: input + 2 GRR layers + masked sum"
+            );
+            let want = eval_polynomial_oracle(&poly, &x, &partition, gamma, mu, &cfg);
+            assert_eq!(values, want, "P={p} {backend:?}");
         }
-        for client in 0..p {
-            let mut nrng = StdRng::seed_from_u64(cfg.seed() ^ (0x5E11_D000 + client as u64));
-            for s in sums.iter_mut() {
-                *s += sample_skellam(&mut nrng, mu / p as f64) as i128;
-            }
-        }
-        let want: Vec<f64> = sums.iter().map(|&s| s as f64).collect();
-        assert_eq!(out.sums_hat, want, "P={p}");
     }
 }
 

@@ -63,7 +63,7 @@ fn main() {
     );
 
     // ---- 2. Joint fraud model via SQM-LR over BGW ------------------------
-    let lr_cfg = LrConfig::new(30, 0.25).with_lr(2.0).with_seed(23);
+    let lr_cfg = LrConfig::new(30, 0.25).with_lr(2.0);
     let mech = SqmLogReg::new(lr_cfg, 8192.0, eps, delta)
         .with_clients(3)
         .with_backend(LrBackend::Mpc(VflConfig::new(3).with_seed(29)));

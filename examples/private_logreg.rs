@@ -22,7 +22,7 @@ fn main() {
     );
 
     let (eps, delta) = (2.0, 1e-5);
-    let cfg = LrConfig::new(200, 0.05).with_lr(2.0).with_seed(11);
+    let cfg = LrConfig::new(200, 0.05).with_lr(2.0);
     println!(
         "privacy target (eps={eps}, delta={delta}); {} rounds at q={}",
         cfg.rounds, cfg.q

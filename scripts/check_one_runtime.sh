@@ -70,7 +70,15 @@
 #   * `fn add_gram` defined exactly once under crates/vfl/src (one Gram
 #     kernel, fed runs of triangle rows: own blocks and shared rows alike),
 #   * `fn quantize_columns` defined other than exactly once under
-#     crates/vfl/src (one column quantizer behind every input round).
+#     crates/vfl/src (one column quantizer behind every input round),
+#   * a deleted plaintext twin comes back: `covariance_skellam_plaintext` or
+#     `column_sums_skellam_plaintext` as a whole word under crates/, tests/
+#     or examples/, or `gradient_sum_skellam_plaintext` there anywhere but
+#     its definition (each release has one plaintext path, its bit-exact
+#     oracle; that name stays only as a wrapper for outside callers),
+#   * one of the ten protocol stream constants on more than one code line
+#     (comments aside) under crates/vfl/src: each release module names its
+#     streams once, in the helper its protocol body and its oracle share.
 #
 # And for the sharing kernel: `horner` anywhere in crates/mpc/src/shamir.rs
 # outside the body of `fn share_secret` (tests and docs included). The
@@ -218,6 +226,19 @@ expect "expected fn add_gram defined exactly once under crates/vfl/src (one Gram
 
 expect "expected fn quantize_columns defined exactly once under crates/vfl/src (one column quantizer)" 1 \
   "$(grep -rnw 'fn quantize_columns' crates/vfl/src || true)"
+word() { printf '(^|[^A-Za-z0-9_])(%s)([^A-Za-z0-9_]|$)' "$1"; }
+expect "a deleted plaintext twin is back (each release's plaintext path is its oracle)" 0 \
+  "$(non_test "$(word 'covariance_skellam_plaintext|column_sums_skellam_plaintext')" \
+    crates tests examples)"
+expect "gradient_sum_skellam_plaintext is called or named outside its definition" 0 \
+  "$(non_test "$(word gradient_sum_skellam_plaintext)" crates tests examples |
+    grep -v '^crates/vfl/src/gradient.rs:[0-9]*: *pub fn gradient_sum_skellam_plaintext<' || true)"
+for salt in 0xA11C_E000 0x5E11_A000 0x3EA4_0000 0x5E11_D000 0x96AD_0000 0x5E11_B000 \
+  0xC0EF_F1C1 0x9E4E_0000 0x5E11_C000 0xC0EF_0000; do
+  expect "stream constant $salt on more than one code line under crates/vfl/src" -1 \
+    "$(non_test "$salt" crates/vfl/src | grep -v '^[^:]*:[0-9]*: *//' || true)"
+done
+
 expect "horner outside fn share_secret in crates/mpc/src/shamir.rs (batch sharing runs on PrimeField::combine)" 0 \
   "$(awk '
     /fn share_secret[<(]/ { inside = 1 }

@@ -6,29 +6,27 @@ use rand::SeedableRng;
 use sqm::core::{Monomial, Polynomial};
 use sqm::datasets::SpectralSpec;
 use sqm::linalg::Matrix;
-use sqm::vfl::covariance::{covariance_skellam, covariance_skellam_plaintext};
+use sqm::vfl::covariance::{covariance_quantized_oracle, covariance_skellam};
 use sqm::vfl::gradient::gradient_sum_skellam;
 use sqm::vfl::{eval_polynomial_skellam, ColumnPartition, VflConfig};
 use std::time::Duration;
 
-/// The BGW covariance equals the plaintext integer computation up to
-/// quantization randomness (and exactly equals the true Gram matrix scaled
-/// by gamma^2, up to rounding, when mu = 0).
+/// The BGW covariance equals its plaintext oracle at the same config
+/// exactly (and the true Gram matrix scaled by gamma^2, up to rounding,
+/// when mu = 0).
 #[test]
 fn mpc_covariance_cross_check() {
     let data = SpectralSpec::new(40, 8).with_seed(11).generate();
     let partition = ColumnPartition::even(8, 4);
     let gamma = 8192.0;
-    let out = covariance_skellam(&data, &partition, gamma, 0.0, &VflConfig::fast(4));
+    let cfg = VflConfig::fast(4);
+    let out = covariance_skellam(&data, &partition, gamma, 0.0, &cfg);
     let scaled = out.c_hat.scaled(1.0 / (gamma * gamma));
     let err = scaled.sub(&data.gram()).frobenius_norm() / data.gram().frobenius_norm();
     assert!(err < 1e-3, "relative error {err}");
 
-    let mut rng = StdRng::seed_from_u64(1);
-    let plain =
-        covariance_skellam_plaintext(&mut rng, &data, gamma, 0.0, 4).scaled(1.0 / (gamma * gamma));
-    let diff = scaled.sub(&plain).frobenius_norm() / plain.frobenius_norm();
-    assert!(diff < 1e-3, "plaintext/MPC divergence {diff}");
+    let plain = covariance_quantized_oracle(&data, &partition, gamma, 0.0, &cfg);
+    assert_eq!(out.c_hat, plain, "plaintext/MPC divergence");
 }
 
 /// Generic circuit path agrees with the covariance fast path.

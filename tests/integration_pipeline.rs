@@ -80,14 +80,14 @@ fn logreg_accuracy_ordering_matches_figure3() {
         .with_seed(5)
         .generate()
         .split(0.8, 0);
-    let cfg = LrConfig::new(150, 0.05).with_lr(2.0).with_seed(1);
+    let cfg = LrConfig::new(150, 0.05).with_lr(2.0);
     let (eps, delta) = (4.0, 1e-5);
     let mut rng = StdRng::seed_from_u64(2);
 
     let reps = 3;
     let mut a = [0.0f64; 4]; // [ceiling, dpsgd, sqm, local]
-    for r in 0..reps {
-        let c = cfg.clone().with_seed(r as u64);
+    for _ in 0..reps {
+        let c = cfg.clone();
         a[0] += accuracy(
             &NonPrivateLogReg::new(c.clone()).fit(&mut rng, &train),
             &test,
