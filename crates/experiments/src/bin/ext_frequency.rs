@@ -11,7 +11,7 @@ use sqm::tasks::histogram::{
     exact_contingency, l1_error, tv_distance, Categorical, GaussianHistogram, SqmContingency,
     SqmHistogram,
 };
-use sqm_experiments::{fmt_pm, mean_std, obsout, parse_options};
+use sqm_experiments::{cell_rng, fmt_pm, mean_std, obsout, parse_options};
 
 fn skewed(m: usize, k: usize, seed: u64) -> Categorical {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -38,35 +38,24 @@ fn main() {
         "{:>8} {:>22} {:>22} {:>14}",
         "eps", "SQM (gamma=2^13)", "central Gaussian", "SQM TV dist"
     );
+    let runs = opts.runs.max(3) as u64;
     for eps in [0.25f64, 1.0, 4.0] {
-        let mut rng = StdRng::seed_from_u64(opts.seed ^ eps.to_bits());
-        let runs = opts.runs.max(3);
-        let sqm: Vec<f64> = (0..runs)
-            .map(|_| {
-                l1_error(
-                    &SqmHistogram::new(8192.0, eps, 1e-5).estimate(&mut rng, &data),
-                    &truth,
-                )
-            })
+        // Each mechanism draws from its own stream per (eps, run), so a
+        // change to one mechanism leaves the other's column unmoved.
+        let rng = |mechanism: &str, run: u64| cell_rng(opts.seed, mechanism, eps, run, "histogram");
+        let sqm: Vec<Vec<f64>> = (0..runs)
+            .map(|run| SqmHistogram::new(8192.0, eps, 1e-5).estimate(&mut rng("sqm", run), &data))
             .collect();
         let central: Vec<f64> = (0..runs)
-            .map(|_| {
-                l1_error(
-                    &GaussianHistogram::new(eps, 1e-5).estimate(&mut rng, &data),
-                    &truth,
-                )
+            .map(|run| {
+                let est =
+                    GaussianHistogram::new(eps, 1e-5).estimate(&mut rng("central", run), &data);
+                l1_error(&est, &truth)
             })
             .collect();
-        let tv: f64 = (0..runs)
-            .map(|_| {
-                tv_distance(
-                    &SqmHistogram::new(8192.0, eps, 1e-5).estimate(&mut rng, &data),
-                    &truth,
-                )
-            })
-            .sum::<f64>()
-            / runs as f64;
-        let (sm, ss) = mean_std(&sqm);
+        let l1: Vec<f64> = sqm.iter().map(|est| l1_error(est, &truth)).collect();
+        let tv = sqm.iter().map(|est| tv_distance(est, &truth)).sum::<f64>() / runs as f64;
+        let (sm, ss) = mean_std(&l1);
         let (cm, cs) = mean_std(&central);
         println!(
             "{eps:>8.2} {:>22} {:>22} {tv:>14.5}",
@@ -81,10 +70,9 @@ fn main() {
     let t_truth = exact_contingency(&a, &b);
     println!("{:>8} {:>24}", "eps", "rel. Frobenius error");
     for eps in [1.0f64, 4.0, 16.0] {
-        let mut rng = StdRng::seed_from_u64(opts.seed ^ eps.to_bits() ^ 7);
-        let runs = opts.runs.max(3);
         let errs: Vec<f64> = (0..runs)
-            .map(|_| {
+            .map(|run| {
+                let mut rng = cell_rng(opts.seed, "sqm", eps, run, "contingency");
                 let est = SqmContingency::new(8192.0, eps, 1e-5).estimate(&mut rng, &a, &b);
                 est.sub(&t_truth).frobenius_norm() / t_truth.frobenius_norm()
             })

@@ -331,10 +331,9 @@ impl<F: PrimeField> Circuit<F> {
             }
         };
 
-        // Width-parallel gate scheduling: the mul gates of each sequential
+        // Width-batched gate scheduling: the mul gates of each sequential
         // level are grouped once up front; each level's independent local
-        // products are computed (across the engine's worker pool when the
-        // batch is wide) and shared/reduced in a single round.
+        // products are shared/reduced in a single round.
         let schedule = self.mul_schedule();
         local_pass(&mut values);
         for (li, batch) in schedule.iter().enumerate() {
@@ -342,33 +341,17 @@ impl<F: PrimeField> Circuit<F> {
             if batch.is_empty() {
                 continue;
             }
-            let gate_product = |i: usize, values: &[Option<F>]| match self.gates[i] {
-                Gate::Mul(a, b) => {
-                    let x = values[a.0].expect("mul operand not ready");
-                    let y = values[b.0].expect("mul operand not ready");
-                    x * y
-                }
-                _ => unreachable!("mul schedule lists only Mul gates"),
-            };
-            let opts = ctx.batch_options();
-            let locals: Vec<F> = if opts.parallel(batch.len()) {
-                let mut out = vec![F::ZERO; batch.len()];
-                let chunk = batch.len().div_ceil(opts.workers);
-                std::thread::scope(|s| {
-                    let values = &values;
-                    let gate_product = &gate_product;
-                    for (slice, idxs) in out.chunks_mut(chunk).zip(batch.chunks(chunk)) {
-                        s.spawn(move || {
-                            for (o, &i) in slice.iter_mut().zip(idxs) {
-                                *o = gate_product(i, values);
-                            }
-                        });
+            let locals: Vec<F> = batch
+                .iter()
+                .map(|&i| match self.gates[i] {
+                    Gate::Mul(a, b) => {
+                        let x = values[a.0].expect("mul operand not ready");
+                        let y = values[b.0].expect("mul operand not ready");
+                        x * y
                     }
-                });
-                out
-            } else {
-                batch.iter().map(|&i| gate_product(i, &values)).collect()
-            };
+                    _ => unreachable!("mul schedule lists only Mul gates"),
+                })
+                .collect();
             if let Some(prof) = ctx.profiler() {
                 prof.record(
                     &format!("circuit;mul;layer{level:04}"),
@@ -552,54 +535,6 @@ mod tests {
                 assert!(batch.windows(2).all(|w| w[0] < w[1]));
             }
         }
-    }
-
-    #[test]
-    fn eval_mpc_identical_across_batching_modes() {
-        use crate::engine::BatchOptions;
-        // Deep + wide circuit: (prod of 8 factors) plus 16 independent
-        // pair-products, evaluated with every gate layer inline and with
-        // the worker pool forced on for every layer.
-        let mut b = CircuitBuilder::<M61>::new(3);
-        let factors: Vec<Wire> = (0..8).map(|k| b.input(k % 3)).collect();
-        let p = b.product(&factors);
-        b.output(p);
-        for _ in 0..16 {
-            let x = b.input(0);
-            let y = b.input(1);
-            let q = b.mul(x, y);
-            b.output(q);
-        }
-        let c = b.build();
-        let inputs_of = |id: usize| -> Vec<M61> {
-            (0..c.input_counts()[id] as u64)
-                .map(|k| M61::from_u64(2 + k % 5))
-                .collect()
-        };
-        let run = |workers: usize| {
-            let cfg = MpcConfig {
-                batching: BatchOptions {
-                    workers,
-                    min_parallel_width: 1,
-                },
-                ..MpcConfig::semi_honest(3).with_latency(Duration::ZERO)
-            };
-            let c = c.clone();
-            MpcEngine::new(cfg).run::<M61, _, _>(move |ctx| {
-                let shares = c.eval_mpc(ctx, &inputs_of(ctx.id));
-                ctx.open(&shares)
-            })
-        };
-        let inline = run(1);
-        let pooled = run(3);
-        assert_eq!(inline.outputs, pooled.outputs);
-        let (a, b) = (&inline.stats.total, &pooled.stats.total);
-        assert_eq!(
-            (a.rounds, a.messages, a.bytes, a.elems),
-            (b.rounds, b.messages, b.bytes, b.elems)
-        );
-        let expect = c.eval_plain(&[inputs_of(0), inputs_of(1), inputs_of(2)]);
-        assert_eq!(inline.outputs[0], expect);
     }
 
     #[test]

@@ -5,9 +5,9 @@
 //! exchange), each party executing it against its own [`PartyCtx`]. The
 //! context exposes the BGW operations SQM needs:
 //!
-//! * linear operations on shares (local, free);
-//! * batched multiplication and inner products with GRR degree reduction
-//!   (one communication round per batch, `t < n/2`);
+//! * scaling shares by a public constant (local, free);
+//! * batched multiplication by GRR degree reduction (one communication
+//!   round per batch, `t < n/2`);
 //! * input sharing (single-owner and simultaneous all-party);
 //! * opening to every party (reconstruction from all `n` shares — valid
 //!   for any sharing of degree at most `2t`, since `2t < n`);
@@ -38,46 +38,8 @@ use sqm_obs::trace::Trace;
 
 use crate::chacha::PairStream;
 use crate::runtime::{run_once, PartyLink, PartyPool, Program};
-use crate::shamir::{combine_each, lagrange_at_zero, share_secrets_batch};
+use crate::shamir::{lagrange_at_zero, share_secrets};
 use sqm_obs::round::RunStats;
-
-/// Sizing of the per-party worker pool for wide local arithmetic.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct BatchOptions {
-    /// Size of the per-party worker pool that wide batches of polynomial
-    /// evaluations and Lagrange recombinations split across. `1` keeps all
-    /// arithmetic on the party thread.
-    pub workers: usize,
-    /// Minimum batch width (field elements) before the worker pool is
-    /// engaged; narrower batches run inline, where thread hand-off would
-    /// cost more than it saves.
-    pub min_parallel_width: usize,
-}
-
-impl Default for BatchOptions {
-    /// Sized for the SPMD engine, where every party is already a thread:
-    /// the pool only helps once the machine has cores to spare beyond the
-    /// party threads, so the default halves the available parallelism and
-    /// caps it at 4 — on small containers (1-2 cores) it degenerates to
-    /// `workers: 1` and all arithmetic stays inline. Results are
-    /// bit-identical for every worker count; this knob is wall-clock only.
-    fn default() -> Self {
-        let cores = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        BatchOptions {
-            workers: (cores / 2).clamp(1, 4),
-            min_parallel_width: 1024,
-        }
-    }
-}
-
-impl BatchOptions {
-    /// Should a batch of `width` elements use the worker pool?
-    pub(crate) fn parallel(&self, width: usize) -> bool {
-        self.workers > 1 && width >= self.min_parallel_width.max(2)
-    }
-}
 
 /// Configuration of a BGW session.
 #[derive(Clone, Debug)]
@@ -113,10 +75,6 @@ pub struct MpcConfig {
     /// unprofiled: the run touches no profiler and builds no path string.
     /// Protocol bits and [`RunStats`] are identical either way.
     pub prof: Option<Arc<Profiler>>,
-    /// Worker-pool sizing for wide share/recombine batches (see
-    /// [`BatchOptions`]). Wall-clock only: results are bit-identical for
-    /// every setting.
-    pub batching: BatchOptions,
 }
 
 impl MpcConfig {
@@ -143,7 +101,6 @@ impl MpcConfig {
             faults: None,
             live: None,
             prof: None,
-            batching: BatchOptions::default(),
         }
     }
 
@@ -191,10 +148,6 @@ impl MpcConfig {
 
     fn validate(&self) {
         assert!(self.n_parties >= 2, "need at least 2 parties");
-        assert!(
-            self.batching.workers >= 1,
-            "batching needs at least one worker"
-        );
         assert!(
             2 * self.threshold < self.n_parties,
             "BGW multiplication requires 2t < n (t={}, n={})",
@@ -345,7 +298,7 @@ impl MpcEngine {
         F: PrimeField,
     {
         let (n, t) = (self.config.n_parties, self.config.threshold);
-        let (seed, batching) = (self.config.seed, self.config.batching);
+        let seed = self.config.seed;
         let points: Vec<usize> = (0..n).collect();
         let lagrange_all = lagrange_at_zero::<F>(&points);
         // A degree-2t product is fixed by any 2t + 1 of its n evaluations:
@@ -382,7 +335,6 @@ impl MpcEngine {
                 link,
                 lagrange_all: lagrange_all.clone(),
                 lagrange_without: lagrange_without.iter().map(|row| row[id]).collect(),
-                batching,
                 seed,
             };
             let out = program(&mut ctx, state);
@@ -409,7 +361,6 @@ pub struct PartyCtx<F: PrimeField> {
     /// `lagrange_without[j]`: this party's weight over every point but
     /// party `j`'s (empty when `n = 2t + 1` leaves no spare point).
     lagrange_without: Vec<F>,
-    batching: BatchOptions,
     /// The session seed the pair-mask keys derive from.
     seed: u64,
 }
@@ -424,13 +375,6 @@ impl<F: PrimeField> PartyCtx<F> {
     /// The party's private randomness stream (share polynomials etc.).
     pub fn rng(&mut self) -> &mut StdRng {
         &mut self.rng
-    }
-
-    /// The run's worker-pool options. Callers scheduling their own wide
-    /// local arithmetic (e.g. the circuit evaluator's gate layers) use this
-    /// to match the engine's parallelism policy.
-    pub fn batch_options(&self) -> BatchOptions {
-        self.batching
     }
 
     /// The run's cost profiler, for attributing protocol-level work; `None`
@@ -450,32 +394,19 @@ impl<F: PrimeField> PartyCtx<F> {
     /// Share a whole vector with fresh degree-`degree` polynomials:
     /// party-major shares of `values`.
     fn share_vector(&mut self, values: &[F], degree: usize) -> Vec<Vec<F>> {
-        share_secrets_batch(
-            &mut self.rng,
-            values,
-            degree,
-            self.n,
-            self.batching.workers,
-            self.batching.min_parallel_width,
-        )
+        share_secrets(&mut self.rng, values, degree, self.n)
     }
 
     /// Lagrange recombination `out[k] = sum_i lambda_i * incoming[i][k]`:
-    /// the [`PrimeField::combine`] kernel sharing runs on, its width split
-    /// across the worker pool when the batch is wide. The field is exact, so
-    /// the result is bit-identical for every worker count.
+    /// the [`PrimeField::combine`] kernel sharing runs on.
     fn recombine(&self, incoming: &[Vec<F>], len: usize, what: &str) -> Vec<F> {
         for (i, inc) in incoming.iter().enumerate() {
             assert_eq!(inc.len(), len, "{what}: party {i} sent wrong share count");
         }
         let rows: Vec<&[F]> = incoming.iter().map(Vec::as_slice).collect();
-        let workers = if self.batching.parallel(len) {
-            self.batching.workers
-        } else {
-            1
-        };
-        let weights = std::slice::from_ref(&self.lagrange_all);
-        combine_each(weights, &rows, workers).remove(0)
+        let mut out = vec![F::ZERO; len];
+        F::combine(&self.lagrange_all, &rows, &mut out);
+        out
     }
 
     // ----- input sharing ---------------------------------------------------
@@ -539,32 +470,9 @@ impl<F: PrimeField> PartyCtx<F> {
 
     // ----- linear operations (local, no communication) ---------------------
 
-    /// `[a] + [b]` element-wise.
-    pub fn add(&self, a: &[F], b: &[F]) -> Vec<F> {
-        assert_eq!(a.len(), b.len());
-        a.iter().zip(b).map(|(&x, &y)| x + y).collect()
-    }
-
-    /// `[a] - [b]` element-wise.
-    pub fn sub(&self, a: &[F], b: &[F]) -> Vec<F> {
-        assert_eq!(a.len(), b.len());
-        a.iter().zip(b).map(|(&x, &y)| x - y).collect()
-    }
-
     /// Multiply shares by a public constant.
     pub fn scale_public(&self, a: &[F], c: F) -> Vec<F> {
         a.iter().map(|&x| x * c).collect()
-    }
-
-    /// Add a public constant to each shared secret. Every party adds `c`
-    /// to its share (shifts the polynomial's constant term).
-    pub fn add_public(&self, a: &[F], c: F) -> Vec<F> {
-        a.iter().map(|&x| x + c).collect()
-    }
-
-    /// Sum a share vector into a single share of the sum of the secrets.
-    pub fn sum(&self, a: &[F]) -> F {
-        a.iter().fold(F::ZERO, |acc, &x| acc + x)
     }
 
     // ----- multiplication (one round per batch) -----------------------------
@@ -596,21 +504,6 @@ impl<F: PrimeField> PartyCtx<F> {
         assert_eq!(a.len(), b.len());
         let local: Vec<F> = a.iter().zip(b).map(|(&x, &y)| x * y).collect();
         self.reduce_degree(&local)
-    }
-
-    /// Inner product `<[a], [b]>` with a *single* degree reduction: the local
-    /// products are summed while still at degree `2t` (addition is free at
-    /// any degree), so communication is one field element per party pair
-    /// regardless of the vector length. This is the trick that makes
-    /// covariance computation communication-cheap.
-    pub fn inner_product(&mut self, a: &[F], b: &[F]) -> F {
-        self.reduce_degree(&[F::dot(a, b)])[0]
-    }
-
-    /// Batched inner products: `out[k] = <a[k], b[k]>`, one round total.
-    pub fn inner_products(&mut self, pairs: &[(&[F], &[F])]) -> Vec<F> {
-        let locals: Vec<F> = pairs.iter().map(|(a, b)| F::dot(a, b)).collect();
-        self.reduce_degree(&locals)
     }
 
     // ----- opening ----------------------------------------------------------
@@ -720,9 +613,9 @@ mod tests {
                 (ctx.id == 1).then(|| vec![M61::from_u64(4)]).as_deref(),
                 1,
             );
-            let c = ctx.add(&a, &b);
+            let c: Vec<M61> = a.iter().zip(&b).map(|(&x, &y)| x + y).collect();
             let d = ctx.scale_public(&c, M61::from_u64(3));
-            let e = ctx.add_public(&d, M61::from_u64(1));
+            let e: Vec<M61> = d.iter().map(|&x| x + M61::ONE).collect();
             ctx.open(&e)
         });
         for out in run.outputs {
@@ -760,34 +653,6 @@ mod tests {
     }
 
     #[test]
-    fn inner_product_single_round() {
-        let run = engine(4).run::<M61, _, _>(|ctx| {
-            let a = ctx.share_input(
-                0,
-                (ctx.id == 0)
-                    .then(|| (1..=100u64).map(M61::from_u64).collect::<Vec<_>>())
-                    .as_deref(),
-                100,
-            );
-            let b = ctx.share_input(
-                1,
-                (ctx.id == 1)
-                    .then(|| vec![M61::from_u64(2); 100])
-                    .as_deref(),
-                100,
-            );
-            let ip = ctx.inner_product(&a, &b);
-            ctx.open(&[ip])
-        });
-        // 2 * sum(1..=100) = 10100.
-        for out in run.outputs {
-            assert_eq!(out[0].to_canonical(), 10_100);
-        }
-        // share a, share b, reduce, open = 4 rounds for 100-element vectors.
-        assert_eq!(run.stats.total.rounds, 4);
-    }
-
-    #[test]
     fn repeated_multiplication_chains() {
         // x^4 via two squarings on shares.
         let run = engine(5).run::<M61, _, _>(|ctx| {
@@ -817,7 +682,7 @@ mod tests {
             // Sum all contributions (a sharing of the element-wise total).
             let mut acc = vec![M61::ZERO; 2];
             for c in contributions {
-                acc = ctx.add(&acc, &c);
+                acc = acc.iter().zip(&c).map(|(&x, &y)| x + y).collect();
             }
             ctx.open(&acc)
         });
@@ -826,32 +691,6 @@ mod tests {
             assert_eq!(out[1].to_canonical(), 2 * (1 + 2 + 3));
         }
         assert_eq!(run.stats.total.rounds, 2); // share_all + open
-    }
-
-    #[test]
-    fn batched_inner_products() {
-        let run = engine(3).run::<M61, _, _>(|ctx| {
-            let a = ctx.share_input(
-                0,
-                (ctx.id == 0)
-                    .then(|| vec![M61::from_u64(1), M61::from_u64(2)])
-                    .as_deref(),
-                2,
-            );
-            let b = ctx.share_input(
-                1,
-                (ctx.id == 1)
-                    .then(|| vec![M61::from_u64(10), M61::from_u64(20)])
-                    .as_deref(),
-                2,
-            );
-            let ips = ctx.inner_products(&[(&a[..], &b[..]), (&a[..1], &a[..1])]);
-            ctx.open(&ips)
-        });
-        for out in run.outputs {
-            assert_eq!(out[0].to_canonical(), 50); // 1*10 + 2*20
-            assert_eq!(out[1].to_canonical(), 1); // 1*1
-        }
     }
 
     #[test]
@@ -880,7 +719,7 @@ mod tests {
             let z = ctx.share_all(&[M61::from_u64(ctx.id as u64)]);
             let mut acc = x;
             for c in z {
-                acc = ctx.add(&acc, &c);
+                acc = acc.iter().zip(&c).map(|(&x, &y)| x + y).collect();
             }
             ctx.set_phase("open");
             ctx.open(&acc)
@@ -920,7 +759,6 @@ mod tests {
             faults: None,
             live: None,
             prof: None,
-            batching: BatchOptions::default(),
         });
     }
 
@@ -1272,53 +1110,6 @@ mod tests {
             ctx.open(&x)
         });
         assert!(run.trace.is_none());
-    }
-
-    #[test]
-    fn worker_pool_width_does_not_change_results() {
-        // Any worker count / parallelism threshold must produce the exact
-        // same run: the RNG draws are serialized before the pool fans out.
-        let program = |ctx: &mut PartyCtx<M61>| {
-            let a = ctx.share_input(
-                0,
-                (ctx.id == 0)
-                    .then(|| (0..777u64).map(M61::from_u64).collect::<Vec<_>>())
-                    .as_deref(),
-                777,
-            );
-            let sq = ctx.mul(&a, &a);
-            ctx.open(&sq)
-        };
-        let base = MpcConfig::semi_honest(5).with_latency(Duration::ZERO);
-        let golden = MpcEngine::new(base.clone()).run::<M61, _, _>(program);
-        for opts in [
-            BatchOptions {
-                workers: 1,
-                min_parallel_width: 1,
-            },
-            BatchOptions {
-                workers: 2,
-                min_parallel_width: 0,
-            },
-            BatchOptions {
-                workers: 7,
-                min_parallel_width: 10,
-            },
-            BatchOptions {
-                workers: 4,
-                min_parallel_width: 1_000_000,
-            },
-        ] {
-            let cfg = MpcConfig {
-                batching: opts,
-                ..base.clone()
-            };
-            let run = MpcEngine::new(cfg).run::<M61, _, _>(program);
-            assert_eq!(run.outputs, golden.outputs, "{opts:?}");
-            assert_eq!(run.stats.total.messages, golden.stats.total.messages);
-            assert_eq!(run.stats.total.bytes, golden.stats.total.bytes);
-            assert_eq!(run.stats.total.elems, golden.stats.total.elems);
-        }
     }
 
     #[test]

@@ -48,9 +48,9 @@ pub mod shamir;
 
 pub use sqm_net as net;
 
-pub use engine::{BatchOptions, MpcConfig, MpcEngine, MpcRun, PartyCtx, RECEIVER};
+pub use engine::{MpcConfig, MpcEngine, MpcRun, PartyCtx, RECEIVER};
 pub use runtime::PartyPool;
-pub use shamir::{reconstruct, share_secret, share_secrets_batch, ShamirShare};
+pub use shamir::{reconstruct, share_secret, share_secrets, ShamirShare};
 pub use sqm_net::fault::{CrashPoint, FaultSpec};
 pub use sqm_net::transport::NetBackend;
 pub use sqm_net::{TcpOptions, TransportError};

@@ -23,7 +23,7 @@ pub type ShamirShare<F> = F;
 
 /// Split `secret` into `n` shares with threshold `t` (degree-`t` polynomial;
 /// any `t+1` shares reconstruct, any `t` reveal nothing). The scalar
-/// specification: the engine shares through [`share_secrets_batch`], which
+/// specification: the engine shares through [`share_secrets`], which
 /// the tests and benches hold against this function.
 pub fn share_secret<F: PrimeField, R: Rng + ?Sized>(
     rng: &mut R,
@@ -52,20 +52,15 @@ pub fn share_secret<F: PrimeField, R: Rng + ?Sized>(
 /// is bit-identical to calling [`share_secret`] once per secret. Plane 0 is
 /// `secrets` itself. Party `j`'s vector is then written once, as
 /// [`PrimeField::combine`] of its Vandermonde row `[1, x, .., x^t]`
-/// (`x = j + 1`) against the planes. Once the batch is at least
-/// `min_parallel_width` secrets wide, `workers` scoped threads split the
-/// width of every party's vector (thread hand-off costs more than it saves
-/// on narrow batches); the draws stay on the calling thread.
+/// (`x = j + 1`) against the planes, on the calling thread.
 ///
 /// Returns party-major shares: `out[j][k]` is party `j`'s share of
 /// `secrets[k]`.
-pub fn share_secrets_batch<F: PrimeField, R: Rng + ?Sized>(
+pub fn share_secrets<F: PrimeField, R: Rng + ?Sized>(
     rng: &mut R,
     secrets: &[F],
     t: usize,
     n: usize,
-    workers: usize,
-    min_parallel_width: usize,
 ) -> Vec<Vec<F>> {
     assert!(n >= 1, "need at least one party");
     assert!(t < n, "threshold t={t} must be below the party count n={n}");
@@ -78,13 +73,27 @@ pub fn share_secrets_batch<F: PrimeField, R: Rng + ?Sized>(
     let rows: Vec<&[F]> = std::iter::once(secrets)
         .chain(planes.iter().map(Vec::as_slice))
         .collect();
-    let vandermonde: Vec<Vec<F>> = (0..n).map(|j| vandermonde_row(j, t)).collect();
-    let workers = if secrets.len() >= min_parallel_width {
-        workers
-    } else {
-        1
-    };
-    combine_each(&vandermonde, &rows, workers)
+    (0..n)
+        .map(|j| {
+            let mut out = vec![F::ZERO; secrets.len()];
+            F::combine(&vandermonde_row(j, t), &rows, &mut out);
+            out
+        })
+        .collect()
+}
+
+/// [`share_secrets`] under the signature `benchmark/` calls. The last two
+/// arguments are ignored: they sized a per-party worker pool that no
+/// longer exists, and the benchmark passes `1, usize::MAX`.
+pub fn share_secrets_batch<F: PrimeField, R: Rng + ?Sized>(
+    rng: &mut R,
+    secrets: &[F],
+    t: usize,
+    n: usize,
+    _workers: usize,
+    _min_width: usize,
+) -> Vec<Vec<F>> {
+    share_secrets(rng, secrets, t, n)
 }
 
 /// Party `j`'s evaluation point `x = j + 1` raised to `0..=t`: the weights
@@ -94,45 +103,6 @@ fn vandermonde_row<F: PrimeField>(j: usize, t: usize) -> Vec<F> {
     std::iter::successors(Some(F::ONE), |&power| Some(power * x))
         .take(t + 1)
         .collect()
-}
-
-/// `out[o] = combine(weights[o], rows)` for every weight vector: one
-/// [`PrimeField::combine`] per output, the width split across `workers`
-/// scoped threads when there are at least two (each thread takes the same
-/// slice of every output). The field is exact, so every split gives the
-/// same elements.
-pub(crate) fn combine_each<F: PrimeField>(
-    weights: &[Vec<F>],
-    rows: &[&[F]],
-    workers: usize,
-) -> Vec<Vec<F>> {
-    let width = rows.first().map_or(0, |row| row.len());
-    let mut outs = vec![vec![F::ZERO; width]; weights.len()];
-    if workers < 2 || width < 2 {
-        for (w, out) in weights.iter().zip(&mut outs) {
-            F::combine(w, rows, out);
-        }
-        return outs;
-    }
-    let chunk = width.div_ceil(workers);
-    let mut slices: Vec<Vec<&mut [F]>> = (0..width.div_ceil(chunk)).map(|_| Vec::new()).collect();
-    for out in &mut outs {
-        for (slice, piece) in slices.iter_mut().zip(out.chunks_mut(chunk)) {
-            slice.push(piece);
-        }
-    }
-    std::thread::scope(|s| {
-        for (c, pieces) in slices.into_iter().enumerate() {
-            s.spawn(move || {
-                let span = c * chunk..(c * chunk + chunk).min(width);
-                let rows: Vec<&[F]> = rows.iter().map(|row| &row[span.clone()]).collect();
-                for (w, piece) in weights.iter().zip(pieces) {
-                    F::combine(w, &rows, piece);
-                }
-            });
-        }
-    });
-    outs
 }
 
 /// Lagrange coefficients for interpolating at 0 from evaluation points
@@ -300,19 +270,16 @@ mod tests {
                             per_party_scalar[j].push(s);
                         }
                     }
-                    for (workers, min_width) in [(1, 0), (2, 0), (7, 0), (7, 64), (2, usize::MAX)] {
-                        let at = format!("t={t} n={n} width={width} workers={workers}/{min_width}");
-                        let mut batch_rng = StdRng::seed_from_u64(seed);
-                        let batch =
-                            share_secrets_batch(&mut batch_rng, &secrets, t, n, workers, min_width);
-                        assert_eq!(batch, per_party_scalar, "{at}");
-                        // Both paths must leave the RNG in the same state.
-                        assert_eq!(
-                            rand::Rng::gen::<u64>(&mut batch_rng),
-                            rand::Rng::gen::<u64>(&mut scalar_rng.clone()),
-                            "{at}"
-                        );
-                    }
+                    let at = format!("t={t} n={n} width={width}");
+                    let mut batch_rng = StdRng::seed_from_u64(seed);
+                    let batch = share_secrets(&mut batch_rng, &secrets, t, n);
+                    assert_eq!(batch, per_party_scalar, "{at}");
+                    // Both paths must leave the RNG in the same state.
+                    assert_eq!(
+                        rand::Rng::gen::<u64>(&mut batch_rng),
+                        rand::Rng::gen::<u64>(&mut scalar_rng),
+                        "{at}"
+                    );
                 }
             }
         }
@@ -328,7 +295,7 @@ mod tests {
     fn batch_shares_reconstruct() {
         let mut rng = StdRng::seed_from_u64(11);
         let secrets: Vec<M61> = (0..300u64).map(M61::from_u64).collect();
-        let per_party = share_secrets_batch(&mut rng, &secrets, 2, 5, 4, 16);
+        let per_party = share_secrets(&mut rng, &secrets, 2, 5);
         for (k, &s) in secrets.iter().enumerate() {
             let pairs: Vec<(usize, M61)> = (0..5).map(|j| (j, per_party[j][k])).collect();
             assert_eq!(reconstruct(&pairs[..3]), s, "secret {k}");

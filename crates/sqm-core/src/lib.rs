@@ -15,10 +15,10 @@
 //! 3. **Local noise sampling** — each client draws `Sk(mu/n)`; the aggregate
 //!    is `Sk(mu)` by closure under convolution.
 //! 4. **Secure evaluation** — the clients run MPC (see `sqm-vfl`) to compute
-//!    the quantized polynomial sum with the aggregate noise folded in; this
-//!    crate's [`mechanism`] module provides the *output-equivalent plaintext
-//!    simulation* used for statistical experiments (identical output law,
-//!    since MPC reveals exactly the perturbed sum).
+//!    the quantized polynomial sum with the aggregate noise folded in. Its
+//!    plaintext path is `sqm_vfl::eval_polynomial_oracle`, which replays
+//!    the release's streams and predicts, bit for bit, the value the MPC
+//!    run opens at the same seed (the statistical experiments run on it).
 //! 5. **Post-processing** — the server divides by `gamma^(lambda+1)`
 //!    (`gamma^lambda` in the monomial-only Algorithm 1).
 //!
@@ -29,14 +29,10 @@
 pub mod approx;
 pub mod baseline;
 pub mod confidence;
-pub mod mechanism;
 pub mod polynomial;
 pub mod quantize;
 pub mod sensitivity;
 
-pub use mechanism::{sqm_monomial, sqm_polynomial, SqmParams};
 pub use polynomial::{Monomial, Polynomial};
-pub use quantize::{
-    quantize_matrix, quantize_polynomial, quantize_value, quantize_vec, QuantizedPolynomial,
-};
+pub use quantize::{quantize_polynomial, quantize_value, quantize_vec, QuantizedPolynomial};
 pub use sensitivity::{lr_sensitivity, pca_sensitivity};

@@ -73,21 +73,6 @@ impl Monomial {
                 .map(|&(v, e)| x[v].powi(e as i32))
                 .product::<f64>()
     }
-
-    /// Evaluate the *variable part* (without the coefficient) on an
-    /// integer-valued record, in `i128`. Panics on overflow — the caller is
-    /// responsible for choosing a representation with enough headroom.
-    pub fn eval_vars_i128(&self, x: &[i64]) -> i128 {
-        let mut acc: i128 = 1;
-        for &(v, e) in &self.exponents {
-            for _ in 0..e {
-                acc = acc
-                    .checked_mul(x[v] as i128)
-                    .expect("monomial evaluation overflowed i128");
-            }
-        }
-        acc
-    }
 }
 
 /// A `d`-dimensional polynomial over `n` variables (Eq. 6).
@@ -195,6 +180,7 @@ impl Polynomial {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::quantize::QuantizedMonomial;
 
     #[test]
     fn monomial_degree_and_eval() {
@@ -222,8 +208,11 @@ mod tests {
 
     #[test]
     fn integer_evaluation() {
-        let m = Monomial::new(3.0, vec![(0, 2), (1, 1)]);
-        assert_eq!(m.eval_vars_i128(&[-3, 5]), 45); // (-3)^2 * 5, no coeff
+        let m = QuantizedMonomial {
+            coeff: 3,
+            exponents: vec![(0, 2), (1, 1)],
+        };
+        assert_eq!(m.eval_i128(&[-3, 5]), 135); // 3 * (-3)^2 * 5
     }
 
     #[test]
@@ -285,7 +274,10 @@ mod tests {
     #[test]
     #[should_panic(expected = "overflowed")]
     fn integer_eval_overflow_panics() {
-        let m = Monomial::new(1.0, vec![(0, 3)]);
-        m.eval_vars_i128(&[i64::MAX]);
+        let m = QuantizedMonomial {
+            coeff: 1,
+            exponents: vec![(0, 3)],
+        };
+        m.eval_i128(&[i64::MAX]);
     }
 }

@@ -15,7 +15,6 @@
 //! public, so their quantization costs no privacy.
 
 use rand::Rng;
-use sqm_linalg::Matrix;
 use sqm_sampling::rounding::stochastic_round;
 
 use crate::polynomial::Polynomial;
@@ -42,13 +41,6 @@ pub fn quantize_value<R: Rng + ?Sized>(rng: &mut R, x: f64, gamma: f64) -> i64 {
 /// ```
 pub fn quantize_vec<R: Rng + ?Sized>(rng: &mut R, v: &[f64], gamma: f64) -> Vec<i64> {
     v.iter().map(|&x| quantize_value(rng, x, gamma)).collect()
-}
-
-/// Algorithm 2 on a full matrix (every client's column, row-major output).
-pub fn quantize_matrix<R: Rng + ?Sized>(rng: &mut R, x: &Matrix, gamma: f64) -> Vec<Vec<i64>> {
-    (0..x.rows())
-        .map(|i| quantize_vec(rng, x.row(i), gamma))
-        .collect()
 }
 
 /// A monomial with quantized integer coefficient.
@@ -217,15 +209,6 @@ mod tests {
             let q = quantize_value(&mut rng, x, 1024.0);
             assert!((q as f64 - 1024.0 * x).abs() < 1.0);
         }
-    }
-
-    #[test]
-    fn matrix_quantization_shape() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let x = Matrix::from_rows(&[vec![0.1, 0.2], vec![0.3, 0.4], vec![0.5, 0.6]]);
-        let q = quantize_matrix(&mut rng, &x, 16.0);
-        assert_eq!(q.len(), 3);
-        assert!(q.iter().all(|r| r.len() == 2));
     }
 
     #[test]

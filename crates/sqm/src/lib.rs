@@ -25,9 +25,9 @@
 //! ## Quickstart
 //!
 //! ```
-//! use rand::SeedableRng;
-//! use sqm::core::{sqm_polynomial, Monomial, Polynomial, SqmParams};
+//! use sqm::core::{Monomial, Polynomial};
 //! use sqm::linalg::Matrix;
+//! use sqm::vfl::{eval_polynomial_oracle, ColumnPartition, VflConfig};
 //!
 //! // Three clients each own one attribute; estimate sum_x x0 * x1 with DP.
 //! let data = Matrix::from_rows(&[
@@ -36,8 +36,11 @@
 //!     vec![0.1, 0.1, -0.5],
 //! ]);
 //! let f = Polynomial::one_dimensional(3, vec![Monomial::new(1.0, vec![(0, 1), (1, 1)])]);
-//! let mut rng = rand::rngs::StdRng::seed_from_u64(0);
-//! let estimate = sqm_polynomial(&mut rng, &f, &data, SqmParams::new(4096.0, 100.0, 3));
+//! let partition = ColumnPartition::even_or_sparse(3, 3);
+//! let cfg = VflConfig::new(3).with_seed(0);
+//! // The plaintext oracle: the value the 3-party BGW release
+//! // (`sqm::vfl::eval_polynomial_skellam`) opens at this config.
+//! let estimate = eval_polynomial_oracle(&f, &data, &partition, 4096.0, 100.0, &cfg);
 //! assert!(estimate[0].is_finite());
 //! ```
 //!

@@ -29,9 +29,9 @@ pub mod stats;
 
 pub use histogram::{Categorical, GaussianHistogram, SqmContingency, SqmHistogram};
 pub use logreg::{ApproxPolyLogReg, DpSgd, LocalDpLogReg, LrConfig, NonPrivateLogReg, SqmLogReg};
-pub use pca::{AnalyzeGaussPca, LocalDpPca, NonPrivatePca, PcaBackend, SqmPca};
-pub use ridge::{GaussianRidge, LocalDpRidge, NonPrivateRidge, RidgeBackend, SqmRidge};
-pub use stats::{GaussianMean, LocalDpMean, MeanBackend, SqmMean};
+pub use pca::{AnalyzeGaussPca, LocalDpPca, NonPrivatePca, SqmPca};
+pub use ridge::{GaussianRidge, LocalDpRidge, NonPrivateRidge, SqmRidge};
+pub use stats::{GaussianMean, LocalDpMean, SqmMean};
 
 use rand::Rng;
 use sqm_vfl::{ColumnPartition, VflConfig};

@@ -19,6 +19,8 @@ use sqm_sampling::gaussian::sample_normal;
 use sqm_vfl::gradient::{gradient_sum_oracle, gradient_sum_skellam};
 use sqm_vfl::{ColumnPartition, VflConfig};
 
+use crate::Backend;
+
 /// Shared SGD hyper-parameters.
 #[derive(Clone, Debug)]
 pub struct LrConfig {
@@ -115,9 +117,6 @@ where
     w
 }
 
-/// Which execution backend SQM-LR runs on.
-pub type LrBackend = crate::Backend;
-
 /// SQM instantiated on logistic regression.
 #[derive(Clone, Debug)]
 pub struct SqmLogReg {
@@ -129,7 +128,7 @@ pub struct SqmLogReg {
     pub target: CalibrationTarget,
     /// Clients simulating the distributed noise.
     pub n_clients: usize,
-    pub backend: LrBackend,
+    pub backend: Backend,
 }
 
 impl SqmLogReg {
@@ -139,11 +138,11 @@ impl SqmLogReg {
             gamma,
             target: CalibrationTarget::new(eps, delta),
             n_clients: 4,
-            backend: LrBackend::Plaintext,
+            backend: Backend::Plaintext,
         }
     }
 
-    pub fn with_backend(mut self, backend: LrBackend) -> Self {
+    pub fn with_backend(mut self, backend: Backend) -> Self {
         self.backend = backend;
         self
     }
@@ -187,7 +186,7 @@ impl SqmLogReg {
         let mu = self.calibrated_mu(d);
         let data = train.as_vfl_matrix();
         match &self.backend {
-            LrBackend::Plaintext => {
+            Backend::Plaintext => {
                 // One partition and config for the whole fit, re-seeded
                 // from `rng` at every step.
                 let partition = ColumnPartition::even_or_sparse(d + 1, self.n_clients);
@@ -198,7 +197,7 @@ impl SqmLogReg {
                     gradient_sum_oracle(&data, &partition, batch, w, gamma, mu, &cfg)
                 })
             }
-            LrBackend::Mpc(cfg) => {
+            Backend::Mpc(cfg) => {
                 let partition = ColumnPartition::even(d + 1, cfg.n_clients());
                 let gamma = self.gamma;
                 let mut round = 0u64;
@@ -361,9 +360,6 @@ pub fn sqm_normalized_noise_std(gamma: f64, mu: f64) -> f64 {
     (2.0 * mu).sqrt() / gamma.powi(3)
 }
 
-#[allow(unused_imports)]
-pub use crate::Backend::*;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -477,7 +473,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(9);
         let c = LrConfig::new(25, 0.2).with_lr(2.0);
         let w = SqmLogReg::new(c, 4096.0, 8.0, 1e-5)
-            .with_backend(LrBackend::Mpc(VflConfig::fast(3)))
+            .with_backend(Backend::Mpc(VflConfig::fast(3)))
             .fit(&mut rng, &train);
         let acc = accuracy(&w, &test);
         assert!(acc > 0.6, "accuracy {acc}");

@@ -14,6 +14,8 @@ use sqm_sampling::gaussian::sample_normal;
 use sqm_vfl::covariance::{covariance_quantized_oracle, covariance_skellam};
 use sqm_vfl::ColumnPartition;
 
+use crate::Backend;
+
 /// Top-k eigenvectors, reporting eigensolver work to the metrics registry
 /// (`eigen.sweeps` histogram) when observability is enabled.
 fn top_k_eigenvectors(a: &Matrix, k: usize) -> Matrix {
@@ -23,9 +25,6 @@ fn top_k_eigenvectors(a: &Matrix, k: usize) -> Matrix {
     }
     v
 }
-
-/// Which execution backend SQM-PCA runs on.
-pub type PcaBackend = crate::Backend;
 
 /// SQM instantiated on PCA.
 #[derive(Clone, Debug)]
@@ -46,7 +45,7 @@ pub struct SqmPca {
     /// records exceeding it are rejected at fit time.
     pub norm_bound: f64,
     /// Execution backend.
-    pub backend: PcaBackend,
+    pub backend: Backend,
 }
 
 impl SqmPca {
@@ -57,7 +56,7 @@ impl SqmPca {
             target: CalibrationTarget::new(eps, delta),
             n_clients: 4,
             norm_bound: 1.0,
-            backend: PcaBackend::Plaintext,
+            backend: Backend::Plaintext,
         }
     }
 
@@ -73,7 +72,7 @@ impl SqmPca {
         self
     }
 
-    pub fn with_backend(mut self, backend: PcaBackend) -> Self {
+    pub fn with_backend(mut self, backend: Backend) -> Self {
         self.backend = backend;
         self
     }
@@ -98,11 +97,11 @@ impl SqmPca {
         );
         let mu = self.calibrated_mu(c, n);
         let c_hat = match &self.backend {
-            PcaBackend::Plaintext => {
+            Backend::Plaintext => {
                 let (partition, cfg) = crate::replay(rng, n, self.n_clients);
                 covariance_quantized_oracle(data, &partition, self.gamma, mu, &cfg)
             }
-            PcaBackend::Mpc(cfg) => {
+            Backend::Mpc(cfg) => {
                 let partition = ColumnPartition::even(n, cfg.n_clients());
                 covariance_skellam(data, &partition, self.gamma, mu, cfg).c_hat
             }
@@ -323,7 +322,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         let plain = SqmPca::new(k, 2048.0, 8.0, 1e-5).fit(&mut rng, &x);
         let mpc = SqmPca::new(k, 2048.0, 8.0, 1e-5)
-            .with_backend(PcaBackend::Mpc(VflConfig::fast(3)))
+            .with_backend(Backend::Mpc(VflConfig::fast(3)))
             .fit(&mut rng, &x);
         // Independent noise draws => different subspaces, but both useful.
         let u_plain = pca_utility(&x, &plain);

@@ -22,8 +22,7 @@ use sqm_sampling::gaussian::sample_normal;
 use sqm_vfl::covariance::{covariance_quantized_oracle, covariance_skellam};
 use sqm_vfl::ColumnPartition;
 
-/// Which execution backend SQM-Ridge runs on.
-pub type RidgeBackend = crate::Backend;
+use crate::Backend;
 
 /// SQM instantiated on ridge regression.
 #[derive(Clone, Debug)]
@@ -40,7 +39,7 @@ pub struct SqmRidge {
     /// (default `sqrt(2)`: unit-ball features plus `|y| <= 1`). The noise
     /// is calibrated to this bound, never to the private data.
     pub norm_bound: f64,
-    pub backend: RidgeBackend,
+    pub backend: Backend,
 }
 
 impl SqmRidge {
@@ -52,11 +51,11 @@ impl SqmRidge {
             target: CalibrationTarget::new(eps, delta),
             n_clients: 4,
             norm_bound: (2.0f64).sqrt(),
-            backend: RidgeBackend::Plaintext,
+            backend: Backend::Plaintext,
         }
     }
 
-    pub fn with_backend(mut self, backend: RidgeBackend) -> Self {
+    pub fn with_backend(mut self, backend: Backend) -> Self {
         self.backend = backend;
         self
     }
@@ -87,11 +86,11 @@ impl SqmRidge {
         let mu = self.calibrated_mu(c_aug, n_cols);
 
         let c_hat = match &self.backend {
-            RidgeBackend::Plaintext => {
+            Backend::Plaintext => {
                 let (partition, cfg) = crate::replay(rng, n_cols, self.n_clients);
                 covariance_quantized_oracle(&aug, &partition, self.gamma, mu, &cfg)
             }
-            RidgeBackend::Mpc(cfg) => {
+            Backend::Mpc(cfg) => {
                 let partition = ColumnPartition::even(n_cols, cfg.n_clients());
                 covariance_skellam(&aug, &partition, self.gamma, mu, cfg).c_hat
             }
@@ -289,7 +288,7 @@ mod tests {
             .split(0.8, 1);
         let mut rng = StdRng::seed_from_u64(5);
         let w = SqmRidge::new(1e-3, 4096.0, 8.0, 1e-5)
-            .with_backend(RidgeBackend::Mpc(VflConfig::fast(3)))
+            .with_backend(Backend::Mpc(VflConfig::fast(3)))
             .fit(&mut rng, &train);
         let mse = w.len(); // shape check first
         assert_eq!(mse, 5);

@@ -15,8 +15,7 @@ use sqm_sampling::gaussian::sample_normal;
 use sqm_vfl::mean::{column_sums_oracle, column_sums_skellam};
 use sqm_vfl::ColumnPartition;
 
-/// Which execution backend SQM-Mean runs on.
-pub type MeanBackend = crate::Backend;
+use crate::Backend;
 
 /// SQM instantiated on per-attribute means.
 #[derive(Clone, Debug)]
@@ -27,7 +26,7 @@ pub struct SqmMean {
     /// *Public* record-norm bound `c`; noise is calibrated to it, never to
     /// the private data.
     pub norm_bound: f64,
-    pub backend: MeanBackend,
+    pub backend: Backend,
 }
 
 impl SqmMean {
@@ -37,11 +36,11 @@ impl SqmMean {
             target: CalibrationTarget::new(eps, delta),
             n_clients: 4,
             norm_bound: 1.0,
-            backend: MeanBackend::Plaintext,
+            backend: Backend::Plaintext,
         }
     }
 
-    pub fn with_backend(mut self, backend: MeanBackend) -> Self {
+    pub fn with_backend(mut self, backend: Backend) -> Self {
         self.backend = backend;
         self
     }
@@ -68,11 +67,11 @@ impl SqmMean {
         );
         let mu = self.calibrated_mu(c, n);
         let sums = match &self.backend {
-            MeanBackend::Plaintext => {
+            Backend::Plaintext => {
                 let (partition, cfg) = crate::replay(rng, n, self.n_clients);
                 column_sums_oracle(data, &partition, self.gamma, mu, &cfg)
             }
-            MeanBackend::Mpc(cfg) => {
+            Backend::Mpc(cfg) => {
                 let partition = ColumnPartition::even(n, cfg.n_clients());
                 column_sums_skellam(data, &partition, self.gamma, mu, cfg).sums_hat
             }
@@ -229,7 +228,7 @@ mod tests {
         let truth = exact_means(&x);
         let mut rng = StdRng::seed_from_u64(3);
         let est = SqmMean::new(8192.0, 8.0, 1e-5)
-            .with_backend(MeanBackend::Mpc(VflConfig::fast(2)))
+            .with_backend(Backend::Mpc(VflConfig::fast(2)))
             .estimate(&mut rng, &x);
         let err = mean_l2_error(&est, &truth);
         assert!(err < 0.05, "err {err}");

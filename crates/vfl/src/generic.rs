@@ -4,10 +4,10 @@
 //! Per-record monomials are built as balanced product trees, so the round
 //! count is the polynomial's multiplicative depth (`ceil(log2 lambda)`)
 //! plus the input round and the masked sum to the receiver — independent of
-//! the record count and the number of monomials. This path is the reference
-//! implementation and is cross-checked against the plaintext mechanism; the
-//! covariance and gradient fast paths specialize it.
-//! [`eval_polynomial_oracle`] replays its streams and predicts it exactly.
+//! the record count and the number of monomials. The covariance and
+//! gradient fast paths specialize it. [`eval_polynomial_oracle`], the
+//! plaintext mechanism (Algorithms 1 and 3), replays its streams and
+//! predicts it exactly.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -264,23 +264,116 @@ mod tests {
 
     #[test]
     fn matches_plaintext_mechanism_distributionally() {
-        // With mu = 0 both paths differ only in rounding randomness; their
-        // outputs must agree to quantization precision.
-        use sqm_core::mechanism::{sqm_polynomial, SqmParams};
+        // The plaintext mechanism is the oracle: at the release's own seed
+        // it predicts the opened value exactly, noise included.
         let p = Polynomial::one_dimensional(2, vec![Monomial::new(1.0, vec![(0, 1), (1, 1)])]);
         let data = Matrix::from_rows(&[vec![0.4, 0.6], vec![-0.2, 0.3]]);
-        let partition = ColumnPartition::even(2, 2);
-        let gamma = 8192.0;
-        let (vals, _) =
-            eval_polynomial_skellam(&p, &data, &partition, gamma, 0.0, &VflConfig::fast(2));
-        let mut rng = StdRng::seed_from_u64(1);
-        let plain = sqm_polynomial(&mut rng, &p, &data, SqmParams::new(gamma, 0.0, 2));
-        assert!(
-            (vals[0] - plain[0]).abs() < 0.01,
-            "mpc {} plain {}",
-            vals[0],
-            plain[0]
+        let partition = ColumnPartition::even_or_sparse(2, 2);
+        let (gamma, mu) = (8192.0, 100.0);
+        let cfg = VflConfig::fast(2);
+        let (vals, _) = eval_polynomial_skellam(&p, &data, &partition, gamma, mu, &cfg);
+        let plain = eval_polynomial_oracle(&p, &data, &partition, gamma, mu, &cfg);
+        assert_eq!(vals, plain);
+    }
+
+    /// The oracle at `(gamma, mu)` over `n_clients` clients and seed `seed`.
+    fn oracle(
+        p: &Polynomial,
+        data: &Matrix,
+        gamma: f64,
+        mu: f64,
+        n_clients: usize,
+        seed: u64,
+    ) -> Vec<f64> {
+        let partition = ColumnPartition::even_or_sparse(data.cols(), n_clients);
+        let cfg = VflConfig::fast(n_clients).with_seed(seed);
+        eval_polynomial_oracle(p, data, &partition, gamma, mu, &cfg)
+    }
+
+    #[test]
+    fn monomial_no_noise_is_accurate() {
+        let m = Monomial::new(1.0, vec![(0, 1), (2, 1)]); // x0 * x2
+        let p = Polynomial::one_dimensional(3, vec![m]);
+        let data = toy_data();
+        let truth: f64 = (0..data.rows()).map(|i| data[(i, 0)] * data[(i, 2)]).sum();
+        let est = oracle(&p, &data, 4096.0, 0.0, 3, 1)[0];
+        assert!((est - truth).abs() < 1e-3, "est {est} truth {truth}");
+    }
+
+    #[test]
+    fn monomial_error_shrinks_with_gamma() {
+        let m = Monomial::new(1.0, vec![(0, 2), (1, 1)]); // x0^2 x1
+        let p = Polynomial::one_dimensional(3, vec![m]);
+        let data = toy_data();
+        let truth: f64 = (0..data.rows())
+            .map(|i| data[(i, 0)].powi(2) * data[(i, 1)])
+            .sum();
+        let reps = 50;
+        let err: Vec<f64> = [8.0, 128.0, 8192.0]
+            .iter()
+            .map(|&gamma| {
+                let total: f64 = (0..reps)
+                    .map(|seed| (oracle(&p, &data, gamma, 0.0, 3, seed)[0] - truth).abs())
+                    .sum();
+                total / reps as f64
+            })
+            .collect();
+        assert!(err[2] < err[1] && err[1] < err[0], "{err:?}");
+    }
+
+    #[test]
+    fn polynomial_no_noise_matches_truth() {
+        let p = Polynomial::new(
+            3,
+            vec![
+                vec![Monomial::new(2.0, vec![(0, 1)]), Monomial::constant(-0.5)],
+                vec![Monomial::new(1.0, vec![(1, 1), (2, 1)])],
+            ],
         );
+        let data = toy_data();
+        let truth = p.sum_over((0..data.rows()).map(|i| data.row(i)));
+        let est = oracle(&p, &data, 8192.0, 0.0, 3, 3);
+        for (e, t) in est.iter().zip(&truth) {
+            assert!((e - t).abs() < 2e-3, "est {e} truth {t}");
+        }
+    }
+
+    #[test]
+    fn noise_has_calibrated_scale_after_downscaling() {
+        // With mu > 0 the estimate's variance should be ~ 2*mu /
+        // gamma^(2(lambda+1)) per dimension: five clients' Sk(mu/5) draws
+        // sum to Sk(mu).
+        let p = Polynomial::one_dimensional(1, vec![Monomial::new(1.0, vec![(0, 1)])]);
+        let data = Matrix::from_rows(&[vec![0.0]]); // zero data isolates noise
+        let (gamma, mu) = (64.0, 1e6);
+        let samples: Vec<f64> = (0..4000)
+            .map(|seed| oracle(&p, &data, gamma, mu, 5, seed)[0])
+            .collect();
+        let mean = samples.iter().sum::<f64>() / samples.len() as f64;
+        let var = samples.iter().map(|s| (s - mean).powi(2)).sum::<f64>() / samples.len() as f64;
+        let expect = 2.0 * mu / gamma.powf(4.0); // lambda = 1 => scale gamma^2
+        assert!(
+            mean.abs() < 3.0 * (expect / 4000.0).sqrt() + 1e-6,
+            "mean {mean}"
+        );
+        assert!(
+            (var - expect).abs() / expect < 0.15,
+            "var {var} expect {expect}"
+        );
+    }
+
+    #[test]
+    fn covariance_polynomial_end_to_end() {
+        let data = toy_data();
+        let est = oracle(&Polynomial::covariance(3), &data, 4096.0, 0.0, 3, 5);
+        let truth = data.gram();
+        for j in 0..3 {
+            for k in 0..3 {
+                let e = est[j * 3 + k];
+                let t = truth[(j, k)];
+                assert!((e - t).abs() < 5e-3, "({j},{k}): est {e} truth {t}");
+            }
+        }
     }
 
     #[test]

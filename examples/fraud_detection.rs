@@ -19,7 +19,8 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sqm::datasets::ClassificationSpec;
-use sqm::tasks::logreg::{accuracy, LrBackend, LrConfig, SqmLogReg};
+use sqm::tasks::logreg::{accuracy, LrConfig, SqmLogReg};
+use sqm::tasks::Backend;
 use sqm::vfl::{covariance_skellam, ColumnPartition, VflConfig};
 
 fn main() {
@@ -66,7 +67,7 @@ fn main() {
     let lr_cfg = LrConfig::new(30, 0.25).with_lr(2.0);
     let mech = SqmLogReg::new(lr_cfg, 8192.0, eps, delta)
         .with_clients(3)
-        .with_backend(LrBackend::Mpc(VflConfig::new(3).with_seed(29)));
+        .with_backend(Backend::Mpc(VflConfig::new(3).with_seed(29)));
     let w = mech.fit(&mut rng, &train);
     let acc = accuracy(&w, &test);
     println!("\njoint DP fraud model test accuracy: {acc:.3}");

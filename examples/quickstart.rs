@@ -7,17 +7,13 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use sqm::accounting::calibration::{calibrate_skellam_mu, CalibrationTarget};
 use sqm::core::sensitivity::generic_sensitivity;
-use sqm::core::{sqm_polynomial, Monomial, Polynomial, SqmParams};
+use sqm::core::{Monomial, Polynomial};
 use sqm::linalg::Matrix;
-use sqm::vfl::{eval_polynomial_skellam, ColumnPartition, VflConfig};
+use sqm::vfl::{eval_polynomial_oracle, eval_polynomial_skellam, ColumnPartition, VflConfig};
 
 fn main() {
-    let mut rng = StdRng::seed_from_u64(42);
-
     // The vertically partitioned database: 200 users, 3 attributes, each
     // attribute owned by a different client. Records have L2 norm <= 1.
     let m = 200;
@@ -55,16 +51,18 @@ fn main() {
     println!("quantization scale gamma      : {gamma}");
     println!("calibrated Skellam mu         : {mu:.3e}");
 
-    // (a) Fast path: output-equivalent plaintext simulation.
-    let est = sqm_polynomial(&mut rng, &f, &data, SqmParams::new(gamma, mu, 3));
-    println!("SQM estimate (plaintext sim)  : {:.4}", est[0]);
+    // (a) Fast path: the plaintext oracle, which replays the release's
+    // quantization and noise streams in the clear.
+    let partition = ColumnPartition::even_or_sparse(3, 3);
+    let cfg = VflConfig::new(3).with_seed(7);
+    let est = eval_polynomial_oracle(&f, &data, &partition, gamma, mu, &cfg);
+    println!("SQM estimate (plaintext)      : {:.4}", est[0]);
 
     // (b) The real thing: three clients run BGW; only the perturbed integer
-    // result is ever opened.
-    let partition = ColumnPartition::even(3, 3);
-    let cfg = VflConfig::new(3).with_seed(7);
+    // result is ever opened — exactly the value (a) predicted.
     let (vals, stats) = eval_polynomial_skellam(&f, &data, &partition, gamma, mu, &cfg);
     println!("SQM estimate (BGW, 3 parties) : {:.4}", vals[0]);
+    assert_eq!(est, vals, "the oracle predicts the BGW release exactly");
     println!(
         "MPC cost: {} rounds, {} messages, {} bytes, simulated time {:.2?} (0.1 s/hop)",
         stats.total.rounds,

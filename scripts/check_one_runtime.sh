@@ -9,11 +9,14 @@
 #   * `catch_unwind` appears on more than one line under crates/mpc/src,
 #   * a thread is spawned (`thread::spawn`, `thread::scope`, `spawn_scoped`,
 #     `Builder::new`) outside its test modules under crates/vfl/src or in
-#     crates/serve/src/tenant.rs, or under crates/mpc/src anywhere but
-#     runtime.rs (the one party worker and the only party threads: scoped
-#     for a one-shot run, resident in a `PartyPool`) and the two
-#     batch-worker scopes, one in shamir.rs's `fn combine_each` and one in
-#     circuit.rs,
+#     crates/serve/src/tenant.rs, or anywhere under crates/mpc/src (test
+#     modules included) but runtime.rs: the one party worker and the only
+#     party threads, scoped for a one-shot run or resident in a `PartyPool`.
+#     A party's arithmetic runs on its own thread,
+#   * the deleted per-party batch pool or the deleted plaintext twin of the
+#     generic release comes back: `BatchOptions`, `batch_options`,
+#     `min_parallel_width`, `sqm_polynomial`, `sqm_monomial`, `SqmParams` or
+#     `quantize_matrix` as a whole word under crates/, tests/ or examples/,
 #   * `set_hook` / `take_hook` appears anywhere in a file under crates/*/src,
 #     test modules included (unit tests share one process: a swapped hook
 #     silences whatever fails beside it), or `panic_any` appears there
@@ -144,16 +147,11 @@ expect "panic_any outside #[cfg(test)]" 0 "$(non_test 'panic_any' crates/*/src)"
 spawns='thread::(spawn|scope)|spawn_scoped|Builder::new'
 expect "a thread spawned under crates/vfl/src or in crates/serve/src/tenant.rs (party threads are mpc::runtime's)" 0 \
   "$(non_test "$spawns" crates/vfl/src crates/serve/src/tenant.rs)"
-outside=$(non_test "$spawns" crates/mpc/src | grep -v '^crates/mpc/src/runtime.rs:' || true)
-expect "expected two thread scopes under crates/mpc/src outside runtime.rs (the batch workers)" 2 "$outside"
-expect "expected circuit.rs's gate-layer batch-worker scope" 1 \
-  "$(printf '%s\n' "$outside" | grep '^crates/mpc/src/circuit.rs:' || true)"
-expect "expected shamir.rs's one thread scope inside fn combine_each" 1 \
-  "$(awk -v pattern="$spawns" '
-    /fn combine_each[<(]/ { inside = 1 }
-    inside && $0 ~ pattern { print FILENAME ":" FNR ": " $0 }
-    inside && /^}$/ { inside = 0 }
-  ' crates/mpc/src/shamir.rs)"
+expect "a thread started under crates/mpc/src outside runtime.rs (one thread per party)" 0 \
+  "$(grep -rnE "$spawns" crates/mpc/src --include='*.rs' | grep -v '^crates/mpc/src/runtime.rs:' || true)"
+expect "the per-party batch pool or the plaintext twin sqm_core::mechanism is back" 0 \
+  "$(grep -rnwE 'BatchOptions|batch_options|min_parallel_width|sqm_polynomial|sqm_monomial|SqmParams|quantize_matrix' \
+    crates tests examples || true)"
 
 if grep -rnwE 'Batching|FrameMode|PerElement|set_frame_mode|with_batching|BatchingReport|batching_report' \
     crates tests examples >&2; then

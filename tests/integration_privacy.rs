@@ -7,17 +7,32 @@ use sqm::accounting::calibration::{
     calibrate_gaussian_sigma, calibrate_skellam_mu, skellam_epsilon, CalibrationTarget,
 };
 use sqm::accounting::skellam::Sensitivity;
-use sqm::core::mechanism::{sqm_polynomial, SqmParams};
 use sqm::core::{Monomial, Polynomial};
 use sqm::linalg::Matrix;
 use sqm::sampling::rounding::{nearest_round, stochastic_round};
 use sqm::sampling::skellam::sample_skellam;
+use sqm::vfl::{eval_polynomial_oracle, ColumnPartition, VflConfig};
 
 fn moments(xs: &[f64]) -> (f64, f64) {
     let n = xs.len() as f64;
     let mean = xs.iter().sum::<f64>() / n;
     let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n;
     (mean, var)
+}
+
+/// The mechanism's estimate at `(gamma, mu)` over `n_clients` clients, one
+/// fresh seed per call: the plaintext oracle of the generic BGW release.
+fn mechanism(
+    p: &Polynomial,
+    data: &Matrix,
+    gamma: f64,
+    mu: f64,
+    n_clients: usize,
+    seed: u64,
+) -> f64 {
+    let partition = ColumnPartition::even_or_sparse(data.cols(), n_clients);
+    let cfg = VflConfig::fast(n_clients).with_seed(seed);
+    eval_polynomial_oracle(p, data, &partition, gamma, mu, &cfg)[0]
 }
 
 /// The mechanism's output noise variance matches the calibrated Skellam
@@ -30,9 +45,8 @@ fn mechanism_noise_matches_accounting() {
     let gamma = 32.0;
     let sens = Sensitivity::new(10.0, 10.0);
     let mu = calibrate_skellam_mu(CalibrationTarget::new(1.0, 1e-5), sens, 1, 1.0);
-    let mut rng = StdRng::seed_from_u64(1);
     let xs: Vec<f64> = (0..3000)
-        .map(|_| sqm_polynomial(&mut rng, &p, &data, SqmParams::new(gamma, mu, 4))[0])
+        .map(|seed| mechanism(&p, &data, gamma, mu, 4, seed))
         .collect();
     let (mean, var) = moments(&xs);
     let expect_var = 2.0 * mu / gamma.powf(6.0); // lambda = 2 => amp gamma^3
@@ -183,10 +197,9 @@ fn mechanism_is_unbiased_end_to_end() {
     );
     let data = Matrix::from_rows(&[vec![0.55, -0.25], vec![-0.35, 0.45]]);
     let truth = p.sum_over((0..2).map(|i| data.row(i)))[0];
-    let mut rng = StdRng::seed_from_u64(6);
     let reps = 4000;
     let mean: f64 = (0..reps)
-        .map(|_| sqm_polynomial(&mut rng, &p, &data, SqmParams::new(64.0, 5.0, 3))[0])
+        .map(|seed| mechanism(&p, &data, 64.0, 5.0, 3, seed))
         .sum::<f64>()
         / reps as f64;
     // gamma = 64 is deliberately coarse; unbiasedness must hold regardless.
