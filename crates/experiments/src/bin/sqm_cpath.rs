@@ -4,10 +4,10 @@
 //! `0.1 s` hop — i.e. they model the critical path as `rounds * latency`,
 //! with compute free. This binary measures the *actual* critical path of
 //! the same Table II workloads (PCA covariance and one LR gradient pass;
-//! default m = 100, n = 20, P = 4) from the causal message DAG: every
-//! send/recv is stamped (run id, party, round, link seq, Lamport clock),
-//! the cross-party flow graph is reconstructed, and the latency-weighted
-//! critical path is walked — on both the in-process mesh and loopback TCP.
+//! default m = 100, n = 20, P = 4) from the causal message DAG: each
+//! exchange is one round record, the cross-party flows are read off the
+//! senders' `dests`, and the latency-weighted critical path is walked — on
+//! both the in-process mesh and loopback TCP.
 //!
 //! The divergence column is `(measured - model) / model`: exactly the
 //! share of the end-to-end critical path that the uniform-latency model
@@ -32,7 +32,7 @@ use std::time::Duration;
 use sqm::datasets::{Scale, SpectralSpec};
 use sqm::mpc::RunStats;
 use sqm::obs::trace::Trace;
-use sqm::obs::MessageDag;
+use sqm::obs::{critical_path, flows};
 use sqm::vfl::covariance::covariance_skellam;
 use sqm::vfl::gradient::gradient_sum_skellam;
 use sqm::vfl::{ColumnPartition, NetBackend, VflConfig};
@@ -76,17 +76,12 @@ fn analyze(
     stats: &RunStats,
     trace: &Trace,
 ) -> Row {
-    let dag = MessageDag::build(trace);
-    assert!(
-        dag.fully_matched(),
-        "{workload}/{backend_name}: every stamped send must match one recv"
-    );
+    let flow_edges = flows(trace).len();
     assert_eq!(
-        dag.lamport_violations(),
-        0,
-        "{workload}/{backend_name}: Lamport clocks must be monotone"
+        flow_edges as u64, stats.total.messages,
+        "{workload}/{backend_name}: one flow edge per message"
     );
-    let cp = dag.critical_path();
+    let cp = critical_path(trace);
     // The virtual clock IS the critical path; the reconstruction must
     // reproduce it exactly (same Instant measurements, same latency math).
     assert_eq!(
@@ -100,7 +95,7 @@ fn analyze(
         parties: p,
         rounds: stats.total.rounds,
         messages: stats.total.messages,
-        flow_edges: dag.edges().len(),
+        flow_edges,
         cross_hops: cp.cross_hops,
         model_critical_s: (HOP_LATENCY * stats.total.rounds as u32).as_secs_f64(),
         measured_critical_s: cp.total.as_secs_f64(),

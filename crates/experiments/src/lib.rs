@@ -317,8 +317,8 @@ pub mod obsout {
     use sqm::mpc::RunStats;
     use sqm::obs::trace::Trace;
     use sqm::obs::{
-        atomic_write, atomic_write_str, chrome_trace_json, html_report, metrics, write_jsonl,
-        MessageDag,
+        atomic_write, atomic_write_str, chrome_trace_json, critical_path, html_report, metrics,
+        write_jsonl,
     };
 
     /// The `results/` directory, created on first use.
@@ -338,12 +338,12 @@ pub mod obsout {
         let dir = results_dir();
         let mut written = Vec::new();
         let stats_path = dir.join(format!("{name}.stats.json"));
-        // When the trace carries causal stamps, the stats JSON gains a
+        // When the trace kept round records, the stats JSON gains a
         // `critical_path` section (total, per-party idle/compute, walked
-        // segments) computed from the reconstructed message DAG.
+        // segments) computed over the flows read off them.
         let mut stats_json = stats.to_json();
-        if let Some(trace) = trace.filter(|t| t.parties.iter().any(|p| !p.causal.is_empty())) {
-            let cp = MessageDag::build(trace).critical_path();
+        if let Some(trace) = trace.filter(|t| t.parties.iter().any(|p| !p.rounds.is_empty())) {
+            let cp = critical_path(trace);
             debug_assert!(stats_json.ends_with('}'));
             stats_json.truncate(stats_json.len() - 1);
             stats_json.push_str(",\"critical_path\":");

@@ -581,6 +581,7 @@ impl<F: PrimeField> PartyCtx<F> {
 mod tests {
     use super::*;
     use sqm_field::{PrimeField, M61};
+    use sqm_obs::trace::PartyRecorder;
 
     fn engine(n: usize) -> MpcEngine {
         MpcEngine::new(MpcConfig::semi_honest(n).with_latency(Duration::ZERO))
@@ -892,8 +893,8 @@ mod tests {
     fn a_reused_mesh_numbers_rounds_alike_in_every_view() {
         // The second traced, profiled run on one mesh continues the mesh's
         // round counter. Every view numbers its rounds alike: the trace's
-        // round and causal records, the profile's `roundNNNN` nodes and the
-        // stamps that crossed the wire.
+        // round records, the flows read off them and the profile's
+        // `roundNNNN` nodes.
         let program = |ctx: &mut PartyCtx<M61>| {
             let x = ctx.share_input(0, (ctx.id == 0).then(|| vec![M61::ONE]).as_deref(), 1);
             let y = ctx.mul(&x, &x);
@@ -925,19 +926,16 @@ mod tests {
             let id = party.party;
             let records: Vec<u64> = party.rounds.iter().map(|r| r.index).collect();
             assert_eq!(records, want, "party {id}: round records");
-            let causal: Vec<u64> = party.causal.iter().map(|c| c.index).collect();
-            assert_eq!(causal, want, "party {id}: causal rounds");
-            for c in &party.causal {
-                let mut stamps = c.sends.iter().chain(&c.recvs);
-                assert!(stamps.all(|s| s.round == c.index), "party {id}: {c:?}");
-            }
         }
+        let flows = sqm_obs::flows(trace);
+        assert_eq!(flows.len() as u64, second.stats.total.messages);
+        assert!(flows.iter().all(|e| want.contains(&e.round)), "{flows:?}");
     }
 
     #[test]
     fn causal_critical_path_matches_simulated_time_exactly() {
-        // The message DAG reconstructed from the causal stamps must yield a
-        // critical path whose total is bit-exact with the virtual clock.
+        // The message DAG read off the round records must yield a critical
+        // path whose total is bit-exact with the virtual clock.
         let cfg = MpcConfig::semi_honest(4)
             .with_latency(Duration::from_millis(100))
             .with_trace(true);
@@ -954,14 +952,11 @@ mod tests {
             ctx.open(&y)
         });
         let trace = run.trace.expect("trace requested");
-        let dag = sqm_obs::MessageDag::build(&trace);
-        assert!(
-            dag.fully_matched(),
-            "every send must match exactly one recv"
+        assert_eq!(
+            sqm_obs::flows(&trace).len() as u64,
+            run.stats.total.messages
         );
-        assert_eq!(dag.lamport_violations(), 0);
-        assert_eq!(dag.edges().len() as u64, run.stats.total.messages);
-        let cp = dag.critical_path();
+        let cp = sqm_obs::critical_path(&trace);
         assert_eq!(cp.total, run.stats.simulated_time());
         // Per-party breakdowns partition each party's timeline.
         for p in &cp.parties {
@@ -971,10 +966,9 @@ mod tests {
 
     #[test]
     fn causal_stamps_cross_the_tcp_backend() {
-        // Stamps come from each party's schedule, whatever the backend: the
-        // reconstructed DAG over loopback sockets must match every send to a
-        // recv, with the same message count and zero Lamport violations as
-        // in-process.
+        // Round records come from each party's schedule, whatever the
+        // backend: over loopback sockets the flows number the messages and
+        // the critical path is the virtual clock, as in-process.
         let cfg = MpcConfig::semi_honest(3)
             .with_latency(Duration::ZERO)
             .with_trace(true)
@@ -989,13 +983,13 @@ mod tests {
             ctx.open(&y)
         });
         let trace = run.trace.expect("trace requested");
-        let dag = sqm_obs::MessageDag::build(&trace);
-        assert!(dag.fully_matched());
-        assert_eq!(dag.lamport_violations(), 0);
-        assert_eq!(dag.edges().len() as u64, run.stats.total.messages);
+        let flows = sqm_obs::flows(&trace);
+        assert_eq!(flows.len() as u64, run.stats.total.messages);
+        let cp = sqm_obs::critical_path(&trace);
+        assert_eq!(cp.total, run.stats.simulated_time());
     }
 
-    /// A traced run for the degraded-DAG tests below.
+    /// A traced run for the event-capped DAG test below.
     fn traced_run() -> MpcRun<Vec<M61>> {
         let cfg = MpcConfig::semi_honest(3)
             .with_latency(Duration::ZERO)
@@ -1015,8 +1009,8 @@ mod tests {
     #[test]
     fn causal_dag_survives_seeded_drop_faults_fully_matched() {
         // Drops happen below the protocol layer: every retransmitted
-        // message still crosses the causal boundary exactly once, so the
-        // reconstructed DAG must be as clean as a fault-free run's.
+        // message is still one real payload of one round, so the flows
+        // must number the messages as on a fault-free run.
         let cfg = MpcConfig::semi_honest(3)
             .with_latency(Duration::ZERO)
             .with_trace(true)
@@ -1036,71 +1030,57 @@ mod tests {
             ctx.open(&y)
         });
         let trace = run.trace.expect("trace requested");
-        let dag = sqm_obs::MessageDag::build(&trace);
-        assert!(
-            dag.fully_matched(),
-            "retransmits must not duplicate or lose causal stamps"
+        assert_eq!(
+            sqm_obs::flows(&trace).len() as u64,
+            run.stats.total.messages,
+            "retransmits must not duplicate or lose a flow"
         );
-        assert_eq!(dag.lamport_violations(), 0);
-        assert_eq!(dag.edges().len() as u64, run.stats.total.messages);
+        let cp = sqm_obs::critical_path(&trace);
+        assert_eq!(cp.total, run.stats.simulated_time());
     }
 
     #[test]
-    fn causal_unmatched_counts_are_exact_when_a_party_record_is_truncated() {
-        // Simulate a party crashing before flushing its trace: drop the
-        // tail of party 0's causal record from a real run. Every send
-        // stamp removed leaves one peer recv unmatched, and every recv
-        // stamp removed leaves one peer send unmatched — exactly.
+    fn causal_flows_exist_only_for_rounds_both_ends_kept_under_an_event_cap() {
+        // Record a real run again with party 0's recorder capped at one
+        // record: it keeps its first round and drops the rest, while its
+        // peers keep everything. A flow needs both ends' record of its
+        // round, so only flows between kept rounds remain.
         let run = traced_run();
         let trace = run.trace.expect("trace requested");
-        let clean = sqm_obs::MessageDag::build(&trace);
-        assert!(clean.fully_matched());
+        let parties = trace.parties.iter().map(|p| {
+            let cap = if p.party == 0 { 1 } else { usize::MAX };
+            let mut rec = PartyRecorder::new(p.party, trace.latency).with_event_cap(cap);
+            for (k, r) in p.rounds.iter().enumerate() {
+                let walls = (Duration::ZERO, Duration::ZERO);
+                let traffic = (r.messages, r.bytes);
+                rec.record_round(&r.phase, r.index, k as u64, walls, traffic, r.dests.clone());
+            }
+            rec.finish(p.stats.clone())
+        });
+        let capped = Trace::from_parties(trace.latency, parties.collect());
+        assert!(capped.dropped_events() > 0);
+        assert_eq!(capped.parties[0].rounds.len(), 1);
 
-        let mut parties = trace.parties.clone();
-        let rounds = parties[0].causal.len();
-        assert!(rounds >= 2, "need a multi-round record to truncate");
-        let keep = rounds / 2;
-        let removed: Vec<_> = parties[0].causal.drain(keep..).collect();
-        let removed_sends: usize = removed.iter().map(|r| r.sends.len()).sum();
-        let removed_recvs: usize = removed.iter().map(|r| r.recvs.len()).sum();
-        assert!(removed_sends > 0 && removed_recvs > 0);
-
-        let degraded = sqm_obs::Trace::from_parties(trace.latency, parties);
-        let dag = sqm_obs::MessageDag::build(&degraded);
-        assert!(!dag.fully_matched());
-        assert_eq!(
-            dag.unmatched_recvs(),
-            removed_sends,
-            "each lost send stamp leaves exactly one recv unmatched"
-        );
-        assert_eq!(
-            dag.unmatched_sends(),
-            removed_recvs,
-            "each lost recv stamp leaves exactly one send unmatched"
-        );
-        // Truncation loses data but does not corrupt clocks.
-        assert_eq!(dag.lamport_violations(), 0);
-    }
-
-    #[test]
-    fn causal_lamport_violation_detected_on_corrupted_clock() {
-        // A zeroed receive clock on a late round breaks Lamport
-        // monotonicity; the validator must flag it rather than trusting
-        // the stamps blindly.
-        let run = traced_run();
-        let trace = run.trace.expect("trace requested");
-        assert_eq!(sqm_obs::MessageDag::build(&trace).lamport_violations(), 0);
-
-        let mut parties = trace.parties.clone();
-        let last = parties[0].causal.len() - 1;
-        assert!(last >= 1, "need at least two rounds to corrupt the last");
-        parties[0].causal[last].lamport_recv = 0;
-        let corrupted = sqm_obs::Trace::from_parties(trace.latency, parties);
-        let dag = sqm_obs::MessageDag::build(&corrupted);
-        assert!(
-            dag.lamport_violations() > 0,
-            "zeroed clock must be reported as a Lamport violation"
-        );
+        let kept: std::collections::BTreeSet<(usize, u64)> = capped
+            .parties
+            .iter()
+            .flat_map(|p| p.rounds.iter().map(|r| (r.party, r.index)))
+            .collect();
+        let flows = sqm_obs::flows(&capped);
+        for e in &flows {
+            assert!(kept.contains(&(e.from, e.round)), "{e:?}");
+            assert!(kept.contains(&(e.to, e.round)), "{e:?}");
+        }
+        // Every message between two kept records still has its flow.
+        let both_kept = capped
+            .parties
+            .iter()
+            .flat_map(|p| &p.rounds)
+            .flat_map(|r| r.dests.iter().filter(|&&to| kept.contains(&(to, r.index))))
+            .count();
+        assert_eq!(flows.len(), both_kept);
+        assert!(!flows.is_empty());
+        assert!(flows.len() < sqm_obs::flows(&trace).len());
     }
 
     #[test]

@@ -14,12 +14,11 @@
 //! to do with the ones that come back; the [`PartyLink`] moves them and
 //! hands each round to the party's observer (`sqm_obs::round`), which
 //! charges it to the party's one tally and reports it to whatever the
-//! run's config attached — trace and causal stamps, a live collector, a
-//! cost profiler. This module names none of them and keeps no tally.
-//! Payloads cross the transport bare: the observer stamps sends and
-//! receives from the party's own schedule (which peers it sent to, which
-//! peers' payloads arrived non-empty), so nothing but the payloads
-//! travels.
+//! run's config attached — a trace, a live collector, a cost profiler.
+//! This module names none of them and keeps no tally. Payloads cross the
+//! transport bare: a traced round records which peers this party sent to,
+//! and the receiver's record of the same lock-step round is the other end,
+//! so nothing but the payloads travels.
 
 use std::any::Any;
 use std::panic::{self, AssertUnwindSafe};
@@ -94,24 +93,20 @@ impl<F: PrimeField> PartyLink<F> {
         let me = self.endpoint.id();
         // The round index, read before the exchange bumps it.
         let round = self.endpoint.round();
-        // A real message is a non-empty payload to another party, on both
-        // sides of the round.
-        let real = |payloads: &[Vec<F>], peer: usize| peer != me && !payloads[peer].is_empty();
-        self.observer
-            .send(round, (0..outgoing.len()).filter(|&j| real(&outgoing, j)));
+        // A real message is a non-empty payload to another party.
+        let real = |j: &usize| *j != me && !outgoing[*j].is_empty();
+        self.observer.send((0..outgoing.len()).filter(real));
         let outcome = match self.endpoint.exchange(outgoing) {
             Ok(outcome) => outcome,
             // `resume_unwind` does not run the panic hook: this is a
             // controlled error return, not a bug to report on stderr.
             Err(e) => panic::resume_unwind(Box::new(PartyAbort(e))),
         };
-        let incoming = &outcome.incoming;
         self.observer.round(
             round,
             (outcome.messages, outcome.bytes, outcome.elems),
             outcome.events,
             outcome.link_walls,
-            (0..incoming.len()).filter(|&i| real(incoming, i)),
         );
         outcome.incoming
     }

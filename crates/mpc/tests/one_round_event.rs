@@ -18,7 +18,7 @@ use sqm_mpc::{
 use sqm_obs::live::{Collector, LiveSnapshot};
 use sqm_obs::metrics::{self, MetricsSnapshot};
 use sqm_obs::prof::{ProfSnapshot, Profiler};
-use sqm_obs::MessageDag;
+use sqm_obs::{critical_path, flows};
 
 mod common;
 use common::{assert_released, release_program};
@@ -106,17 +106,18 @@ fn check<T>(
         "{shape}: metrics"
     );
 
-    // Causal DAG: one edge per real message, each matched to its receive,
-    // and its critical path is the virtual clock.
-    let dag = MessageDag::build(trace);
-    assert!(dag.fully_matched(), "{shape}: dag");
-    assert_eq!(dag.lamport_violations(), 0, "{shape}: dag");
+    // Causal DAG: one flow edge per real message, and its critical path is
+    // the virtual clock.
     assert_eq!(
-        dag.edges().len() as u64,
+        flows(trace).len() as u64,
         stats.total.messages,
         "{shape}: dag"
     );
-    assert_eq!(dag.critical_path().total, stats.simulated_time(), "{shape}");
+    assert_eq!(
+        critical_path(trace).total,
+        stats.simulated_time(),
+        "{shape}"
+    );
 
     // Transport incidents: every NetEvent the trace kept was published
     // live as its Delay/Retransmit twin — the ring took exactly one event
@@ -225,8 +226,8 @@ fn every_view_of_a_run_agrees_because_they_are_one_event() {
         assert_eq!(t.rounds[0].messages, shared, "trace: party {party}");
         assert_eq!(live.parties[party].messages, shared + sent(party), "live");
     }
-    let dag = MessageDag::build(trace);
-    let sparse: Vec<_> = dag.edges().iter().filter(|e| e.send_round == 1).collect();
+    let edges = flows(trace);
+    let sparse: Vec<_> = edges.iter().filter(|e| e.round == 1).collect();
     assert_eq!(sparse.len(), P - 1);
     assert!(sparse
         .iter()

@@ -69,9 +69,8 @@ pub trait Transport<F: PrimeField>: Send {
 
     /// One synchronous round: send `outgoing[j]` to each party `j` and
     /// receive one payload from every party. Payloads travel bare: the
-    /// receiver knows each one's sender (its slot), round (its own counter)
-    /// and place on the link (its own count), so an observer can stamp
-    /// receives from its schedule alone.
+    /// receiver knows each one's sender (its slot) and round (its own
+    /// counter), so the two ends' records of the round describe it.
     fn exchange(&mut self, outgoing: Vec<Vec<F>>) -> Result<RoundOutcome<F>, TransportError>;
 }
 

@@ -6,12 +6,13 @@
 //! finished in milliseconds of real time.
 //!
 //! * JSONL: one self-describing JSON object per line (`"type"` is
-//!   `"meta"`, `"span"`, `"round"`, `"net"` or `"causal"`), easy to
+//!   `"meta"`, `"span"`, `"round"` or `"net"`; a `"round"` line carries
+//!   the exchange's send and receive times and its `dests`), easy to
 //!   `jq`/stream.
 //! * Chrome trace: the [trace-event format] with complete (`"X"`) events,
 //!   one track per party (`pid` 0, `tid` = party id), loadable in
-//!   Perfetto or `chrome://tracing`. When the trace carries causal stamps
-//!   (see [`crate::causal`]), every matched send→recv message becomes a
+//!   Perfetto or `chrome://tracing`. Every flow of the message DAG (read
+//!   off the senders' `dests`, see [`crate::causal`]) becomes a
 //!   flow-event pair (`"ph":"s"` on the sender track, `"ph":"f"` with
 //!   `"bp":"e"` on the receiver track, shared `"id"`), rendered as arrows
 //!   between party tracks.
@@ -25,7 +26,7 @@ use std::time::Duration;
 
 use serde::json;
 
-use crate::causal::MessageDag;
+use crate::causal::{critical_path, flows};
 use crate::ledger::LedgerReport;
 use crate::metrics::MetricsSnapshot;
 use crate::trace::Trace;
@@ -117,9 +118,13 @@ pub fn write_jsonl<W: Write>(trace: &Trace, w: &mut W) -> io::Result<()> {
             ));
             json::write_str(&mut line, &r.phase);
             line.push_str(&format!(
-                ",\"index\":{},\"messages\":{},\"bytes\":{}}}",
+                ",\"index\":{},\"messages\":{},\"bytes\":{},\"t_send_s\":",
                 r.index, r.messages, r.bytes
             ));
+            json::write_f64(&mut line, secs(r.t_send));
+            line.push_str(",\"t_recv_s\":");
+            json::write_f64(&mut line, secs(r.t_recv));
+            line.push_str(&format!(",\"dests\":{:?}}}", r.dests));
             writeln!(w, "{line}")?;
         }
         for e in &pt.net_events {
@@ -132,26 +137,6 @@ pub fn write_jsonl<W: Write>(trace: &Trace, w: &mut W) -> io::Result<()> {
             line.push_str(",\"value\":");
             json::write_f64(&mut line, e.value);
             line.push('}');
-            writeln!(w, "{line}")?;
-        }
-        for c in &pt.causal {
-            let mut line = String::new();
-            line.push_str(&format!(
-                "{{\"type\":\"causal\",\"party\":{},\"phase\":",
-                c.party
-            ));
-            json::write_str(&mut line, &c.phase);
-            line.push_str(&format!(",\"index\":{},\"t_send_s\":", c.index));
-            json::write_f64(&mut line, secs(c.t_send));
-            line.push_str(",\"t_recv_s\":");
-            json::write_f64(&mut line, secs(c.t_recv));
-            line.push_str(&format!(
-                ",\"lamport_send\":{},\"lamport_recv\":{},\"sends\":{},\"recvs\":{}}}",
-                c.lamport_send,
-                c.lamport_recv,
-                c.sends.len(),
-                c.recvs.len()
-            ));
             writeln!(w, "{line}")?;
         }
     }
@@ -236,11 +221,10 @@ pub fn chrome_trace_json(trace: &Trace) -> String {
             push_event(&mut out, ev);
         }
     }
-    // Flow arrows: one `s`/`f` pair per matched send→recv edge. The shared
-    // `id` is the edge's index in the DAG's deterministic (from, to,
-    // link_seq) ordering, so identical runs produce identical flow ids.
-    let dag = MessageDag::build(trace);
-    for (id, e) in dag.edges().iter().enumerate() {
+    // Flow arrows: one `s`/`f` pair per send→recv edge. The shared `id` is
+    // the edge's index in the deterministic (from, to, round) ordering, so
+    // identical runs produce identical flow ids.
+    for (id, e) in flows(trace).iter().enumerate() {
         let mut ev = format!(
             "{{\"ph\":\"s\",\"pid\":0,\"tid\":{},\"name\":\"msg\",\
              \"cat\":\"flow\",\"id\":{id},\"ts\":",
@@ -475,26 +459,21 @@ pub fn html_report(
     }
     out.push_str("</table>\n");
 
-    // --- critical path (causal stamps required) -----------------------
-    let has_causal = trace.parties.iter().any(|p| !p.causal.is_empty());
-    if has_causal {
-        let dag = MessageDag::build(trace);
-        let cp = dag.critical_path();
+    // --- critical path (round records required) -----------------------
+    if trace.parties.iter().any(|p| !p.rounds.is_empty()) {
+        let cp = critical_path(trace);
         out.push_str("<h2>Critical path</h2>\n<p class=\"meta\">");
         out.push_str(&format!(
-            "total {} · ends at party {} · {} cross-party hop(s) · \
-             {} flow edge(s), {} unmatched send(s), {} Lamport violation(s)",
+            "total {} · ends at party {} · {} cross-party hop(s) · {} flow edge(s)",
             fmt_duration(cp.total),
             cp.end_party,
             cp.cross_hops,
-            dag.edges().len(),
-            dag.unmatched_sends(),
-            dag.lamport_violations(),
+            flows(trace).len(),
         ));
         out.push_str("</p>\n");
         out.push_str(
             "<table>\n<tr><th class=\"l\">party</th><th>total</th><th>compute</th>\
-             <th>idle (waiting)</th><th>causal rounds</th><th>messages sent</th></tr>\n",
+             <th>idle (waiting)</th><th>rounds</th><th>messages sent</th></tr>\n",
         );
         for p in &cp.parties {
             out.push_str(&format!(
@@ -730,9 +709,23 @@ mod tests {
         let parties = (0..2)
             .map(|id| {
                 let (mut r, mut stats) = (PartyRecorder::new(id, latency), PartyStats::default());
-                r.record_round("input", 0, 1, 64);
+                r.record_round(
+                    "input",
+                    0,
+                    0,
+                    (Duration::ZERO, Duration::ZERO),
+                    (1, 64),
+                    vec![],
+                );
                 close(&mut r, &mut stats, "input", 1, 64, 2);
-                r.record_round("open", 1, 1, 16);
+                r.record_round(
+                    "open",
+                    1,
+                    0,
+                    (Duration::ZERO, Duration::ZERO),
+                    (1, 16),
+                    vec![],
+                );
                 close(&mut r, &mut stats, "open", 1, 16, 1);
                 r.finish(stats)
             })
@@ -761,7 +754,14 @@ mod tests {
     fn jsonl_includes_net_events() {
         let latency = Duration::from_millis(100);
         let (mut r, mut stats) = (PartyRecorder::new(0, latency), PartyStats::default());
-        r.record_round("default", 0, 1, 8);
+        r.record_round(
+            "default",
+            0,
+            0,
+            (Duration::ZERO, Duration::ZERO),
+            (1, 8),
+            vec![1],
+        );
         r.record_net_event(crate::trace::NetEvent {
             party: 0,
             round: 0,
@@ -832,30 +832,16 @@ mod tests {
         assert!(!json.contains(",]") && !json.contains(",}"));
     }
 
-    /// Two parties, two causally-stamped rounds each (the engines' recording
-    /// order: causal context, then the round, then one flush per phase).
+    /// Two parties, two rounds each sending one message to the other (the
+    /// engine's recording order: each round, then one flush per phase).
     fn causal_sample_trace() -> Trace {
-        use crate::trace::MsgStamp;
         let latency = Duration::from_millis(100);
         let parties = (0..2usize)
             .map(|me| {
-                let peer = 1 - me;
                 let (mut rec, mut stats) = (PartyRecorder::new(me, latency), PartyStats::default());
-                let mut lamport = 0u64;
                 for k in 0..2u64 {
-                    let send = lamport + 1;
-                    let recv = send + 1;
-                    let stamp = MsgStamp {
-                        peer,
-                        link_seq: k,
-                        lamport: send,
-                        round: k,
-                    };
                     let wall = (Duration::from_millis(k), Duration::from_millis(k));
-                    let (sends, recvs) = (vec![stamp], vec![stamp]);
-                    rec.record_causal_round("compute", k, k, wall, (send, recv), sends, recvs);
-                    rec.record_round("compute", k, 1, 8);
-                    lamport = recv;
+                    rec.record_round("compute", k, k, wall, (1, 8), vec![1 - me]);
                 }
                 close(&mut rec, &mut stats, "compute", 2, 8, 2);
                 rec.finish(stats)
@@ -867,7 +853,7 @@ mod tests {
     #[test]
     fn chrome_trace_emits_one_flow_pair_per_message() {
         let json = chrome_trace_json(&causal_sample_trace());
-        // 2 parties * 2 rounds = 4 matched messages → 4 s/f pairs.
+        // 2 parties * 2 rounds = 4 messages → 4 s/f pairs.
         assert_eq!(json.matches("\"ph\":\"s\"").count(), 4);
         assert_eq!(json.matches("\"ph\":\"f\"").count(), 4);
         assert_eq!(json.matches("\"bp\":\"e\"").count(), 4);
@@ -891,13 +877,17 @@ mod tests {
         let mut buf = Vec::new();
         write_jsonl(&causal_sample_trace(), &mut buf).unwrap();
         let text = String::from_utf8(buf).unwrap();
-        let causal_lines: Vec<&str> = text
+        // Each exchange is one round line, carrying its times and dests.
+        let round_lines: Vec<&str> = text
             .lines()
-            .filter(|l| l.contains("\"type\":\"causal\""))
+            .filter(|l| l.contains("\"type\":\"round\""))
             .collect();
-        assert_eq!(causal_lines.len(), 4);
-        assert!(causal_lines[0].contains("\"lamport_send\":1"));
-        assert!(causal_lines[0].ends_with('}'));
+        assert_eq!(round_lines.len(), 4);
+        assert!(!text.contains("\"type\":\"causal\""));
+        let second = round_lines[1];
+        assert!(second.contains("\"t_send_s\":0.101"), "{second}");
+        assert!(second.contains("\"t_recv_s\":0.201"), "{second}");
+        assert!(second.ends_with("\"dests\":[1]}"), "{second}");
     }
 
     #[test]
@@ -907,8 +897,10 @@ mod tests {
         assert!(html.contains("idle (waiting)"));
         // Still self-contained.
         assert!(!html.contains("<script") && !html.contains("<link"));
-        // And absent without stamps.
-        let plain = html_report("plain run", &sample_trace(), None, None, None, None);
+        // And absent without round records.
+        let mut plain = sample_trace();
+        plain.parties.iter_mut().for_each(|p| p.rounds.clear());
+        let plain = html_report("plain run", &plain, None, None, None, None);
         assert!(!plain.contains("Critical path"));
     }
 
@@ -1068,7 +1060,14 @@ mod tests {
         let latency = Duration::from_millis(1);
         let (mut r, mut stats) = (PartyRecorder::new(0, latency), PartyStats::default());
         let phase = "<script>alert(1)</script>";
-        r.record_round(phase, 0, 1, 8);
+        r.record_round(
+            phase,
+            0,
+            0,
+            (Duration::ZERO, Duration::ZERO),
+            (1, 8),
+            vec![],
+        );
         close(&mut r, &mut stats, phase, 1, 8, 1);
         let trace = Trace::from_parties(latency, vec![r.finish(stats)]);
         let html = html_report("x & <y>", &trace, None, None, None, None);

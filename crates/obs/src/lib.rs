@@ -26,18 +26,16 @@
 //!   running RDP composition of everything released so far. The composed
 //!   totals agree with `sqm_accounting::budget::PrivacyOdometer` fed the
 //!   same curves.
-//! * [`causal`] — cross-party causal analysis of a traced run: every
-//!   message carries a compact trace context (run id, party, round,
-//!   per-link sequence number, Lamport clock), from which
-//!   [`causal::MessageDag`] reconstructs the full send→recv flow graph,
-//!   validates it (Lamport monotonicity, one matching receive per send),
-//!   and computes the latency-weighted critical path with a per-party
-//!   idle/compute breakdown. On SPMD runs the critical-path total equals
-//!   `RunStats::simulated_time()` exactly: both are read off the same
-//!   per-party tallies.
+//! * [`causal`] — cross-party causal analysis of a traced run: each
+//!   exchange is one round record, and [`causal::flows`] reads the
+//!   send→recv flow graph off the senders' `dests`, from which
+//!   [`causal::critical_path`] walks the latency-weighted critical path
+//!   with a per-party idle/compute breakdown. On SPMD runs the
+//!   critical-path total equals `RunStats::simulated_time()` exactly: both
+//!   are read off the same per-party tallies.
 //! * [`export`] — JSONL event logs, Chrome trace-event JSON (loadable in
 //!   Perfetto / `chrome://tracing`, timestamps on the simulated timeline,
-//!   flow arrows from the causal stamps), and a self-contained HTML run
+//!   flow arrows from the round records' `dests`), and a self-contained HTML run
 //!   report. File-writing goes through [`export::atomic_write`]
 //!   (temp file + rename), so interrupted runs never leave truncated
 //!   artifacts.
@@ -90,7 +88,7 @@ pub mod round;
 pub mod span;
 pub mod trace;
 
-pub use causal::{CriticalPath, FlowEdge, MessageDag, PartyBreakdown, PathSegment};
+pub use causal::{critical_path, flows, CriticalPath, FlowEdge, PartyBreakdown, PathSegment};
 pub use export::{
     atomic_write, atomic_write_str, chrome_trace_json, flamegraph_html, html_report,
     write_chrome_trace, write_jsonl, write_ledger_jsonl,
@@ -100,9 +98,7 @@ pub use live::{LiveConfig, LiveSnapshot, StallEvent};
 pub use prof::{ProfConfig, ProfSnapshot};
 pub use round::{PartyStats, PhaseStats, RunStats};
 pub use span::{
-    CriticalSummary, FinishedRequest, PartyCost, RequestContext, RequestOutcome, SloBucket,
-    SloSnapshot, Span, SpanCollector, SpanConfig,
+    FinishedRequest, RequestContext, RequestOutcome, SloBucket, SloSnapshot, Span, SpanCollector,
+    SpanConfig,
 };
-pub use trace::{
-    CausalRound, MsgStamp, NetEvent, PartyRecorder, PartyTrace, RoundRecord, SpanRecord, Trace,
-};
+pub use trace::{NetEvent, PartyRecorder, PartyTrace, RoundRecord, SpanRecord, Trace};

@@ -5,7 +5,7 @@
 //! The party's [`PartyObserver`] first records it in the party's
 //! [`PartyStats`] — per-phase rounds, messages, bytes, elements and wall
 //! time, read off the observer's one phase clock — and then fans it out to
-//! every per-round view: trace and causal stamps ([`crate::trace`]), live
+//! every per-round view: the trace's round record ([`crate::trace`]), live
 //! telemetry ([`crate::live`]), cost profile ([`crate::prof`]), the
 //! `mpc.*` / `net.tcp.*` metrics. The views agree because they are one
 //! measurement.
@@ -34,7 +34,7 @@ use serde::Serialize;
 use crate::live::{Collector, RunError};
 use crate::metrics;
 use crate::prof::Profiler;
-use crate::trace::{MsgStamp, NetEvent, PartyRecorder, PartyTrace, Trace};
+use crate::trace::{NetEvent, PartyRecorder, PartyTrace, Trace};
 
 /// One party's transfer times with one peer in one round, as a socket
 /// transport measured them.
@@ -212,7 +212,6 @@ pub(crate) fn merge<'a>(
 /// Dropped unfinished (a party-thread panic unwinding through the run loop)
 /// it records the run as failed and dumps the flight recorder.
 pub struct RunObserver {
-    n_parties: usize,
     latency: Duration,
     trace: bool,
     live: Option<Arc<Collector>>,
@@ -237,7 +236,6 @@ impl RunObserver {
             prof.begin_run(seed);
         }
         RunObserver {
-            n_parties,
             latency,
             trace,
             live,
@@ -259,10 +257,7 @@ impl RunObserver {
             visit: PhaseStats::default(),
             stats: PartyStats::default(),
             sent_at: Duration::ZERO,
-            lamport: 0,
-            send_seq: vec![0; self.n_parties],
-            recv_seq: vec![0; self.n_parties],
-            sends: Vec::new(),
+            dests: Vec::new(),
         }
     }
 
@@ -301,16 +296,10 @@ impl Drop for RunObserver {
 }
 
 /// One party's observers, owned by its thread: the run's handles, the
-/// party's tally with the phase it charges and that phase's clock, the
-/// optional trace recorder, and the causal state traced runs stamp their
-/// messages from (Lamport clock, per-link send and receive counts).
-///
-/// Both ends of a message stamp it from their own schedule, and nothing
-/// crosses the wire: rounds are lock-step, so the sender is the payload's
-/// slot, the round is the party's own counter, the link sequence is the
-/// party's own count of non-empty payloads on that link this run, and the
-/// Lamport clock — 0 at every party as a run starts, `+2` per exchange —
-/// is equal at every party in the same round.
+/// party's tally with the phase it charges and that phase's clock, and the
+/// optional trace recorder. Nothing it records crosses the wire: a traced
+/// round's record names the peers this party sent to, and rounds are
+/// lock-step, so the receiver's record of the same round is the other end.
 pub struct PartyObserver {
     party: usize,
     live: Option<Arc<Collector>>,
@@ -323,11 +312,8 @@ pub struct PartyObserver {
     stats: PartyStats,
     /// The phase clock at the send side of the round in flight.
     sent_at: Duration,
-    lamport: u64,
-    send_seq: Vec<u64>,
-    recv_seq: Vec<u64>,
-    /// This round's send stamps, between stamping and recording.
-    sends: Vec<MsgStamp>,
+    /// On a traced run, the peers the round in flight sent to.
+    dests: Vec<usize>,
 }
 
 impl PartyObserver {
@@ -361,44 +347,35 @@ impl PartyObserver {
         }
     }
 
-    /// The send side of round `round`: read the phase clock and, on a
-    /// traced run, stamp the real outgoing messages, one per peer in
-    /// `dests`.
-    pub fn send(&mut self, round: u64, dests: impl IntoIterator<Item = usize>) {
+    /// The send side of a round: read the phase clock and, on a traced
+    /// run, note the peers in `dests` a real message goes to.
+    pub fn send(&mut self, dests: impl IntoIterator<Item = usize>) {
         if self.recorder.is_some() {
-            self.sends = stamps(round, self.lamport + 1, &mut self.send_seq, dests);
+            self.dests = dests.into_iter().collect();
         }
         self.sent_at = self.visit_started.elapsed();
     }
 
     /// Round `round` came back: `traffic` is the messages, bytes and field
-    /// elements this party sent, `sources` the peers whose payload to it
-    /// was non-empty. Record the round in the party's tally (and trace),
-    /// then report it to every attached observer.
+    /// elements this party sent. Record the round in the party's tally (and
+    /// trace), then report it to every attached observer.
     pub fn round(
         &mut self,
         round: u64,
         traffic: (u64, u64, u64),
         net_events: Vec<NetEvent>,
         link_walls: Vec<LinkWall>,
-        sources: impl IntoIterator<Item = usize>,
     ) {
         let (messages, bytes, elems) = traffic;
         let received_at = self.visit_started.elapsed();
         if let Some(rec) = &mut self.recorder {
-            // Every peer sent at this same clock, so merging their stamps
-            // is one tick past it.
-            let lamport_send = self.lamport + 1;
-            let recvs = stamps(round, lamport_send, &mut self.recv_seq, sources);
-            self.lamport = lamport_send + 1;
-            rec.record_causal_round(
+            rec.record_round(
                 &self.phase,
                 round,
                 self.visit.rounds,
                 (self.sent_at, received_at),
-                (lamport_send, self.lamport),
-                std::mem::take(&mut self.sends),
-                recvs,
+                (messages, bytes),
+                std::mem::take(&mut self.dests),
             );
         }
         self.visit.rounds += 1;
@@ -426,7 +403,6 @@ impl PartyObserver {
             live.fold(&event);
         }
         if let Some(rec) = &mut self.recorder {
-            rec.record_round(event.phase, round, messages, bytes);
             for e in event.net_events {
                 rec.record_net_event(e);
             }
@@ -470,27 +446,6 @@ impl PartyObserver {
         let trace = self.recorder.map(|rec| rec.finish(self.stats.clone()));
         (self.stats, trace)
     }
-}
-
-/// One stamp per peer in `peers` on the directed links `seq` counts: the
-/// next sequence number on each link, at `lamport` in round `round`.
-fn stamps(
-    round: u64,
-    lamport: u64,
-    seq: &mut [u64],
-    peers: impl IntoIterator<Item = usize>,
-) -> Vec<MsgStamp> {
-    let stamp = |peer: usize| {
-        let link_seq = seq[peer];
-        seq[peer] += 1;
-        MsgStamp {
-            peer,
-            link_seq,
-            lamport,
-            round,
-        }
-    };
-    peers.into_iter().map(stamp).collect()
 }
 
 #[cfg(test)]

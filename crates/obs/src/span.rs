@@ -8,9 +8,9 @@
 //! its whole life: the queue wait, the odometer admission gate, the MPC
 //! release, and the reply encoding each record one [`Span`] into it.
 //! The MPC child span links to the engine run through the causal run id
-//! and carries the reconstructed message DAG's critical-path breakdown
-//! ([`CriticalSummary`]), so "why was this request slow" decomposes all
-//! the way down to the straggler party.
+//! and carries the run's [`CriticalPath`], walked over the flows read off
+//! the trace's round records, so "why was this request slow" decomposes
+//! all the way down to the straggler party.
 //!
 //! ## Invariants
 //!
@@ -18,7 +18,7 @@
 //!   `queue_wait + exec`, so the span tree's end-to-end time always
 //!   equals the sum of its top-level phases exactly (`assert_eq`-tested
 //!   in the serve crate — no epsilon).
-//! * The MPC child span's [`CriticalSummary::total`] is the causal
+//! * The MPC child span's [`CriticalPath::total`] is the causal
 //!   critical path of the release's trace, which equals
 //!   `RunStats::simulated_time()` exactly on SPMD runs: both are read off
 //!   the parties' one tally (see [`crate::causal`]).
@@ -46,7 +46,7 @@ use std::path::{Path, PathBuf};
 use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use crate::causal::MessageDag;
+use crate::causal::CriticalPath;
 use crate::export::atomic_write_str;
 
 /// Index of the root `"request"` span in every [`RequestContext`].
@@ -76,8 +76,8 @@ pub struct Span {
     pub rounds: u64,
     pub messages: u64,
     pub bytes: u64,
-    /// Critical-path breakdown of the linked run's message DAG.
-    pub critical: Option<CriticalSummary>,
+    /// Critical path of the linked run's trace.
+    pub critical: Option<CriticalPath>,
 }
 
 impl Span {
@@ -91,60 +91,6 @@ impl Span {
             messages: 0,
             bytes: 0,
             critical: None,
-        }
-    }
-}
-
-/// One party's share of a linked MPC run. `rounds`/`messages` are
-/// deterministic; `idle`/`compute` are wall-derived attribution and stay
-/// out of dumps.
-#[derive(Clone, Debug)]
-pub struct PartyCost {
-    pub party: usize,
-    pub rounds: u64,
-    pub messages: u64,
-    pub idle: Duration,
-    pub compute: Duration,
-}
-
-/// The causal self-time breakdown attached to an MPC span.
-#[derive(Clone, Debug)]
-pub struct CriticalSummary {
-    /// Critical-path length — equals `RunStats::simulated_time()` exactly
-    /// on SPMD runs. Wall-derived at zero configured latency, so not
-    /// dumped.
-    pub total: Duration,
-    /// Cross-party hops on the walked path (wall-dependent attribution).
-    pub cross_hops: u64,
-    /// DAG health: all three are zero on a fault-free completed run.
-    pub unmatched_sends: usize,
-    pub unmatched_recvs: usize,
-    pub lamport_violations: usize,
-    /// Per-party breakdown, sorted by party id.
-    pub parties: Vec<PartyCost>,
-}
-
-impl CriticalSummary {
-    /// Summarize a reconstructed message DAG (critical path + health).
-    pub fn build(dag: &MessageDag<'_>) -> CriticalSummary {
-        let cp = dag.critical_path();
-        CriticalSummary {
-            total: cp.total,
-            cross_hops: cp.cross_hops,
-            unmatched_sends: dag.unmatched_sends(),
-            unmatched_recvs: dag.unmatched_recvs(),
-            lamport_violations: dag.lamport_violations(),
-            parties: cp
-                .parties
-                .iter()
-                .map(|p| PartyCost {
-                    party: p.party,
-                    rounds: p.rounds,
-                    messages: p.messages,
-                    idle: p.idle,
-                    compute: p.compute,
-                })
-                .collect(),
         }
     }
 }
@@ -539,13 +485,7 @@ impl SpanCollector {
                     ));
                 }
                 if let Some(critical) = &span.critical {
-                    out.push_str(&format!(
-                        ",\"critical\":{{\"unmatched_sends\":{},\"unmatched_recvs\":{},\
-                         \"lamport_violations\":{},\"parties\":[",
-                        critical.unmatched_sends,
-                        critical.unmatched_recvs,
-                        critical.lamport_violations
-                    ));
+                    out.push_str(",\"critical\":{\"parties\":[");
                     for (k, p) in critical.parties.iter().enumerate() {
                         if k > 0 {
                             out.push(',');

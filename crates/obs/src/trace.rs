@@ -5,8 +5,10 @@
 //! [`crate::round`]). A trace lays a run out on that clock: each visit to a
 //! protocol phase (`"share"`, `"quantize"`, `"dp_noise"`, `"compute"`,
 //! `"open"`, ...) becomes one [`SpanRecord`] starting where the party's
-//! previous visit ended, and each exchange one [`RoundRecord`] plus, with
-//! its causal stamps, one [`CausalRound`].
+//! previous visit ended. Each exchange is one round record
+//! ([`RoundRecord`]): its send and receive times and the peers it sent to;
+//! the message DAG's flows are read off the senders' `dests`
+//! ([`crate::causal`]).
 //!
 //! A [`PartyRecorder`] belongs to one party's `PartyObserver` — no locks,
 //! no atomics — and keeps detail records only. The observer charges rounds
@@ -46,7 +48,10 @@ pub struct SpanRecord {
     pub bytes: u64,
 }
 
-/// One message exchange (synchronous round) as seen by one party.
+/// One message exchange (synchronous round) as seen by one party, placed
+/// on the party's simulated timeline. Rounds are lock-step, so a message is
+/// fixed by its sender, receiver and round: the sender's `dests` and the
+/// receiver's record of the same round give its two ends.
 #[derive(Clone, Debug, Serialize)]
 pub struct RoundRecord {
     pub party: usize,
@@ -59,54 +64,17 @@ pub struct RoundRecord {
     pub messages: u64,
     /// Payload bytes this party sent in the round.
     pub bytes: u64,
-}
-
-/// One stamped message as seen from one side of an exchange.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
-pub struct MsgStamp {
-    /// The peer on the directed link: the destination for sends, the
-    /// source for receives.
-    pub peer: usize,
-    /// Per-directed-link sequence number (matches a send to its receive).
-    pub link_seq: u64,
-    /// The sender's Lamport clock at send time. Rounds are lock-step, so a
-    /// receiver stamps its own send clock, which is the same value.
-    pub lamport: u64,
-    /// The round index at send time, the same at both ends.
-    pub round: u64,
-}
-
-/// One synchronous exchange with its full causal context: where on the
-/// party's simulated timeline the send and receive happened, the party's
-/// Lamport clock on both sides, and the per-link stamps of every real
-/// message sent and received. Recorded only when tracing is on; the
-/// reconstruction lives in [`crate::causal`].
-#[derive(Clone, Debug, Serialize)]
-pub struct CausalRound {
-    pub party: usize,
-    /// Phase the round was charged to.
-    pub phase: String,
-    /// The party's round index (matches [`RoundRecord::index`]).
-    pub index: u64,
-    /// Simulated-clock position of the send side of the exchange
-    /// (span start + wall measured before the exchange + one latency per
-    /// earlier round in the phase).
+    /// Simulated-clock position of the send side of the exchange (span
+    /// start + wall measured before the exchange + one latency per earlier
+    /// round in the phase).
     pub t_send: Duration,
     /// Simulated-clock position of the receive side (span start + wall
     /// measured after the exchange + one latency per round completed in
     /// the phase, including this one). Always `>= t_send`.
     pub t_recv: Duration,
-    /// Measured wall time spent inside the exchange call (receive wait).
-    pub wall_wait: Duration,
-    /// The party's Lamport clock stamped on this round's outgoing messages.
-    pub lamport_send: u64,
-    /// The party's Lamport clock after merging the received stamps.
-    pub lamport_recv: u64,
-    /// Real messages sent this round (non-empty, non-loopback), one stamp
-    /// per destination.
-    pub sends: Vec<MsgStamp>,
-    /// Real messages received this round, one stamp per sender.
-    pub recvs: Vec<MsgStamp>,
+    /// The peers this party sent a real (non-empty, non-loopback) payload
+    /// to, in increasing order.
+    pub dests: Vec<usize>,
 }
 
 /// One transport-level incident (an injected delay or a drop/retransmit
@@ -128,7 +96,7 @@ pub struct NetEvent {
     pub value: f64,
 }
 
-/// Bound on detail records (spans + rounds + causal rounds + net events)
+/// Bound on detail records (spans + rounds + net events)
 /// kept per party. Long epoch loops (e.g. a full logistic-regression fit)
 /// can emit millions of per-round records; beyond the cap they are
 /// counted, not stored, and the party's tally stays whole.
@@ -149,7 +117,6 @@ pub struct PartyRecorder {
     spans: Vec<SpanRecord>,
     rounds: Vec<RoundRecord>,
     net_events: Vec<NetEvent>,
-    causal: Vec<CausalRound>,
 }
 
 impl PartyRecorder {
@@ -165,7 +132,6 @@ impl PartyRecorder {
             spans: Vec::new(),
             rounds: Vec::new(),
             net_events: Vec::new(),
-            causal: Vec::new(),
         }
     }
 
@@ -180,22 +146,39 @@ impl PartyRecorder {
 
     /// Is there room for one more detail record? Counts it dropped if not.
     fn keep(&mut self) -> bool {
-        let stored =
-            self.spans.len() + self.rounds.len() + self.net_events.len() + self.causal.len();
+        let stored = self.spans.len() + self.rounds.len() + self.net_events.len();
         let room = stored < self.event_cap;
         self.dropped_events += u64::from(!room);
         room
     }
 
-    /// Record round `index`, charged to `phase`.
-    pub fn record_round(&mut self, phase: &str, index: u64, messages: u64, bytes: u64) {
+    /// Record round `index`, charged to `phase`, after `earlier` rounds of
+    /// the open visit: this party sent `messages` messages of `bytes` bytes
+    /// in all, a real one to each of `dests`. `wall` is the visit's
+    /// phase-clock reading just before and just after the transport call;
+    /// the round sits on the simulated timeline at the open span's start
+    /// plus that reading plus one latency per round completed by then,
+    /// mirroring `wall + latency * rounds`.
+    pub fn record_round(
+        &mut self,
+        phase: &str,
+        index: u64,
+        earlier: u64,
+        (wall_send, wall_recv): (Duration, Duration),
+        (messages, bytes): (u64, u64),
+        dests: Vec<usize>,
+    ) {
         if self.keep() {
+            let k = earlier as u32;
             self.rounds.push(RoundRecord {
                 party: self.party,
                 phase: phase.to_string(),
                 index,
                 messages,
                 bytes,
+                t_send: self.clock + wall_send + self.latency * k,
+                t_recv: self.clock + wall_recv + self.latency * (k + 1),
+                dests,
             });
         }
     }
@@ -221,41 +204,6 @@ impl PartyRecorder {
         self.clock += duration;
     }
 
-    /// Record the causal context of round `index`, charged to `phase`,
-    /// after `earlier` rounds of the open visit. `wall` is the visit's
-    /// phase-clock reading just before and just after the transport call;
-    /// the round sits on the simulated timeline at the open span's start
-    /// plus that reading plus one latency per round completed by then,
-    /// mirroring `wall + latency * rounds`. `lamport` is the party's clock
-    /// stamped on the sends and merged after the receives.
-    #[allow(clippy::too_many_arguments)]
-    pub fn record_causal_round(
-        &mut self,
-        phase: &str,
-        index: u64,
-        earlier: u64,
-        (wall_send, wall_recv): (Duration, Duration),
-        (lamport_send, lamport_recv): (u64, u64),
-        sends: Vec<MsgStamp>,
-        recvs: Vec<MsgStamp>,
-    ) {
-        if self.keep() {
-            let k = earlier as u32;
-            self.causal.push(CausalRound {
-                party: self.party,
-                phase: phase.to_string(),
-                index,
-                t_send: self.clock + wall_send + self.latency * k,
-                t_recv: self.clock + wall_recv + self.latency * (k + 1),
-                wall_wait: wall_recv.saturating_sub(wall_send),
-                lamport_send,
-                lamport_recv,
-                sends,
-                recvs,
-            });
-        }
-    }
-
     /// Record a transport-level event of the round just recorded. Events do
     /// not affect the simulated clock — injected delays already show up in
     /// the measured wall time.
@@ -275,7 +223,6 @@ impl PartyRecorder {
             spans: self.spans,
             rounds: self.rounds,
             net_events: self.net_events,
-            causal: self.causal,
             stats,
             dropped_events: self.dropped_events,
         }
@@ -290,9 +237,6 @@ pub struct PartyTrace {
     pub rounds: Vec<RoundRecord>,
     /// Transport incidents (injected delays, retransmits), in order.
     pub net_events: Vec<NetEvent>,
-    /// Per-exchange causal context (empty unless the run was traced with
-    /// a causal-stamping engine). Feeds [`crate::causal`].
-    pub causal: Vec<CausalRound>,
     /// The party's tally of the run, whole under the event cap.
     pub stats: PartyStats,
     /// Detail records discarded because the event cap was reached.
@@ -350,7 +294,9 @@ mod tests {
             ..PhaseStats::default()
         };
         for &(messages, bytes) in rounds {
-            rec.record_round(phase, stats.total.rounds + v.rounds, messages, bytes);
+            let index = stats.total.rounds + v.rounds;
+            let walls = (Duration::ZERO, Duration::ZERO);
+            rec.record_round(phase, index, v.rounds, walls, (messages, bytes), vec![]);
             v.rounds += 1;
             v.messages += messages;
             v.bytes += bytes;
@@ -400,7 +346,7 @@ mod tests {
     #[test]
     fn net_events_are_kept_in_order_and_do_not_touch_the_clock() {
         let mut r = PartyRecorder::new(1, ms(100));
-        r.record_round("input", 0, 2, 16);
+        r.record_round("input", 0, 0, (ms(1), ms(2)), (2, 16), vec![0, 2]);
         r.record_net_event(NetEvent {
             party: 1,
             round: 0,
@@ -427,6 +373,11 @@ mod tests {
         assert_eq!(t.net_events.len(), 2);
         assert_eq!(t.net_events[0].kind, "retransmit");
         assert_eq!(t.net_events[1].peer, 2);
+        // The round sits on the clock at its two phase-clock readings, the
+        // receive side one latency on.
+        let round = &t.rounds[0];
+        assert_eq!((round.t_send, round.t_recv), (ms(1), ms(102)));
+        assert_eq!(round.dests, [0, 2]);
         // Simulated clock still `wall + latency * rounds` only: one round
         // was recorded, and the net events add nothing to it.
         assert_eq!(t.spans[0].duration, ms(103));

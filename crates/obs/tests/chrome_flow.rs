@@ -1,9 +1,10 @@
 //! Golden-file test for Chrome-trace flow events.
 //!
-//! A causally-stamped trace round-trips through `write_chrome_trace` and
-//! back through our own JSON parser: every stamped message must surface
-//! as exactly one `ph:"s"` / `ph:"f"` pair whose flow ids match, with the
-//! start on the sender's track and the finish on the receiver's.
+//! A traced run round-trips through `write_chrome_trace` and back through
+//! our own JSON parser: every message a round record names in its `dests`
+//! must surface as exactly one `ph:"s"` / `ph:"f"` pair whose flow ids
+//! match, with the start on the sender's track and the finish on the
+//! receiver's.
 //!
 //! The golden file (`tests/golden/chrome_flow_golden.json`) pins the
 //! serialized byte stream, so any accidental change to flow-event layout
@@ -15,7 +16,7 @@ use std::time::Duration;
 
 use sqm_obs::json::{self, JsonValue};
 use sqm_obs::round::{PartyStats, PhaseStats};
-use sqm_obs::trace::{MsgStamp, PartyRecorder, Trace};
+use sqm_obs::trace::{PartyRecorder, Trace};
 use sqm_obs::write_chrome_trace;
 
 const GOLDEN_PATH: &str = concat!(
@@ -23,30 +24,17 @@ const GOLDEN_PATH: &str = concat!(
     "/tests/golden/chrome_flow_golden.json"
 );
 
-/// Two parties, two causally-stamped rounds each — the engine's recording
-/// order (causal context, then the round, then the visit's close), with
+/// Two parties, two rounds each sending one message to the other — the
+/// engine's recording order (each round, then the visit's close), with
 /// every wall-clock duration pinned so the serialization is byte-stable.
 fn golden_trace() -> Trace {
     let latency = Duration::from_millis(100);
     let parties = (0..2usize)
         .map(|me| {
-            let peer = 1 - me;
             let mut rec = PartyRecorder::new(me, latency);
-            let mut lamport = 0u64;
             for k in 0..2u64 {
-                let send = lamport + 1;
-                let recv = send + 1;
-                let stamp = MsgStamp {
-                    peer,
-                    link_seq: k,
-                    lamport: send,
-                    round: k,
-                };
                 let wall = (Duration::from_millis(k), Duration::from_millis(k));
-                let (sends, recvs) = (vec![stamp], vec![stamp]);
-                rec.record_causal_round("compute", k, k, wall, (send, recv), sends, recvs);
-                rec.record_round("compute", k, 1, 8);
-                lamport = recv;
+                rec.record_round("compute", k, k, wall, (1, 8), vec![1 - me]);
             }
             let visit = PhaseStats {
                 rounds: 2,
@@ -105,7 +93,7 @@ fn flow_events_parse_back_with_matching_ids() {
         .filter(|e| phase(e).as_deref() == Some("f"))
         .collect();
 
-    // 2 parties * 2 rounds = 4 stamped messages → one flow pair each.
+    // 2 parties * 2 rounds = 4 messages → one flow pair each.
     assert_eq!(starts.len(), 4);
     assert_eq!(finishes.len(), 4);
 

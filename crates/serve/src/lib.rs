@@ -26,9 +26,9 @@
 //! `sqm_obs::span::RequestContext` through its whole life: the scheduler
 //! records queue-wait and exec spans (defining the root as their exact
 //! sum), the tenant adds admit / MPC / encode children, and — when the
-//! tenant has [`TenantConfig::request_tracing`] on — the MPC span links to
-//! the engine run's causal message DAG, attaching its critical-path
-//! breakdown. The per-server `sqm_obs::span::SpanCollector` keeps a
+//! tenant has [`TenantConfig::request_tracing`] on — the MPC span carries
+//! the engine run's critical path, walked over the flows its trace's round
+//! records name. The per-server `sqm_obs::span::SpanCollector` keeps a
 //! time-bucketed SLO history and a slow-request recorder whose
 //! `slowreq_<seed>.jsonl` dump is byte-deterministic. Per-tenant SLO
 //! metrics (phase-latency histograms, epsilon burn-rate and

@@ -385,6 +385,41 @@ mod tests {
     }
 
     #[test]
+    fn an_oversized_tenant_is_a_bad_request_and_the_endpoint_serves_on() {
+        let server = Server::start(ServerConfig::default());
+        let endpoint = ServeHttp::bind(server, "127.0.0.1:0").unwrap();
+        let addr = endpoint.local_addr();
+        // Covariance bounds past M127's headroom, and non-positive norms.
+        for body in [
+            r#"{"name": "big", "gamma": 1e20}"#,
+            r#"{"name": "big", "mu": 1e300}"#,
+            r#"{"name": "big", "max_row_norm": 1e30}"#,
+            r#"{"name": "big", "max_rows": 9000000000000000, "max_row_norm": 1e10}"#,
+            r#"{"name": "big", "max_row_norm": 0}"#,
+            r#"{"name": "big", "max_row_norm": -1}"#,
+        ] {
+            let (st, reply) = http(addr, "POST", "/v1/tenant", body);
+            assert_eq!(st, 400, "{body}: {reply}");
+            assert!(reply.contains("bad_request"), "{body}: {reply}");
+        }
+        // The same endpoint still creates a tenant and releases for it.
+        let (st, reply) = http(
+            addr,
+            "POST",
+            "/v1/tenant",
+            r#"{"name": "big", "gamma": 32.0, "mu": 1e8}"#,
+        );
+        assert_eq!(st, 200, "{reply}");
+        let records = r#"{"tenant": "big", "records": [[0.5, 0.1, 0.2]]}"#;
+        let (st, reply) = http(addr, "POST", "/v1/ingest", records);
+        assert_eq!(st, 200, "{reply}");
+        let (st, reply) = http(addr, "POST", "/v1/release", r#"{"tenant": "big"}"#);
+        assert_eq!(st, 200, "{reply}");
+        assert!(reply.contains("\"covariance\""), "{reply}");
+        endpoint.shutdown();
+    }
+
+    #[test]
     fn status_json_reports_per_tenant_depth_and_budget() {
         use crate::tenant::TenantConfig;
 

@@ -11,10 +11,9 @@ use sqm_accounting::PrivacyOdometer;
 use sqm_core::sensitivity::pca_sensitivity;
 use sqm_linalg::Matrix;
 use sqm_mpc::{FaultSpec, RunStats};
-use sqm_obs::causal::MessageDag;
 use sqm_obs::ledger::PrivacyLedger;
 use sqm_obs::metrics;
-use sqm_obs::span::{CriticalSummary, RequestContext, EXEC};
+use sqm_obs::span::{RequestContext, EXEC};
 use sqm_vfl::session::{ReleaseKind, ReleasePermit};
 use sqm_vfl::{ColumnPartition, PrivacyAccount, StreamCov, VflConfig};
 
@@ -49,7 +48,7 @@ pub struct TenantConfig {
     /// (tests use this to crash a party mid-session).
     pub faults: Option<FaultSpec>,
     /// Capture engine traces on every release so the request's MPC span
-    /// links to the causal message DAG (critical-path breakdown). Tracing
+    /// carries the run's critical path (over the trace's flows). Tracing
     /// is passive — results are bit-identical with it on or off.
     pub request_tracing: bool,
 }
@@ -91,8 +90,8 @@ impl TenantConfig {
         if !(self.gamma > 0.0 && self.gamma.is_finite()) {
             return bad("gamma must be positive and finite");
         }
-        if self.mu < 0.0 {
-            return bad("mu must be non-negative");
+        if !(self.mu >= 0.0 && self.mu.is_finite()) {
+            return bad("mu must be non-negative and finite");
         }
         if self.budget_eps <= 0.0 || self.budget_eps.is_nan() {
             return bad("budget_eps must be positive");
@@ -102,6 +101,14 @@ impl TenantConfig {
         }
         if self.max_rows == 0 {
             return bad("max_rows must be positive");
+        }
+        if !(self.max_row_norm > 0.0 && self.max_row_norm.is_finite()) {
+            return bad("max_row_norm must be positive and finite");
+        }
+        // Before any meshing: a session whose covariance bound no field
+        // holds would panic in `StreamCov::new`.
+        if !StreamCov::envelope_fits(self.gamma, self.mu, self.max_rows, self.max_row_norm) {
+            return bad("gamma, mu, max_rows and max_row_norm bound the covariance past M127");
         }
         Ok(())
     }
@@ -256,9 +263,8 @@ impl Tenant {
     /// [`Tenant::release`] with request-scoped tracing: the admit / MPC /
     /// encode phases each record a child span under the request's exec
     /// span and a per-tenant phase-latency histogram, and the MPC span
-    /// links to the causal run id (the session seed), carrying the
-    /// reconstructed message DAG's critical-path breakdown when the
-    /// session captures engine traces ([`TenantConfig::request_tracing`]).
+    /// links to the causal run id (the session seed), carrying the run's
+    /// critical path when the session captures engine traces ([`TenantConfig::request_tracing`]).
     pub fn release_spanned(
         &mut self,
         mut ctx: Option<&mut RequestContext>,
@@ -299,15 +305,14 @@ impl Tenant {
             let id = c.add_child(EXEC, "mpc", mpc_wall);
             if let Ok(out) = &out {
                 let span = c.span_mut(id);
-                // The causal run id is the session seed: the engines stamp
-                // it on every message, so this link resolves into the
+                // The causal run id is the session seed, which names the
                 // flight recorder / chrome-trace artifacts of the same run.
                 span.run_id = Some(self.config.seed);
                 span.rounds = out.stats.total.rounds;
                 span.messages = out.stats.total.messages;
                 span.bytes = out.stats.total.bytes;
                 if let Some(trace) = &out.trace {
-                    span.critical = Some(CriticalSummary::build(&MessageDag::build(trace)));
+                    span.critical = Some(sqm_obs::critical_path(trace));
                 }
             }
         }

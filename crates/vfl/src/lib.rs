@@ -126,7 +126,16 @@ use sqm_sampling::skellam::Skellam;
 
 /// The choice behind `with_field!`; `StreamCov` pins a session's field by it.
 pub(crate) fn field_for(bound: f64) -> FieldChoice {
-    FieldChoice::for_magnitude(bound).expect("workload exceeds M127 headroom")
+    fitting_field(bound).expect("workload exceeds M127 headroom")
+}
+
+/// The field for integers up to `bound`, or `None` when no field holds
+/// them: past `M127`'s headroom, or a bound that overflowed to infinity or
+/// NaN.
+pub(crate) fn fitting_field(bound: f64) -> Option<FieldChoice> {
+    bound
+        .is_finite()
+        .then(|| FieldChoice::for_magnitude(bound))?
 }
 
 /// Checked once per release where `gamma` enters, not once per value.

@@ -51,7 +51,7 @@ use crate::covariance::{
     magnitude_bound, symmetric_from_upper, CovSession, CovarianceOutput, STREAMS,
 };
 use crate::partition::ColumnPartition;
-use crate::{field_for, party_streams, validate_gamma, VflConfig};
+use crate::{field_for, fitting_field, party_streams, validate_gamma, VflConfig};
 
 /// The only field-dependent part of a streaming session: the mesh and the
 /// per-party share state. The width is pinned at creation from the declared
@@ -76,6 +76,13 @@ pub struct StreamCov {
 }
 
 impl StreamCov {
+    /// Whether a session of this envelope fits a field: [`StreamCov::new`]
+    /// panics on one that does not, so a caller taking the envelope from
+    /// outside (a serve tenant) asks first.
+    pub fn envelope_fits(gamma: f64, mu: f64, max_rows: usize, max_row_norm: f64) -> bool {
+        fitting_field(magnitude_bound(max_rows, max_row_norm, gamma, mu)).is_some()
+    }
+
     /// Open a session. `max_rows` and `max_row_norm` declare the workload
     /// envelope (total records the session may ingest and the largest
     /// per-record l2 norm); they pin the field width for the whole session

@@ -34,8 +34,14 @@
 #     or examples/,
 #   * the deleted trace header comes back: `TraceHeader`, `exchange_stamped`,
 #     `BadTraceHeader`, `headers_of` or `stamps_of` as a whole word under
-#     crates/, tests/ or examples/ (payloads travel bare; each end of a
-#     message stamps it from its own lock-step schedule),
+#     crates/, tests/ or examples/ (payloads travel bare),
+#   * the deleted causal stamps and send/receive matching come back:
+#     `MsgStamp`, `CausalRound`, `record_causal_round`, `link_seq`,
+#     `lamport`, `unmatched_sends`, `unmatched_recvs`, `fully_matched`,
+#     `lamport_violations`, `CriticalSummary`, `PartyCost`, `MessageDag` or
+#     `wall_wait` as a whole word under crates/, tests/ or examples/ (each
+#     exchange is one round record; flows are read off the senders'
+#     `dests`),
 #   * the deleted second and third yardsticks come back (the wall-clock
 #     gate crate and its binary, the gate script, the stand-in bench
 #     harness under compat/): their names as whole words in Cargo.toml,
@@ -172,9 +178,12 @@ fi
 
 if grep -rnwE 'TraceHeader|exchange_stamped|BadTraceHeader|headers_of|stamps_of' \
     crates tests examples >&2; then
-  echo "the trace header is deleted: one Transport::exchange, receivers stamp from their own schedule" >&2
+  echo "the trace header is deleted: one Transport::exchange, payloads travel bare" >&2
   fail=1
 fi
+expect "the causal stamps or their matching are back (each exchange is one round record; flows are read off the senders' dests)" 0 \
+  "$(grep -rnwE 'MsgStamp|CausalRound|record_causal_round|link_seq|lamport|unmatched_sends|unmatched_recvs|fully_matched|lamport_violations|CriticalSummary|PartyCost|MessageDag|wall_wait' \
+    crates tests examples || true)"
 
 # Spelled with bracket expressions so this file does not match itself.
 expect "a second yardstick is back (benchmark/run.sh times, tests/release_counters.rs pins)" 0 \
