@@ -16,13 +16,20 @@ use crate::traits::{check_combine, PrimeField};
 pub const P61: u64 = (1u64 << 61) - 1;
 
 /// Products summed into one `u128` between two reductions in
-/// [`PrimeField::dot`] / [`PrimeField::dot4`], and rows summed into one in
-/// [`PrimeField::combine`].
+/// [`PrimeField::dot`], and rows summed into one in [`PrimeField::combine`].
 const DOT_BLOCK: usize = 32;
 
-// The release profile does not check overflow, so the accumulator bound is
-// proven here: a block of products of canonical elements fits a `u128`.
+/// Pair products summed into one `u128` between two reductions in
+/// [`PrimeField::winograd4`]. Each factor is a sum of two canonical
+/// elements, below `2^62`, so each product is below `2^124`: fifteen fit a
+/// `u128`, sixteen of the loose bound do not.
+const PAIR_BLOCK: usize = 15;
+
+// The release profile does not check overflow, so the accumulator bounds are
+// proven here: a block of products of canonical elements fits a `u128`, and
+// so does a block of products of sums below `2^62`.
 const _: () = assert!(DOT_BLOCK as u128 <= u128::MAX / ((P61 as u128 - 1) * (P61 as u128 - 1)));
+const _: () = assert!(PAIR_BLOCK as u128 <= u128::MAX >> 124);
 
 /// An element of `GF(2^61 - 1)`, stored canonically in `[0, p)`.
 #[derive(Copy, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -64,35 +71,11 @@ impl M61 {
         Self::reduce64(limbs)
     }
 
-    /// `out[l] = <x, cols[l]>` with delayed reduction: raw 122-bit products
-    /// are added in `u128` and folded once per [`DOT_BLOCK`] terms. The `N`
-    /// lanes share each load of `x` and keep `N` independent add chains in
-    /// flight, which is what lets the loop run at the multiplier's pace.
-    #[inline]
-    fn dot_lanes<const N: usize>(x: &[M61], cols: [&[M61]; N]) -> [M61; N] {
-        let m = x.len();
-        for c in &cols {
-            assert_eq!(c.len(), m, "dot: operand length mismatch");
-        }
-        let mut out = [M61::ZERO; N];
-        let mut start = 0;
-        while start < m {
-            let end = (start + DOT_BLOCK).min(m);
-            let xb = &x[start..end];
-            let cb = cols.map(|c| &c[start..end]);
-            let mut wide = [0u128; N];
-            for i in 0..xb.len() {
-                let xi = xb[i].0 as u128;
-                for l in 0..N {
-                    wide[l] += xi * cb[l][i].0 as u128;
-                }
-            }
-            for l in 0..N {
-                out[l] += M61(Self::reduce128(wide[l]));
-            }
-            start = end;
-        }
-        out
+    /// `(x[0] + c[1]) * (x[1] + c[0])` unreduced: each sum of two canonical
+    /// elements is below `2^62` in a `u64`, the product below `2^124`.
+    #[inline(always)]
+    fn pair_product(x: &[M61], c: &[M61]) -> u128 {
+        (x[0].0 + c[1].0) as u128 * (x[1].0 + c[0].0) as u128
     }
 
     /// `sum_i weights[i] * rows[i][k]` over at most [`DOT_BLOCK`] rows, the
@@ -144,14 +127,63 @@ impl PrimeField for M61 {
         }
     }
 
+    /// Delayed reduction: raw 122-bit products are added in a `u128` and
+    /// folded once per [`DOT_BLOCK`] terms.
     #[inline]
     fn dot(a: &[Self], b: &[Self]) -> Self {
-        Self::dot_lanes(a, [b])[0]
+        assert_eq!(a.len(), b.len(), "dot: operand length mismatch");
+        let mut out = M61::ZERO;
+        for (ab, bb) in a.chunks(DOT_BLOCK).zip(b.chunks(DOT_BLOCK)) {
+            let mut wide = 0u128;
+            for (x, y) in ab.iter().zip(bb) {
+                wide += x.0 as u128 * y.0 as u128;
+            }
+            out += M61(Self::reduce128(wide));
+        }
+        out
     }
 
-    #[inline]
-    fn dot4(x: &[Self], cols: [&[Self]; 4]) -> [Self; 4] {
-        Self::dot_lanes(x, cols)
+    /// Each factor adds two canonical operands in a `u64` (below `2^62`,
+    /// no reduction), the raw products are added in one `u128` per lane and
+    /// folded once per [`PAIR_BLOCK`] pairs; the four lanes share each
+    /// load of `x`.
+    fn winograd4(x: &[Self], cols: [&[Self]; 4]) -> [Self; 4] {
+        let m = x.len();
+        for c in &cols {
+            assert_eq!(c.len(), m, "winograd4: operand length mismatch");
+        }
+        let even = m - m % 2;
+        let mut out = [M61::ZERO; 4];
+        let mut start = 0;
+        while start < even {
+            let end = (start + 2 * PAIR_BLOCK).min(even);
+            let [c0, c1, c2, c3] = cols.map(|c| c[start..end].chunks_exact(2));
+            let lanes = x[start..end]
+                .chunks_exact(2)
+                .zip(c0)
+                .zip(c1)
+                .zip(c2)
+                .zip(c3);
+            let mut wide = [0u128; 4];
+            // One statement per lane: a loop over the lanes here is
+            // vectorized into shuffles and spills, at twice the cost.
+            for ((((xp, p0), p1), p2), p3) in lanes {
+                wide[0] += Self::pair_product(xp, p0);
+                wide[1] += Self::pair_product(xp, p1);
+                wide[2] += Self::pair_product(xp, p2);
+                wide[3] += Self::pair_product(xp, p3);
+            }
+            for (o, w) in out.iter_mut().zip(wide) {
+                *o += M61(Self::reduce128(w));
+            }
+            start = end;
+        }
+        if even < m {
+            for (o, c) in out.iter_mut().zip(cols) {
+                *o += x[even] * c[even];
+            }
+        }
+        out
     }
 
     /// Two's complement reads a negative `v` as `v + 2^64`, and
@@ -165,7 +197,7 @@ impl PrimeField for M61 {
         M61(Self::reduce64((u & P61) + (u >> 61) + sign_fix))
     }
 
-    /// Delayed reduction, as in [`M61::dot_lanes`]: each output element sums
+    /// Delayed reduction, as in `dot` above: each output element sums
     /// the raw 122-bit products of up to [`DOT_BLOCK`] rows in one `u128`
     /// (the `const` bound above) and is reduced once per block of rows.
     fn combine(weights: &[Self], rows: &[&[Self]], out: &mut [Self]) {
@@ -336,7 +368,6 @@ mod tests {
         // (p - 1)^2 = 1 (mod p), so each sum is `len`.
         let expect = M61::from_u64(len as u64);
         assert_eq!(M61::dot(&top, &top), expect);
-        assert_eq!(M61::dot4(&top, [&top, &top, &top, &top]), [expect; 4]);
     }
 
     /// `v mod p` by `u128` division: the reference for [`M61::reduce128`].
@@ -362,6 +393,7 @@ mod tests {
             2 * p,
             (p - 1) * (p - 1),
             DOT_BLOCK as u128 * (p - 1) * (p - 1),
+            PAIR_BLOCK as u128 * (2 * p - 2) * (2 * p - 2),
             1 << 61,
             1 << 122,
             (1 << 122) - 1,
@@ -435,8 +467,10 @@ mod tests {
                 M61::from_u128(sum)
             };
             prop_assert_eq!(M61::dot(&cols[0], &cols[1]), expect(1));
+            let xi = M61::pair_sum(&cols[0]);
+            let pairs = M61::winograd4(&cols[0], [&cols[1], &cols[2], &cols[3], &cols[4]]);
             prop_assert_eq!(
-                M61::dot4(&cols[0], [&cols[1], &cols[2], &cols[3], &cols[4]]),
+                [1, 2, 3, 4].map(|l| pairs[l - 1] - xi - M61::pair_sum(&cols[l])),
                 [1, 2, 3, 4].map(expect)
             );
         }

@@ -125,10 +125,41 @@ pub trait PrimeField:
         s
     }
 
-    /// `[dot(x, cols[0]), .., dot(x, cols[3])]`: one operand against four,
-    /// so an implementation can read `x` once for all four sums.
-    fn dot4(x: &[Self], cols: [&[Self]; 4]) -> [Self; 4] {
-        cols.map(|c| Self::dot(x, c))
+    /// `ξ(v) = sum_i v[2i] * v[2i+1]`, the correction term of
+    /// [`Self::winograd4`] (a trailing odd element takes no part).
+    fn pair_sum(v: &[Self]) -> Self {
+        let mut s = Self::ZERO;
+        for pair in v.chunks_exact(2) {
+            s += pair[0] * pair[1];
+        }
+        s
+    }
+
+    /// Winograd's pair products of one operand against four (S. Winograd,
+    /// "A New Algorithm for Inner Product", 1968): lane `l` is
+    /// `sum_i (x[2i] + c[2i+1]) * (x[2i+1] + c[2i])` for `c = cols[l]`,
+    /// plus `x[m-1] * c[m-1]` when the length `m` is odd, so that
+    /// `dot(x, c) = winograd4(x, cols)[l] - pair_sum(x) - pair_sum(c)`.
+    /// One multiply per two records: a Gram that knows every column's
+    /// [`Self::pair_sum`] halves its multiplies. Panics on a length
+    /// mismatch.
+    fn winograd4(x: &[Self], cols: [&[Self]; 4]) -> [Self; 4] {
+        let m = x.len();
+        for c in &cols {
+            assert_eq!(c.len(), m, "winograd4: operand length mismatch");
+        }
+        let mut out = [Self::ZERO; 4];
+        for (i, xp) in x.chunks_exact(2).enumerate() {
+            for (o, c) in out.iter_mut().zip(&cols) {
+                *o += (xp[0] + c[2 * i + 1]) * (xp[1] + c[2 * i]);
+            }
+        }
+        if m % 2 == 1 {
+            for (o, c) in out.iter_mut().zip(&cols) {
+                *o += x[m - 1] * c[m - 1];
+            }
+        }
+        out
     }
 
     /// Linear combination of equal-length rows: `out[k] = sum_i weights[i] *
@@ -199,18 +230,21 @@ mod tests {
             .fold(F::ZERO, |acc, v| acc + v)
     }
 
-    /// `dot`/`dot4` against the reference at every length through four
-    /// reduction blocks and a ragged fifth (0, 1, 31, 32, 33, 64, 65, ...).
+    /// `dot` against the reference at every length through four reduction
+    /// blocks and a ragged fifth (0, 1, 31, 32, 33, 64, 65, ...), and
+    /// `winograd4` less both operands' `pair_sum` against the direct `dot`
+    /// at the same lengths: odd and even, and across `M61`'s 15-pair block.
     fn check_dot_at_every_length<F: PrimeField>() {
         let mut rng = StdRng::seed_from_u64(61);
         for len in 0..=130 {
             let mut col = || (0..len).map(|_| F::random(&mut rng)).collect::<Vec<F>>();
             let (x, c) = (col(), [col(), col(), col(), col()]);
             assert_eq!(F::dot(&x, &c[0]), fold_dot(&x, &c[0]), "dot, len {len}");
+            let pairs = F::winograd4(&x, [&c[0], &c[1], &c[2], &c[3]]);
             assert_eq!(
-                F::dot4(&x, [&c[0], &c[1], &c[2], &c[3]]),
-                [0, 1, 2, 3].map(|l| fold_dot(&x, &c[l])),
-                "dot4, len {len}"
+                [0, 1, 2, 3].map(|l| pairs[l] - F::pair_sum(&x) - F::pair_sum(&c[l])),
+                [0, 1, 2, 3].map(|l| F::dot(&x, &c[l])),
+                "winograd4, len {len}"
             );
         }
     }
@@ -225,18 +259,42 @@ mod tests {
         check_dot_at_every_length::<M127>();
     }
 
+    /// Every operand at `p - 1`, through one block of 15 pairs and past it:
+    /// each pair sum is at its largest, `2p - 2`, so in the debug profile an
+    /// overflowing `u128 +=` in `M61`'s delayed reduction panics here.
+    fn check_winograd_worst_case<F: PrimeField>() {
+        let top = -F::ONE;
+        for len in [1, 2, 30, 31, 32, 61] {
+            let x = vec![top; len];
+            let pairs = F::winograd4(&x, [&x; 4]);
+            let xi = F::pair_sum(&x);
+            // (p - 1)^2 = 1 (mod p), so each inner product is the length.
+            assert_eq!(
+                pairs.map(|s| s - xi - xi),
+                [F::from_u64(len as u64); 4],
+                "len {len}"
+            );
+        }
+    }
+
     #[test]
-    #[should_panic(expected = "length mismatch")]
-    fn m61_dot4_rejects_a_ragged_column() {
-        let (x, short) = ([M61::ONE; 3], [M61::ONE; 2]);
-        M61::dot4(&x, [&x, &x, &short, &x]);
+    fn winograd_worst_case_does_not_overflow() {
+        check_winograd_worst_case::<M61>();
+        check_winograd_worst_case::<M127>();
     }
 
     #[test]
     #[should_panic(expected = "length mismatch")]
-    fn m127_default_dot4_rejects_a_ragged_column() {
+    fn m61_winograd4_rejects_a_ragged_column() {
+        let (x, short) = ([M61::ONE; 3], [M61::ONE; 2]);
+        M61::winograd4(&x, [&x, &x, &short, &x]);
+    }
+
+    #[test]
+    #[should_panic(expected = "length mismatch")]
+    fn m127_default_winograd4_rejects_a_ragged_column() {
         let (x, long) = ([M127::ONE; 3], [M127::ONE; 4]);
-        M127::dot4(&x, [&x, &x, &x, &long]);
+        M127::winograd4(&x, [&x, &x, &x, &long]);
     }
 
     type Combine<F> = fn(&[F], &[&[F]], &mut [F]);

@@ -98,35 +98,44 @@ fn require_str(v: &JsonValue, key: &str) -> Result<String, HttpResponse> {
 
 /// Build a [`TenantConfig`] from a JSON object, starting from the
 /// defaults of [`TenantConfig::new`] so requests only name what they
-/// override.
+/// override. A field that is present but not readable as its type (a
+/// string for a number, a negative or fractional count, an integer that
+/// reads as an `f64` above 2^53) is a bad request naming the field, not a
+/// silent default.
 fn tenant_config_from_json(v: &JsonValue) -> Result<TenantConfig, HttpResponse> {
     let name = require_str(v, "name")?;
     let mut cfg = TenantConfig::new(&name);
-    let num = |key: &str, slot: &mut f64| {
-        if let Some(x) = v.get(key).and_then(JsonValue::as_f64) {
-            *slot = x;
-        }
-    };
-    let uint = |key: &str, slot: &mut usize| {
-        if let Some(x) = v.get(key).and_then(JsonValue::as_u64) {
-            *slot = x as usize;
-        }
-    };
-    uint("n_cols", &mut cfg.n_cols);
-    uint("n_clients", &mut cfg.n_clients);
-    num("gamma", &mut cfg.gamma);
-    num("mu", &mut cfg.mu);
-    num("budget_eps", &mut cfg.budget_eps);
-    num("delta", &mut cfg.delta);
-    if let Some(seed) = v.get("seed").and_then(JsonValue::as_u64) {
-        cfg.seed = seed;
-    }
-    uint("max_rows", &mut cfg.max_rows);
-    num("max_row_norm", &mut cfg.max_row_norm);
-    if let Some(tracing) = v.get("request_tracing").and_then(JsonValue::as_bool) {
-        cfg.request_tracing = tracing;
-    }
+    const UINT: &str = "an integer in [0, 2^53]";
+    let as_usize = |x: &JsonValue| x.as_u64().and_then(|n| usize::try_from(n).ok());
+    let uint = |key: &str, slot: &mut usize| read_field(v, key, UINT, as_usize, slot);
+    let num = |key: &str, slot: &mut f64| read_field(v, key, "a number", JsonValue::as_f64, slot);
+    uint("n_cols", &mut cfg.n_cols)?;
+    uint("n_clients", &mut cfg.n_clients)?;
+    num("gamma", &mut cfg.gamma)?;
+    num("mu", &mut cfg.mu)?;
+    num("budget_eps", &mut cfg.budget_eps)?;
+    num("delta", &mut cfg.delta)?;
+    read_field(v, "seed", UINT, JsonValue::as_u64, &mut cfg.seed)?;
+    uint("max_rows", &mut cfg.max_rows)?;
+    num("max_row_norm", &mut cfg.max_row_norm)?;
+    let tracing = &mut cfg.request_tracing;
+    read_field(v, "request_tracing", "a bool", JsonValue::as_bool, tracing)?;
     Ok(cfg)
+}
+
+/// `*slot = read(v[key])` when `key` is present; absent keeps `*slot`, and
+/// a value `read` rejects is a bad request saying the field must be `what`.
+fn read_field<T>(
+    v: &JsonValue,
+    key: &str,
+    what: &str,
+    read: impl Fn(&JsonValue) -> Option<T>,
+    slot: &mut T,
+) -> Result<(), HttpResponse> {
+    if let Some(x) = v.get(key) {
+        *slot = read(x).ok_or_else(|| bad_request(&format!("field {key:?} must be {what}")))?;
+    }
+    Ok(())
 }
 
 fn records_from_json(v: &JsonValue) -> Result<Vec<Vec<f64>>, HttpResponse> {
@@ -416,6 +425,40 @@ mod tests {
         let (st, reply) = http(addr, "POST", "/v1/release", r#"{"tenant": "big"}"#);
         assert_eq!(st, 200, "{reply}");
         assert!(reply.contains("\"covariance\""), "{reply}");
+        endpoint.shutdown();
+    }
+
+    #[test]
+    fn an_unreadable_tenant_field_is_a_bad_request_naming_it() {
+        let server = Server::start(ServerConfig::default());
+        let endpoint = ServeHttp::bind(server, "127.0.0.1:0").unwrap();
+        let addr = endpoint.local_addr();
+        for (body, field) in [
+            (
+                r#"{"name": "t", "max_rows": 10000000000000000000}"#,
+                "max_rows",
+            ),
+            (r#"{"name": "t", "n_cols": -3}"#, "n_cols"),
+            (r#"{"name": "t", "gamma": "big"}"#, "gamma"),
+            (r#"{"name": "t", "request_tracing": 1}"#, "request_tracing"),
+            (r#"{"name": "t", "seed": 1.5}"#, "seed"),
+        ] {
+            let (st, reply) = http(addr, "POST", "/v1/tenant", body);
+            assert_eq!(st, 400, "{body}: {reply}");
+            assert!(reply.contains("bad_request"), "{body}: {reply}");
+            assert!(
+                reply.contains(&format!("field \\\"{field}\\\"")),
+                "{body}: {reply}"
+            );
+        }
+        // Nothing was created; a readable body naming some fields is.
+        let body =
+            r#"{"name": "t", "n_cols": 4, "gamma": 32.0, "seed": 9, "request_tracing": false}"#;
+        let (st, reply) = http(addr, "POST", "/v1/tenant", body);
+        assert_eq!(st, 200, "{reply}");
+        let status = json::parse(&status_json(endpoint.server())).unwrap();
+        let tenants = status.get("tenants").and_then(JsonValue::as_arr).unwrap();
+        assert_eq!(tenants.len(), 1);
         endpoint.shutdown();
     }
 

@@ -27,6 +27,13 @@
 //! `P = 4` the multiply-accumulates per release fall from `4 n(n+1)/2 m` to
 //! about 62 % of that (312.75 M against 501 M at `m = 1000`, `n = 500`).
 //!
+//! Each of those entries then costs one multiply per two records:
+//! `add_gram` takes Winograd's pair products
+//! ([`PrimeField::winograd4`]) and subtracts the two columns' corrections
+//! `ξ(c) = sum_i c[2i] * c[2i+1]`, which `GramCols` computes once per
+//! column per row block. Field arithmetic is exact, so each entry is the
+//! inner product itself.
+//!
 //! One per-party program, `CovPlan::party_release`, is the whole
 //! protocol. Its input is a list of *frames* (one input round each), each a
 //! list of row blocks. One-shot is one frame of one block on fresh party
@@ -161,20 +168,40 @@ pub(crate) fn column_shares<'a, F: PrimeField>(
     cols
 }
 
-/// `acc[i] += <row, cols[i]>`: a run of one Gram row — local products of
-/// degree-`t` shares summed at degree `2t`, or an owner's plaintext values.
+/// The columns of one row block with their Winograd corrections
+/// `ξ(c) = sum_i c[2i] * c[2i+1]` ([`PrimeField::pair_sum`]), computed once
+/// per column per block: each Gram entry between two of them then costs one
+/// multiply per two records ([`add_gram`]).
+struct GramCols<'a, F> {
+    cols: Vec<&'a [F]>,
+    xi: Vec<F>,
+}
+
+impl<'a, F: PrimeField> GramCols<'a, F> {
+    fn new(cols: Vec<&'a [F]>) -> Self {
+        let xi = cols.iter().map(|c| F::pair_sum(c)).collect();
+        GramCols { cols, xi }
+    }
+}
+
+/// `acc[i] += <cols[j], cols[run.start + i]>`: a run of Gram row `j` —
+/// local products of degree-`t` shares summed at degree `2t`, or an owner's
+/// plaintext values.
 ///
-/// A 1x4 register tile: `row` goes against four columns per pass over the
-/// records ([`PrimeField::dot4`]), and the at most three columns left at the
-/// end of the run take the scalar [`PrimeField::dot`].
-pub(crate) fn add_gram<F: PrimeField>(acc: &mut [F], row: &[F], cols: &[&[F]]) {
-    assert_eq!(acc.len(), cols.len(), "one accumulator per column");
-    let mut tiles = cols.chunks_exact(4);
+/// Winograd's identity: four columns per pass over the records take
+/// [`PrimeField::winograd4`], one multiply per two records, and each entry
+/// subtracts `ξ(row) + ξ(col)` once. The at most three columns left at the
+/// end of the run take the direct [`PrimeField::dot`]. Field arithmetic is
+/// exact, so every entry is the inner product bit for bit.
+fn add_gram<F: PrimeField>(acc: &mut [F], g: &GramCols<F>, j: usize, run: Range<usize>) {
+    assert_eq!(acc.len(), run.len(), "one accumulator per column");
+    let (row, xi_row) = (g.cols[j], g.xi[j]);
+    let mut tiles = g.cols[run.clone()].chunks_exact(4);
     let mut outs = acc.chunks_exact_mut(4);
-    for (tile, out) in (&mut tiles).zip(&mut outs) {
-        let sums = F::dot4(row, [tile[0], tile[1], tile[2], tile[3]]);
-        for (a, s) in out.iter_mut().zip(sums) {
-            *a += s;
+    for ((tile, out), xi) in (&mut tiles).zip(&mut outs).zip(g.xi[run].chunks_exact(4)) {
+        let sums = F::winograd4(row, [tile[0], tile[1], tile[2], tile[3]]);
+        for ((a, s), &xi_col) in out.iter_mut().zip(sums).zip(xi) {
+            *a += s - xi_row - xi_col;
         }
     }
     for (a, col) in outs.into_remainder().iter_mut().zip(tiles.remainder()) {
@@ -182,14 +209,13 @@ pub(crate) fn add_gram<F: PrimeField>(acc: &mut [F], row: &[F], cols: &[&[F]]) {
     }
 }
 
-/// `acc += ` the upper triangle of the Gram of `cols`, row by row (the
-/// opened order when `cols` are all the columns).
-fn add_triangle<F: PrimeField>(acc: &mut [F], cols: &[&[F]]) {
-    let mut at = 0;
-    for (j, &row) in cols.iter().enumerate() {
-        let rest = &cols[j..];
-        add_gram(&mut acc[at..at + rest.len()], row, rest);
-        at += rest.len();
+/// `acc += ` the upper triangle of the Gram of `g`'s columns, row by row
+/// (the opened order when they are all the columns).
+fn add_triangle<F: PrimeField>(acc: &mut [F], g: &GramCols<F>) {
+    let (n, mut at) = (g.cols.len(), 0);
+    for j in 0..n {
+        add_gram(&mut acc[at..at + n - j], g, j, j..n);
+        at += n - j;
     }
 }
 
@@ -377,13 +403,12 @@ impl CovPlan {
             let mut rows_done = 0;
             for (_, rows) in frame {
                 let rows = rows.len();
-                let own: Vec<&[F]> =
-                    block_columns(&my_values, my_cols.len(), rows_done, rows).collect();
-                add_triangle(&mut st.own, &own);
-                let cols = column_shares(&contributions, partition, rows_done, rows);
+                let own = block_columns(&my_values, my_cols.len(), rows_done, rows);
+                add_triangle(&mut st.own, &GramCols::new(own.collect()));
+                let cols = GramCols::new(column_shares(&contributions, partition, rows_done, rows));
                 for &(j, run) in &my_runs {
                     let at = upper_index(n, j, run.start);
-                    add_gram(&mut st.acc[at..at + run.len()], cols[j], &cols[run.clone()]);
+                    add_gram(&mut st.acc[at..at + run.len()], &cols, j, run.clone());
                 }
                 rows_done += rows;
             }
@@ -628,21 +653,23 @@ mod tests {
     }
 
     /// Tile widths 1..=4 plus every tail length, across empty, single-row,
-    /// block-straddling and multi-block columns, on top of a non-zero
-    /// accumulator (the streaming carry): the whole triangle, and runs of
-    /// single rows — whole, a tail, a middle run, empty — against the
-    /// reference's entries at the same places.
+    /// odd and even, block-straddling (`M61` folds every 15 pairs) and
+    /// multi-block columns, on top of a non-zero accumulator (the streaming
+    /// carry): the whole triangle, and runs of single rows — whole, a tail,
+    /// a middle run, empty — against the reference's entries at the same
+    /// places.
     fn check_add_gram_matches_reference<F: PrimeField>() {
         let mut rng = StdRng::seed_from_u64(0x6AA3);
         for n in [1usize, 2, 3, 4, 5, 7, 8, 9, 20] {
-            for m in [0usize, 1, 33, 100] {
+            for m in [0usize, 1, 2, 3, 29, 30, 31, 33, 100, 101] {
                 let data: Vec<Vec<F>> = (0..n)
                     .map(|_| (0..m).map(|_| F::random(&mut rng)).collect())
                     .collect();
                 let cols: Vec<&[F]> = data.iter().map(Vec::as_slice).collect();
+                let g = GramCols::new(cols.clone());
                 let carry: Vec<F> = (0..n * (n + 1) / 2).map(|_| F::random(&mut rng)).collect();
                 let (mut tiled, mut reference) = (carry.clone(), carry.clone());
-                add_triangle(&mut tiled, &cols);
+                add_triangle(&mut tiled, &g);
                 add_gram_reference(&mut reference, &cols);
                 assert_eq!(tiled, reference, "n={n} m={m}");
 
@@ -654,7 +681,7 @@ mod tests {
                         let at = upper_index(n, j, j) + (run.start - j);
                         let span = at..at + run.len();
                         let mut ranged = carry.clone();
-                        add_gram(&mut ranged[span.clone()], cols[j], &cols[run.clone()]);
+                        add_gram(&mut ranged[span.clone()], &g, j, run.clone());
                         let mut want = carry.clone();
                         for idx in span {
                             want[idx] += gram[idx];
@@ -680,7 +707,8 @@ mod tests {
     #[should_panic(expected = "length mismatch")]
     fn add_gram_rejects_a_ragged_column() {
         let (long, short) = ([M61::ONE; 3], [M61::ONE; 2]);
-        add_gram(&mut [M61::ZERO; 2], &long, &[&long, &short]);
+        let g = GramCols::new(vec![&long[..], &long, &short]);
+        add_gram(&mut [M61::ZERO; 2], &g, 0, 1..3);
     }
 
     #[test]

@@ -223,18 +223,14 @@ fn gradient_impl<F: PrimeField>(
         // --- gradient: local linear + one product per (record, dim) --------
         ctx.set_phase("compute");
         let f_half = F::from_i64(coeffs.half);
-        let f_label = F::from_i64(coeffs.label);
-        let f_w: Vec<F> = coeffs.w_quarter.iter().map(|&c| F::from_i64(c)).collect();
         // v_i = sum_j qw_j * x_ij - q_label * y_i + half  (degree-t share,
-        // local), column-outer so each share column is read once in order.
-        let mut v: Vec<F> = vec![f_half; mb];
-        for (&wj, col) in f_w.iter().zip(&col_shares) {
-            for (vi, &xij) in v.iter_mut().zip(col.iter()) {
-                *vi += wj * xij;
-            }
-        }
-        for (vi, &yi) in v.iter_mut().zip(col_shares[d]) {
-            *vi -= f_label * yi;
+        // local): one linear combination of the d + 1 share columns.
+        let mut weights: Vec<F> = coeffs.w_quarter.iter().map(|&c| F::from_i64(c)).collect();
+        weights.push(-F::from_i64(coeffs.label));
+        let mut v: Vec<F> = vec![F::ZERO; mb];
+        F::combine(&weights, &col_shares[..=d], &mut v);
+        for vi in &mut v {
+            *vi += f_half;
         }
         // G_k = sum_i v_i * x_ik [degree 2t].
         let grad: Vec<F> = col_shares[..d].iter().map(|col| F::dot(&v, col)).collect();

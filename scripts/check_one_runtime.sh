@@ -78,6 +78,10 @@
 #     ends in `sum_to_receiver`),
 #   * `fn add_gram` defined exactly once under crates/vfl/src (one Gram
 #     kernel, fed runs of triangle rows: own blocks and shared rows alike),
+#   * the deleted 1x4 Gram tile comes back: `dot4` as a whole word under
+#     crates/, tests/ or examples/ (`add_gram` runs on Winograd's pair
+#     products, `PrimeField::winograd4`; one tile, not two beside each
+#     other),
 #   * `fn quantize_columns` defined other than exactly once under
 #     crates/vfl/src (one column quantizer behind every input round),
 #   * a deleted plaintext twin comes back: `covariance_skellam_plaintext` or
@@ -230,6 +234,8 @@ expect "a release opens to every party again (.open( / open_centered under crate
   "$(non_test '[.]open[(]|open_centered' crates/vfl/src)"
 expect "expected fn add_gram defined exactly once under crates/vfl/src (one Gram kernel)" 1 \
   "$(grep -rnw 'fn add_gram' crates/vfl/src || true)"
+expect "the deleted dot4 tile is back (the Gram kernel is PrimeField::winograd4)" 0 \
+  "$(grep -rnw 'dot4' crates tests examples || true)"
 
 expect "expected fn quantize_columns defined exactly once under crates/vfl/src (one column quantizer)" 1 \
   "$(grep -rnw 'fn quantize_columns' crates/vfl/src || true)"
