@@ -37,6 +37,8 @@ pub struct PrivacyOdometer {
     budget_eps: f64,
     delta: f64,
     spent: RdpCurve,
+    /// `spent` converted to epsilon, once per admitted release.
+    spent_eps: f64,
     releases: usize,
 }
 
@@ -45,12 +47,20 @@ impl PrivacyOdometer {
     pub fn new(budget_eps: f64, delta: f64) -> Self {
         assert!(budget_eps > 0.0, "budget epsilon must be positive");
         assert!(delta > 0.0 && delta < 1.0, "delta must be in (0,1)");
+        let spent = RdpCurve::zero(&default_alpha_grid());
         PrivacyOdometer {
             budget_eps,
             delta,
-            spent: RdpCurve::zero(&default_alpha_grid()),
+            spent_eps: spent.to_epsilon(delta).0,
+            spent,
             releases: 0,
         }
+    }
+
+    /// The same spend against a new overall budget.
+    pub fn with_budget(self, budget_eps: f64) -> Self {
+        assert!(budget_eps > 0.0, "budget epsilon must be positive");
+        PrivacyOdometer { budget_eps, ..self }
     }
 
     /// The configured overall budget.
@@ -66,31 +76,36 @@ impl PrivacyOdometer {
     /// The `(eps, alpha)` already spent (0-release odometers report the
     /// small-but-nonzero conversion floor of the zero curve).
     pub fn spent_epsilon(&self) -> f64 {
-        self.spent.to_epsilon(self.delta).0
+        self.spent_eps
     }
 
     /// Would composing `curve` stay within budget? Does not record.
     pub fn fits(&self, curve: &RdpCurve) -> bool {
-        let (eps, _) = self.spent.compose(curve).to_epsilon(self.delta);
+        self.within(self.spent.compose(curve).to_epsilon(self.delta).0)
+    }
+
+    fn within(&self, eps: f64) -> bool {
         eps <= self.budget_eps * (1.0 + 1e-12)
     }
 
     /// Try to admit a release described by its RDP curve. Records the spend
     /// only if the composed total stays within budget.
     pub fn admit(&mut self, curve: &RdpCurve) -> Admission {
-        if self.fits(curve) {
-            self.spent = self.spent.compose(curve);
-            self.releases += 1;
-            Admission::Admitted
-        } else {
-            Admission::Rejected
+        let spent = self.spent.compose(curve);
+        let (eps, _) = spent.to_epsilon(self.delta);
+        if !self.within(eps) {
+            return Admission::Rejected;
         }
+        self.spent = spent;
+        self.spent_eps = eps;
+        self.releases += 1;
+        Admission::Admitted
     }
 
     /// Remaining headroom: the budget minus the current spend (may be
     /// negative only by floating error; clamped at 0).
     pub fn remaining_epsilon(&self) -> f64 {
-        (self.budget_eps - self.spent_epsilon()).max(0.0)
+        (self.budget_eps - self.spent_eps).max(0.0)
     }
 }
 

@@ -8,10 +8,11 @@
 //! ledger JSONL, span dumps). This module is that reader — a small
 //! recursive-descent parser over the JSON our own serializer emits plus
 //! ordinary hand-written documents. It accepts standard JSON (RFC 8259)
-//! with two deliberate simplifications: numbers are always parsed as
-//! `f64` (counters fit in the 2^53 exact-integer range), and `\uXXXX`
-//! escapes outside the BMP are not combined into surrogate pairs (the
-//! strings read here are tenant, workload and field names).
+//! with one deliberate simplification: `\uXXXX` escapes outside the BMP
+//! are not combined into surrogate pairs (the strings read here are
+//! tenant, workload and field names). A non-negative integer literal (no
+//! fraction, no exponent) that fits a `u64` is kept exactly, so seeds and
+//! counters read bit for bit; every other number is an `f64`.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -21,6 +22,9 @@ use std::fmt;
 pub enum JsonValue {
     Null,
     Bool(bool),
+    /// A non-negative integer literal within `u64`.
+    Uint(u64),
+    /// Any other number.
     Num(f64),
     Str(String),
     Arr(Vec<JsonValue>),
@@ -38,14 +42,17 @@ impl JsonValue {
 
     pub fn as_f64(&self) -> Option<f64> {
         match self {
+            JsonValue::Uint(n) => Some(*n as f64),
             JsonValue::Num(v) => Some(*v),
             _ => None,
         }
     }
 
-    /// Numeric member as `u64` (exact-integer floats only).
+    /// Numeric member as `u64`: an integer literal exactly, or an
+    /// exact-integer float up to 2^53 (such as `1e3`).
     pub fn as_u64(&self) -> Option<u64> {
         match self {
+            JsonValue::Uint(n) => Some(*n),
             JsonValue::Num(v) if *v >= 0.0 && v.fract() == 0.0 && *v <= 2f64.powi(53) => {
                 Some(*v as u64)
             }
@@ -323,6 +330,9 @@ impl<'a> Parser<'a> {
             }
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
+        if let Ok(n) = text.parse::<u64>() {
+            return Ok(JsonValue::Uint(n));
+        }
         text.parse::<f64>()
             .map(JsonValue::Num)
             .map_err(|_| self.err("bad number"))
@@ -427,11 +437,25 @@ mod tests {
             assert!(parse(bad).is_err(), "accepted {bad:?}");
         }
         // Valid edge cases stay accepted.
-        assert_eq!(parse("0").unwrap(), JsonValue::Num(0.0));
+        assert_eq!(parse("0").unwrap(), JsonValue::Uint(0));
         assert_eq!(parse("-0").unwrap(), JsonValue::Num(0.0));
         assert_eq!(parse("0.5").unwrap(), JsonValue::Num(0.5));
         assert_eq!(parse("1e3").unwrap(), JsonValue::Num(1000.0));
         assert_eq!(parse("-1.5E-2").unwrap(), JsonValue::Num(-0.015));
+    }
+
+    #[test]
+    fn integer_literals_read_exactly_over_the_u64_range() {
+        let read = |text: &str| parse(text).unwrap().as_u64();
+        assert_eq!(read("9007199254740993"), Some((1 << 53) + 1));
+        assert_eq!(read("18446744073709551615"), Some(u64::MAX));
+        assert_eq!(read("18446744073709551616"), None, "past u64::MAX");
+        assert_eq!(read("100000000000000000000"), None);
+        assert_eq!(read("1.5"), None);
+        assert_eq!(read("1e3"), Some(1000));
+        let f = |text: &str| parse(text).unwrap().as_f64();
+        assert_eq!(f("9007199254740993"), Some(9007199254740992.0));
+        assert_eq!(f("18446744073709551616"), Some(18446744073709551616.0));
     }
 
     #[test]

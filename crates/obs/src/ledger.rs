@@ -1,4 +1,4 @@
-//! The privacy ledger: an audit log of DP releases.
+//! The privacy ledger: a session's one privacy book.
 //!
 //! The paper's threat model gives every release two epsilons: the
 //! **server-observed** guarantee (Eq. 3 — the untrusted server sees the
@@ -10,12 +10,16 @@
 //! maintains the running RDP composition (Lemma 10) of everything released
 //! so far.
 //!
-//! The ledger is pure observation: it never blocks a release (that is
-//! [`sqm_accounting::budget::PrivacyOdometer`]'s job). Its composed totals
-//! are computed by the same curve arithmetic the odometer uses, which the
-//! tests cross-check.
+//! It is also the budget gate. Its server-side spend is a
+//! [`PrivacyOdometer`], so a release is priced ([`PrivacyLedger::price`]),
+//! checked against the budget ([`PrivacyLedger::fits`]) and composed
+//! ([`PrivacyLedger::commit`]) once, on one curve, and the spend it
+//! reports was converted when the last release was committed. A ledger from
+//! [`PrivacyLedger::new`] has no budget limit;
+//! [`PrivacyLedger::with_budget`] sets one.
 
 use serde::Serialize;
+use sqm_accounting::budget::{Admission, PrivacyOdometer};
 use sqm_accounting::skellam::{skellam_rdp, skellam_rdp_client_observed, Sensitivity};
 use sqm_accounting::{default_alpha_grid, RdpCurve};
 
@@ -54,38 +58,57 @@ pub struct LedgerEntry {
 #[derive(Clone, Debug)]
 pub struct PrivacyLedger {
     n_clients: usize,
-    delta: f64,
     entries: Vec<LedgerEntry>,
-    server_curve: RdpCurve,
-    client_curve: RdpCurve,
+    /// Server-observed spend against the budget.
+    server: PrivacyOdometer,
+    client: RdpCurve,
     /// Set once any release had `mu = 0` (no noise): composed epsilons are
     /// infinite from then on.
     unbounded: bool,
 }
 
 impl PrivacyLedger {
-    /// A fresh ledger for a `P`-client deployment, converting RDP to
-    /// `(eps, delta)`-DP at the given `delta`.
+    /// A fresh ledger for a `P`-client deployment with no budget limit,
+    /// converting RDP to `(eps, delta)`-DP at the given `delta`.
     pub fn new(n_clients: usize, delta: f64) -> Self {
         assert!(
             n_clients >= 2,
             "client-observed DP needs at least 2 clients"
         );
-        assert!(delta > 0.0 && delta < 1.0, "delta must be in (0,1)");
-        let grid = default_alpha_grid();
         PrivacyLedger {
             n_clients,
-            delta,
             entries: Vec::new(),
-            server_curve: RdpCurve::zero(&grid),
-            client_curve: RdpCurve::zero(&grid),
+            server: PrivacyOdometer::new(f64::INFINITY, delta),
+            client: RdpCurve::zero(&default_alpha_grid()),
             unbounded: false,
         }
     }
 
-    /// Record one Skellam release and return a reference to its entry
-    /// (`None` is impossible after a push, but the signature keeps the
-    /// ledger free of panic paths).
+    /// The same book under an overall server-observed epsilon budget
+    /// (`f64::INFINITY` never refuses); what it has spent stays spent.
+    pub fn with_budget(self, budget_eps: f64) -> Self {
+        let server = self.server.with_budget(budget_eps);
+        PrivacyLedger { server, ..self }
+    }
+
+    /// The server-observed RDP curve of one Skellam release (Lemma 1), or
+    /// `None` for an unperturbed `mu = 0` opening, which has none.
+    pub fn price(mu: f64, sens: Sensitivity) -> Option<RdpCurve> {
+        (mu > 0.0).then(|| RdpCurve::from_fn(&default_alpha_grid(), |a| skellam_rdp(a, sens, mu)))
+    }
+
+    /// The budget gate: would a release priced `server` stay within
+    /// budget? An unperturbed release is an infinite-epsilon one that only
+    /// an unlimited budget admits. Records nothing.
+    pub fn fits(&self, server: Option<&RdpCurve>) -> bool {
+        match server {
+            Some(curve) => self.server.fits(curve),
+            None => self.budget().is_infinite(),
+        }
+    }
+
+    /// Record one Skellam release: [`PrivacyLedger::price`] it, then
+    /// [`PrivacyLedger::commit`] it.
     pub fn record(
         &mut self,
         kind: &str,
@@ -93,24 +116,47 @@ impl PrivacyLedger {
         gamma: f64,
         mu: f64,
         sens: Sensitivity,
-    ) -> Option<&LedgerEntry> {
-        let grid = default_alpha_grid();
-        let (server_eps, client_eps) = if mu > 0.0 {
-            let server = RdpCurve::from_fn(&grid, |a| skellam_rdp(a, sens, mu));
-            let client = RdpCurve::from_fn(&grid, |a| {
-                skellam_rdp_client_observed(a, sens, mu, self.n_clients)
-            });
-            let server_eps = server.to_epsilon(self.delta).0;
-            let client_eps = client.to_epsilon(self.delta).0;
-            self.server_curve = self.server_curve.compose(&server);
-            self.client_curve = self.client_curve.compose(&client);
-            (server_eps, client_eps)
-        } else {
-            // An unperturbed opening has no DP guarantee at all.
-            self.unbounded = true;
-            (f64::INFINITY, f64::INFINITY)
+    ) -> &LedgerEntry {
+        let server = Self::price(mu, sens);
+        self.commit(kind, dims, gamma, mu, sens, server.as_ref())
+    }
+
+    /// Record one release whose price `server` (from
+    /// [`PrivacyLedger::price`]) passed [`PrivacyLedger::fits`]: compose it
+    /// and its client-observed curve, and return its entry. Panics if it
+    /// no longer fits the budget.
+    pub fn commit(
+        &mut self,
+        kind: &str,
+        dims: usize,
+        gamma: f64,
+        mu: f64,
+        sens: Sensitivity,
+        server: Option<&RdpCurve>,
+    ) -> &LedgerEntry {
+        const PAST_BUDGET: &str = "release committed past the budget";
+        let delta = self.delta();
+        let (server_eps, client_eps) = match server {
+            Some(server) => {
+                assert_eq!(
+                    self.server.admit(server),
+                    Admission::Admitted,
+                    "{PAST_BUDGET}"
+                );
+                let client = RdpCurve::from_fn(&default_alpha_grid(), |a| {
+                    skellam_rdp_client_observed(a, sens, mu, self.n_clients)
+                });
+                self.client = self.client.compose(&client);
+                (server.to_epsilon(delta).0, client.to_epsilon(delta).0)
+            }
+            None => {
+                // An unperturbed opening has no DP guarantee at all.
+                assert!(self.budget().is_infinite(), "{PAST_BUDGET}");
+                self.unbounded = true;
+                (f64::INFINITY, f64::INFINITY)
+            }
         };
-        let entry = LedgerEntry {
+        self.entries.push(LedgerEntry {
             index: self.entries.len(),
             kind: kind.to_string(),
             dims,
@@ -122,9 +168,8 @@ impl PrivacyLedger {
             client_epsilon: client_eps,
             server_epsilon_total: self.server_epsilon(),
             client_epsilon_total: self.client_epsilon(),
-        };
-        self.entries.push(entry);
-        self.last_entry()
+        });
+        &self.entries[self.entries.len() - 1]
     }
 
     /// Every recorded release, in order.
@@ -147,15 +192,22 @@ impl PrivacyLedger {
 
     /// The `delta` all epsilons are reported at.
     pub fn delta(&self) -> f64 {
-        self.delta
+        self.server.budget().1
     }
 
-    /// Server-observed epsilon of the full composition so far.
+    /// The overall server-observed epsilon budget.
+    pub fn budget(&self) -> f64 {
+        self.server.budget().0
+    }
+
+    /// Server-observed epsilon of the full composition so far (an empty
+    /// ledger reports the small-but-nonzero conversion floor of the zero
+    /// curve).
     pub fn server_epsilon(&self) -> f64 {
         if self.unbounded {
             f64::INFINITY
         } else {
-            self.server_curve.to_epsilon(self.delta).0
+            self.server.spent_epsilon()
         }
     }
 
@@ -164,26 +216,21 @@ impl PrivacyLedger {
         if self.unbounded {
             f64::INFINITY
         } else {
-            self.client_curve.to_epsilon(self.delta).0
+            self.client.to_epsilon(self.delta()).0
         }
     }
 
-    /// The composed server-observed RDP curve (for feeding an odometer or
-    /// converting at a different delta).
-    pub fn server_curve(&self) -> &RdpCurve {
-        &self.server_curve
-    }
-
-    /// The composed client-observed RDP curve.
-    pub fn client_curve(&self) -> &RdpCurve {
-        &self.client_curve
+    /// Budget headroom: the budget minus the server-observed spend,
+    /// clamped at 0 (an unlimited budget always has unlimited headroom).
+    pub fn remaining_epsilon(&self) -> f64 {
+        self.server.remaining_epsilon()
     }
 
     /// A serializable/printable report of the whole account.
     pub fn report(&self) -> LedgerReport {
         LedgerReport {
             n_clients: self.n_clients,
-            delta: self.delta,
+            delta: self.delta(),
             releases: self.entries.len(),
             server_epsilon_total: self.server_epsilon(),
             client_epsilon_total: self.client_epsilon(),
@@ -245,7 +292,6 @@ mod tests {
         assert!(ledger.last_entry().is_none(), "fresh ledger has no entries");
         let e = ledger
             .record("covariance", 16, 18.0, 1e6, sens(330.0, 16))
-            .expect("entry just recorded")
             .clone();
         assert_eq!(e.index, 0);
         assert_eq!(e.kind, "covariance");
@@ -299,6 +345,36 @@ mod tests {
         ledger.record("covariance", 4, 18.0, 0.0, sens(10.0, 4));
         assert!(ledger.server_epsilon().is_infinite());
         assert!(ledger.entries()[1].server_epsilon.is_infinite());
+    }
+
+    #[test]
+    fn a_budget_gates_on_the_kept_spend() {
+        let s = sens(330.0, 16);
+        let curve = PrivacyLedger::price(1e6, s);
+        let mut ledger = PrivacyLedger::new(4, 1e-5);
+        ledger.record("covariance", 16, 18.0, 1e6, s);
+        let one = ledger.server_epsilon();
+        let ledger = ledger.with_budget(1.2 * one);
+        assert_eq!(ledger.server_epsilon().to_bits(), one.to_bits());
+        assert_eq!(ledger.len(), 1);
+        assert!(
+            !ledger.fits(curve.as_ref()),
+            "two releases cost over 1.2x one"
+        );
+        assert!(
+            !ledger.fits(None),
+            "an unperturbed release needs an unlimited budget"
+        );
+        assert!(PrivacyLedger::new(4, 1e-5).fits(None));
+    }
+
+    #[test]
+    #[should_panic(expected = "past the budget")]
+    fn commit_refuses_a_release_past_the_budget() {
+        let s = sens(330.0, 16);
+        let mut ledger = PrivacyLedger::new(4, 1e-5).with_budget(0.01);
+        let curve = PrivacyLedger::price(1e6, s);
+        ledger.commit("covariance", 16, 18.0, 1e6, s, curve.as_ref());
     }
 
     #[test]

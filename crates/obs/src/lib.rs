@@ -23,9 +23,10 @@
 //! * [`ledger`] — a privacy ledger: one entry per DP release carrying
 //!   `(gamma, mu, sensitivity)` and the **server-observed** and
 //!   **client-observed** epsilons (paper Eqs. 3-4, Lemma 1), plus the
-//!   running RDP composition of everything released so far. The composed
-//!   totals agree with `sqm_accounting::budget::PrivacyOdometer` fed the
-//!   same curves.
+//!   running RDP composition of everything released so far. It is a
+//!   session's one privacy book: it also prices each release and gates it
+//!   against the budget, and its server-side spend is a
+//!   `sqm_accounting::budget::PrivacyOdometer`.
 //! * [`causal`] — cross-party causal analysis of a traced run: each
 //!   exchange is one round record, and [`causal::flows`] reads the
 //!   send→recv flow graph off the senders' `dests`, from which
@@ -43,11 +44,11 @@
 //!   in-process endpoint (`live`'s `/metrics`+`/snapshot` and the
 //!   `sqm-serve` protocol), with graceful shutdown/drain.
 //! * [`json`] — a small recursive-descent JSON reader (the offline `serde`
-//!   stand-in only writes), used by the bench gate to read artifacts back
-//!   and by HTTP endpoints to parse request bodies.
+//!   stand-in only writes), used by the `benchmark/` harness to read its
+//!   spec and results back and by HTTP endpoints to parse request bodies.
 //! * [`span`] — request-scoped tracing for the serving layer: a
 //!   [`span::RequestContext`] minted at admission carries a span tree
-//!   (queue wait, odometer admit, MPC, encode) through the scheduler, and
+//!   (queue wait, budget admit, MPC, encode) through the scheduler, and
 //!   the MPC child span links to the causal run id so the message DAG's
 //!   critical path attaches as its self-time breakdown. A per-server
 //!   [`span::SpanCollector`] keeps a time-bucketed SLO history ring and a

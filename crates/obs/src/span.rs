@@ -5,7 +5,7 @@
 //! HTTP request to the MPC rounds it caused. This module adds that
 //! missing edge. A [`RequestContext`] is minted when a request is
 //! admitted into the serving scheduler and travels with the job through
-//! its whole life: the queue wait, the odometer admission gate, the MPC
+//! its whole life: the queue wait, the ledger's admission gate, the MPC
 //! release, and the reply encoding each record one [`Span`] into it.
 //! The MPC child span links to the engine run through the causal run id
 //! and carries the run's [`CriticalPath`], walked over the flows read off
@@ -158,7 +158,7 @@ impl RequestContext {
 pub enum RequestOutcome {
     /// Executed and replied.
     Ok,
-    /// Refused by the privacy odometer (costs nothing).
+    /// Refused by the privacy budget gate (costs nothing).
     Refused,
     /// The tenant's session is poisoned (party crash).
     Failed,

@@ -8,16 +8,17 @@
 //!   ([`ServeError::Overloaded`]), strict per-tenant FIFO (so interleaved
 //!   execution is bit-identical to serial), and drain shutdown.
 //! - [`tenant`] — one tenant's session: a streaming mini-batch covariance
-//!   accumulator (`sqm_vfl::StreamCov`) over a *reused* MPC mesh, gated by
-//!   a `PrivacyOdometer` so every release is admitted against the tenant's
-//!   epsilon budget *before* any MPC round runs
-//!   ([`ServeError::BudgetExhausted`]), and cross-checked against the obs
-//!   privacy ledger after every release.
+//!   accumulator (`sqm_vfl::StreamCov`) over a *reused* MPC mesh and one
+//!   privacy book (`sqm_obs::PrivacyLedger`) that admits every release
+//!   against the tenant's epsilon budget *before* any MPC round runs
+//!   ([`ServeError::BudgetExhausted`]) and records it once its run
+//!   succeeded.
 //! - [`proto`] — the JSON-over-HTTP wire protocol on the shared
 //!   `sqm_obs::httpd` listener (`/v1/tenant`, `/v1/ingest`,
 //!   `/v1/release`, `/status`, `/metrics`).
-//! - [`loadgen`] — a seeded closed-loop load generator; the serve bench
-//!   suite and the CI smoke test drive the server with it.
+//! - [`loadgen`] — a seeded closed-loop load generator; the `sqm-serve`
+//!   binary (and with it the CI smoke test) and the SLO tests drive the
+//!   server with it.
 //! - [`error`] — the typed [`ServeError`] with per-variant HTTP statuses.
 //!
 //! ## Request tracing and SLOs

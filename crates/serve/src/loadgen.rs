@@ -1,10 +1,11 @@
 //! Seeded closed-loop load generator.
 //!
-//! Drives a [`Server`] the way the smoke test and the bench suite need:
-//! one closed-loop driver thread per tenant, each running a fixed number
-//! of ingest+release rounds. Everything is derived from [`LoadSpec::seed`],
+//! Drives a [`Server`] the way the smoke test and the SLO tests need: one
+//! closed-loop driver thread per tenant, each running a fixed number of
+//! ingest+release rounds. Everything is derived from [`LoadSpec::seed`],
 //! so two runs against equal servers produce bit-identical release
-//! checksums — which is how the bench gate catches scheduler regressions.
+//! checksums — which is how a scheduler change that alters a release
+//! shows.
 
 use std::sync::Arc;
 use std::thread;

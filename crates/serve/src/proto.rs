@@ -99,13 +99,12 @@ fn require_str(v: &JsonValue, key: &str) -> Result<String, HttpResponse> {
 /// Build a [`TenantConfig`] from a JSON object, starting from the
 /// defaults of [`TenantConfig::new`] so requests only name what they
 /// override. A field that is present but not readable as its type (a
-/// string for a number, a negative or fractional count, an integer that
-/// reads as an `f64` above 2^53) is a bad request naming the field, not a
-/// silent default.
+/// string for a number, a negative or fractional count, an integer past
+/// `u64::MAX`) is a bad request naming the field, not a silent default.
 fn tenant_config_from_json(v: &JsonValue) -> Result<TenantConfig, HttpResponse> {
     let name = require_str(v, "name")?;
     let mut cfg = TenantConfig::new(&name);
-    const UINT: &str = "an integer in [0, 2^53]";
+    const UINT: &str = "an integer in [0, 2^64)";
     let as_usize = |x: &JsonValue| x.as_u64().and_then(|n| usize::try_from(n).ok());
     let uint = |key: &str, slot: &mut usize| read_field(v, key, UINT, as_usize, slot);
     let num = |key: &str, slot: &mut f64| read_field(v, key, "a number", JsonValue::as_f64, slot);
@@ -435,13 +434,14 @@ mod tests {
         let addr = endpoint.local_addr();
         for (body, field) in [
             (
-                r#"{"name": "t", "max_rows": 10000000000000000000}"#,
+                r#"{"name": "t", "max_rows": 100000000000000000000}"#,
                 "max_rows",
             ),
             (r#"{"name": "t", "n_cols": -3}"#, "n_cols"),
             (r#"{"name": "t", "gamma": "big"}"#, "gamma"),
             (r#"{"name": "t", "request_tracing": 1}"#, "request_tracing"),
             (r#"{"name": "t", "seed": 1.5}"#, "seed"),
+            (r#"{"name": "t", "seed": 18446744073709551616}"#, "seed"),
         ] {
             let (st, reply) = http(addr, "POST", "/v1/tenant", body);
             assert_eq!(st, 400, "{body}: {reply}");
@@ -459,6 +459,42 @@ mod tests {
         let status = json::parse(&status_json(endpoint.server())).unwrap();
         let tenants = status.get("tenants").and_then(JsonValue::as_arr).unwrap();
         assert_eq!(tenants.len(), 1);
+        endpoint.shutdown();
+    }
+
+    #[test]
+    fn an_integer_seed_is_read_exactly_over_the_u64_range() {
+        let server = Server::start(ServerConfig::default());
+        let endpoint = ServeHttp::bind(server, "127.0.0.1:0").unwrap();
+        let addr = endpoint.local_addr();
+        let seed = (1u64 << 53) + 1;
+        let (st, reply) = http(
+            addr,
+            "POST",
+            "/v1/tenant",
+            &format!(r#"{{"name": "t", "gamma": 32.0, "mu": 1e8, "seed": {seed}}}"#),
+        );
+        assert_eq!(st, 200, "{reply}");
+
+        // The HTTP tenant releases what a tenant on the exact seed does,
+        // not what one on the seed's nearest f64 does.
+        let server = endpoint.server();
+        for (name, seed) in [("exact", seed), ("rounded", seed - 1)] {
+            let mut cfg = TenantConfig::new(name);
+            (cfg.gamma, cfg.mu, cfg.seed) = (32.0, 1e8, seed);
+            server.add_tenant(cfg).unwrap();
+        }
+        let release = |name: &str| {
+            let records = vec![vec![0.5, 0.1, 0.2], vec![0.1, 0.4, 0.3]];
+            server.call(name, Request::Ingest { records }).unwrap();
+            match server.call(name, Request::Release) {
+                Ok(Reply::Released(reply)) => reply.covariance,
+                _ => panic!("tenant {name} did not release"),
+            }
+        };
+        let released = release("t");
+        assert_eq!(released, release("exact"));
+        assert_ne!(released, release("rounded"));
         endpoint.shutdown();
     }
 

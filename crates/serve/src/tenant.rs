@@ -1,13 +1,12 @@
 //! One tenant: a long-lived streaming covariance session with an enforced
 //! privacy budget.
 //!
-//! Every release goes through [`PrivacyAccount::admit`] *before* any MPC
+//! Every release goes through [`ReleasePermit::admit`] *before* any MPC
 //! round runs; a refusal is the typed [`ServeError::BudgetExhausted`] and
-//! costs nothing. A release is written to the account — the odometer and
-//! the obs [`PrivacyLedger`] in one [`PrivacyAccount::commit`] — only after
-//! its MPC run has succeeded, so a failed run costs nothing either.
+//! costs nothing. A release is written to the tenant's one privacy book,
+//! the obs [`PrivacyLedger`], by [`ReleasePermit::commit`] only after its
+//! MPC run has succeeded, so a failed run costs nothing either.
 
-use sqm_accounting::PrivacyOdometer;
 use sqm_core::sensitivity::pca_sensitivity;
 use sqm_linalg::Matrix;
 use sqm_mpc::{FaultSpec, RunStats};
@@ -15,7 +14,7 @@ use sqm_obs::ledger::PrivacyLedger;
 use sqm_obs::metrics;
 use sqm_obs::span::{RequestContext, EXEC};
 use sqm_vfl::session::{ReleaseKind, ReleasePermit};
-use sqm_vfl::{ColumnPartition, PrivacyAccount, StreamCov, VflConfig};
+use sqm_vfl::{ColumnPartition, StreamCov, VflConfig};
 
 use std::time::Instant;
 
@@ -152,7 +151,7 @@ pub struct TenantReport {
 pub struct Tenant {
     config: TenantConfig,
     stream: StreamCov,
-    account: PrivacyAccount,
+    ledger: PrivacyLedger,
     refusals: u64,
 }
 
@@ -178,11 +177,12 @@ impl Tenant {
             tenant: config.name.clone(),
             error,
         })?;
-        let account = PrivacyAccount::new(config.n_clients, config.budget_eps, config.delta);
+        let ledger =
+            PrivacyLedger::new(config.n_clients, config.delta).with_budget(config.budget_eps);
         Ok(Tenant {
             config,
             stream,
-            account,
+            ledger,
             refusals: 0,
         })
     }
@@ -234,7 +234,7 @@ impl Tenant {
         Ok(self.stream.pending_rows())
     }
 
-    /// One DP release: budget gate first, MPC second, both books third.
+    /// One DP release: budget gate first, MPC second, the ledger third.
     pub fn release(&mut self) -> Result<ReleaseReply, ServeError> {
         self.release_spanned(None)
     }
@@ -247,7 +247,7 @@ impl Tenant {
         } = self.config;
         let sens = pca_sensitivity(gamma, self.config.max_row_norm.max(1e-9), n_cols);
         let kind = ReleaseKind::Covariance;
-        let admitted = self.account.admit(kind, n_cols * n_cols, gamma, mu, sens);
+        let admitted = ReleasePermit::admit(&self.ledger, kind, n_cols * n_cols, gamma, mu, sens);
         admitted.map_err(|refusal| {
             self.refusals += 1;
             metrics::counter_add("serve.budget_refusals", 1);
@@ -319,12 +319,7 @@ impl Tenant {
         let out = out?;
         // --- the run succeeded: spend the permit, encode the reply -------
         let encode_started = Instant::now();
-        let release_epsilon = self.account.commit(permit).server_epsilon;
-        debug_assert!(
-            self.account.budget_consistent_with_ledger(),
-            "odometer and ledger disagree for tenant {}",
-            self.config.name
-        );
+        let release_epsilon = permit.commit(&mut self.ledger).server_epsilon;
         metrics::counter_add("serve.releases_admitted", 1);
         let gamma2 = self.config.gamma * self.config.gamma;
         let reply = ReleaseReply {
@@ -333,8 +328,8 @@ impl Tenant {
             rows_covered: self.stream.rows_ingested(),
             release_index: self.stream.releases(),
             release_epsilon,
-            spent_epsilon: self.odometer().spent_epsilon(),
-            remaining_epsilon: self.odometer().remaining_epsilon(),
+            spent_epsilon: self.ledger.server_epsilon(),
+            remaining_epsilon: self.ledger.remaining_epsilon(),
             stats: out.stats,
         };
         let encode_wall = encode_started.elapsed();
@@ -348,19 +343,10 @@ impl Tenant {
         Ok(reply)
     }
 
-    /// The tenant's privacy account (both books and their cross-check).
-    pub fn account(&self) -> &PrivacyAccount {
-        &self.account
-    }
-
-    /// The obs privacy ledger (one entry per successful release).
+    /// The tenant's privacy book: one entry per successful release, the
+    /// composed spend and the budget it is gated against.
     pub fn ledger(&self) -> &PrivacyLedger {
-        self.account.ledger()
-    }
-
-    /// The odometer enforcing the budget.
-    pub fn odometer(&self) -> &PrivacyOdometer {
-        self.account.odometer()
+        &self.ledger
     }
 
     pub fn report(&self) -> TenantReport {
@@ -370,8 +356,8 @@ impl Tenant {
             refusals: self.refusals,
             rows_ingested: self.stream.rows_ingested(),
             pending_rows: self.stream.pending_rows(),
-            spent_epsilon: self.odometer().spent_epsilon(),
-            remaining_epsilon: self.odometer().remaining_epsilon(),
+            spent_epsilon: self.ledger.server_epsilon(),
+            remaining_epsilon: self.ledger.remaining_epsilon(),
             budget_eps: self.config.budget_eps,
             failed: self.stream.failure().is_some(),
         }
@@ -437,11 +423,10 @@ mod tests {
             other => panic!("expected BudgetExhausted, got {other:?}"),
         }
         assert_eq!(err.http_status(), 403);
-        // Refusal costs nothing: release count unchanged, accounts agree.
+        // Refusal costs nothing: release count unchanged.
         let report = tenant.report();
         assert_eq!(report.releases, admitted);
         assert_eq!(report.refusals, 1);
-        assert!(tenant.account().budget_consistent_with_ledger());
         assert_eq!(tenant.ledger().len(), admitted);
     }
 
@@ -468,8 +453,6 @@ mod tests {
         }
         assert_eq!(tenant.report().spent_epsilon.to_bits(), before.to_bits());
         assert!(tenant.ledger().is_empty());
-        assert_eq!(tenant.odometer().releases(), 0);
-        assert!(tenant.account().budget_consistent_with_ledger());
     }
 
     #[test]
@@ -481,6 +464,24 @@ mod tests {
         let err = tenant.release().unwrap_err();
         assert!(matches!(err, ServeError::BudgetExhausted { .. }));
         assert_eq!(tenant.report().releases, 0);
+    }
+
+    #[test]
+    fn unperturbed_release_reports_infinite_spend_everywhere() {
+        let mut cfg = TenantConfig::new("clear");
+        cfg.mu = 0.0;
+        cfg.budget_eps = f64::INFINITY;
+        let mut tenant = Tenant::create(cfg).unwrap();
+        tenant.ingest(&records(2, 3, 0.5)).unwrap();
+        let reply = tenant.release().unwrap();
+        assert!(reply.release_epsilon.is_infinite());
+        assert!(reply.spent_epsilon.is_infinite());
+        assert!(reply.remaining_epsilon.is_infinite(), "an unlimited budget");
+        let report = tenant.report();
+        assert!(report.spent_epsilon.is_infinite());
+        assert!(report.remaining_epsilon.is_infinite());
+        assert!(tenant.ledger().server_epsilon().is_infinite());
+        assert!(tenant.ledger().client_epsilon().is_infinite());
     }
 
     #[test]

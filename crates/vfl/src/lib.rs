@@ -101,9 +101,7 @@ pub use generic::{eval_polynomial_oracle, eval_polynomial_skellam};
 pub use gradient::{gradient_sum_oracle, gradient_sum_skellam, GradientOutput};
 pub use mean::{column_sums_oracle, column_sums_skellam, MeanOutput};
 pub use partition::ColumnPartition;
-pub use session::{
-    BudgetRefusal, PrivacyAccount, ReleaseError, ReleasePermit, ServerView, VflSession,
-};
+pub use session::{BudgetRefusal, ReleaseError, ReleasePermit, ServerView, VflSession};
 pub use stream::{covariance_streaming_oracle, StreamCov};
 
 pub use sqm_mpc::net;

@@ -8,14 +8,15 @@
 //! entire view of a protocol run consists of exactly the DP-accounted
 //! releases — never raw data, shares, or noise components.
 //!
-//! [`PrivacyAccount`] owns both books of a session — the budget odometer
-//! and the obs ledger — for [`VflSession`] and `sqm::serve` tenants alike:
-//! `admit` is the pure gate before a release, `commit` writes both books in
-//! one call after its MPC run succeeded, so a release that is refused or
-//! whose run fails spends nothing in either.
+//! A session keeps one privacy book, the obs [`PrivacyLedger`]: it prices,
+//! gates, composes and reports each release once. [`VflSession`] and
+//! `sqm::serve` tenants alike pass every release through
+//! [`ReleasePermit::admit`], the pure gate before any MPC round, and write
+//! the book with [`ReleasePermit::commit`] only after the run succeeded, so
+//! a release that is refused or whose run fails spends nothing.
 
 use sqm_accounting::skellam::Sensitivity;
-use sqm_accounting::{default_alpha_grid, skellam_rdp, Admission, PrivacyOdometer, RdpCurve};
+use sqm_accounting::RdpCurve;
 use sqm_core::sensitivity::{lr_sensitivity, pca_sensitivity};
 use sqm_linalg::Matrix;
 use sqm_mpc::{RunStats, TransportError};
@@ -86,7 +87,7 @@ impl ServerView {
     }
 }
 
-/// A release refused by [`PrivacyAccount::admit`]: admitting it would push
+/// A release refused by [`ReleasePermit::admit`]: admitting it would push
 /// the composed server-observed epsilon past the session budget.
 /// The refusal happens *before* any MPC round runs — no shares move, no
 /// noise is drawn, nothing reaches the server view or the ledger.
@@ -117,7 +118,7 @@ impl fmt::Display for BudgetRefusal {
 impl std::error::Error for BudgetRefusal {}
 
 /// Why a [`VflSession`] release produced no output; either way nothing
-/// reached the server view, the account or `stats()`.
+/// reached the server view, the ledger or `stats()`.
 #[derive(Clone, Debug, PartialEq)]
 pub enum ReleaseError {
     /// Refused by the budget gate before any MPC round ran.
@@ -137,8 +138,8 @@ impl fmt::Display for ReleaseError {
 
 impl std::error::Error for ReleaseError {}
 
-/// Proof that a release passed [`PrivacyAccount::admit`]. It spends nothing
-/// until [`PrivacyAccount::commit`]; drop it when the release's run fails.
+/// Proof that a release passed [`ReleasePermit::admit`]. It spends nothing
+/// until [`ReleasePermit::commit`]; drop it when the release's run fails.
 #[derive(Debug)]
 pub struct ReleasePermit {
     kind: ReleaseKind,
@@ -146,52 +147,28 @@ pub struct ReleasePermit {
     gamma: f64,
     mu: f64,
     sens: Sensitivity,
-    /// `None`: an unperturbed release, which the odometer cannot price.
+    /// The release's [`PrivacyLedger::price`].
     curve: Option<RdpCurve>,
 }
 
-/// The privacy account of one session: the odometer that enforces the
-/// budget and the ledger that reports the spend, in step because
-/// [`PrivacyAccount::commit`] is the only way to write either.
-pub struct PrivacyAccount {
-    odometer: PrivacyOdometer,
-    ledger: PrivacyLedger,
-}
-
-impl PrivacyAccount {
-    /// An empty account with an overall server-observed `(budget_eps,
-    /// delta)` budget; `f64::INFINITY` never refuses.
-    pub fn new(n_clients: usize, budget_eps: f64, delta: f64) -> Self {
-        PrivacyAccount {
-            odometer: PrivacyOdometer::new(budget_eps, delta),
-            ledger: PrivacyLedger::new(n_clients, delta),
-        }
-    }
-
-    /// The budget gate, before any MPC work; records nothing.
+impl ReleasePermit {
+    /// The budget gate, before any MPC work: price the release and check it
+    /// against `ledger`'s budget. Records nothing.
     pub fn admit(
-        &self,
+        ledger: &PrivacyLedger,
         kind: ReleaseKind,
         dims: usize,
         gamma: f64,
         mu: f64,
         sens: Sensitivity,
     ) -> Result<ReleasePermit, BudgetRefusal> {
-        let (budget, delta) = self.odometer.budget();
-        let grid = default_alpha_grid();
-        let curve = (mu > 0.0).then(|| RdpCurve::from_fn(&grid, |a| skellam_rdp(a, sens, mu)));
-        // An unperturbed opening is an infinite-epsilon release: only an
-        // unlimited budget admits one.
-        let fits = match &curve {
-            Some(curve) => self.odometer.fits(curve),
-            None => budget.is_infinite(),
-        };
-        if !fits {
+        let curve = PrivacyLedger::price(mu, sens);
+        if !ledger.fits(curve.as_ref()) {
             return Err(BudgetRefusal {
                 kind,
-                requested_epsilon: curve.map_or(f64::INFINITY, |c| c.to_epsilon(delta).0),
-                spent: self.odometer.spent_epsilon(),
-                budget,
+                requested_epsilon: curve.map_or(f64::INFINITY, |c| c.to_epsilon(ledger.delta()).0),
+                spent: ledger.server_epsilon(),
+                budget: ledger.budget(),
             });
         }
         Ok(ReleasePermit {
@@ -204,54 +181,27 @@ impl PrivacyAccount {
         })
     }
 
-    /// Record an admitted release whose run succeeded: compose its curve
-    /// into the odometer and append its ledger entry, which is returned.
-    pub fn commit(&mut self, permit: ReleasePermit) -> &LedgerEntry {
-        if let Some(curve) = &permit.curve {
-            let admitted = self.odometer.admit(curve);
-            assert_eq!(admitted, Admission::Admitted, "permit outlived a commit");
-        }
-        let kind = permit.kind.ledger_name();
-        self.ledger
-            .record(kind, permit.dims, permit.gamma, permit.mu, permit.sens)
-            .expect("record appends an entry")
-    }
-
-    /// One entry per committed release, with server- and client-observed
-    /// epsilons and the running RDP composition.
-    pub fn ledger(&self) -> &PrivacyLedger {
-        &self.ledger
-    }
-
-    /// The budget odometer behind [`PrivacyAccount::admit`].
-    pub fn odometer(&self) -> &PrivacyOdometer {
-        &self.odometer
-    }
-
-    /// Does the odometer's spend agree with the ledger's composed server
-    /// curve? `commit` feeds both the same curve, so a disagreement beyond
-    /// floating error is a bug here. (An unperturbed release makes the
-    /// ledger unbounded; only an unlimited budget, which the odometer then
-    /// does not charge, admits one.)
-    pub fn budget_consistent_with_ledger(&self) -> bool {
-        let ledger_eps = self.ledger.server_epsilon();
-        if ledger_eps.is_infinite() {
-            return self.odometer.budget().0.is_infinite();
-        }
-        if self.ledger.is_empty() {
-            return self.odometer.releases() == 0;
-        }
-        let spent = self.odometer.spent_epsilon();
-        (spent - ledger_eps).abs() <= 1e-9 * ledger_eps.max(1.0)
+    /// Record the admitted release, whose run succeeded, in `ledger`; its
+    /// entry is returned.
+    pub fn commit(self, ledger: &mut PrivacyLedger) -> &LedgerEntry {
+        let kind = self.kind.ledger_name();
+        ledger.commit(
+            kind,
+            self.dims,
+            self.gamma,
+            self.mu,
+            self.sens,
+            self.curve.as_ref(),
+        )
     }
 }
 
 /// A VFL session: fixed clients/partition, a sequence of protocol calls,
-/// the accumulated [`ServerView`] and the session's [`PrivacyAccount`].
+/// the accumulated [`ServerView`] and the session's [`PrivacyLedger`].
 ///
 /// **Caveat: noise replay.** Every release is a one-shot protocol run from
 /// the session's one `cfg.seed()`, so two releases of the same kind draw
-/// the same quantization and noise streams, while the account composes
+/// the same quantization and noise streams, while the ledger composes
 /// them as if their noise were independent. Reseed between such releases
 /// (`tasks::logreg` does, per round). Per-release seeds wait on the
 /// benchmark: `lr_train` pins a session's releases to one fixed-seed run.
@@ -260,29 +210,21 @@ pub struct VflSession {
     cfg: VflConfig,
     view: ServerView,
     total_stats: Vec<RunStats>,
-    account: PrivacyAccount,
+    ledger: PrivacyLedger,
 }
 
-/// The `delta` the session's privacy ledger reports epsilons at unless
-/// overridden with [`VflSession::with_delta`].
-pub const DEFAULT_LEDGER_DELTA: f64 = 1e-5;
-
 impl VflSession {
+    /// A session with no budget limit, reporting epsilons at `delta = 1e-5`.
     pub fn new(partition: ColumnPartition, cfg: VflConfig) -> Self {
-        Self::with_delta(partition, cfg, DEFAULT_LEDGER_DELTA)
-    }
-
-    /// Like [`VflSession::new`] but reporting ledger epsilons at `delta`.
-    pub fn with_delta(partition: ColumnPartition, cfg: VflConfig, delta: f64) -> Self {
         assert_eq!(
             partition.n_clients(),
             cfg.n_clients(),
             "partition/config mismatch"
         );
         VflSession {
-            // Unlimited by default: `admit` still gates every release, it
+            // Unlimited by default: every release still passes the gate, it
             // just always fits. `with_budget` makes the gate bite.
-            account: PrivacyAccount::new(cfg.n_clients(), f64::INFINITY, delta),
+            ledger: PrivacyLedger::new(cfg.n_clients(), 1e-5),
             partition,
             cfg,
             view: ServerView::default(),
@@ -290,14 +232,13 @@ impl VflSession {
         }
     }
 
-    /// Enforce an overall server-observed `(budget_eps, delta)` budget:
-    /// every release must pass [`PrivacyAccount::admit`] *before* its MPC
-    /// rounds run, and an over-budget request is refused with a typed
-    /// [`BudgetRefusal`]. The delta is the session's ledger delta.
-    pub fn with_budget(mut self, budget_eps: f64) -> Self {
-        let delta = self.account.ledger.delta();
-        self.account = PrivacyAccount::new(self.cfg.n_clients(), budget_eps, delta);
-        self
+    /// Enforce an overall server-observed epsilon budget: every later
+    /// release must pass [`ReleasePermit::admit`] *before* its MPC rounds
+    /// run, and an over-budget request is refused with a typed
+    /// [`BudgetRefusal`]. Releases already made stay spent.
+    pub fn with_budget(self, budget_eps: f64) -> Self {
+        let ledger = self.ledger.with_budget(budget_eps);
+        VflSession { ledger, ..self }
     }
 
     /// The server's accumulated view.
@@ -310,23 +251,14 @@ impl VflSession {
         &self.total_stats
     }
 
-    /// The session's privacy account: both books and their cross-check.
-    pub fn account(&self) -> &PrivacyAccount {
-        &self.account
-    }
-
-    /// See [`PrivacyAccount::ledger`].
+    /// The session's privacy book: one entry per release, with server- and
+    /// client-observed epsilons, the running RDP composition and the budget.
     pub fn ledger(&self) -> &PrivacyLedger {
-        &self.account.ledger
-    }
-
-    /// See [`PrivacyAccount::odometer`].
-    pub fn odometer(&self) -> &PrivacyOdometer {
-        &self.account.odometer
+        &self.ledger
     }
 
     /// Every release: admit, run, and only then record, so the server view,
-    /// both books and `stats()` move together or not at all. `run` returns
+    /// the ledger and `stats()` move together or not at all. `run` returns
     /// the amplified values the server receives, the run's statistics and
     /// the caller's down-scaled output.
     fn release<T>(
@@ -338,7 +270,7 @@ impl VflSession {
         sens: Sensitivity,
         run: impl FnOnce(&ColumnPartition, &VflConfig) -> RunResult<T>,
     ) -> Result<T, ReleaseError> {
-        let admitted = self.account.admit(kind, dims, gamma, mu, sens);
+        let admitted = ReleasePermit::admit(&self.ledger, kind, dims, gamma, mu, sens);
         let permit = admitted.map_err(ReleaseError::Refused)?;
         let ran = run(&self.partition, &self.cfg);
         let (values, stats, out) = ran.map_err(ReleaseError::Transport)?;
@@ -348,7 +280,7 @@ impl VflSession {
             mu,
             gamma,
         });
-        self.account.commit(permit);
+        permit.commit(&mut self.ledger);
         self.total_stats.push(stats);
         Ok(out)
     }
@@ -610,7 +542,6 @@ mod tests {
         );
         assert!(session.server_view().is_empty());
         assert!(session.ledger().is_empty());
-        assert_eq!(session.odometer().releases(), 0);
     }
 
     #[test]
@@ -639,8 +570,6 @@ mod tests {
         // Only the admitted releases ran and were accounted.
         assert_eq!(session.stats().len(), admitted);
         assert_eq!(session.ledger().len(), admitted);
-        assert_eq!(session.odometer().releases(), admitted);
-        assert!(session.account().budget_consistent_with_ledger());
     }
 
     #[test]
@@ -670,7 +599,7 @@ mod tests {
                 .with_faults(Some(FaultSpec::seeded(5).with_crash(1, 1)));
             let mut session =
                 VflSession::new(ColumnPartition::even(4, 2), faulty).with_budget(10.0);
-            let before = session.odometer().spent_epsilon();
+            let before = session.ledger().server_epsilon();
             let errors = [
                 session.try_covariance(&x, 64.0, 1e8).unwrap_err(),
                 session
@@ -684,13 +613,11 @@ mod tests {
             assert!(session.server_view().is_empty(), "{backend:?}");
             assert!(session.ledger().is_empty(), "{backend:?}");
             assert!(session.stats().is_empty(), "{backend:?}");
-            assert_eq!(session.odometer().releases(), 0, "{backend:?}");
             assert_eq!(
-                session.odometer().spent_epsilon().to_bits(),
+                session.ledger().server_epsilon().to_bits(),
                 before.to_bits(),
                 "{backend:?}"
             );
-            assert!(session.account().budget_consistent_with_ledger());
 
             // A fault-free session of the same seed is unaffected: it
             // releases what a session that never saw a fault releases.
@@ -698,8 +625,7 @@ mod tests {
                 let mut session =
                     VflSession::new(ColumnPartition::even(4, 2), cfg.clone()).with_budget(10.0);
                 let c = session.try_covariance(&x, 64.0, 1e8).unwrap();
-                assert_eq!(session.odometer().releases(), 1);
-                assert!(session.account().budget_consistent_with_ledger());
+                assert_eq!(session.ledger().len(), 1);
                 c
             };
             assert_eq!(release(&cfg), release(&VflConfig::fast(2).with_seed(5)));
@@ -708,11 +634,70 @@ mod tests {
 
     #[test]
     fn odometer_spend_matches_ledger_composition() {
+        // The book composes the same curves, in the same order, as an
+        // odometer fed them by hand: the same bits.
+        use sqm_accounting::{Admission, PrivacyOdometer};
         let mut session = VflSession::new(ColumnPartition::even(4, 2), VflConfig::fast(2));
         let x = data();
         session.covariance(&x, 512.0, 1e6);
         session.column_sums(&x, 512.0, 1e4);
-        assert!(session.account().budget_consistent_with_ledger());
-        assert_eq!(session.odometer().releases(), session.ledger().len());
+        let mut odometer = PrivacyOdometer::new(f64::INFINITY, 1e-5);
+        for e in session.ledger().entries() {
+            let sens = Sensitivity {
+                l1: e.sensitivity_l1,
+                l2: e.sensitivity_l2,
+            };
+            let curve = PrivacyLedger::price(e.mu, sens).unwrap();
+            assert_eq!(odometer.admit(&curve), Admission::Admitted);
+            assert_eq!(
+                e.server_epsilon_total.to_bits(),
+                odometer.spent_epsilon().to_bits()
+            );
+        }
+        assert_eq!(odometer.releases(), session.ledger().len());
+    }
+
+    #[test]
+    fn with_budget_after_a_release_keeps_the_spend() {
+        let x = data();
+        let mut session = VflSession::new(ColumnPartition::even(4, 2), VflConfig::fast(2));
+        session.covariance(&x, 64.0, 1e8);
+        let entry = session.ledger().entries()[0].clone();
+        let spent = session.ledger().server_epsilon();
+
+        let mut session = session.with_budget(1.2 * spent);
+        assert_eq!(session.ledger().len(), 1);
+        assert_eq!(session.ledger().entries()[0].index, entry.index);
+        assert_eq!(session.ledger().entries()[0].kind, entry.kind);
+        assert_eq!(session.ledger().server_epsilon().to_bits(), spent.to_bits());
+        // A second equal release alone fits 1.2x one; on top of the kept
+        // spend it does not.
+        let err = refusal(session.try_covariance(&x, 64.0, 1e8).unwrap_err());
+        assert_eq!(err.spent.to_bits(), spent.to_bits());
+        assert!(err.requested_epsilon < err.budget);
+        assert_eq!(session.ledger().len(), 1);
+        assert_eq!(session.stats().len(), 1);
+    }
+
+    #[test]
+    fn unperturbed_release_reports_infinite_spend_everywhere() {
+        let mut session = VflSession::new(ColumnPartition::even(4, 2), VflConfig::fast(2));
+        session.column_sums(&data(), 64.0, 1e4);
+        session.column_sums(&data(), 64.0, 0.0);
+        let ledger = session.ledger();
+        assert!(ledger.server_epsilon().is_infinite());
+        assert!(ledger.client_epsilon().is_infinite());
+        assert!(
+            ledger.remaining_epsilon().is_infinite(),
+            "an unlimited budget"
+        );
+        let report = ledger.report();
+        assert!(report.server_epsilon_total.is_infinite());
+        assert!(report.client_epsilon_total.is_infinite());
+        let last = ledger.last_entry().unwrap();
+        assert!(last.server_epsilon_total.is_infinite());
+        assert!(last.client_epsilon_total.is_infinite());
+        // The perturbed release before it kept its finite price.
+        assert!(ledger.entries()[0].server_epsilon_total.is_finite());
     }
 }

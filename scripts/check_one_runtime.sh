@@ -69,9 +69,15 @@
 #     (one place turns a magnitude bound into a field),
 #   * no `.run::<` under crates/vfl/src (the panicking engine entry: every
 #     protocol core is fallible),
-#   * `PrivacyOdometer::new` / `PrivacyLedger::new` nowhere under
-#     crates/serve/src and only in session.rs under crates/vfl/src (one
-#     account owns both books),
+#   * one privacy book: `PrivacyOdometer::new`, `.compose(` or
+#     `compose_rounds` under crates/vfl/src, crates/serve/src or
+#     crates/obs/src only in crates/obs/src/ledger.rs, which composes once
+#     (the client-observed curve; the server-side spend is its odometer's),
+#     and `PrivacyLedger::new` there only in vfl's session.rs and serve's
+#     tenant.rs,
+#   * the deleted second book comes back: `PrivacyAccount`,
+#     `budget_consistent_with_ledger`, `with_delta` or `DEFAULT_LEDGER_DELTA`
+#     as a whole word under crates/, tests/ or examples/,
 #   * at most two `match` on the stream's field enum (counted by their
 #     `<Enum>::M61(..) =>` arm) in crates/vfl/src/stream.rs,
 #   * no `.open(` / `open_centered` under crates/vfl/src (every release
@@ -224,9 +230,17 @@ expect "expected FieldChoice::for_magnitude on exactly one line under crates/vfl
   "$(non_test 'FieldChoice::for_magnitude' crates/vfl/src)"
 expect "the panicking engine entry (.run::<) is back under crates/vfl/src" 0 \
   "$(non_test '[.]run::<' crates/vfl/src)"
-expect "a privacy book is built outside vfl::session::PrivacyAccount" 0 \
-  "$(non_test 'Privacy(Odometer|Ledger)::new' crates/vfl/src crates/serve/src |
-    grep -v '^crates/vfl/src/session.rs:' || true)"
+expect "a server-side spend is composed outside the ledger's odometer" 0 \
+  "$(non_test 'PrivacyOdometer::new|[.]compose[(]|compose_rounds' crates/vfl/src crates/serve/src \
+    crates/obs/src | grep -v '^crates/obs/src/ledger.rs:' || true)"
+expect "expected one composition in crates/obs/src/ledger.rs (the client-observed curve)" 1 \
+  "$(non_test '[.]compose[(]' crates/obs/src/ledger.rs)"
+expect "a privacy book is built outside VflSession and serve::Tenant" 0 \
+  "$(non_test 'PrivacyLedger::new' crates/vfl/src crates/serve/src |
+    grep -vE '^crates/(vfl/src/session|serve/src/tenant)[.]rs:' || true)"
+expect "the deleted second privacy book is back (one book: obs::ledger::PrivacyLedger)" 0 \
+  "$(grep -rnwE 'PrivacyAccount|budget_consistent_with_ledger|with_delta|DEFAULT_LEDGER_DELTA' \
+    crates tests examples || true)"
 expect "more than two matches on the stream's field enum in crates/vfl/src/stream.rs" -2 \
   "$(non_test '^ *[A-Za-z]+::M61[(].*=>' crates/vfl/src/stream.rs)"
 
@@ -259,5 +273,5 @@ expect "horner outside fn share_secret in crates/mpc/src/shamir.rs (batch sharin
     inside && /^}$/ { inside = 0 }
   ' crates/mpc/src/shamir.rs)"
 
-[ "$fail" -eq 0 ] && echo "one engine, one runtime, one round event, one tally, one release path: ok"
+[ "$fail" -eq 0 ] && echo "one engine, one runtime, one round event, one tally, one release path, one privacy book: ok"
 exit "$fail"
