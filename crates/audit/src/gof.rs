@@ -310,10 +310,12 @@ pub fn run_gof(cfg: &AuditConfig) -> Vec<GofCheck> {
         );
     }
 
-    // Skellam — the DP noise itself.
-    let mut skellam_mus: Vec<f64> = vec![1.0, 10.0, 100.0];
+    // Skellam — the DP noise itself. 25 is `cov_wide`'s per-party scale,
+    // 224 and 224.5 sit on either side of the binomial split's bound, and
+    // 4.99 just below where its `Pois(2 mu)` turns from inversion to PTRD.
+    let mut skellam_mus: Vec<f64> = vec![1.0, 10.0, 100.0, 25.0, 224.0, 224.5];
     if deep {
-        skellam_mus.extend([0.25, 1000.0]);
+        skellam_mus.extend([0.25, 1000.0, 4.99]);
     }
     for (i, &mu) in skellam_mus.iter().enumerate() {
         let w = (8.0 * (2.0 * mu).sqrt() + 10.0).ceil() as i64;

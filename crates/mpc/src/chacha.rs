@@ -1,8 +1,14 @@
-//! The pairwise mask stream `G` of [`crate::PartyCtx::sum_to_receiver`]: the
-//! ChaCha20 block function (RFC 8439 section 2.3, with the original 64-bit
-//! block counter and nonce) behind `rand::RngCore`, so a mask is
-//! `F::random(&mut stream)` — exactly uniform by the field's own rejection
-//! sampling.
+//! The pairwise mask stream `G` of [`crate::PartyCtx::sum_to_receiver`]:
+//! ChaCha12 — the ChaCha block function of RFC 8439 section 2.3, with the
+//! original 64-bit block counter and nonce, run for 12 rounds instead of 20 —
+//! behind `rand::RngCore`, so a mask is `F::random(&mut stream)` — exactly
+//! uniform by the field's own rejection sampling.
+//!
+//! Twelve rounds is what upstream `rand::StdRng` runs, and the best published
+//! attacks on ChaCha reach 7 rounds; the stream costs 12/20 of ChaCha20's
+//! block. A pair's key is derived by one block at the full 20 rounds (one
+//! block per pair stream, so its cost does not show), and the RFC 8439
+//! known-answer tests run the same block function at 20 rounds.
 //!
 //! The masked sum's hiding claim rests on this construction alone:
 //! `compat/rand`'s `StdRng` is xoshiro256++, not a CSPRNG (and it still feeds
@@ -13,6 +19,11 @@
 use rand::RngCore;
 
 const SIGMA: [u32; 4] = [0x6170_7865, 0x3320_646e, 0x7962_2d32, 0x6b20_6574];
+
+/// The rounds of every keystream block.
+const STREAM_ROUNDS: usize = 12;
+/// The rounds of the block a pair's key is derived from.
+const KEY_ROUNDS: usize = 20;
 
 fn quarter_round(s: &mut [u32; 16], a: usize, b: usize, c: usize, d: usize) {
     s[a] = s[a].wrapping_add(s[b]);
@@ -25,15 +36,16 @@ fn quarter_round(s: &mut [u32; 16], a: usize, b: usize, c: usize, d: usize) {
     s[b] = (s[b] ^ s[c]).rotate_left(7);
 }
 
-/// One 64-byte ChaCha20 block, as sixteen little-endian words.
-fn block(key: &[u32; 8], counter: u64, nonce: u64) -> [u32; 16] {
+/// One 64-byte ChaCha block of `rounds` rounds (even), as sixteen
+/// little-endian words.
+fn block(key: &[u32; 8], counter: u64, nonce: u64, rounds: usize) -> [u32; 16] {
     let mut init = [0u32; 16];
     init[..4].copy_from_slice(&SIGMA);
     init[4..12].copy_from_slice(key);
     (init[12], init[13]) = (counter as u32, (counter >> 32) as u32);
     (init[14], init[15]) = (nonce as u32, (nonce >> 32) as u32);
     let mut s = init;
-    for _ in 0..10 {
+    for _ in 0..rounds / 2 {
         quarter_round(&mut s, 0, 4, 8, 12);
         quarter_round(&mut s, 1, 5, 9, 13);
         quarter_round(&mut s, 2, 6, 10, 14);
@@ -67,7 +79,7 @@ impl PairStream {
         let pair = (a.min(b) as u64) << 32 | a.max(b) as u64;
         // The derivation block's nonce is apart from every round index.
         let mut key = [0u32; 8];
-        key.copy_from_slice(&block(&session, pair, u64::MAX)[..8]);
+        key.copy_from_slice(&block(&session, pair, u64::MAX, KEY_ROUNDS)[..8]);
         PairStream {
             key,
             nonce,
@@ -81,7 +93,7 @@ impl PairStream {
 impl RngCore for PairStream {
     fn next_u64(&mut self) -> u64 {
         if self.used == 16 {
-            self.buf = block(&self.key, self.counter, self.nonce);
+            self.buf = block(&self.key, self.counter, self.nonce, STREAM_ROUNDS);
             self.counter = self.counter.wrapping_add(1);
             self.used = 0;
         }
@@ -106,7 +118,7 @@ mod tests {
         for (word, chunk) in key.iter_mut().zip(bytes.chunks(4)) {
             *word = u32::from_le_bytes(chunk.try_into().unwrap());
         }
-        let out = block(&key, 0x0900_0000_0000_0001, 0x4a00_0000);
+        let out = block(&key, 0x0900_0000_0000_0001, 0x4a00_0000, 20);
         #[rustfmt::skip]
         let want: [u32; 16] = [
             0xe4e7f110, 0x15593bd1, 0x1fdd0f50, 0xc47120a3,
@@ -142,11 +154,30 @@ mod tests {
                 .collect()
         };
         let got: Vec<u64> = (0..16).map(|_| stream.next_u64()).collect();
-        let low = words(block(&key, u64::from(u32::MAX), 3));
-        let carried = words(block(&key, 1 << 32, 3));
+        let low = words(block(&key, u64::from(u32::MAX), 3, 12));
+        let carried = words(block(&key, 1 << 32, 3, 12));
         assert_eq!(got, [low, carried.clone()].concat());
         // The carry is a different block from a wrapped 32-bit counter.
-        assert_ne!(carried, words(block(&key, 0, 3)));
+        assert_ne!(carried, words(block(&key, 0, 3, 12)));
+    }
+
+    /// There is no ChaCha12 reference vector in the tree: the stream is
+    /// pinned to the RFC-tested block function at 12 rounds, which is not
+    /// its 20-round output, under a key derived at 20 rounds.
+    #[test]
+    fn stream_runs_the_block_function_at_twelve_rounds() {
+        let mut stream = PairStream::for_pair(4, 1, 3, 7);
+        let key = stream.key;
+        let got: Vec<u32> = (0..8)
+            .flat_map(|_| {
+                let word = stream.next_u64();
+                [word as u32, (word >> 32) as u32]
+            })
+            .collect();
+        assert_eq!(got, block(&key, 0, 7, 12));
+        assert_ne!(got, block(&key, 0, 7, 20));
+        let session = [4, 0, 0, 0, 0, 0, 0, 0];
+        assert_eq!(key, block(&session, 1 << 32 | 3, u64::MAX, 20)[..8]);
     }
 
     #[test]

@@ -30,7 +30,7 @@
 //!   (element-wise products, inner products) are batched into single rounds,
 //!   which is what makes covariance computation `O(n^2)` *communication*
 //!   instead of `O(m n^2)`.
-//! * [`chacha`] — the ChaCha20 keystream behind that sum's pairwise masks.
+//! * [`chacha`] — the ChaCha12 keystream behind that sum's pairwise masks.
 //! * [`circuit`] — a small retained arithmetic-circuit IR with plaintext and
 //!   MPC evaluators, used by the generic polynomial mechanism.
 //! * [`RunStats`] / [`PhaseStats`] — virtual-clock accounting, re-exported

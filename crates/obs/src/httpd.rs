@@ -9,12 +9,14 @@
 //! scrape-or-curl observability endpoint and a loopback serving protocol
 //! need — it is not a general web server.
 //!
-//! Shutdown is graceful: [`HttpServer::shutdown`] stops accepting, lets the
-//! request currently being handled drain, and joins the accept thread, so
-//! no response is ever cut off mid-write.
+//! The accept is blocking, so a request is served as soon as it connects.
+//! Shutdown is graceful: [`HttpServer::shutdown`] raises the stop flag and
+//! wakes the accept with a connection of its own, lets the request
+//! currently being handled drain, and joins the accept thread, so no
+//! response is ever cut off mid-write.
 
 use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -117,20 +119,20 @@ impl HttpServer {
     /// on a named background thread until [`HttpServer::shutdown`].
     pub fn bind(addr: &str, thread_name: &str, handler: Arc<Handler>) -> io::Result<HttpServer> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let bound = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
         let stop_thread = Arc::clone(&stop);
         let thread = std::thread::Builder::new()
             .name(thread_name.to_string())
             .spawn(move || {
-                while !stop_thread.load(Ordering::Relaxed) {
-                    match listener.accept() {
-                        Ok((stream, _)) => {
+                for stream in listener.incoming() {
+                    // The wake-up `shutdown` sends is not a request.
+                    if stop_thread.load(Ordering::SeqCst) {
+                        break;
+                    }
+                    match stream {
+                        Ok(stream) => {
                             let _ = handle_connection(stream, handler.as_ref());
-                        }
-                        Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                            std::thread::sleep(Duration::from_millis(10));
                         }
                         Err(_) => std::thread::sleep(Duration::from_millis(10)),
                     }
@@ -151,8 +153,17 @@ impl HttpServer {
     /// Stop accepting, drain the in-flight request (handling is serial on
     /// the accept thread, so joining it *is* the drain) and join. Idempotent.
     pub fn shutdown(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
         if let Some(handle) = self.thread.take() {
+            self.stop.store(true, Ordering::SeqCst);
+            // Wake the blocking accept; a wildcard bind is reached on loopback.
+            let mut wake = self.addr;
+            if wake.ip().is_unspecified() {
+                wake.set_ip(match wake {
+                    SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                    SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+                });
+            }
+            let _ = TcpStream::connect(wake);
             let _ = handle.join();
         }
     }
@@ -168,7 +179,6 @@ impl Drop for HttpServer {
 /// handler, write the response. Any malformed framing gets a 400 rather
 /// than a dropped connection so misbehaving clients see why.
 fn handle_connection(mut stream: TcpStream, handler: &Handler) -> io::Result<()> {
-    stream.set_nonblocking(false)?;
     stream.set_read_timeout(Some(Duration::from_millis(500)))?;
 
     let mut buf = Vec::with_capacity(1024);
@@ -434,6 +444,23 @@ mod tests {
             );
             assert!(got.ends_with(&body), "response truncated");
         }
+    }
+
+    #[test]
+    fn sequential_requests_are_answered_without_a_poll_delay() {
+        let mut server = echo_server();
+        let addr = server.local_addr();
+        let start = std::time::Instant::now();
+        for _ in 0..50 {
+            let got = fetch(addr, "GET /hello HTTP/1.1\r\n\r\n");
+            assert!(got.starts_with("HTTP/1.1 200 OK"), "{got}");
+        }
+        let elapsed = start.elapsed();
+        assert!(
+            elapsed < Duration::from_millis(250),
+            "50 requests took {elapsed:?}"
+        );
+        server.shutdown();
     }
 
     #[test]

@@ -4,7 +4,8 @@
 //!   PTRD transformed-rejection method for large means, and a normal
 //!   approximation beyond `f64` integer precision).
 //! * [`skellam`] — Skellam noise `Sk(mu) = Pois(mu) - Pois(mu)`, the
-//!   integer-valued DP noise at the heart of the paper (Lemma 1).
+//!   integer-valued DP noise at the heart of the paper (Lemma 1), drawn at
+//!   small `mu` as `2 Bin(N, 1/2) - N` with `N ~ Pois(2 mu)`.
 //! * [`gaussian`] — standard normal sampling (Marsaglia polar method) for the
 //!   central-DP and local-DP baselines.
 //! * [`discrete_gaussian`] — exact discrete Gaussian / discrete Laplace

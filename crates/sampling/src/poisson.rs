@@ -12,6 +12,11 @@
 //!   approximation error is orders of magnitude below the noise standard
 //!   deviation and has no measurable effect on the DP simulation (the
 //!   *accounting* never uses samples, only closed-form bounds).
+//!
+//! [`crate::skellam`] draws one `Pois(2 mu)` per `Sk(mu)` variate while
+//! `2 mu <= 448` (the binomial split; its inversion-to-PTRD switch is at
+//! `mu = 5`), two `Pois(mu)` above that, and no Poisson count at all
+//! from `mu = 2^49` on.
 
 use rand::Rng;
 

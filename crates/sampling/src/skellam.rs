@@ -10,6 +10,18 @@
 //!   party knowing the total noise.
 //! * **Mean 0, variance `2*mu`** — calibrated against the sensitivity by
 //!   Lemma 1's RDP bound (implemented in `sqm-accounting`).
+//!
+//! Three regimes, fixed per `mu` in [`Skellam::new`]:
+//!
+//! * `2 mu <= 448` — the binomial split. If `X, Y ~ Pois(mu)` are
+//!   independent and `N = X + Y`, then `X | N ~ Bin(N, 1/2)`, so
+//!   `X - Y = 2 Bin(N, 1/2) - N` with `N ~ Pois(2 mu)`: one Poisson draw
+//!   plus the set bits of `N` fresh random bits. Exact, and about half the
+//!   cost of two Poisson draws at the per-party scales of a `mu = 100`
+//!   release over 4 or 10 parties (25 and 10).
+//! * `224 < mu < 2^49` — `Pois(mu) - Pois(mu)`, two PTRD draws. Above the
+//!   split's bound its `N / 64` words cost more than the second draw.
+//! * `mu >= 2^49` — the rounded normal limit (calibrated noise lands here).
 
 use rand::Rng;
 
@@ -22,6 +34,11 @@ use crate::poisson::Poisson;
 /// at `mu = 2^49` the Skellam's total-variation distance to the rounded
 /// normal is far below `2^-20`.
 const DIRECT_DIFFERENCE_MAX: f64 = (1u64 << 49) as f64;
+
+/// The largest `2 mu` drawn by the binomial split: the measured crossover.
+/// The split's cost grows by one word per 64 expected counts, and from
+/// `mu = 224` to `256` it costs what the two-draw difference does.
+const SPLIT_MAX: f64 = 448.0;
 
 /// Sample one `Sk(mu)` variate. Panics if `2 mu` is so large that the
 /// *difference* would overflow `i64` (`mu > ~4e36`), far beyond any
@@ -39,7 +56,11 @@ pub struct Skellam(Law);
 
 #[derive(Clone, Copy, Debug)]
 enum Law {
-    /// `Pois(mu) - Pois(mu)`, below [`DIRECT_DIFFERENCE_MAX`].
+    /// `2 Bin(N, 1/2) - N` with `N ~ Pois(2 mu)`, while `2 mu` is at most
+    /// [`SPLIT_MAX`].
+    Split(Poisson),
+    /// `Pois(mu) - Pois(mu)`, from the split's bound up to
+    /// [`DIRECT_DIFFERENCE_MAX`].
     Difference(Poisson),
     /// `round(std * N(0, 1))` with `std = sqrt(2 mu)`, above it.
     Normal { std: f64 },
@@ -53,7 +74,9 @@ impl Skellam {
             mu.is_finite() && mu >= 0.0,
             "Skellam parameter must be finite and >= 0, got {mu}"
         );
-        if mu < DIRECT_DIFFERENCE_MAX {
+        if 2.0 * mu <= SPLIT_MAX {
+            Skellam(Law::Split(Poisson::new(2.0 * mu)))
+        } else if mu < DIRECT_DIFFERENCE_MAX {
             Skellam(Law::Difference(Poisson::new(mu)))
         } else {
             let std = (2.0 * mu).sqrt();
@@ -65,10 +88,29 @@ impl Skellam {
     /// One `Sk(mu)` variate.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> i64 {
         match self.0 {
+            Law::Split(ref pois) => {
+                let n = pois.sample(rng);
+                2 * binomial_half(rng, n as u64) as i64 - n
+            }
             Law::Difference(ref pois) => pois.sample(rng) - pois.sample(rng),
             Law::Normal { std } => (std * sample_standard_normal(rng)).round() as i64,
         }
     }
+}
+
+/// `Bin(n, 1/2)`: the set bits among `n` fresh random bits, read as
+/// `n / 64` whole words and, when `64` does not divide `n`, the low
+/// `n % 64` bits of one more. `n = 0` reads nothing.
+fn binomial_half<R: Rng + ?Sized>(rng: &mut R, n: u64) -> u64 {
+    let mut heads = 0;
+    for _ in 0..n / 64 {
+        heads += u64::from(rng.next_u64().count_ones());
+    }
+    let rest = n % 64;
+    if rest > 0 {
+        heads += u64::from((rng.next_u64() & ((1 << rest) - 1)).count_ones());
+    }
+    heads
 }
 
 /// Sample a vector of `len` i.i.d. `Sk(mu)` variates.
@@ -85,11 +127,6 @@ impl Skellam {
 pub fn sample_skellam_vec<R: Rng + ?Sized>(rng: &mut R, mu: f64, len: usize) -> Vec<i64> {
     let skellam = Skellam::new(mu);
     (0..len).map(|_| skellam.sample(rng)).collect()
-}
-
-/// The standard deviation of `Sk(mu)`: `sqrt(2*mu)`.
-pub fn skellam_std(mu: f64) -> f64 {
-    (2.0 * mu).sqrt()
 }
 
 /// Exact log-pmf of `Sk(mu)`:
@@ -131,23 +168,6 @@ pub fn skellam_log_pmf(k: i64, mu: f64) -> f64 {
         })
         .collect();
     crate::special::log_sum_exp(&terms)
-}
-
-/// A symmetric `n x n` matrix of Skellam noise: entries on and above the
-/// diagonal are i.i.d. `Sk(mu)`, mirrored below. Used to perturb covariance
-/// matrices for PCA (the matrix must stay symmetric so that eigenvectors are
-/// real; see Lemma 13's construction of the noise matrix `N`).
-pub fn sample_skellam_symmetric<R: Rng + ?Sized>(rng: &mut R, mu: f64, n: usize) -> Vec<i64> {
-    let skellam = Skellam::new(mu);
-    let mut m = vec![0i64; n * n];
-    for i in 0..n {
-        for j in i..n {
-            let z = skellam.sample(rng);
-            m[i * n + j] = z;
-            m[j * n + i] = z;
-        }
-    }
-    m
 }
 
 #[cfg(test)]
@@ -202,27 +222,6 @@ mod tests {
         let (m2, v2) = moments(&direct);
         assert!((m1 - m2).abs() < 0.15, "means {m1} vs {m2}");
         assert!((v1 - v2).abs() / v2 < 0.05, "vars {v1} vs {v2}");
-    }
-
-    #[test]
-    fn skellam_std_formula() {
-        assert_eq!(skellam_std(0.0), 0.0);
-        assert!((skellam_std(8.0) - 4.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn symmetric_matrix_is_symmetric() {
-        let mut rng = StdRng::seed_from_u64(14);
-        let n = 9;
-        let m = sample_skellam_symmetric(&mut rng, 7.0, n);
-        for i in 0..n {
-            for j in 0..n {
-                assert_eq!(m[i * n + j], m[j * n + i]);
-            }
-        }
-        // Not all zero (mu is large enough that this would be astronomically
-        // unlikely).
-        assert!(m.iter().any(|&x| x != 0));
     }
 
     #[test]
@@ -294,14 +293,26 @@ mod tests {
 
     /// The per-call sampler as it stood before its setup moved into
     /// [`Skellam::new`]: regime, PTRD constants and `e^{-mu}` recomputed
-    /// on every draw. Kept verbatim as the differential reference.
+    /// on every draw. Kept verbatim as the differential reference above
+    /// [`SPLIT_MAX`]; below it, the split counts heads one bit at a time.
     mod per_call {
         use crate::gaussian::sample_standard_normal;
         use crate::special::ln_factorial;
         use rand::Rng;
 
         pub fn sample_skellam<R: Rng + ?Sized>(rng: &mut R, mu: f64) -> i64 {
-            if mu < super::DIRECT_DIFFERENCE_MAX {
+            if 2.0 * mu <= super::SPLIT_MAX {
+                let n = sample_poisson(rng, 2.0 * mu);
+                let mut heads = 0;
+                let mut word = 0u64;
+                for bit in 0..n {
+                    if bit % 64 == 0 {
+                        word = rng.next_u64();
+                    }
+                    heads += (word >> (bit % 64) & 1) as i64;
+                }
+                2 * heads - n
+            } else if mu < super::DIRECT_DIFFERENCE_MAX {
                 sample_poisson(rng, mu) - sample_poisson(rng, mu)
             } else {
                 let std = (2.0 * mu).sqrt();
@@ -378,15 +389,55 @@ mod tests {
     }
 
     #[test]
+    fn binomial_split_counts_the_set_bits_of_the_words_it_reads() {
+        for n in [0u64, 1, 63, 64, 65, 128, 200] {
+            let mut rng = StdRng::seed_from_u64(n);
+            let mut replay = rng.clone();
+            let heads = binomial_half(&mut rng, n);
+            let mut want = 0;
+            for word in 0..n.div_ceil(64) {
+                let bits = (n - 64 * word).min(64);
+                let mask = u64::MAX >> (64 - bits);
+                want += u64::from((replay.next_u64() & mask).count_ones());
+            }
+            assert_eq!(heads, want, "n={n}");
+            assert!(heads <= n, "n={n}");
+            // Exactly ceil(n / 64) words were read.
+            assert_eq!(rng.next_u64(), replay.next_u64(), "n={n}");
+        }
+    }
+
+    #[test]
+    fn regimes_split_at_the_cap() {
+        assert!(matches!(Skellam::new(0.0).0, Law::Split(_)));
+        assert!(matches!(Skellam::new(25.0).0, Law::Split(_)));
+        assert!(matches!(Skellam::new(SPLIT_MAX / 2.0).0, Law::Split(_)));
+        assert!(matches!(Skellam::new(224.5).0, Law::Difference(_)));
+        assert!(matches!(Skellam::new(3.9e22).0, Law::Normal { .. }));
+        // mu = 0 draws nothing.
+        let mut rng = StdRng::seed_from_u64(16);
+        let mut untouched = rng.clone();
+        assert_eq!(Skellam::new(0.0).sample(&mut rng), 0);
+        assert_eq!(rng.next_u64(), untouched.next_u64());
+    }
+
+    #[test]
     fn hoisted_setup_draws_what_the_per_call_sampler_drew() {
         let two49 = (1u64 << 49) as f64;
         for mu in [
             0.0,
             0.3,
+            4.99,
+            5.0,
             9.99,
             10.0,
             12.5,
             25.0,
+            128.0,
+            223.5,
+            224.0,
+            224.0 + 1e-9,
+            224.5,
             1e6,
             two49 - 1.0,
             two49 + 1.0,
