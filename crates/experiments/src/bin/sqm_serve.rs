@@ -12,15 +12,16 @@
 //! 1. **Serve.** Bind the JSON-over-HTTP protocol (`/v1/tenant`,
 //!    `/v1/ingest`, `/v1/release`, `/status`, `/metrics`) on `--addr`.
 //! 2. **Load.** Drive the endpoint's scheduler with the seeded closed-loop
-//!    generator — with request tracing on, so every request carries a span
-//!    tree and every release's MPC span links to its causal critical path.
+//!    generator. The server traces (`ServerConfig::tracing`, the one
+//!    switch), so every request carries a span tree and every release's
+//!    MPC span links to its causal critical path.
 //!    The finite per-tenant budgets guarantee odometer refusals, which
 //!    land in `/metrics` as `sqm_serve_budget_refusals` (the CI smoke test
 //!    asserts at least one, plus per-tenant `sqm_serve_request_duration_ns`
 //!    samples). Afterwards the span collector dumps the byte-deterministic
-//!    `slowreq_<seed>.jsonl` (the zero threshold is pinned, so it retains
-//!    every request — the full deterministic request log) and a
-//!    `serve_report.html` with the "Serving SLO" section into `--out`.
+//!    `slowreq_<seed>.jsonl` (the collector retains every request, so it
+//!    is the full deterministic request log) and a `serve_report.html`
+//!    with the "Serving SLO" section into `--out`.
 //!
 //! With `--hold-secs N` the endpoint stays up for N more seconds after
 //! the artifacts are written, so external probes can scrape mid-run state.
@@ -82,13 +83,11 @@ fn main() -> ExitCode {
     let opts = parse_args();
     metrics::set_enabled(true);
 
-    // Act 1: the endpoint, with request tracing on. The zero slow
-    // threshold is pinned (mirroring the live smoke's pinned stall
-    // threshold): every request is retained, so the slowreq dump is the
-    // full deterministic request log rather than a timing-dependent
-    // subset.
+    // Act 1: the endpoint, with request tracing on. The collector retains
+    // every request, so the slowreq dump is the full deterministic request
+    // log rather than a timing-dependent subset.
     let server = Server::start(ServerConfig {
-        tracing: Some(SpanConfig::dump_all()),
+        tracing: Some(SpanConfig),
         ..ServerConfig::default()
     });
     let endpoint = match ServeHttp::bind(Arc::clone(&server), &opts.addr) {
@@ -103,10 +102,7 @@ fn main() -> ExitCode {
     // Act 2: seeded closed-loop load against the live endpoint's
     // scheduler. The smoke spec's budgets are finite, so the odometer
     // refuses at least one release and `/metrics` proves it.
-    let spec = LoadSpec {
-        tracing: true,
-        ..LoadSpec::smoke()
-    };
+    let spec = LoadSpec::smoke();
     let report = run_load(&server, &spec);
     println!(
         "  load: {} tenants x {} rounds -> {} releases admitted, {} budget refusals, \

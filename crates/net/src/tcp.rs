@@ -106,8 +106,6 @@ pub struct TcpOptions {
     pub initial_backoff: Duration,
     /// Backoff ceiling.
     pub max_backoff: Duration,
-    /// Set `TCP_NODELAY` (disable Nagle); keeps small MPC rounds fast.
-    pub nodelay: bool,
 }
 
 impl Default for TcpOptions {
@@ -118,7 +116,6 @@ impl Default for TcpOptions {
             connect_retries: 5,
             initial_backoff: Duration::from_millis(10),
             max_backoff: Duration::from_secs(1),
-            nodelay: true,
         }
     }
 }
@@ -384,7 +381,8 @@ pub fn tcp_mesh<F: PrimeField>(
             }
             // i dials j.
             let mut out = connect_with_backoff(addrs[j], j, opts)?;
-            out.set_nodelay(opts.nodelay)
+            // Disable Nagle: small MPC rounds must not wait on a timer.
+            out.set_nodelay(true)
                 .map_err(|e| io_error(j, 0, "set_nodelay", &e))?;
             let mut hello = [0u8; 12];
             hello[0..4].copy_from_slice(&HELLO_MAGIC.to_le_bytes());

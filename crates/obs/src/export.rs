@@ -589,13 +589,11 @@ pub fn html_report(
     if let Some(slo) = slo {
         out.push_str(&format!(
             "<h2>Serving SLO</h2>\n<p class=\"meta\">{} request(s) — {} release(s), \
-             {} refusal(s), {} failure(s) · slow threshold {} · {} slow request(s) \
-             retained{}</p>\n",
+             {} refusal(s), {} failure(s) · {} slow request(s) retained{}</p>\n",
             slo.total_requests,
             slo.total_releases,
             slo.total_refusals,
             slo.total_failures,
-            fmt_duration(Duration::from_nanos(slo.threshold_ns)),
             slo.slow_retained,
             if slo.slow_dropped > 0 {
                 format!(" ({} dropped past the cap)", slo.slow_dropped)
@@ -989,7 +987,6 @@ mod tests {
             total_failures: 1,
             slow_retained: 3,
             slow_dropped: 0,
-            threshold_ns: 1_000_000,
         };
         let html = html_report("slo run", &sample_trace(), None, None, Some(&slo), None);
         assert!(html.contains("Serving SLO"));

@@ -8,7 +8,9 @@
 //! sensitivity). The ledger records both for every release, along with the
 //! mechanism parameters `(gamma, mu, sensitivity)` that justify them, and
 //! maintains the running RDP composition (Lemma 10) of everything released
-//! so far.
+//! so far. The composition needs only running totals, so the ledger keeps
+//! the entries of the most recent releases alone ([`RECENT_ENTRIES`]): a
+//! long-lived session's book stays bounded however many releases it makes.
 //!
 //! It is also the budget gate. Its server-side spend is a
 //! [`PrivacyOdometer`], so a release is priced ([`PrivacyLedger::price`]),
@@ -22,6 +24,12 @@ use serde::Serialize;
 use sqm_accounting::budget::{Admission, PrivacyOdometer};
 use sqm_accounting::skellam::{skellam_rdp, skellam_rdp_client_observed, Sensitivity};
 use sqm_accounting::{default_alpha_grid, RdpCurve};
+
+/// A ledger keeps at least the last `RECENT_ENTRIES` entries and fewer
+/// than twice as many: on reaching `2 × RECENT_ENTRIES` it drops the
+/// oldest half, so a release's commit moves entries only once in
+/// `RECENT_ENTRIES` releases.
+pub const RECENT_ENTRIES: usize = 256;
 
 /// One recorded release.
 #[derive(Clone, Debug, Serialize)]
@@ -58,6 +66,9 @@ pub struct LedgerEntry {
 #[derive(Clone, Debug)]
 pub struct PrivacyLedger {
     n_clients: usize,
+    /// Releases committed, all of them.
+    releases: usize,
+    /// The most recent releases' entries (see [`RECENT_ENTRIES`]).
     entries: Vec<LedgerEntry>,
     /// Server-observed spend against the budget.
     server: PrivacyOdometer,
@@ -77,6 +88,7 @@ impl PrivacyLedger {
         );
         PrivacyLedger {
             n_clients,
+            releases: 0,
             entries: Vec::new(),
             server: PrivacyOdometer::new(f64::INFINITY, delta),
             client: RdpCurve::zero(&default_alpha_grid()),
@@ -157,7 +169,7 @@ impl PrivacyLedger {
             }
         };
         self.entries.push(LedgerEntry {
-            index: self.entries.len(),
+            index: self.releases,
             kind: kind.to_string(),
             dims,
             gamma,
@@ -169,10 +181,16 @@ impl PrivacyLedger {
             server_epsilon_total: self.server_epsilon(),
             client_epsilon_total: self.client_epsilon(),
         });
+        self.releases += 1;
+        if self.entries.len() == 2 * RECENT_ENTRIES {
+            self.entries.drain(..RECENT_ENTRIES);
+        }
         &self.entries[self.entries.len() - 1]
     }
 
-    /// Every recorded release, in order.
+    /// The most recent releases' entries, in order: every release until
+    /// there are `2 × RECENT_ENTRIES`, and at least the last
+    /// `RECENT_ENTRIES` after that.
     pub fn entries(&self) -> &[LedgerEntry] {
         &self.entries
     }
@@ -182,12 +200,13 @@ impl PrivacyLedger {
         self.entries.last()
     }
 
+    /// Releases committed, including those whose entries were dropped.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.releases
     }
 
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.releases == 0
     }
 
     /// The `delta` all epsilons are reported at.
@@ -231,7 +250,7 @@ impl PrivacyLedger {
         LedgerReport {
             n_clients: self.n_clients,
             delta: self.delta(),
-            releases: self.entries.len(),
+            releases: self.releases,
             server_epsilon_total: self.server_epsilon(),
             client_epsilon_total: self.client_epsilon(),
             entries: self.entries.clone(),
@@ -247,6 +266,7 @@ pub struct LedgerReport {
     pub releases: usize,
     pub server_epsilon_total: f64,
     pub client_epsilon_total: f64,
+    /// The most recent releases' entries ([`PrivacyLedger::entries`]).
     pub entries: Vec<LedgerEntry>,
 }
 
@@ -389,6 +409,38 @@ mod tests {
         let shown = format!("{report}");
         assert!(shown.contains("column_sums"));
         assert!(shown.contains("server"));
+    }
+
+    #[test]
+    fn a_long_book_keeps_recent_entries_and_every_total() {
+        let s = sens(330.0, 16);
+        let mut ledger = PrivacyLedger::new(4, 1e-5);
+        let mut odometer = PrivacyOdometer::new(f64::INFINITY, 1e-5);
+        let curve = PrivacyLedger::price(1e6, s).unwrap();
+        let n = 3 * RECENT_ENTRIES + 7;
+        for _ in 0..n {
+            ledger.record("covariance", 16, 18.0, 1e6, s);
+            assert_eq!(odometer.admit(&curve), Admission::Admitted);
+            assert!(ledger.entries().len() < 2 * RECENT_ENTRIES);
+        }
+        // Every release is counted and indexed; only the recent are kept.
+        assert_eq!(ledger.len(), n);
+        let kept = ledger.entries();
+        assert_eq!(kept.len(), RECENT_ENTRIES + n % RECENT_ENTRIES);
+        let first = n - kept.len();
+        let indices: Vec<usize> = kept.iter().map(|e| e.index).collect();
+        assert_eq!(indices, (first..n).collect::<Vec<_>>());
+        // The totals compose all n releases, not the kept ones.
+        assert_eq!(
+            ledger.server_epsilon().to_bits(),
+            odometer.spent_epsilon().to_bits()
+        );
+        let last = ledger.last_entry().unwrap();
+        assert_eq!(last.server_epsilon_total, ledger.server_epsilon());
+        assert_eq!(last.client_epsilon_total, ledger.client_epsilon());
+        let report = ledger.report();
+        assert_eq!(report.releases, n);
+        assert_eq!(report.entries.len(), kept.len());
     }
 
     #[test]

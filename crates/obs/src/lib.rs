@@ -23,7 +23,8 @@
 //! * [`ledger`] — a privacy ledger: one entry per DP release carrying
 //!   `(gamma, mu, sensitivity)` and the **server-observed** and
 //!   **client-observed** epsilons (paper Eqs. 3-4, Lemma 1), plus the
-//!   running RDP composition of everything released so far. It is a
+//!   running RDP composition of everything released so far (the entries
+//!   themselves are kept only for the most recent releases). It is a
 //!   session's one privacy book: it also prices each release and gates it
 //!   against the budget, and its server-side spend is a
 //!   `sqm_accounting::budget::PrivacyOdometer`.
@@ -51,10 +52,11 @@
 //!   (queue wait, budget admit, MPC, encode) through the scheduler, and
 //!   the MPC child span links to the causal run id so the message DAG's
 //!   critical path attaches as its self-time breakdown. A per-server
-//!   [`span::SpanCollector`] keeps a time-bucketed SLO history ring and a
-//!   slow-request recorder whose `slowreq_<seed>.jsonl` dump is
-//!   byte-deterministic (flight-recorder discipline: counters and
-//!   structure only, never measured wall time).
+//!   [`span::SpanCollector`] keeps a time-bucketed SLO history ring and
+//!   every finished request up to a constant cap; its
+//!   `slowreq_<seed>.jsonl` dump is byte-deterministic (flight-recorder
+//!   discipline: counters and structure only, never measured wall time).
+//!   [`span::SpanConfig`] is the switch alone: it has no knobs.
 //! * [`prof`] — a deterministic hierarchical cost profiler: a
 //!   [`prof::Profiler`] handle the embedder creates and attaches to runs;
 //!   `;`-separated collapsed-stack paths attribute engine cost to circuit

@@ -19,7 +19,7 @@
 //!   heartbeat check (a party silent far longer than the threshold) runs on
 //!   every snapshot or scrape and at the end of the run, so a wedged party
 //!   shows on a `/metrics` fetched mid-stall. Findings are [`StallEvent`]s.
-//! * **Flight recorder** — the last `flight_cap` records per party; a failed
+//! * **Flight recorder** — the last [`FLIGHT_CAP`] records per party; a failed
 //!   run (transport error or party-thread panic) dumps them atomically to
 //!   `results/flightrec_<seed>.jsonl`. Only deterministic fields are kept,
 //!   never wall time, so a seeded failure dumps byte-reproducibly.
@@ -50,6 +50,17 @@ use crate::httpd::{HttpRequest, HttpResponse, HttpServer};
 use crate::metrics::{self, MetricsSnapshot};
 use crate::round::RoundEvent;
 
+/// Records retained per party in the flight recorder.
+pub const FLIGHT_CAP: usize = 64;
+/// Rolling window length (round-wall samples) for quantiles and the
+/// adaptive stall threshold.
+const WINDOW: usize = 256;
+/// Adaptive stall threshold = `STALL_FACTOR` × rolling round-wall median,
+/// but never below `STALL_MIN`, so µs-scale in-process rounds don't flag
+/// each other over scheduler noise.
+const STALL_FACTOR: f64 = 8.0;
+const STALL_MIN: Duration = Duration::from_millis(25);
+
 /// Configuration of one [`Collector`], which owns it for its whole life.
 #[derive(Clone, Debug)]
 pub struct LiveConfig {
@@ -59,17 +70,6 @@ pub struct LiveConfig {
     pub addr: Option<String>,
     /// Directory flight-recorder dumps land in.
     pub flight_dir: PathBuf,
-    /// Records retained per party in the flight recorder (at least one).
-    pub flight_cap: usize,
-    /// Rolling window length (round-wall samples) for quantiles and the
-    /// adaptive stall threshold.
-    pub window: usize,
-    /// Adaptive stall threshold = `stall_factor` × rolling round-wall
-    /// median (but never below `stall_min`).
-    pub stall_factor: f64,
-    /// Floor for the adaptive threshold, so µs-scale in-process rounds
-    /// don't flag each other over scheduler noise.
-    pub stall_min: Duration,
     /// Fixed stall threshold overriding the adaptive rule — used by tests
     /// that derive the expected flag set from the fault schedule.
     pub stall_threshold: Option<Duration>,
@@ -80,10 +80,6 @@ impl Default for LiveConfig {
         LiveConfig {
             addr: None,
             flight_dir: PathBuf::from("results"),
-            flight_cap: 64,
-            window: 256,
-            stall_factor: 8.0,
-            stall_min: Duration::from_millis(25),
             stall_threshold: None,
         }
     }
@@ -97,11 +93,6 @@ impl LiveConfig {
 
     pub fn with_flight_dir(mut self, dir: impl Into<PathBuf>) -> Self {
         self.flight_dir = dir.into();
-        self
-    }
-
-    pub fn with_flight_cap(mut self, cap: usize) -> Self {
-        self.flight_cap = cap.max(1);
         self
     }
 
@@ -287,7 +278,7 @@ impl RunAgg {
     }
 
     /// Current stall threshold in nanoseconds: the fixed override, or
-    /// `stall_factor` × rolling median once the window has warmed up.
+    /// `STALL_FACTOR` × rolling median once the window has warmed up.
     fn threshold_ns(&self) -> Option<u64> {
         if let Some(t) = self.settings.stall_threshold {
             return Some(t.as_nanos() as u64);
@@ -299,8 +290,8 @@ impl RunAgg {
         let mut sorted: Vec<u64> = self.window.iter().copied().collect();
         sorted.sort_unstable();
         let median = sorted[sorted.len() / 2];
-        let adaptive = (median as f64 * self.settings.stall_factor) as u64;
-        Some(adaptive.max(self.settings.stall_min.as_nanos() as u64))
+        let adaptive = (median as f64 * STALL_FACTOR) as u64;
+        Some(adaptive.max(STALL_MIN.as_nanos() as u64))
     }
 
     /// Record a stall unless `(party, round)` already has one; 1 if new.
@@ -347,7 +338,6 @@ impl RunAgg {
         if party >= n {
             return (0, 0);
         }
-        let cap = self.settings.flight_cap;
         let mut folded = 1;
         for l in &event.link_walls {
             let link = self.links.entry((party, l.peer)).or_default();
@@ -357,7 +347,7 @@ impl RunAgg {
                 link.total_ns += ns;
                 link.max_ns = link.max_ns.max(ns);
                 let record = FlightRecord::Link(round, kind, l.peer);
-                push_window(&mut self.flight[party], record, cap);
+                push_window(&mut self.flight[party], record, FLIGHT_CAP);
                 folded += 1;
             }
         }
@@ -375,21 +365,21 @@ impl RunAgg {
                 *culprit = (f.party, cost);
             }
             let record = FlightRecord::Fault(f.round, kind, f.peer, f.value);
-            push_window(&mut self.flight[f.party], record, cap);
+            push_window(&mut self.flight[f.party], record, FLIGHT_CAP);
             folded += 1;
         }
         let (messages, bytes) = (event.messages, event.bytes);
         let wall_ns = event.wall.as_nanos() as u64;
         let record = FlightRecord::Round(round, event.phase.to_string(), messages, bytes);
-        push_window(&mut self.flight[party], record, cap);
+        push_window(&mut self.flight[party], record, FLIGHT_CAP);
         let p = &mut self.parties[party];
         p.rounds += 1;
         p.messages += messages;
         p.bytes += bytes;
         p.last_round = p.last_round.max(round);
         p.last_seen = Instant::now();
-        push_window(&mut p.window, wall_ns, self.settings.window);
-        push_window(&mut self.window, wall_ns, self.settings.window);
+        push_window(&mut p.window, wall_ns, WINDOW);
+        push_window(&mut self.window, wall_ns, WINDOW);
         let phase = self.phases.entry(event.phase.to_string()).or_default();
         phase.rounds += 1;
         phase.messages += messages;
@@ -423,10 +413,10 @@ impl RunAgg {
     }
 }
 
-/// Append `value`, first evicting the oldest entry once `cap` (at least
-/// one) are held: the round-wall windows and the flight recorder alike.
+/// Append `value`, first evicting the oldest entry once `cap` are held:
+/// the round-wall windows and the flight recorder alike.
 fn push_window<T>(window: &mut VecDeque<T>, value: T, cap: usize) {
-    if window.len() >= cap.max(1) {
+    if window.len() >= cap {
         window.pop_front();
     }
     window.push_back(value);
@@ -950,7 +940,7 @@ mod tests {
 
     #[test]
     fn concurrent_folds_keep_every_round_in_per_party_order() {
-        let c = started(&test_config().with_flight_cap(500), 4, 1);
+        let c = started(&test_config(), 4, 1);
         std::thread::scope(|s| {
             for party in 0..4usize {
                 let c = &c;
@@ -973,7 +963,10 @@ mod tests {
                     other => panic!("only rounds were folded: {other:?}"),
                 })
                 .collect();
-            assert_eq!(rounds, (0..500).collect::<Vec<_>>());
+            // The ring is exactly each party's last FLIGHT_CAP rounds, in
+            // order.
+            let last = 500 - FLIGHT_CAP as u64..500;
+            assert_eq!(rounds, last.collect::<Vec<_>>());
         }
     }
 
@@ -991,21 +984,19 @@ mod tests {
 
     #[test]
     fn watchdog_adaptive_threshold_flags_outlier_round() {
-        let cfg = LiveConfig {
-            stall_min: Duration::from_micros(1),
-            ..LiveConfig::default()
-        };
-        let c = started(&cfg, 2, 2);
-        // Warm the window with 1 ms rounds, then one 100 ms outlier at
-        // party 0 (factor 8 × median 1 ms = 8 ms threshold).
+        let c = started(&LiveConfig::default(), 2, 2);
+        // Warm the window with 5 ms rounds: 8 × median 5 ms = 40 ms, above
+        // the 25 ms floor, so the median decides. Then one 100 ms outlier
+        // at party 0, and a 30 ms round at party 1 that clears the floor
+        // but not 8 × the median.
         let ms = Duration::from_millis;
         for round in 0..20u64 {
             for party in 0..2 {
-                c.fold(&round_event(party, round, "p", ms(1), 1, 8));
+                c.fold(&round_event(party, round, "p", ms(5), 1, 8));
             }
         }
         c.fold(&round_event(0, 20, "p", ms(100), 1, 8));
-        c.fold(&round_event(1, 20, "p", ms(1), 1, 8));
+        c.fold(&round_event(1, 20, "p", ms(30), 1, 8));
         let stalls = c.stalls();
         assert_eq!(stalls.len(), 1, "{stalls:?}");
         assert_eq!((stalls[0].party, stalls[0].round), (0, 20));
@@ -1044,34 +1035,6 @@ mod tests {
         assert!(first.contains("\"phase\":\"share\""));
         // The nondeterministic field never leaks into the dump.
         assert!(!first.contains("wall"));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn flight_cap_zero_still_bounds_the_recorder_at_one_record() {
-        // `flight_cap` is a pub field, so 0 bypasses `with_flight_cap`'s
-        // clamp; at the parent of this change nothing was ever evicted.
-        let dir = std::env::temp_dir().join(format!("sqm_live_cap0_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let cfg = LiveConfig {
-            flight_dir: dir.clone(),
-            flight_cap: 0,
-            ..test_config()
-        };
-        let c = started(&cfg, 2, 17);
-        for round in 0..10 {
-            for party in 0..2 {
-                c.fold(&round_event(party, round, "p", Duration::ZERO, 1, 8));
-            }
-        }
-        c.end_run(Some(RunError::new("crashed", Some(1), Some(10))));
-        let dump = std::fs::read_to_string(dir.join("flightrec_17.jsonl")).unwrap();
-        for party in 0..2 {
-            let prefix = format!("{{\"type\":\"event\",\"party\":{party},");
-            let kept: Vec<&str> = dump.lines().filter(|l| l.starts_with(&prefix)).collect();
-            assert_eq!(kept.len(), 1, "party {party}:\n{dump}");
-            assert!(kept[0].contains("\"round\":9"), "the newest is kept");
-        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

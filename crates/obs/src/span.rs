@@ -28,7 +28,9 @@
 //!
 //! ## Determinism
 //!
-//! The slow-request dump ([`SpanCollector::render_slow_dump`]) follows
+//! The collector keeps every finished request, up to [`RETAIN_CAP`]
+//! (past it, `slow_dropped` counts), so its slow-request dump
+//! ([`SpanCollector::render_slow_dump`]) is the full request log. It follows
 //! the flight-recorder discipline ([`crate::live`]): only deterministic
 //! fields — tenant, per-tenant sequence number, request kind, outcome,
 //! span-tree structure, protocol counters, per-party round/message
@@ -40,7 +42,6 @@
 //! counter: per-tenant FIFO makes them deterministic under any worker
 //! interleaving, where a global counter would not be.
 
-use std::collections::VecDeque;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::{Mutex, MutexGuard};
@@ -56,8 +57,13 @@ pub const QUEUE: usize = 1;
 /// Index of the `"exec"` child span (worker execution).
 pub const EXEC: usize = 2;
 
-/// How many recent request durations the adaptive slow threshold ranks.
-const ADAPTIVE_WINDOW: usize = 128;
+/// Most finished requests a collector retains; past it, `slow_dropped`
+/// counts.
+pub const RETAIN_CAP: usize = 4096;
+/// Slots in the SLO history ring.
+pub const HISTORY_BUCKETS: usize = 64;
+/// Width of one SLO history bucket.
+pub const BUCKET_WIDTH: Duration = Duration::from_secs(1);
 
 /// One node of a request's span tree.
 #[derive(Clone, Debug)]
@@ -198,46 +204,11 @@ impl FinishedRequest {
     }
 }
 
-/// Collector knobs.
-#[derive(Clone, Debug)]
-pub struct SpanConfig {
-    /// Fixed slow threshold override. `None` selects the adaptive rule:
-    /// `slow_factor x` the rolling median request duration, floored at
-    /// `slow_min` — mirroring the live watchdog's stall rule. Tests and
-    /// the smoke binary pin `Some(Duration::ZERO)` to retain every
-    /// request (the dump is then the full deterministic request log).
-    pub slow_threshold: Option<Duration>,
-    pub slow_factor: f64,
-    pub slow_min: Duration,
-    /// Most slow requests retained (beyond it, `slow_dropped` counts).
-    pub retain_cap: usize,
-    /// Time-bucketed SLO history ring: bucket count and width.
-    pub history_buckets: usize,
-    pub bucket_width: Duration,
-}
-
-impl Default for SpanConfig {
-    fn default() -> Self {
-        SpanConfig {
-            slow_threshold: None,
-            slow_factor: 8.0,
-            slow_min: Duration::from_millis(1),
-            retain_cap: 4096,
-            history_buckets: 64,
-            bucket_width: Duration::from_secs(1),
-        }
-    }
-}
-
-impl SpanConfig {
-    /// Retain every finished request (deterministic full dump).
-    pub fn dump_all() -> SpanConfig {
-        SpanConfig {
-            slow_threshold: Some(Duration::ZERO),
-            ..SpanConfig::default()
-        }
-    }
-}
+/// Request tracing's switch in a server's config. It has no knobs: a
+/// collector keeps every finished request up to [`RETAIN_CAP`] and a
+/// [`HISTORY_BUCKETS`] × [`BUCKET_WIDTH`] history ring.
+#[derive(Clone, Copy, Debug)]
+pub struct SpanConfig;
 
 /// One bucket of the SLO history ring.
 #[derive(Clone, Copy, Debug, Default)]
@@ -263,20 +234,16 @@ pub struct SloSnapshot {
     pub total_releases: u64,
     pub total_refusals: u64,
     pub total_failures: u64,
-    /// Slow requests currently retained / dropped past the cap.
+    /// Requests currently retained / dropped past [`RETAIN_CAP`].
     pub slow_retained: usize,
     pub slow_dropped: u64,
-    /// The slow threshold currently in force, nanoseconds.
-    pub threshold_ns: u64,
 }
 
 struct CollectorState {
-    /// Rolling recent request durations for the adaptive threshold.
-    window_ns: VecDeque<u64>,
     slow: Vec<FinishedRequest>,
     slow_dropped: u64,
-    /// Ring of `history_buckets` slots; a slot is live iff `requests > 0`
-    /// and its `index` matches the current wrap.
+    /// Ring of [`HISTORY_BUCKETS`] slots; a slot is live iff
+    /// `requests > 0` and its `index` matches the current wrap.
     buckets: Vec<SloBucket>,
     total_requests: u64,
     total_releases: u64,
@@ -288,40 +255,30 @@ struct CollectorState {
 /// process-global like [`crate::metrics`]), so concurrent servers — and
 /// concurrent tests — never share request state.
 pub struct SpanCollector {
-    config: SpanConfig,
     started: Instant,
     state: Mutex<CollectorState>,
 }
 
+impl Default for SpanCollector {
+    fn default() -> Self {
+        SpanCollector::new()
+    }
+}
+
 impl SpanCollector {
-    pub fn new(config: SpanConfig) -> SpanCollector {
-        assert!(
-            config.history_buckets > 0,
-            "history_buckets must be positive"
-        );
-        assert!(
-            config.bucket_width > Duration::ZERO,
-            "bucket_width must be positive"
-        );
-        assert!(config.slow_factor > 0.0, "slow_factor must be positive");
+    pub fn new() -> SpanCollector {
         SpanCollector {
             started: Instant::now(),
             state: Mutex::new(CollectorState {
-                window_ns: VecDeque::with_capacity(ADAPTIVE_WINDOW),
                 slow: Vec::new(),
                 slow_dropped: 0,
-                buckets: vec![SloBucket::default(); config.history_buckets],
+                buckets: vec![SloBucket::default(); HISTORY_BUCKETS],
                 total_requests: 0,
                 total_releases: 0,
                 total_refusals: 0,
                 total_failures: 0,
             }),
-            config,
         }
-    }
-
-    pub fn config(&self) -> &SpanConfig {
-        &self.config
     }
 
     /// Recover from poisoning like the metrics registry: a worker that
@@ -333,33 +290,13 @@ impl SpanCollector {
         }
     }
 
-    /// The slow threshold in force given the current rolling window.
-    fn threshold_ns(&self, state: &CollectorState) -> u64 {
-        if let Some(fixed) = self.config.slow_threshold {
-            return fixed.as_nanos() as u64;
-        }
-        let mut sorted: Vec<u64> = state.window_ns.iter().copied().collect();
-        if sorted.is_empty() {
-            return self.config.slow_min.as_nanos() as u64;
-        }
-        sorted.sort_unstable();
-        let median = sorted[crate::metrics::nearest_rank_index(sorted.len(), 0.50)];
-        let adaptive = (median as f64 * self.config.slow_factor) as u64;
-        adaptive.max(self.config.slow_min.as_nanos() as u64)
-    }
-
-    /// Absorb one finished request: SLO history, adaptive window, and —
-    /// past the threshold — slow-request retention.
+    /// Absorb one finished request: SLO history and, below
+    /// [`RETAIN_CAP`], retention.
     pub fn finish(&self, ctx: RequestContext, outcome: RequestOutcome) {
         let duration_ns = ctx.end_to_end().as_nanos() as u64;
-        let bucket_index =
-            (self.started.elapsed().as_nanos() / self.config.bucket_width.as_nanos().max(1)) as u64;
+        let bucket_index = (self.started.elapsed().as_nanos() / BUCKET_WIDTH.as_nanos()) as u64;
         let mut state = self.lock();
-        // Threshold first: the request being absorbed must not move its
-        // own bar.
-        let threshold_ns = self.threshold_ns(&state);
-
-        let slot = bucket_index as usize % self.config.history_buckets;
+        let slot = bucket_index as usize % HISTORY_BUCKETS;
         let bucket = &mut state.buckets[slot];
         if bucket.requests == 0 || bucket.index != bucket_index {
             *bucket = SloBucket {
@@ -387,29 +324,22 @@ impl SpanCollector {
             }
         }
 
-        if state.window_ns.len() == ADAPTIVE_WINDOW {
-            state.window_ns.pop_front();
-        }
-        state.window_ns.push_back(duration_ns);
-
-        if duration_ns >= threshold_ns {
-            if state.slow.len() < self.config.retain_cap {
-                let RequestContext {
-                    tenant,
-                    seq,
-                    kind,
-                    spans,
-                } = ctx;
-                state.slow.push(FinishedRequest {
-                    tenant,
-                    seq,
-                    kind,
-                    outcome,
-                    spans,
-                });
-            } else {
-                state.slow_dropped += 1;
-            }
+        if state.slow.len() < RETAIN_CAP {
+            let RequestContext {
+                tenant,
+                seq,
+                kind,
+                spans,
+            } = ctx;
+            state.slow.push(FinishedRequest {
+                tenant,
+                seq,
+                kind,
+                outcome,
+                spans,
+            });
+        } else {
+            state.slow_dropped += 1;
         }
     }
 
@@ -430,14 +360,13 @@ impl SpanCollector {
         buckets.sort_by_key(|b| b.index);
         SloSnapshot {
             buckets,
-            bucket_width: self.config.bucket_width,
+            bucket_width: BUCKET_WIDTH,
             total_requests: state.total_requests,
             total_releases: state.total_releases,
             total_refusals: state.total_refusals,
             total_failures: state.total_failures,
             slow_retained: state.slow.len(),
             slow_dropped: state.slow_dropped,
-            threshold_ns: self.threshold_ns(&state),
         }
     }
 
@@ -451,14 +380,8 @@ impl SpanCollector {
         retained.sort_by(|a, b| (&a.tenant, a.seq).cmp(&(&b.tenant, b.seq)));
         let mut out = String::new();
         out.push_str(&format!(
-            "{{\"type\":\"slowreq_meta\",\"version\":1,\"seed\":{seed},\"requests\":{},\
-             \"threshold\":\"{}\"}}\n",
+            "{{\"type\":\"slowreq_meta\",\"version\":1,\"seed\":{seed},\"requests\":{}}}\n",
             retained.len(),
-            if self.config.slow_threshold.is_some() {
-                "fixed"
-            } else {
-                "adaptive"
-            },
         ));
         for req in retained {
             out.push_str(&format!(
@@ -544,28 +467,8 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_threshold_tracks_the_median_with_a_floor() {
-        let collector = SpanCollector::new(SpanConfig {
-            slow_factor: 4.0,
-            slow_min: Duration::from_millis(2),
-            ..SpanConfig::default()
-        });
-        // Empty window: the floor is in force.
-        assert_eq!(collector.snapshot().threshold_ns, 2_000_000);
-        for i in 0..10 {
-            collector.finish(ctx("t", i, "ingest", 10), RequestOutcome::Ok);
-        }
-        // Median 10 ms, factor 4 -> 40 ms.
-        assert_eq!(collector.snapshot().threshold_ns, 40_000_000);
-        // Only the 10 ms requests cleared the bar in force when they
-        // finished (2 ms floor first, then 40 ms): the first did, the
-        // rest were under 8x-median.
-        assert_eq!(collector.slow_requests().len(), 1);
-    }
-
-    #[test]
-    fn fixed_zero_threshold_retains_everything() {
-        let collector = SpanCollector::new(SpanConfig::dump_all());
+    fn collector_retains_every_request() {
+        let collector = SpanCollector::new();
         collector.finish(ctx("b", 0, "ingest", 1), RequestOutcome::Ok);
         collector.finish(ctx("a", 0, "release", 3), RequestOutcome::Ok);
         collector.finish(ctx("a", 1, "release", 2), RequestOutcome::Refused);
@@ -574,7 +477,7 @@ mod tests {
         assert_eq!(snap.total_releases, 1);
         assert_eq!(snap.total_refusals, 1);
         assert_eq!(snap.slow_retained, 3);
-        assert_eq!(snap.threshold_ns, 0);
+        assert_eq!(snap.bucket_width, BUCKET_WIDTH);
         assert!(!snap.buckets.is_empty());
         assert_eq!(snap.buckets.iter().map(|b| b.requests).sum::<u64>(), 3);
     }
@@ -582,7 +485,7 @@ mod tests {
     #[test]
     fn dump_is_sorted_deterministic_and_wall_free() {
         let build = || {
-            let collector = SpanCollector::new(SpanConfig::dump_all());
+            let collector = SpanCollector::new();
             // Finish out of (tenant, seq) order on purpose.
             collector.finish(ctx("b", 0, "ingest", 7), RequestOutcome::Ok);
             let mut rel = ctx("a", 1, "release", 13);
@@ -619,16 +522,17 @@ mod tests {
 
     #[test]
     fn retention_cap_counts_drops() {
-        let collector = SpanCollector::new(SpanConfig {
-            retain_cap: 2,
-            ..SpanConfig::dump_all()
-        });
-        for i in 0..5 {
+        let collector = SpanCollector::new();
+        let total = RETAIN_CAP as u64 + 3;
+        for i in 0..total {
             collector.finish(ctx("t", i, "ingest", 1), RequestOutcome::Ok);
         }
         let snap = collector.snapshot();
-        assert_eq!(snap.slow_retained, 2);
+        assert_eq!(snap.slow_retained, RETAIN_CAP);
         assert_eq!(snap.slow_dropped, 3);
-        assert_eq!(snap.total_requests, 5);
+        assert_eq!(snap.total_requests, total);
+        // The first RETAIN_CAP requests are the ones kept.
+        let kept = collector.slow_requests();
+        assert_eq!(kept.last().map(|r| r.seq), Some(RETAIN_CAP as u64 - 1));
     }
 }

@@ -26,12 +26,13 @@
 //! With [`ServerConfig::tracing`] set, every admitted request carries an
 //! `sqm_obs::span::RequestContext` through its whole life: the scheduler
 //! records queue-wait and exec spans (defining the root as their exact
-//! sum), the tenant adds admit / MPC / encode children, and — when the
-//! tenant has [`TenantConfig::request_tracing`] on — the MPC span carries
-//! the engine run's critical path, walked over the flows its trace's round
-//! records name. The per-server `sqm_obs::span::SpanCollector` keeps a
-//! time-bucketed SLO history and a slow-request recorder whose
-//! `slowreq_<seed>.jsonl` dump is byte-deterministic. Per-tenant SLO
+//! sum), the tenant adds admit / MPC / encode children, and the MPC span
+//! carries the engine run's critical path, walked over the flows its
+//! trace's round records name: a tracing server opens its tenants traced,
+//! so this one switch turns all of it on. The per-server
+//! `sqm_obs::span::SpanCollector` keeps a time-bucketed SLO history and
+//! every finished request up to a constant cap; its `slowreq_<seed>.jsonl`
+//! dump is byte-deterministic. Per-tenant SLO
 //! metrics (phase-latency histograms, epsilon burn-rate and
 //! remaining-budget gauges, refusal/overload counters, queue saturation)
 //! land in the global registry and surface on `/metrics`. Tracing is

@@ -39,9 +39,6 @@ pub struct LoadSpec {
     /// Master seed; tenant `i` derives its data and session streams from
     /// `seed + i`.
     pub seed: u64,
-    /// Create tenants with [`TenantConfig::request_tracing`] on, so every
-    /// release's MPC span carries its causal critical-path breakdown.
-    pub tracing: bool,
 }
 
 impl LoadSpec {
@@ -57,7 +54,6 @@ impl LoadSpec {
             mu: 6e6,
             budget_eps: 2.0,
             seed: 20_250_808,
-            tracing: false,
         }
     }
 }
@@ -146,7 +142,6 @@ pub fn load_tenant_config(spec: &LoadSpec, i: usize) -> TenantConfig {
     cfg.budget_eps = spec.budget_eps;
     cfg.seed = spec.seed.wrapping_add(i as u64);
     cfg.max_rows = spec.rounds * spec.rows_per_batch + 1;
-    cfg.request_tracing = spec.tracing;
     cfg
 }
 

@@ -117,8 +117,6 @@ fn tenant_config_from_json(v: &JsonValue) -> Result<TenantConfig, HttpResponse> 
     read_field(v, "seed", UINT, JsonValue::as_u64, &mut cfg.seed)?;
     uint("max_rows", &mut cfg.max_rows)?;
     num("max_row_norm", &mut cfg.max_row_norm)?;
-    let tracing = &mut cfg.request_tracing;
-    read_field(v, "request_tracing", "a bool", JsonValue::as_bool, tracing)?;
     Ok(cfg)
 }
 
@@ -439,7 +437,6 @@ mod tests {
             ),
             (r#"{"name": "t", "n_cols": -3}"#, "n_cols"),
             (r#"{"name": "t", "gamma": "big"}"#, "gamma"),
-            (r#"{"name": "t", "request_tracing": 1}"#, "request_tracing"),
             (r#"{"name": "t", "seed": 1.5}"#, "seed"),
             (r#"{"name": "t", "seed": 18446744073709551616}"#, "seed"),
         ] {
@@ -452,8 +449,7 @@ mod tests {
             );
         }
         // Nothing was created; a readable body naming some fields is.
-        let body =
-            r#"{"name": "t", "n_cols": 4, "gamma": 32.0, "seed": 9, "request_tracing": false}"#;
+        let body = r#"{"name": "t", "n_cols": 4, "gamma": 32.0, "seed": 9}"#;
         let (st, reply) = http(addr, "POST", "/v1/tenant", body);
         assert_eq!(st, 200, "{reply}");
         let status = json::parse(&status_json(endpoint.server())).unwrap();

@@ -94,9 +94,11 @@ pub struct ServerConfig {
     pub queue_bound: usize,
     /// Worker threads executing tenant requests.
     pub workers: usize,
-    /// Request-scoped tracing: `Some` gives the server its own
-    /// [`SpanCollector`] and every admitted request a span tree. `None`
-    /// (the default) records nothing and costs nothing per request.
+    /// Request-scoped tracing, the one switch: `Some` gives the server its
+    /// own [`SpanCollector`], every admitted request a span tree and every
+    /// tenant an engine trace per release, whose critical path the
+    /// request's MPC span carries. `None` (the default) records nothing
+    /// and costs nothing per request.
     pub tracing: Option<SpanConfig>,
 }
 
@@ -184,10 +186,7 @@ impl Server {
             work: Condvar::new(),
             workers: Mutex::new(Vec::new()),
             started: Instant::now(),
-            spans: config
-                .tracing
-                .clone()
-                .map(|cfg| Arc::new(SpanCollector::new(cfg))),
+            spans: config.tracing.map(|_| Arc::new(SpanCollector::new())),
         });
         let mut handles = server.workers.lock().unwrap();
         for i in 0..config.workers {
@@ -217,7 +216,8 @@ impl Server {
         self.started.elapsed().as_secs_f64()
     }
 
-    /// Create a tenant session (meshes its parties immediately).
+    /// Create a tenant session (meshes its parties immediately), traced
+    /// exactly when the server traces.
     pub fn add_tenant(&self, config: TenantConfig) -> Result<(), ServeError> {
         let name = config.name.clone();
         {
@@ -231,7 +231,7 @@ impl Server {
         }
         // Mesh outside the lock; creation is per-tenant work and must not
         // stall workers. The re-check below closes the create/create race.
-        let tenant = Tenant::create(config)?;
+        let tenant = Tenant::open(config, self.spans.is_some())?;
         let mut state = self.state.lock().unwrap();
         if state.shutting_down {
             return Err(ServeError::ShuttingDown);

@@ -46,10 +46,6 @@ pub struct TenantConfig {
     /// Optional deterministic fault injection on the tenant's transports
     /// (tests use this to crash a party mid-session).
     pub faults: Option<FaultSpec>,
-    /// Capture engine traces on every release so the request's MPC span
-    /// carries the run's critical path (over the trace's flows). Tracing
-    /// is passive — results are bit-identical with it on or off.
-    pub request_tracing: bool,
 }
 
 impl TenantConfig {
@@ -67,7 +63,6 @@ impl TenantConfig {
             max_rows: 10_000,
             max_row_norm: 1.0,
             faults: None,
-            request_tracing: false,
         }
     }
 
@@ -159,11 +154,19 @@ impl Tenant {
     /// Create the session: build the partition, mesh the parties, open the
     /// streaming accumulator. Fails fast on invalid config.
     pub fn create(config: TenantConfig) -> Result<Tenant, ServeError> {
+        Tenant::open(config, false)
+    }
+
+    /// [`Tenant::create`], capturing an engine trace on every release when
+    /// `traced`, so a request's MPC span carries the run's critical path. A
+    /// tracing server opens its tenants this way. Tracing is passive:
+    /// results are bit-identical with it on or off.
+    pub(crate) fn open(config: TenantConfig, traced: bool) -> Result<Tenant, ServeError> {
         config.validate()?;
         let partition = ColumnPartition::even(config.n_cols, config.n_clients);
         let cfg = VflConfig::fast(config.n_clients)
             .with_seed(config.seed)
-            .with_trace(config.request_tracing)
+            .with_trace(traced)
             .with_faults(config.faults.clone());
         let stream = StreamCov::new(
             partition,
@@ -264,7 +267,8 @@ impl Tenant {
     /// encode phases each record a child span under the request's exec
     /// span and a per-tenant phase-latency histogram, and the MPC span
     /// links to the causal run id (the session seed), carrying the run's
-    /// critical path when the session captures engine traces ([`TenantConfig::request_tracing`]).
+    /// critical path when the session captures engine traces (a tenant of
+    /// a tracing server does).
     pub fn release_spanned(
         &mut self,
         mut ctx: Option<&mut RequestContext>,

@@ -17,7 +17,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use sqm_obs::span::{RequestOutcome, SpanConfig, EXEC, QUEUE, ROOT};
-use sqm_serve::{run_load, LoadSpec, Reply, Request, Server, ServerConfig, Tenant, TenantConfig};
+use sqm_serve::{run_load, LoadSpec, Reply, Request, Server, ServerConfig, TenantConfig};
 
 fn records(n: usize, cols: usize, salt: u64) -> Vec<Vec<f64>> {
     (0..n)
@@ -31,26 +31,33 @@ fn records(n: usize, cols: usize, salt: u64) -> Vec<Vec<f64>> {
         .collect()
 }
 
-fn traced_tenant_cfg(name: &str, seed: u64) -> TenantConfig {
+fn tenant_cfg(name: &str, seed: u64) -> TenantConfig {
     let mut cfg = TenantConfig::new(name);
     cfg.seed = seed;
     cfg.mu = 200.0;
     cfg.budget_eps = f64::INFINITY;
-    cfg.request_tracing = true;
     cfg
 }
 
 fn traced_server() -> Arc<Server> {
     Server::start(ServerConfig {
-        tracing: Some(SpanConfig::dump_all()),
+        tracing: Some(SpanConfig),
         ..ServerConfig::default()
     })
+}
+
+fn server(tracing: bool) -> Arc<Server> {
+    if tracing {
+        traced_server()
+    } else {
+        Server::start(ServerConfig::default())
+    }
 }
 
 #[test]
 fn span_tree_end_to_end_equals_queue_wait_plus_exec_exactly() {
     let server = traced_server();
-    server.add_tenant(traced_tenant_cfg("acme", 21)).unwrap();
+    server.add_tenant(tenant_cfg("acme", 21)).unwrap();
     server
         .call(
             "acme",
@@ -95,7 +102,7 @@ fn span_tree_end_to_end_equals_queue_wait_plus_exec_exactly() {
     let critical = mpc
         .critical
         .as_ref()
-        .expect("request_tracing attaches the critical path");
+        .expect("a tracing server attaches the critical path");
     assert_eq!(critical.total, reply.stats.simulated_time());
     assert!(!critical.parties.is_empty());
     assert_eq!(
@@ -112,15 +119,21 @@ fn span_tree_end_to_end_equals_queue_wait_plus_exec_exactly() {
 
 #[test]
 fn tracing_is_passive_results_bit_identical_on_vs_off() {
-    // Direct tenant comparison: same seed/plan, tracing on vs off.
+    // Single-tenant comparison through the scheduler: same seed/plan on a
+    // traced server and on an untraced one.
     let run = |tracing: bool| {
-        let mut cfg = traced_tenant_cfg("bits", 77);
-        cfg.request_tracing = tracing;
-        let mut t = Tenant::create(cfg).unwrap();
-        t.ingest(&records(6, 3, 9)).unwrap();
-        let a = t.release().unwrap();
-        t.ingest(&records(3, 3, 10)).unwrap();
-        let b = t.release().unwrap();
+        let server = server(tracing);
+        server.add_tenant(tenant_cfg("bits", 77)).unwrap();
+        let release = |records: Vec<Vec<f64>>| {
+            server.call("bits", Request::Ingest { records }).unwrap();
+            match server.call("bits", Request::Release).unwrap() {
+                Reply::Released(rel) => rel,
+                other => panic!("expected release, got {other:?}"),
+            }
+        };
+        let a = release(records(6, 3, 9));
+        let b = release(records(3, 3, 10));
+        server.shutdown();
         (
             a.covariance.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
             b.covariance.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
@@ -138,19 +151,11 @@ fn tracing_is_passive_results_bit_identical_on_vs_off() {
     };
     assert_eq!(run(true), run(false), "tracing must not perturb results");
 
-    // Whole-stack comparison: the load digest with a traced server and
-    // traced tenants vs a plain server.
+    // Whole-stack comparison: the load digest with a traced server vs a
+    // plain server.
     let load = |tracing: bool| {
-        let server = if tracing {
-            traced_server()
-        } else {
-            Server::start(ServerConfig::default())
-        };
-        let spec = LoadSpec {
-            tracing,
-            ..LoadSpec::smoke()
-        };
-        let report = run_load(&server, &spec);
+        let server = server(tracing);
+        let report = run_load(&server, &LoadSpec::smoke());
         server.shutdown();
         (
             report.digest(),
@@ -165,11 +170,7 @@ fn tracing_is_passive_results_bit_identical_on_vs_off() {
 fn slow_request_dump_is_byte_deterministic_and_wall_free() {
     let run = || {
         let server = traced_server();
-        let spec = LoadSpec {
-            tracing: true,
-            ..LoadSpec::smoke()
-        };
-        run_load(&server, &spec);
+        run_load(&server, &LoadSpec::smoke());
         let dump = server
             .spans()
             .unwrap()
@@ -183,11 +184,10 @@ fn slow_request_dump_is_byte_deterministic_and_wall_free() {
 
     let spec = LoadSpec::smoke();
     let lines: Vec<&str> = first.lines().collect();
-    // Meta header + one line per request (every request retained under
-    // the pinned zero threshold): tenants * rounds * (ingest + release).
+    // Meta header + one line per request (the collector retains every
+    // request): tenants * rounds * (ingest + release).
     assert_eq!(lines.len(), 1 + spec.tenants * spec.rounds * 2);
     assert!(lines[0].contains("\"slowreq_meta\""));
-    assert!(lines[0].contains("\"threshold\":\"fixed\""));
     // No measured wall time may leak into the dump.
     assert!(!first.contains("wall"));
     assert!(!first.contains("duration"));
@@ -202,13 +202,7 @@ fn slow_request_dump_is_byte_deterministic_and_wall_free() {
 
     // The SLO snapshot accounts for every request.
     let server = traced_server();
-    let report = run_load(
-        &server,
-        &LoadSpec {
-            tracing: true,
-            ..LoadSpec::smoke()
-        },
-    );
+    let report = run_load(&server, &spec);
     let snap = server.spans().unwrap().snapshot();
     assert_eq!(
         snap.total_requests as usize,

@@ -61,7 +61,13 @@
 #     `phase_totals`, `wants_wall`, `trace_event_cap`, `with_stall_min`) as
 #     whole words under crates/, tests/ or examples/, or a `struct
 #     PartyStats` anywhere there but crates/obs/src (one per-party tally,
-#     in `obs::round`, merged once into `RunStats`).
+#     in `obs::round`, merged once into `RunStats`),
+#   * a second serve tracing switch or an observer knob no caller set comes
+#     back: `request_tracing`, `dump_all`, `slow_factor`, `slow_min`,
+#     `retain_cap`, `history_buckets`, `stall_factor`, `stall_min`,
+#     `flight_cap` or `with_flight_cap` as a whole word under crates/,
+#     tests/ or examples/ (`ServerConfig::tracing` is the one switch; the
+#     span collector and the live collector's caps are constants).
 #
 # And for the one release path above the engine (crates/vfl, crates/serve),
 # again reading each file up to its first `#[cfg(test)]`:
@@ -209,6 +215,9 @@ expect "the live event ring is back (live telemetry folds each round under one l
   "$(grep -rnwE 'EventRin[g]|PhaseTa[g]|ring_capacit[y]|events_droppe[d]' crates scripts tests || true)"
 expect "a second tally of the rounds is back (one PartyStats in obs::round, one merge)" 0 \
   "$(grep -rnwE 'TraceSummary|PhaseRow|PhaseTotal|phase_totals|wants_wall|trace_event_cap|with_stall_min' \
+    crates tests examples || true)"
+expect "a deleted serve tracing switch or observer knob is back (one switch: ServerConfig::tracing)" 0 \
+  "$(grep -rnwE 'request_tracing|dump_all|slow_factor|slow_min|retain_cap|history_buckets|stall_factor|stall_min|flight_cap|with_flight_cap' \
     crates tests examples || true)"
 expect "a struct PartyStats outside crates/obs/src" 0 \
   "$(grep -rnw 'struct PartyStats' crates tests examples | grep -v '^crates/obs/src/' || true)"

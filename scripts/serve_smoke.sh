@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Serving smoke test: start `sqm-serve` (multi-tenant endpoint + seeded
-# closed-loop load with request tracing on), curl `/metrics` and `/status`
+# closed-loop load on a tracing server, `ServerConfig::tracing`), curl `/metrics` and `/status`
 # *while the server is up*, and assert the run produced at least one
 # enforced budget refusal, per-tenant request-duration samples, the
 # deterministic slow-request dump and the HTML report with the "Serving
@@ -66,8 +66,8 @@ for t in 0 1 2; do
     || { echo "error: no request-duration samples for tenant load-$t" >&2
          grep '^sqm_serve_' "$OUT/metrics.prom" >&2 || true; exit 1; }
 done
-# Smoke seed is 20250808, so the pinned-zero-threshold dump (the full
-# deterministic request log) is slowreq_20250808.jsonl.
+# Smoke seed is 20250808, so the dump (the span collector keeps every
+# request: the full deterministic request log) is slowreq_20250808.jsonl.
 [ -s "$OUT/slowreq_20250808.jsonl" ] \
   || { echo "error: missing slowreq_20250808.jsonl" >&2; exit 1; }
 python3 -c 'import json,sys; [json.loads(l) for l in open(sys.argv[1])]' \

@@ -107,9 +107,8 @@ fn covariance_at_n31_is_one_frame_per_link() {
 #[test]
 fn serve_load_admits_the_same_releases_traced_or_not() {
     let served = |tracing: bool| {
-        let (mut spec, mut config) = (LoadSpec::smoke(), ServerConfig::default());
-        spec.tracing = tracing;
-        config.tracing = tracing.then(SpanConfig::default);
+        let (spec, mut config) = (LoadSpec::smoke(), ServerConfig::default());
+        config.tracing = tracing.then_some(SpanConfig);
         let server = Server::start(config);
         let report = run_load(&server, &spec);
         server.shutdown();
