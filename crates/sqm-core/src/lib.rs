@@ -35,4 +35,4 @@ pub mod sensitivity;
 
 pub use polynomial::{Monomial, Polynomial};
 pub use quantize::{quantize_polynomial, quantize_value, quantize_vec, QuantizedPolynomial};
-pub use sensitivity::{lr_sensitivity, pca_sensitivity};
+pub use sensitivity::{column_sum_sensitivity, lr_sensitivity, pca_sensitivity};

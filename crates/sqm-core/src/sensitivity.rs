@@ -28,6 +28,19 @@ pub fn pca_sensitivity(gamma: f64, c: f64, n: usize) -> Sensitivity {
     Sensitivity::from_l2_for_dim(d2, n * n)
 }
 
+/// Lemma 3 at `lambda = 1`: sensitivities for the per-column sums of `n`
+/// columns.
+///
+/// Records have L2 norm at most `c`, quantized at scale `gamma`, and
+/// neighbouring outputs differ by one quantized record `hat x`. As for
+/// [`pca_sensitivity`], Algorithm 2 rounds each coordinate with no norm
+/// check, so every rounding outcome only guarantees
+/// `||hat x|| < gamma c + sqrt(n)`, and `Delta_2 = gamma c + sqrt(n)` — the
+/// bound for every outcome.
+pub fn column_sum_sensitivity(gamma: f64, c: f64, n: usize) -> Sensitivity {
+    Sensitivity::from_l2_for_dim(gamma * c + (n as f64).sqrt(), n)
+}
+
 /// The relative sensitivity overhead of PCA quantization:
 /// `(Delta_2 - gamma^2 c^2) / (gamma^2 c^2) = (2 gamma c sqrt(n) + n) /
 /// (gamma^2 c^2)`, which vanishes as `1 / gamma`.
@@ -138,6 +151,26 @@ pub fn magnitude_bound(sens: Sensitivity, m: usize, mu: f64) -> f64 {
 mod tests {
     use super::*;
     use crate::polynomial::Monomial;
+
+    #[test]
+    fn column_sum_sensitivity_is_the_three_formulas_it_replaced() {
+        for gamma in [1.0, 18.0, 64.0, 1024.5, 2f64.powi(24)] {
+            for n in [1usize, 3, 49, 500] {
+                for c in [1e-9, 0.3, 1.0, 2f64.sqrt()] {
+                    let got = column_sum_sensitivity(gamma, c, n);
+                    // The session's and the mean task's expression.
+                    let want = Sensitivity::from_l2_for_dim(gamma * c + (n as f64).sqrt(), n);
+                    assert_eq!(got.l2.to_bits(), want.l2.to_bits(), "{gamma} {c} {n}");
+                    assert_eq!(got.l1.to_bits(), want.l1.to_bits(), "{gamma} {c} {n}");
+                }
+                // The histogram's, with one-hot rows of norm 1.
+                let got = column_sum_sensitivity(gamma, 1.0, n);
+                let want = Sensitivity::from_l2_for_dim(gamma + (n as f64).sqrt(), n);
+                assert_eq!(got.l2.to_bits(), want.l2.to_bits(), "{gamma} {n}");
+                assert_eq!(got.l1.to_bits(), want.l1.to_bits(), "{gamma} {n}");
+            }
+        }
+    }
 
     #[test]
     fn pca_matches_lemma5() {

@@ -14,7 +14,7 @@ use rand::Rng;
 use sqm_accounting::analytic_gaussian::analytic_gaussian_sigma;
 use sqm_accounting::calibration::{calibrate_skellam_mu, CalibrationTarget};
 use sqm_accounting::skellam::Sensitivity;
-use sqm_core::sensitivity::pca_sensitivity;
+use sqm_core::sensitivity::{column_sum_sensitivity, pca_sensitivity};
 use sqm_linalg::Matrix;
 use sqm_sampling::gaussian::sample_normal;
 use sqm_vfl::{column_sums_oracle, covariance_quantized_oracle};
@@ -100,7 +100,7 @@ impl SqmHistogram {
     /// A record's one-hot row has L2 norm exactly 1; quantized,
     /// `gamma + sqrt(k)` with the rounding slack.
     pub fn sensitivity(&self, k: usize) -> Sensitivity {
-        Sensitivity::from_l2_for_dim(self.gamma + (k as f64).sqrt(), k)
+        column_sum_sensitivity(self.gamma, 1.0, k)
     }
 
     /// The calibrated Skellam parameter over `k` categories.

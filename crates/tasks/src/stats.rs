@@ -10,6 +10,7 @@ use sqm_accounting::analytic_gaussian::analytic_gaussian_sigma;
 use sqm_accounting::calibration::{calibrate_skellam_mu, CalibrationTarget};
 use sqm_accounting::skellam::Sensitivity;
 use sqm_core::baseline::local_dp_release;
+use sqm_core::sensitivity::column_sum_sensitivity;
 use sqm_linalg::Matrix;
 use sqm_sampling::gaussian::sample_normal;
 use sqm_vfl::mean::{column_sums_oracle, column_sums_skellam};
@@ -48,7 +49,7 @@ impl SqmMean {
     /// Sensitivity of the quantized column-sum release: one record
     /// contributes its quantized row, `||hat x||_2 <= gamma c + sqrt(n)`.
     pub fn sensitivity(&self, c: f64, n: usize) -> Sensitivity {
-        Sensitivity::from_l2_for_dim(self.gamma * c + (n as f64).sqrt(), n)
+        column_sum_sensitivity(self.gamma, c, n)
     }
 
     /// The calibrated Skellam parameter.

@@ -5,58 +5,48 @@
 //! `Sk(mu/P)` noise. Only `hatC` is opened; the server divides by `gamma^2`
 //! and eigendecomposes.
 //!
-//! Communication structure (two rounds): every client shares its quantized
-//! columns at degree `t`, and round 2 is a secure aggregation: each client
-//! sends party 0 one `n(n+1)/2` vector — its part of the Gram plus its own
-//! noise draws — under pairwise masks that cancel in the sum
-//! (`PartyCtx::sum_to_receiver`); a degree reduction would buy nothing for a
-//! value that is summed and released next. Non-input communication is
-//! `O(n^2 P)` independent of `m`, matching Table I.
+//! The covariance is a [`ReleasePlan`] of unit forms: triangle row `j` is
+//! `e_j` paired with the columns `j..n`. Communication structure (two
+//! rounds): every client shares its quantized columns at degree `t`, and
+//! round 2 is a secure aggregation: each client sends party 0 one
+//! `n(n+1)/2` vector — its part of the Gram plus its own noise draws — under
+//! pairwise masks that cancel in the sum (`PartyCtx::sum_to_receiver`); a
+//! degree reduction would buy nothing for a value that is summed and
+//! released next. Non-input communication is `O(n^2 P)` independent of `m`,
+//! matching Table I.
 //!
-//! Each client multiplies only what that sum needs. An entry between two of
-//! its own columns it computes in the clear from its quantized values and
-//! adds as it is; no other party touches it. For a cross-owner entry the
-//! local products `hat x_ij * hat x_ik` of degree-`t` shares are summed over
-//! records at degree `2t` (addition is free at any degree). Such a product
-//! is fixed by any `2t + 1` of its `P` evaluations, so when `P > 2t + 1`
-//! (every even `P`) party `j mod P` sits out triangle row `j` and the
-//! others weight the row by their Lagrange weight over the points left
-//! (`PartyCtx::lagrange_weight`). Every client still receives every
-//! column's shares and sends one full-length vector: rounds, messages,
-//! bytes and released integers are those of the whole triangle, while at
-//! `P = 4` the multiply-accumulates per release fall from `4 n(n+1)/2 m` to
-//! about 62 % of that (312.75 M against 501 M at `m = 1000`, `n = 500`).
+//! Each client multiplies only what that sum needs
+//! ([`ReleasePlan::party_release`]): an entry between two of its own
+//! columns in the clear, the cross-owner entries of the triangle rows it
+//! keeps as local share products (at even `P` party `j mod P` sits out row
+//! `j`). Every client still receives every column's shares and sends one
+//! full-length vector: rounds, messages, bytes and released integers are
+//! those of the whole triangle, while at `P = 4` the multiply-accumulates
+//! per release fall from `4 n(n+1)/2 m` to about 62 % of that (312.75 M
+//! against 501 M at `m = 1000`, `n = 500`). Each entry then costs one
+//! multiply per two records: the Gram kernel `plan::add_gram` takes
+//! Winograd's pair products ([`sqm_field::PrimeField::winograd4`]).
 //!
-//! Each of those entries then costs one multiply per two records:
-//! `add_gram` takes Winograd's pair products
-//! ([`PrimeField::winograd4`]) and subtracts the two columns' corrections
-//! `ξ(c) = sum_i c[2i] * c[2i+1]`, which `GramCols` computes once per
-//! column per row block. Field arithmetic is exact, so each entry is the
-//! inner product itself.
-//!
-//! One per-party program, `CovPlan::party_release`, is the whole
-//! protocol. Its input is a list of *frames* (one input round each), each a
-//! list of row blocks. One-shot is one frame of one block on fresh party
-//! states, chunked is one frame per chunk, and
-//! [`crate::stream::StreamCov`] passes one frame of all pending batches to
-//! the resident party workers of a `CovSession` it keeps.
-//! [`covariance_quantized_oracle`] replays its streams and predicts it
-//! exactly.
+//! The three entry points run that one per-party program on a list of
+//! *frames* (one input round each), each a list of row blocks. One-shot is
+//! one frame of one block on fresh party states, chunked is one frame per
+//! chunk, and [`crate::stream::StreamCov`] passes one frame of all pending
+//! batches to the resident party workers of a `CovSession` it keeps.
+//! [`covariance_quantized_oracle`] replays its streams
+//! ([`ReleasePlan::exact`]) and predicts it exactly.
 
-use std::ops::Range;
 use std::sync::Arc;
 
-use rand::rngs::StdRng;
+use sqm_core::sensitivity::pca_sensitivity;
 use sqm_field::PrimeField;
 use sqm_linalg::Matrix;
 use sqm_mpc::net::transport::build_mesh;
-use sqm_mpc::{MpcEngine, MpcRun, PartyCtx, PartyPool, RunStats, TransportError};
+use sqm_mpc::{MpcEngine, MpcRun, PartyPool, RunStats, TransportError};
 
 use crate::partition::ColumnPartition;
+use crate::plan::{Form, PartyState, ReleasePlan, RowBlock};
 use crate::stream::covariance_streaming_oracle;
-use crate::{
-    noisy_sum, or_panic, party_streams, quantize_columns, received, validate_gamma, VflConfig,
-};
+use crate::{or_panic, received, validate, validate_gamma, VflConfig};
 
 /// The opened, still-amplified covariance and the run statistics.
 #[derive(Debug)]
@@ -93,8 +83,8 @@ pub fn try_covariance_skellam(
     mu: f64,
     cfg: &VflConfig,
 ) -> Result<CovarianceOutput, TransportError> {
-    let frames = [vec![(data, 0..data.rows())]];
-    release_once(data, partition, gamma, mu, cfg, &frames)
+    let plan = data_plan(data, partition, gamma, mu, cfg);
+    release(&plan, data, cfg, data.rows().max(1))
 }
 
 /// Bit-exact plaintext replay of [`covariance_skellam`] on any backend (the
@@ -111,21 +101,8 @@ pub fn covariance_quantized_oracle(
     covariance_streaming_oracle(std::slice::from_ref(data), partition, gamma, mu, cfg, 0)
 }
 
-/// This release's quantization and noise salts (see [`party_streams`]).
-pub(crate) const STREAMS: [u64; 2] = [0xA11C_E000, 0x5E11_A000];
-
-pub(crate) fn validate(data: &Matrix, partition: &ColumnPartition, cfg: &VflConfig) {
-    assert_eq!(
-        partition.n_cols(),
-        data.cols(),
-        "partition/data column mismatch"
-    );
-    assert_eq!(
-        partition.n_clients(),
-        cfg.n_clients(),
-        "partition/config client-count mismatch"
-    );
-}
+/// This release's quantization and noise salts (see [`crate::party_streams`]).
+const STREAMS: [u64; 2] = [0xA11C_E000, 0x5E11_A000];
 
 /// Largest magnitude an opened entry can reach over `rows` records of l2
 /// norm at most `max_row_norm` (with a 12-sigma noise allowance).
@@ -135,108 +112,54 @@ pub(crate) fn magnitude_bound(rows: usize, max_row_norm: f64, gamma: f64, mu: f6
     rows as f64 * per_entry * per_entry + 12.0 * (2.0 * mu).sqrt() + 1.0
 }
 
-/// The `width` columns of one row block out of a column-major vector of
-/// them: `skip_rows` rows per column precede the `rows` wanted ones
-/// (earlier batches coalesced into the same frame).
-fn block_columns<F: PrimeField>(
-    values: &[F],
-    width: usize,
-    skip_rows: usize,
-    rows: usize,
-) -> impl Iterator<Item = &[F]> {
-    let batch = &values[width * skip_rows..][..width * rows];
-    (0..width).map(move |slot| &batch[slot * rows..(slot + 1) * rows])
-}
-
-/// Borrow my share-vector of every global column out of the per-client
-/// contributions of one input round. Each client's contribution is
-/// column-major over its own columns (see [`block_columns`]).
-pub(crate) fn column_shares<'a, F: PrimeField>(
-    contributions: &'a [Vec<F>],
+/// The covariance of up to `rows` records of l2 norm at most
+/// `max_row_norm`: triangle row `j` is `e_j` paired with `j..n`, charged
+/// Lemma 5's sensitivity.
+pub(crate) fn plan(
     partition: &ColumnPartition,
-    skip_rows: usize,
+    gamma: f64,
+    mu: f64,
     rows: usize,
-) -> Vec<&'a [F]> {
-    let mut cols: Vec<&[F]> = vec![&[]; partition.n_cols()];
-    for (client, contrib) in contributions.iter().enumerate() {
-        let owned = partition.columns_of(client);
-        let block = block_columns(contrib, owned.len(), skip_rows, rows);
-        for (&j, col) in owned.iter().zip(block) {
-            cols[j] = col;
-        }
-    }
-    cols
+    max_row_norm: f64,
+) -> ReleasePlan {
+    validate_gamma(gamma);
+    let n = partition.n_cols();
+    let unit = |j| Form {
+        constant: 0,
+        terms: vec![(j, 1)],
+    };
+    let triangle = (0..n).map(|j| (unit(j), j..n)).collect();
+    let bound = magnitude_bound(rows, max_row_norm, gamma, mu);
+    let sensitivity = pca_sensitivity(gamma, max_row_norm.max(1e-9), n);
+    ReleasePlan::new(partition, STREAMS, gamma, mu, triangle, bound, sensitivity)
 }
 
-/// The columns of one row block with their Winograd corrections
-/// `ξ(c) = sum_i c[2i] * c[2i+1]` ([`PrimeField::pair_sum`]), computed once
-/// per column per block: each Gram entry between two of them then costs one
-/// multiply per two records ([`add_gram`]).
-struct GramCols<'a, F> {
-    cols: Vec<&'a [F]>,
-    xi: Vec<F>,
+/// The covariance plan of `data`, checked against `partition` and `cfg`.
+pub(crate) fn data_plan(
+    data: &Matrix,
+    partition: &ColumnPartition,
+    gamma: f64,
+    mu: f64,
+    cfg: &VflConfig,
+) -> ReleasePlan {
+    validate(data, partition, cfg);
+    plan(partition, gamma, mu, data.rows(), data.max_row_norm())
 }
 
-impl<'a, F: PrimeField> GramCols<'a, F> {
-    fn new(cols: Vec<&'a [F]>) -> Self {
-        let xi = cols.iter().map(|c| F::pair_sum(c)).collect();
-        GramCols { cols, xi }
-    }
-}
-
-/// `acc[i] += <cols[j], cols[run.start + i]>`: a run of Gram row `j` —
-/// local products of degree-`t` shares summed at degree `2t`, or an owner's
-/// plaintext values.
-///
-/// Winograd's identity: four columns per pass over the records take
-/// [`PrimeField::winograd4`], one multiply per two records, and each entry
-/// subtracts `ξ(row) + ξ(col)` once. The at most three columns left at the
-/// end of the run take the direct [`PrimeField::dot`]. Field arithmetic is
-/// exact, so every entry is the inner product bit for bit.
-fn add_gram<F: PrimeField>(acc: &mut [F], g: &GramCols<F>, j: usize, run: Range<usize>) {
-    assert_eq!(acc.len(), run.len(), "one accumulator per column");
-    let (row, xi_row) = (g.cols[j], g.xi[j]);
-    let mut tiles = g.cols[run.clone()].chunks_exact(4);
-    let mut outs = acc.chunks_exact_mut(4);
-    for ((tile, out), xi) in (&mut tiles).zip(&mut outs).zip(g.xi[run].chunks_exact(4)) {
-        let sums = F::winograd4(row, [tile[0], tile[1], tile[2], tile[3]]);
-        for ((a, s), &xi_col) in out.iter_mut().zip(sums).zip(xi) {
-            *a += s - xi_row - xi_col;
-        }
-    }
-    for (a, col) in outs.into_remainder().iter_mut().zip(tiles.remainder()) {
-        *a += F::dot(row, col);
-    }
-}
-
-/// `acc += ` the upper triangle of the Gram of `g`'s columns, row by row
-/// (the opened order when they are all the columns).
-fn add_triangle<F: PrimeField>(acc: &mut [F], g: &GramCols<F>) {
-    let (n, mut at) = (g.cols.len(), 0);
-    for j in 0..n {
-        add_gram(&mut acc[at..at + n - j], g, j, j..n);
-        at += n - j;
-    }
-}
-
-/// Where entry `(j, k)`, `j <= k`, of an `n`-column upper triangle sits in
-/// opened order.
-fn upper_index(n: usize, j: usize, k: usize) -> usize {
-    j * (2 * n + 1 - j) / 2 + (k - j)
-}
-
-/// The runs of columns `k > j` that a client other than column `j`'s owner
-/// holds: the entries of triangle row `j` only a secure product can fill.
-fn cross_runs(partition: &ColumnPartition, j: usize) -> Vec<Range<usize>> {
-    let owner = partition.owner_of(j);
-    let mut runs: Vec<Range<usize>> = Vec::new();
-    for k in (j + 1..partition.n_cols()).filter(|&k| partition.owner_of(k) != owner) {
-        match runs.last_mut() {
-            Some(run) if run.end == k => run.end += 1,
-            _ => runs.push(k..k + 1),
-        }
-    }
-    runs
+/// The release of `plan` over `data` in frames of `chunk` records each (an
+/// empty matrix still has its one, empty, input round).
+pub(crate) fn release(
+    plan: &ReleasePlan,
+    data: &Matrix,
+    cfg: &VflConfig,
+    chunk: usize,
+) -> Result<CovarianceOutput, TransportError> {
+    let (m, rows) = (data.rows(), (0..data.rows()).collect::<Vec<_>>());
+    let frames: Vec<Vec<RowBlock>> = (0..m.max(1))
+        .step_by(chunk)
+        .map(|start| vec![(data, &rows[start..(start + chunk).min(m)])])
+        .collect();
+    Ok(output(plan.run(cfg, &frames)?, data.cols()))
 }
 
 /// The symmetric matrix whose upper triangle, in opened order, is `opened`.
@@ -251,6 +174,15 @@ pub(crate) fn symmetric_from_upper(opened: &[i128], n: usize) -> Matrix {
         }
     }
     c_hat
+}
+
+/// The released covariance: the receiver's sum as a symmetric matrix.
+fn output(run: MpcRun<Option<Vec<i128>>>, n: usize) -> CovarianceOutput {
+    CovarianceOutput {
+        c_hat: symmetric_from_upper(received(&run.outputs), n),
+        stats: run.stats,
+        trace: run.trace,
+    }
 }
 
 /// Memory-bounded variant: records are shared and locally multiplied in
@@ -269,179 +201,8 @@ pub fn covariance_skellam_chunked(
     chunk_records: usize,
 ) -> CovarianceOutput {
     assert!(chunk_records >= 1, "chunk size must be positive");
-    let m = data.rows();
-    // An empty matrix still has its one (empty) input round.
-    let frames: Vec<Vec<RowBlock>> = (0..m.max(1))
-        .step_by(chunk_records)
-        .map(|start| vec![(data, start..(start + chunk_records).min(m))])
-        .collect();
-    or_panic(release_once(data, partition, gamma, mu, cfg, &frames))
-}
-
-/// One release over a fresh mesh and fresh party states, both dropped
-/// after: the per-party program on the engine's one-shot run.
-fn release_once(
-    data: &Matrix,
-    partition: &ColumnPartition,
-    gamma: f64,
-    mu: f64,
-    cfg: &VflConfig,
-    frames: &[Vec<RowBlock>],
-) -> Result<CovarianceOutput, TransportError> {
-    validate(data, partition, cfg);
-    validate_gamma(gamma);
-    let bound = magnitude_bound(data.rows(), data.max_row_norm(), gamma, mu);
-    let plan = CovPlan::new(partition, gamma, mu, cfg.n_clients());
-    with_field!(bound, F => {
-        let engine = MpcEngine::new(cfg.mpc_config());
-        let run = engine.try_run::<F, _, _>(|ctx| {
-            let mut st = plan.fresh_party(cfg.seed(), ctx.id);
-            plan.party_release(ctx, &mut st, frames)
-        })?;
-        Ok(plan.output(run))
-    })
-}
-
-/// A run of consecutive rows of one matrix: what a party quantizes, shares
-/// and multiplies as a unit.
-pub(crate) type RowBlock<'a> = (&'a Matrix, Range<usize>);
-
-/// One party's part of a covariance computation: its private quantization
-/// and noise streams and its two noise-free Gram accumulators.
-struct PartyState<F: PrimeField> {
-    qrng: StdRng,
-    nrng: StdRng,
-    /// Degree-`2t` shares of the cross-owner entries this party evaluates,
-    /// unweighted, in opened order (`n(n+1)/2` slots; the rest stay zero).
-    acc: Vec<F>,
-    /// The upper triangle of its own `b` columns' Gram, in the clear from its
-    /// quantized values (`b(b+1)/2` entries, row by row).
-    own: Vec<F>,
-}
-
-/// What every party of a covariance computation knows in public: the
-/// partition, the cross-owner runs of each triangle row, `gamma` and each
-/// party's share `mu / P` of the noise.
-struct CovPlan {
-    partition: ColumnPartition,
-    counts: Vec<usize>,
-    cross: Vec<Vec<Range<usize>>>,
-    gamma: f64,
-    local_mu: f64,
-}
-
-impl CovPlan {
-    fn new(partition: &ColumnPartition, gamma: f64, mu: f64, n_clients: usize) -> CovPlan {
-        let n = partition.n_cols();
-        CovPlan {
-            partition: partition.clone(),
-            counts: partition.counts(),
-            cross: (0..n).map(|j| cross_runs(partition, j)).collect(),
-            gamma,
-            local_mu: mu / n_clients as f64,
-        }
-    }
-
-    /// Party `p`'s state before its first release: its streams derived from
-    /// `seed`, its accumulators zero.
-    fn fresh_party<F: PrimeField>(&self, seed: u64, p: usize) -> PartyState<F> {
-        let (n, b) = (self.partition.n_cols(), self.counts[p]);
-        let (qrng, nrng) = party_streams(seed, STREAMS, p);
-        PartyState {
-            qrng,
-            nrng,
-            acc: vec![F::ZERO; n * (n + 1) / 2],
-            own: vec![F::ZERO; b * (b + 1) / 2],
-        }
-    }
-
-    /// One party's DP release: the whole protocol. Each of `frames` is one
-    /// input round: its row blocks are quantized in order (block -> column
-    /// -> row) and shared in one frame. Each party then multiplies only
-    /// what the masked sum needs: its own columns' block in the clear, and
-    /// the cross-owner entries of every triangle row but those it sits out
-    /// — when `P > 2t + 1`, party `j mod P` sits out row `j`, since the
-    /// other `P - 1 >= 2t + 1` points fix the degree-`2t` product. Round
-    /// 2's vector is each row weighted for the parties that evaluate it
-    /// ([`PartyCtx::lagrange_weight`]), plus the own block, plus this
-    /// release's `n(n+1)/2` noise draws; the accumulators themselves stay
-    /// noise-free.
-    fn party_release<F: PrimeField>(
-        &self,
-        ctx: &mut PartyCtx<F>,
-        st: &mut PartyState<F>,
-        frames: &[Vec<RowBlock>],
-    ) -> Option<Vec<i128>> {
-        let (partition, n) = (&self.partition, self.partition.n_cols());
-        let my_cols = partition.columns_of(ctx.id);
-        let (me, parties, spare) = (ctx.id, ctx.n, ctx.n > 2 * ctx.t + 1);
-        let sitter = |j: usize| spare.then_some(j % parties);
-        // The cross-owner runs I multiply: those of every row I keep.
-        let my_runs: Vec<(usize, &Range<usize>)> = (0..n)
-            .filter(|&j| sitter(j) != Some(me))
-            .flat_map(|j| self.cross[j].iter().map(move |run| (j, run)))
-            .collect();
-        let entries = st.own.len() + my_runs.iter().map(|(_, run)| run.len()).sum::<usize>();
-        for frame in frames {
-            let rows: usize = frame.iter().map(|(_, rows)| rows.len()).sum();
-            ctx.set_phase("quantize");
-            let mut my_values: Vec<F> = Vec::with_capacity(my_cols.len() * rows);
-            for (data, rows) in frame {
-                quantize_columns(
-                    &mut st.qrng,
-                    self.gamma,
-                    data,
-                    &my_cols,
-                    rows.clone(),
-                    &mut my_values,
-                );
-            }
-            let expected: Vec<usize> = self.counts.iter().map(|&c| c * rows).collect();
-            ctx.set_phase("input");
-            let contributions = ctx.share_all_uneven(&my_values, &expected);
-            ctx.set_phase("compute");
-            let mut rows_done = 0;
-            for (_, rows) in frame {
-                let rows = rows.len();
-                let own = block_columns(&my_values, my_cols.len(), rows_done, rows);
-                add_triangle(&mut st.own, &GramCols::new(own.collect()));
-                let cols = GramCols::new(column_shares(&contributions, partition, rows_done, rows));
-                for &(j, run) in &my_runs {
-                    let at = upper_index(n, j, run.start);
-                    add_gram(&mut st.acc[at..at + run.len()], &cols, j, run.clone());
-                }
-                rows_done += rows;
-            }
-            if let Some(prof) = ctx.profiler() {
-                prof.record("vfl;compute;gram", 1, (entries * rows) as u64);
-            }
-        }
-        // Round 2's vector: every row under its weight, my block as is.
-        let mut local = Vec::with_capacity(st.acc.len());
-        for j in 0..n {
-            let weight = ctx.lagrange_weight(sitter(j));
-            let start = upper_index(n, j, j);
-            let row = &st.acc[start..start + n - j];
-            local.extend(row.iter().map(|&share| weight * share));
-        }
-        let own_entries = my_cols
-            .iter()
-            .enumerate()
-            .flat_map(|(s, &j)| my_cols[s..].iter().map(move |&k| (j, k)));
-        for ((j, k), &value) in own_entries.zip(&st.own) {
-            local[upper_index(n, j, k)] += value;
-        }
-        noisy_sum(ctx, local, &mut st.nrng, self.local_mu)
-    }
-
-    /// The released covariance: the receiver's sum as a symmetric matrix.
-    fn output(&self, run: MpcRun<Option<Vec<i128>>>) -> CovarianceOutput {
-        CovarianceOutput {
-            c_hat: symmetric_from_upper(received(&run.outputs), self.partition.n_cols()),
-            stats: run.stats,
-            trace: run.trace,
-        }
-    }
+    let plan = data_plan(data, partition, gamma, mu, cfg);
+    or_panic(release(&plan, data, cfg, chunk_records))
 }
 
 /// Everything a covariance computation keeps between releases: one
@@ -449,22 +210,16 @@ impl CovPlan {
 /// [`PartyState`]. [`crate::stream::StreamCov`] keeps one for its life.
 pub(crate) struct CovSession<F: PrimeField> {
     engine: MpcEngine,
-    plan: Arc<CovPlan>,
+    plan: Arc<ReleasePlan>,
     pool: PartyPool<F, PartyState<F>, Option<Vec<i128>>>,
 }
 
 impl<F: PrimeField> CovSession<F> {
     /// Mesh the parties, start their streams and accumulators afresh, and
     /// start one worker per party to hold them.
-    pub(crate) fn open(
-        cfg: &VflConfig,
-        partition: &ColumnPartition,
-        gamma: f64,
-        mu: f64,
-    ) -> Result<Self, TransportError> {
+    pub(crate) fn open(cfg: &VflConfig, plan: ReleasePlan) -> Result<Self, TransportError> {
         let mpc = cfg.mpc_config();
         let mesh = build_mesh::<F>(mpc.n_parties, &mpc.backend, mpc.faults.as_ref())?;
-        let plan = CovPlan::new(partition, gamma, mu, cfg.n_clients());
         let parties = (0..mpc.n_parties)
             .map(|p| plan.fresh_party(cfg.seed(), p))
             .collect();
@@ -476,25 +231,33 @@ impl<F: PrimeField> CovSession<F> {
     }
 
     /// One DP release of `batches`, the records that arrived since the last
-    /// one, as one input frame in arrival order ([`CovPlan::party_release`]
-    /// at every party's worker). A transport failure shut the workers down
-    /// and their endpoints and party states with them: drop the session.
+    /// one, as one input frame in arrival order
+    /// ([`ReleasePlan::party_release`] at every party's worker). A transport
+    /// failure shut the workers down and their endpoints and party states
+    /// with them: drop the session.
     pub(crate) fn release(
         &mut self,
         batches: Vec<Matrix>,
+        n: usize,
     ) -> Result<CovarianceOutput, TransportError> {
         let plan = Arc::clone(&self.plan);
         let run = self.engine.try_run_pool(&mut self.pool, move |ctx, st| {
-            let frame: Vec<RowBlock> = batches.iter().map(|b| (b, 0..b.rows())).collect();
+            let rows: Vec<Vec<usize>> = batches.iter().map(|b| (0..b.rows()).collect()).collect();
+            let frame: Vec<RowBlock> = batches
+                .iter()
+                .zip(&rows)
+                .map(|(b, r)| (b, &r[..]))
+                .collect();
             plan.party_release(ctx, st, &[frame])
         })?;
-        Ok(self.plan.output(run))
+        Ok(output(run, n))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::{add_gram, GramCols};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use sqm_field::{M127, M61};
@@ -636,6 +399,21 @@ mod tests {
         }
     }
 
+    /// Where entry `(j, k)`, `j <= k`, of an `n`-column upper triangle sits
+    /// in opened order.
+    fn upper_index(n: usize, j: usize, k: usize) -> usize {
+        j * (2 * n + 1 - j) / 2 + (k - j)
+    }
+
+    /// `acc += ` the upper triangle of the Gram of `g`'s `n` columns, row by
+    /// row, as the covariance plan's unit rows fill it.
+    fn add_triangle<F: PrimeField>(acc: &mut [F], g: &GramCols<F>, n: usize) {
+        for j in 0..n {
+            let at = upper_index(n, j, j);
+            add_gram(&mut acc[at..at + n - j], g, j, j..n);
+        }
+    }
+
     /// The scalar triangle loop `add_gram` replaced, kept verbatim as the
     /// reference the tiled kernel is compared against.
     fn add_gram_reference<F: PrimeField>(acc: &mut [F], cols: &[&[F]]) {
@@ -666,10 +444,10 @@ mod tests {
                     .map(|_| (0..m).map(|_| F::random(&mut rng)).collect())
                     .collect();
                 let cols: Vec<&[F]> = data.iter().map(Vec::as_slice).collect();
-                let g = GramCols::new(cols.clone());
+                let g = GramCols::new(cols.clone(), true);
                 let carry: Vec<F> = (0..n * (n + 1) / 2).map(|_| F::random(&mut rng)).collect();
                 let (mut tiled, mut reference) = (carry.clone(), carry.clone());
-                add_triangle(&mut tiled, &g);
+                add_triangle(&mut tiled, &g, n);
                 add_gram_reference(&mut reference, &cols);
                 assert_eq!(tiled, reference, "n={n} m={m}");
 
@@ -707,7 +485,7 @@ mod tests {
     #[should_panic(expected = "length mismatch")]
     fn add_gram_rejects_a_ragged_column() {
         let (long, short) = ([M61::ONE; 3], [M61::ONE; 2]);
-        let g = GramCols::new(vec![&long[..], &long, &short]);
+        let g = GramCols::new(vec![&long[..], &long, &short], true);
         add_gram(&mut [M61::ZERO; 2], &g, 0, 1..3);
     }
 

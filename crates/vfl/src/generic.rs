@@ -20,10 +20,10 @@ use sqm_mpc::{MpcEngine, MpcRun, RunStats, TransportError};
 use sqm_sampling::rounding::stochastic_round;
 use sqm_sampling::skellam::Skellam;
 
-use crate::covariance::validate;
 use crate::partition::ColumnPartition;
 use crate::{
-    noisy_sum, or_panic, party_streams, quantize_columns, received, validate_gamma, VflConfig,
+    noisy_sum, or_panic, party_streams, quantize_columns, received, validate, validate_gamma,
+    VflConfig,
 };
 
 /// Evaluate `sum_x f(x)` under SQM with full BGW execution.

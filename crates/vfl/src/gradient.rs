@@ -9,28 +9,30 @@
 //! * the degree-2 coefficients `w_j/4` and `-1` (label term) are quantized
 //!   at scale `gamma`; the degree-1 coefficient `1/2` at scale `gamma^2`.
 //!
-//! Because the weights are public, `<hat w/4, hat x>` is a *local* linear
-//! combination of shares; the only secure multiplications are the `|B|`
-//! products `v_i * hat x_ik`, summed over the batch at degree `2t`. Those
-//! sums plus each party's own `d` noise draws are summed to the receiver
+//! Because the weights are public, `v = half + <hat w/4, hat x> - label *
+//! hat y` is a public linear form of the record, so the gradient is a
+//! [`ReleasePlan`] of one row: `v` paired with the `d` features. It runs
+//! the covariance's per-party program ([`ReleasePlan::party_release`]):
+//! `v` is a *local* linear combination of shares and the only secure
+//! multiplications are the `|B|` products `v_i * hat x_ik`, summed over the
+//! batch at degree `2t`; at even `P` one party sits out the row. Those sums
+//! plus each party's own `d` noise draws are summed to the receiver
 //! (`PartyCtx::sum_to_receiver`): two rounds per step.
 //!
-//! [`gradient_sum_oracle`] replays its streams in plaintext and predicts
-//! the release exactly: the plaintext path of every LR experiment.
+//! [`gradient_sum_oracle`] replays its streams in plaintext
+//! ([`ReleasePlan::exact`]) and predicts the release exactly: the plaintext
+//! path of every LR experiment.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sqm_field::PrimeField;
+use sqm_core::sensitivity::lr_sensitivity;
 use sqm_linalg::Matrix;
-use sqm_mpc::{MpcEngine, RunStats, TransportError};
+use sqm_mpc::{RunStats, TransportError};
 use sqm_sampling::rounding::stochastic_round;
-use sqm_sampling::skellam::Skellam;
 
-use crate::covariance::{column_shares, validate};
 use crate::partition::ColumnPartition;
-use crate::{
-    noisy_sum, or_panic, party_streams, quantize_columns, received, validate_gamma, VflConfig,
-};
+use crate::plan::{Form, ReleasePlan};
+use crate::{or_panic, received, validate, validate_gamma, VflConfig};
 
 /// The opened, down-scaled gradient sum and run statistics.
 #[derive(Debug)]
@@ -84,13 +86,17 @@ pub fn gradient_sum_skellam(
     mu: f64,
     cfg: &VflConfig,
 ) -> GradientOutput {
-    or_panic(try_gradient_sum_skellam(
-        data, partition, batch, w, gamma, mu, cfg,
-    ))
+    let plan = plan(data, partition, batch, w, gamma, mu, cfg);
+    or_panic(release(&plan, data, batch, cfg)).1
 }
 
-/// [`gradient_sum_skellam`] with transport failures surfaced as values.
-pub(crate) fn try_gradient_sum_skellam(
+/// This release's quantization and noise salts (see [`crate::party_streams`]).
+const STREAMS: [u64; 2] = [0x96AD_0000, 0x5E11_B000];
+
+/// The gradient step's plan: `v = half + <hat w/4, hat x> - label * hat y`
+/// paired with the `d` features, charged Lemma 7's sensitivity. Checks the
+/// inputs for the protocol and the oracle alike.
+pub(crate) fn plan(
     data: &Matrix,
     partition: &ColumnPartition,
     batch: &[usize],
@@ -98,7 +104,7 @@ pub(crate) fn try_gradient_sum_skellam(
     gamma: f64,
     mu: f64,
     cfg: &VflConfig,
-) -> Result<GradientOutput, TransportError> {
+) -> ReleasePlan {
     let d = data.cols() - 1;
     assert_eq!(w.len(), d, "weight vector length must equal feature count");
     validate(data, partition, cfg);
@@ -108,13 +114,37 @@ pub(crate) fn try_gradient_sum_skellam(
         batch.iter().all(|&i| i < data.rows()),
         "batch index out of range"
     );
-
+    let coeffs = quantize_lr_coeffs(w, gamma, cfg.seed());
+    let mut terms: Vec<(usize, i64)> = coeffs.w_quarter.into_iter().enumerate().collect();
+    terms.push((d, -coeffs.label));
+    let v = Form {
+        constant: coeffs.half,
+        terms,
+    };
+    let (rows, sens) = (vec![(v, 0..d)], lr_sensitivity(gamma, d));
     let bound = magnitude_bound(batch.len(), d, gamma, mu);
-    with_field!(bound, F => gradient_impl::<F>(data, partition, batch, w, gamma, mu, cfg))
+    ReleasePlan::new(partition, STREAMS, gamma, mu, rows, bound, sens)
 }
 
-/// This release's quantization and noise salts (see [`party_streams`]).
-const STREAMS: [u64; 2] = [0x96AD_0000, 0x5E11_B000];
+/// The release of `plan` over `batch`: the receiver's integers, and them
+/// divided by `gamma^3`.
+pub(crate) fn release(
+    plan: &ReleasePlan,
+    data: &Matrix,
+    batch: &[usize],
+    cfg: &VflConfig,
+) -> Result<(Vec<i128>, GradientOutput), TransportError> {
+    let run = plan.run(cfg, &[vec![(data, batch)]])?;
+    let (opened, amp) = (received(&run.outputs).to_vec(), plan.gamma.powi(3));
+    let grad_sum = opened.iter().map(|&v| v as f64 / amp).collect();
+    let (stats, trace) = (run.stats, run.trace);
+    let out = GradientOutput {
+        grad_sum,
+        stats,
+        trace,
+    };
+    Ok((opened, out))
+}
 
 /// Bit-exact plaintext replay of [`gradient_sum_skellam`]: each party's
 /// columns quantized over the batch, [`quantize_lr_coeffs`] at
@@ -128,36 +158,10 @@ pub fn gradient_sum_oracle(
     mu: f64,
     cfg: &VflConfig,
 ) -> Vec<f64> {
-    let d = data.cols() - 1;
-    assert_eq!(w.len(), d, "weight vector length must equal feature count");
-    validate(data, partition, cfg);
-    let skellam = Skellam::new(mu / cfg.n_clients() as f64);
-    let mut q = vec![0i64; batch.len() * (d + 1)]; // record-major
-    let mut grad = vec![0i128; d];
-    for p in 0..cfg.n_clients() {
-        let (mut qrng, mut nrng) = party_streams(cfg.seed(), STREAMS, p);
-        for j in partition.columns_of(p) {
-            for (row, &i) in q.chunks_exact_mut(d + 1).zip(batch) {
-                row[j] = stochastic_round(&mut qrng, gamma * data[(i, j)]);
-            }
-        }
-        for g in grad.iter_mut() {
-            *g += skellam.sample(&mut nrng) as i128;
-        }
-    }
-    let coeffs = quantize_lr_coeffs(w, gamma, cfg.seed());
-    for row in q.chunks_exact(d + 1) {
-        // v = half + <w/4, x> - label * y, as the protocol's local shares.
-        let wx: i128 = (coeffs.w_quarter.iter().zip(row))
-            .map(|(&c, &x)| i128::from(c) * i128::from(x))
-            .sum();
-        let v = i128::from(coeffs.half) + wx - i128::from(coeffs.label) * i128::from(row[d]);
-        for (g, &x) in grad.iter_mut().zip(row) {
-            *g += v * i128::from(x);
-        }
-    }
+    let plan = plan(data, partition, batch, w, gamma, mu, cfg);
     let amp = gamma.powi(3);
-    grad.into_iter().map(|g| g as f64 / amp).collect()
+    let opened = plan.exact(&[vec![(data, batch)]], cfg.seed(), 0);
+    opened.into_iter().map(|g| g as f64 / amp).collect()
 }
 
 /// [`gradient_sum_oracle`] at a seed drawn from `rng`, over
@@ -185,70 +189,6 @@ fn magnitude_bound(batch_len: usize, d: usize, gamma: f64, mu: f64) -> f64 {
     // dim |v_i * x_ik| <= ~2 gamma^3. Use a generous closed form.
     let per_record = 4.0 * gamma.powi(3) * (d as f64).sqrt().max(1.0);
     batch_len as f64 * per_record + 12.0 * (2.0 * mu).sqrt() + gamma * gamma
-}
-
-fn gradient_impl<F: PrimeField>(
-    data: &Matrix,
-    partition: &ColumnPartition,
-    batch: &[usize],
-    w: &[f64],
-    gamma: f64,
-    mu: f64,
-    cfg: &VflConfig,
-) -> Result<GradientOutput, TransportError> {
-    let d = data.cols() - 1;
-    let mb = batch.len();
-    let local_mu = mu / cfg.n_clients() as f64;
-    let coeffs = quantize_lr_coeffs(w, gamma, cfg.seed());
-    let engine = MpcEngine::new(cfg.mpc_config());
-    let counts = partition.counts();
-    let expected: Vec<usize> = counts.iter().map(|&c| c * mb).collect();
-
-    let run = engine.try_run::<F, Option<Vec<i128>>, _>(|ctx| {
-        let me = ctx.id;
-        // --- quantize my columns (batch rows only) ------------------------
-        ctx.set_phase("quantize");
-        let (mut qrng, mut nrng) = party_streams(cfg.seed(), STREAMS, me);
-        let my_cols = partition.columns_of(me);
-        let mut my_values: Vec<F> = Vec::with_capacity(my_cols.len() * mb);
-        let rows = batch.iter().copied();
-        quantize_columns(&mut qrng, gamma, data, &my_cols, rows, &mut my_values);
-
-        // --- round 1: columns ----------------------------------------------
-        ctx.set_phase("input");
-        let contributions = ctx.share_all_uneven(&my_values, &expected);
-        drop(my_values);
-        let col_shares = column_shares(&contributions, partition, 0, mb);
-
-        // --- gradient: local linear + one product per (record, dim) --------
-        ctx.set_phase("compute");
-        let f_half = F::from_i64(coeffs.half);
-        // v_i = sum_j qw_j * x_ij - q_label * y_i + half  (degree-t share,
-        // local): one linear combination of the d + 1 share columns.
-        let mut weights: Vec<F> = coeffs.w_quarter.iter().map(|&c| F::from_i64(c)).collect();
-        weights.push(-F::from_i64(coeffs.label));
-        let mut v: Vec<F> = vec![F::ZERO; mb];
-        F::combine(&weights, &col_shares[..=d], &mut v);
-        for vi in &mut v {
-            *vi += f_half;
-        }
-        // G_k = sum_i v_i * x_ik [degree 2t].
-        let grad: Vec<F> = col_shares[..d].iter().map(|col| F::dot(&v, col)).collect();
-
-        // --- round 2: my own Skellam draws (never shared) + the masked sum --
-        let local = ctx.scale_public(&grad, ctx.lagrange_weight(None));
-        noisy_sum(ctx, local, &mut nrng, local_mu)
-    })?;
-
-    let amp = gamma.powi(3);
-    Ok(GradientOutput {
-        grad_sum: received(&run.outputs)
-            .iter()
-            .map(|&v| v as f64 / amp)
-            .collect(),
-        stats: run.stats,
-        trace: run.trace,
-    })
 }
 
 #[cfg(test)]
@@ -412,6 +352,40 @@ mod tests {
         assert_eq!(a.w_quarter, b.w_quarter);
         assert_eq!(a.half, b.half);
         assert_eq!(a.label, b.label);
+    }
+
+    /// The oracle refuses what the protocol refuses: both build their plan
+    /// through one constructor.
+    fn oracle(batch: &[usize], gamma: f64) -> Vec<f64> {
+        let partition = ColumnPartition::even(4, 2);
+        let cfg = VflConfig::fast(2);
+        gradient_sum_oracle(
+            &toy_vfl_data(),
+            &partition,
+            batch,
+            &[0.1; 3],
+            gamma,
+            4.0,
+            &cfg,
+        )
+    }
+
+    #[test]
+    #[should_panic(expected = "gamma must be positive")]
+    fn oracle_rejects_a_zero_gamma() {
+        oracle(&[0, 1], 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "empty batch")]
+    fn oracle_rejects_an_empty_batch() {
+        oracle(&[], 256.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "batch index out of range")]
+    fn oracle_rejects_a_batch_index_past_the_rows() {
+        oracle(&[0, 6], 256.0);
     }
 
     #[test]

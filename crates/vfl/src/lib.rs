@@ -21,13 +21,15 @@
 //! round per multiplication layer before the same last round.
 //!
 //! * [`covariance::covariance_skellam`] — the PCA covariance `X^T X + Sk`
-//!   (Section V-A): each client computes its own columns' block in the
-//!   clear and local share products for the cross-owner entries of the
-//!   triangle rows it keeps (at even `P` one client sits out each row).
+//!   (Section V-A): a release plan of unit forms, each client computing its
+//!   own columns' block in the clear and local share products for the
+//!   cross-owner entries of the triangle rows it keeps (at even `P` one
+//!   client sits out each row).
 //! * [`gradient::gradient_sum_skellam`] — one LR gradient-sum step on a
-//!   batch (Section V-B, Eq. 9). The weight vector is public, so the inner
-//!   product `<w/4, x>` is a *local* linear operation; only the `d`
-//!   per-dimension products are secure multiplications.
+//!   batch (Section V-B, Eq. 9), on the same per-party program. The weight
+//!   vector is public, so `v = half + <w/4, x> - y` is one public linear
+//!   form: a *local* operation; only the `d` per-dimension products are
+//!   secure multiplications.
 //! * [`mean::column_sums_skellam`] — degree-1 column sums/means
 //!   (Algorithm 1 with `lambda = 1`): a purely linear protocol whose
 //!   communication is independent of the record count.
@@ -43,9 +45,13 @@
 //! the one place a bound becomes a field or is refused for lack of headroom.
 //! Every protocol has a fallible core on `MpcEngine::try_run{,_pool}`; the
 //! public names without a `try_` prefix panic on a transport failure. The
-//! three covariance entry points (one-shot, chunked, [`stream::StreamCov`])
-//! run one per-party program, `covariance::CovPlan::party_release`: once on
+//! degree-≤ 2 releases are each a `plan::ReleasePlan` — public linear forms
+//! of the quantized record paired with runs of columns, plus the release's
+//! streams, field bound and charged sensitivity. The covariance's three
+//! entry points (one-shot, chunked, [`stream::StreamCov`]) and the gradient
+//! run its one per-party program, `ReleasePlan::party_release`: once on
 //! fresh party threads, or on the resident party workers a stream keeps.
+//! Column sums keep their own linear body, which shares pre-summed columns.
 //!
 //! **Randomness streams.** A party draws from three private streams derived
 //! from `cfg.seed()`: quantization, Skellam noise, and (inside the engine)
@@ -55,9 +61,10 @@
 //! engine re-keys share polynomials and pair masks from the mesh's round
 //! counter on every run, so no release repeats a draw.
 //! [`session::VflSession`] runs one-shot protocols from one seed: see the
-//! noise-replay caveat on that type. Each release module derives its
-//! streams in one helper that its protocol and its bit-exact plaintext
-//! oracle (`*_oracle`) both call.
+//! noise-replay caveat on that type. A release's plan derives its streams
+//! from the salts its module names once, for the protocol and for its
+//! bit-exact plaintext oracle (`*_oracle`) alike: the degree-≤ 2 oracles
+//! are one replay, `ReleasePlan::exact`.
 //!
 //! **Two-client caveat:** BGW with `P = 2` degenerates to threshold `t = 0`
 //! (shares equal secrets), so outputs are correct but the clients have no
@@ -90,6 +97,7 @@ pub mod generic;
 pub mod gradient;
 pub mod mean;
 pub mod partition;
+mod plan;
 pub mod session;
 pub mod stream;
 
@@ -134,6 +142,20 @@ pub(crate) fn fitting_field(bound: f64) -> Option<FieldChoice> {
     bound
         .is_finite()
         .then(|| FieldChoice::for_magnitude(bound))?
+}
+
+/// The data, the partition and the config agree on columns and clients.
+pub(crate) fn validate(data: &Matrix, partition: &ColumnPartition, cfg: &VflConfig) {
+    assert_eq!(
+        partition.n_cols(),
+        data.cols(),
+        "partition/data column mismatch"
+    );
+    assert_eq!(
+        partition.n_clients(),
+        cfg.n_clients(),
+        "partition/config client-count mismatch"
+    );
 }
 
 /// Checked once per release where `gamma` enters, not once per value.

@@ -2,22 +2,23 @@
 //! `lambda = 1` per column).
 //!
 //! Releasing per-attribute sums/means is the simplest member of SQM's
-//! polynomial class: the function is linear, so the MPC evaluation needs
-//! *no* multiplications at all — one round sharing the column sums, local
-//! addition, one masked sum of the shares and each party's own noise to the
-//! receiver. Two rounds total, any record count. [`column_sums_oracle`]
-//! replays its streams and predicts it exactly.
+//! polynomial class: as a [`ReleasePlan`] it is one row, the constant form
+//! `1` paired with every column. The function is linear, so the MPC
+//! evaluation needs *no* multiplications at all — one round sharing the
+//! column sums, local addition, one masked sum of the shares and each
+//! party's own noise to the receiver. Two rounds total, any record count.
+//! [`column_sums_oracle`] replays its streams ([`ReleasePlan::exact`]) and
+//! predicts it exactly.
 
-use rand::rngs::StdRng;
 use sqm_core::quantize::quantize_vec;
+use sqm_core::sensitivity::column_sum_sensitivity;
 use sqm_field::PrimeField;
 use sqm_linalg::Matrix;
 use sqm_mpc::{MpcEngine, RunStats, TransportError};
-use sqm_sampling::skellam::Skellam;
 
-use crate::covariance::validate;
 use crate::partition::ColumnPartition;
-use crate::{noisy_sum, or_panic, party_streams, received, validate_gamma, VflConfig};
+use crate::plan::{Form, ReleasePlan};
+use crate::{noisy_sum, or_panic, received, validate, validate_gamma, VflConfig};
 
 /// The opened, still-amplified column sums plus statistics.
 #[derive(Debug)]
@@ -39,72 +40,76 @@ pub fn column_sums_skellam(
     mu: f64,
     cfg: &VflConfig,
 ) -> MeanOutput {
-    or_panic(try_column_sums_skellam(data, partition, gamma, mu, cfg))
+    let plan = plan(data, partition, gamma, mu, cfg);
+    or_panic(release(&plan, data, cfg))
 }
 
-/// [`column_sums_skellam`] with transport failures surfaced as values.
-pub(crate) fn try_column_sums_skellam(
+/// This release's quantization and noise salts (see [`crate::party_streams`]).
+const STREAMS: [u64; 2] = [0x3EA4_0000, 0x5E11_D000];
+
+/// The column sums' plan: the constant form `1` paired with every column,
+/// charged [`column_sum_sensitivity`]. Checks the inputs for the protocol
+/// and the oracle alike.
+pub(crate) fn plan(
     data: &Matrix,
     partition: &ColumnPartition,
     gamma: f64,
     mu: f64,
     cfg: &VflConfig,
-) -> Result<MeanOutput, TransportError> {
+) -> ReleasePlan {
     validate(data, partition, cfg);
     validate_gamma(gamma);
-    // Magnitude bound of the opened sums.
+    let n = data.cols();
     let c = data.max_row_norm().max(1e-9);
+    // Magnitude bound of the opened sums.
     let bound = data.rows() as f64 * (gamma * c + 1.0) + 12.0 * (2.0 * mu).sqrt();
-    with_field!(bound, F => mean_impl::<F>(data, partition, gamma, mu, cfg))
+    let ones = Form {
+        constant: 1,
+        terms: Vec::new(),
+    };
+    let (rows, sens) = (vec![(ones, 0..n)], column_sum_sensitivity(gamma, c, n));
+    ReleasePlan::new(partition, STREAMS, gamma, mu, rows, bound, sens)
 }
 
-fn mean_impl<F: PrimeField>(
+/// The release of `plan` over `data`, on its own linear protocol body.
+pub(crate) fn release(
+    plan: &ReleasePlan,
     data: &Matrix,
-    partition: &ColumnPartition,
-    gamma: f64,
-    mu: f64,
     cfg: &VflConfig,
 ) -> Result<MeanOutput, TransportError> {
-    let n = data.cols();
-    let local_mu = mu / cfg.n_clients() as f64;
-    let engine = MpcEngine::new(cfg.mpc_config());
+    let (partition, n) = (&plan.partition, data.cols());
     let counts = partition.counts();
+    let run = with_field!(plan.bound, F => {
+        MpcEngine::new(cfg.mpc_config()).try_run::<F, Option<Vec<i128>>, _>(|ctx| {
+            let me = ctx.id;
+            // Each client only shares its quantized *column sums* — for a
+            // linear function the per-record values never need to be shared
+            // at all, so the input cost is `O(n P^2)` rather than `O(m n P^2)`.
+            ctx.set_phase("quantize");
+            let (mut qrng, mut nrng) = plan.streams(cfg.seed(), me);
+            let sum = |j| {
+                let q = quantize_vec(&mut qrng, &data.col(j), plan.gamma);
+                F::from_i128(q.into_iter().map(i128::from).sum())
+            };
+            let my_sums: Vec<F> = partition.columns_of(me).into_iter().map(sum).collect();
 
-    let run = engine.try_run::<F, Option<Vec<i128>>, _>(|ctx| {
-        let me = ctx.id;
-        // Each client only shares its quantized *column sums* — for a
-        // linear function the per-record values never need to be shared at
-        // all, so the input cost is `O(n P^2)` rather than `O(m n P^2)`.
-        ctx.set_phase("quantize");
-        let (mut qrng, mut nrng) = party_streams(cfg.seed(), STREAMS, me);
-        let sum = |j| F::from_i128(quantized_sum(&mut qrng, data, j, gamma));
-        let my_sums: Vec<F> = partition.columns_of(me).into_iter().map(sum).collect();
-
-        ctx.set_phase("input");
-        let mut sums = vec![F::ZERO; n];
-        for (client, contrib) in ctx.share_all_uneven(&my_sums, &counts).iter().enumerate() {
-            for (slot, &j) in partition.columns_of(client).iter().enumerate() {
-                sums[j] = contrib[slot];
+            ctx.set_phase("input");
+            let mut sums = vec![F::ZERO; n];
+            for (client, contrib) in ctx.share_all_uneven(&my_sums, &counts).iter().enumerate() {
+                for (slot, &j) in partition.columns_of(client).iter().enumerate() {
+                    sums[j] = contrib[slot];
+                }
             }
-        }
 
-        let local = ctx.scale_public(&sums, ctx.lagrange_weight(None));
-        noisy_sum(ctx, local, &mut nrng, local_mu)
+            let local = ctx.scale_public(&sums, ctx.lagrange_weight(None));
+            noisy_sum(ctx, local, &mut nrng, plan.local_mu)
+        })
     })?;
     Ok(MeanOutput {
         sums_hat: received(&run.outputs).iter().map(|&v| v as f64).collect(),
         stats: run.stats,
         trace: run.trace,
     })
-}
-
-/// This release's quantization and noise salts (see [`party_streams`]).
-const STREAMS: [u64; 2] = [0x3EA4_0000, 0x5E11_D000];
-
-/// Column `j` quantized from `qrng` (one draw per record) and summed.
-fn quantized_sum(qrng: &mut StdRng, data: &Matrix, j: usize, gamma: f64) -> i128 {
-    let q = quantize_vec(qrng, &data.col(j), gamma);
-    q.into_iter().map(|v| v as i128).sum()
 }
 
 /// Bit-exact plaintext replay of [`column_sums_skellam`]: each party's
@@ -116,24 +121,16 @@ pub fn column_sums_oracle(
     mu: f64,
     cfg: &VflConfig,
 ) -> Vec<f64> {
-    validate(data, partition, cfg);
-    let skellam = Skellam::new(mu / cfg.n_clients() as f64);
-    let mut sums = vec![0i128; data.cols()];
-    for p in 0..cfg.n_clients() {
-        let (mut qrng, mut nrng) = party_streams(cfg.seed(), STREAMS, p);
-        for j in partition.columns_of(p) {
-            sums[j] += quantized_sum(&mut qrng, data, j, gamma);
-        }
-        for s in sums.iter_mut() {
-            *s += skellam.sample(&mut nrng) as i128;
-        }
-    }
-    sums.into_iter().map(|s| s as f64).collect()
+    let rows: Vec<usize> = (0..data.rows()).collect();
+    let plan = plan(data, partition, gamma, mu, cfg);
+    let opened = plan.exact(&[vec![(data, &rows)]], cfg.seed(), 0);
+    opened.into_iter().map(|s| s as f64).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
     fn data() -> Matrix {
@@ -190,6 +187,21 @@ mod tests {
         let mean = vals.iter().sum::<f64>() / vals.len() as f64;
         let var = vals.iter().map(|v| (v - mean).powi(2)).sum::<f64>() / vals.len() as f64;
         assert!((var - 2.0 * mu).abs() / (2.0 * mu) < 0.15, "var {var}");
+    }
+
+    #[test]
+    #[should_panic(expected = "gamma must be positive")]
+    fn oracle_rejects_a_zero_gamma() {
+        // No records, so no per-value quantizer could catch it: the plan
+        // constructor the protocol and the oracle share does.
+        let cfg = VflConfig::fast(3);
+        column_sums_oracle(
+            &Matrix::zeros(0, 3),
+            &ColumnPartition::even(3, 3),
+            0.0,
+            1.0,
+            &cfg,
+        );
     }
 
     #[test]

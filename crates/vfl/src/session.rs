@@ -17,17 +17,14 @@
 
 use sqm_accounting::skellam::Sensitivity;
 use sqm_accounting::RdpCurve;
-use sqm_core::sensitivity::{lr_sensitivity, pca_sensitivity};
 use sqm_linalg::Matrix;
 use sqm_mpc::{RunStats, TransportError};
 use sqm_obs::ledger::{LedgerEntry, PrivacyLedger};
 use std::fmt;
 
-use crate::covariance::try_covariance_skellam;
-use crate::gradient::try_gradient_sum_skellam;
-use crate::mean::try_column_sums_skellam;
 use crate::partition::ColumnPartition;
-use crate::VflConfig;
+use crate::plan::ReleasePlan;
+use crate::{covariance, gradient, mean, VflConfig};
 
 /// One value the server received, with its provenance.
 #[derive(Clone, Debug)]
@@ -257,23 +254,22 @@ impl VflSession {
         &self.ledger
     }
 
-    /// Every release: admit, run, and only then record, so the server view,
-    /// the ledger and `stats()` move together or not at all. `run` returns
-    /// the amplified values the server receives, the run's statistics and
-    /// the caller's down-scaled output.
+    /// Every release: admit at its plan's sensitivity, run, and only then
+    /// record, so the server view, the ledger and `stats()` move together or
+    /// not at all. `run` returns the amplified values the server receives,
+    /// the run's statistics and the caller's down-scaled output.
     fn release<T>(
         &mut self,
         kind: ReleaseKind,
         dims: usize,
-        gamma: f64,
         mu: f64,
-        sens: Sensitivity,
-        run: impl FnOnce(&ColumnPartition, &VflConfig) -> RunResult<T>,
+        plan: &ReleasePlan,
+        run: impl FnOnce(&VflConfig) -> RunResult<T>,
     ) -> Result<T, ReleaseError> {
-        let admitted = ReleasePermit::admit(&self.ledger, kind, dims, gamma, mu, sens);
+        let gamma = plan.gamma;
+        let admitted = ReleasePermit::admit(&self.ledger, kind, dims, gamma, mu, plan.sensitivity);
         let permit = admitted.map_err(ReleaseError::Refused)?;
-        let ran = run(&self.partition, &self.cfg);
-        let (values, stats, out) = ran.map_err(ReleaseError::Transport)?;
+        let (values, stats, out) = run(&self.cfg).map_err(ReleaseError::Transport)?;
         self.view.receive(Release {
             kind,
             values,
@@ -305,10 +301,9 @@ impl VflSession {
         mu: f64,
     ) -> Result<Matrix, ReleaseError> {
         let n = data.cols();
-        let sens = pca_sensitivity(gamma, data.max_row_norm().max(1e-9), n);
-        let kind = ReleaseKind::Covariance;
-        self.release(kind, n * n, gamma, mu, sens, |partition, cfg| {
-            let out = try_covariance_skellam(data, partition, gamma, mu, cfg)?;
+        let plan = covariance::data_plan(data, &self.partition, gamma, mu, &self.cfg);
+        self.release(ReleaseKind::Covariance, n * n, mu, &plan, |cfg| {
+            let out = covariance::release(&plan, data, cfg, data.rows().max(1))?;
             let scaled = out.c_hat.scaled(1.0 / (gamma * gamma));
             Ok((out.c_hat.as_slice().to_vec(), out.stats, scaled))
         })
@@ -338,12 +333,10 @@ impl VflSession {
         gamma: f64,
         mu: f64,
     ) -> Result<Vec<f64>, ReleaseError> {
-        let d = w.len();
-        let kind = ReleaseKind::GradientSum;
-        let sens = lr_sensitivity(gamma, d);
-        self.release(kind, d, gamma, mu, sens, |partition, cfg| {
-            let out = try_gradient_sum_skellam(data, partition, batch, w, gamma, mu, cfg)?;
-            let amplified = out.grad_sum.iter().map(|&g| g * gamma.powi(3)).collect();
+        let plan = gradient::plan(data, &self.partition, batch, w, gamma, mu, &self.cfg);
+        self.release(ReleaseKind::GradientSum, w.len(), mu, &plan, |cfg| {
+            let (opened, out) = gradient::release(&plan, data, batch, cfg)?;
+            let amplified = opened.iter().map(|&v| v as f64).collect();
             Ok((amplified, out.stats, out.grad_sum))
         })
     }
@@ -363,15 +356,9 @@ impl VflSession {
         gamma: f64,
         mu: f64,
     ) -> Result<Vec<f64>, ReleaseError> {
-        // Lemma 3 shape at lambda = 1: replacing one record moves the
-        // amplified sums by at most `gamma * c` plus one rounding unit per
-        // column.
-        let n = data.cols();
-        let c = data.max_row_norm().max(1e-9);
-        let sens = Sensitivity::from_l2_for_dim(gamma * c + (n as f64).sqrt(), n);
-        let kind = ReleaseKind::ColumnSums;
-        self.release(kind, n, gamma, mu, sens, |partition, cfg| {
-            let out = try_column_sums_skellam(data, partition, gamma, mu, cfg)?;
+        let plan = mean::plan(data, &self.partition, gamma, mu, &self.cfg);
+        self.release(ReleaseKind::ColumnSums, data.cols(), mu, &plan, |cfg| {
+            let out = mean::release(&plan, data, cfg)?;
             let scaled = out.sums_hat.iter().map(|&s| s / gamma).collect();
             Ok((out.sums_hat, out.stats, scaled))
         })
@@ -486,6 +473,44 @@ mod tests {
             assert!((v - g * gamma.powi(3)).abs() < 1e-6);
             // Amplified openings are integers.
             assert!((v - v.round()).abs() < 1e-6, "not an integer opening: {v}");
+        }
+    }
+
+    #[test]
+    fn the_server_view_holds_the_released_integers() {
+        // The benchmark's LR shape: gamma = 18, d = 100, P = 4, seed 3. An
+        // opening divided by gamma^3 in f64 and multiplied back is not
+        // always an integer, so the view must keep what the receiver got.
+        use rand::{Rng, SeedableRng};
+        let (m, d, p, gamma) = (200, 100, 4, 18.0);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(3);
+        let x = Matrix::from_vec(
+            m,
+            d + 1,
+            (0..m * (d + 1))
+                .map(|i| {
+                    if i % (d + 1) == d {
+                        f64::from(rng.gen::<bool>())
+                    } else {
+                        rng.gen_range(-0.1..0.1)
+                    }
+                })
+                .collect(),
+        );
+        let (partition, cfg) = (
+            ColumnPartition::even(d + 1, p),
+            VflConfig::fast(p).with_seed(3),
+        );
+        let (batch, w): (Vec<usize>, _) = ((0..m).collect(), vec![0.01; d]);
+        let mut session = VflSession::new(partition.clone(), cfg.clone());
+        session.gradient_sum(&x, &batch, &w, gamma, 1e6);
+        let plan = gradient::plan(&x, &partition, &batch, &w, gamma, 1e6, &cfg);
+        let exact = plan.exact(&[vec![(&x, &batch[..])]], cfg.seed(), 0);
+        let values = &session.server_view().releases()[0].values;
+        assert_eq!(values.len(), d);
+        for (k, (v, e)) in values.iter().zip(&exact).enumerate() {
+            assert_eq!(v.fract(), 0.0, "entry {k}: {v} is not an integer");
+            assert_eq!(*v, *e as f64, "entry {k}");
         }
     }
 

@@ -4,7 +4,7 @@
 //! and tear everything down. A serving deployment (see `sqm::serve`)
 //! instead keeps a session alive across many mini-batch arrivals and many
 //! DP releases. [`StreamCov`] is that session: the one-shot covariance's
-//! per-party program (`CovPlan::party_release`) on party workers, a mesh
+//! per-party program (`ReleasePlan::party_release`) on party workers, a mesh
 //! and share state it keeps.
 //!
 //! * **Transports and party threads are reused.** The party mesh is built
@@ -44,14 +44,13 @@
 use sqm_field::{FieldChoice, M127, M61};
 use sqm_linalg::Matrix;
 use sqm_mpc::TransportError;
-use sqm_sampling::rounding::stochastic_round;
-use sqm_sampling::skellam::Skellam;
 
 use crate::covariance::{
-    magnitude_bound, symmetric_from_upper, CovSession, CovarianceOutput, STREAMS,
+    magnitude_bound, plan, symmetric_from_upper, CovSession, CovarianceOutput,
 };
 use crate::partition::ColumnPartition;
-use crate::{field_for, fitting_field, party_streams, validate_gamma, VflConfig};
+use crate::plan::RowBlock;
+use crate::{field_for, fitting_field, VflConfig};
 
 /// The only field-dependent part of a streaming session: the mesh and the
 /// per-party share state. The width is pinned at creation from the declared
@@ -100,11 +99,11 @@ impl StreamCov {
             cfg.n_clients(),
             "partition/config client-count mismatch"
         );
-        validate_gamma(gamma);
         assert!(max_rows >= 1, "declare a positive record envelope");
-        let session = match field_for(magnitude_bound(max_rows, max_row_norm, gamma, mu)) {
-            FieldChoice::M61 => FieldSession::M61(CovSession::open(cfg, &partition, gamma, mu)?),
-            FieldChoice::M127 => FieldSession::M127(CovSession::open(cfg, &partition, gamma, mu)?),
+        let plan = plan(&partition, gamma, mu, max_rows, max_row_norm);
+        let session = match field_for(plan.bound) {
+            FieldChoice::M61 => FieldSession::M61(CovSession::open(cfg, plan)?),
+            FieldChoice::M127 => FieldSession::M127(CovSession::open(cfg, plan)?),
         };
         Ok(StreamCov {
             partition,
@@ -151,10 +150,10 @@ impl StreamCov {
         }
         let rows = self.pending_rows();
         // All pending batches ride one input frame, in arrival order.
-        let pending = std::mem::take(&mut self.pending);
+        let (pending, n) = (std::mem::take(&mut self.pending), self.n_cols());
         let released = match &mut self.session {
-            FieldSession::M61(s) => s.release(pending),
-            FieldSession::M127(s) => s.release(pending),
+            FieldSession::M61(s) => s.release(pending, n),
+            FieldSession::M127(s) => s.release(pending, n),
         };
         match &released {
             Ok(_) => {
@@ -193,13 +192,14 @@ impl StreamCov {
 }
 
 /// Bit-exact plaintext predictor of [`StreamCov`] release `noise_skip`
-/// covering the cumulative `batches` ingested so far: the one covariance
-/// oracle body ([`crate::covariance::covariance_quantized_oracle`] is its
-/// one-batch case). Quantization replays each party's stream batch by
-/// batch in exactly the order the session consumed it; the noise streams
-/// skip the `noise_skip * n(n+1)/2` draws earlier releases consumed. Any
-/// divergence from the MPC session is a correctness bug in share
-/// persistence, transport reuse, or the masked sum.
+/// covering the cumulative `batches` ingested so far: the covariance plan's
+/// [`crate::plan::ReleasePlan::exact`] on one frame of every batch
+/// ([`crate::covariance::covariance_quantized_oracle`] is its one-batch
+/// case). Quantization replays each party's stream batch by batch in
+/// exactly the order the session consumed it; the noise streams skip the
+/// `noise_skip * n(n+1)/2` draws earlier releases consumed. Any divergence
+/// from the MPC session is a correctness bug in share persistence,
+/// transport reuse, or the masked sum.
 pub fn covariance_streaming_oracle(
     batches: &[Matrix],
     partition: &ColumnPartition,
@@ -208,41 +208,16 @@ pub fn covariance_streaming_oracle(
     cfg: &VflConfig,
     noise_skip: usize,
 ) -> Matrix {
-    let n = partition.n_cols();
-    let upper_len = n * (n + 1) / 2;
-    let skellam = Skellam::new(mu / cfg.n_clients() as f64);
-    // Per party: quantization batch-major / column-major / record-minor,
-    // the session's exact order, then this release's noise draws.
-    let mut qcols: Vec<Vec<i64>> = vec![Vec::new(); n];
-    let mut opened = vec![0i128; upper_len];
-    for p in 0..cfg.n_clients() {
-        let (mut qrng, mut nrng) = party_streams(cfg.seed(), STREAMS, p);
-        for batch in batches {
-            for &j in &partition.columns_of(p) {
-                for i in 0..batch.rows() {
-                    qcols[j].push(stochastic_round(&mut qrng, gamma * batch[(i, j)]));
-                }
-            }
-        }
-        for _ in 0..noise_skip * upper_len {
-            skellam.sample(&mut nrng);
-        }
-        for s in opened.iter_mut() {
-            *s += skellam.sample(&mut nrng) as i128;
-        }
-    }
-
-    let m: usize = batches.iter().map(|b| b.rows()).sum();
-    let mut idx = 0;
-    for j in 0..n {
-        for k in j..n {
-            opened[idx] += (0..m)
-                .map(|i| qcols[j][i] as i128 * qcols[k][i] as i128)
-                .sum::<i128>();
-            idx += 1;
-        }
-    }
-    symmetric_from_upper(&opened, n)
+    let m = batches.iter().map(Matrix::rows).sum();
+    let norm = batches.iter().map(Matrix::max_row_norm).fold(0.0, f64::max);
+    let rows: Vec<Vec<usize>> = batches.iter().map(|b| (0..b.rows()).collect()).collect();
+    let frame: Vec<RowBlock> = batches
+        .iter()
+        .zip(&rows)
+        .map(|(b, r)| (b, &r[..]))
+        .collect();
+    let opened = plan(partition, gamma, mu, m, norm).exact(&[frame], cfg.seed(), noise_skip);
+    symmetric_from_upper(&opened, partition.n_cols())
 }
 
 #[cfg(test)]

@@ -19,8 +19,8 @@ use sqm_linalg::Matrix;
 use sqm_obs::prof::{self, Profiler};
 use sqm_vfl::{
     covariance_quantized_oracle, covariance_skellam, covariance_skellam_chunked,
-    eval_polynomial_skellam, gradient_sum_skellam, ColumnPartition, ProfConfig, StreamCov,
-    VflConfig,
+    eval_polynomial_skellam, gradient_sum_oracle, gradient_sum_skellam, ColumnPartition,
+    ProfConfig, StreamCov, VflConfig,
 };
 
 fn profiler() -> Arc<Profiler> {
@@ -246,6 +246,26 @@ fn gram_node_pins_each_partys_own_block_and_kept_rows() {
             // ...and spread within one triangle row's worth.
             let spread = work.iter().max().unwrap() - work.iter().min().unwrap();
             assert!(spread <= (n * m) as u64, "{what}: {work:?}");
+
+            // The gradient runs the same program on one row, `v` against
+            // the d = n - 1 features: every party multiplies it, but at
+            // even P party 0 sits it out.
+            let (batch, w, d) = ([0usize, 2, 3, 6], vec![0.1; n - 1], n - 1);
+            let prof = profiler();
+            let cfg = VflConfig::fast(p)
+                .with_seed(3)
+                .with_prof(Some(prof.clone()));
+            let out = gradient_sum_skellam(&data, &partition, &batch, &w, 64.0, 5.0, &cfg);
+            let oracle = gradient_sum_oracle(&data, &partition, &batch, &w, 64.0, 5.0, &cfg);
+            assert_eq!(out.grad_sum, oracle, "{what}");
+            let gram = &prof.snapshot().nodes["vfl;compute;gram"];
+            let keep = if p % 2 == 0 { p - 1 } else { p };
+            assert_eq!(gram.calls, p as u64, "{what}: gradient");
+            assert_eq!(
+                gram.work,
+                (keep * d * batch.len()) as u64,
+                "{what}: gradient"
+            );
         }
     }
 

@@ -103,7 +103,13 @@
 #     oracle; that name stays only as a wrapper for outside callers),
 #   * one of the ten protocol stream constants on more than one code line
 #     (comments aside) under crates/vfl/src: each release module names its
-#     streams once, in the helper its protocol body and its oracle share.
+#     streams once, in the helper its protocol body and its oracle share,
+#   * `Skellam::new` under crates/vfl/src anywhere but lib.rs (`noisy_sum`),
+#     plan.rs and generic.rs: the degree-2 releases draw noise in one
+#     program and replay it in one oracle, `ReleasePlan::exact`,
+#   * the deleted second per-party program comes back: `gradient_impl` as
+#     a whole word under crates/, tests/ or examples/ (the gradient runs
+#     `ReleasePlan::party_release`).
 #
 # And for the sharing kernel: `horner` anywhere in crates/mpc/src/shamir.rs
 # outside the body of `fn share_secret` (tests and docs included). The
@@ -274,6 +280,11 @@ for salt in 0xA11C_E000 0x5E11_A000 0x3EA4_0000 0x5E11_D000 0x96AD_0000 0x5E11_B
   expect "stream constant $salt on more than one code line under crates/vfl/src" -1 \
     "$(non_test "$salt" crates/vfl/src | grep -v '^[^:]*:[0-9]*: *//' || true)"
 done
+
+expect "Skellam::new under crates/vfl/src outside lib.rs, plan.rs and generic.rs (one noise program, one replay)" 0 \
+  "$(non_test 'Skellam::new' crates/vfl/src | grep -vE '^crates/vfl/src/(lib|plan|generic)[.]rs:' || true)"
+expect "the deleted second per-party program is back (gradient_impl; the gradient runs ReleasePlan::party_release)" 0 \
+  "$(grep -rnw 'gradient_impl' crates tests examples || true)"
 
 expect "horner outside fn share_secret in crates/mpc/src/shamir.rs (batch sharing runs on PrimeField::combine)" 0 \
   "$(awk '
